@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race test-race chaos soak-metrics soak-disk soak-adversary soak-reshard soak-failover crashpoint fuzz vet bench-baseline bench-smoke
+.PHONY: build test race test-race chaos soak-metrics soak-disk soak-adversary soak-reshard soak-failover crashpoint fuzz vet bench-baseline bench-smoke bench-check
 
 build:
 	$(GO) build ./...
@@ -16,9 +16,11 @@ race:
 # Race-detector pass over the observability layer and everything that
 # feeds it (metrics registry, RPC, 2PC, chaos invariants), plus the
 # filesystem fault layer, crash-point harness, and the storage engine
-# with its block cache (concurrent Get/compaction/invalidation hammer).
+# with its block cache (concurrent Get/compaction/invalidation hammer),
+# and the cluster package (the counter-round budget of a full-security
+# cluster).
 test-race:
-	$(GO) test -race -short ./internal/obs/... ./internal/erpc/... ./internal/twopc/... ./internal/chaos/... ./internal/vfs/... ./internal/audit/... ./internal/lsm/...
+	$(GO) test -race -short ./internal/obs/... ./internal/erpc/... ./internal/twopc/... ./internal/chaos/... ./internal/vfs/... ./internal/audit/... ./internal/lsm/... ./internal/core/...
 
 # Full 20-round chaos soak with per-round logging.
 chaos:
@@ -101,3 +103,9 @@ bench-baseline:
 # acked ships or any degrade).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAblation_BlockCache|BenchmarkAblation_WritePathGroupCommit|BenchmarkAblation_Replication' -benchtime=1x .
+
+# The benchmark module (benchmark/, judged by BENCHMARK.json) imports
+# internal packages but is outside the root build, so an internal API
+# change can break it silently: vet and test it against this tree.
+bench-check:
+	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...

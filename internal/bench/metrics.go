@@ -53,6 +53,11 @@ type NodeDigest struct {
 	CounterRounds       uint64  `json:"counter_rounds,omitempty"`
 	CounterBatchP95     float64 `json:"counter_batch_p95,omitempty"`
 	CounterRoundsPerTxn float64 `json:"counter_rounds_per_txn,omitempty"`
+	// Stabilize on demand: commit groups written and forced without a
+	// round of their own (WAL outcome records; Clog prepare records).
+	// They ride the next demanded round on the same counter.
+	WALStabilizeDeferred  uint64 `json:"wal_stabilize_deferred,omitempty"`
+	ClogStabilizeDeferred uint64 `json:"clog_stabilize_deferred,omitempty"`
 	// BloomFilterRate is the fraction of filtered point reads (bloom
 	// negatives / bloom checks), 0 when no SSTable was consulted.
 	BloomFilterRate float64 `json:"bloom_filter_rate"`
@@ -122,6 +127,8 @@ func DigestSnapshot(s obs.Snapshot) NodeDigest {
 		d.ClogGroupMax = float64(h.Max)
 	}
 	d.CounterRounds = s.Counter("counter.rounds")
+	d.WALStabilizeDeferred = s.Counter("lsm.wal.stabilize_deferred")
+	d.ClogStabilizeDeferred = s.Counter("twopc.clog.stabilize_deferred")
 	if h, ok := s.Histograms["counter.batch.size"]; ok && h.Count > 0 {
 		d.CounterBatchP95 = float64(h.P95)
 	}

@@ -66,9 +66,6 @@ type Config struct {
 	// MemTableSize overrides the flush threshold; disk-fault runs set it
 	// small so rounds actually reach the SSTable read/write paths.
 	MemTableSize int64
-	// ClogSync enables per-append Clog fsync (the crash-model soak needs
-	// acknowledged coordinator records to be power-cut durable).
-	ClogSync bool
 	// Audit records every client-observed operation into an
 	// audit.Recorder and runs the serialization-graph checker at the end
 	// of the soak: stale reads, lost updates, write skew, and dependency
@@ -198,7 +195,6 @@ func New(cfg Config) (*Harness, error) {
 		MemTableSize: cfg.MemTableSize,
 		Seed:         cfg.Seed,
 		NodeFS:       nodeFS,
-		ClogSync:     cfg.ClogSync,
 		Replicate:    cfg.Replicate,
 	})
 	if err != nil {
@@ -229,8 +225,20 @@ func New(cfg Config) (*Harness, error) {
 	return h, nil
 }
 
-// Close tears the cluster down.
-func (h *Harness) Close() error { return h.cluster.Stop() }
+// Close tears the cluster down and checks the log laws once more on the
+// stopped nodes: a clean close leaves no log with an unstabilized tail.
+func (h *Harness) Close() error {
+	nodes := h.cluster.LiveNodes()
+	if err := h.cluster.Stop(); err != nil {
+		return err
+	}
+	for _, n := range nodes {
+		if why := logLaws(n.Addr(), n.Snapshot(), true); why != "" {
+			return fmt.Errorf("chaos: after close: %s", why)
+		}
+	}
+	return nil
+}
 
 // Cluster exposes the underlying cluster (faults manipulate it).
 func (h *Harness) Cluster() *core.Cluster { return h.cluster }
@@ -582,8 +590,7 @@ func (h *Harness) verify() error {
 //   - eRPC: req.enqueued == req.delivered + req.cancelled + req.orphaned
 //   - req.pending, for the node endpoint and (in stab mode) the
 //     counter-service endpoint.
-//   - WAL: the appended LSN never trails the stabilized counter — the
-//     counter only advances after a durable append.
+//   - Logs: see logLaws.
 func nodeMetricLaws(addr string, s obs.Snapshot) string {
 	begun := s.Counter("twopc.tx.begun")
 	committed := s.Counter("twopc.tx.committed")
@@ -603,8 +610,8 @@ func nodeMetricLaws(addr string, s obs.Snapshot) string {
 				addr, pfx, enq, resolved, pending)
 		}
 	}
-	if app, stable := s.Gauge("lsm.wal.appended_lsn"), s.Gauge("lsm.wal.stable_lsn"); app < stable {
-		return fmt.Sprintf("%s: WAL law violated: appended_lsn=%d < stable_lsn=%d", addr, app, stable)
+	if why := logLaws(addr, s, false); why != "" {
+		return why
 	}
 	// Replication: every shipped commit group resolves to exactly one of
 	// acked, failed (degrade), or skipped (no backup bound yet), and
@@ -642,6 +649,34 @@ func nodeMetricLaws(addr string, s obs.Snapshot) string {
 			return fmt.Sprintf("%s: cache law violated: quarantine_purges=%d != quarantined tables=%d",
 				addr, p, q)
 		}
+	}
+	return ""
+}
+
+// logLaws checks the stabilize-on-demand laws of one node's WAL and Clog:
+//
+//   - the appended LSN never trails the stabilized counter — the counter
+//     only advances after a durable append — and after a clean Close the
+//     two are equal: no log is left with an unstabilized tail;
+//   - successful trusted-counter rounds never exceed the commit groups
+//     that demanded one: a group written without a waiter (a WAL outcome
+//     record, a Clog prepare) must not fire a round of its own.
+//     Close itself demands one per log for whatever tail was deferred.
+func logLaws(addr string, s obs.Snapshot, closed bool) string {
+	for _, log := range []string{"lsm.wal", "twopc.clog"} {
+		app, stable := s.Gauge(log+".appended_lsn"), s.Gauge(log+".stable_lsn")
+		if app < stable || (closed && app != stable) {
+			return fmt.Sprintf("%s: %s law violated: appended_lsn=%d stable_lsn=%d closed=%v", addr, log, app, stable, closed)
+		}
+	}
+	rounds := s.Counter("counter.rounds") - s.Counter("counter.round.failures")
+	demanding := s.Counter("lsm.stabilize.demanded") +
+		s.Histograms["twopc.clog.group_size"].Count - s.Counter("twopc.clog.stabilize_deferred")
+	if closed {
+		demanding++ // the Clog's close-time tail
+	}
+	if rounds > demanding {
+		return fmt.Sprintf("%s: round law violated: %d counter rounds > %d demanding groups", addr, rounds, demanding)
 	}
 	return ""
 }

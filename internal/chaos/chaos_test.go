@@ -99,7 +99,6 @@ func TestChaosSoakDisk(t *testing.T) {
 		// Small memtables so rounds reach the SSTable write AND read
 		// paths (bit rot is only observable on real block reads).
 		MemTableSize: 16 << 10,
-		ClogSync:     true,
 		Logf:         t.Logf,
 	})
 	if err != nil {
@@ -241,6 +240,12 @@ func TestMetricLawViolationDetected(t *testing.T) {
 	}
 	if why := nodeMetricLaws("node-0", h.Cluster().Node(0).Snapshot()); why != "" {
 		t.Fatalf("law violated on clean cluster: %s", why)
+	}
+	// A counter round nobody demanded must trip the round law.
+	s := h.Cluster().Node(0).Snapshot()
+	s.Counters["counter.rounds"] = s.Counter("lsm.stabilize.demanded") + s.Histograms["twopc.clog.group_size"].Count + 1
+	if why := logLaws("node-0", s, false); why == "" {
+		t.Fatal("checker missed a forced round law violation")
 	}
 	h.Cluster().Node(0).Metrics().Counter("twopc.tx.begun").Inc()
 	if why := nodeMetricLaws("node-0", h.Cluster().Node(0).Snapshot()); why == "" {

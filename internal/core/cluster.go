@@ -62,8 +62,6 @@ type ClusterOptions struct {
 	// the node restarts, so fault state and crash images persist across
 	// a node's incarnations.
 	NodeFS func(i int) vfs.FS
-	// ClogSync enables per-append Clog fsync on every node.
-	ClogSync bool
 	// Replicate enables per-shard primary-backup replication on every
 	// node (see NodeConfig.Replicate).
 	Replicate bool
@@ -190,7 +188,6 @@ func (c *Cluster) nodeConfig(id uint64, addr string) (NodeConfig, error) {
 		ID:                 id,
 		Addr:               addr,
 		FS:                 nfs,
-		ClogSync:           c.opts.ClogSync,
 		Dir:                dir,
 		Mode:               c.opts.Mode,
 		Net:                c.net,

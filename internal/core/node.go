@@ -72,11 +72,6 @@ type NodeConfig struct {
 	// trusted counter files) go through; nil uses the real OS. The chaos
 	// and crash-point harnesses substitute fault-injecting filesystems.
 	FS vfs.FS
-	// ClogSync is retained for compatibility: the Clog's group-commit
-	// leader forces every group before stabilizing it, so acknowledged
-	// appends are always power-loss durable and this flag is a no-op
-	// (see Clog.EnableSync).
-	ClogSync bool
 	// DisableGroupCommit is the group-commit ablation (both the storage
 	// engine's WAL committer and the Clog leader).
 	DisableGroupCommit bool
@@ -326,9 +321,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.shutdownPartial()
 		return nil, err
 	}
-	if cfg.ClogSync {
-		clog.EnableSync() // compat no-op: every commit group is forced
-	}
 	clog.Configure(twopc.ClogTuning{
 		DisableGroupCommit: cfg.DisableGroupCommit,
 		Metrics:            n.reg,
@@ -467,6 +459,9 @@ func (n *Node) buildCounters(clusterCfg *attest.ClusterConfig) (lsm.CounterFacto
 // shutdownPartial tears down whatever StartNode built before failing,
 // releasing every network address so a later retry can bind again.
 func (n *Node) shutdownPartial() {
+	if n.db != nil {
+		_ = n.db.Close() // before the counter client: Close waits on it
+	}
 	if n.ctrPoll != nil {
 		n.ctrPoll.Stop()
 	}
@@ -475,9 +470,6 @@ func (n *Node) shutdownPartial() {
 	}
 	if n.ctrEP != nil {
 		_ = n.ctrEP.Close()
-	}
-	if n.db != nil {
-		_ = n.db.Close()
 	}
 	if n.sched != nil {
 		n.sched.Stop()
@@ -617,14 +609,17 @@ func (n *Node) Stop() error {
 	n.poller.Stop()
 	n.part.Close()
 	n.sched.Stop()
+	// The logs close while the counter service is still reachable: a
+	// clean close stabilizes each log's deferred tail and waits for it.
+	var errs []error
+	errs = append(errs, n.clog.Close(), n.db.Close())
 	if n.ctrPoll != nil {
 		n.ctrPoll.Stop()
 	}
 	if n.ctrCli != nil {
 		n.ctrCli.Close()
 	}
-	var errs []error
-	errs = append(errs, n.clog.Close(), n.db.Close(), n.ep.Close())
+	errs = append(errs, n.ep.Close())
 	if n.ctrEP != nil {
 		errs = append(errs, n.ctrEP.Close())
 	}

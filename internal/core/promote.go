@@ -152,15 +152,20 @@ func (n *Node) Promote(primary uint64) error {
 				order = append(order, id)
 			}
 			pending[id] = b
-		case lsm.WALKindTxDecision:
-			id, commit, err := lsm.DecodeDecisionPayload(f.Payload)
+		case lsm.WALKindOutcome:
+			id, commit, b, err := lsm.DecodeOutcomePayload(f.Payload)
 			if err != nil {
-				return fmt.Errorf("core: promoting %d: WAL decision: %w", primary, err)
+				return fmt.Errorf("core: promoting %d: WAL outcome: %w", primary, err)
 			}
-			dbgf("walA ctr=%d decision tx=%x commit=%v", f.Counter, id, commit)
-			// A decided transaction needs no restore: a commit's data
-			// arrives as its own batch record (CommitPrepared appends
-			// both), an abort left no engine state.
+			dbgf("walA ctr=%d outcome tx=%x commit=%v", f.Counter, id, commit)
+			// Apply and mark decided in one step, as recovery does: a
+			// commit carries its own write set, an abort left no state.
+			if commit {
+				dbgBatch("outcome", b)
+				if _, _, err := n.db.Apply(b); err != nil {
+					return fmt.Errorf("core: promoting %d: applying outcome: %w", primary, err)
+				}
+			}
 			delete(pending, id)
 		default:
 			return fmt.Errorf("core: promoting %d: unknown WAL record kind %d", primary, f.Kind)

@@ -43,6 +43,10 @@ const (
 // ErrNoQuorum indicates the protection group could not reach quorum.
 var ErrNoQuorum = errors.New("counter: no quorum")
 
+// ErrClosed fails a stabilization wait whose client was closed before the
+// value became stable: no pump is left to run the round.
+var ErrClosed = errors.New("counter: client closed")
+
 // wire helpers: name-length-prefixed name ∥ value.
 func encodeReq(name string, value uint64) []byte {
 	out := make([]byte, 0, 2+len(name)+8)
@@ -280,10 +284,13 @@ func (h *Handle) WaitStable(v uint64) error {
 		h.pending = v
 		h.cond.Broadcast()
 	}
-	for h.stable.Load() < v && h.failedErr() == nil {
+	for h.stable.Load() < v && h.failedErr() == nil && !h.closed {
 		h.cond.Wait()
 	}
-	return h.failedErr()
+	if err := h.failedErr(); err != nil || h.stable.Load() >= v {
+		return err
+	}
+	return ErrClosed
 }
 
 // StableValue returns the highest quorum-stable value observed locally

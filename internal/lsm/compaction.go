@@ -203,7 +203,7 @@ func (db *DB) runCompaction(c *compaction) error {
 
 	db.mu.Lock()
 	edit.nextFile = db.nextFile
-	ctr, err := db.manifest.append(&edit)
+	ctr, err := db.logEditLocked(&edit)
 	if err != nil {
 		db.mu.Unlock()
 		return err

@@ -51,8 +51,8 @@ type Options struct {
 	// BaseLevelBytes is the L1 size limit; each level below is 10×
 	// (default 16 MiB).
 	BaseLevelBytes int64
-	// SyncWAL fsyncs the WAL on every commit group (default true; can
-	// be disabled for benchmarks that isolate CPU costs).
+	// SyncWAL fsyncs the WAL on every commit group (off by default;
+	// rotation and Close force the log either way).
 	SyncWAL bool
 	// DisableGroupCommit makes every commit write and sync alone (the
 	// group-commit ablation).
@@ -133,12 +133,20 @@ var ErrDBClosed = errors.New("lsm: db closed")
 type StableToken struct {
 	ctr   TrustedCounter
 	value uint64
+	// deferred marks the token of a record that does not demand a
+	// trusted-counter round itself (a WAL outcome record, a Clog
+	// prepare): waiting on it has to raise the demand.
+	deferred bool
 }
 
-// Wait blocks until the position is rollback-protected.
+// Wait blocks until the position is rollback-protected (raising the
+// demand first on a deferred token, so it is still waitable).
 func (t StableToken) Wait() error {
 	if t.ctr == nil {
 		return nil
+	}
+	if t.deferred {
+		t.ctr.Stabilize(t.value)
 	}
 	return t.ctr.WaitStable(t.value)
 }
@@ -152,7 +160,9 @@ type failableCounter interface {
 // Ready reports (without blocking) whether waiting is over: the position
 // is rollback-protected OR the counter service failed permanently (Wait
 // then surfaces the error). Fibers poll this and yield instead of
-// blocking.
+// blocking. Polling a deferred token raises the demand its record did not,
+// so the poll cannot spin forever; every other token stays a lock-free
+// read.
 func (t StableToken) Ready() bool {
 	if t.ctr == nil {
 		return true
@@ -160,7 +170,13 @@ func (t StableToken) Ready() bool {
 	if f, ok := t.ctr.(failableCounter); ok && f.Failed() != nil {
 		return true
 	}
-	return t.ctr.StableValue() >= t.value
+	if t.ctr.StableValue() >= t.value {
+		return true
+	}
+	if t.deferred {
+		t.ctr.Stabilize(t.value)
+	}
+	return false
 }
 
 // Value returns the log position (trusted counter value) the token waits
@@ -172,6 +188,12 @@ func (t StableToken) Value() uint64 { return t.value }
 // layer's Clog binds its entries to its own trusted counter).
 func NewStableToken(ctr TrustedCounter, value uint64) StableToken {
 	return StableToken{ctr: ctr, value: value}
+}
+
+// NewDeferredToken is NewStableToken for a record whose group does not
+// demand a trusted-counter round (see StableToken.Ready).
+func NewDeferredToken(ctr TrustedCounter, value uint64) StableToken {
+	return StableToken{ctr: ctr, value: value, deferred: true}
 }
 
 // TxID identifies a distributed transaction (coordinator node id ∥ tx
@@ -200,7 +222,24 @@ type DB struct {
 	manifest *manifest
 	wal      *wal
 	walCtr   TrustedCounter
-	readers  map[uint64]*sstReader
+	// logs lists the live WAL file numbers, oldest first (the last is
+	// db.wal). A flush retires the prefix below the new minimum live log.
+	logs []uint64
+	// prepLog pins WALs: it maps every prepared transaction without a
+	// rollback-protected outcome to the WAL holding its prepare record.
+	// The minimum live log never advances past a pinned WAL, so recovery
+	// always finds the yes-vote. decided lists transactions whose outcome
+	// was logged since the last rotation; rotation stabilizes the whole
+	// tail, and only then are their pins dropped.
+	prepLog map[TxID]uint64
+	decided []TxID
+	readers map[uint64]*sstReader
+	// readGate orders table deletion after in-flight reads: Get and
+	// NewIterator hold the read side from snapshotting db.current until
+	// their tables are open, and deleteObsolete passes through the write
+	// side once before unlinking — so no reader still holds a version
+	// naming a file that is about to disappear.
+	readGate sync.RWMutex
 	// quarantined records tables whose reads failed integrity checks;
 	// further reads surface the recorded ErrSSTCorrupt instead of
 	// retrying the damaged file.
@@ -209,10 +248,10 @@ type DB struct {
 
 	// bcache caches verified+decrypted block plaintext across the DB's
 	// readers (nil = disabled; all its methods are nil-safe).
-	bcache *blockcache.Cache
-	lastSeq  atomic.Uint64
-	closed   atomic.Bool
-	bgErr    error
+	bcache  *blockcache.Cache
+	lastSeq atomic.Uint64
+	closed  atomic.Bool
+	bgErr   error
 
 	// commit pipeline
 	commitCh chan *commitReq
@@ -237,6 +276,11 @@ type DB struct {
 
 	// stats
 	flushes, compactions atomic.Uint64
+	// demanded counts the stabilizations the engine asked for (WAL groups
+	// with a waiter, MANIFEST edits, rotation/close tails); deferred counts
+	// WAL groups written without one. Successful counter rounds never
+	// exceed the demands (a chaos metric law).
+	demanded, deferred atomic.Uint64
 	// corruptions counts detected storage corruption events: quarantined
 	// tables and crash-torn log tails dropped at recovery. The chaos
 	// soak compares it against the injected-fault counters to assert
@@ -274,11 +318,11 @@ type commitRes struct {
 }
 
 type commitReq struct {
-	kind     uint8
-	batch    *Batch
-	txID     TxID
-	decision bool
-	done     chan commitRes
+	kind   uint8
+	batch  *Batch
+	txID   TxID
+	commit bool // walKindOutcome only
+	done   chan commitRes
 }
 
 // Open opens (or creates) a database.
@@ -294,6 +338,7 @@ func Open(opt Options) (*DB, error) {
 		current:     &version{},
 		readers:     make(map[uint64]*sstReader),
 		quarantined: make(map[uint64]error),
+		prepLog:     make(map[TxID]uint64),
 		commitCh:    make(chan *commitReq, 1024),
 		bgWork:      make(chan struct{}, 1),
 		bgQuit:      make(chan struct{}),
@@ -353,6 +398,8 @@ func (db *DB) registerMetrics() {
 	m.CounterFunc("lsm.compactions", db.compactions.Load)
 	m.CounterFunc("lsm.corruption.detected", db.corruptions.Load)
 	m.CounterFunc("lsm.quarantine.tables", db.quarantines.Load)
+	m.CounterFunc("lsm.stabilize.demanded", db.demanded.Load)
+	m.CounterFunc("lsm.wal.stabilize_deferred", db.deferred.Load)
 	if db.bcache != nil {
 		m.CounterFunc("lsm.cache.lookups", db.bcache.Lookups)
 		m.CounterFunc("lsm.cache.hits", db.bcache.Hits)
@@ -393,10 +440,15 @@ func (db *DB) create() error {
 	if err := db.newWALLocked(walNum); err != nil {
 		return err
 	}
-	if _, err := db.manifest.append(&versionEdit{logNumber: walNum, nextFile: db.nextFile}); err != nil {
-		return err
-	}
-	return nil
+	_, err = db.logEditLocked(&versionEdit{logNumber: walNum, nextFile: db.nextFile})
+	return err
+}
+
+// logEditLocked appends one MANIFEST edit. Every edit demands its own
+// trusted-counter round: file deletions are gated on it.
+func (db *DB) logEditLocked(e *versionEdit) (uint64, error) {
+	db.demanded.Add(1)
+	return db.manifest.append(e)
 }
 
 // allocFileLocked hands out the next file number.
@@ -415,6 +467,7 @@ func (db *DB) newWALLocked(num uint64) error {
 	}
 	db.wal = w
 	db.walCtr = ctr
+	db.logs = append(db.logs, num)
 	db.mem = newMemTable(db.opt.Level, db.rt, db.memCipher, num)
 	return nil
 }
@@ -455,6 +508,8 @@ func (db *DB) Stats() DBStats {
 // Get returns the newest value of key visible at readSeq. found=false
 // with nil error means "no such key"; integrity violations return errors.
 func (db *DB) Get(key []byte, readSeq uint64) (value []byte, seq uint64, found bool, err error) {
+	db.readGate.RLock()
+	defer db.readGate.RUnlock()
 	db.mu.Lock()
 	mem := db.mem
 	imms := append([]*memTable(nil), db.imm...)
@@ -620,17 +675,24 @@ func (db *DB) Apply(b *Batch) (StableToken, uint64, error) {
 
 // LogPrepare durably records a prepared distributed transaction's write
 // set (2PC prepare phase, §V-A). The data is not applied to the memtable;
-// it becomes visible only when the decision arrives and the batch is
-// Apply'd.
+// it becomes visible only when LogOutcome records a commit. The WAL
+// holding the record stays live until the transaction's outcome is
+// rollback-protected.
 func (db *DB) LogPrepare(id TxID, b *Batch) (StableToken, error) {
 	res := db.submit(&commitReq{kind: walKindPrepare, batch: b, txID: id, done: make(chan commitRes, 1)})
 	return res.token, res.err
 }
 
-// LogDecision durably records the outcome of a prepared transaction so
-// recovery stops re-asking the coordinator about it.
-func (db *DB) LogDecision(id TxID, commit bool) (StableToken, error) {
-	res := db.submit(&commitReq{kind: walKindTxDecision, txID: id, decision: commit, done: make(chan commitRes, 1)})
+// LogOutcome resolves a prepared transaction with one self-contained
+// record: on commit the write set is logged with the verdict and applied
+// to the memtable, on abort writes is ignored. The record is written,
+// forced and shipped like any other, but it does not demand a
+// trusted-counter round — it rides the next demanded one. Losing it as an
+// unstabilized tail is harmless: recovery then finds the transaction
+// prepared and in doubt, and the coordinator's stabilized decision
+// re-derives the same outcome (§V-A).
+func (db *DB) LogOutcome(id TxID, commit bool, writes *Batch) (StableToken, error) {
+	res := db.submit(&commitReq{kind: walKindOutcome, batch: writes, txID: id, commit: commit, done: make(chan commitRes, 1)})
 	return res.token, res.err
 }
 
@@ -692,6 +754,9 @@ func (db *DB) commitGroup(group []*commitReq) {
 	// per transaction.
 	var maxCtr uint64
 	var shipped []ReplEntry
+	// demand: does any record of the group have a caller that waits on its
+	// token? Outcome records never do (see LogOutcome).
+	demand := false
 	for i, req := range group {
 		var payload []byte
 		switch req.kind {
@@ -699,8 +764,8 @@ func (db *DB) commitGroup(group []*commitReq) {
 			payload = req.batch.encode()
 		case walKindPrepare:
 			payload = append(req.txID[:], req.batch.encode()...)
-		case walKindTxDecision:
-			payload = append(req.txID[:], boolByte(req.decision))
+		case walKindOutcome:
+			payload = encodeOutcome(req.txID, req.commit, req.batch)
 		}
 		ctr, err := db.wal.stage(req.kind, payload)
 		if err != nil {
@@ -709,10 +774,11 @@ func (db *DB) commitGroup(group []*commitReq) {
 		}
 		db.walAppends.Inc()
 		maxCtr = ctr
+		demand = demand || req.kind != walKindOutcome
 		if db.opt.Ship != nil {
 			shipped = append(shipped, ReplEntry{Kind: req.kind, Counter: ctr, Payload: payload})
 		}
-		results[i] = commitRes{token: StableToken{ctr: db.walCtr, value: ctr}}
+		results[i] = commitRes{token: StableToken{ctr: db.walCtr, value: ctr, deferred: req.kind == walKindOutcome}}
 	}
 	writeFailed := false
 	if err := db.wal.flushGroup(); err != nil {
@@ -757,7 +823,12 @@ func (db *DB) commitGroup(group []*commitReq) {
 		// failed fsync the tail may be gone, and advancing the trusted
 		// counter past it would turn the loss into a false rollback
 		// alarm (or worse, acknowledged loss) at recovery.
-		db.wal.stabilize(maxCtr)
+		if demand {
+			db.demanded.Add(1)
+			db.wal.stabilize(maxCtr)
+		} else {
+			db.deferred.Add(1)
+		}
 		if fc, ok := db.walCtr.(failableCounter); ok {
 			if cerr := fc.Failed(); cerr != nil {
 				// The counter cannot persist: restart-time freshness
@@ -784,10 +855,20 @@ func (db *DB) commitGroup(group []*commitReq) {
 		return
 	}
 	// Apply batches to the memtable under the same critical section so
-	// sequence order matches log order.
+	// sequence order matches log order, and keep the WAL pins current.
 	for i, req := range group {
-		if results[i].err != nil || req.kind != walKindBatch {
+		if results[i].err != nil {
 			continue
+		}
+		switch req.kind {
+		case walKindPrepare:
+			db.prepLog[req.txID] = db.wal.number
+			continue
+		case walKindOutcome:
+			db.decided = append(db.decided, req.txID)
+			if !req.commit {
+				continue
+			}
 		}
 		recs, err := decodeBatch(req.batch.encode())
 		if err != nil {
@@ -815,18 +896,28 @@ func (db *DB) commitGroup(group []*commitReq) {
 	}
 }
 
-// boolByte encodes a bool.
-func boolByte(b bool) byte {
-	if b {
-		return 1
+// sealWALLocked ends writing to the current WAL: final sync, then the
+// whole tail is stabilized and waited for (see wal.stabilizeTail), so
+// every outcome logged in it is rollback-protected and its pin can go.
+func (db *DB) sealWALLocked() error {
+	if err := db.wal.sync(); err != nil {
+		return err
 	}
-	return 0
+	db.demanded.Add(1)
+	if err := db.wal.stabilizeTail(); err != nil {
+		return err
+	}
+	for _, id := range db.decided {
+		delete(db.prepLog, id)
+	}
+	db.decided = db.decided[:0]
+	return nil
 }
 
 // rotateMemTableLocked moves the mutable memtable to the immutable list
 // and installs a fresh WAL + memtable.
 func (db *DB) rotateMemTableLocked() error {
-	if err := db.wal.sync(); err != nil {
+	if err := db.sealWALLocked(); err != nil {
 		return err
 	}
 	if err := db.wal.close(); err != nil {
@@ -969,18 +1060,30 @@ func (db *DB) flushMemTable(imm *memTable) error {
 	}
 
 	db.mu.Lock()
-	// The new min live log is the next memtable's (imm[1] or mem).
+	// The new min live log is the next memtable's (imm[1] or mem), held
+	// back by the oldest WAL that still pins a prepare record (RocksDB's
+	// min-log-containing-prep rule). Everything from the min live log on
+	// is kept and replayed in order at recovery.
 	minLog := db.mem.logNumber
 	if len(db.imm) > 1 {
 		minLog = db.imm[1].logNumber
+	}
+	for _, n := range db.prepLog {
+		minLog = min(minLog, n)
+	}
+	retired := 0
+	for retired < len(db.logs) && db.logs[retired] < minLog {
+		retired++
 	}
 	edit.logNumber = minLog
 	edit.nextFile = db.nextFile
 	// Checkpoint only what this flush made durable in SSTables; entries
 	// in newer (live) WALs are re-derived at replay.
 	edit.lastSeq = imm.maxSeq
-	edit.deletedLogs = []string{filepath.Base(walFileName(db.opt.Dir, imm.logNumber))}
-	ctr, err := db.manifest.append(&edit)
+	for _, n := range db.logs[:retired] {
+		edit.deletedLogs = append(edit.deletedLogs, filepath.Base(walFileName(db.opt.Dir, n)))
+	}
+	ctr, err := db.logEditLocked(&edit)
 	if err != nil {
 		db.mu.Unlock()
 		return err
@@ -989,10 +1092,10 @@ func (db *DB) flushMemTable(imm *memTable) error {
 	nv.apply(&edit)
 	db.current = nv
 	db.imm = db.imm[1:]
-	db.obsolete = append(db.obsolete, obsoleteFile{
-		path:        walFileName(db.opt.Dir, imm.logNumber),
-		manifestCtr: ctr,
-	})
+	for _, n := range db.logs[:retired] {
+		db.obsolete = append(db.obsolete, obsoleteFile{path: walFileName(db.opt.Dir, n), manifestCtr: ctr})
+	}
+	db.logs = db.logs[retired:]
 	db.flushes.Add(1)
 	db.mu.Unlock()
 	imm.release()
@@ -1015,6 +1118,10 @@ func (db *DB) deleteObsolete() {
 	}
 	db.obsolete = keep
 	db.mu.Unlock()
+	if len(remove) > 0 {
+		db.readGate.Lock()
+		db.readGate.Unlock()
+	}
 	for _, p := range remove {
 		if db.rt != nil {
 			db.rt.Syscall()
@@ -1045,14 +1152,14 @@ func (db *DB) Close() error {
 		}
 	}
 	if db.wal != nil {
-		record(db.wal.sync())
+		record(db.sealWALLocked())
 		record(db.wal.close())
 	}
 	// Checkpoint the file allocator for the next open. The sequence
 	// allocator is NOT checkpointed here: live-WAL replay re-derives it
 	// (a close-time lastSeq would double-count unflushed entries).
 	if db.manifest != nil {
-		_, err := db.manifest.append(&versionEdit{nextFile: db.nextFile})
+		_, err := db.logEditLocked(&versionEdit{nextFile: db.nextFile})
 		record(err)
 		record(db.manifest.close())
 	}

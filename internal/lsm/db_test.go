@@ -495,11 +495,8 @@ func TestDBPreparedTxRecovery(t *testing.T) {
 	if _, err := db.LogPrepare(idB, bB); err != nil {
 		t.Fatal(err)
 	}
-	// Decide A (commit): data applied via the normal path + decision.
-	if _, _, err := db.Apply(bA); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.LogDecision(idA, true); err != nil {
+	// Decide A (commit): one outcome record carries verdict and data.
+	if _, err := db.LogOutcome(idA, true, bA); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

@@ -333,6 +333,7 @@ func replayManifest(fs vfs.FS, dir string, level seal.SecurityLevel, key seal.Ke
 	last := uint64(0)
 	torn := false
 	for off < len(data) {
+		kept := *codec
 		e, n, derr := codec.DecodeEntry(data[off:])
 		if derr != nil {
 			if tolerableTear(derr, level, last, maxStable) {
@@ -342,6 +343,9 @@ func replayManifest(fs vfs.FS, dir string, level seal.SecurityLevel, key seal.Ke
 			return nil, nil, 0, false, fmt.Errorf("lsm: manifest entry at %d: %w", off, derr)
 		}
 		if maxStable >= 0 && e.Counter > uint64(maxStable) {
+			// Unstabilized tail: the caller truncates it, so appends must
+			// chain on the last kept entry, not on the one just decoded.
+			*codec = kept
 			break
 		}
 		edit, perr := decodeEdit(e.Payload)

@@ -15,7 +15,9 @@ import (
 // hierarchy and loading the per-table hashes used to verify reads — then
 // all live WALs are replayed in order to restore the MemTables, and
 // prepared-but-undecided transactions are collected for the 2PC layer to
-// resolve with their coordinators. At secure levels every log is checked
+// resolve with their coordinators (an outcome record lost as an
+// unstabilized tail leaves its transaction in exactly that state, and its
+// prepare's WAL pinned). At secure levels every log is checked
 // for freshness and state continuity against its trusted counter:
 //
 //   - entries beyond the counter's stable value are an unstabilized tail
@@ -102,9 +104,19 @@ func (db *DB) recover() error {
 		}
 	}
 
-	type decided struct{ commit bool }
+	// Undecided prepares, in log order: an outcome record always follows
+	// its prepare, so deleting on outcome leaves exactly the in-doubt set.
 	preparedByID := make(map[TxID]*Batch)
-	decisions := make(map[TxID]decided)
+	applyBatch := func(mem *memTable, encoded []byte) error {
+		recs, err := decodeBatch(encoded)
+		if err != nil {
+			return err
+		}
+		base := db.lastSeq.Load() + 1
+		applyToMemTable(mem, base, recs)
+		db.lastSeq.Store(base + uint64(len(recs)) - 1)
+		return nil
+	}
 
 	for _, num := range walNums {
 		if num < logNumber {
@@ -113,6 +125,7 @@ func (db *DB) recover() error {
 			db.obsolete = append(db.obsolete, obsoleteFile{path: walFileName(db.opt.Dir, num)})
 			continue
 		}
+		db.logs = append(db.logs, num)
 		name := filepath.Base(walFileName(db.opt.Dir, num))
 		wctr := db.opt.Counters(name)
 		walStable := int64(-1)
@@ -130,39 +143,28 @@ func (db *DB) recover() error {
 		for _, e := range entries {
 			switch e.kind {
 			case walKindBatch:
-				recs, derr := decodeBatch(e.payload)
-				if derr != nil {
+				if derr := applyBatch(mem, e.payload); derr != nil {
 					return derr
 				}
-				base := db.lastSeq.Load() + 1
-				applyToMemTable(mem, base, recs)
-				db.lastSeq.Store(base + uint64(len(recs)) - 1)
 			case walKindPrepare:
-				if len(e.payload) < 16 {
-					return ErrCorruptBatch
-				}
-				var id TxID
-				copy(id[:], e.payload[:16])
-				b := NewBatch()
-				recs, derr := decodeBatch(e.payload[16:])
+				id, b, derr := DecodePreparePayload(e.payload)
 				if derr != nil {
 					return derr
-				}
-				for _, r := range recs {
-					if r.kind == KindSet {
-						b.Put(r.key, r.value)
-					} else {
-						b.Delete(r.key)
-					}
 				}
 				preparedByID[id] = b
-			case walKindTxDecision:
-				if len(e.payload) < 17 {
-					return ErrCorruptBatch
+				db.prepLog[id] = num
+			case walKindOutcome:
+				id, commit, writes, derr := decodeOutcome(e.payload)
+				if derr != nil {
+					return derr
 				}
-				var id TxID
-				copy(id[:], e.payload[:16])
-				decisions[id] = decided{commit: e.payload[16] == 1}
+				if commit {
+					if derr := applyBatch(mem, writes); derr != nil {
+						return derr
+					}
+				}
+				delete(preparedByID, id)
+				delete(db.prepLog, id)
 			}
 		}
 		if mem.entries() > 0 {
@@ -175,23 +177,20 @@ func (db *DB) recover() error {
 	// Prepared transactions without a decision must be re-initialized;
 	// the 2PC layer asks their coordinators to commit or abort (§VI).
 	for id, b := range preparedByID {
-		if _, ok := decisions[id]; ok {
-			continue
-		}
 		db.prepared = append(db.prepared, PreparedTx{ID: id, Batch: b})
 	}
 	sort.Slice(db.prepared, func(i, j int) bool {
 		return string(db.prepared[i].ID[:]) < string(db.prepared[j].ID[:])
 	})
 
-	// 3. Fresh WAL for new writes.
+	// 3. Fresh WAL for new writes. The minimum live log does NOT advance
+	// here: the replayed WALs back memtables that are not flushed yet (and
+	// may hold in-doubt prepares), so a second crash must find them again.
+	// The flushes scheduled below retire them.
 	if err := db.newWALLocked(db.allocFileLocked()); err != nil {
 		return err
 	}
-	if _, err := db.manifest.append(&versionEdit{
-		logNumber: db.wal.number,
-		nextFile:  db.nextFile,
-	}); err != nil {
+	if _, err := db.logEditLocked(&versionEdit{nextFile: db.nextFile}); err != nil {
 		return err
 	}
 	// Recovered memtables flush in the background.
@@ -227,6 +226,8 @@ func listWALs(fs vfs.FS, dir string) ([]uint64, error) {
 // readSeq (use LatestSeq for "now"). The iterator observes a consistent
 // version of the table hierarchy.
 func (db *DB) NewIterator(readSeq uint64) (*Iterator, error) {
+	db.readGate.RLock()
+	defer db.readGate.RUnlock()
 	db.mu.Lock()
 	mem := db.mem
 	imms := append([]*memTable(nil), db.imm...)

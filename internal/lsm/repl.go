@@ -17,9 +17,10 @@ const (
 	// WALKindPrepare is a 2PC prepared transaction (payload: 16-byte
 	// txid followed by the encoded batch).
 	WALKindPrepare = walKindPrepare
-	// WALKindTxDecision resolves a prepared transaction (payload:
-	// 16-byte txid followed by a commit byte).
-	WALKindTxDecision = walKindTxDecision
+	// WALKindOutcome resolves a prepared transaction in one record
+	// (payload: 16-byte txid, a commit byte and, on commit, the encoded
+	// write set).
+	WALKindOutcome = walKindOutcome
 )
 
 // ReplEntry is one staged log record handed to the Ship hook. Payload
@@ -66,13 +67,13 @@ func DecodePreparePayload(payload []byte) (TxID, *Batch, error) {
 	return id, b, nil
 }
 
-// DecodeDecisionPayload splits a WALKindTxDecision payload into the
-// transaction id and the commit/abort verdict.
-func DecodeDecisionPayload(payload []byte) (TxID, bool, error) {
-	var id TxID
-	if len(payload) != len(id)+1 {
-		return id, false, fmt.Errorf("lsm: bad decision payload length %d", len(payload))
+// DecodeOutcomePayload splits a WALKindOutcome payload into the
+// transaction id, the verdict and, on commit, the write set to apply.
+func DecodeOutcomePayload(payload []byte) (TxID, bool, *Batch, error) {
+	id, commit, writes, err := decodeOutcome(payload)
+	if err != nil || !commit {
+		return id, false, nil, err
 	}
-	copy(id[:], payload)
-	return id, payload[len(id)] != 0, nil
+	b, err := DecodeBatch(writes)
+	return id, true, b, err
 }

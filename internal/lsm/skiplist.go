@@ -118,6 +118,9 @@ func (sl *skipList) insert(key []byte, value valueHandle) {
 				p = sl.head
 			}
 			succ := p.loadNext(level)
+			if succ != nil && compareIKeys(succ.key, key) < 0 {
+				continue // a smaller key slipped in behind p since the search
+			}
 			// Position node between p and succ at this level.
 			atomic.StorePointer(&node.next[level], unsafe.Pointer(succ))
 			if p.casNext(level, succ, node) {

@@ -59,10 +59,36 @@ const (
 	// walKindPrepare is a 2PC prepared-transaction record (§V-A): the
 	// participant's buffered writes plus the global transaction id.
 	walKindPrepare
-	// walKindTxDecision resolves a previously prepared transaction
-	// (commit or abort), written at commit/abort time.
-	walKindTxDecision
+	// walKindOutcome resolves a previously prepared transaction in one
+	// self-contained record: txid ∥ commit byte ∥ write set (on commit).
+	// Replay applies the write set and marks the transaction decided in
+	// one step, with no reference back to the prepare record.
+	walKindOutcome
 )
+
+// encodeOutcome builds a walKindOutcome payload; writes is ignored on
+// abort.
+func encodeOutcome(id TxID, commit bool, writes *Batch) []byte {
+	if !commit {
+		return append(id[:], 0)
+	}
+	enc := writes.encode()
+	out := make([]byte, 0, len(id)+1+len(enc))
+	return append(append(append(out, id[:]...), 1), enc...)
+}
+
+// decodeOutcome splits a walKindOutcome payload; writes is the encoded
+// write set (nil on abort).
+func decodeOutcome(payload []byte) (id TxID, commit bool, writes []byte, err error) {
+	if len(payload) <= len(id) {
+		return id, false, nil, ErrCorruptBatch
+	}
+	copy(id[:], payload)
+	if payload[len(id)] == 0 {
+		return id, false, nil, nil
+	}
+	return id, true, payload[len(id)+1:], nil
+}
 
 // ErrLogPoisoned indicates a log handle that hit a write or sync failure
 // and fail-stopped. After a failed fsync the kernel may have dropped the
@@ -180,6 +206,15 @@ func (w *wal) sync() error {
 // stabilize asynchronously requests rollback protection up to v.
 func (w *wal) stabilize(v uint64) { w.ctr.Stabilize(v) }
 
+// stabilizeTail makes every appended entry rollback-protected and waits
+// for it. Rotation and Close call it (after the final sync) so that no
+// log file keeps an unstabilized suffix once a successor accepts entries:
+// the suffix would be discarded at recovery while later, stabilized
+// entries in the successor survive.
+func (w *wal) stabilizeTail() error {
+	return StableToken{ctr: w.ctr, value: w.lastCounter(), deferred: true}.Wait()
+}
+
 // lastCounter returns the counter value of the most recent entry (0 when
 // empty).
 func (w *wal) lastCounter() uint64 { return w.codec.NextCounter() - 1 }
@@ -258,7 +293,7 @@ func readWAL(fs vfs.FS, path string, level seal.SecurityLevel, key seal.Key, rt 
 		}
 		if maxStable >= 0 && e.Counter > uint64(maxStable) {
 			// Unstabilized tail: ignore, it was never rollback-protected
-			// and the client was never acknowledged.
+			// and nobody was acknowledged on the strength of it.
 			break
 		}
 		out = append(out, walEntry{kind: e.Kind, counter: e.Counter, payload: e.Payload})

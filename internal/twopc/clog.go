@@ -127,7 +127,12 @@ type clogReq struct {
 	kind    uint8
 	payload []byte
 	ctr     uint64
-	done    chan clogRes
+	// demand: the record starts a trusted-counter round. Decisions do — a
+	// commit is waited on, an abort is pushed to participants right away
+	// and must not be outlived by its prepare record. A prepare record
+	// never does: losing it is presumed abort.
+	demand bool
+	done   chan clogRes
 }
 
 // defaultClogGroup bounds entries per commit group (matching the storage
@@ -139,11 +144,13 @@ const defaultClogGroup = 64
 // MANIFEST. Appends from concurrent coordinator fibers are group-
 // committed: callers enqueue encoded entries, one leader goroutine drains
 // the queue, writes the whole group with a single file write, forces it
-// with a single fsync, and issues a single Stabilize at the group's
-// maximum counter value. Stabilization therefore always follows the force
-// of the entire group — the trusted counter can never run ahead of the
-// log's synced prefix, so a power cut cannot manifest as a false-positive
-// ErrRollbackDetected at recovery.
+// with a single fsync, and — if the group holds a decision — issues a
+// single Stabilize at the group's maximum counter value. Stabilization
+// therefore always follows the force of the entire group — the trusted
+// counter can never run ahead of the log's synced prefix, so a power cut
+// cannot manifest as a false-positive ErrRollbackDetected at recovery.
+// Groups of prepare records only ride the next demanded round
+// (stabilizing v covers every v' < v).
 type Clog struct {
 	f     vfs.File
 	codec *seal.LogCodec
@@ -169,8 +176,10 @@ type Clog struct {
 	// (fsyncgate: the unsynced tail must be assumed lost, not retried).
 	poisoned error
 	// tornDropped records that opening found and dropped a crash-torn
-	// tail.
+	// tail; droppedTail holds the intact records of an unstabilized tail
+	// it dropped.
 	tornDropped bool
+	droppedTail []ClogEntry
 
 	// lastCtr is the highest counter value assigned to an appended entry;
 	// synced is the highest value known forced to stable storage. The
@@ -190,6 +199,7 @@ type Clog struct {
 	appends     *obs.Counter
 	syncs       *obs.Counter
 	syncLatency *obs.Histogram
+	deferred    *obs.Counter // (prepare-only) groups written without a counter round
 }
 
 // clogName builds the Clog path.
@@ -213,7 +223,7 @@ func OpenClog(fs vfs.FS, dir string, level seal.SecurityLevel, key seal.Key, rt 
 	if err != nil {
 		return nil, nil, err
 	}
-	var entries []ClogEntry
+	var entries, dropped []ClogEntry
 	torn := false
 	existed := true
 	data, err := fs.ReadFile(path)
@@ -225,7 +235,14 @@ func OpenClog(fs vfs.FS, dir string, level seal.SecurityLevel, key seal.Key, rt 
 	default:
 		off := 0
 		last := uint64(0)
+		// Where the stabilized prefix ends, once decoding passes it. The
+		// records beyond are an unstabilized tail (the usual state of a
+		// crashed log: prepare records defer their round): they are
+		// collected for DroppedTail and truncated below, so appends must
+		// chain on the last kept entry, not on the last one decoded.
+		stableOff, stableCodec := -1, *codec
 		for off < len(data) {
+			before := *codec
 			e, n, derr := codec.DecodeEntry(data[off:])
 			if derr != nil {
 				tolerable := errors.Is(derr, seal.ErrTruncated) || level == seal.LevelNone ||
@@ -236,19 +253,28 @@ func OpenClog(fs vfs.FS, dir string, level seal.SecurityLevel, key seal.Key, rt 
 				}
 				return nil, nil, fmt.Errorf("twopc: clog entry at %d: %w", off, derr)
 			}
-			if maxStable >= 0 && e.Counter > uint64(maxStable) {
-				break // unstabilized tail
+			unstable := maxStable >= 0 && e.Counter > uint64(maxStable)
+			if unstable && stableOff < 0 {
+				stableOff, stableCodec = off, before
 			}
 			txID, commit, parts, perr := decodeClogPayload(e.Payload)
 			if perr != nil {
 				return nil, nil, perr
 			}
-			entries = append(entries, ClogEntry{
+			entry := ClogEntry{
 				Kind: e.Kind, TxID: txID, Commit: commit,
 				Participants: parts, Counter: e.Counter,
-			})
-			last = e.Counter
+			}
+			if unstable {
+				dropped = append(dropped, entry)
+			} else {
+				entries = append(entries, entry)
+				last = e.Counter
+			}
 			off += n
+		}
+		if stableOff >= 0 {
+			off, *codec = stableOff, stableCodec
 		}
 		if maxStable > 0 && last < uint64(maxStable) {
 			return nil, nil, fmt.Errorf("%w: clog ends at counter %d, trusted value is %d",
@@ -295,6 +321,7 @@ func OpenClog(fs vfs.FS, dir string, level seal.SecurityLevel, key seal.Key, rt 
 		appendCh: make(chan *clogReq, defaultClogGroup),
 
 		tornDropped: torn,
+		droppedTail: dropped,
 	}
 	c.lastCtr.Store(codec.NextCounter() - 1)
 	c.synced.Store(codec.NextCounter() - 1)
@@ -339,6 +366,9 @@ func (c *Clog) Configure(t ClogTuning) {
 		c.appends = t.Metrics.Counter("twopc.clog.appends")
 		c.syncs = t.Metrics.Counter("twopc.clog.syncs")
 		c.syncLatency = t.Metrics.Histogram("twopc.clog.sync.latency_ns")
+		c.deferred = t.Metrics.Counter("twopc.clog.stabilize_deferred")
+		t.Metrics.GaugeFunc("twopc.clog.appended_lsn", func() int64 { return int64(c.lastCtr.Load()) })
+		t.Metrics.GaugeFunc("twopc.clog.stable_lsn", func() int64 { return int64(c.ctr.StableValue()) })
 	}
 }
 
@@ -350,11 +380,22 @@ func (c *Clog) TornTailDropped() bool {
 	return c.tornDropped
 }
 
+// DroppedTail returns the records opening found forced but not
+// rollback-protected, and dropped. Nobody was acknowledged on their
+// strength — a coordinator acts on a decision only once it is stable — so
+// recovery presumes abort for their transactions, and tells the
+// participants, which may still hold them prepared.
+func (c *Clog) DroppedTail() []ClogEntry { return c.droppedTail }
+
 // Append logs one entry via the group-commit leader and returns a token
 // the caller can wait on ("Every Tx/operation is logged to Clog with its
 // own unique trusted counter value"). The call returns once the entry's
-// group has been written AND forced — an acknowledged append is durable —
-// and its stabilization has started. The Clog is fail-stop: a write or
+// group has been written AND forced — an acknowledged append is durable.
+// A decision demands a trusted-counter round: the coordinator waits on a
+// commit's token before acting, and an abort is started on its way as
+// before. A prepare record lost as an unstabilized tail re-derives as
+// presumed abort, so it rides the next demanded round (its token stays
+// waitable: waiting raises the demand). The Clog is fail-stop: a write or
 // sync failure poisons it and fails the whole unacknowledged cohort — the
 // codec chain has advanced past the lost entries (and after a failed
 // fsync the tail may be gone), so continuing to append would silently
@@ -364,6 +405,7 @@ func (c *Clog) Append(kind uint8, txID lsm.TxID, commit bool, participants []str
 	req := &clogReq{
 		kind:    kind,
 		payload: encodeClogPayload(txID, commit, participants),
+		demand:  kind == clogDecision,
 		done:    make(chan clogRes, 1),
 	}
 	c.closedMu.RLock()
@@ -443,9 +485,11 @@ func (c *Clog) commitGroup(group []*clogReq) {
 	// for the whole group.
 	buf := c.stagingBuf()
 	var maxCtr uint64
+	demand := false
 	for _, req := range group {
 		buf, req.ctr = c.codec.AppendEntry(buf, req.kind, req.payload)
 		maxCtr = req.ctr
+		demand = demand || req.demand
 		c.appends.Inc()
 	}
 	c.lastCtr.Store(maxCtr)
@@ -495,7 +539,11 @@ func (c *Clog) commitGroup(group []*clogReq) {
 	if s := c.synced.Load(); s < stable {
 		stable = s
 	}
-	c.ctr.Stabilize(stable)
+	if demand {
+		c.ctr.Stabilize(stable)
+	} else {
+		c.deferred.Inc()
+	}
 	if fc, ok := c.ctr.(interface{ Failed() error }); ok {
 		if cerr := fc.Failed(); cerr != nil {
 			// The counter cannot persist: a restart's freshness check
@@ -507,7 +555,11 @@ func (c *Clog) commitGroup(group []*clogReq) {
 		}
 	}
 	for _, req := range group {
-		req.done <- clogRes{token: lsm.NewStableToken(c.ctr, req.ctr)}
+		token := lsm.NewStableToken(c.ctr, req.ctr)
+		if !req.demand {
+			token = lsm.NewDeferredToken(c.ctr, req.ctr)
+		}
+		req.done <- clogRes{token: token}
 	}
 }
 
@@ -536,11 +588,6 @@ func (c *Clog) retainStaging(buf []byte) {
 		c.groupBuf = c.pool.Alloc(cap(buf), mempool.RegionHost)
 	}
 }
-
-// EnableSync is retained for compatibility: the group-commit leader
-// forces every group before stabilizing it, so per-append durability is
-// unconditional and this is a no-op.
-func (c *Clog) EnableSync() {}
 
 // Abandon crash-stops the log: queued and future appends fail without
 // touching the file, and the call returns only after the leader exits,
@@ -573,6 +620,15 @@ func (c *Clog) Close() error {
 	close(c.appendCh)
 	c.closedMu.Unlock()
 	c.wg.Wait()
+	c.mu.Lock()
+	p := c.poisoned
+	c.mu.Unlock()
+	var serr error
+	if p == nil {
+		// A clean close leaves no unstabilized tail behind (every group was
+		// forced, so the whole log is inside the synced prefix).
+		serr = lsm.NewDeferredToken(c.ctr, c.lastCtr.Load()).Wait()
+	}
 	if c.rt != nil {
 		c.rt.Syscall()
 	}
@@ -581,11 +637,11 @@ func (c *Clog) Close() error {
 		c.pool.Free(c.groupBuf)
 		c.groupBuf = nil
 	}
-	c.mu.Lock()
-	p := c.poisoned
-	c.mu.Unlock()
 	if p != nil {
 		return p
+	}
+	if serr != nil {
+		return fmt.Errorf("twopc: clog close: %w", serr)
 	}
 	if cerr != nil {
 		return fmt.Errorf("twopc: clog close: %w", cerr)

@@ -32,10 +32,15 @@ func TestClogSyncFailureFailStop(t *testing.T) {
 	if len(recovered) != 0 {
 		t.Fatal("fresh clog must be empty")
 	}
-	clog.EnableSync()
 
+	// A prepare-only group defers its counter round; waiting on the token
+	// raises the demand, so the record is stable before the failure.
 	okID := globalTxID(1, 1)
-	if _, err := clog.Append(clogPrepare, okID, false, []string{"node-1"}); err != nil {
+	tok, err := clog.Append(clogPrepare, okID, false, []string{"node-1"})
+	if err == nil {
+		err = tok.Wait()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,7 +68,6 @@ func TestClogSyncFailureFailStop(t *testing.T) {
 	if len(entries) != 1 || entries[0].Kind != clogPrepare || entries[0].TxID != okID {
 		t.Fatalf("recovered entries = %+v, want the single pre-failure prepare", entries)
 	}
-	clog2.EnableSync()
 	if _, err := clog2.Append(clogDecision, okID, true, nil); err != nil {
 		t.Fatalf("reopened clog rejects appends: %v", err)
 	}

@@ -115,10 +115,16 @@ func TestClogPowerCutNoFalseRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	const appends = 25
+	var last lsm.StableToken
 	for i := 1; i <= appends; i++ {
-		if _, err := clog.Append(clogPrepare, globalTxID(7, uint64(i)), false, []string{"node-1", "node-2"}); err != nil {
+		if last, err = clog.Append(clogPrepare, globalTxID(7, uint64(i)), false, []string{"node-1", "node-2"}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
+	}
+	// Prepare-only groups defer their counter round; one wait on the last
+	// token stabilizes the whole burst.
+	if err := last.Wait(); err != nil {
+		t.Fatal(err)
 	}
 	// Power cut: all volatile (unsynced) state is dropped. No Close.
 	dead := fs.CloneCrash(0)
@@ -163,7 +169,11 @@ func TestClogGroupFsyncPoisonsCohort(t *testing.T) {
 
 	// A healthy first group.
 	okID := globalTxID(1, 1)
-	if _, err := clog.Append(clogPrepare, okID, false, []string{"node-1"}); err != nil {
+	tok, err := clog.Append(clogPrepare, okID, false, []string{"node-1"})
+	if err == nil {
+		err = tok.Wait() // a prepare-only group is stable once somebody waits
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	ackedBefore := ctr.StableValue()
@@ -273,5 +283,58 @@ func TestClogConcurrentAppendHammer(t *testing.T) {
 	// leader shutdown.
 	if _, err := clog.Append(clogDecision, globalTxID(1, 1), true, nil); !errors.Is(err, ErrClogClosed) {
 		t.Fatalf("append after close = %v, want ErrClogClosed", err)
+	}
+}
+
+// TestClogReopenOverDeferredTail reboots over a forced-but-unstabilized
+// tail of prepare records — the normal state of a crashed coordinator
+// now that prepare-only groups defer their counter round. Recovery drops
+// the tail (presumed abort) and must keep appending on the chain of what
+// it kept: the next reboot verifies the hash chain across the seam.
+func TestClogReopenOverDeferredTail(t *testing.T) {
+	fs := vfs.NewMemFS()
+	if err := fs.MkdirAll("/c", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	key, err := seal.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr := &fakeCounter{}
+	clog, _, err := OpenClog(fs, "/c", seal.LevelEncrypted, key, nil, ctr, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tok, err := clog.Append(clogDecision, globalTxID(1, 1), true, nil); err != nil || !tok.Ready() {
+		t.Fatalf("commit decision must demand its round: err=%v", err)
+	}
+	for i := 2; i <= 4; i++ {
+		if _, err := clog.Append(clogPrepare, globalTxID(1, uint64(i)), false, []string{"n1"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if clog.Stable() || ctr.StableValue() != 1 || clog.SyncedCounter() != 4 {
+		t.Fatalf("prepare-only groups must be forced but not stabilized: stable=%d synced=%d", ctr.StableValue(), clog.SyncedCounter())
+	}
+	clog.Abandon() // crash: no close-time stabilization
+
+	for boot := 1; boot <= 2; boot++ {
+		clog, entries, err := OpenClog(fs, "/c", seal.LevelEncrypted, key, nil, ctr, int64(ctr.StableValue()))
+		if err != nil {
+			t.Fatalf("boot %d: %v", boot, err)
+		}
+		if len(entries) != boot {
+			t.Fatalf("boot %d recovered %d entries, want %d (the stabilized prefix)", boot, len(entries), boot)
+		}
+		tok, err := clog.Append(clogDecision, globalTxID(2, uint64(boot)), true, nil)
+		if err == nil {
+			err = tok.Wait()
+		}
+		if err != nil || tok.Value() != uint64(boot)+1 {
+			t.Fatalf("boot %d: append after dropped tail: ctr=%d err=%v", boot, tok.Value(), err)
+		}
+		if err := clog.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -219,7 +219,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if _, err := rand.Read(opSeed[:]); err == nil {
 		c.nextOp.Store(uint64(binary.LittleEndian.Uint32(opSeed[:])) << 16)
 	}
-	var maxSeq uint64
 	for _, e := range cfg.Recovered {
 		switch e.Kind {
 		case clogPrepare:
@@ -229,11 +228,28 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 			c.decidedParts[e.TxID] = e.Participants
 			delete(c.prepared, e.TxID)
 		}
-		if node, seq := splitTxID(e.TxID); node == cfg.NodeID && seq > maxSeq {
-			maxSeq = seq
+	}
+	// Presumed abort, said out loud: a transaction whose records the Clog
+	// dropped as an unstabilized tail was never decided as far as anyone
+	// was told, but its participants may hold it prepared. Treat it as a
+	// decided abort so RecoverPending pushes the abort and releases them.
+	for _, e := range cfg.Clog.DroppedTail() {
+		if _, decided := c.decisions[e.TxID]; !decided {
+			c.decisions[e.TxID] = false
+			c.decidedParts[e.TxID] = e.Participants
+			delete(c.prepared, e.TxID)
 		}
 	}
-	c.nextTx.Store(maxSeq)
+	// Transaction sequence numbers start at a per-boot random offset too.
+	// The recovered Clog cannot bound the ids a previous boot handed out:
+	// a transaction that never reached Commit logged nothing, and a
+	// prepare record may have been dropped as an unstabilized tail while
+	// its participants still hold the prepared transaction — reusing its
+	// id would let that stale write set commit under the new decision.
+	var txSeed [8]byte
+	if _, err := rand.Read(txSeed[:5]); err == nil {
+		c.nextTx.Store(binary.LittleEndian.Uint64(txSeed[:]) << 24)
+	}
 	c.ep.Register(ReqTxStatus, c.handleStatus)
 	return c
 }
@@ -269,9 +285,9 @@ func (c *Coordinator) handleStatus(req *erpc.Request) {
 // behalf of a client. Not safe for concurrent use (one client, one
 // transaction, one fiber — "Each RPC is strictly owned by one thread").
 type DistTxn struct {
-	c    *Coordinator
-	id   lsm.TxID
-	seq  uint64
+	c   *Coordinator
+	id  lsm.TxID
+	seq uint64
 	// view is the shard map pinned at Begin: the whole transaction
 	// routes and epoch-stamps through one consistent view, so a
 	// concurrent epoch flip surfaces as a retriable wrong-epoch

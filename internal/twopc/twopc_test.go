@@ -814,3 +814,60 @@ func TestDistTxnOutcome(t *testing.T) {
 		t.Fatalf("failed commit outcome = %v, want indeterminate", tx.Outcome())
 	}
 }
+
+// TestCoordinatorCrashMidPrepareReleasesParticipants: a coordinator that
+// crashes between its (deferred, hence unstabilized) prepare record and a
+// decision comes back without the record in its stabilized Clog — but it
+// finds it in the tail recovery drops, presumes abort, and tells the
+// participants, which would otherwise hold the prepared transaction and
+// its locks until their own next restart.
+func TestCoordinatorCrashMidPrepareReleasesParticipants(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	coordNode := tc.nodes[0]
+	tx := coordNode.coord.Begin(nil)
+	for i := 0; i < 9; i++ {
+		if err := tx.Put([]byte(fmt.Sprintf("mid-%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first half of Commit: log the prepare record, collect the votes.
+	parts := tx.participants()
+	if _, err := coordNode.clog.Append(clogPrepare, tx.ID(), false, parts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.broadcast(ReqPrepare, parts); err != nil {
+		t.Fatalf("prepare phase: %v", err)
+	}
+	if coordNode.clog.Stable() {
+		t.Fatal("the prepare record must not have been stabilized: nobody waits on it")
+	}
+	prepared := 0
+	for _, nd := range tc.nodes[1:] {
+		prepared += nd.part.ActiveCount()
+	}
+	if prepared == 0 {
+		t.Fatal("vacuous: no remote participant holds the prepared transaction")
+	}
+
+	addr, dir := coordNode.addr, coordNode.dir
+	tc.crashNode(0)
+	nd := tc.restartNode(0, addr, dir)
+	if commit, decided := nd.coord.Decision(tx.ID()); !decided || commit {
+		t.Fatalf("dropped prepare record: decision = %v/%v, want presumed abort", commit, decided)
+	}
+	if err := nd.coord.RecoverPending(nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range tc.nodes {
+		if a := n.part.ActiveCount(); a != 0 {
+			t.Errorf("node %d still holds %d prepared transactions after the coordinator recovered", i, a)
+		}
+	}
+	check := tc.nodes[1].coord.Begin(nil)
+	for i := 0; i < 9; i++ {
+		if _, ok := distGet(t, check, fmt.Sprintf("mid-%d", i)); ok {
+			t.Errorf("mid-%d visible: the presumed-abort transaction committed", i)
+		}
+	}
+	check.Rollback()
+}

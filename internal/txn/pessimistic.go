@@ -205,35 +205,32 @@ func (m *Manager) RestorePrepared(batch *lsm.Batch, yield func()) (*Txn, error) 
 	return t, nil
 }
 
-// CommitPrepared applies a prepared transaction (decision = commit): the
-// write set goes through the normal commit path, the decision is logged,
-// and locks are released. The commit entry need not be stable before
-// acknowledging — after a crash the decision re-derives identically (§V-A).
+// CommitPrepared applies a prepared transaction (decision = commit): one
+// self-contained outcome record carries the verdict and the write set,
+// the engine applies it, and locks are released. The record need not be
+// stable before acknowledging — after a crash the transaction is found
+// prepared and the same decision re-derives from the coordinator's
+// stabilized Clog (§V-A).
 func (t *Txn) CommitPrepared(global lsm.TxID) error {
 	if t.state != txnPrepared {
 		return ErrTxnDone
 	}
 	defer t.finish(txnCommitted)
-	if len(t.writes.recs) > 0 {
-		if _, _, err := t.m.db.Apply(t.writes.batch()); err != nil {
-			return fmt.Errorf("txn: commit prepared: %w", err)
-		}
-	}
-	if _, err := t.m.db.LogDecision(global, true); err != nil {
-		return fmt.Errorf("txn: decision log: %w", err)
+	if _, err := t.m.db.LogOutcome(global, true, t.writes.batch()); err != nil {
+		return fmt.Errorf("txn: commit prepared: %w", err)
 	}
 	return nil
 }
 
-// AbortPrepared logs an abort decision for a prepared transaction and
+// AbortPrepared logs an abort outcome for a prepared transaction and
 // releases its locks.
 func (t *Txn) AbortPrepared(global lsm.TxID) error {
 	if t.state != txnPrepared {
 		return ErrTxnDone
 	}
 	defer t.finish(txnAborted)
-	if _, err := t.m.db.LogDecision(global, false); err != nil {
-		return fmt.Errorf("txn: decision log: %w", err)
+	if _, err := t.m.db.LogOutcome(global, false, nil); err != nil {
+		return fmt.Errorf("txn: abort prepared: %w", err)
 	}
 	return nil
 }

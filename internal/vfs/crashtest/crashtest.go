@@ -12,6 +12,11 @@
 //   - trusted counter stable values never move backwards across images;
 //   - every acknowledged Clog record survives, and every recovered
 //     prepared-but-undecided transaction was actually issued;
+//   - every distributed transaction acknowledged as committed reads back
+//     committed once the recovered in-doubt transactions are resolved
+//     from the recovered Clog — including images cut while its outcome
+//     record was still unstabilized, and images cut after the WAL holding
+//     its prepare record was rotated out and flushed;
 //   - the rebooted store accepts new writes.
 //
 // With PartialTails set it additionally reboots from torn images where a
@@ -111,6 +116,7 @@ type snapshot struct {
 	event     vfs.Event
 	ackedOp   uint64
 	ackedClog uint64
+	ackedTx   uint64
 }
 
 // recorder hooks MemFS mutation events and captures crash images.
@@ -123,6 +129,7 @@ type recorder struct {
 
 	ackedOp   atomic.Uint64
 	ackedClog atomic.Uint64
+	ackedTx   atomic.Uint64
 
 	mu          sync.Mutex
 	lastVersion uint64
@@ -143,13 +150,13 @@ func (r *recorder) hook(e vfs.Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.categories[category(e.Name)]++
-	aop, aclog := r.ackedOp.Load(), r.ackedClog.Load()
+	aop, aclog, atx := r.ackedOp.Load(), r.ackedClog.Load(), r.ackedTx.Load()
 
 	clone, ver := r.fs.CloneCrashVersioned(0)
 	changed := ver != r.lastVersion
 	if changed {
 		r.lastVersion = ver
-		r.snaps = append(r.snaps, &snapshot{fs: clone, version: ver, event: e, ackedOp: aop, ackedClog: aclog})
+		r.snaps = append(r.snaps, &snapshot{fs: clone, version: ver, event: e, ackedOp: aop, ackedClog: aclog, ackedTx: atx})
 	}
 	if !r.partialTails || r.partials >= maxPartialSnaps {
 		return
@@ -161,7 +168,7 @@ func (r *recorder) hook(e vfs.Event) {
 	}
 	for _, frac := range []float64{0.5, 1} {
 		c, v := r.fs.CloneCrashVersioned(frac)
-		r.snaps = append(r.snaps, &snapshot{fs: c, version: v, frac: frac, event: e, ackedOp: aop, ackedClog: aclog})
+		r.snaps = append(r.snaps, &snapshot{fs: c, version: v, frac: frac, event: e, ackedOp: aop, ackedClog: aclog, ackedTx: atx})
 		r.partials++
 	}
 }
@@ -236,6 +243,59 @@ func txidFor(i int) lsm.TxID {
 	return id
 }
 
+// distTxKey is the one key distributed transaction i writes.
+func distTxKey(i int) []byte { return []byte(fmt.Sprintf("p-%d", i)) }
+
+// distTxCommits is transaction i's verdict: two commits, then an abort.
+func distTxCommits(i int) bool { return (i/5)%3 != 0 }
+
+// distTx plays distributed transaction i (every fifth op) through the
+// storage stack the way the 2PC layer does: the coordinator's prepare
+// record (deferred round), the participant's prepare record waited on —
+// the yes-vote — then the decision, waited on only for a commit, and the
+// participant's self-contained outcome record (deferred round). The
+// transaction counts as acknowledged once its commit decision is stable:
+// from then on every image must recover it committed. Every third
+// transaction rotates and flushes between the yes-vote and the outcome,
+// so the prepare record sits in a WAL whose memtable is already flushed.
+func distTx(db *lsm.DB, clog *twopc.Clog, i int, ackedClog, ackedTx *atomic.Uint64) error {
+	id := txidFor(i)
+	parts := []string{"node-1", "node-2"}
+	if _, err := clog.Append(twopc.ClogKindPrepare, id, false, parts); err != nil {
+		return fmt.Errorf("op %d clog prepare: %w", i, err)
+	}
+	pb := lsm.NewBatch()
+	pb.Put(distTxKey(i), u64(uint64(i)))
+	vote, err := db.LogPrepare(id, pb)
+	if err == nil {
+		err = vote.Wait()
+	}
+	if err != nil {
+		return fmt.Errorf("op %d prepare: %w", i, err)
+	}
+	if (i/5)%3 == 2 {
+		if err := db.Flush(); err != nil {
+			return fmt.Errorf("op %d flush after prepare: %w", i, err)
+		}
+	}
+	commit := distTxCommits(i)
+	decision, err := clog.Append(twopc.ClogKindDecision, id, commit, parts)
+	if err == nil && commit {
+		err = decision.Wait()
+	}
+	if err != nil {
+		return fmt.Errorf("op %d clog decision: %w", i, err)
+	}
+	if commit {
+		ackedClog.Store(decision.Value())
+		ackedTx.Store(uint64(i))
+	}
+	if _, err := db.LogOutcome(id, commit, pb); err != nil {
+		return fmt.Errorf("op %d outcome: %w", i, err)
+	}
+	return nil
+}
+
 // Run executes the workload, capturing crash images, then reboots from
 // every image and checks the recovery invariants. It returns the first
 // violated invariant as an error.
@@ -279,12 +339,10 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return res, fmt.Errorf("initial clog open: %w", err)
 	}
-	// Deliberately no EnableSync here: the group-commit leader forces
-	// every group before acknowledging it, so the acked-Clog-records-
-	// survive invariant must hold at the sync-disabled settings that
-	// previously stabilized before durability and tripped a false
-	// ErrRollbackDetected on power-cut images. This run IS the
-	// regression pin for that ordering bug.
+	// The group-commit leader forces every group before acknowledging
+	// it, so a stabilized Clog value is always inside the synced prefix:
+	// this run is the regression pin for the stabilize-before-durable
+	// ordering bug (a false ErrRollbackDetected on power-cut images).
 
 	expected := expectedStates(cfg.Ops)
 	issued := make(map[lsm.TxID]bool)
@@ -316,28 +374,9 @@ func Run(cfg Config) (Result, error) {
 		rec.ackedOp.Store(uint64(i) + 1)
 
 		if i%5 == 0 {
-			// A synthetic distributed transaction: coordinator records in
-			// the Clog, participant prepare/abort in the WAL. The abort
-			// decision keeps the bank state a pure function of the
-			// transfers.
-			id := txidFor(i)
-			issued[id] = true
-			parts := []string{"node-1", "node-2"}
-			if _, err := clog.Append(twopc.ClogKindPrepare, id, false, parts); err != nil {
-				return res, fmt.Errorf("op %d clog prepare: %w", i, err)
-			}
-			rec.ackedClog.Add(1)
-			pb := lsm.NewBatch()
-			pb.Put([]byte(fmt.Sprintf("p-%d", i)), u64(uint64(i)))
-			if _, err := db.LogPrepare(id, pb); err != nil {
-				return res, fmt.Errorf("op %d prepare: %w", i, err)
-			}
-			if _, err := clog.Append(twopc.ClogKindDecision, id, false, parts); err != nil {
-				return res, fmt.Errorf("op %d clog decision: %w", i, err)
-			}
-			rec.ackedClog.Add(1)
-			if _, err := db.LogDecision(id, false); err != nil {
-				return res, fmt.Errorf("op %d decision: %w", i, err)
+			issued[txidFor(i)] = true
+			if err := distTx(db, clog, i, &rec.ackedClog, &rec.ackedTx); err != nil {
+				return res, err
 			}
 		}
 		if i%7 == 0 {
@@ -482,6 +521,7 @@ func replay(cfg Config, snap *snapshot, expected []bankState, issued map[lsm.TxI
 	}
 
 	// The coordinator log must replay every acknowledged record.
+	committed := make(map[lsm.TxID]bool)
 	clogCtr := counters("CLOG-000001")
 	clog, entries, err := twopc.OpenClog(fsys, dbDir, cfg.Level, cfg.Key, nil, clogCtr, clogMaxStable(cfg.Level, clogCtr))
 	if err != nil {
@@ -500,8 +540,34 @@ func replay(cfg Config, snap *snapshot, expected []bankState, issued map[lsm.TxI
 			if !issued[e.TxID] {
 				return fmt.Errorf("clog replayed phantom transaction %x", e.TxID)
 			}
+			if e.Kind == twopc.ClogKindDecision && e.Commit {
+				committed[e.TxID] = true
+			}
 		}
 		clog.Close()
+	}
+
+	// Resolve the in-doubt transactions the way ResolveRecovered does —
+	// commit iff the recovered Clog holds the commit decision, presumed
+	// abort otherwise — then every distributed transaction must read back
+	// at its verdict: committed once acknowledged, never when it aborted.
+	inDoubt := db.RecoveredPrepared()
+	for _, p := range inDoubt {
+		if _, err := db.LogOutcome(p.ID, committed[p.ID], p.Batch); err != nil {
+			return fmt.Errorf("resolving in-doubt transaction %x: %w", p.ID, err)
+		}
+	}
+	for i := 5; i < len(expected); i += 5 {
+		raw, _, ok, err := db.Get(distTxKey(i), db.LatestSeq())
+		if err != nil {
+			return fmt.Errorf("reading distributed tx %d: %w", i, err)
+		}
+		switch {
+		case ok && (!distTxCommits(i) || binary.LittleEndian.Uint64(raw) != uint64(i)):
+			return fmt.Errorf("distributed tx %d (commit=%v) left value %x", i, distTxCommits(i), raw)
+		case !ok && distTxCommits(i) && uint64(i) <= snap.ackedTx:
+			return fmt.Errorf("acked distributed tx %d lost: not readable after resolving %d in-doubt transactions", i, len(inDoubt))
+		}
 	}
 
 	// The rebooted store must accept and serve new writes.

@@ -113,6 +113,7 @@ type replSnapshot struct {
 
 	ackedOp   uint64
 	ackedClog uint64
+	ackedTx   uint64
 	walSeq    uint64
 	clogSeq   uint64
 }
@@ -127,6 +128,7 @@ type replRecorder struct {
 
 	ackedOp   *atomic.Uint64
 	ackedClog *atomic.Uint64
+	ackedTx   *atomic.Uint64
 	wal, clog *miniShipper
 
 	tearMirror bool // backup side: also capture torn mirror tails
@@ -140,9 +142,9 @@ type replRecorder struct {
 func (r *replRecorder) hook(e vfs.Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var aop, aclog uint64
+	var aop, aclog, atx uint64
 	if r.ackedOp != nil {
-		aop, aclog = r.ackedOp.Load(), r.ackedClog.Load()
+		aop, aclog, atx = r.ackedOp.Load(), r.ackedClog.Load(), r.ackedTx.Load()
 	}
 	walSeq, clogSeq := r.wal.ackedSeq.Load(), r.clog.ackedSeq.Load()
 
@@ -150,7 +152,7 @@ func (r *replRecorder) hook(e vfs.Event) {
 	changed := ver != r.lastVersion
 	if changed {
 		r.lastVersion = ver
-		s := &replSnapshot{fs: clone, event: e, ackedOp: aop, ackedClog: aclog, walSeq: walSeq, clogSeq: clogSeq}
+		s := &replSnapshot{fs: clone, event: e, ackedOp: aop, ackedClog: aclog, ackedTx: atx, walSeq: walSeq, clogSeq: clogSeq}
 		if r.peer != nil {
 			s.peer, _ = r.peer.CloneCrashVersioned(0)
 		}
@@ -200,8 +202,8 @@ func RunRepl(cfg Config) (ReplResult, error) {
 	walShip := &miniShipper{stream: repl.StreamWAL, key: proofKey, backup: backup}
 	clogShip := &miniShipper{stream: repl.StreamClog, key: proofKey, backup: backup}
 
-	var ackedOp, ackedClog atomic.Uint64
-	prec := &replRecorder{fs: pfs, peer: bfs, ackedOp: &ackedOp, ackedClog: &ackedClog, wal: walShip, clog: clogShip}
+	var ackedOp, ackedClog, ackedTx atomic.Uint64
+	prec := &replRecorder{fs: pfs, peer: bfs, ackedOp: &ackedOp, ackedClog: &ackedClog, ackedTx: &ackedTx, wal: walShip, clog: clogShip}
 	brec := &replRecorder{fs: bfs, wal: walShip, clog: clogShip, tearMirror: cfg.PartialTails}
 	pfs.SetHook(prec.hook)
 	bfs.SetHook(brec.hook)
@@ -256,24 +258,9 @@ func RunRepl(cfg Config) (ReplResult, error) {
 		ackedOp.Store(uint64(i) + 1)
 
 		if i%5 == 0 {
-			id := txidFor(i)
-			issued[id] = true
-			parts := []string{"node-1", "node-2"}
-			if _, err := clog.Append(twopc.ClogKindPrepare, id, false, parts); err != nil {
-				return res, fmt.Errorf("op %d clog prepare: %w", i, err)
-			}
-			ackedClog.Add(1)
-			pb := lsm.NewBatch()
-			pb.Put([]byte(fmt.Sprintf("p-%d", i)), u64(uint64(i)))
-			if _, err := db.LogPrepare(id, pb); err != nil {
-				return res, fmt.Errorf("op %d prepare: %w", i, err)
-			}
-			if _, err := clog.Append(twopc.ClogKindDecision, id, false, parts); err != nil {
-				return res, fmt.Errorf("op %d clog decision: %w", i, err)
-			}
-			ackedClog.Add(1)
-			if _, err := db.LogDecision(id, false); err != nil {
-				return res, fmt.Errorf("op %d decision: %w", i, err)
+			issued[txidFor(i)] = true
+			if err := distTx(db, clog, i, &ackedClog, &ackedTx); err != nil {
+				return res, err
 			}
 		}
 		if i%7 == 0 {
@@ -324,7 +311,7 @@ func RunRepl(cfg Config) (ReplResult, error) {
 		if engaged {
 			res.StableChecks++
 		}
-		one := &snapshot{fs: snap.fs, ackedOp: snap.ackedOp, ackedClog: snap.ackedClog}
+		one := &snapshot{fs: snap.fs, ackedOp: snap.ackedOp, ackedClog: snap.ackedClog, ackedTx: snap.ackedTx}
 		if err := replay(cfg, one, expected, issued, prevCtr); err != nil {
 			return res, fmt.Errorf("primary image %d/%d (after %s %s): %w", idx+1, len(prec.snaps), snap.event.Op, snap.event.Name, err)
 		}
