@@ -23,7 +23,7 @@ import (
 	"time"
 
 	"treaty"
-	"treaty/internal/lsm"
+	"treaty/internal/durlog"
 	"treaty/internal/simnet"
 )
 
@@ -168,7 +168,7 @@ func run() error {
 	if err == nil {
 		return errors.New("rollback accepted — DETECTION FAILED")
 	}
-	if !errors.Is(err, lsm.ErrRollbackDetected) {
+	if !errors.Is(err, durlog.ErrRollbackDetected) {
 		fmt.Printf("  detected (as %v)\n", trim(err))
 	} else {
 		fmt.Printf("  detected: %v\n", trim(err))

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"treaty/internal/durlog"
 	"treaty/internal/enclave"
 	"treaty/internal/lsm"
 	"treaty/internal/seal"
@@ -145,20 +146,20 @@ func runRecovery(cfg RecoveryConfig, level seal.SecurityLevel) (RecoveryResult, 
 // write and recovery opens (playing the trusted counter service role).
 type sharedCounters struct {
 	mu sync.Mutex
-	m  map[string]lsm.TrustedCounter
+	m  map[string]durlog.TrustedCounter
 }
 
 func newSharedCounters() *sharedCounters {
-	return &sharedCounters{m: make(map[string]lsm.TrustedCounter)}
+	return &sharedCounters{m: make(map[string]durlog.TrustedCounter)}
 }
 
-func (s *sharedCounters) factory(name string) lsm.TrustedCounter {
+func (s *sharedCounters) factory(name string) durlog.TrustedCounter {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c, ok := s.m[name]; ok {
 		return c
 	}
-	c := lsm.NewImmediateCounter()
+	c := durlog.NewImmediateCounter()
 	s.m[name] = c
 	return c
 }

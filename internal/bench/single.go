@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"treaty/internal/core"
+	"treaty/internal/durlog"
 	"treaty/internal/enclave"
 	"treaty/internal/lsm"
 	"treaty/internal/seal"
@@ -71,7 +72,7 @@ func newSingleNode(mode core.SecurityMode) (*singleNode, error) {
 	// isolating the engine path.
 	var counters lsm.CounterFactory
 	if mode == core.ModeSconeEncStab {
-		counters = func(string) lsm.TrustedCounter { return newLatencyCounter(2 * time.Millisecond) }
+		counters = func(string) durlog.TrustedCounter { return newLatencyCounter(2 * time.Millisecond) }
 	}
 	db, err := lsm.Open(lsm.Options{
 		Dir:      dir,
@@ -109,21 +110,25 @@ type latencyCounter struct {
 }
 
 // newLatencyCounter builds one.
-func newLatencyCounter(d time.Duration) lsm.TrustedCounter {
+func newLatencyCounter(d time.Duration) durlog.TrustedCounter {
 	return &latencyCounter{d: d}
 }
 
-// Stabilize implements lsm.TrustedCounter.
+// Stabilize implements durlog.TrustedCounter.
 func (c *latencyCounter) Stabilize(uint64) {}
 
-// WaitStable implements lsm.TrustedCounter: the protocol's two rounds.
+// WaitStable implements durlog.TrustedCounter: the protocol's two rounds.
 func (c *latencyCounter) WaitStable(uint64) error {
 	time.Sleep(c.d)
 	return nil
 }
 
-// StableValue implements lsm.TrustedCounter.
+// StableValue implements durlog.TrustedCounter.
 func (c *latencyCounter) StableValue() uint64 { return ^uint64(0) >> 1 }
+
+// Failed and Fail implement durlog.TrustedCounter: this counter never fails.
+func (c *latencyCounter) Failed() error { return nil }
+func (c *latencyCounter) Fail(error)    {}
 
 // singleBegin adapts the manager for the workload, selecting concurrency
 // control.

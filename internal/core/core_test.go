@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"treaty/internal/durlog"
+	"treaty/internal/lsm"
 	"treaty/internal/shardmap"
 	"treaty/internal/simnet"
 )
@@ -338,5 +340,46 @@ func TestConcurrentClientsManyTxns(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestCrashPoisonsVolatileCounters: at plain level buildCounters falls
+// back to a volatile counter when a counter file is unreadable. Crash must
+// cut the acknowledgement path on such a node too: every stable-token wait
+// after it fails, for tokens handed out before the crash and after.
+func TestCrashPoisonsVolatileCounters(t *testing.T) {
+	base := t.TempDir()
+	ctrDir := filepath.Join(base, "node-0", "counters")
+	if err := os.MkdirAll(ctrDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// The first WAL's counter file is damaged (a counter file is 16 bytes).
+	if err := os.WriteFile(filepath.Join(ctrDir, "wal-000001.log"), []byte{1, 2, 3}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(ClusterOptions{Nodes: 1, Mode: ModeRocksDB, BaseDir: base, Workers: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Stop() })
+	n := c.Node(0)
+	apply := func() (durlog.StableToken, error) {
+		b := lsm.NewBatch()
+		b.Put([]byte("k"), []byte("v"))
+		tok, _, err := n.DB().Apply(b)
+		return tok, err
+	}
+	before, err := apply()
+	if err != nil || before.Wait() != nil {
+		t.Fatalf("commit before crash: %v", err)
+	}
+	c.CrashNode(0)
+	if err := before.Wait(); err == nil {
+		t.Fatal("a token handed out before Crash still waits out to success")
+	}
+	// The abandoned engine either refuses the commit or hands out a token
+	// that can never be waited out.
+	if tok, err := apply(); err == nil && (tok.Wait() == nil || !tok.Ready()) {
+		t.Fatal("a commit after Crash can still be acknowledged")
 	}
 }

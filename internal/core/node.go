@@ -13,6 +13,7 @@ import (
 
 	"treaty/internal/attest"
 	"treaty/internal/counter"
+	"treaty/internal/durlog"
 	"treaty/internal/enclave"
 	"treaty/internal/erpc"
 	"treaty/internal/fibers"
@@ -115,7 +116,7 @@ type Node struct {
 	// handed out (WAL, Clog) so Crash can poison stabilization — the
 	// acknowledgement gate — in one step, whatever the counter backend.
 	ctrMu       sync.Mutex
-	trustedCtrs []lsm.TrustedCounter
+	trustedCtrs []durlog.TrustedCounter
 	cluster     *attest.ClusterConfig
 	// shard holds the node's verified view of the attested shard map;
 	// shardMin is the highest epoch this node has ever verified — the
@@ -220,7 +221,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	// Record every counter handed out, whatever the backend, so Crash
 	// can poison them (cutting the node's acknowledgement path).
 	baseCounters := counters
-	counters = func(name string) lsm.TrustedCounter {
+	counters = func(name string) durlog.TrustedCounter {
 		c := baseCounters(name)
 		n.ctrMu.Lock()
 		n.trustedCtrs = append(n.trustedCtrs, c)
@@ -232,8 +233,8 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	// opens (peers may ship as soon as the endpoint polls), and the
 	// shippers must exist before the engine opens so its commit hook is
 	// wired from the first group.
-	var walShipHook func([]lsm.ReplEntry)
-	var clogShipHook func([]lsm.ReplEntry)
+	var walShipHook func([]durlog.Entry)
+	var clogShipHook func([]durlog.Entry)
 	if cfg.Replicate {
 		n.backup, err = repl.NewBackup(repl.BackupConfig{
 			Dir:     cfg.Dir,
@@ -312,11 +313,8 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Metrics:     n.reg,
 	})
 	clogCtr := counters("CLOG-000001")
-	maxStable := int64(-1)
-	if cfg.Mode.StorageLevel() > 1 { // integrity or encrypted
-		maxStable = int64(clogCtr.StableValue())
-	}
-	clog, recovered, err := twopc.OpenClog(cfg.FS, cfg.Dir, cfg.Mode.StorageLevel(), clusterCfg.StorageKey, n.rt, clogCtr, maxStable)
+	level := cfg.Mode.StorageLevel()
+	clog, recovered, err := twopc.OpenClog(cfg.FS, cfg.Dir, level, clusterCfg.StorageKey, n.rt, clogCtr, durlog.TrustedValue(level, clogCtr))
 	if err != nil {
 		n.shutdownPartial()
 		return nil, err
@@ -376,30 +374,30 @@ func (n *Node) buildCounters(clusterCfg *attest.ClusterConfig) (lsm.CounterFacto
 		if err != nil {
 			return nil, fmt.Errorf("core: counter dir: %w", err)
 		}
-		cache := make(map[string]lsm.TrustedCounter)
+		cache := make(map[string]durlog.TrustedCounter)
 		for _, e := range entries {
 			if e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
 				continue // .tmp: torn atomic-write leftover; the real file is authoritative
 			}
-			c, err := lsm.NewFileCounter(fs, filepath.Join(ctrDir, e.Name()))
+			c, err := durlog.NewFileCounter(fs, filepath.Join(ctrDir, e.Name()))
 			if err != nil {
 				if secure {
 					return nil, fmt.Errorf("core: trusted counter unreadable, refusing to boot (recovery would discard the WAL): %w", err)
 				}
-				c = lsm.NewImmediateCounter()
+				c = durlog.NewImmediateCounter()
 			}
 			cache[e.Name()] = c
 		}
-		return func(name string) lsm.TrustedCounter {
+		return func(name string) durlog.TrustedCounter {
 			if c, ok := cache[name]; ok {
 				return c
 			}
 			// Not in the cache ⇒ no counter file existed at boot, so there
 			// is no pre-crash stable value to lose; a creation failure here
 			// only costs durability of stabilizations made after it.
-			c, err := lsm.NewFileCounter(fs, filepath.Join(ctrDir, name))
+			c, err := durlog.NewFileCounter(fs, filepath.Join(ctrDir, name))
 			if err != nil {
-				c = lsm.NewImmediateCounter()
+				c = durlog.NewImmediateCounter()
 			}
 			cache[name] = c
 			return c
@@ -442,7 +440,7 @@ func (n *Node) buildCounters(clusterCfg *attest.ClusterConfig) (lsm.CounterFacto
 	}
 	cli := n.ctrCli
 	nodeID := n.cfg.ID
-	return func(name string) lsm.TrustedCounter {
+	return func(name string) durlog.TrustedCounter {
 		// Counter names are namespaced per node: every node has its own
 		// wal-000001.log, and their counters must be independent.
 		full := fmt.Sprintf("node%d/%s", nodeID, name)
@@ -686,15 +684,14 @@ func (n *Node) Crash() {
 		n.ctrCli.Fail(errCrashStopped)
 	}
 	// The counter-service client above only covers the stabilization
-	// modes; the native modes hand out file counters, which stabilize
-	// instantly — poison those too, or their waitToken always succeeds.
+	// modes; the native modes hand out file (or, at plain level, volatile)
+	// counters, which stabilize instantly — poison those too, or their
+	// waitToken always succeeds.
 	n.ctrMu.Lock()
-	ctrs := append([]lsm.TrustedCounter(nil), n.trustedCtrs...)
+	ctrs := append([]durlog.TrustedCounter(nil), n.trustedCtrs...)
 	n.ctrMu.Unlock()
 	for _, c := range ctrs {
-		if f, ok := c.(interface{ Fail(error) }); ok {
-			f.Fail(errCrashStopped)
-		}
+		c.Fail(errCrashStopped)
 	}
 	n.stopShippers()
 	n.poller.Stop()

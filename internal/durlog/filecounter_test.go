@@ -1,4 +1,4 @@
-package lsm
+package durlog
 
 import (
 	"os"

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"treaty/internal/durlog"
 	"treaty/internal/enclave"
 	"treaty/internal/lsm/blockcache"
 	"treaty/internal/mempool"
@@ -22,7 +23,7 @@ import (
 // CounterFactory supplies the per-log-file trusted counters (§VI: "For
 // each log file, TREATY initializes a unique trusted counter"). name is
 // the log file's base name.
-type CounterFactory func(name string) TrustedCounter
+type CounterFactory func(name string) durlog.TrustedCounter
 
 // Options configures a DB.
 type Options struct {
@@ -57,8 +58,6 @@ type Options struct {
 	// DisableGroupCommit makes every commit write and sync alone (the
 	// group-commit ablation).
 	DisableGroupCommit bool
-	// MaxGroupCommit bounds batches per commit group (default 64).
-	MaxGroupCommit int
 	// Metrics, when non-nil, exports storage metrics under "lsm.*":
 	// WAL appends/syncs and sync latency, commit group sizes, memtable
 	// flushes, compactions, bloom filter hit rate, and the WAL
@@ -75,14 +74,9 @@ type Options struct {
 	// buffers (host region — they hold only ciphertext / unverified
 	// media bytes).
 	Pool *mempool.Pool
-	// Ship, when non-nil, is called once per commit group after the
-	// group's WAL write has been fsynced and before its counters
-	// stabilize, with the group's staged records. A replication
-	// shipper uses this to make acked commits durable on a backup
-	// before the trusted counter pins them; the entries alias the
-	// WAL staging buffer and are valid only during the call. Ship runs
-	// on the committer goroutine with the DB lock held: it must not
-	// call back into this DB.
+	// Ship, when non-nil, receives every WAL commit group between its
+	// force and its counter round (see durlog.Hooks.Ship); it runs with
+	// the DB lock held and must not call back into this DB.
 	Ship func([]ReplEntry)
 }
 
@@ -105,19 +99,16 @@ func (o Options) withDefaults() Options {
 	if o.BaseLevelBytes == 0 {
 		o.BaseLevelBytes = 16 << 20
 	}
-	if o.MaxGroupCommit == 0 {
-		o.MaxGroupCommit = 64
-	}
 	if o.Counters == nil {
-		counters := make(map[string]TrustedCounter)
+		counters := make(map[string]durlog.TrustedCounter)
 		var mu sync.Mutex
-		o.Counters = func(name string) TrustedCounter {
+		o.Counters = func(name string) durlog.TrustedCounter {
 			mu.Lock()
 			defer mu.Unlock()
 			if c, ok := counters[name]; ok {
 				return c
 			}
-			c := NewImmediateCounter()
+			c := durlog.NewImmediateCounter()
 			counters[name] = c
 			return c
 		}
@@ -127,74 +118,6 @@ func (o Options) withDefaults() Options {
 
 // ErrDBClosed indicates use of a closed DB.
 var ErrDBClosed = errors.New("lsm: db closed")
-
-// StableToken identifies a log position whose rollback protection can be
-// awaited.
-type StableToken struct {
-	ctr   TrustedCounter
-	value uint64
-	// deferred marks the token of a record that does not demand a
-	// trusted-counter round itself (a WAL outcome record, a Clog
-	// prepare): waiting on it has to raise the demand.
-	deferred bool
-}
-
-// Wait blocks until the position is rollback-protected (raising the
-// demand first on a deferred token, so it is still waitable).
-func (t StableToken) Wait() error {
-	if t.ctr == nil {
-		return nil
-	}
-	if t.deferred {
-		t.ctr.Stabilize(t.value)
-	}
-	return t.ctr.WaitStable(t.value)
-}
-
-// failableCounter is implemented by trusted counters that can fail
-// permanently (the distributed service after exhausting retries).
-type failableCounter interface {
-	Failed() error
-}
-
-// Ready reports (without blocking) whether waiting is over: the position
-// is rollback-protected OR the counter service failed permanently (Wait
-// then surfaces the error). Fibers poll this and yield instead of
-// blocking. Polling a deferred token raises the demand its record did not,
-// so the poll cannot spin forever; every other token stays a lock-free
-// read.
-func (t StableToken) Ready() bool {
-	if t.ctr == nil {
-		return true
-	}
-	if f, ok := t.ctr.(failableCounter); ok && f.Failed() != nil {
-		return true
-	}
-	if t.ctr.StableValue() >= t.value {
-		return true
-	}
-	if t.deferred {
-		t.ctr.Stabilize(t.value)
-	}
-	return false
-}
-
-// Value returns the log position (trusted counter value) the token waits
-// on. Tests use it to check write-path ordering invariants (an acked
-// position must never exceed the log's synced prefix).
-func (t StableToken) Value() uint64 { return t.value }
-
-// NewStableToken builds a token for an externally managed log (the 2PC
-// layer's Clog binds its entries to its own trusted counter).
-func NewStableToken(ctr TrustedCounter, value uint64) StableToken {
-	return StableToken{ctr: ctr, value: value}
-}
-
-// NewDeferredToken is NewStableToken for a record whose group does not
-// demand a trusted-counter round (see StableToken.Ready).
-func NewDeferredToken(ctr TrustedCounter, value uint64) StableToken {
-	return StableToken{ctr: ctr, value: value, deferred: true}
-}
 
 // TxID identifies a distributed transaction (coordinator node id ∥ tx
 // sequence) in prepare/decision records.
@@ -219,9 +142,8 @@ type DB struct {
 	mem      *memTable
 	imm      []*memTable // oldest first
 	current  *version
-	manifest *manifest
-	wal      *wal
-	walCtr   TrustedCounter
+	manifest *durlog.Log
+	wal      *durlog.Log
 	// logs lists the live WAL file numbers, oldest first (the last is
 	// db.wal). A flush retires the prefix below the new minimum live log.
 	logs []uint64
@@ -250,18 +172,12 @@ type DB struct {
 	// readers (nil = disabled; all its methods are nil-safe).
 	bcache  *blockcache.Cache
 	lastSeq atomic.Uint64
-	closed  atomic.Bool
 	bgErr   error
 
-	// commit pipeline
-	commitCh chan *commitReq
-	commitWG sync.WaitGroup
-	closedMu sync.RWMutex
-	// commitErr, once set, fails every later commit: the WAL hit a
-	// write/sync failure (its unsynced tail may be gone — fsyncgate) or
-	// its trusted counter can no longer persist. Fail-stop is the only
-	// acknowledgment-safe response; a restart re-runs recovery.
-	commitErr error
+	// commits is the group-commit pipeline; staged is commitGroup's
+	// scratch slice of the group's WAL entries.
+	commits *durlog.Queue[*commitReq]
+	staged  []durlog.Entry
 
 	// background flush/compaction
 	bgWork   chan struct{}
@@ -276,11 +192,6 @@ type DB struct {
 
 	// stats
 	flushes, compactions atomic.Uint64
-	// demanded counts the stabilizations the engine asked for (WAL groups
-	// with a waiter, MANIFEST edits, rotation/close tails); deferred counts
-	// WAL groups written without one. Successful counter rounds never
-	// exceed the demands (a chaos metric law).
-	demanded, deferred atomic.Uint64
 	// corruptions counts detected storage corruption events: quarantined
 	// tables and crash-torn log tails dropped at recovery. The chaos
 	// soak compares it against the injected-fault counters to assert
@@ -295,10 +206,7 @@ type DB struct {
 	cachePurges atomic.Uint64
 
 	// metrics (all nil-safe no-ops when Options.Metrics is nil)
-	walAppends     *obs.Counter
-	walSyncs       *obs.Counter
-	walSyncLatency *obs.Histogram
-	groupSizes     *obs.Histogram
+	walHooks       durlog.Hooks // WAL counters + Options.Ship, shared by every WAL file
 	bloomChecks    *obs.Counter
 	bloomNegatives *obs.Counter
 }
@@ -312,7 +220,7 @@ type obsoleteFile struct {
 }
 
 type commitRes struct {
-	token StableToken
+	token durlog.StableToken
 	seq   uint64
 	err   error
 }
@@ -322,6 +230,7 @@ type commitReq struct {
 	batch  *Batch
 	txID   TxID
 	commit bool // walKindOutcome only
+	res    commitRes
 	done   chan commitRes
 }
 
@@ -339,10 +248,10 @@ func Open(opt Options) (*DB, error) {
 		readers:     make(map[uint64]*sstReader),
 		quarantined: make(map[uint64]error),
 		prepLog:     make(map[TxID]uint64),
-		commitCh:    make(chan *commitReq, 1024),
 		bgWork:      make(chan struct{}, 1),
 		bgQuit:      make(chan struct{}),
 		nextFile:    1,
+		walHooks:    durlog.Hooks{Ship: opt.Ship},
 	}
 	if opt.BlockCacheBytes >= 0 {
 		size := opt.BlockCacheBytes
@@ -359,6 +268,7 @@ func Open(opt Options) (*DB, error) {
 		db.memCipher = c
 	}
 
+	db.registerMetrics()
 	if _, err := db.fs.Stat(manifestName(opt.Dir)); errors.Is(err, os.ErrNotExist) {
 		if err := db.create(); err != nil {
 			return nil, err
@@ -369,10 +279,9 @@ func Open(opt Options) (*DB, error) {
 		}
 	}
 
-	db.registerMetrics()
-
-	db.commitWG.Add(1)
-	go db.committer()
+	db.commits = durlog.NewQueue(db.commitGroup)
+	db.commits.Single = opt.DisableGroupCommit
+	db.commits.Sizes = opt.Metrics.Histogram("lsm.commit.group_size")
 	db.bgWG.Add(1)
 	go db.background()
 	return db, nil
@@ -388,18 +297,17 @@ func (db *DB) registerMetrics() {
 	if m == nil {
 		return
 	}
-	db.walAppends = m.Counter("lsm.wal.appends")
-	db.walSyncs = m.Counter("lsm.wal.syncs")
-	db.walSyncLatency = m.Histogram("lsm.wal.sync.latency_ns")
-	db.groupSizes = m.Histogram("lsm.commit.group_size")
+	db.walHooks.Appends = m.Counter("lsm.wal.appends")
+	db.walHooks.Syncs = m.Counter("lsm.wal.syncs")
+	db.walHooks.SyncLatency = m.Histogram("lsm.wal.sync.latency_ns")
+	db.walHooks.Demanded = m.Counter("lsm.stabilize.demanded") // shared with the MANIFEST
+	db.walHooks.Deferred = m.Counter("lsm.wal.stabilize_deferred")
 	db.bloomChecks = m.Counter("lsm.bloom.checks")
 	db.bloomNegatives = m.Counter("lsm.bloom.negatives")
 	m.CounterFunc("lsm.flushes", db.flushes.Load)
 	m.CounterFunc("lsm.compactions", db.compactions.Load)
 	m.CounterFunc("lsm.corruption.detected", db.corruptions.Load)
 	m.CounterFunc("lsm.quarantine.tables", db.quarantines.Load)
-	m.CounterFunc("lsm.stabilize.demanded", db.demanded.Load)
-	m.CounterFunc("lsm.wal.stabilize_deferred", db.deferred.Load)
 	if db.bcache != nil {
 		m.CounterFunc("lsm.cache.lookups", db.bcache.Lookups)
 		m.CounterFunc("lsm.cache.hits", db.bcache.Hits)
@@ -417,21 +325,34 @@ func (db *DB) registerMetrics() {
 		if db.wal == nil {
 			return 0
 		}
-		return int64(db.wal.lastCounter())
+		return int64(db.wal.LastCounter())
 	})
 	m.GaugeFunc("lsm.wal.stable_lsn", func() int64 {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		if db.walCtr == nil {
+		if db.wal == nil {
 			return 0
 		}
-		return int64(db.walCtr.StableValue())
+		return int64(db.wal.StableValue())
 	})
+}
+
+// logConfig describes one of the engine's log files to durlog.
+func (db *DB) logConfig(path string, force bool, hooks durlog.Hooks) durlog.Config {
+	return durlog.Config{
+		FS: db.fs, Path: path, Level: db.opt.Level, Key: db.opt.Key, Runtime: db.rt,
+		Counter: db.opt.Counters(filepath.Base(path)), Force: force, Hooks: hooks,
+	}
+}
+
+// manifestConfig describes the MANIFEST, which forces every edit.
+func (db *DB) manifestConfig() durlog.Config {
+	return db.logConfig(manifestName(db.opt.Dir), true, durlog.Hooks{Demanded: db.walHooks.Demanded})
 }
 
 // create initializes a fresh database.
 func (db *DB) create() error {
-	m, err := createManifest(db.fs, db.opt.Dir, db.opt.Level, db.opt.Key, db.rt, db.opt.Counters("MANIFEST-000001"))
+	m, err := durlog.Create(db.manifestConfig())
 	if err != nil {
 		return err
 	}
@@ -444,11 +365,13 @@ func (db *DB) create() error {
 	return err
 }
 
-// logEditLocked appends one MANIFEST edit. Every edit demands its own
-// trusted-counter round: file deletions are gated on it.
+// logEditLocked appends one MANIFEST edit and returns its counter value.
+// Every edit demands its own trusted-counter round: file deletions are
+// gated on it.
 func (db *DB) logEditLocked(e *versionEdit) (uint64, error) {
-	db.demanded.Add(1)
-	return db.manifest.append(e)
+	rec := [1]durlog.Entry{{Kind: 1, Payload: e.encode()}}
+	err := db.manifest.Commit(rec[:], true)
+	return rec[0].Counter, err
 }
 
 // allocFileLocked hands out the next file number.
@@ -460,13 +383,11 @@ func (db *DB) allocFileLocked() uint64 {
 
 // newWALLocked rotates in a fresh WAL and memtable for log number num.
 func (db *DB) newWALLocked(num uint64) error {
-	ctr := db.opt.Counters(filepath.Base(walFileName(db.opt.Dir, num)))
-	w, err := createWAL(db.fs, db.opt.Dir, num, db.opt.Level, db.opt.Key, db.rt, ctr)
+	w, err := durlog.Create(db.logConfig(walFileName(db.opt.Dir, num), db.opt.SyncWAL, db.walHooks))
 	if err != nil {
 		return err
 	}
 	db.wal = w
-	db.walCtr = ctr
 	db.logs = append(db.logs, num)
 	db.mem = newMemTable(db.opt.Level, db.rt, db.memCipher, num)
 	return nil
@@ -652,15 +573,12 @@ func (db *DB) sstGet(f fileMeta, key []byte, readSeq uint64) (value []byte, seq 
 	return value, seq, kind, ok, err
 }
 
-// submit hands a request to the committer, guarding against Close races.
+// submit hands a request to the group-commit leader.
 func (db *DB) submit(req *commitReq) commitRes {
-	db.closedMu.RLock()
-	if db.closed.Load() {
-		db.closedMu.RUnlock()
+	req.done = make(chan commitRes, 1)
+	if !db.commits.Submit(req) {
 		return commitRes{err: ErrDBClosed}
 	}
-	db.commitCh <- req
-	db.closedMu.RUnlock()
 	return <-req.done
 }
 
@@ -668,8 +586,8 @@ func (db *DB) submit(req *commitReq) commitRes {
 // applied to the memtable, and its stabilization started. The returned
 // token lets callers wait for rollback protection; seq is the batch's
 // first sequence number.
-func (db *DB) Apply(b *Batch) (StableToken, uint64, error) {
-	res := db.submit(&commitReq{kind: walKindBatch, batch: b, done: make(chan commitRes, 1)})
+func (db *DB) Apply(b *Batch) (durlog.StableToken, uint64, error) {
+	res := db.submit(&commitReq{kind: walKindBatch, batch: b})
 	return res.token, res.seq, res.err
 }
 
@@ -678,8 +596,8 @@ func (db *DB) Apply(b *Batch) (StableToken, uint64, error) {
 // it becomes visible only when LogOutcome records a commit. The WAL
 // holding the record stays live until the transaction's outcome is
 // rollback-protected.
-func (db *DB) LogPrepare(id TxID, b *Batch) (StableToken, error) {
-	res := db.submit(&commitReq{kind: walKindPrepare, batch: b, txID: id, done: make(chan commitRes, 1)})
+func (db *DB) LogPrepare(id TxID, b *Batch) (durlog.StableToken, error) {
+	res := db.submit(&commitReq{kind: walKindPrepare, batch: b, txID: id})
 	return res.token, res.err
 }
 
@@ -691,8 +609,8 @@ func (db *DB) LogPrepare(id TxID, b *Batch) (StableToken, error) {
 // unstabilized tail is harmless: recovery then finds the transaction
 // prepared and in doubt, and the coordinator's stabilized decision
 // re-derives the same outcome (§V-A).
-func (db *DB) LogOutcome(id TxID, commit bool, writes *Batch) (StableToken, error) {
-	res := db.submit(&commitReq{kind: walKindOutcome, batch: writes, txID: id, commit: commit, done: make(chan commitRes, 1)})
+func (db *DB) LogOutcome(id TxID, commit bool, writes *Batch) (durlog.StableToken, error) {
+	res := db.submit(&commitReq{kind: walKindOutcome, batch: writes, txID: id, commit: commit})
 	return res.token, res.err
 }
 
@@ -706,58 +624,15 @@ func (db *DB) RecoveredPrepared() []PreparedTx {
 	return out
 }
 
-// committer is the group-commit leader loop (§VII-B): it drains a group
-// of pending commits, writes all their WAL entries, performs one sync for
-// the whole group, applies the batches to the memtable, and completes the
-// waiters.
-func (db *DB) committer() {
-	defer db.commitWG.Done()
-	for req := range db.commitCh {
-		group := []*commitReq{req}
-		if !db.opt.DisableGroupCommit {
-		drain:
-			for len(group) < db.opt.MaxGroupCommit {
-				select {
-				case r2, ok := <-db.commitCh:
-					if !ok {
-						break drain
-					}
-					group = append(group, r2)
-				default:
-					break drain
-				}
-			}
-		}
-		db.commitGroup(group)
-	}
-}
-
-// commitGroup executes one commit group. The commit path is fail-stop:
-// once a WAL write/sync failure or counter persist failure is observed,
-// every later commit fails fast with the sticky error — acknowledging
-// past a durability hole would be a silent-loss bug.
+// commitGroup executes one commit group (§VII-B): all its WAL entries go
+// through one durlog Commit, and the batches are applied to the memtable
+// under the same critical section so sequence order matches log order.
+// The commit path is fail-stop: a poisoned WAL is never rotated away, so
+// every later group fails with its sticky error.
 func (db *DB) commitGroup(group []*commitReq) {
-	db.groupSizes.Observe(int64(len(group)))
 	db.mu.Lock()
-	results := make([]commitRes, len(group))
-	if db.commitErr != nil {
-		err := db.commitErr
-		db.mu.Unlock()
-		for _, req := range group {
-			req.done <- commitRes{err: err}
-		}
-		return
-	}
-	// Pooled batch encode: every entry of the group is framed into the
-	// WAL's shared staging buffer, then written with a single syscall —
-	// one enclave-boundary crossing for the whole group instead of one
-	// per transaction.
-	var maxCtr uint64
-	var shipped []ReplEntry
-	// demand: does any record of the group have a caller that waits on its
-	// token? Outcome records never do (see LogOutcome).
-	demand := false
-	for i, req := range group {
+	entries, demand := db.staged[:0], false
+	for _, req := range group {
 		var payload []byte
 		switch req.kind {
 		case walKindBatch:
@@ -767,102 +642,23 @@ func (db *DB) commitGroup(group []*commitReq) {
 		case walKindOutcome:
 			payload = encodeOutcome(req.txID, req.commit, req.batch)
 		}
-		ctr, err := db.wal.stage(req.kind, payload)
-		if err != nil {
-			results[i] = commitRes{err: err}
-			continue
-		}
-		db.walAppends.Inc()
-		maxCtr = ctr
+		entries = append(entries, durlog.Entry{Kind: req.kind, Payload: payload})
+		// Does any record of the group have a caller that waits on its
+		// token? Outcome records never do (see LogOutcome).
 		demand = demand || req.kind != walKindOutcome
-		if db.opt.Ship != nil {
-			shipped = append(shipped, ReplEntry{Kind: req.kind, Counter: ctr, Payload: payload})
-		}
-		results[i] = commitRes{token: StableToken{ctr: db.walCtr, value: ctr, deferred: req.kind == walKindOutcome}}
 	}
-	writeFailed := false
-	if err := db.wal.flushGroup(); err != nil {
-		// One write carried the whole group; its failure is the group's.
-		writeFailed = true
-		for i := range results {
-			if results[i].err == nil {
-				results[i] = commitRes{err: err}
-			}
-		}
-	}
-	syncFailed := writeFailed
-	if db.opt.SyncWAL {
-		syncStart := time.Now()
-		err := db.wal.sync()
-		db.walSyncs.Inc()
-		db.walSyncLatency.ObserveSince(syncStart)
-		if err != nil {
-			syncFailed = true
-			db.commitErr = db.wal.poisoned
-			for i := range results {
-				if results[i].err == nil {
-					results[i] = commitRes{err: err}
-				}
-			}
-		}
-	}
-	if db.wal.poisoned != nil && db.commitErr == nil {
-		// An append failed mid-group: the codec chain has a hole, so no
-		// later group may append either.
-		db.commitErr = db.wal.poisoned
-	}
-	if maxCtr > 0 && !syncFailed {
-		// Replicate before stabilizing: once the trusted counter pins
-		// this group, a failover target must already hold it, so the
-		// ship (and the backup's ack, or a durable degrade mark) sits
-		// between the local fsync and the counter advance.
-		if db.opt.Ship != nil && len(shipped) > 0 {
-			db.opt.Ship(shipped)
-		}
-		// Never stabilize entries whose durability is unknown: after a
-		// failed fsync the tail may be gone, and advancing the trusted
-		// counter past it would turn the loss into a false rollback
-		// alarm (or worse, acknowledged loss) at recovery.
-		if demand {
-			db.demanded.Add(1)
-			db.wal.stabilize(maxCtr)
-		} else {
-			db.deferred.Add(1)
-		}
-		if fc, ok := db.walCtr.(failableCounter); ok {
-			if cerr := fc.Failed(); cerr != nil {
-				// The counter cannot persist: restart-time freshness
-				// checks would discard these entries as an unstabilized
-				// tail, so they must not be acknowledged.
-				db.commitErr = cerr
-				for i := range results {
-					if results[i].err == nil {
-						results[i] = commitRes{err: cerr}
-					}
-				}
-			}
-		}
-	}
-	if db.commitErr != nil {
-		err := db.commitErr
-		db.mu.Unlock()
-		for i, req := range group {
-			if results[i].err == nil {
-				results[i] = commitRes{err: err}
-			}
-			req.done <- results[i]
-		}
-		return
-	}
-	// Apply batches to the memtable under the same critical section so
-	// sequence order matches log order, and keep the WAL pins current.
+	err := db.wal.Commit(entries, demand)
+	db.staged = entries
 	for i, req := range group {
-		if results[i].err != nil {
+		req.res = commitRes{err: err}
+		if err != nil {
 			continue
 		}
+		req.res.token = db.wal.Token(entries[i].Counter, req.kind != walKindOutcome)
+		// Keep the WAL pins current.
 		switch req.kind {
 		case walKindPrepare:
-			db.prepLog[req.txID] = db.wal.number
+			db.prepLog[req.txID] = db.mem.logNumber
 			continue
 		case walKindOutcome:
 			db.decided = append(db.decided, req.txID)
@@ -870,17 +666,17 @@ func (db *DB) commitGroup(group []*commitReq) {
 				continue
 			}
 		}
-		recs, err := decodeBatch(req.batch.encode())
-		if err != nil {
-			results[i] = commitRes{err: err}
+		recs, derr := decodeBatch(req.batch.encode())
+		if derr != nil {
+			req.res = commitRes{err: derr}
 			continue
 		}
 		base := db.lastSeq.Load() + 1
 		applyToMemTable(db.mem, base, recs)
 		db.lastSeq.Store(base + uint64(len(recs)) - 1)
-		results[i].seq = base
+		req.res.seq = base
 	}
-	needFlush := db.mem.approximateSize() >= db.opt.MemTableSize
+	needFlush := err == nil && db.mem.approximateSize() >= db.opt.MemTableSize
 	if needFlush {
 		if err := db.rotateMemTableLocked(); err != nil && db.bgErr == nil {
 			db.bgErr = err
@@ -891,20 +687,16 @@ func (db *DB) commitGroup(group []*commitReq) {
 	if needFlush {
 		db.scheduleBG()
 	}
-	for i, req := range group {
-		req.done <- results[i]
+	for _, req := range group {
+		req.done <- req.res
 	}
 }
 
-// sealWALLocked ends writing to the current WAL: final sync, then the
-// whole tail is stabilized and waited for (see wal.stabilizeTail), so
-// every outcome logged in it is rollback-protected and its pin can go.
+// sealWALLocked ends writing to the current WAL. Closing a log stabilizes
+// its whole tail, so every outcome logged in it is rollback-protected and
+// its pin can go.
 func (db *DB) sealWALLocked() error {
-	if err := db.wal.sync(); err != nil {
-		return err
-	}
-	db.demanded.Add(1)
-	if err := db.wal.stabilizeTail(); err != nil {
+	if err := db.wal.Close(); err != nil {
 		return err
 	}
 	for _, id := range db.decided {
@@ -918,9 +710,6 @@ func (db *DB) sealWALLocked() error {
 // and installs a fresh WAL + memtable.
 func (db *DB) rotateMemTableLocked() error {
 	if err := db.sealWALLocked(); err != nil {
-		return err
-	}
-	if err := db.wal.close(); err != nil {
 		return err
 	}
 	db.imm = append(db.imm, db.mem)
@@ -1106,7 +895,7 @@ func (db *DB) flushMemTable(imm *memTable) error {
 // stabilized (§VI: defer deletion until rollback-protected).
 func (db *DB) deleteObsolete() {
 	db.mu.Lock()
-	stable := db.manifest.ctr.StableValue()
+	stable := db.manifest.StableValue()
 	var keep []obsoleteFile
 	var remove []string
 	for _, o := range db.obsolete {
@@ -1132,14 +921,9 @@ func (db *DB) deleteObsolete() {
 
 // Close flushes state and shuts the DB down.
 func (db *DB) Close() error {
-	db.closedMu.Lock()
-	alreadyClosed := db.closed.Swap(true)
-	db.closedMu.Unlock()
-	if alreadyClosed {
+	if !db.commits.Close() {
 		return nil
 	}
-	close(db.commitCh)
-	db.commitWG.Wait()
 	close(db.bgQuit)
 	db.bgWG.Wait()
 
@@ -1153,7 +937,6 @@ func (db *DB) Close() error {
 	}
 	if db.wal != nil {
 		record(db.sealWALLocked())
-		record(db.wal.close())
 	}
 	// Checkpoint the file allocator for the next open. The sequence
 	// allocator is NOT checkpointed here: live-WAL replay re-derives it
@@ -1161,7 +944,7 @@ func (db *DB) Close() error {
 	if db.manifest != nil {
 		_, err := db.logEditLocked(&versionEdit{nextFile: db.nextFile})
 		record(err)
-		record(db.manifest.close())
+		record(db.manifest.Close())
 	}
 	for _, r := range db.readers {
 		record(r.close())

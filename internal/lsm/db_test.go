@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"treaty/internal/durlog"
 	"treaty/internal/seal"
 )
 
@@ -18,20 +19,20 @@ import (
 // service.
 type testCounters struct {
 	mu sync.Mutex
-	m  map[string]*immediateCounter
+	m  map[string]durlog.TrustedCounter
 }
 
 func newTestCounters() *testCounters {
-	return &testCounters{m: make(map[string]*immediateCounter)}
+	return &testCounters{m: make(map[string]durlog.TrustedCounter)}
 }
 
-func (tc *testCounters) factory(name string) TrustedCounter {
+func (tc *testCounters) factory(name string) durlog.TrustedCounter {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if c, ok := tc.m[name]; ok {
 		return c
 	}
-	c := &immediateCounter{}
+	c := durlog.NewImmediateCounter()
 	tc.m[name] = c
 	return c
 }
@@ -380,7 +381,7 @@ func TestDBRollbackAttackDetected(t *testing.T) {
 	put(t, db, "k", "old")
 
 	// Snapshot the current WAL file (the stale state to roll back to).
-	walPath := db.wal.path
+	walPath := walFileName(dir, db.mem.logNumber)
 	stale, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -396,8 +397,8 @@ func TestDBRollbackAttackDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Open(Options{Dir: dir, Level: seal.LevelEncrypted, Key: key, Counters: tc.factory})
-	if !errors.Is(err, ErrRollbackDetected) {
-		t.Fatalf("rollback open: got %v, want ErrRollbackDetected", err)
+	if !errors.Is(err, durlog.ErrRollbackDetected) {
+		t.Fatalf("rollback open: got %v, want durlog.ErrRollbackDetected", err)
 	}
 }
 
@@ -407,7 +408,7 @@ func TestDBWALTamperDetected(t *testing.T) {
 	tc := newTestCounters()
 	db := openTestDB(t, dir, seal.LevelEncrypted, key, tc)
 	put(t, db, "k", "v")
-	walPath := db.wal.path
+	walPath := walFileName(dir, db.mem.logNumber)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -470,8 +471,8 @@ func TestDBDeletedSSTableDetected(t *testing.T) {
 	if err := os.Remove(matches[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{Dir: dir, Level: seal.LevelEncrypted, Key: key, Counters: tc.factory}); !errors.Is(err, ErrRollbackDetected) {
-		t.Fatalf("got %v, want ErrRollbackDetected", err)
+	if _, err := Open(Options{Dir: dir, Level: seal.LevelEncrypted, Key: key, Counters: tc.factory}); !errors.Is(err, durlog.ErrRollbackDetected) {
+		t.Fatalf("got %v, want durlog.ErrRollbackDetected", err)
 	}
 }
 

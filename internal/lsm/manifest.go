@@ -4,13 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
-	"treaty/internal/enclave"
 	"treaty/internal/seal"
-	"treaty/internal/vfs"
 )
 
 // numLevels is the depth of the LSM hierarchy.
@@ -224,141 +221,5 @@ func (v *version) apply(e *versionEdit) {
 	}
 }
 
-// manifest is the open manifest log.
-type manifest struct {
-	f        vfs.File
-	codec    *seal.LogCodec
-	rt       *enclave.Runtime
-	ctr      TrustedCounter
-	path     string
-	buf      []byte
-	poisoned error
-}
-
 // manifestName builds the manifest path.
 func manifestName(dir string) string { return filepath.Join(dir, "MANIFEST-000001") }
-
-// createManifest creates a fresh manifest, durably (dir-fsynced).
-func createManifest(fs vfs.FS, dir string, level seal.SecurityLevel, key seal.Key, rt *enclave.Runtime, ctr TrustedCounter) (*manifest, error) {
-	path := manifestName(dir)
-	codec, err := seal.NewLogCodec(level, key, filepath.Base(path), 1)
-	if err != nil {
-		return nil, fmt.Errorf("lsm: manifest codec: %w", err)
-	}
-	f, err := fs.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("lsm: creating manifest: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("lsm: syncing dir after manifest create: %w", err)
-	}
-	if rt != nil {
-		rt.Syscall()
-	}
-	return &manifest{f: f, codec: codec, rt: rt, ctr: ctr, path: path}, nil
-}
-
-// append logs one edit, syncs, and stabilizes it; it returns the entry's
-// counter value. Any write/sync failure poisons the manifest (the codec
-// chain has advanced, and after a failed fsync the tail may be gone), and
-// a counter that can no longer persist blocks acknowledgment too: an
-// edit whose counter binding is lost would be discarded on restart.
-func (m *manifest) append(e *versionEdit) (uint64, error) {
-	if m.poisoned != nil {
-		return 0, m.poisoned
-	}
-	m.buf = m.buf[:0]
-	var ctr uint64
-	m.buf, ctr = m.codec.AppendEntry(m.buf, 1, e.encode())
-	if m.rt != nil {
-		m.rt.Syscalls(2)
-	}
-	if _, err := m.f.Write(m.buf); err != nil {
-		m.poisoned = fmt.Errorf("%w: manifest write: %v", ErrLogPoisoned, err)
-		return 0, fmt.Errorf("lsm: manifest write: %w", err)
-	}
-	if err := m.f.Sync(); err != nil {
-		m.poisoned = fmt.Errorf("%w: manifest sync: %v", ErrLogPoisoned, err)
-		return 0, fmt.Errorf("lsm: manifest sync: %w", err)
-	}
-	m.ctr.Stabilize(ctr)
-	if fc, ok := m.ctr.(failableCounter); ok {
-		if err := fc.Failed(); err != nil {
-			m.poisoned = fmt.Errorf("%w: manifest counter: %v", ErrLogPoisoned, err)
-			return 0, err
-		}
-	}
-	return ctr, nil
-}
-
-// close closes the manifest file.
-func (m *manifest) close() error { return m.f.Close() }
-
-// openManifestForAppend re-opens an existing manifest after replaying it
-// so the codec chain continues where it left off.
-func openManifestForAppend(fs vfs.FS, dir string, codec *seal.LogCodec, rt *enclave.Runtime, ctr TrustedCounter) (*manifest, error) {
-	path := manifestName(dir)
-	f, err := fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("lsm: reopening manifest: %w", err)
-	}
-	if rt != nil {
-		rt.Syscall()
-	}
-	return &manifest{f: f, codec: codec, rt: rt, ctr: ctr, path: path}, nil
-}
-
-// replayManifest reads every edit, verifying the chain and (at secure
-// levels) freshness against maxStable (-1 skips). It returns the edits,
-// the codec (positioned to continue appending), the number of bytes
-// consumed — the caller truncates any unstabilized tail before reopening
-// the file for append — and whether a crash-torn tail was dropped (see
-// tolerableTear for the policy).
-func replayManifest(fs vfs.FS, dir string, level seal.SecurityLevel, key seal.Key, rt *enclave.Runtime, maxStable int64) ([]*versionEdit, *seal.LogCodec, int64, bool, error) {
-	path := manifestName(dir)
-	codec, err := seal.NewLogCodec(level, key, filepath.Base(path), 1)
-	if err != nil {
-		return nil, nil, 0, false, err
-	}
-	if rt != nil {
-		rt.Syscall()
-	}
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return nil, nil, 0, false, fmt.Errorf("lsm: reading manifest: %w", err)
-	}
-	var edits []*versionEdit
-	off := 0
-	last := uint64(0)
-	torn := false
-	for off < len(data) {
-		kept := *codec
-		e, n, derr := codec.DecodeEntry(data[off:])
-		if derr != nil {
-			if tolerableTear(derr, level, last, maxStable) {
-				torn = true
-				break
-			}
-			return nil, nil, 0, false, fmt.Errorf("lsm: manifest entry at %d: %w", off, derr)
-		}
-		if maxStable >= 0 && e.Counter > uint64(maxStable) {
-			// Unstabilized tail: the caller truncates it, so appends must
-			// chain on the last kept entry, not on the one just decoded.
-			*codec = kept
-			break
-		}
-		edit, perr := decodeEdit(e.Payload)
-		if perr != nil {
-			return nil, nil, 0, false, perr
-		}
-		edits = append(edits, edit)
-		last = e.Counter
-		off += n
-	}
-	if maxStable > 0 && last < uint64(maxStable) {
-		return nil, nil, 0, false, fmt.Errorf("%w: manifest ends at counter %d, trusted value is %d",
-			ErrRollbackDetected, last, maxStable)
-	}
-	return edits, codec, int64(off), torn, nil
-}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"treaty/internal/durlog"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
 	"treaty/internal/vfs"
@@ -19,14 +20,14 @@ func fileCounters(t *testing.T, fs vfs.FS) CounterFactory {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	cache := make(map[string]TrustedCounter)
-	return func(name string) TrustedCounter {
+	cache := make(map[string]durlog.TrustedCounter)
+	return func(name string) durlog.TrustedCounter {
 		mu.Lock()
 		defer mu.Unlock()
 		if c, ok := cache[name]; ok {
 			return c
 		}
-		c, err := NewFileCounter(fs, filepath.Join("/ctr", name))
+		c, err := durlog.NewFileCounter(fs, filepath.Join("/ctr", name))
 		if err != nil {
 			t.Fatalf("counter %s: %v", name, err)
 		}
@@ -67,7 +68,7 @@ func TestStabilizeOnDemand(t *testing.T) {
 	reg := obs.NewRegistry()
 	db := openOnFS(t, fs, testKey(t), reg)
 	defer db.Close()
-	stable := func() uint64 { return db.walCtr.StableValue() }
+	stable := func() uint64 { return db.wal.StableValue() }
 	metric := func(name string) uint64 { return reg.Snapshot().Counter(name) }
 
 	put(t, db, "a", "1")
@@ -92,7 +93,7 @@ func TestStabilizeOnDemand(t *testing.T) {
 			metric("lsm.wal.stabilize_deferred"), demanded, metric("lsm.stabilize.demanded"))
 	}
 	// stable ≤ synced ≤ appended: the deferred record is forced, not stable.
-	if app := db.wal.lastCounter(); app != 3 {
+	if app := db.wal.LastCounter(); app != 3 {
 		t.Fatalf("appended=%d, want 3", app)
 	}
 	if err := out.Wait(); err != nil || stable() != 3 {
@@ -136,7 +137,7 @@ func TestRotationStabilizesTail(t *testing.T) {
 	}
 	// Rotate without flushing: WAL N stays live with its memtable.
 	db.mu.Lock()
-	tail, walN := db.wal.lastCounter(), db.walCtr
+	tail, walN := db.wal.LastCounter(), db.wal
 	err := db.rotateMemTableLocked()
 	db.mu.Unlock()
 	if err != nil {

@@ -2,12 +2,11 @@ package lsm
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
-	"treaty/internal/seal"
+	"treaty/internal/durlog"
 	"treaty/internal/vfs"
 )
 
@@ -27,40 +26,27 @@ import (
 //   - hash-chain or counter-sequence violations mean splicing/reordering:
 //     the corresponding codec errors surface.
 func (db *DB) recover() error {
-	secure := db.opt.Level >= seal.LevelIntegrity
-
-	// 1. MANIFEST.
-	mctr := db.opt.Counters("MANIFEST-000001")
-	maxStable := int64(-1)
-	if secure {
-		maxStable = int64(mctr.StableValue())
-	}
-	edits, codec, consumed, mtorn, err := replayManifest(db.fs, db.opt.Dir, db.opt.Level, db.opt.Key, db.rt, maxStable)
+	// 1. MANIFEST. Opening it drops any unstabilized or crash-torn tail
+	// before edits are appended again. (A torn WAL tail needs no such fix:
+	// recovery never re-appends to an old WAL, it always creates a fresh
+	// one.)
+	mcfg := db.manifestConfig()
+	m, replayed, err := durlog.Open(mcfg, durlog.TrustedValue(mcfg.Level, mcfg.Counter))
 	if err != nil {
 		return err
 	}
-	if mtorn {
+	db.manifest = m
+	if replayed.Torn {
 		db.corruptions.Add(1)
-	}
-	// Drop any unstabilized or crash-torn manifest tail before appending
-	// again, and force the truncation: if it stayed volatile, a second
-	// crash could resurrect the dropped bytes underneath freshly appended
-	// edits and break the hash chain mid-file. (WAL torn tails need no
-	// such fix — recovery never re-appends to an old WAL; it always
-	// creates a fresh one.)
-	if err := db.fs.Truncate(manifestName(db.opt.Dir), consumed); err != nil {
-		return fmt.Errorf("lsm: truncating manifest: %w", err)
-	}
-	if err := vfs.SyncPath(db.fs, manifestName(db.opt.Dir)); err != nil {
-		return fmt.Errorf("lsm: syncing truncated manifest: %w", err)
-	}
-	if err := db.fs.SyncDir(db.opt.Dir); err != nil {
-		return fmt.Errorf("lsm: syncing dir after manifest truncate: %w", err)
 	}
 
 	v := &version{}
 	var logNumber, lastSeq uint64
-	for _, e := range edits {
+	for _, rec := range replayed.Entries {
+		e, err := decodeEdit(rec.Payload)
+		if err != nil {
+			return err
+		}
 		v.apply(e)
 		if e.logNumber > logNumber {
 			logNumber = e.logNumber
@@ -75,18 +61,12 @@ func (db *DB) recover() error {
 	db.current = v
 	db.lastSeq.Store(lastSeq)
 
-	m, err := openManifestForAppend(db.fs, db.opt.Dir, codec, db.rt, mctr)
-	if err != nil {
-		return err
-	}
-	db.manifest = m
-
 	// Verify the recovered tables exist (their content hashes are checked
 	// lazily on first read against the manifest-recorded index hash).
 	for lv := range v.files {
 		for _, f := range v.files[lv] {
 			if _, err := db.fs.Stat(sstFileName(db.opt.Dir, f.number)); err != nil {
-				return fmt.Errorf("%w: sstable %06d missing", ErrRollbackDetected, f.number)
+				return fmt.Errorf("%w: sstable %06d missing", durlog.ErrRollbackDetected, f.number)
 			}
 		}
 	}
@@ -126,35 +106,30 @@ func (db *DB) recover() error {
 			continue
 		}
 		db.logs = append(db.logs, num)
-		name := filepath.Base(walFileName(db.opt.Dir, num))
-		wctr := db.opt.Counters(name)
-		walStable := int64(-1)
-		if secure {
-			walStable = int64(wctr.StableValue())
-		}
-		entries, wtorn, werr := readWAL(db.fs, walFileName(db.opt.Dir, num), db.opt.Level, db.opt.Key, db.rt, walStable)
+		wcfg := db.logConfig(walFileName(db.opt.Dir, num), false, durlog.Hooks{})
+		wal, werr := durlog.Replay(wcfg, durlog.TrustedValue(wcfg.Level, wcfg.Counter))
 		if werr != nil {
 			return werr
 		}
-		if wtorn {
+		if wal.Torn {
 			db.corruptions.Add(1)
 		}
 		mem := newMemTable(db.opt.Level, db.rt, db.memCipher, num)
-		for _, e := range entries {
-			switch e.kind {
+		for _, e := range wal.Entries {
+			switch e.Kind {
 			case walKindBatch:
-				if derr := applyBatch(mem, e.payload); derr != nil {
+				if derr := applyBatch(mem, e.Payload); derr != nil {
 					return derr
 				}
 			case walKindPrepare:
-				id, b, derr := DecodePreparePayload(e.payload)
+				id, b, derr := DecodePreparePayload(e.Payload)
 				if derr != nil {
 					return derr
 				}
 				preparedByID[id] = b
 				db.prepLog[id] = num
 			case walKindOutcome:
-				id, commit, writes, derr := decodeOutcome(e.payload)
+				id, commit, writes, derr := decodeOutcome(e.Payload)
 				if derr != nil {
 					return derr
 				}

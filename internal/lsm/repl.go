@@ -1,6 +1,10 @@
 package lsm
 
-import "fmt"
+import (
+	"fmt"
+
+	"treaty/internal/durlog"
+)
 
 // Replication surface: the DB exposes the exact records it appends to
 // the WAL — kind, log-codec counter, raw payload — to an optional Ship
@@ -23,14 +27,12 @@ const (
 	WALKindOutcome = walKindOutcome
 )
 
-// ReplEntry is one staged log record handed to the Ship hook. Payload
-// aliases the WAL's staging buffer and is valid only for the duration
-// of the Ship call; implementations that retain it must copy.
-type ReplEntry struct {
-	Kind    uint8
-	Counter uint64
-	Payload []byte
-}
+// ReplEntry is one WAL record as the Ship hook sees it. It is an alias,
+// like NewFileCounter, kept for the frozen benchmark module.
+type ReplEntry = durlog.Entry
+
+// NewFileCounter is durlog.NewFileCounter.
+var NewFileCounter = durlog.NewFileCounter
 
 // DecodeBatch rebuilds a Batch from its encoded form (the payload of a
 // WALKindBatch record, or the tail of a WALKindPrepare record). The

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"treaty/internal/durlog"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
 	"treaty/internal/vfs"
@@ -28,117 +29,6 @@ var allLevels = []struct {
 	{"none", seal.LevelNone},
 	{"integrity", seal.LevelIntegrity},
 	{"encrypted", seal.LevelEncrypted},
-}
-
-// TestWALTornTailRecovery is the torn-tail property test: a WAL holding
-// N records is truncated at EVERY byte offset of its final record, and
-// replay at every security level must either drop the torn record
-// cleanly (recovering exactly N-1 intact entries) or — when the trusted
-// counter proves the record was acknowledged — refuse recovery with
-// ErrRollbackDetected. No truncation point may yield garbage entries or
-// a spurious integrity error.
-func TestWALTornTailRecovery(t *testing.T) {
-	const n = 4
-	for _, lv := range allLevels {
-		lv := lv
-		t.Run(lv.name, func(t *testing.T) {
-			// Build the reference log once, recording each record's end
-			// offset.
-			fs := vfs.NewMemFS()
-			if err := fs.MkdirAll("/w", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			w, err := createWAL(fs, "/w", 1, lv.level, faultTestKey(), nil, NewImmediateCounter())
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := walFileName("/w", 1)
-			payloads := make([][]byte, n)
-			ends := make([]int, n)
-			for i := 0; i < n; i++ {
-				payloads[i] = []byte(fmt.Sprintf("payload-%d-%s", i, strings.Repeat("x", 20+i)))
-				if _, err := w.append(walKindBatch, payloads[i]); err != nil {
-					t.Fatal(err)
-				}
-				full, err := fs.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ends[i] = len(full)
-			}
-			if err := w.sync(); err != nil {
-				t.Fatal(err)
-			}
-			full, _ := fs.ReadFile(path)
-
-			secureStable := func(v int64) int64 {
-				if lv.level == seal.LevelNone {
-					return -1
-				}
-				return v
-			}
-
-			for cut := ends[n-2]; cut <= ends[n-1]; cut++ {
-				img := vfs.NewMemFS()
-				img.MkdirAll("/w", 0o755)
-				f, _ := img.Create(path)
-				f.Write(full[:cut])
-				f.Sync()
-				img.SyncDir("/w")
-
-				// Counter stable at N-1: the final record was never
-				// acknowledged, so any tear inside it must be dropped
-				// cleanly.
-				entries, torn, err := readWAL(img, path, lv.level, faultTestKey(), nil, secureStable(n-1))
-				if err != nil {
-					t.Fatalf("cut=%d: unexpected error: %v", cut, err)
-				}
-				// At secure levels maxStable=N-1 also bounds an INTACT log:
-				// record N is an unstabilized tail and is dropped even when
-				// every byte of it survived.
-				wantEntries := n - 1
-				if cut == ends[n-1] && lv.level == seal.LevelNone {
-					wantEntries = n
-				}
-				if len(entries) != wantEntries {
-					t.Fatalf("cut=%d: recovered %d entries, want %d", cut, len(entries), wantEntries)
-				}
-				if torn != (cut > ends[n-2] && cut < ends[n-1]) {
-					t.Fatalf("cut=%d: torn=%v", cut, torn)
-				}
-				for i, e := range entries {
-					if string(e.payload) != string(payloads[i]) {
-						t.Fatalf("cut=%d: entry %d replayed as garbage", cut, i)
-					}
-				}
-
-				// Counter stable at N: the final record was acknowledged;
-				// losing any byte of it is a rollback, not a tear.
-				if lv.level != seal.LevelNone && cut < ends[n-1] {
-					_, _, err := readWAL(img, path, lv.level, faultTestKey(), nil, int64(n))
-					if !errors.Is(err, ErrRollbackDetected) {
-						t.Fatalf("cut=%d: acked tail loss not flagged: %v", cut, err)
-					}
-				}
-			}
-
-			// Garbage appended past the last synced record is a crash
-			// artifact outside the protected region: dropped, flagged torn.
-			img := vfs.NewMemFS()
-			img.MkdirAll("/w", 0o755)
-			f, _ := img.Create(path)
-			f.Write(append(append([]byte(nil), full...), []byte("garbage-tail-NOT-a-record")...))
-			f.Sync()
-			img.SyncDir("/w")
-			entries, torn, err := readWAL(img, path, lv.level, faultTestKey(), nil, secureStable(n))
-			if err != nil {
-				t.Fatalf("garbage tail: %v", err)
-			}
-			if len(entries) != n || !torn {
-				t.Fatalf("garbage tail: %d entries, torn=%v", len(entries), torn)
-			}
-		})
-	}
 }
 
 // TestWALSyncFailureFailStop is the fail-stop regression: after one
@@ -171,8 +61,8 @@ func TestWALSyncFailureFailStop(t *testing.T) {
 	// acknowledged, even though the device recovered.
 	after := NewBatch()
 	after.Put([]byte("after"), []byte("v3"))
-	if _, _, err := db.Apply(after); !errors.Is(err, ErrLogPoisoned) {
-		t.Fatalf("post-failure commit error = %v, want ErrLogPoisoned", err)
+	if _, _, err := db.Apply(after); !errors.Is(err, durlog.ErrLogPoisoned) {
+		t.Fatalf("post-failure commit error = %v, want durlog.ErrLogPoisoned", err)
 	}
 	_ = db.Close()
 
@@ -207,12 +97,12 @@ func TestCounterPersistFailureFailStop(t *testing.T) {
 	if err := ff.MkdirAll("/ctr", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	counters := make(map[string]TrustedCounter)
-	factory := func(name string) TrustedCounter {
+	counters := make(map[string]durlog.TrustedCounter)
+	factory := func(name string) durlog.TrustedCounter {
 		if c, ok := counters[name]; ok {
 			return c
 		}
-		c, err := NewFileCounter(ff, filepath.Join("/ctr", name))
+		c, err := durlog.NewFileCounter(ff, filepath.Join("/ctr", name))
 		if err != nil {
 			t.Fatalf("counter %s: %v", name, err)
 		}

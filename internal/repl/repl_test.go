@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"treaty/internal/durlog"
 	"treaty/internal/erpc"
-	"treaty/internal/lsm"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
 	"treaty/internal/simnet"
@@ -319,7 +319,7 @@ func newShipperRig(t *testing.T, backupOf func() (uint64, bool)) *shipperRig {
 func TestShipperReplicatesAndWitnesses(t *testing.T) {
 	rig := newShipperRig(t, nil)
 	for i := 1; i <= 3; i++ {
-		rig.shipper.Ship([]lsm.ReplEntry{
+		rig.shipper.Ship([]durlog.Entry{
 			{Kind: 1, Counter: uint64(i * 10), Payload: []byte{byte(i)}},
 			{Kind: 1, Counter: uint64(i*10 + 1), Payload: []byte{byte(i), byte(i)}},
 		})
@@ -350,7 +350,7 @@ func TestShipperReplicatesAndWitnesses(t *testing.T) {
 
 func TestShipperDegradesWhenBackupUnreachable(t *testing.T) {
 	rig := newShipperRig(t, nil)
-	rig.shipper.Ship([]lsm.ReplEntry{{Kind: 1, Counter: 1, Payload: []byte("a")}})
+	rig.shipper.Ship([]durlog.Entry{{Kind: 1, Counter: 1, Payload: []byte("a")}})
 	if rig.shipper.Seq() != 1 {
 		t.Fatal("first group did not replicate")
 	}
@@ -359,11 +359,11 @@ func TestShipperDegradesWhenBackupUnreachable(t *testing.T) {
 	// stay degraded) rather than silently fall behind.
 	rig.backup.Close()
 	rig.shipper.cfg.AddrOf = func(uint64) (string, bool) { return "", false }
-	rig.shipper.Ship([]lsm.ReplEntry{{Kind: 1, Counter: 2, Payload: []byte("b")}})
+	rig.shipper.Ship([]durlog.Entry{{Kind: 1, Counter: 2, Payload: []byte("b")}})
 	if !rig.witness.degraded[StreamWAL] {
 		t.Fatal("stream did not degrade after losing its backup")
 	}
-	rig.shipper.Ship([]lsm.ReplEntry{{Kind: 1, Counter: 3, Payload: []byte("c")}})
+	rig.shipper.Ship([]durlog.Entry{{Kind: 1, Counter: 3, Payload: []byte("c")}})
 	snap := rig.reg.Snapshot()
 	if snap.Counters["repl.ship_failed"] != 1 {
 		t.Fatalf("ship_failed = %d, want 1", snap.Counters["repl.ship_failed"])
@@ -379,7 +379,7 @@ func TestShipperDegradesWhenBackupUnreachable(t *testing.T) {
 func TestShipperStoppedIsSilent(t *testing.T) {
 	rig := newShipperRig(t, nil)
 	rig.shipper.Stop()
-	rig.shipper.Ship([]lsm.ReplEntry{{Kind: 1, Counter: 1, Payload: []byte("a")}})
+	rig.shipper.Ship([]durlog.Entry{{Kind: 1, Counter: 1, Payload: []byte("a")}})
 	if rig.witness.degraded[StreamWAL] {
 		t.Fatal("teardown-time ship degraded the stream")
 	}
@@ -395,7 +395,7 @@ func TestShipperUnassignedSkipsUntilBound(t *testing.T) {
 	assigned := false
 	rig := newShipperRig(t, nil)
 	rig.shipper.cfg.BackupOf = func() (uint64, bool) { return 2, assigned }
-	rig.shipper.Ship([]lsm.ReplEntry{{Kind: 1, Counter: 1, Payload: []byte("a")}})
+	rig.shipper.Ship([]durlog.Entry{{Kind: 1, Counter: 1, Payload: []byte("a")}})
 	if rig.witness.degraded[StreamWAL] {
 		t.Fatal("unbound stream degraded on missing assignment")
 	}
@@ -406,12 +406,12 @@ func TestShipperUnassignedSkipsUntilBound(t *testing.T) {
 	// Once bound, losing the assignment is a degrade: stabilized groups
 	// would outrun the mirror.
 	assigned = true
-	rig.shipper.Ship([]lsm.ReplEntry{{Kind: 1, Counter: 2, Payload: []byte("b")}})
+	rig.shipper.Ship([]durlog.Entry{{Kind: 1, Counter: 2, Payload: []byte("b")}})
 	if rig.shipper.Seq() != 1 {
 		t.Fatal("bound ship did not replicate")
 	}
 	assigned = false
-	rig.shipper.Ship([]lsm.ReplEntry{{Kind: 1, Counter: 3, Payload: []byte("c")}})
+	rig.shipper.Ship([]durlog.Entry{{Kind: 1, Counter: 3, Payload: []byte("c")}})
 	if !rig.witness.degraded[StreamWAL] {
 		t.Fatal("bound stream did not degrade on losing its assignment")
 	}

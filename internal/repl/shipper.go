@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"treaty/internal/durlog"
 	"treaty/internal/erpc"
-	"treaty/internal/lsm"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
 	"treaty/internal/twopc"
@@ -133,7 +133,7 @@ func (s *Shipper) Seq() uint64 { return s.seq }
 // degraded. It runs on the log's leader goroutine — for the WAL, with
 // the DB lock held — so everything here must stay off this node's own
 // commit path.
-func (s *Shipper) Ship(entries []lsm.ReplEntry) {
+func (s *Shipper) Ship(entries []durlog.Entry) {
 	if len(entries) == 0 {
 		return
 	}

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"treaty/internal/lsm"
+	"treaty/internal/durlog"
 	"treaty/internal/seal"
 	"treaty/internal/vfs"
 )
@@ -53,7 +53,7 @@ func TestClogSyncFailureFailStop(t *testing.T) {
 	// The device is healthy again, but the handle must stay poisoned: the
 	// codec chain has advanced past the dropped entry, so appending would
 	// splice the protocol log across the hole.
-	if _, err := clog.Append(clogDecision, lostID, true, nil); !errors.Is(err, lsm.ErrLogPoisoned) {
+	if _, err := clog.Append(clogDecision, lostID, true, nil); !errors.Is(err, durlog.ErrLogPoisoned) {
 		t.Fatalf("post-failure append error = %v, want ErrLogPoisoned", err)
 	}
 	_ = clog.Close()

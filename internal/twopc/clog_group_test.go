@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"treaty/internal/lsm"
+	"treaty/internal/durlog"
 	"treaty/internal/seal"
 	"treaty/internal/vfs"
 )
@@ -106,7 +106,7 @@ func TestClogPowerCutNoFalseRollback(t *testing.T) {
 	// A persistent counter: its Stabilize fsyncs the value, which is
 	// exactly what made the old bug a boot refusal — the counter survived
 	// the power cut, the unsynced log tail did not.
-	ctr, err := lsm.NewFileCounter(fs, "/ctr/CLOG-000001")
+	ctr, err := durlog.NewFileCounter(fs, "/ctr/CLOG-000001")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestClogPowerCutNoFalseRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	const appends = 25
-	var last lsm.StableToken
+	var last durlog.StableToken
 	for i := 1; i <= appends; i++ {
 		if last, err = clog.Append(clogPrepare, globalTxID(7, uint64(i)), false, []string{"node-1", "node-2"}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -129,7 +129,7 @@ func TestClogPowerCutNoFalseRollback(t *testing.T) {
 	// Power cut: all volatile (unsynced) state is dropped. No Close.
 	dead := fs.CloneCrash(0)
 
-	ctr2, err := lsm.NewFileCounter(dead, "/ctr/CLOG-000001")
+	ctr2, err := durlog.NewFileCounter(dead, "/ctr/CLOG-000001")
 	if err != nil {
 		t.Fatalf("counter after power cut: %v", err)
 	}
@@ -202,11 +202,11 @@ func TestClogGroupFsyncPoisonsCohort(t *testing.T) {
 		t.Fatalf("counter advanced to %d over a failed group fsync (synced prefix %d)", stable, ackedBefore)
 	}
 	// Sticky: the device is healthy again but the chain has a hole.
-	if _, err := clog.Append(clogDecision, okID, true, nil); !errors.Is(err, lsm.ErrLogPoisoned) {
+	if _, err := clog.Append(clogDecision, okID, true, nil); !errors.Is(err, durlog.ErrLogPoisoned) {
 		t.Fatalf("post-failure append error = %v, want ErrLogPoisoned", err)
 	}
 	// A poisoned log must refuse to report a clean close.
-	if err := clog.Close(); !errors.Is(err, lsm.ErrLogPoisoned) {
+	if err := clog.Close(); !errors.Is(err, durlog.ErrLogPoisoned) {
 		t.Fatalf("poisoned clog Close = %v, want ErrLogPoisoned", err)
 	}
 

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"treaty/internal/durlog"
 	"treaty/internal/erpc"
 	"treaty/internal/lsm"
 	"treaty/internal/obs"
@@ -701,7 +702,7 @@ func (t *DistTxn) Commit() error {
 // abort the transaction, not spin the fiber forever. The final Wait is
 // non-blocking once Ready reports true; it surfaces a permanent
 // counter-service failure as an error.
-func (t *DistTxn) waitToken(token lsm.StableToken) error {
+func (t *DistTxn) waitToken(token durlog.StableToken) error {
 	start := time.Now()
 	defer t.c.met.stabilizeWait.ObserveSince(start)
 	deadline := start.Add(t.c.stabTimeout)

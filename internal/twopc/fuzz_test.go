@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"treaty/internal/durlog"
 	"treaty/internal/erpc"
 	"treaty/internal/fibers"
 	"treaty/internal/lsm"
@@ -35,7 +36,7 @@ func fuzzFrame(reqType uint8, reqID uint64, md seal.MsgMetadata, payload []byte)
 	md.EncodePlain(body)
 	copy(body[seal.MetadataSize:], payload)
 	wire := make([]byte, 12+len(body))
-	wire[0] = 1      // erpc wire version
+	wire[0] = 1 // erpc wire version
 	wire[1] = reqType
 	wire[2] = 1 << 2 // plaintext flag
 	binary.LittleEndian.PutUint64(wire[4:], reqID)
@@ -67,7 +68,7 @@ func FuzzProtocolMessages(f *testing.F) {
 	}
 	db, err := lsm.Open(lsm.Options{
 		Dir: f.TempDir(), Level: seal.LevelEncrypted, Key: key,
-		Counters: func(string) lsm.TrustedCounter { return lsm.NewImmediateCounter() },
+		Counters: func(string) durlog.TrustedCounter { return durlog.NewImmediateCounter() },
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -81,7 +82,7 @@ func FuzzProtocolMessages(f *testing.F) {
 		Manager: mgr, Endpoint: ep, Scheduler: sched,
 		IdleTimeout: 250 * time.Millisecond,
 	})
-	clogCtr := lsm.NewImmediateCounter()
+	clogCtr := durlog.NewImmediateCounter()
 	clog, recovered, err := OpenClog(nil, f.TempDir(), seal.LevelEncrypted, key, nil, clogCtr, int64(clogCtr.StableValue()))
 	if err != nil {
 		f.Fatal(err)

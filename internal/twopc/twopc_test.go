@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"treaty/internal/durlog"
 	"treaty/internal/erpc"
 	"treaty/internal/fibers"
 	"treaty/internal/lsm"
@@ -69,9 +70,11 @@ func (c *fakeCounter) Stabilize(v uint64) {
 }
 func (c *fakeCounter) WaitStable(uint64) error { return nil }
 func (c *fakeCounter) StableValue() uint64     { return c.v.Load() }
+func (c *fakeCounter) Failed() error           { return nil }
+func (c *fakeCounter) Fail(error)              {}
 
 func (s *sharedCounters) factory(prefix string) lsm.CounterFactory {
-	return func(name string) lsm.TrustedCounter {
+	return func(name string) durlog.TrustedCounter {
 		full := prefix + "/" + name
 		if c, ok := s.m[full]; ok {
 			return c
@@ -716,7 +719,7 @@ func TestClogRollbackDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = OpenClog(nil, dir, seal.LevelEncrypted, key, nil, ctr, int64(ctr.StableValue()))
-	if !errors.Is(err, lsm.ErrRollbackDetected) {
+	if !errors.Is(err, durlog.ErrRollbackDetected) {
 		t.Fatalf("got %v, want ErrRollbackDetected", err)
 	}
 }
@@ -757,6 +760,8 @@ type manualCounter struct{ v atomic.Uint64 }
 func (c *manualCounter) Stabilize(uint64)        {}
 func (c *manualCounter) WaitStable(uint64) error { return nil }
 func (c *manualCounter) StableValue() uint64     { return c.v.Load() }
+func (c *manualCounter) Failed() error           { return nil }
+func (c *manualCounter) Fail(error)              {}
 func (c *manualCounter) set(v uint64)            { c.v.Store(v) }
 
 // TestDistTxnOutcome pins the outcome classification the serializability

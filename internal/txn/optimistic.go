@@ -5,7 +5,7 @@ import (
 	"sort"
 	"time"
 
-	"treaty/internal/lsm"
+	"treaty/internal/durlog"
 )
 
 // OTxn is an optimistic transaction: reads run lock-free against a
@@ -141,7 +141,7 @@ func (t *OTxn) Commit() error {
 		}
 	}
 
-	var token lsm.StableToken
+	var token durlog.StableToken
 	if len(t.writes.recs) > 0 {
 		var err error
 		token, _, err = t.m.db.Apply(t.writes.batch())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"treaty/internal/durlog"
 	"treaty/internal/lsm"
 )
 
@@ -130,7 +131,7 @@ func (t *Txn) Commit() error {
 // waitToken waits for a stable token, yielding if configured. The final
 // Wait is non-blocking once Ready reports true; it surfaces a permanent
 // counter-service failure as an error.
-func (t *Txn) waitToken(token lsm.StableToken) error {
+func (t *Txn) waitToken(token durlog.StableToken) error {
 	if t.yield == nil {
 		return token.Wait()
 	}

@@ -34,6 +34,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"treaty/internal/durlog"
 	"treaty/internal/lsm"
 	"treaty/internal/seal"
 	"treaty/internal/twopc"
@@ -178,14 +179,14 @@ func (r *recorder) hook(e vfs.Event) {
 // per log under dir/ctr).
 func counterFactory(fsys vfs.FS) lsm.CounterFactory {
 	var mu sync.Mutex
-	cache := make(map[string]lsm.TrustedCounter)
-	return func(name string) lsm.TrustedCounter {
+	cache := make(map[string]durlog.TrustedCounter)
+	return func(name string) durlog.TrustedCounter {
 		mu.Lock()
 		defer mu.Unlock()
 		if c, ok := cache[name]; ok {
 			return c
 		}
-		c, err := lsm.NewFileCounter(fsys, filepath.Join(ctrDir, name))
+		c, err := durlog.NewFileCounter(fsys, filepath.Join(ctrDir, name))
 		if err != nil {
 			// Counter files are replaced atomically; a corrupt one can
 			// only mean a harness or engine bug, so fail loudly.
@@ -194,14 +195,6 @@ func counterFactory(fsys vfs.FS) lsm.CounterFactory {
 		cache[name] = c
 		return c
 	}
-}
-
-// clogMaxStable computes the freshness bound OpenClog expects.
-func clogMaxStable(level seal.SecurityLevel, ctr lsm.TrustedCounter) int64 {
-	if level >= seal.LevelIntegrity {
-		return int64(ctr.StableValue())
-	}
-	return -1
 }
 
 func acctKey(i int) []byte { return []byte(fmt.Sprintf("acct-%d", i)) }
@@ -335,7 +328,7 @@ func Run(cfg Config) (Result, error) {
 		return res, fmt.Errorf("initial open: %w", err)
 	}
 	clogCtr := counters("CLOG-000001")
-	clog, _, err := twopc.OpenClog(fs, dbDir, cfg.Level, cfg.Key, nil, clogCtr, clogMaxStable(cfg.Level, clogCtr))
+	clog, _, err := twopc.OpenClog(fs, dbDir, cfg.Level, cfg.Key, nil, clogCtr, durlog.TrustedValue(cfg.Level, clogCtr))
 	if err != nil {
 		return res, fmt.Errorf("initial clog open: %w", err)
 	}
@@ -438,7 +431,7 @@ func replay(cfg Config, snap *snapshot, expected []bankState, issued map[lsm.TxI
 			if strings.HasSuffix(name, ".tmp") {
 				continue
 			}
-			c, err := lsm.NewFileCounter(fsys, filepath.Join(ctrDir, name))
+			c, err := durlog.NewFileCounter(fsys, filepath.Join(ctrDir, name))
 			if err != nil {
 				return fmt.Errorf("counter %s corrupt in crash image: %w", name, err)
 			}
@@ -523,7 +516,7 @@ func replay(cfg Config, snap *snapshot, expected []bankState, issued map[lsm.TxI
 	// The coordinator log must replay every acknowledged record.
 	committed := make(map[lsm.TxID]bool)
 	clogCtr := counters("CLOG-000001")
-	clog, entries, err := twopc.OpenClog(fsys, dbDir, cfg.Level, cfg.Key, nil, clogCtr, clogMaxStable(cfg.Level, clogCtr))
+	clog, entries, err := twopc.OpenClog(fsys, dbDir, cfg.Level, cfg.Key, nil, clogCtr, durlog.TrustedValue(cfg.Level, clogCtr))
 	if err != nil {
 		if os.IsNotExist(err) || errors.Is(err, os.ErrNotExist) {
 			if snap.ackedClog > 0 {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"treaty/internal/durlog"
 	"treaty/internal/lsm"
 	"treaty/internal/repl"
 	"treaty/internal/seal"
@@ -68,7 +69,7 @@ type miniShipper struct {
 	err      error
 }
 
-func (m *miniShipper) ship(entries []lsm.ReplEntry) {
+func (m *miniShipper) ship(entries []durlog.Entry) {
 	if len(entries) == 0 {
 		return
 	}
@@ -223,7 +224,7 @@ func RunRepl(cfg Config) (ReplResult, error) {
 		return res, fmt.Errorf("initial open: %w", err)
 	}
 	clogCtr := counters("CLOG-000001")
-	clog, _, err := twopc.OpenClog(pfs, dbDir, cfg.Level, cfg.Key, nil, clogCtr, clogMaxStable(cfg.Level, clogCtr))
+	clog, _, err := twopc.OpenClog(pfs, dbDir, cfg.Level, cfg.Key, nil, clogCtr, durlog.TrustedValue(cfg.Level, clogCtr))
 	if err != nil {
 		return res, fmt.Errorf("initial clog open: %w", err)
 	}
@@ -336,7 +337,7 @@ func stableOf(fsys vfs.FS, name string) (uint64, error) {
 	if _, err := fsys.Stat(filepath.Join(ctrDir, name)); err != nil {
 		return 0, nil
 	}
-	c, err := lsm.NewFileCounter(fsys, filepath.Join(ctrDir, name))
+	c, err := durlog.NewFileCounter(fsys, filepath.Join(ctrDir, name))
 	if err != nil {
 		return 0, fmt.Errorf("counter %s corrupt in crash image: %w", name, err)
 	}
