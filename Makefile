@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race test-race chaos soak-metrics soak-disk soak-adversary soak-reshard soak-failover crashpoint fuzz vet bench-baseline bench-smoke bench-check loc
+.PHONY: build test race test-race chaos soak-metrics soak-disk soak-adversary soak-reshard soak-failover crashpoint fuzz vet bench-smoke bench-check loc
 
 build:
 	$(GO) build ./...
@@ -17,10 +17,11 @@ race:
 # feeds it (metrics registry, RPC, 2PC, chaos invariants), plus the
 # filesystem fault layer, crash-point harness, and the storage engine
 # with its block cache (concurrent Get/compaction/invalidation hammer),
-# the durable log under it and the Clog, and the cluster package (the
-# counter-round budget of a full-security cluster).
+# the durable log under it and the Clog, the cluster package (the
+# counter-round budget of a full-security cluster), and the experiment
+# harness's driver (its wall-clock shape tests skip under -short).
 test-race:
-	$(GO) test -race -short ./internal/obs/... ./internal/erpc/... ./internal/twopc/... ./internal/chaos/... ./internal/vfs/... ./internal/audit/... ./internal/durlog/... ./internal/lsm/... ./internal/core/...
+	$(GO) test -race -short ./internal/obs/... ./internal/erpc/... ./internal/twopc/... ./internal/chaos/... ./internal/vfs/... ./internal/audit/... ./internal/durlog/... ./internal/lsm/... ./internal/core/... ./internal/bench/...
 
 # Full 20-round chaos soak with per-round logging.
 chaos:
@@ -88,13 +89,6 @@ crashpoint:
 
 vet:
 	$(GO) vet ./...
-
-# Capture the committed performance baseline (Fig. 4, Fig. 5 YCSB panels
-# incl. a no-cache reference arm, block-cache ablation, and the 3→5→9
-# node scaling sweep) into BENCH_baseline.json. See EXPERIMENTS.md for
-# the comparison workflow.
-bench-baseline:
-	$(GO) run ./cmd/treaty-bench -exp baseline -baseline-out BENCH_baseline.json
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

@@ -45,7 +45,6 @@ func BenchmarkAblation_GroupCommit(b *testing.B) {
 			defer db.Close()
 			mgr := txn.NewManager(txn.Config{DB: db, LockTimeout: 2 * time.Second})
 
-			gen := workload.NewYCSB(workload.YCSBConfig{ReadRatio: 0, OpsPerTxn: 5, ValueSize: 200, Keys: 5000}, 1)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				local := workload.NewYCSB(workload.YCSBConfig{ReadRatio: 0, OpsPerTxn: 5, ValueSize: 200, Keys: 5000}, 2)
@@ -60,7 +59,6 @@ func BenchmarkAblation_GroupCommit(b *testing.B) {
 					_ = t.Commit()
 				}
 			})
-			_ = gen
 		})
 	}
 }
@@ -180,23 +178,32 @@ func BenchmarkAblation_BlockCache(b *testing.B) {
 // size, fsync amortization, and counter rounds per committed transaction
 // so write-path regressions are visible pre-merge.
 func BenchmarkAblation_WritePathGroupCommit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := bench.RunWritePathSmoke(bench.DistConfig{Clients: 192, Duration: 4 * time.Second})
-		if err != nil {
-			b.Fatal(err)
+	for _, ms := range runPanels(b, "writepath", 0) {
+		// Cluster totals, and the worst node's group-size distribution.
+		var committed, rounds, appends, syncs uint64
+		var groupP95, groupMax float64
+		for _, d := range ms[0].Metrics.Nodes {
+			committed += d.TxCommitted
+			rounds += d.CounterRounds
+			appends += d.ClogAppends
+			syncs += d.ClogSyncs
+			groupP95 = max(groupP95, d.ClogGroupP95)
+			groupMax = max(groupMax, d.ClogGroupMax)
 		}
-		if r.GroupCount == 0 || r.ClogAppends == 0 {
-			b.Fatalf("vacuous run: no clog commit groups observed (appends=%d syncs=%d)", r.ClogAppends, r.ClogSyncs)
+		if syncs == 0 || appends == 0 {
+			b.Fatalf("vacuous run: no clog commit groups observed (appends=%d syncs=%d)", appends, syncs)
 		}
-		if r.GroupP95 <= 1 {
+		if groupP95 <= 1 {
 			b.Fatalf("group commit degraded to per-append forces: group-size p95 = %.0f (max %.0f over %d groups)",
-				r.GroupP95, r.GroupMax, r.GroupCount)
+				groupP95, groupMax, syncs)
 		}
-		b.Log(bench.PrintWritePath(r))
-		b.ReportMetric(r.Tps, "tps")
-		b.ReportMetric(r.GroupP95, "group-p95")
-		b.ReportMetric(float64(r.ClogAppends)/float64(r.ClogSyncs), "appends/fsync")
-		b.ReportMetric(r.CounterRoundsPerTxn, "ctr-rounds/txn")
+		roundsPerTxn := float64(rounds) / float64(committed)
+		b.Logf("Write path: %.1f tps, clog groups=%d (p95=%.0f max=%.0f), appends/syncs=%d/%d, counter rounds/txn=%.3f",
+			ms[0].Tps, syncs, groupP95, groupMax, appends, syncs, roundsPerTxn)
+		b.ReportMetric(ms[0].Tps, "tps")
+		b.ReportMetric(groupP95, "group-p95")
+		b.ReportMetric(float64(appends)/float64(syncs), "appends/fsync")
+		b.ReportMetric(roundsPerTxn, "ctr-rounds/txn")
 	}
 }
 
@@ -207,22 +214,27 @@ func BenchmarkAblation_WritePathGroupCommit(b *testing.B) {
 // and a degraded stream (any ship_failed) invalidates the overhead
 // number, so both fail the benchmark loudly.
 func BenchmarkAblation_Replication(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := bench.RunReplicationAblation(bench.DistConfig{Clients: 96, Duration: 3 * time.Second})
-		if err != nil {
-			b.Fatal(err)
+	for _, ms := range runPanels(b, "repl", 0) {
+		off, on := ms[0], ms[1]
+		var groups, acked, failed, recvAcked uint64
+		for _, d := range on.Metrics.Nodes {
+			groups += d.ReplShipGroups
+			acked += d.ReplShipAcked
+			failed += d.ReplShipFailed
+			recvAcked += d.ReplRecvAcked
 		}
-		if r.ShipAcked == 0 {
-			b.Fatalf("vacuous run: replicated arm acked zero commit groups (shipped=%d)", r.ShipGroups)
+		if acked == 0 {
+			b.Fatalf("vacuous run: replicated arm acked zero commit groups (shipped=%d)", groups)
 		}
-		if r.ShipFailed > 0 {
-			b.Fatalf("degraded run: %d ship failures latched a stream unpromotable mid-measurement", r.ShipFailed)
+		if failed > 0 {
+			b.Fatalf("degraded run: %d ship failures latched a stream unpromotable mid-measurement", failed)
 		}
-		b.Log(bench.PrintReplication(r))
-		b.ReportMetric(r.Off.Tps, "tps-repl-off")
-		b.ReportMetric(r.On.Tps, "tps-repl-on")
-		b.ReportMetric(r.Overhead, "overhead")
-		b.ReportMetric(float64(r.ShipAcked), "groups-shipped")
+		b.Logf("Replication: %.1f -> %.1f tps (%.2fx overhead), shipped groups=%d acked=%d failed=%d recv-acked=%d",
+			off.Tps, on.Tps, on.Slowdown(off), groups, acked, failed, recvAcked)
+		b.ReportMetric(off.Tps, "tps-repl-off")
+		b.ReportMetric(on.Tps, "tps-repl-on")
+		b.ReportMetric(on.Slowdown(off), "overhead")
+		b.ReportMetric(float64(acked), "groups-shipped")
 	}
 }
 
@@ -255,22 +267,18 @@ func BenchmarkAblation_SecurityLevels(b *testing.B) {
 }
 
 // BenchmarkAblation_NetworkSecurity isolates the RPC-layer cost of
-// sealing: echo round trips with and without the secure message format.
+// sealing: the Fig. 4 protocol skeleton on native hardware with and
+// without the secure message format.
 func BenchmarkAblation_NetworkSecurity(b *testing.B) {
-	for _, fig := range []bench.Fig4Version{
-		{Label: "plain", Scone: false, Enc: false},
-		{Label: "sealed", Scone: false, Enc: true},
-	} {
-		b.Run(fig.Label, func(b *testing.B) {
-			ms, err := bench.RunFig4(bench.Fig4Config{Clients: 8, Duration: 300 * time.Millisecond, OpsPerTxn: 4})
-			if err != nil {
-				b.Fatal(err)
+	for _, v := range []bench.Fig4Version{{Label: "plain"}, {Label: "sealed", Enc: true}} {
+		b.Run(v.Label, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ms, err := bench.RunFig4(bench.Fig4Config{Clients: 8, Duration: 300 * time.Millisecond, OpsPerTxn: 4}, []bench.Fig4Version{v})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(ms[0].Tps, "tps")
 			}
-			idx := 0
-			if fig.Enc {
-				idx = 1
-			}
-			b.ReportMetric(ms[idx].Tps, "tps")
 		})
 	}
 }

@@ -21,6 +21,32 @@ import (
 	"treaty/internal/bench"
 )
 
+// runPanels measures the given panels of one bench.Experiments entry at
+// the table's own scale and logs each paper-style table.
+func runPanels(b *testing.B, experiment string, panels ...int) [][]bench.Measurement {
+	b.Helper()
+	for _, e := range bench.Experiments {
+		if e.Name != experiment {
+			continue
+		}
+		var out [][]bench.Measurement
+		for i := 0; i < b.N; i++ {
+			for _, p := range panels {
+				ms, err := bench.Run(e.Panels[p])
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Log("\n" + bench.Table(e.Panels[p].Title, ms))
+				reportVersions(b, ms)
+				out = append(out, ms)
+			}
+		}
+		return out
+	}
+	b.Fatalf("no experiment %q in bench.Experiments", experiment)
+	return nil
+}
+
 // reportVersions exposes each version's throughput as a metric.
 func reportVersions(b *testing.B, ms []bench.Measurement) {
 	b.Helper()
@@ -52,7 +78,7 @@ func sanitize(s string) string {
 // no storage underneath, four versions, YCSB 50R/50W.
 func BenchmarkFig4_TwoPCProtocol(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ms, err := bench.RunFig4(bench.Fig4Config{Clients: 32, Duration: time.Second})
+		ms, err := bench.RunFig4(bench.Fig4Config{Clients: 32, Duration: time.Second}, bench.Fig4Versions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -63,109 +89,35 @@ func BenchmarkFig4_TwoPCProtocol(b *testing.B) {
 
 // BenchmarkFig5_DistributedYCSB_WriteHeavy reproduces the 20%R panel of
 // Figure 5.
-func BenchmarkFig5_DistributedYCSB_WriteHeavy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ms, err := bench.RunFig5(bench.DistConfig{Clients: 32, Duration: 2 * time.Second}, 0.2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Log("\n" + bench.PrintFig5(0.2, ms))
-		reportVersions(b, ms)
-	}
-}
+func BenchmarkFig5_DistributedYCSB_WriteHeavy(b *testing.B) { runPanels(b, "fig5", 0) }
 
 // BenchmarkFig5_DistributedYCSB_ReadHeavy reproduces the 80%R panel of
 // Figure 5.
-func BenchmarkFig5_DistributedYCSB_ReadHeavy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ms, err := bench.RunFig5(bench.DistConfig{Clients: 32, Duration: 2 * time.Second}, 0.8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Log("\n" + bench.PrintFig5(0.8, ms))
-		reportVersions(b, ms)
-	}
-}
+func BenchmarkFig5_DistributedYCSB_ReadHeavy(b *testing.B) { runPanels(b, "fig5", 1) }
 
 // BenchmarkFig3_DistributedTPCC_10W reproduces the left panel of
 // Figure 3 (TPC-C, 10 warehouses: heavy write-write conflicts).
-func BenchmarkFig3_DistributedTPCC_10W(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ms, err := bench.RunFig3(bench.DistConfig{Clients: 16, Duration: 2 * time.Second}, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Log("\n" + bench.PrintFig3(10, ms))
-		reportVersions(b, ms)
-	}
-}
+func BenchmarkFig3_DistributedTPCC_10W(b *testing.B) { runPanels(b, "fig3", 0) }
 
 // BenchmarkFig3_DistributedTPCC_100W reproduces the right panel of
 // Figure 3 (TPC-C, 100 warehouses: fewer conflicts, lower overheads).
-func BenchmarkFig3_DistributedTPCC_100W(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ms, err := bench.RunFig3(bench.DistConfig{Clients: 32, Duration: 2 * time.Second}, 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Log("\n" + bench.PrintFig3(100, ms))
-		reportVersions(b, ms)
-	}
-}
+func BenchmarkFig3_DistributedTPCC_100W(b *testing.B) { runPanels(b, "fig3", 1) }
 
 // BenchmarkFig6_SingleNodePessimistic_TPCC reproduces the TPC-C panel of
 // Figure 6 (six versions, pessimistic transactions).
-func BenchmarkFig6_SingleNodePessimistic_TPCC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ms, err := bench.RunSingleTPCC(bench.SingleConfig{Clients: 16, Duration: time.Second}, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Log("\n" + bench.PrintFig6("TPC-C (10W)", ms))
-		reportVersions(b, ms)
-	}
-}
+func BenchmarkFig6_SingleNodePessimistic_TPCC(b *testing.B) { runPanels(b, "fig6", 0) }
 
 // BenchmarkFig6_SingleNodePessimistic_YCSB reproduces the YCSB panels of
 // Figure 6 (20%R and 80%R).
-func BenchmarkFig6_SingleNodePessimistic_YCSB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, ratio := range []float64{0.2, 0.8} {
-			ms, err := bench.RunSingleYCSB(bench.SingleConfig{Clients: 16, Duration: time.Second}, ratio, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Log("\n" + bench.PrintFig6(ycsbName(ratio), ms))
-			reportVersions(b, ms)
-		}
-	}
-}
+func BenchmarkFig6_SingleNodePessimistic_YCSB(b *testing.B) { runPanels(b, "fig6", 1, 2) }
 
 // BenchmarkFig7_SingleNodeOptimistic_TPCC reproduces the TPC-C panel of
 // Figure 7 (optimistic transactions).
-func BenchmarkFig7_SingleNodeOptimistic_TPCC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ms, err := bench.RunSingleTPCC(bench.SingleConfig{Clients: 16, Duration: time.Second}, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Log("\n" + bench.PrintFig7("TPC-C (10W)", ms))
-		reportVersions(b, ms)
-	}
-}
+func BenchmarkFig7_SingleNodeOptimistic_TPCC(b *testing.B) { runPanels(b, "fig7", 0) }
 
 // BenchmarkFig7_SingleNodeOptimistic_YCSB reproduces the YCSB panel of
 // Figure 7 (the paper evaluates the read-heavy workload for OCC).
-func BenchmarkFig7_SingleNodeOptimistic_YCSB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ms, err := bench.RunSingleYCSB(bench.SingleConfig{Clients: 16, Duration: time.Second}, 0.8, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Log("\n" + bench.PrintFig7(ycsbName(0.8), ms))
-		reportVersions(b, ms)
-	}
-}
+func BenchmarkFig7_SingleNodeOptimistic_YCSB(b *testing.B) { runPanels(b, "fig7", 1) }
 
 // BenchmarkFig8_NetworkLibrary reproduces Figure 8: seven network stacks
 // across message sizes 64 B–4 KiB.
@@ -203,12 +155,4 @@ func BenchmarkTableI_Recovery(b *testing.B) {
 			b.ReportMetric(float64(r.Duration)/float64(base), "slowdown:"+sanitize(r.Label))
 		}
 	}
-}
-
-// ycsbName labels a YCSB ratio panel.
-func ycsbName(ratio float64) string {
-	if ratio < 0.5 {
-		return "YCSB W-heavy (20%R)"
-	}
-	return "YCSB R-heavy (80%R)"
 }

@@ -1,20 +1,15 @@
 // Command treaty-bench regenerates the paper's evaluation (§VIII): every
 // figure and table, printed in the paper's structure. By default it runs
-// everything; -exp selects one experiment.
+// everything; -exp selects one experiment (-h lists the names, which come
+// from bench.Experiments and the few experiments below that measure
+// something other than a cluster).
 //
 // Usage:
 //
-//	treaty-bench [-exp all|fig3|fig4|fig5|fig6|fig7|fig8|table1|scaling|baseline]
-//	             [-duration 2s] [-clients 32] [-entries 200000]
-//	             [-metrics out.json] [-baseline-out BENCH_baseline.json]
+//	treaty-bench [-exp all|<name>] [-duration D] [-clients N]
+//	             [-entries 200000] [-metrics out.json]
 //
-// -exp scaling runs the horizontal-scaling sweep: the same read-heavy
-// offered load against 3, 5, and 9 node clusters.
-//
-// -exp baseline captures the committed performance baseline: Fig. 4, the
-// Fig. 5 YCSB panels (with a no-cache reference arm), the block-cache
-// ablation, and the scaling sweep, written as JSON to -baseline-out (see
-// EXPERIMENTS.md).
+// Without -duration and -clients every experiment runs at its own scale.
 package main
 
 import (
@@ -22,172 +17,98 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"treaty/internal/bench"
 )
 
+// experiment is one -exp name and what it runs.
+type experiment struct {
+	name string
+	run  func() error
+}
+
+// show prints a finished experiment through its renderer.
+func show[T any](render func(T) string) func(T, error) error {
+	return func(v T, err error) error {
+		if err == nil {
+			fmt.Print(render(v))
+		}
+		return err
+	}
+}
+
 func main() {
 	log.SetFlags(0)
-	exp := flag.String("exp", "all", "experiment: all, fig3, fig4, fig5, fig6, fig7, fig8, table1, scaling, baseline")
-	duration := flag.Duration("duration", 2*time.Second, "measurement duration per version")
-	clients := flag.Int("clients", 32, "concurrent clients")
+	duration := flag.Duration("duration", 0, "measurement window per version (0 = the experiment's own)")
+	clients := flag.Int("clients", 0, "concurrent clients (0 = the experiment's own)")
 	entries := flag.Int("entries", 200000, "log entries for the recovery experiment (paper: 800000)")
 	metricsOut := flag.String("metrics", "", "write machine-readable per-run metrics reports (JSON) to this file")
-	baselineOut := flag.String("baseline-out", "BENCH_baseline.json", "output file for -exp baseline")
+
+	var reports []bench.Measurement
+	var exps []experiment
+	for _, e := range bench.Experiments {
+		exps = append(exps, experiment{e.Name, func() error {
+			for _, s := range e.Panels {
+				if *duration > 0 {
+					s.Window = *duration
+				}
+				if *clients > 0 {
+					s.Clients = *clients
+				}
+				ms, err := bench.Run(s)
+				if err != nil {
+					return err
+				}
+				fmt.Print(bench.Table(s.Title, ms))
+				reports = append(reports, ms...)
+			}
+			return nil
+		}})
+	}
+	// Not clusters under a workload: the protocol skeleton with no
+	// storage, the iperf stacks, a cold reopen, raw engine reads.
+	exps = append(exps,
+		experiment{"fig4", func() error {
+			return show(bench.PrintFig4)(bench.RunFig4(bench.Fig4Config{Clients: *clients, Duration: *duration}, bench.Fig4Versions()))
+		}},
+		experiment{"fig8", func() error { return show(bench.PrintFig8)(bench.RunFig8(*duration / 10)) }},
+		experiment{"table1", func() error {
+			return show(bench.PrintTableI)(bench.RunTableI(bench.RecoveryConfig{Entries: *entries}))
+		}},
+		experiment{"blockcache", func() error {
+			return show(bench.PrintBlockCache)(bench.RunBlockCacheAblation(bench.BlockCacheConfig{}))
+		}},
+	)
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.name
+	}
+	exp := flag.String("exp", "all", "experiment: all, "+strings.Join(names, ", "))
 	flag.Parse()
-
-	// The baseline capture is its own mode: it runs panels with extra
-	// arms (no-cache reference) and writes one JSON snapshot, not the
-	// printed figures.
-	if *exp == "baseline" {
-		host, _ := os.Hostname()
-		b, err := bench.RunBaseline(bench.BaselineConfig{
-			Clients:    *clients,
-			Duration:   *duration,
-			CapturedAt: time.Now(),
-			Host:       host,
-		})
-		if err != nil {
-			log.Fatalf("baseline: %v", err)
-		}
-		js, err := b.JSON()
-		if err != nil {
-			log.Fatalf("baseline: %v", err)
-		}
-		if err := os.WriteFile(*baselineOut, append(js, '\n'), 0o644); err != nil {
-			log.Fatalf("baseline: %v", err)
-		}
-		fmt.Printf("wrote baseline to %s\n", *baselineOut)
-		fmt.Print(bench.PrintBlockCache(b.BlockCache))
-		return
-	}
-
-	var allMetrics []bench.Measurement
-	captureMetrics := func(ms []bench.Measurement) {
-		if *metricsOut != "" {
-			allMetrics = append(allMetrics, ms...)
-		}
-	}
-
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		start := time.Now()
-		if err := fn(); err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		fmt.Printf("  [%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+	if *exp != "all" && !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		os.Exit(2)
 	}
 
 	fmt.Println("Treaty evaluation harness — reproducing DSN'22 Figures 3-8 and Table I")
 	fmt.Println("(absolute numbers are from the in-process simulated testbed; compare shapes)")
 	fmt.Println()
-
-	run("fig4", func() error {
-		ms, err := bench.RunFig4(bench.Fig4Config{Clients: *clients, Duration: *duration})
-		if err != nil {
-			return err
+	for _, e := range exps {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		fmt.Print(bench.PrintFig4(ms))
-		return nil
-	})
-
-	run("fig5", func() error {
-		for _, ratio := range []float64{0.2, 0.8} {
-			ms, err := bench.RunFig5(bench.DistConfig{Clients: *clients, Duration: *duration}, ratio)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.PrintFig5(ratio, ms))
-			captureMetrics(ms)
+		start := time.Now()
+		if err := e.run(); err != nil {
+			log.Fatalf("%s: %v", e.name, err)
 		}
-		return nil
-	})
-
-	run("fig3", func() error {
-		for _, w := range []int{10, 100} {
-			ms, err := bench.RunFig3(bench.DistConfig{Clients: *clients, Duration: *duration}, w)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.PrintFig3(w, ms))
-			captureMetrics(ms)
-		}
-		return nil
-	})
-
-	run("fig6", func() error {
-		ms, err := bench.RunSingleTPCC(bench.SingleConfig{Clients: *clients / 2, Duration: *duration}, false)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.PrintFig6("TPC-C (10W)", ms))
-		for _, ratio := range []float64{0.2, 0.8} {
-			ms, err := bench.RunSingleYCSB(bench.SingleConfig{Clients: *clients / 2, Duration: *duration}, ratio, false)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.PrintFig6(fmt.Sprintf("YCSB %.0f%%R", ratio*100), ms))
-		}
-		return nil
-	})
-
-	run("fig7", func() error {
-		ms, err := bench.RunSingleTPCC(bench.SingleConfig{Clients: *clients / 2, Duration: *duration}, true)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.PrintFig7("TPC-C (10W)", ms))
-		ms, err = bench.RunSingleYCSB(bench.SingleConfig{Clients: *clients / 2, Duration: *duration}, 0.8, true)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.PrintFig7("YCSB 80%R", ms))
-		return nil
-	})
-
-	run("fig8", func() error {
-		series, err := bench.RunFig8(*duration / 10)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.PrintFig8(series))
-		return nil
-	})
-
-	run("table1", func() error {
-		rs, err := bench.RunTableI(bench.RecoveryConfig{Entries: *entries})
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.PrintTableI(rs))
-		return nil
-	})
-
-	run("scaling", func() error {
-		cfg := bench.ScalingConfig{Duration: *duration}
-		ms, err := bench.RunScaling(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.PrintScaling(cfg, ms))
-		captureMetrics(ms)
-		return nil
-	})
-
-	if *exp != "all" {
-		switch *exp {
-		case "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table1", "scaling":
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-			os.Exit(2)
-		}
+		fmt.Printf("  [%s completed in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *metricsOut != "" {
-		js, err := bench.ReportJSON(allMetrics)
+		js, err := bench.ReportJSON(reports)
 		if err != nil {
 			log.Fatalf("metrics report: %v", err)
 		}

@@ -1,18 +1,116 @@
 package bench
 
 import (
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// The experiment smoke tests run each harness at miniature scale and
-// assert structural properties (right versions, sane numbers) plus the
-// most robust shape properties (native faster than SCONE, UDP zero over
-// MTU). Full-scale runs live in the repository-root benchmarks.
+// The shape tests run each experiment at miniature scale and assert
+// structural properties (right versions, sane numbers) plus the most
+// robust shape properties (native faster than SCONE, UDP zero over MTU),
+// always on round medians. They time wall-clock windows, so -short (the
+// race-detector pass) skips them. Full-scale runs live in the
+// repository-root benchmarks.
+
+func skipTimed(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("times wall-clock windows")
+	}
+}
+
+// TestExperimentsShape smokes every panel of every experiment in the
+// table: arm count, labels and order as declared, every arm committed, a
+// metrics report that accounts for the commits, and the ordering the
+// panel declares.
+func TestExperimentsShape(t *testing.T) {
+	skipTimed(t)
+	for _, e := range Experiments {
+		t.Run(e.Name, func(t *testing.T) {
+			if len(e.Panels) == 0 {
+				t.Fatal("no panels")
+			}
+			for _, s := range e.Panels {
+				checkPanel(t, miniature(s))
+			}
+		})
+	}
+}
+
+// miniature shrinks a panel to tier-1 scale: few clients, rounds of a
+// twentieth of the full window (100 ms for the figure panels), and a
+// TPC-C population that loads in a blink yet gives every client a home
+// warehouse of its own (shared ones stretch rounds by the lock timeout).
+// Every panel stores to memory: windows this short keep the Clog small,
+// and the declared orderings then rest on what the versions compute, not
+// on how long this host's disk took over an fsync.
+func miniature(s Spec) Spec {
+	s.Clients = 4
+	s.Window = s.Window / 20 * rounds
+	s.Warehouses = min(s.Warehouses, s.Clients)
+	s.MemFS = true
+	return s
+}
+
+func checkPanel(t *testing.T, s Spec) {
+	t.Helper()
+	ms, err := Run(s)
+	if err != nil {
+		t.Fatalf("%s: %v", s.Title, err)
+	}
+	out := Table(s.Title, ms)
+	t.Log("\n" + out)
+	if len(ms) != len(s.Arms) {
+		t.Fatalf("%s: %d measurements for %d arms", s.Title, len(ms), len(s.Arms))
+	}
+	for i, m := range ms {
+		if m.Label == "" || m.Label != s.Arms[i].Label || !strings.Contains(out, m.Label) {
+			t.Errorf("%s: row %d labelled %q, arm is %q", s.Title, i, m.Label, s.Arms[i].Label)
+		}
+		if m.Committed == 0 || m.Tps <= 0 {
+			t.Errorf("%s: %s committed nothing (%+v)", s.Title, m.Label, m)
+		}
+		if m.Metrics == nil || len(m.Metrics.Nodes) != s.Arms[i].Nodes {
+			t.Errorf("%s: %s: metrics report missing or not one digest per node", s.Title, m.Label)
+			continue
+		}
+		var committed, walAppends uint64
+		for _, d := range m.Metrics.Nodes {
+			committed += d.TxCommitted
+			walAppends += d.WALAppends
+		}
+		if walAppends == 0 {
+			t.Errorf("%s: %s: digests saw no WAL appends", s.Title, m.Label)
+		}
+		if s.Txn != Distributed {
+			continue // local transactions never reach a coordinator
+		}
+		// The coordinators' since-boot commits cover at least the
+		// reported (median) round's.
+		if committed < m.Committed {
+			t.Errorf("%s: %s: digest commits %d < measured commits %d", s.Title, m.Label, committed, m.Committed)
+		}
+		if _, ok := m.Metrics.Nodes["node-0"].Stages["commit"]; !ok {
+			t.Errorf("%s: %s: node-0 digest missing commit-stage latency", s.Title, m.Label)
+		}
+	}
+	for i := s.SlowerFrom; s.SlowerFrom > 0 && i < len(ms); i++ {
+		if ms[i].Tps >= ms[0].Tps {
+			t.Errorf("%s: %s (%.0f tps) should be slower than %s (%.0f tps)",
+				s.Title, ms[i].Label, ms[i].Tps, ms[0].Label, ms[0].Tps)
+		}
+	}
+	if js, err := ReportJSON(ms); err != nil || len(js) == 0 {
+		t.Errorf("%s: ReportJSON: %v (%d bytes)", s.Title, err, len(js))
+	}
+}
 
 func TestFig4Shape(t *testing.T) {
-	ms, err := RunFig4(Fig4Config{Clients: 8, Duration: 300 * time.Millisecond})
+	skipTimed(t)
+	ms, err := RunFig4(Fig4Config{Clients: 8, Duration: 300 * time.Millisecond}, Fig4Versions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,113 +135,8 @@ func TestFig4Shape(t *testing.T) {
 	}
 }
 
-func TestFig5Shape(t *testing.T) {
-	ms, err := RunFig5(DistConfig{Clients: 6, Duration: 400 * time.Millisecond}, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 4 {
-		t.Fatalf("versions = %d, want 4", len(ms))
-	}
-	if ms[0].Label != "DS-RocksDB" {
-		t.Errorf("baseline label = %s", ms[0].Label)
-	}
-	for _, m := range ms {
-		if m.Committed == 0 {
-			t.Errorf("%s committed no transactions", m.Label)
-		}
-	}
-	// Treaty w/ Enc must be slower than DS-RocksDB.
-	if ms[2].Tps >= ms[0].Tps {
-		t.Errorf("Treaty w/ Enc (%.0f) should be slower than DS-RocksDB (%.0f)", ms[2].Tps, ms[0].Tps)
-	}
-	t.Log("\n" + PrintFig5(0.8, ms))
-
-	// Every distributed measurement carries a metrics report whose node
-	// digests account for the committed transactions: the sum of per-node
-	// coordinator commits equals the measured commit count.
-	for _, m := range ms {
-		if m.Metrics == nil || len(m.Metrics.Nodes) == 0 {
-			t.Fatalf("%s: no metrics report captured", m.Label)
-		}
-		var committed uint64
-		for _, d := range m.Metrics.Nodes {
-			committed += d.TxCommitted
-		}
-		if committed < m.Committed {
-			t.Errorf("%s: digest commits %d < measured commits %d", m.Label, committed, m.Committed)
-		}
-		if _, ok := m.Metrics.Nodes["node-0"].Stages["commit"]; !ok {
-			t.Errorf("%s: node-0 digest missing commit-stage latency", m.Label)
-		}
-	}
-	js, err := ReportJSON(ms)
-	if err != nil || len(js) == 0 {
-		t.Fatalf("ReportJSON: %v (%d bytes)", err, len(js))
-	}
-}
-
-func TestFig3Shape(t *testing.T) {
-	ms, err := RunFig3(DistConfig{Clients: 4, Duration: 400 * time.Millisecond}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 4 {
-		t.Fatalf("versions = %d, want 4", len(ms))
-	}
-	for _, m := range ms {
-		if m.Committed == 0 {
-			t.Errorf("%s committed no TPC-C transactions", m.Label)
-		}
-	}
-	t.Log("\n" + PrintFig3(2, ms))
-}
-
-func TestFig6And7Shape(t *testing.T) {
-	for _, optimistic := range []bool{false, true} {
-		ms, err := RunSingleYCSB(SingleConfig{Clients: 4, Duration: 400 * time.Millisecond}, 0.8, optimistic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ms) != 6 {
-			t.Fatalf("versions = %d, want 6", len(ms))
-		}
-		if ms[0].Label != "RocksDB" || ms[5].Label != "Treaty w/ Enc w/ Stab" {
-			t.Errorf("labels: %s ... %s", ms[0].Label, ms[5].Label)
-		}
-		for _, m := range ms {
-			if m.Committed == 0 {
-				t.Errorf("optimistic=%v %s committed nothing", optimistic, m.Label)
-			}
-		}
-		// The stabilized version waits real counter latency per commit;
-		// it must be decisively slower than the native baseline even in
-		// a short, noisy run. (The intermediate versions' ordering is
-		// asserted statistically by the full-length benchmarks.)
-		if ms[5].Tps >= ms[0].Tps {
-			t.Errorf("optimistic=%v: Treaty w/ Enc w/ Stab (%.0f) should be slower than RocksDB (%.0f)",
-				optimistic, ms[5].Tps, ms[0].Tps)
-		}
-	}
-}
-
-func TestSingleTPCCShape(t *testing.T) {
-	ms, err := RunSingleTPCC(SingleConfig{Clients: 4, Duration: 300 * time.Millisecond}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 6 {
-		t.Fatalf("versions = %d, want 6", len(ms))
-	}
-	for _, m := range ms {
-		if m.Committed == 0 {
-			t.Errorf("%s committed nothing", m.Label)
-		}
-	}
-	t.Log("\n" + PrintFig6("TPC-C", ms))
-}
-
 func TestFig8Shape(t *testing.T) {
+	skipTimed(t)
 	series, err := RunFig8(80 * time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -176,6 +169,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestTableIShape(t *testing.T) {
+	skipTimed(t)
 	rs, err := RunTableI(RecoveryConfig{Entries: 4000})
 	if err != nil {
 		t.Fatal(err)
@@ -209,11 +203,10 @@ func TestMeasurementSlowdown(t *testing.T) {
 }
 
 func TestDriveCountsOutcomes(t *testing.T) {
-	n := 0
+	var n atomic.Int64
 	m := drive(2, 50*time.Millisecond, func(int) error {
-		n++
-		if n%3 == 0 {
-			return errTest
+		if n.Add(1)%3 == 0 {
+			return errors.New("test error")
 		}
 		return nil
 	})
@@ -225,8 +218,31 @@ func TestDriveCountsOutcomes(t *testing.T) {
 	}
 }
 
-var errTest = &testError{}
+// TestDriveReportsMedianRound paces the three rounds of one window at
+// three different rates and expects the middle one back.
+func TestDriveReportsMedianRound(t *testing.T) {
+	pace := []time.Duration{16 * time.Millisecond, 4 * time.Millisecond, time.Millisecond}
+	start := time.Now()
+	m := drive(1, 300*time.Millisecond, func(int) error {
+		time.Sleep(pace[min(int(time.Since(start)/(100*time.Millisecond)), rounds-1)])
+		return nil
+	})
+	if want := 1000.0 / 4; m.Tps < want/2 || m.Tps > want*2 {
+		t.Errorf("median round = %.0f tps, want the ~%.0f tps round (4 ms pace)", m.Tps, want)
+	}
+}
 
-type testError struct{}
-
-func (*testError) Error() string { return "test error" }
+func TestTablesRender(t *testing.T) {
+	out := Table("T", []Measurement{{Label: "base", Tps: 100}, {Label: "half", Tps: 50}})
+	for _, want := range []string{"T\n", "base", "1.00x", "half", "2.00x"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Table output lacks %q:\n%s", want, out)
+		}
+	}
+	out = SeriesTable("S", "x", []string{"1", "2"}, map[string][]float64{"a": {1.5, 2.5}}, []string{"a"})
+	for _, want := range []string{"S\n", "a", "1.50", "2.50"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("SeriesTable output lacks %q:\n%s", want, out)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"treaty/internal/enclave"
@@ -84,8 +85,8 @@ func fig4Cost(v Fig4Version, n int) time.Duration {
 	return cost
 }
 
-// RunFig4 measures all four versions and returns them in order.
-func RunFig4(cfg Fig4Config) ([]Measurement, error) {
+// RunFig4 measures the given versions and returns them in order.
+func RunFig4(cfg Fig4Config, versions []Fig4Version) ([]Measurement, error) {
 	if cfg.Clients == 0 {
 		cfg.Clients = 32
 	}
@@ -98,8 +99,8 @@ func RunFig4(cfg Fig4Config) ([]Measurement, error) {
 	if cfg.ValueSize == 0 {
 		cfg.ValueSize = 1000
 	}
-	out := make([]Measurement, 0, 4)
-	for _, v := range Fig4Versions() {
+	out := make([]Measurement, 0, len(versions))
+	for _, v := range versions {
 		m, err := runFig4Version(cfg, v)
 		if err != nil {
 			return nil, err
@@ -166,17 +167,17 @@ func runFig4Version(cfg Fig4Config, v Fig4Version) (Measurement, error) {
 	defer p2.Stop()
 
 	payload := make([]byte, cfg.ValueSize)
-	var txSeq, opSeq atomicCounter
+	var txSeq, opSeq atomic.Uint64
 	call := func(reqType uint8, tx uint64, body []byte) error {
-		md := seal.MsgMetadata{TxID: tx, OpID: opSeq.next(), OpType: uint32(reqType)}
+		md := seal.MsgMetadata{TxID: tx, OpID: opSeq.Add(1), OpType: uint32(reqType)}
 		// Send + (later) receive cost on the coordinator side.
 		enclave.Spin(2 * fig4Cost(v, len(body)+seal.MsgOverhead))
 		_, cerr := erpc.Call(coord, "fig4-part", reqType, md, body, 5*time.Second, nil)
 		return cerr
 	}
 
-	m := drive(cfg.Clients, cfg.Duration, func(int) error {
-		tx := txSeq.next()
+	return drive(cfg.Clients, cfg.Duration, func(int) error {
+		tx := txSeq.Add(1)
 		// Half the operations are writes carrying the value; half reads.
 		for op := 0; op < cfg.OpsPerTxn; op++ {
 			body := payload
@@ -191,15 +192,7 @@ func runFig4Version(cfg Fig4Config, v Fig4Version) (Measurement, error) {
 			return err
 		}
 		return call(fig4Commit, tx, nil)
-	})
-	return m, nil
-}
-
-// atomicCounter is a tiny helper for unique ids in benchmarks.
-type atomicCounter struct{ v uint64 }
-
-func (c *atomicCounter) next() uint64 {
-	return atomicAdd(&c.v)
+	}), nil
 }
 
 // PrintFig4 renders the figure's output.

@@ -29,7 +29,7 @@ type Measurement struct {
 	Committed uint64
 	Aborted   uint64
 	// Metrics is the per-node observability digest captured before the
-	// run's cluster was torn down (distributed experiments only).
+	// run's cluster was torn down (Run's panels only).
 	Metrics *MetricsReport `json:",omitempty"`
 }
 
@@ -41,57 +41,84 @@ func (m Measurement) Slowdown(base Measurement) float64 {
 	return base.Tps / m.Tps
 }
 
-// drive runs nClients concurrent workers for duration; each worker calls
-// work(workerID) repeatedly — one call is one transaction attempt
-// returning (committed, error). Latency is measured per attempt.
-func drive(nClients int, duration time.Duration, work func(worker int) error) Measurement {
+// rounds is the number of rounds every timed experiment splits its
+// window into. The median round is reported, so a stretch hit by machine
+// noise (CPU steal on a shared host, a compaction burst) costs one sample
+// instead of corrupting whichever version drew it.
+const rounds = 3
+
+// median returns the element of xs whose key is the median.
+func median[T any](xs []T, key func(T) float64) T {
+	sorted := append([]T(nil), xs...)
+	sort.Slice(sorted, func(i, j int) bool { return key(sorted[i]) < key(sorted[j]) })
+	return sorted[len(sorted)/2]
+}
+
+// drive runs nClients concurrent workers for window; each worker calls
+// work(workerID) repeatedly — one call is one transaction attempt — and
+// times it. The window is one continuous closed-loop run cut into rounds
+// equal stretches; an attempt counts towards the round it finishes in,
+// and one still in flight when the window closes counts nowhere, so no
+// round's throughput is inflated by overshoot or diluted by a drain. The
+// round with the median throughput is returned.
+func drive(nClients int, window time.Duration, work func(worker int) error) Measurement {
+	type round struct {
+		lats    []time.Duration
+		aborted uint64
+	}
 	var mu sync.Mutex
-	var lats []time.Duration
-	var committed, aborted uint64
+	var total [rounds]round
 
 	var wg sync.WaitGroup
-	stop := time.Now().Add(duration)
+	start := time.Now()
+	length := window / rounds
 	for w := 0; w < nClients; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var localLat []time.Duration
-			var localC, localA uint64
-			for time.Now().Before(stop) {
-				t0 := time.Now()
+			var local [rounds]round
+			t0 := time.Now()
+			for {
 				err := work(w)
-				lat := time.Since(t0)
-				if err != nil {
-					localA++
-					continue
+				end := time.Now()
+				r := int(end.Sub(start) / length)
+				if r >= rounds {
+					break
 				}
-				localC++
-				localLat = append(localLat, lat)
+				if err != nil {
+					local[r].aborted++
+				} else {
+					local[r].lats = append(local[r].lats, end.Sub(t0))
+				}
+				t0 = end
 			}
 			mu.Lock()
-			lats = append(lats, localLat...)
-			committed += localC
-			aborted += localA
+			for r := range total {
+				total[r].lats = append(total[r].lats, local[r].lats...)
+				total[r].aborted += local[r].aborted
+			}
 			mu.Unlock()
 		}(w)
 	}
 	wg.Wait()
 
-	m := Measurement{Committed: committed, Aborted: aborted}
-	m.Tps = float64(committed) / duration.Seconds()
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		var sum time.Duration
-		for _, l := range lats {
-			sum += l
-		}
-		m.AvgLatencyMs = float64(sum.Milliseconds()) / float64(len(lats))
-		if m.AvgLatencyMs == 0 {
+	ms := make([]Measurement, rounds)
+	for r, t := range total {
+		lats := t.lats
+		m := Measurement{Committed: uint64(len(lats)), Aborted: t.aborted}
+		m.Tps = float64(len(lats)) / length.Seconds()
+		if len(lats) > 0 {
+			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+			var sum time.Duration
+			for _, l := range lats {
+				sum += l
+			}
 			m.AvgLatencyMs = float64(sum.Microseconds()) / float64(len(lats)) / 1000
+			m.P99LatencyMs = float64(lats[len(lats)*99/100].Microseconds()) / 1000
 		}
-		m.P99LatencyMs = float64(lats[len(lats)*99/100].Microseconds()) / 1000
+		ms[r] = m
 	}
-	return m
+	return median(ms, func(m Measurement) float64 { return m.Tps })
 }
 
 // Table renders measurements as the paper-style rows: label, slowdown

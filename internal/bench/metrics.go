@@ -7,8 +7,8 @@ import (
 	"treaty/internal/obs"
 )
 
-// Machine-readable metrics capture for benchmark runs: every distributed
-// measurement can carry a per-node digest of the observability snapshot
+// Machine-readable metrics capture for benchmark runs: every measurement
+// Run returns carries a per-node digest of the observability snapshot
 // taken right before its cluster is torn down, so a run's throughput
 // numbers come with the 2PC stage latencies, WAL traffic and enclave
 // costs that explain them.

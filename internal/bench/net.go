@@ -38,7 +38,8 @@ func Fig8Systems() []Fig8System {
 }
 
 // RunFig8 measures throughput (Gb/s) for every system at every message
-// size. Result: map system label -> one value per Fig8Sizes entry.
+// size, the median round of perPoint split into rounds. Result: map
+// system label -> one value per Fig8Sizes entry.
 func RunFig8(perPoint time.Duration) (map[string][]float64, error) {
 	if perPoint == 0 {
 		perPoint = 150 * time.Millisecond
@@ -47,16 +48,20 @@ func RunFig8(perPoint time.Duration) (map[string][]float64, error) {
 	for _, sys := range Fig8Systems() {
 		var series []float64
 		for _, size := range Fig8Sizes() {
-			res, err := workload.RunIperf(workload.IperfConfig{
-				Stack:    sys.Stack,
-				Scone:    sys.Scone,
-				MsgSize:  size,
-				Duration: perPoint,
-			})
-			if err != nil {
-				return nil, err
+			gbps := make([]float64, 0, rounds)
+			for r := 0; r < rounds; r++ {
+				res, err := workload.RunIperf(workload.IperfConfig{
+					Stack:    sys.Stack,
+					Scone:    sys.Scone,
+					MsgSize:  size,
+					Duration: perPoint / rounds,
+				})
+				if err != nil {
+					return nil, err
+				}
+				gbps = append(gbps, res.Gbps)
 			}
-			series = append(series, res.Gbps)
+			series = append(series, median(gbps, func(g float64) float64 { return g }))
 		}
 		out[sys.Label] = series
 	}

@@ -39,7 +39,8 @@ type RecoveryResult struct {
 }
 
 // RunTableI builds identical workloads at the three log security levels
-// and measures recovery time for each.
+// and measures recovery time for each: the median of rounds write-then-
+// reopen runs.
 func RunTableI(cfg RecoveryConfig) ([]RecoveryResult, error) {
 	if cfg.Entries == 0 {
 		cfg.Entries = 100000
@@ -57,10 +58,15 @@ func RunTableI(cfg RecoveryConfig) ([]RecoveryResult, error) {
 	}
 	out := make([]RecoveryResult, 0, len(versions))
 	for _, v := range versions {
-		r, err := runRecovery(cfg, v.level)
-		if err != nil {
-			return nil, err
+		runs := make([]RecoveryResult, 0, rounds)
+		for i := 0; i < rounds; i++ {
+			r, err := runRecovery(cfg, v.level)
+			if err != nil {
+				return nil, err
+			}
+			runs = append(runs, r)
 		}
+		r := median(runs, func(r RecoveryResult) float64 { return float64(r.Duration) })
 		r.Label = v.label
 		out = append(out, r)
 	}

@@ -220,14 +220,12 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if _, err := rand.Read(opSeed[:]); err == nil {
 		c.nextOp.Store(uint64(binary.LittleEndian.Uint32(opSeed[:])) << 16)
 	}
-	for _, e := range cfg.Recovered {
-		switch e.Kind {
-		case clogPrepare:
-			c.prepared[e.TxID] = e.Participants
-		case clogDecision:
-			c.decisions[e.TxID] = e.Commit
-			c.decidedParts[e.TxID] = e.Participants
-			delete(c.prepared, e.TxID)
+	for _, w := range foldClog(cfg.Recovered) {
+		if w.redo {
+			c.prepared[w.id] = w.parts
+		} else {
+			c.decisions[w.id] = w.commit
+			c.decidedParts[w.id] = w.parts
 		}
 	}
 	// Presumed abort, said out loud: a transaction whose records the Clog
@@ -752,19 +750,99 @@ func (t *DistTxn) Rollback() error {
 	return nil
 }
 
+// pending is one transaction a recovery pass has to finish.
+type pending struct {
+	id    lsm.TxID
+	parts []string
+	// redo marks a prepare with no logged decision: the prepare phase is
+	// re-driven. Otherwise commit is the decision to re-push.
+	commit bool
+	redo   bool
+}
+
+// sortPending orders work by transaction id, so recovery passes are
+// reproducible.
+func sortPending(work []pending) {
+	sort.Slice(work, func(i, j int) bool { return string(work[i].id[:]) < string(work[j].id[:]) })
+}
+
+// foldClog folds Clog entries, in log order, into one pending per
+// transaction: prepared with the prepare record's participants until a
+// decision record, which also names whom to push it to, overrides.
+func foldClog(entries []ClogEntry) []pending {
+	byID := make(map[lsm.TxID]int)
+	var work []pending
+	for _, e := range entries {
+		i, seen := byID[e.TxID]
+		if !seen {
+			i = len(work)
+			byID[e.TxID] = i
+			work = append(work, pending{id: e.TxID, redo: true})
+		}
+		switch e.Kind {
+		case clogPrepare:
+			work[i].parts = e.Participants
+		case clogDecision:
+			work[i].parts, work[i].commit, work[i].redo = e.Participants, e.Commit, false
+		}
+	}
+	sortPending(work)
+	return work
+}
+
+// resolve finishes one recovered transaction: a logged decision is
+// re-pushed to its participants (who ignore what they already applied);
+// a prepare without decision re-executes the prepare phase — participants
+// still holding the prepared transaction re-ACK and it commits, otherwise
+// it aborts. reason prefixes the recovery trace's outcome reason.
+//
+// Recovery replays intentionally carry no DistTxn trace and never touch
+// the tx.* conservation counters (coordMetrics); their paths are recorded
+// via recover.* counters and standalone traces.
+func (c *Coordinator) resolve(w pending, reason string, yield func()) error {
+	_, seq := splitTxID(w.id)
+	t := &DistTxn{c: c, id: w.id, seq: seq, parts: map[string]bool{}, yield: yield}
+	tr := c.tracer.Begin(txTraceID(w.id), obs.StageRecover)
+	switch {
+	case w.redo:
+		c.met.recoverRedo.Inc()
+		if _, err := t.broadcast(ReqPrepare, w.parts); err != nil {
+			debugAdoptf("%sresolve tx=%x redo prepare failed: %v -> abort", reason, w.id, err)
+			t.decide(false, w.parts)
+			tr.Finish(obs.OutcomeRecovered, reason+"redo_prepare_aborted")
+			return nil
+		}
+		token, err := c.clog.Append(clogDecision, w.id, true, w.parts)
+		if err != nil {
+			return err
+		}
+		if err := t.waitToken(token); err != nil {
+			return err
+		}
+		c.mu.Lock()
+		c.decisions[w.id] = true
+		delete(c.prepared, w.id)
+		c.mu.Unlock()
+		_ = t.broadcastRetry(ReqCommit, w.parts, 4)
+		tr.Finish(obs.OutcomeRecovered, reason+"redo_prepare")
+	case w.commit:
+		c.met.recoverRepushCommit.Inc()
+		if err := t.broadcastRetry(ReqCommit, w.parts, 4); err != nil {
+			debugAdoptf("%sresolve tx=%x commit re-push failed: %v", reason, w.id, err)
+		}
+		tr.Finish(obs.OutcomeRecovered, reason+"repush_commit")
+	default:
+		c.met.recoverRepushAbort.Inc()
+		_ = t.broadcastRetry(ReqAbort, w.parts, 4)
+		tr.Finish(obs.OutcomeRecovered, reason+"repush_abort")
+	}
+	return nil
+}
+
 // RecoverPending finishes transactions the coordinator left in flight at
-// a crash (§VI): for a logged decision the participants are re-
-// instructed; for a prepare without decision the prepare phase is
-// re-executed — participants still holding the prepared transaction
-// re-ACK, and the transaction commits; otherwise it aborts.
+// a crash (§VI); see resolve.
 func (c *Coordinator) RecoverPending(yield func()) error {
 	c.mu.Lock()
-	type pending struct {
-		id     lsm.TxID
-		parts  []string
-		commit bool
-		redo   bool
-	}
 	var work []pending
 	for id, parts := range c.prepared {
 		work = append(work, pending{id: id, parts: parts, redo: true})
@@ -774,48 +852,11 @@ func (c *Coordinator) RecoverPending(yield func()) error {
 	}
 	c.decidedParts = make(map[lsm.TxID][]string)
 	c.mu.Unlock()
-	sort.Slice(work, func(i, j int) bool { return string(work[i].id[:]) < string(work[j].id[:]) })
+	sortPending(work)
 
 	for _, w := range work {
-		_, seq := splitTxID(w.id)
-		// Recovery replays intentionally carry no DistTxn trace and never
-		// touch the tx.* conservation counters (coordMetrics); their paths
-		// are recorded via recover.* counters and standalone traces.
-		t := &DistTxn{c: c, id: w.id, seq: seq, parts: map[string]bool{}, yield: yield}
-		tr := c.tracer.Begin(txTraceID(w.id), obs.StageRecover)
-		switch {
-		case w.redo:
-			// Re-execute the prepare phase.
-			c.met.recoverRedo.Inc()
-			if _, err := t.broadcast(ReqPrepare, w.parts); err != nil {
-				t.decide(false, w.parts)
-				tr.Finish(obs.OutcomeRecovered, "redo_prepare_aborted")
-				continue
-			}
-			token, err := c.clog.Append(clogDecision, w.id, true, w.parts)
-			if err != nil {
-				return err
-			}
-			if err := t.waitToken(token); err != nil {
-				return err
-			}
-			c.mu.Lock()
-			c.decisions[w.id] = true
-			delete(c.prepared, w.id)
-			c.mu.Unlock()
-			_ = t.broadcastRetry(ReqCommit, w.parts, 4)
-			tr.Finish(obs.OutcomeRecovered, "redo_prepare")
-		case w.commit:
-			// Re-push commits for decided transactions; participants that
-			// already committed ignore the message.
-			c.met.recoverRepushCommit.Inc()
-			_ = t.broadcastRetry(ReqCommit, w.parts, 4)
-			tr.Finish(obs.OutcomeRecovered, "repush_commit")
-		default:
-			// Decided abort: re-push aborts (also idempotent).
-			c.met.recoverRepushAbort.Inc()
-			_ = t.broadcastRetry(ReqAbort, w.parts, 4)
-			tr.Finish(obs.OutcomeRecovered, "repush_abort")
+		if err := c.resolve(w, "", yield); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -823,107 +864,40 @@ func (c *Coordinator) RecoverPending(yield func()) error {
 
 // AdoptRecovered folds a dead peer coordinator's replicated Clog
 // entries into this coordinator and resolves them, exactly as
-// RecoverPending resolves this node's own log after a crash: decided
-// transactions are re-pushed to their participants, undecided prepares
-// are re-driven (participants still holding the prepare re-ACK and the
-// transaction commits; otherwise it aborts — presumed abort is sound
-// because a decision absent from the replicated prefix was never
-// stabilized, hence never acknowledged to anyone). rewrite, when
-// non-nil, maps participant addresses recorded by the dead peer to
+// RecoverPending resolves this node's own log after a crash (presumed
+// abort stays sound because a decision absent from the replicated prefix
+// was never stabilized, hence never acknowledged to anyone). rewrite,
+// when non-nil, maps participant addresses recorded by the dead peer to
 // their current holders (the promoted successor answers for the dead
 // primary's address). Adopted decisions also seed the status table, so
 // participants probing the dead coordinator's transactions get answers
 // from the successor.
 func (c *Coordinator) AdoptRecovered(entries []ClogEntry, rewrite func(string) string, yield func()) error {
-	if rewrite == nil {
-		rewrite = func(a string) string { return a }
-	}
-	type pending struct {
-		id     lsm.TxID
-		parts  []string
-		commit bool
-		redo   bool
-	}
-	byID := make(map[lsm.TxID]*pending)
-	var order []lsm.TxID
-	for _, e := range entries {
-		parts := make([]string, len(e.Participants))
-		for i, a := range e.Participants {
-			parts[i] = rewrite(a)
+	for _, w := range foldClog(entries) {
+		if rewrite != nil {
+			parts := make([]string, len(w.parts))
+			for i, a := range w.parts {
+				parts[i] = rewrite(a)
+			}
+			w.parts = parts
 		}
-		p := byID[e.TxID]
-		if p == nil {
-			p = &pending{id: e.TxID, redo: true}
-			byID[e.TxID] = p
-			order = append(order, e.TxID)
-		}
-		switch e.Kind {
-		case clogPrepare:
-			p.parts = parts
-		case clogDecision:
-			p.parts = parts
-			p.commit = e.Commit
-			p.redo = false
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return string(order[i][:]) < string(order[j][:]) })
-
-	for _, id := range order {
-		w := byID[id]
 		c.mu.Lock()
-		_, known := c.decisions[id]
-		if !known && w.redo {
-			c.prepared[id] = w.parts
+		_, known := c.decisions[w.id]
+		switch {
+		case known: // this coordinator already resolved it
+		case w.redo:
+			c.prepared[w.id] = w.parts
+		default:
+			c.decisions[w.id] = w.commit
 		}
 		c.mu.Unlock()
-		debugAdoptf("adopt tx=%x redo=%v commit=%v known=%v parts=%v", id, w.redo, w.commit, known, w.parts)
+		debugAdoptf("adopt tx=%x redo=%v commit=%v known=%v parts=%v", w.id, w.redo, w.commit, known, w.parts)
 		if known {
-			continue // this coordinator already resolved it
+			continue
 		}
 		c.met.recoverAdopted.Inc()
-		_, seq := splitTxID(w.id)
-		// Like RecoverPending: adopted replays carry no DistTxn trace and
-		// never touch the tx.* conservation counters.
-		t := &DistTxn{c: c, id: w.id, seq: seq, parts: map[string]bool{}, yield: yield}
-		tr := c.tracer.Begin(txTraceID(w.id), obs.StageRecover)
-		switch {
-		case w.redo:
-			c.met.recoverRedo.Inc()
-			if _, err := t.broadcast(ReqPrepare, w.parts); err != nil {
-				debugAdoptf("adopt tx=%x redo prepare failed: %v -> abort", id, err)
-				t.decide(false, w.parts)
-				tr.Finish(obs.OutcomeRecovered, "adopt_prepare_aborted")
-				continue
-			}
-			token, err := c.clog.Append(clogDecision, w.id, true, w.parts)
-			if err != nil {
-				return err
-			}
-			if err := t.waitToken(token); err != nil {
-				return err
-			}
-			c.mu.Lock()
-			c.decisions[w.id] = true
-			delete(c.prepared, w.id)
-			c.mu.Unlock()
-			_ = t.broadcastRetry(ReqCommit, w.parts, 4)
-			tr.Finish(obs.OutcomeRecovered, "adopt_redo_prepare")
-		case w.commit:
-			c.mu.Lock()
-			c.decisions[w.id] = true
-			c.mu.Unlock()
-			c.met.recoverRepushCommit.Inc()
-			if err := t.broadcastRetry(ReqCommit, w.parts, 4); err != nil {
-				debugAdoptf("adopt tx=%x commit re-push failed: %v", id, err)
-			}
-			tr.Finish(obs.OutcomeRecovered, "adopt_repush_commit")
-		default:
-			c.mu.Lock()
-			c.decisions[w.id] = false
-			c.mu.Unlock()
-			c.met.recoverRepushAbort.Inc()
-			_ = t.broadcastRetry(ReqAbort, w.parts, 4)
-			tr.Finish(obs.OutcomeRecovered, "adopt_repush_abort")
+		if err := c.resolve(w, "adopt_", yield); err != nil {
+			return err
 		}
 	}
 	return nil
