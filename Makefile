@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race test-race chaos soak-metrics soak-disk soak-adversary soak-reshard soak-failover crashpoint fuzz vet bench-smoke bench-check loc
+.PHONY: build test race test-race chaos soak-metrics soak-disk soak-adversary soak-reshard soak-failover crashpoint fuzz vet check-once bench-smoke bench-check loc
 
 build:
 	$(GO) build ./...
@@ -18,10 +18,12 @@ race:
 # filesystem fault layer, crash-point harness, and the storage engine
 # with its block cache (concurrent Get/compaction/invalidation hammer),
 # the durable log under it and the Clog, the cluster package (the
-# counter-round budget of a full-security cluster), and the experiment
-# harness's driver (its wall-clock shape tests skip under -short).
+# counter-round budget of a full-security cluster), the experiment
+# harness's driver (its wall-clock shape tests skip under -short), and
+# the rest of the request lifecycle: the wait primitive and scheduler,
+# the counter client's rounds, the lock table and the shipper.
 test-race:
-	$(GO) test -race -short ./internal/obs/... ./internal/erpc/... ./internal/twopc/... ./internal/chaos/... ./internal/vfs/... ./internal/audit/... ./internal/durlog/... ./internal/lsm/... ./internal/core/... ./internal/bench/...
+	$(GO) test -race -short ./internal/obs/... ./internal/erpc/... ./internal/twopc/... ./internal/chaos/... ./internal/vfs/... ./internal/audit/... ./internal/durlog/... ./internal/lsm/... ./internal/core/... ./internal/bench/... ./internal/fibers/... ./internal/counter/... ./internal/txn/... ./internal/repl/...
 
 # Full 20-round chaos soak with per-round logging.
 chaos:
@@ -89,6 +91,24 @@ crashpoint:
 
 vet:
 	$(GO) vet ./...
+
+# The request lifecycle's mechanisms exist once each: the
+# yield/pause/deadline loop (fibers/wait.go), the exponential backoff
+# (erpc/retry.go), the enqueue-N-wait-for-k fan-out (erpc/fanout.go) and
+# the per-boot op-id seed (erpc/opid.go). This greps non-test code
+# outside those files for what a hand-written copy would contain: the
+# spin idiom, a time.After in the packages that wait on requests, a
+# backoff doubling (the scheduler's idle sleep in fibers.go is exempt:
+# nothing is re-sent), and a rand.Read in a package that sends requests
+# (the coordinator's transaction-id seed is the one other use).
+ONCE_SRC = find $(1) -name '*.go' ! -name '*_test.go' ! -path internal/fibers/wait.go ! -path internal/erpc/retry.go ! -path internal/erpc/opid.go
+check-once:
+	@fail=0; \
+	grep -n 'spins *% *64' $$($(call ONCE_SRC,internal)) && fail=1; \
+	grep -n 'time\.After(' $$($(call ONCE_SRC,internal/erpc internal/twopc internal/counter internal/txn)) && fail=1; \
+	grep -n 'backoff \*= 2' $$($(call ONCE_SRC,internal)) | grep -v '^internal/fibers/fibers\.go:' && fail=1; \
+	grep -n 'rand\.Read' $$($(call ONCE_SRC,internal/erpc internal/twopc internal/counter internal/repl)) | grep -v txSeed && fail=1; \
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a request-lifecycle mechanism; call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

@@ -46,23 +46,13 @@ type clientSessions struct {
 // newClientSessions registers the client protocol handlers.
 func newClientSessions(n *Node) *clientSessions {
 	cs := &clientSessions{node: n, txns: make(map[clientTxKey]*twopc.DistTxn)}
-	n.ep.Register(reqClientBegin, cs.onFiber(cs.handleBegin))
-	n.ep.Register(reqClientGet, cs.onFiber(cs.handleGet))
-	n.ep.Register(reqClientPut, cs.onFiber(cs.handlePut))
-	n.ep.Register(reqClientDelete, cs.onFiber(cs.handleDelete))
-	n.ep.Register(reqClientCommit, cs.onFiber(cs.handleCommit))
-	n.ep.Register(reqClientRollback, cs.onFiber(cs.handleRollback))
+	n.ep.Register(reqClientBegin, twopc.OnFiber(n.sched, cs.handleBegin))
+	n.ep.Register(reqClientGet, twopc.OnFiber(n.sched, cs.handleOp))
+	n.ep.Register(reqClientPut, twopc.OnFiber(n.sched, cs.handleOp))
+	n.ep.Register(reqClientDelete, twopc.OnFiber(n.sched, cs.handleOp))
+	n.ep.Register(reqClientCommit, twopc.OnFiber(n.sched, cs.handleEnd))
+	n.ep.Register(reqClientRollback, twopc.OnFiber(n.sched, cs.handleEnd))
 	return cs
-}
-
-// onFiber runs a handler as a fiber: one fiber per client request, on the
-// userland scheduler (§VII-C).
-func (cs *clientSessions) onFiber(h func(*fibers.Fiber, *erpc.Request)) erpc.Handler {
-	return func(req *erpc.Request) {
-		if _, err := cs.node.sched.Go(func(f *fibers.Fiber) { h(f, req) }); err != nil {
-			req.ReplyError(err.Error())
-		}
-	}
 }
 
 // keyOf builds the session key from request metadata.
@@ -93,66 +83,49 @@ func (cs *clientSessions) drop(req *erpc.Request) {
 	delete(cs.txns, keyOf(req))
 }
 
-// handleGet forwards a read.
-func (cs *clientSessions) handleGet(f *fibers.Fiber, req *erpc.Request) {
+// handleOp forwards one keyed operation — get, put or delete, told apart
+// by the request type — into the client's distributed transaction. A
+// request whose declared sizes overrun its payload is rejected, whatever
+// the operation.
+func (cs *clientSessions) handleOp(f *fibers.Fiber, req *erpc.Request) {
 	tx := cs.lookup(req)
 	if tx == nil {
 		req.ReplyError("core: no such transaction")
 		return
 	}
+	key, value, ok := twopc.SplitKV(req)
+	if !ok {
+		req.ReplyError("core: malformed sizes")
+		return
+	}
 	tx.SetYield(f.Yield)
-	key := req.Payload[:min(int(req.Meta.KeyLen), len(req.Payload))]
-	v, found, err := tx.Get(key)
+	var reply []byte
+	var err error
+	switch req.Type() {
+	case reqClientGet:
+		var v []byte
+		var found bool
+		if v, found, err = tx.Get(key); found {
+			reply = append([]byte{twopc.GetFound}, v...)
+		} else {
+			reply = []byte{twopc.GetNotFound}
+		}
+	case reqClientPut:
+		err = tx.Put(key, value)
+	case reqClientDelete:
+		err = tx.Delete(key)
+	}
 	if err != nil {
 		req.ReplyError(err.Error())
 		return
 	}
-	if !found {
-		req.Reply([]byte{0})
-		return
-	}
-	req.Reply(append([]byte{1}, v...))
+	req.Reply(reply)
 }
 
-// handlePut forwards a write.
-func (cs *clientSessions) handlePut(f *fibers.Fiber, req *erpc.Request) {
-	tx := cs.lookup(req)
-	if tx == nil {
-		req.ReplyError("core: no such transaction")
-		return
-	}
-	tx.SetYield(f.Yield)
-	kl, vl := int(req.Meta.KeyLen), int(req.Meta.ValueLen)
-	if kl+vl > len(req.Payload) {
-		req.ReplyError("core: malformed sizes")
-		return
-	}
-	if err := tx.Put(req.Payload[:kl], req.Payload[kl:kl+vl]); err != nil {
-		req.ReplyError(err.Error())
-		return
-	}
-	req.Reply(nil)
-}
-
-// handleDelete forwards a delete.
-func (cs *clientSessions) handleDelete(f *fibers.Fiber, req *erpc.Request) {
-	tx := cs.lookup(req)
-	if tx == nil {
-		req.ReplyError("core: no such transaction")
-		return
-	}
-	tx.SetYield(f.Yield)
-	key := req.Payload[:min(int(req.Meta.KeyLen), len(req.Payload))]
-	if err := tx.Delete(key); err != nil {
-		req.ReplyError(err.Error())
-		return
-	}
-	req.Reply(nil)
-}
-
-// handleCommit runs 2PC and acknowledges the client after the decision
-// is stabilized.
-func (cs *clientSessions) handleCommit(f *fibers.Fiber, req *erpc.Request) {
+// handleEnd finishes the client's transaction. A commit runs 2PC and
+// acknowledges the client after the decision is stabilized; a rollback
+// aborts everywhere.
+func (cs *clientSessions) handleEnd(f *fibers.Fiber, req *erpc.Request) {
 	tx := cs.lookup(req)
 	if tx == nil {
 		req.ReplyError("core: no such transaction")
@@ -160,23 +133,11 @@ func (cs *clientSessions) handleCommit(f *fibers.Fiber, req *erpc.Request) {
 	}
 	tx.SetYield(f.Yield)
 	cs.drop(req)
-	if err := tx.Commit(); err != nil {
-		req.ReplyError(err.Error())
-		return
+	end := tx.Rollback
+	if req.Type() == reqClientCommit {
+		end = tx.Commit
 	}
-	req.Reply(nil)
-}
-
-// handleRollback aborts the client's transaction.
-func (cs *clientSessions) handleRollback(f *fibers.Fiber, req *erpc.Request) {
-	tx := cs.lookup(req)
-	if tx == nil {
-		req.ReplyError("core: no such transaction")
-		return
-	}
-	tx.SetYield(f.Yield)
-	cs.drop(req)
-	if err := tx.Rollback(); err != nil {
+	if err := end(); err != nil {
 		req.ReplyError(err.Error())
 		return
 	}
@@ -194,7 +155,6 @@ type Client struct {
 	nodes   []string
 	timeout time.Duration
 	nextTx  uint64
-	nextOp  uint64
 
 	// Shard-map view: clients verify the CAS-signed map like nodes do
 	// (signature under the network key, epoch bound to the trusted
@@ -360,10 +320,9 @@ var ErrTxnDone = errors.New("core: transaction already finished")
 
 // call performs one client-protocol request.
 func (c *Client) call(reqType uint8, tx uint64, key, value []byte) ([]byte, error) {
-	c.nextOp++
 	md := seal.MsgMetadata{
 		TxID:     tx,
-		OpID:     c.nextOp,
+		OpID:     c.ep.NextOpID(),
 		OpType:   uint32(reqType),
 		KeyLen:   uint32(len(key)),
 		ValueLen: uint32(len(value)),
@@ -384,56 +343,46 @@ func (c *Client) BeginTxn() (*ClientTxn, error) {
 	return &ClientTxn{c: c, tx: tx}, nil
 }
 
+// op sends one request of the transaction; the commit and rollback
+// requests are its last.
+func (t *ClientTxn) op(reqType uint8, key, value []byte) ([]byte, error) {
+	if t.done {
+		return nil, ErrTxnDone
+	}
+	t.done = reqType == reqClientCommit || reqType == reqClientRollback
+	return t.c.call(reqType, t.tx, key, value)
+}
+
 // TxnGet reads a key.
 func (t *ClientTxn) TxnGet(key []byte) ([]byte, bool, error) {
-	if t.done {
-		return nil, false, ErrTxnDone
-	}
-	resp, err := t.c.call(reqClientGet, t.tx, key, nil)
-	if err != nil {
+	resp, err := t.op(reqClientGet, key, nil)
+	if err != nil || len(resp) == 0 || resp[0] == twopc.GetNotFound {
 		return nil, false, err
-	}
-	if len(resp) == 0 || resp[0] == 0 {
-		return nil, false, nil
 	}
 	return resp[1:], true, nil
 }
 
 // TxnPut writes a key.
 func (t *ClientTxn) TxnPut(key, value []byte) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	_, err := t.c.call(reqClientPut, t.tx, key, value)
+	_, err := t.op(reqClientPut, key, value)
 	return err
 }
 
 // TxnDelete removes a key.
 func (t *ClientTxn) TxnDelete(key []byte) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	_, err := t.c.call(reqClientDelete, t.tx, key, nil)
+	_, err := t.op(reqClientDelete, key, nil)
 	return err
 }
 
 // TxnCommit commits; success means the transaction is durable and
 // rollback-protected on every involved node.
 func (t *ClientTxn) TxnCommit() error {
-	if t.done {
-		return ErrTxnDone
-	}
-	t.done = true
-	_, err := t.c.call(reqClientCommit, t.tx, nil, nil)
+	_, err := t.op(reqClientCommit, nil, nil)
 	return err
 }
 
 // TxnRollback aborts the transaction.
 func (t *ClientTxn) TxnRollback() error {
-	if t.done {
-		return ErrTxnDone
-	}
-	t.done = true
-	_, err := t.c.call(reqClientRollback, t.tx, nil, nil)
+	_, err := t.op(reqClientRollback, nil, nil)
 	return err
 }

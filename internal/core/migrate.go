@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"treaty/internal/fibers"
 	"treaty/internal/shardmap"
 )
 
@@ -54,15 +55,13 @@ func (c *Cluster) MigrateSlot(slot, dstNode int, opts MigrateOptions) error {
 	defer src.part.UnfreezeSlot(slot)
 
 	// Drain: wait for in-flight transactions that touched the slot.
-	drainDeadline := time.Now().Add(opts.DrainTimeout)
-	if opts.DrainTimeout == 0 {
-		drainDeadline = time.Now().Add(5 * time.Second)
+	drainTimeout := opts.DrainTimeout
+	if drainTimeout == 0 {
+		drainTimeout = 5 * time.Second
 	}
-	for src.part.SlotActive(slot) > 0 {
-		if time.Now().After(drainDeadline) {
-			return fmt.Errorf("core: slot %d drain timed out", slot)
-		}
-		time.Sleep(200 * time.Microsecond)
+	drained := func() bool { return src.part.SlotActive(slot) == 0 }
+	if !fibers.Wait(drained, nil, time.Now().Add(drainTimeout), nil) {
+		return fmt.Errorf("core: slot %d drain timed out", slot)
 	}
 
 	// Stream the slot's key range to the destination (durable there

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -404,19 +402,16 @@ func (n *Node) buildCounters(clusterCfg *attest.ClusterConfig) (lsm.CounterFacto
 		}, nil
 	}
 	// Dedicated endpoint for counter traffic so protocol rounds are not
-	// queued behind transaction handling. The endpoint identity is fresh
-	// per boot: a restarted node must not collide with its pre-crash
-	// (node, tx, op) tuples in the replicas' replay caches.
+	// queued behind transaction handling. Round numbers restart with the
+	// node; the endpoint's per-boot operation ids (erpc.NextOpID) are what
+	// keep a restarted node's (node, tx, op) tuples from colliding with
+	// its pre-crash ones in the replicas' replay caches.
 	cep, err := n.cfg.Net.Listen(n.cfg.Addr + "/ctr")
 	if err != nil {
 		return nil, err
 	}
-	bootID, err := randomID()
-	if err != nil {
-		return nil, err
-	}
 	n.ctrEP, err = erpc.NewEndpoint(erpc.Config{
-		NodeID:     bootID,
+		NodeID:     n.cfg.ID,
 		Transport:  erpc.NewSimTransport(cep, n.rt, erpc.KindDPDK),
 		NetworkKey: clusterCfg.NetworkKey,
 		Secure:     true,
@@ -478,15 +473,6 @@ func (n *Node) shutdownPartial() {
 	if n.backup != nil {
 		_ = n.backup.Close()
 	}
-}
-
-// randomID draws a fresh 63-bit identity.
-func randomID() (uint64, error) {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return 0, fmt.Errorf("core: random id: %w", err)
-	}
-	return binary.LittleEndian.Uint64(b[:]) >> 1, nil
 }
 
 // RefreshShardMap refetches the CAS-signed shard map and installs it if
@@ -598,7 +584,7 @@ func (n *Node) Recover() error {
 	if err := n.coord.RecoverPending(nil); err != nil {
 		return err
 	}
-	return n.part.ResolveRecovered(n.AddrOfNode, 20, nil)
+	return n.part.ResolveRecovered(n.AddrOfNode)
 }
 
 // Stop shuts the node down cleanly.

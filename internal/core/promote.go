@@ -213,7 +213,7 @@ func (n *Node) Promote(primary uint64) error {
 	if err := n.coord.AdoptRecovered(entries, rewrite, nil); err != nil {
 		return fmt.Errorf("core: promoting %d: adopting clog: %w", primary, err)
 	}
-	if err := n.part.ResolveRecovered(n.AddrOfNode, 20, nil); err != nil {
+	if err := n.part.ResolveRecovered(n.AddrOfNode); err != nil {
 		return fmt.Errorf("core: promoting %d: resolving prepared: %w", primary, err)
 	}
 	n.reg.Counter("repl.promotions").Inc()

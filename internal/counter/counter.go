@@ -81,9 +81,9 @@ type Client struct {
 	handles map[string]*Handle
 	failErr error // sticky client-wide poison (Fail); new handles inherit it
 
-	// Id allocation is atomic, not mutex-guarded: broadcast takes ids on
-	// the stabilization hot path, concurrently from every handle pump.
-	nextOp atomic.Uint64
+	// nextTx numbers protocol rounds. Atomic, not mutex-guarded: broadcast
+	// takes ids on the stabilization hot path, concurrently from every
+	// handle pump.
 	nextTx atomic.Uint64
 
 	// metrics (nil-safe when no registry is configured)
@@ -98,10 +98,9 @@ type ClientConfig struct {
 	// Endpoint is the RPC port used to reach the replicas. Its event
 	// loop must be driven (e.g. erpc.StartPoller).
 	Endpoint *erpc.Endpoint
-	// Replicas are the protection group's addresses.
+	// Replicas are the protection group's addresses; a majority of them
+	// is the quorum.
 	Replicas []string
-	// Quorum defaults to majority.
-	Quorum int
 	// Timeout bounds each protocol round (default 2s).
 	Timeout time.Duration
 	// Metrics, when non-nil, records stabilization round counts,
@@ -114,16 +113,13 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Endpoint == nil || len(cfg.Replicas) == 0 {
 		return nil, errors.New("counter: client needs endpoint and replicas")
 	}
-	if cfg.Quorum == 0 {
-		cfg.Quorum = len(cfg.Replicas)/2 + 1
-	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 2 * time.Second
 	}
 	return &Client{
 		ep:       cfg.Endpoint,
 		replicas: cfg.Replicas,
-		quorum:   cfg.Quorum,
+		quorum:   len(cfg.Replicas)/2 + 1,
 		timeout:  cfg.Timeout,
 		handles:  make(map[string]*Handle),
 		// All nil when Metrics is nil: recording becomes a no-op.
@@ -174,54 +170,19 @@ func (c *Client) RecoverStable(name string) (uint64, error) {
 }
 
 // broadcast sends one round to all replicas and waits for a quorum of
-// replies, returning their reported values.
+// replies (erpc.Fanout with need = quorum), returning their reported
+// values. The replicas the quorum made unnecessary are abandoned, not
+// left registered: a dead replica never answers.
 func (c *Client) broadcast(reqType uint8, name string, value uint64) ([]uint64, error) {
-	tx := c.nextTx.Add(1)
-
-	payload := encodeReq(name, value)
-	pendings := make([]*erpc.Pending, len(c.replicas))
-	for i, addr := range c.replicas {
-		op := c.nextOp.Add(1)
-		md := seal.MsgMetadata{TxID: tx, OpID: op, OpType: uint32(reqType)}
-		pendings[i] = c.ep.Enqueue(addr, reqType, md, payload, nil)
-	}
-	deadline := time.Now().Add(c.timeout)
+	md := seal.MsgMetadata{TxID: c.nextTx.Add(1), OpType: uint32(reqType)}
 	var values []uint64
-	replied := make([]bool, len(pendings))
-	answered := 0
-	for len(values) < c.quorum {
-		if time.Now().After(deadline) || answered == len(pendings) {
-			return nil, fmt.Errorf("%w: %d/%d replies for %s", ErrNoQuorum, len(values), c.quorum, name)
+	for _, r := range erpc.Fanout(c.ep, c.replicas, reqType, md, encodeReq(name, value), c.quorum, c.timeout, nil) {
+		if r.Err == nil && len(r.Resp) >= 8 {
+			values = append(values, binary.LittleEndian.Uint64(r.Resp))
 		}
-		progress := false
-		for i, p := range pendings {
-			if replied[i] || !p.Done() {
-				continue
-			}
-			replied[i] = true
-			answered++
-			progress = true
-			if p.Err() != nil {
-				continue
-			}
-			if resp := p.Response(); len(resp) >= 8 {
-				values = append(values, binary.LittleEndian.Uint64(resp))
-			}
-		}
-		if progress {
-			continue
-		}
-		// Block on the first unanswered reply instead of spinning.
-		for i, p := range pendings {
-			if replied[i] {
-				continue
-			}
-			select {
-			case <-p.Ch():
-			case <-time.After(time.Until(deadline)):
-			}
-			break
-		}
+	}
+	if len(values) < c.quorum {
+		return nil, fmt.Errorf("%w: %d/%d replies for %s", ErrNoQuorum, len(values), c.quorum, name)
 	}
 	return values, nil
 }
@@ -320,10 +281,13 @@ func (h *Handle) SeedStable(v uint64) {
 
 // pump runs the two-round protocol whenever there is pending work,
 // batching all requests that arrived meanwhile into one round. Failed
-// rounds (partition, tampering, replica crashes) are retried with
-// backoff up to MaxRoundRetries before the handle fails permanently.
+// rounds (partition, tampering, replica crashes) are retried on the
+// retry ladder, up to MaxRoundRetries consecutive failures, before the
+// handle fails permanently.
 func (h *Handle) pump() {
-	failures := 0
+	c := h.client
+	fresh := c.ep.Retry(MaxRoundRetries, erpc.RetryBase, erpc.RetryCap, nil)
+	retry := fresh
 	for {
 		h.mu.Lock()
 		for h.pending <= h.stable.Load() && !h.closed {
@@ -337,35 +301,25 @@ func (h *Handle) pump() {
 		batched := target - h.stable.Load() // increments covered by this round
 		h.mu.Unlock()
 
-		c := h.client
 		c.rounds.Inc()
 		c.batchSize.Observe(int64(batched))
 		roundStart := time.Now()
 		err := h.runRounds(target)
 		c.roundLatency.ObserveSince(roundStart)
-		if err != nil {
-			c.roundFailures.Inc()
-		}
-
-		h.mu.Lock()
 		if err == nil {
-			failures = 0
+			retry = fresh // failures only count while consecutive
+			h.mu.Lock()
 			h.raiseStable(target)
 			// One wakeup for the whole cohort the round covered.
 			h.cond.Broadcast()
 			h.mu.Unlock()
 			continue
 		}
-		failures++
-		if failures >= MaxRoundRetries {
-			h.failed.Store(err)
-			h.cond.Broadcast()
-			h.mu.Unlock()
+		c.roundFailures.Inc()
+		if !retry.Next() {
+			h.Fail(err)
 			return
 		}
-		h.mu.Unlock()
-		// Back off before retrying the round.
-		time.Sleep(time.Duration(failures) * 100 * time.Millisecond)
 	}
 }
 
@@ -402,14 +356,11 @@ func (h *Handle) close() {
 }
 
 // Fail poisons the handle: every present and future stabilization wait
-// returns err. See Client.Fail for the crash-teardown rationale.
-func (h *Handle) Fail(err error) { h.fail(err) }
-
-// fail poisons the handle: every present and future stabilization wait
 // returns err, and the pump starts no further protocol rounds. An
 // in-flight round may still raise the stable view, but waiters check the
-// failure before trusting it, so nothing waits out to success.
-func (h *Handle) fail(err error) {
+// failure before trusting it, so nothing waits out to success. See
+// Client.Fail for the crash-teardown rationale.
+func (h *Handle) Fail(err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.closed = true
@@ -449,6 +400,6 @@ func (c *Client) Fail(err error) {
 	}
 	c.mu.Unlock()
 	for _, h := range handles {
-		h.fail(err)
+		h.Fail(err)
 	}
 }

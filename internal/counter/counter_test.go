@@ -346,3 +346,34 @@ func TestStabilizationLatencyReflectsNetwork(t *testing.T) {
 		t.Errorf("stabilization took %v, want >= 2ms with 500µs links", elapsed)
 	}
 }
+
+// TestQuorumRoundsLeaveNothingRegistered: with one of three replicas
+// partitioned away every round still reaches its quorum, and the request
+// to the dead replica — which will never be answered — must not stay in
+// the endpoint's pending map. (It used to: two leaked entries per round,
+// forever.) The erpc request-lifecycle law must hold throughout.
+func TestQuorumRoundsLeaveNothingRegistered(t *testing.T) {
+	g := newGroup(t, 3, "", 0)
+	g.net.Partition("counter-client", g.addrs[2])
+	h := g.client.Counter("wal-000001.log")
+	const rounds = 200
+	for v := uint64(1); v <= rounds; v++ {
+		h.Stabilize(v)
+		if err := h.WaitStable(v); err != nil {
+			t.Fatalf("round %d: %v", v, err)
+		}
+	}
+	ep := g.client.ep
+	pending := ep.PendingCount()
+	if pending > len(g.addrs) {
+		t.Errorf("PendingCount = %d after %d rounds, want at most one round's fan-out (%d)", pending, rounds, len(g.addrs))
+	}
+	s := ep.Stats()
+	if s.Requests != s.Delivered+s.Cancelled+s.Orphaned+uint64(pending) {
+		t.Errorf("lifecycle law broken: enqueued %d != delivered %d + cancelled %d + orphaned %d + pending %d",
+			s.Requests, s.Delivered, s.Cancelled, s.Orphaned, pending)
+	}
+	if s.Cancelled < rounds {
+		t.Errorf("vacuous: %d requests cancelled, want the dead replica's share of %d rounds", s.Cancelled, rounds)
+	}
+}

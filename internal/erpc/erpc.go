@@ -91,8 +91,9 @@ func (r *Request) reply(payload []byte, flags uint8) {
 	}
 	md := r.Meta
 	md.Flags |= uint32(flags)
-	wire := r.ep.encode(r.reqType, flagResponse|flags, r.reqID, &md, payload)
-	r.ep.rememberReply(r.Meta, wire)
+	wire, _ := r.ep.encode(r.reqType, flagResponse|flags, r.reqID, &md, payload, false)
+	// Cached so a retransmission re-replies instead of re-executing.
+	r.ep.replay.storeReply(r.Meta, wire)
 	r.ep.enqueueWire(r.From, wire)
 }
 
@@ -155,8 +156,6 @@ type Config struct {
 	Pool *mempool.Pool
 	// RxBurst bounds packets processed per event-loop iteration (0 = 16).
 	RxBurst int
-	// ReplayWindow bounds the at-most-once dedup cache (0 = 65536).
-	ReplayWindow int
 	// Metrics, when non-nil, exports the endpoint's counters and call
 	// latency under MetricsPrefix. Export is via snapshot-time counter
 	// funcs over the endpoint's own atomics, so the data path pays
@@ -190,6 +189,7 @@ type Endpoint struct {
 	txNotify chan struct{}
 
 	nextReqID atomic.Uint64
+	nextOp    atomic.Uint64 // see NextOpID
 	closed    atomic.Bool
 
 	replay *replayCache
@@ -223,15 +223,17 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 	if cfg.RxBurst <= 0 {
 		cfg.RxBurst = 16
 	}
-	if cfg.ReplayWindow <= 0 {
-		cfg.ReplayWindow = 65536
+	opSeed, err := seedOpID()
+	if err != nil {
+		return nil, err
 	}
 	ep := &Endpoint{
 		cfg:      cfg,
 		pending:  make(map[uint64]*Pending),
 		txNotify: make(chan struct{}, 1),
-		replay:   newReplayCache(cfg.ReplayWindow),
+		replay:   newReplayCache(replayWindow),
 	}
+	ep.nextOp.Store(opSeed)
 	ep.pktTransport, _ = cfg.Transport.(PacketTransport)
 	if cfg.Secure {
 		codec, err := seal.NewMsgCodec(cfg.NetworkKey)
@@ -299,7 +301,7 @@ func (ep *Endpoint) Enqueue(to string, reqType uint8, md seal.MsgMetadata, paylo
 	p := &Pending{onDone: onDone, reqID: reqID, ch: make(chan struct{}), start: time.Now()}
 	md.NodeID = ep.cfg.NodeID
 	md.Seq = reqID
-	wire, buf := ep.encodeRequest(reqType, 0, reqID, &md, payload)
+	wire, buf := ep.encode(reqType, 0, reqID, &md, payload, true)
 	ep.requests.Add(1)
 	ep.mu.Lock()
 	if ep.closed.Load() {
@@ -480,52 +482,32 @@ func (ep *Endpoint) Close() error {
 	return ep.cfg.Transport.Close()
 }
 
-// encode builds the wire representation of a message in a heap buffer
-// (reply frames outlive the send — the replay cache retains them — so
-// they cannot come from the frame pool). The body is built directly in
-// the wire allocation: sealing appends into the exact-capacity slice
-// instead of producing an intermediate ciphertext that encode copies.
-func (ep *Endpoint) encode(reqType, flags uint8, reqID uint64, md *seal.MsgMetadata, payload []byte) []byte {
+// encode builds a message's wire representation, sealing (or framing)
+// directly into the frame's allocation — no intermediate ciphertext
+// copy. Only *request* frames are pooled: with a mempool configured they
+// are built in a host-region buffer, returned alongside the wire bytes,
+// that is dead once the transport send returns. Reply frames outlive the
+// send — the replay cache retains them for idempotent re-replies — so
+// they stay heap-owned.
+func (ep *Endpoint) encode(reqType, flags uint8, reqID uint64, md *seal.MsgMetadata, payload []byte, pooled bool) ([]byte, *mempool.Buf) {
+	n := headerLen + seal.MetadataSize + len(payload) // plaintext framing
+	if ep.codec != nil {
+		n = headerLen + seal.MsgWireLen(len(payload))
+	}
+	var buf *mempool.Buf
 	var wire []byte
-	if ep.codec != nil {
-		wire = make([]byte, headerLen, headerLen+seal.MsgWireLen(len(payload)))
-		wire = ep.codec.SealMessageInto(wire, md, payload)
+	if pooled && ep.cfg.Pool != nil {
+		buf = ep.cfg.Pool.Alloc(n, mempool.RegionHost)
+		wire = buf.Full()[:headerLen]
 	} else {
-		flags |= flagPlaintext
-		md.DataLen = uint32(len(payload))
-		wire = make([]byte, headerLen+seal.MetadataSize+len(payload))
-		md.EncodePlain(wire[headerLen:])
-		copy(wire[headerLen+seal.MetadataSize:], payload)
+		wire = make([]byte, headerLen, n)
 	}
-	wire[0] = wireVersion
-	wire[1] = reqType
-	wire[2] = flags
-	binary.LittleEndian.PutUint64(wire[4:], reqID)
-	return wire
-}
-
-// encodeRequest builds a request's wire representation in a pooled
-// host-region buffer when a mempool is configured, sealing directly into
-// the frame (no intermediate ciphertext copy). Only *request* frames are
-// poolable: the frame is dead once the transport send returns. Reply
-// frames go through encode instead — the replay cache retains them for
-// idempotent re-replies, so they must stay heap-owned.
-func (ep *Endpoint) encodeRequest(reqType, flags uint8, reqID uint64, md *seal.MsgMetadata, payload []byte) ([]byte, *mempool.Buf) {
-	if ep.cfg.Pool == nil {
-		return ep.encode(reqType, flags, reqID, md, payload), nil
-	}
-	bodyLen := seal.MetadataSize + len(payload) // plaintext framing
-	if ep.codec != nil {
-		bodyLen = seal.MsgWireLen(len(payload))
-	}
-	buf := ep.cfg.Pool.Alloc(headerLen+bodyLen, mempool.RegionHost)
-	wire := buf.Full()[:headerLen]
 	if ep.codec != nil {
 		wire = ep.codec.SealMessageInto(wire, md, payload)
 	} else {
 		flags |= flagPlaintext
 		md.DataLen = uint32(len(payload))
-		wire = wire[:headerLen+bodyLen]
+		wire = wire[:n]
 		md.EncodePlain(wire[headerLen:])
 		copy(wire[headerLen+seal.MetadataSize:], payload)
 	}
@@ -630,7 +612,7 @@ func (ep *Endpoint) dispatch(from string, wire []byte) {
 	if h == nil {
 		md2 := md
 		md2.Flags |= flagError
-		wireResp := ep.encode(reqType, flagResponse|flagError, reqID, &md2, []byte(ErrNoHandler.Error()))
+		wireResp, _ := ep.encode(reqType, flagResponse|flagError, reqID, &md2, []byte(ErrNoHandler.Error()), false)
 		ep.enqueueWire(from, wireResp)
 		return
 	}
@@ -661,12 +643,6 @@ func (ep *Endpoint) invoke(h Handler, req *Request) {
 	h(req)
 }
 
-// rememberReply caches the wire response for a request so retransmissions
-// re-reply instead of re-executing.
-func (ep *Endpoint) rememberReply(md seal.MsgMetadata, wire []byte) {
-	ep.replay.storeReply(md, wire)
-}
-
 // Stats reports endpoint counters.
 type Stats struct {
 	// Sent counts transmitted messages.
@@ -695,7 +671,8 @@ type Stats struct {
 	// Orphaned counts pending requests failed with ErrClosed (enqueued
 	// against, or drained by, a closed endpoint).
 	Orphaned uint64
-	// Retries counts CallRetry re-attempts after a timeout.
+	// Retries counts re-sent requests: every rung any Retry ladder on this
+	// endpoint climbed.
 	Retries uint64
 }
 

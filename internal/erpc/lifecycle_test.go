@@ -194,8 +194,9 @@ func TestHandlerPanicContained(t *testing.T) {
 }
 
 // TestCallRetryRecoversFromLoss drops the first attempts' request
-// packets: CallRetry must retransmit with fresh operation ids and
-// eventually succeed, executing the handler exactly once.
+// packets: a Call retried on the ladder, under a fresh operation id per
+// attempt, must eventually succeed, executing the handler exactly once
+// and counting each re-send.
 func TestCallRetryRecoversFromLoss(t *testing.T) {
 	tc := newTestCluster(t, true)
 	var dropped atomic.Int64
@@ -206,12 +207,20 @@ func TestCallRetryRecoversFromLoss(t *testing.T) {
 		}
 		return simnet.Verdict{}
 	}))
-	var op atomic.Uint64
-	op.Store(10)
-	resp, err := CallRetry(tc.client, "server", reqEcho, seal.MsgMetadata{TxID: 7}, []byte("retry"),
-		30*time.Millisecond, nil, RetryPolicy{Attempts: 4, Base: 5 * time.Millisecond}, func() uint64 { return op.Add(1) })
+	var resp []byte
+	var err error
+	for retry := tc.client.Retry(4, 5*time.Millisecond, RetryCap, nil); ; {
+		md := seal.MsgMetadata{TxID: 7, OpID: tc.client.NextOpID()}
+		resp, err = Call(tc.client, "server", reqEcho, md, []byte("retry"), 30*time.Millisecond, nil)
+		if !errors.Is(err, ErrTimeout) || !retry.Next() {
+			break
+		}
+	}
 	if err != nil {
-		t.Fatalf("CallRetry: %v", err)
+		t.Fatalf("retried Call: %v", err)
+	}
+	if got := tc.client.Stats().Retries; got != 2 {
+		t.Errorf("Retries = %d, want 2 (one per dropped attempt)", got)
 	}
 	if string(resp) != "retry" {
 		t.Errorf("resp = %q", resp)
@@ -222,4 +231,56 @@ func TestCallRetryRecoversFromLoss(t *testing.T) {
 	if n := tc.client.PendingCount(); n != 0 {
 		t.Errorf("pending map leaked %d entries", n)
 	}
+}
+
+// TestFanout: a fan-out returns as soon as `need` destinations answered
+// without error (or all answered, or the timeout passed), reports each
+// destination's outcome in address order, and — above all — leaves no
+// request registered, however many destinations are dead.
+func TestFanout(t *testing.T) {
+	testBothModes(t, func(t *testing.T, secure bool) {
+		tc := newTestCluster(t, secure)
+		addrs := []string{"server", "nobody-home", "server"}
+		md := seal.MsgMetadata{TxID: 9}
+		const timeout = 2 * time.Second
+
+		// need = 2 of 3: the two live answers end the wait long before the
+		// timeout; the dead destination is abandoned at return.
+		start := time.Now()
+		replies := Fanout(tc.client, addrs, reqEcho, md, []byte("fan"), 2, timeout, nil)
+		if elapsed := time.Since(start); elapsed >= timeout {
+			t.Errorf("quorum fan-out took %v: it waited out the dead destination", elapsed)
+		}
+		for i, want := range []bool{true, false, true} {
+			if ok := replies[i].Err == nil && string(replies[i].Resp) == "fan"; ok != want {
+				t.Errorf("reply %d = %q/%v, answered want %v", i, replies[i].Resp, replies[i].Err, want)
+			}
+		}
+		if !errors.Is(replies[1].Err, ErrTimeout) {
+			t.Errorf("dead destination: got %v, want ErrTimeout", replies[1].Err)
+		}
+
+		// need = all: only the timeout ends the wait on a dead destination.
+		replies = Fanout(tc.client, addrs, reqEcho, md, nil, len(addrs), 30*time.Millisecond, nil)
+		if replies[0].Err != nil || !errors.Is(replies[1].Err, ErrTimeout) || replies[2].Err != nil {
+			t.Errorf("all-of-3 fan-out: %v / %v / %v", replies[0].Err, replies[1].Err, replies[2].Err)
+		}
+
+		// Error replies are answers: once everyone has answered there is
+		// nothing left to wait for, even though `need` was never met.
+		start = time.Now()
+		replies = Fanout(tc.client, addrs[:1], reqFail, md, nil, 1, timeout, nil)
+		if elapsed := time.Since(start); elapsed >= timeout || !errors.Is(replies[0].Err, ErrRemote) {
+			t.Errorf("all-answered fan-out: %v after %v, want the remote error at once", replies[0].Err, elapsed)
+		}
+
+		if n := tc.client.PendingCount(); n != 0 {
+			t.Errorf("fan-outs left %d requests registered", n)
+		}
+		s := tc.client.Stats()
+		if s.Requests != s.Delivered+s.Cancelled+s.Orphaned {
+			t.Errorf("lifecycle law broken: enqueued %d != delivered %d + cancelled %d + orphaned %d",
+				s.Requests, s.Delivered, s.Cancelled, s.Orphaned)
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"treaty/internal/fibers"
 	"treaty/internal/seal"
 )
 
@@ -88,85 +89,38 @@ func (p *Poller) Stop() {
 // ErrTimeout indicates a Call did not complete in time.
 var ErrTimeout = fmt.Errorf("erpc: request timed out")
 
-// timerPool recycles Call timeout timers. Timers are returned either
-// after Stop (un-fired, channel drained if the stop lost the race) or
-// after their firing was consumed, so a pooled timer's channel is
-// always empty.
-var timerPool sync.Pool
-
-func acquireTimer(d time.Duration) *time.Timer {
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func releaseTimer(t *time.Timer) {
-	if !t.Stop() {
-		// Fired concurrently with Stop; drain so the next acquire does
-		// not observe a stale tick.
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
-}
-
 // Call enqueues a request and waits until the response arrives or
-// timeout passes. With a nil yield the caller blocks on the completion
-// channel (no spinning). With a fiber yield, the caller cooperatively
-// yields between polls, pausing briefly every so often so tight yield
-// loops do not monopolize low-core machines. The endpoint's event loop
-// must be running (Poller or an external RunOnce driver).
+// timeout passes: a goroutine (nil yield) blocks on the completion
+// channel, a fiber yields between polls (fibers.Wait). The endpoint's
+// event loop must be running (Poller or an external RunOnce driver).
 //
 // A timed-out call is abandoned: its pending entry is deregistered so
 // the map cannot grow without bound, and a response that arrives later
 // is counted as stale rather than delivered.
 func Call(ep *Endpoint, to string, reqType uint8, md seal.MsgMetadata, payload []byte, timeout time.Duration, yield func()) ([]byte, error) {
 	pend := ep.Enqueue(to, reqType, md, payload, nil)
-	if yield == nil {
-		// A pooled timer instead of time.After: at RPC rates the garbage
-		// timers otherwise stay live for the full timeout (seconds) and
-		// dominate the heap.
-		timer := acquireTimer(timeout)
-		select {
-		case <-pend.Ch():
-			releaseTimer(timer)
-		case <-timer.C:
-			timerPool.Put(timer) // fired: drained by the receive above
-			if ep.Abandon(pend) {
-				return nil, fmt.Errorf("%w: %s type=%d", ErrTimeout, to, reqType)
-			}
-			// Lost the race: the response completed the request while we
-			// were timing out — wait out the (imminent) completion and
-			// deliver it.
-			<-pend.Ch()
-		}
-	} else {
-		deadline := time.Now().Add(timeout)
-		spins := 0
-		for !pend.Done() {
-			if time.Now().After(deadline) {
-				if ep.Abandon(pend) {
-					return nil, fmt.Errorf("%w: %s type=%d", ErrTimeout, to, reqType)
-				}
-				// Response arrived during the final poll; wait out the
-				// (imminent) completion and deliver it.
-				<-pend.Ch()
-				break
-			}
-			yield()
-			if spins++; spins%64 == 0 {
-				// Pause the worker briefly: on saturated or low-core
-				// machines this lets pollers and handlers run.
-				time.Sleep(20 * time.Microsecond)
-			}
-		}
+	fibers.Wait(pend.Done, pend.ch, time.Now().Add(timeout), yield)
+	if !ep.settle(pend) {
+		return nil, fmt.Errorf("%w: %s type=%d", ErrTimeout, to, reqType)
 	}
 	if err := pend.Err(); err != nil {
 		return nil, err
 	}
 	return pend.Response(), nil
+}
+
+// settle ends a caller's wait on p and reports whether p holds an answer
+// (a response, a remote error or ErrClosed). A request still outstanding
+// is abandoned, so no wait leaves an entry registered; if the response
+// wins the race against Abandon, its completion is imminent and is
+// waited out and delivered.
+func (ep *Endpoint) settle(p *Pending) bool {
+	if p.Done() {
+		return true
+	}
+	if ep.Abandon(p) {
+		return false
+	}
+	<-p.ch
+	return true
 }

@@ -24,6 +24,9 @@ type replayCache struct {
 	prev     map[opKey][]byte
 }
 
+// replayWindow bounds an endpoint's at-most-once dedup cache.
+const replayWindow = 65536
+
 // newReplayCache creates a cache bounded to roughly capacity entries.
 func newReplayCache(capacity int) *replayCache {
 	return &replayCache{

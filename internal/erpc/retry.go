@@ -1,93 +1,59 @@
 package erpc
 
 import (
-	"errors"
 	"time"
 
-	"treaty/internal/seal"
+	"treaty/internal/fibers"
 )
 
-// RetryPolicy bounds retransmission of idempotent requests with
-// exponential backoff. The zero value selects the defaults.
-type RetryPolicy struct {
-	// Attempts is the total number of tries (0 = 4).
-	Attempts int
-	// Base is the backoff before the second attempt (0 = 25ms).
-	Base time.Duration
-	// Max caps the backoff growth (0 = 400ms).
-	Max time.Duration
-}
+// The default rungs of the retry ladder: a lost datagram is retried
+// after 25 ms, doubling up to 400 ms. A site passes other rungs only for
+// a reason it states.
+const (
+	RetryBase = 25 * time.Millisecond
+	RetryCap  = 400 * time.Millisecond
+)
 
-// withDefaults fills in zero fields.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 4
-	}
-	if p.Base <= 0 {
-		p.Base = 25 * time.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = 400 * time.Millisecond
-	}
-	return p
-}
-
-// CallRetry issues Call up to policy.Attempts times, backing off
-// exponentially between attempts. It must only be used for idempotent
-// requests (2PC status queries, commit/abort decision pushes): a request
-// that timed out may still have executed remotely.
+// Retry is one walk up the retry ladder: the bounded exponential backoff
+// every re-sent request in the system paces itself by, and the one place
+// that counts them (Stats.Retries, "<prefix>.req.retries").
 //
-// nextOp, when non-nil, supplies a fresh operation id for each attempt.
-// Retries need fresh ids because the receiver's replay cache answers a
-// repeated (node, tx, op) tuple with the cached wire reply, which carries
-// the original request id — an id the sender deregistered when the first
+// Only idempotent requests may be retried (2PC status queries, decision
+// pushes, ship groups, counter rounds): a request that timed out may
+// still have executed remotely. Every attempt needs a fresh operation id
+// (NextOpID): the receiver's replay cache answers a repeated
+// (node, tx, op) tuple with the cached wire reply, which carries the
+// original request id — an id the sender deregistered when the first
 // attempt timed out, so that reply would land as stale.
-//
-// Only timeouts are retried: a remote error is a definitive answer and
-// ErrClosed means the local endpoint is gone.
-func CallRetry(ep *Endpoint, to string, reqType uint8, md seal.MsgMetadata, payload []byte, timeout time.Duration, yield func(), policy RetryPolicy, nextOp func() uint64) ([]byte, error) {
-	policy = policy.withDefaults()
-	backoff := policy.Base
-	var lastErr error
-	for try := 0; try < policy.Attempts; try++ {
-		if try > 0 {
-			ep.retries.Add(1)
-			SleepYield(backoff, yield)
-			if backoff *= 2; backoff > policy.Max {
-				backoff = policy.Max
-			}
-		}
-		if nextOp != nil {
-			md.OpID = nextOp()
-		}
-		resp, err := Call(ep, to, reqType, md, payload, timeout, yield)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !errors.Is(err, ErrTimeout) {
-			return nil, err
-		}
-	}
-	return nil, lastErr
+type Retry struct {
+	ep         *Endpoint
+	left       int
+	delay, max time.Duration
+	yield      func()
 }
 
-// SleepYield waits d, cooperating with a fiber yield when one is
-// provided (a plain time.Sleep would park the fiber's worker thread).
-// The wait is dominated by yields; the worker pauses only every 64th
-// iteration (Call's spin pattern) so concurrent backoffs on a small
-// worker pool do not stall handler fibers and pollers.
-func SleepYield(d time.Duration, yield func()) {
-	if yield == nil {
-		time.Sleep(d)
-		return
+// Retry starts a ladder allowing attempts tries in total, waiting base
+// before the second and doubling up to max. yield, when non-nil, is the
+// calling fiber's Yield: the waits then cooperate instead of parking the
+// fiber's worker thread.
+func (ep *Endpoint) Retry(attempts int, base, max time.Duration, yield func()) Retry {
+	return Retry{ep: ep, left: attempts - 1, delay: base, max: max, yield: yield}
+}
+
+// Next is called after a failed attempt. It reports false if the budget
+// is spent; otherwise it counts one retry, waits out the current rung
+// and climbs to the next.
+func (r *Retry) Next() bool {
+	if r.left <= 0 {
+		return false
 	}
-	deadline := time.Now().Add(d)
-	spins := 0
-	for time.Now().Before(deadline) {
-		yield()
-		if spins++; spins%64 == 0 {
-			time.Sleep(20 * time.Microsecond)
-		}
+	r.left--
+	r.ep.retries.Add(1)
+	if r.yield == nil {
+		time.Sleep(r.delay)
+	} else {
+		fibers.Wait(func() bool { return false }, nil, time.Now().Add(r.delay), r.yield)
 	}
+	r.delay = min(2*r.delay, r.max)
+	return true
 }

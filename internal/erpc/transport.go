@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"treaty/internal/enclave"
+	"treaty/internal/fibers"
 	"treaty/internal/mempool"
 	"treaty/internal/simnet"
 )
@@ -333,6 +334,7 @@ func (t *UDPTransport) Close() error {
 		return nil
 	}
 	err := t.conn.Close()
+	var drained atomic.Bool
 	done := make(chan struct{})
 	go func() {
 		t.wg.Wait()
@@ -343,11 +345,9 @@ func (t *UDPTransport) Close() error {
 		for pkt := range t.inbox {
 			pkt.Release()
 		}
+		drained.Store(true)
 		close(done)
 	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-	}
+	fibers.Wait(drained.Load, done, time.Now().Add(time.Second), nil)
 	return err
 }

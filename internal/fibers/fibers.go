@@ -16,7 +16,6 @@ package fibers
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +27,7 @@ import (
 var ErrStopped = errors.New("fibers: scheduler stopped")
 
 // Fiber is the handle a running task uses to cooperate with its scheduler.
-// Apart from Unblock (safe from any goroutine), a fiber must only call
-// methods on its own handle, from its own goroutine.
+// A fiber must only call methods on its own handle, from its own goroutine.
 type Fiber struct {
 	id     uint64
 	worker *worker
@@ -46,42 +44,6 @@ func (f *Fiber) Yield() {
 	f.worker.enqueue(f)
 	f.worker.relinquish()
 	<-f.resume
-}
-
-// Block parks the fiber until another goroutine calls Unblock. Use for
-// lock waits, RPC completions, and stabilization waits.
-func (f *Fiber) Block() {
-	f.worker.blocked.Add(1)
-	f.worker.relinquish()
-	<-f.resume
-}
-
-// Unblock marks f runnable again. Safe to call from any goroutine. Each
-// Unblock must pair with exactly one Block.
-func (f *Fiber) Unblock() {
-	f.worker.blocked.Add(-1)
-	f.worker.enqueue(f)
-}
-
-// Sleep parks the fiber for at least d, letting other fibers run.
-func (f *Fiber) Sleep(d time.Duration) {
-	timer := time.AfterFunc(d, f.Unblock)
-	defer timer.Stop()
-	f.Block()
-}
-
-// YieldUntil yields repeatedly until cond returns true or the deadline
-// passes; it reports whether cond was met. deadline may be zero for no
-// deadline. This is the polling idiom used by the RPC event loop ("poll
-// for replies and/or yield").
-func (f *Fiber) YieldUntil(cond func() bool, deadline time.Time) bool {
-	for !cond() {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return false
-		}
-		f.Yield()
-	}
-	return true
 }
 
 // Scheduler multiplexes fibers over a fixed set of workers.
@@ -164,7 +126,6 @@ type worker struct {
 	runq    chan *Fiber
 	yielded chan struct{}
 	kickCh  chan struct{}
-	blocked atomic.Int64
 }
 
 // enqueue makes f runnable on this worker. Never drops.
@@ -173,7 +134,7 @@ func (w *worker) enqueue(f *Fiber) {
 }
 
 // relinquish signals the worker loop that the current fiber has stopped
-// running (yielded, blocked, or finished).
+// running (yielded or finished).
 func (w *worker) relinquish() {
 	w.yielded <- struct{}{}
 }
@@ -228,10 +189,3 @@ func (w *worker) runFiber(f *Fiber) {
 	f.resume <- struct{}{}
 	<-w.yielded
 }
-
-// String implements fmt.Stringer for debugging.
-func (w *worker) String() string {
-	return fmt.Sprintf("worker{runq=%d blocked=%d}", len(w.runq), w.blocked.Load())
-}
-
-var _ fmt.Stringer = (*worker)(nil)

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -49,18 +48,21 @@ type ShipperConfig struct {
 	Key seal.Key
 	// Timeout bounds one ship attempt (default 250ms).
 	Timeout time.Duration
-	// Attempts bounds ship retries per group (default 8, with
-	// exponential backoff between attempts). The backup acks duplicate
-	// sequence numbers idempotently, so retrying a timed-out group is
-	// safe. The budget is the de-facto backup failure detector: a group
-	// that exhausts it durably degrades the stream, so it must be
-	// generous enough that transient packet loss practically never
-	// burns a stream's promotability — one lost datagram costs a whole
-	// attempt (erpc.Call does not retransmit within a timeout).
-	Attempts int
 	// Metrics, when non-nil, exports the repl.ship_* counters.
 	Metrics *obs.Registry
 }
+
+// shipAttempts bounds the ship attempts per group. The backup acks
+// duplicate sequence numbers idempotently, so re-sending a timed-out
+// group is safe. The budget is the de-facto backup failure detector: a
+// group that exhausts it durably degrades the stream, so it must be
+// generous enough that transient packet loss practically never burns a
+// stream's promotability — one lost datagram costs a whole attempt
+// (erpc.Call does not retransmit within a timeout).
+const (
+	shipAttempts = 8
+	shipRetryCap = 200 * time.Millisecond
+)
 
 // Shipper replicates one log stream. It is driven synchronously from
 // the log's group-commit leader (the lsm committer or the Clog leader)
@@ -80,8 +82,6 @@ type Shipper struct {
 	// of scope) and the witness carries a durable degrade mark.
 	degraded bool
 
-	opID atomic.Uint64
-
 	groups    *obs.Counter
 	acked     *obs.Counter
 	failed    *obs.Counter
@@ -95,16 +95,7 @@ func NewShipper(cfg ShipperConfig) *Shipper {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 250 * time.Millisecond
 	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 8
-	}
 	s := &Shipper{cfg: cfg, key: KeyFor(cfg.Key)}
-	// Per-boot random OpID base, like the coordinator's: a restarted
-	// shipper must not collide with its previous incarnation's ids in
-	// the receiver's replay cache.
-	var b [4]byte
-	_, _ = rand.Read(b[:])
-	s.opID.Store(uint64(binary.LittleEndian.Uint32(b[:])) << 16)
 	if m := cfg.Metrics; m != nil {
 		s.groups = m.Counter("repl.ship_groups")
 		s.acked = m.Counter("repl.ship_acked")
@@ -191,26 +182,21 @@ func (s *Shipper) Ship(entries []durlog.Entry) {
 	req.Sign(s.key)
 	payload := req.Encode()
 
-	backoff := 25 * time.Millisecond
-	for attempt := 0; attempt < s.cfg.Attempts; attempt++ {
-		if attempt > 0 {
-			// Back off like erpc.CallRetry: under bursty loss or delay,
-			// immediate re-sends tend to die the same death, and each
-			// failed attempt here spends a full Timeout anyway.
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > 200*time.Millisecond {
-				backoff = 200 * time.Millisecond
-			}
-		}
-		md := seal.MsgMetadata{OpID: s.opID.Add(1), OpType: uint32(twopc.ReqReplShip)}
+	// Under bursty loss or delay an immediate re-send tends to die the
+	// same death, so re-sends climb the retry ladder — capped lower than
+	// its default, because every rung is waited out on the log's
+	// group-commit leader and a failed attempt has spent a full Timeout
+	// there already.
+	for retry := s.cfg.Endpoint.Retry(shipAttempts, erpc.RetryBase, shipRetryCap, nil); ; {
+		md := seal.MsgMetadata{OpID: s.cfg.Endpoint.NextOpID(), OpType: uint32(twopc.ReqReplShip)}
 		resp, err := erpc.Call(s.cfg.Endpoint, addr, twopc.ReqReplShip, md, payload, s.cfg.Timeout, nil)
-		if err != nil {
-			if s.stopped.Load() {
-				break // teardown raced the ship; see the stopped check below
-			}
-			continue
+		if err != nil && s.stopped.Load() {
+			break // teardown raced the ship; see the stopped check below
 		}
-		if len(resp) != 8 || binary.LittleEndian.Uint64(resp) < req.Seq {
+		if err != nil || len(resp) != 8 || binary.LittleEndian.Uint64(resp) < req.Seq {
+			if !retry.Next() {
+				break
+			}
 			continue
 		}
 		// Witness BEFORE returning: the caller stabilizes the group's

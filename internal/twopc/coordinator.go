@@ -14,6 +14,7 @@ import (
 
 	"treaty/internal/durlog"
 	"treaty/internal/erpc"
+	"treaty/internal/fibers"
 	"treaty/internal/lsm"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
@@ -87,16 +88,14 @@ func IsSlotFenced(err error) bool {
 // Coordinator drives distributed transactions from one node (the TxC).
 // Every node runs one; clients pick any node as their coordinator.
 type Coordinator struct {
-	nodeID      uint64
-	ep          *erpc.Endpoint
-	clog        *Clog
-	router      Router
-	refresh     func()
-	timeout     time.Duration
-	stabTimeout time.Duration
+	nodeID  uint64
+	ep      *erpc.Endpoint
+	clog    *Clog
+	router  Router
+	refresh func()
+	timeout time.Duration
 
 	nextTx atomic.Uint64
-	nextOp atomic.Uint64
 
 	// decisions records known outcomes for status queries (seeded from
 	// Clog recovery, extended by live traffic).
@@ -174,12 +173,10 @@ type CoordinatorConfig struct {
 	// the node refetches the shard map from the CAS before the client
 	// retries (may be nil; tests and single-node rigs skip it).
 	Refresh func()
-	// Timeout bounds each remote operation (0 = 2s).
+	// Timeout bounds each remote operation (0 = 2s); a decision's rollback
+	// protection is waited for 4 × Timeout, after which a dead counter
+	// service aborts the transaction instead of hanging it.
 	Timeout time.Duration
-	// StabilizeTimeout bounds the wait for a decision's rollback
-	// protection (0 = 4 × Timeout). A dead counter service then aborts
-	// the transaction instead of hanging it.
-	StabilizeTimeout time.Duration
 	// Recovered seeds protocol state from Clog replay (may be nil).
 	Recovered []ClogEntry
 	// Metrics, when non-nil, exports transaction counters under
@@ -209,17 +206,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if c.timeout == 0 {
 		c.timeout = 2 * time.Second
 	}
-	c.stabTimeout = cfg.StabilizeTimeout
-	if c.stabTimeout == 0 {
-		c.stabTimeout = 4 * c.timeout
-	}
-	// Operation ids start at a per-boot random offset so a recovered
-	// coordinator's retry messages never collide with pre-crash tuples
-	// still held in participants' replay caches.
-	var opSeed [4]byte
-	if _, err := rand.Read(opSeed[:]); err == nil {
-		c.nextOp.Store(uint64(binary.LittleEndian.Uint32(opSeed[:])) << 16)
-	}
 	for _, w := range foldClog(cfg.Recovered) {
 		if w.redo {
 			c.prepared[w.id] = w.parts
@@ -239,7 +225,8 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 			delete(c.prepared, e.TxID)
 		}
 	}
-	// Transaction sequence numbers start at a per-boot random offset too.
+	// Transaction sequence numbers start at a per-boot random offset, like
+	// the endpoint's operation ids (erpc.NextOpID).
 	// The recovered Clog cannot bound the ids a previous boot handed out:
 	// a transaction that never reached Commit logged nothing, and a
 	// prepare record may have been dropped as an unstabilized tail while
@@ -432,7 +419,7 @@ func (t *DistTxn) SetYield(yield func()) { t.yield = yield }
 func (t *DistTxn) call(addr string, reqType uint8, key, value []byte) ([]byte, error) {
 	md := seal.MsgMetadata{
 		TxID:     t.seq,
-		OpID:     t.c.nextOp.Add(1),
+		OpID:     t.c.ep.NextOpID(),
 		OpType:   uint32(reqType),
 		KeyLen:   uint32(len(key)),
 		ValueLen: uint32(len(value)),
@@ -446,144 +433,91 @@ func (t *DistTxn) call(addr string, reqType uint8, key, value []byte) ([]byte, e
 	return erpc.Call(t.c.ep, addr, reqType, md, payload, t.c.timeout, t.yield)
 }
 
-// Get reads key through the owning participant.
-func (t *DistTxn) Get(key []byte) ([]byte, bool, error) {
+// op executes one keyed operation: route key to its owner under the
+// pinned view, perform it there, and let a wrong-epoch rejection trigger
+// the shard-map refresh. Get, Put and Delete differ only in the request
+// type and in how they read the reply.
+func (t *DistTxn) op(reqType uint8, key, value []byte) ([]byte, error) {
 	if t.done {
-		return nil, false, ErrTxnFinished
+		return nil, ErrTxnFinished
 	}
 	addr, err := t.ownerAddr(key)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	resp, err := t.call(addr, ReqTxnGet, key, nil)
-	if err != nil {
-		t.c.noteWrongEpoch(err)
+	resp, err := t.call(addr, reqType, key, value)
+	t.c.noteWrongEpoch(err)
+	return resp, err
+}
+
+// Get reads key through the owning participant.
+func (t *DistTxn) Get(key []byte) ([]byte, bool, error) {
+	resp, err := t.op(ReqTxnGet, key, nil)
+	if err != nil || len(resp) == 0 || resp[0] == GetNotFound {
 		return nil, false, err
-	}
-	if len(resp) == 0 || resp[0] == getNotFound {
-		return nil, false, nil
 	}
 	return resp[1:], true, nil
 }
 
 // Put writes key through the owning participant.
 func (t *DistTxn) Put(key, value []byte) error {
-	if t.done {
-		return ErrTxnFinished
-	}
-	addr, err := t.ownerAddr(key)
-	if err != nil {
-		return err
-	}
-	_, err = t.call(addr, ReqTxnPut, key, value)
-	t.c.noteWrongEpoch(err)
+	_, err := t.op(ReqTxnPut, key, value)
 	return err
 }
 
 // Delete removes key through the owning participant.
 func (t *DistTxn) Delete(key []byte) error {
-	if t.done {
-		return ErrTxnFinished
-	}
-	addr, err := t.ownerAddr(key)
-	if err != nil {
-		return err
-	}
-	_, err = t.call(addr, ReqTxnDelete, key, nil)
-	t.c.noteWrongEpoch(err)
+	_, err := t.op(ReqTxnDelete, key, nil)
 	return err
 }
 
-// bcastResult is one participant's outcome in a broadcast.
-type bcastResult struct {
-	resp []byte
-	err  error
+// broadcast sends reqType to every participant in parallel and waits for
+// all replies (erpc.Fanout with need = all); it returns the
+// per-participant results and the first error. Participants that do not
+// answer within the timeout are abandoned — their pending entries are
+// deregistered so the endpoint's pending map cannot grow across lost
+// messages.
+func (t *DistTxn) broadcast(reqType uint8, participants []string) ([]erpc.Reply, error) {
+	md := seal.MsgMetadata{TxID: t.seq, OpType: uint32(reqType)}
+	replies := erpc.Fanout(t.c.ep, participants, reqType, md, nil, len(participants), t.c.timeout, t.yield)
+	for _, r := range replies {
+		if r.Err != nil {
+			return replies, r.Err
+		}
+	}
+	return replies, nil
 }
 
-// broadcast sends reqType to every participant in parallel (enqueue all,
-// then poll) and waits for all replies; it returns the per-participant
-// results and the first error. Participants that do not answer within
-// the timeout are abandoned — their pending entries are deregistered so
-// the endpoint's pending map cannot grow across lost messages.
-func (t *DistTxn) broadcast(reqType uint8, participants []string) ([]bcastResult, error) {
-	pendings := make([]*erpc.Pending, len(participants))
-	for i, addr := range participants {
-		md := seal.MsgMetadata{
-			TxID:   t.seq,
-			OpID:   t.c.nextOp.Add(1),
-			OpType: uint32(reqType),
-		}
-		pendings[i] = t.c.ep.Enqueue(addr, reqType, md, nil, nil)
-	}
-	deadline := time.Now().Add(t.c.timeout)
-	results := make([]bcastResult, len(pendings))
-	var firstErr error
-	spins := 0
-	for i, p := range pendings {
-		if t.yield == nil {
-			select {
-			case <-p.Ch():
-			case <-time.After(time.Until(deadline)):
-			}
-		} else {
-			for !p.Done() && time.Now().Before(deadline) {
-				t.yield()
-				if spins++; spins%64 == 0 {
-					time.Sleep(20 * time.Microsecond)
-				}
-			}
-		}
-		if !p.Done() {
-			if t.c.ep.Abandon(p) {
-				results[i].err = fmt.Errorf("%w: %s", erpc.ErrTimeout, "2pc broadcast")
-				if firstErr == nil {
-					firstErr = results[i].err
-				}
-				continue
-			}
-			// The response won the race against the deadline; wait out
-			// the (imminent) completion and use it.
-			<-p.Ch()
-		}
-		results[i] = bcastResult{resp: p.Response(), err: p.Err()}
-		if p.Err() != nil && firstErr == nil {
-			firstErr = p.Err()
-		}
-	}
-	return results, firstErr
-}
+// Decision pushes go out up to pushAttempts times when a client is
+// waiting on the commit (each attempt can cost it a full timeout) and
+// recoverAttempts times from recovery, where nobody waits.
+const (
+	pushAttempts    = 3
+	recoverAttempts = 4
+)
 
 // broadcastRetry re-sends an idempotent control message (commit/abort
-// decision push) to the participants that did not answer, with bounded
-// exponential backoff. A lost decision push is always safe — recovery
-// re-derives it — but re-pushing promptly releases prepared participants
-// without waiting for a restart. It returns the last timeout error if
-// some participant never answered.
+// decision push) to the participants that did not answer, on the retry
+// ladder. A lost decision push is always safe — recovery re-derives it —
+// but re-pushing promptly releases prepared participants without waiting
+// for a restart. It returns the last timeout error if some participant
+// never answered.
 func (t *DistTxn) broadcastRetry(reqType uint8, participants []string, attempts int) error {
-	remaining := append([]string(nil), participants...)
-	backoff := 25 * time.Millisecond
-	var lastErr error
-	for try := 0; try < attempts && len(remaining) > 0; try++ {
-		if try > 0 {
-			erpc.SleepYield(backoff, t.yield)
-			if backoff *= 2; backoff > 400*time.Millisecond {
-				backoff = 400 * time.Millisecond
-			}
-		}
-		results, _ := t.broadcast(reqType, remaining)
+	remaining := participants
+	for retry := t.c.ep.Retry(attempts, erpc.RetryBase, erpc.RetryCap, t.yield); ; {
+		replies, _ := t.broadcast(reqType, remaining)
 		var unanswered []string
-		for i, r := range results {
-			if r.err != nil && errors.Is(r.err, erpc.ErrTimeout) {
+		var lastErr error
+		for i, r := range replies {
+			if errors.Is(r.Err, erpc.ErrTimeout) {
 				unanswered = append(unanswered, remaining[i])
-				lastErr = r.err
+				lastErr = r.Err
 			}
 		}
-		remaining = unanswered
+		if remaining = unanswered; len(remaining) == 0 || !retry.Next() {
+			return lastErr
+		}
 	}
-	if len(remaining) > 0 {
-		return lastErr
-	}
-	return nil
 }
 
 // participants returns the involved addresses, sorted (determinism).
@@ -643,17 +577,14 @@ func (t *DistTxn) Commit() error {
 	// need the decision (the read-only 2PC optimization).
 	writers := make([]string, 0, len(participants))
 	for i, addr := range participants {
-		if len(votes[i].resp) == 0 || votes[i].resp[0] != voteReadOnly {
+		if len(votes[i].Resp) == 0 || votes[i].Resp[0] != voteReadOnly {
 			writers = append(writers, addr)
 		}
 	}
 	if len(writers) == 0 {
 		// Fully read-only transaction: nothing to decide or make
 		// durable; record the outcome locally for status queries.
-		t.c.mu.Lock()
-		t.c.decisions[t.id] = true
-		delete(t.c.prepared, t.id)
-		t.c.mu.Unlock()
+		t.c.record(t.id, true)
 		t.finish(true, "readonly")
 		return nil
 	}
@@ -680,54 +611,44 @@ func (t *DistTxn) Commit() error {
 		t.finish(false, "stabilize_timeout")
 		return fmt.Errorf("%w: decision stabilization failed: %v", ErrAborted, err)
 	}
-	t.c.mu.Lock()
-	t.c.decisions[t.id] = true
-	delete(t.c.prepared, t.id)
-	t.c.mu.Unlock()
+	t.c.record(t.id, true)
 
 	// The decision is stable: the transaction IS committed even if a
 	// commit message is lost; such a participant resolves at recovery.
 	// Retrying lost pushes here just releases participant locks sooner.
 	t.trace.Enter(obs.StageCommit)
-	_ = t.broadcastRetry(ReqCommit, writers, 3)
+	_ = t.broadcastRetry(ReqCommit, writers, pushAttempts)
 	t.trace.Enter(obs.StageReclaim)
 	t.finish(true, "")
 	return nil
 }
 
-// waitToken waits for a stable token, yielding if configured, up to the
-// coordinator's stabilization deadline — a dead counter service must
-// abort the transaction, not spin the fiber forever. The final Wait is
-// non-blocking once Ready reports true; it surfaces a permanent
+// waitToken waits for a stable token up to the coordinator's
+// stabilization deadline, 4 × the RPC timeout — a dead counter service
+// must abort the transaction, not hold its fiber forever. The final Wait
+// is non-blocking once Ready reports true; it surfaces a permanent
 // counter-service failure as an error.
 func (t *DistTxn) waitToken(token durlog.StableToken) error {
 	start := time.Now()
 	defer t.c.met.stabilizeWait.ObserveSince(start)
-	deadline := start.Add(t.c.stabTimeout)
-	spins := 0
-	for !token.Ready() {
-		if time.Now().After(deadline) {
-			return ErrStabilizeTimeout
-		}
-		if t.yield == nil {
-			time.Sleep(20 * time.Microsecond)
-			continue
-		}
-		t.yield()
-		if spins++; spins%64 == 0 {
-			time.Sleep(20 * time.Microsecond)
-		}
+	if !fibers.Wait(token.Ready, nil, start.Add(4*t.c.timeout), t.yield) {
+		return ErrStabilizeTimeout
 	}
 	return token.Wait()
+}
+
+// record notes a transaction's decision for status queries.
+func (c *Coordinator) record(id lsm.TxID, commit bool) {
+	c.mu.Lock()
+	c.decisions[id] = commit
+	delete(c.prepared, id)
+	c.mu.Unlock()
 }
 
 // decide logs and pushes an abort decision.
 func (t *DistTxn) decide(commit bool, participants []string) {
 	if _, err := t.c.clog.Append(clogDecision, t.id, commit, participants); err == nil {
-		t.c.mu.Lock()
-		t.c.decisions[t.id] = commit
-		delete(t.c.prepared, t.id)
-		t.c.mu.Unlock()
+		t.c.record(t.id, commit)
 	}
 	_, _ = t.broadcast(ReqAbort, participants)
 }
@@ -819,21 +740,18 @@ func (c *Coordinator) resolve(w pending, reason string, yield func()) error {
 		if err := t.waitToken(token); err != nil {
 			return err
 		}
-		c.mu.Lock()
-		c.decisions[w.id] = true
-		delete(c.prepared, w.id)
-		c.mu.Unlock()
-		_ = t.broadcastRetry(ReqCommit, w.parts, 4)
+		c.record(w.id, true)
+		_ = t.broadcastRetry(ReqCommit, w.parts, recoverAttempts)
 		tr.Finish(obs.OutcomeRecovered, reason+"redo_prepare")
 	case w.commit:
 		c.met.recoverRepushCommit.Inc()
-		if err := t.broadcastRetry(ReqCommit, w.parts, 4); err != nil {
+		if err := t.broadcastRetry(ReqCommit, w.parts, recoverAttempts); err != nil {
 			debugAdoptf("%sresolve tx=%x commit re-push failed: %v", reason, w.id, err)
 		}
 		tr.Finish(obs.OutcomeRecovered, reason+"repush_commit")
 	default:
 		c.met.recoverRepushAbort.Inc()
-		_ = t.broadcastRetry(ReqAbort, w.parts, 4)
+		_ = t.broadcastRetry(ReqAbort, w.parts, recoverAttempts)
 		tr.Finish(obs.OutcomeRecovered, reason+"repush_abort")
 	}
 	return nil

@@ -2,9 +2,12 @@ package twopc
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"treaty/internal/obs"
+	"treaty/internal/simnet"
 )
 
 // stagesEqual compares an observed stage sequence with the expected one.
@@ -217,5 +220,55 @@ func TestRecoveryMetricsExcludedFromTxLaw(t *testing.T) {
 	}
 	if got := recent[0].Stages(); !stagesEqual(got, []obs.Stage{obs.StageRecover}) {
 		t.Errorf("recovery trace stages = %v, want [recover]", got)
+	}
+}
+
+// TestRetriesCounted: a lost decision push is re-sent on the retry
+// ladder, and the ladder is what feeds "erpc.req.retries" — with the
+// first ReqCommit dropped on the wire, a committed transaction must show
+// at least one retry on its coordinator; on a lossless link, none.
+func TestRetriesCounted(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	coord := tc.nodes[0].coord
+	coord.timeout = 200 * time.Millisecond // what the dropped push costs
+
+	commit := func(key string) {
+		t.Helper()
+		tx := coord.Begin(nil)
+		for i := 0; i < 6; i++ {
+			if err := tx.Put([]byte(fmt.Sprintf("%s-%d", key, i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit("lossless")
+	if got := tc.nodes[0].reg.Snapshot().Counter("erpc.req.retries"); got != 0 {
+		t.Fatalf("erpc.req.retries = %d on a lossless link, want 0", got)
+	}
+
+	var dropped atomic.Bool
+	tc.net.SetAdversary(simnet.FuncAdversary(func(pkt simnet.Packet) simnet.Verdict {
+		// The erpc header is cleartext: byte 1 is the request type, byte 2
+		// the flags (bit 0: response).
+		isCommit := len(pkt.Data) > 2 && pkt.Data[1] == ReqCommit && pkt.Data[2]&1 == 0
+		if isCommit && pkt.From == "node-0" && pkt.To != "node-0" && dropped.CompareAndSwap(false, true) {
+			return simnet.Verdict{Drop: true}
+		}
+		return simnet.Verdict{}
+	}))
+	commit("lossy")
+	if !dropped.Load() {
+		t.Fatal("vacuous: no ReqCommit was dropped")
+	}
+	if got := tc.nodes[0].reg.Snapshot().Counter("erpc.req.retries"); got < 1 {
+		t.Errorf("erpc.req.retries = %d after a dropped decision push, want >= 1", got)
+	}
+	for i, nd := range tc.nodes {
+		if a := nd.part.ActiveCount(); a != 0 {
+			t.Errorf("node %d still holds %d transactions: the re-push did not reach it", i, a)
+		}
 	}
 }

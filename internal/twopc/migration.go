@@ -10,6 +10,7 @@ import (
 	"treaty/internal/lsm"
 	"treaty/internal/seal"
 	"treaty/internal/shardmap"
+	"treaty/internal/txn"
 )
 
 // Slot migration moves one hash slot's key range from its owning node
@@ -145,7 +146,7 @@ func (p *Participant) StreamSlot(dst string, slot, chunkSize int, epoch uint64, 
 			onChunk(chunk)
 		}
 		md := seal.MsgMetadata{
-			OpID:   p.migOp.Add(1),
+			OpID:   p.ep.NextOpID(),
 			OpType: uint32(ReqSlotIngest),
 			Epoch:  epoch,
 		}
@@ -198,14 +199,7 @@ func (p *Participant) handleSlotIngest(f *fibers.Fiber, req *erpc.Request) {
 		req.ReplyError(err.Error())
 		return
 	}
-	spins := 0
-	for !token.Ready() {
-		f.Yield()
-		if spins++; spins%64 == 0 {
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	if err := token.Wait(); err != nil {
+	if err := txn.WaitToken(token, f.Yield); err != nil {
 		req.ReplyError(err.Error())
 		return
 	}

@@ -1,8 +1,6 @@
 package twopc
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -50,10 +48,6 @@ type Participant struct {
 	// transaction (a later prepare would commit a partial write set) —
 	// it errors, and the eventual prepare votes no.
 	reclaimed map[lsm.TxID]time.Time
-
-	// migOp numbers outgoing slot-migration RPCs (random per-boot base,
-	// like the coordinator's op ids, to dodge replay-cache collisions).
-	migOp atomic.Uint64
 
 	// idleTimeout reclaims transactions abandoned by dead coordinators.
 	idleTimeout time.Duration
@@ -158,20 +152,16 @@ func NewParticipant(cfg ParticipantConfig) *Participant {
 	if p.idleTimeout == 0 {
 		p.idleTimeout = 30 * time.Second
 	}
-	var opSeed [4]byte
-	if _, err := rand.Read(opSeed[:]); err == nil {
-		p.migOp.Store(uint64(binary.LittleEndian.Uint32(opSeed[:]))<<16 | 1<<48)
-	}
 	cfg.Metrics.GaugeFunc("twopc.part.active", func() int64 {
 		return int64(p.ActiveCount())
 	})
-	p.ep.Register(ReqTxnGet, p.onFiber(p.handleGet))
-	p.ep.Register(ReqTxnPut, p.onFiber(p.handlePut))
-	p.ep.Register(ReqTxnDelete, p.onFiber(p.handleDelete))
-	p.ep.Register(ReqPrepare, p.onFiber(p.handlePrepare))
-	p.ep.Register(ReqCommit, p.onFiber(p.handleCommit))
-	p.ep.Register(ReqAbort, p.onFiber(p.handleAbort))
-	p.ep.Register(ReqSlotIngest, p.onFiber(p.handleSlotIngest))
+	p.ep.Register(ReqTxnGet, OnFiber(p.sched, p.handleOp))
+	p.ep.Register(ReqTxnPut, OnFiber(p.sched, p.handleOp))
+	p.ep.Register(ReqTxnDelete, OnFiber(p.sched, p.handleOp))
+	p.ep.Register(ReqPrepare, OnFiber(p.sched, p.handlePrepare))
+	p.ep.Register(ReqCommit, OnFiber(p.sched, p.handleCommit))
+	p.ep.Register(ReqAbort, OnFiber(p.sched, p.handleAbort))
+	p.ep.Register(ReqSlotIngest, OnFiber(p.sched, p.handleSlotIngest))
 	p.janitorWG.Add(1)
 	go p.janitor()
 	return p
@@ -207,10 +197,12 @@ func (p *Participant) Close() {
 	}
 }
 
-// onFiber adapts a handler to run on a fiber.
-func (p *Participant) onFiber(h func(*fibers.Fiber, *erpc.Request)) erpc.Handler {
+// OnFiber adapts a handler to run as a fiber on the node's userland
+// scheduler — one fiber per request (§VII-C) — so its lock, RPC and
+// stabilization waits yield instead of blocking the RPC event loop.
+func OnFiber(sched *fibers.Scheduler, h func(*fibers.Fiber, *erpc.Request)) erpc.Handler {
 	return func(req *erpc.Request) {
-		if _, err := p.sched.Go(func(f *fibers.Fiber) { h(f, req) }); err != nil {
+		if _, err := sched.Go(func(f *fibers.Fiber) { h(f, req) }); err != nil {
 			req.ReplyError(err.Error())
 		}
 	}
@@ -255,12 +247,6 @@ func (p *Participant) drop(id lsm.TxID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	delete(p.active, id)
-}
-
-// validSizes checks the metadata's key/value lengths against the payload
-// (malformed frames must not panic the handler).
-func validSizes(req *erpc.Request) bool {
-	return uint64(req.Meta.KeyLen)+uint64(req.Meta.ValueLen) <= uint64(len(req.Payload))
 }
 
 // checkRoute gates a keyed operation by the participant's routing view:
@@ -350,47 +336,30 @@ func (p *Participant) SlotActive(slot int) int {
 	return n
 }
 
-// handleGet executes a transactional read.
-func (p *Participant) handleGet(f *fibers.Fiber, req *erpc.Request) {
-	if !validSizes(req) {
-		req.ReplyError("twopc: malformed request sizes")
-		return
+// SplitKV cuts a keyed request's payload into key and value by the
+// lengths its metadata declares. Lengths that overrun the payload are
+// rejected, never clamped: a malformed frame must neither panic the
+// handler nor be executed against a key the sender did not name.
+func SplitKV(req *erpc.Request) (key, value []byte, ok bool) {
+	kl, vl := uint64(req.Meta.KeyLen), uint64(req.Meta.ValueLen)
+	if kl+vl > uint64(len(req.Payload)) {
+		return nil, nil, false
 	}
-	key := req.Payload[:req.Meta.KeyLen]
-	slot, reject := p.checkRoute(key, req.Meta)
-	if reject != "" {
-		req.ReplyError(reject)
-		return
-	}
-	at := p.find(txIDOf(req.Meta), f, true)
-	if at == nil {
-		req.ReplyError(errTxnReclaimed)
-		return
-	}
-	p.markSlot(at, slot)
-	at.mu.Lock()
-	at.local.SetYield(f.Yield)
-	v, found, err := at.local.Get(key)
-	at.mu.Unlock()
-	if err != nil {
-		req.ReplyError(err.Error())
-		return
-	}
-	if !found {
-		req.Reply([]byte{getNotFound})
-		return
-	}
-	req.Reply(append([]byte{getFound}, v...))
+	return req.Payload[:kl], req.Payload[kl : kl+vl], true
 }
 
-// handlePut executes a transactional write.
-func (p *Participant) handlePut(f *fibers.Fiber, req *erpc.Request) {
-	if !validSizes(req) {
+// handleOp executes one keyed operation — get, put or delete, told apart
+// by the request type — inside the transaction's private local
+// transaction, opening it on first use. The checks every operation must
+// pass are stated once, here: well-formed sizes, a route this node
+// serves at the sender's epoch (checkRoute), and an id the janitor has
+// not reclaimed (find).
+func (p *Participant) handleOp(f *fibers.Fiber, req *erpc.Request) {
+	key, value, ok := SplitKV(req)
+	if !ok {
 		req.ReplyError("twopc: malformed request sizes")
 		return
 	}
-	key := req.Payload[:req.Meta.KeyLen]
-	value := req.Payload[req.Meta.KeyLen : req.Meta.KeyLen+req.Meta.ValueLen]
 	slot, reject := p.checkRoute(key, req.Meta)
 	if reject != "" {
 		req.ReplyError(reject)
@@ -402,44 +371,30 @@ func (p *Participant) handlePut(f *fibers.Fiber, req *erpc.Request) {
 		return
 	}
 	p.markSlot(at, slot)
+	var reply []byte
+	var err error
 	at.mu.Lock()
 	at.local.SetYield(f.Yield)
-	err := at.local.Put(key, value)
+	switch req.Type() {
+	case ReqTxnGet:
+		var v []byte
+		var found bool
+		if v, found, err = at.local.Get(key); found {
+			reply = append([]byte{GetFound}, v...)
+		} else {
+			reply = []byte{GetNotFound}
+		}
+	case ReqTxnPut:
+		err = at.local.Put(key, value)
+	case ReqTxnDelete:
+		err = at.local.Delete(key)
+	}
 	at.mu.Unlock()
 	if err != nil {
 		req.ReplyError(err.Error())
 		return
 	}
-	req.Reply(nil)
-}
-
-// handleDelete executes a transactional delete.
-func (p *Participant) handleDelete(f *fibers.Fiber, req *erpc.Request) {
-	if !validSizes(req) {
-		req.ReplyError("twopc: malformed request sizes")
-		return
-	}
-	key := req.Payload[:req.Meta.KeyLen]
-	slot, reject := p.checkRoute(key, req.Meta)
-	if reject != "" {
-		req.ReplyError(reject)
-		return
-	}
-	at := p.find(txIDOf(req.Meta), f, true)
-	if at == nil {
-		req.ReplyError(errTxnReclaimed)
-		return
-	}
-	p.markSlot(at, slot)
-	at.mu.Lock()
-	at.local.SetYield(f.Yield)
-	err := at.local.Delete(key)
-	at.mu.Unlock()
-	if err != nil {
-		req.ReplyError(err.Error())
-		return
-	}
-	req.Reply(nil)
+	req.Reply(reply)
 }
 
 // handlePrepare durably prepares the local transaction. The reply is
@@ -605,10 +560,12 @@ func (p *Participant) RestorePrepared(pending []lsm.PreparedTx) error {
 // ResolveRecovered asks each recovered transaction's coordinator for its
 // decision and applies it ("For each prepared Tx, the node communicates
 // with the Tx's coordinator for either committing or aborting", §VI).
-// addrOf maps a coordinator node id to its RPC address. Transactions
-// whose coordinator reports pending are retried until resolved or
-// attempts run out.
-func (p *Participant) ResolveRecovered(addrOf func(nodeID uint64) string, attempts int, yield func()) error {
+// addrOf maps a coordinator node id to its RPC address. A coordinator
+// that does not answer or reports pending is re-asked on the retry
+// ladder, up to 20 times: longer rungs than a lost datagram's
+// (erpc.RetryBase), because what is waited out here is a coordinator
+// still restarting or partitioned.
+func (p *Participant) ResolveRecovered(addrOf func(nodeID uint64) string) error {
 	p.mu.Lock()
 	var prepared []*activeTxn
 	for _, at := range p.active {
@@ -618,44 +575,26 @@ func (p *Participant) ResolveRecovered(addrOf func(nodeID uint64) string, attemp
 	}
 	p.mu.Unlock()
 
-	// Per-recovery random op-id base (avoids replay-cache collisions
-	// with any pre-crash traffic carrying the same (node, tx) pair).
-	var seed [4]byte
-	opBase := uint64(1) << 32
-	if _, err := rand.Read(seed[:]); err == nil {
-		opBase = uint64(binary.LittleEndian.Uint32(seed[:]))<<16 | 1<<52
-	}
-
 	for _, at := range prepared {
-		coordID, _ := splitTxID(at.id)
+		coordID, seq := splitTxID(at.id)
 		addr := addrOf(coordID)
-		resolved := false
-		backoff := 50 * time.Millisecond
-		const maxBackoff = 800 * time.Millisecond
-		for try := 0; try < attempts && !resolved; try++ {
-			if try > 0 {
-				// Bounded exponential backoff between status queries: the
-				// coordinator may still be restarting or partitioned.
-				erpc.SleepYield(backoff, yield)
-				if backoff *= 2; backoff > maxBackoff {
-					backoff = maxBackoff
-				}
+		for retry := p.ep.Retry(20, 50*time.Millisecond, 800*time.Millisecond, nil); ; {
+			// The query names the transaction in its payload: the metadata's
+			// node id is this node's, not the original coordinator's.
+			md := seal.MsgMetadata{TxID: seq, OpID: p.ep.NextOpID(), OpType: uint32(ReqTxStatus)}
+			resp, err := erpc.Call(p.ep, addr, ReqTxStatus, md, at.id[:], 2*time.Second, nil)
+			debugAdoptf("resolve tx=%x coord=%d addr=%s status=%v err=%v", at.id, coordID, addr, resp, err)
+			status := StatusPending
+			if err == nil && len(resp) > 0 {
+				status = resp[0]
 			}
-			_, seq := splitTxID(at.id)
-			md := seal.MsgMetadata{TxID: seq, OpID: opBase + uint64(try+1), OpType: uint32(ReqTxStatus)}
-			// The status query carries the *original* coordinator's id in
-			// the payload-independent metadata via the global id encoding:
-			// re-derive it server-side from the payload instead.
-			resp, err := erpc.Call(p.ep, addr, ReqTxStatus, md, at.id[:], 2*time.Second, yield)
-			if err != nil || len(resp) == 0 {
-				debugAdoptf("resolve tx=%x coord=%d addr=%s try=%d err=%v", at.id, coordID, addr, try, err)
-				continue
-			}
-			debugAdoptf("resolve tx=%x coord=%d addr=%s try=%d status=%d", at.id, coordID, addr, try, resp[0])
-			switch resp[0] {
-			case StatusCommit:
+			if commit := status == StatusCommit; commit || status == StatusAbort {
 				at.mu.Lock()
-				err := at.local.CommitPrepared(at.id)
+				if commit {
+					err = at.local.CommitPrepared(at.id)
+				} else {
+					err = at.local.AbortPrepared(at.id)
+				}
 				at.mu.Unlock()
 				// ErrTxnDone: the coordinator's own decision push beat
 				// this query to the transaction (it is reachable again
@@ -664,25 +603,18 @@ func (p *Participant) ResolveRecovered(addrOf func(nodeID uint64) string, attemp
 					return err
 				}
 				p.drop(at.id)
-				p.met.resolvedOK.Inc()
-				resolved = true
-			case StatusAbort:
-				at.mu.Lock()
-				err := at.local.AbortPrepared(at.id)
-				at.mu.Unlock()
-				if err != nil && !errors.Is(err, txn.ErrTxnDone) {
-					return err
+				if commit {
+					p.met.resolvedOK.Inc()
+				} else {
+					p.met.resolvedAbort.Inc()
 				}
-				p.drop(at.id)
-				p.met.resolvedAbort.Inc()
-				resolved = true
-			default:
-				// Pending: coordinator recovery will push a decision; the
-				// loop's backoff paces the re-ask.
+				break
 			}
-		}
-		if !resolved {
-			return fmt.Errorf("twopc: could not resolve recovered tx %x with coordinator %d", at.id[:4], coordID)
+			// Unanswered, or pending (coordinator recovery will push a
+			// decision): the ladder paces the re-ask.
+			if !retry.Next() {
+				return fmt.Errorf("twopc: could not resolve recovered tx %x with coordinator %d", at.id[:4], coordID)
+			}
 		}
 	}
 	return nil

@@ -41,10 +41,11 @@ const (
 	StatusPending
 )
 
-// Get-response framing: found(1) ∥ value.
+// Get-response framing: found(1) ∥ value. The client protocol one layer
+// up (internal/core) frames its get replies the same way.
 const (
-	getNotFound byte = 0
-	getFound    byte = 1
+	GetNotFound byte = 0
+	GetFound    byte = 1
 )
 
 // Prepare votes carried in the prepare response payload.

@@ -12,6 +12,8 @@ import (
 	"hash/maphash"
 	"sync"
 	"time"
+
+	"treaty/internal/fibers"
 )
 
 // Errors returned by this package.
@@ -90,10 +92,16 @@ func (lt *LockTable) shardFor(key string) *lockShard {
 
 // Acquire takes the lock on key in the given mode for txn. It supports
 // re-entrancy (a holder re-acquiring the same or weaker mode) and
-// shared→exclusive upgrade when txn is the sole holder. yield, if
-// non-nil, is called between retries instead of blocking (fiber
-// integration); otherwise the caller blocks on the lock's wait channel.
+// shared→exclusive upgrade when txn is the sole holder. Between
+// attempts the caller waits for the lock's state to change: a fiber
+// (non-nil yield) yields, a goroutine blocks on the lock's wait channel.
 // Returns ErrLockTimeout after the table's timeout.
+//
+// The retry loop stays here rather than inside fibers.Wait because each
+// attempt waits on a different channel — the one current when the
+// attempt failed — which a wait on one fixed wake channel cannot say
+// without knowing about locks. The wait itself (pause, timer, final
+// poll) is the shared one.
 func (lt *LockTable) Acquire(txn uint64, key string, mode LockMode, yield func()) error {
 	sh := lt.shardFor(key)
 	deadline := time.Now().Add(lt.timeout)
@@ -111,16 +119,16 @@ func (lt *LockTable) Acquire(txn uint64, key string, mode LockMode, yield func()
 		wait := kl.wait
 		sh.mu.Unlock()
 
-		if time.Now().After(deadline) {
+		changed := func() bool {
+			select {
+			case <-wait:
+				return true
+			default:
+				return false
+			}
+		}
+		if !fibers.Wait(changed, wait, deadline, yield) {
 			return fmt.Errorf("%w: key %q", ErrLockTimeout, key)
-		}
-		if yield != nil {
-			yield()
-			continue
-		}
-		select {
-		case <-wait:
-		case <-time.After(time.Until(deadline)):
 		}
 	}
 }

@@ -3,7 +3,6 @@ package txn
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"treaty/internal/durlog"
 )
@@ -154,17 +153,7 @@ func (t *OTxn) Commit() error {
 	release()
 	t.finish(txnCommitted)
 	if t.m.waitStable && len(t.writes.recs) > 0 {
-		if t.yield == nil {
-			return token.Wait()
-		}
-		spins := 0
-		for !token.Ready() {
-			t.yield()
-			if spins++; spins%64 == 0 {
-				time.Sleep(20 * time.Microsecond)
-			}
-		}
-		return token.Wait()
+		return WaitToken(token, t.yield)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"treaty/internal/durlog"
+	"treaty/internal/fibers"
 	"treaty/internal/lsm"
 )
 
@@ -121,26 +122,20 @@ func (t *Txn) Commit() error {
 		return fmt.Errorf("txn: commit: %w", err)
 	}
 	if t.m.waitStable {
-		if err := t.waitToken(token); err != nil {
+		if err := WaitToken(token, t.yield); err != nil {
 			return fmt.Errorf("txn: stabilization: %w", err)
 		}
 	}
 	return nil
 }
 
-// waitToken waits for a stable token, yielding if configured. The final
-// Wait is non-blocking once Ready reports true; it surfaces a permanent
-// counter-service failure as an error.
-func (t *Txn) waitToken(token durlog.StableToken) error {
-	if t.yield == nil {
-		return token.Wait()
-	}
-	spins := 0
-	for !token.Ready() {
-		t.yield()
-		if spins++; spins%64 == 0 {
-			time.Sleep(20 * time.Microsecond)
-		}
+// WaitToken waits until token's log position is rollback-protected: a
+// fiber (non-nil yield) polls and yields, a goroutine blocks in Wait.
+// Neither has a deadline: the counter handle's own failure bounds the
+// wait, and Wait — non-blocking once Ready reports true — surfaces it.
+func WaitToken(token durlog.StableToken, yield func()) error {
+	if yield != nil {
+		fibers.Wait(token.Ready, nil, time.Time{}, yield)
 	}
 	return token.Wait()
 }
@@ -179,7 +174,7 @@ func (t *Txn) Prepare(global lsm.TxID) error {
 	if err != nil {
 		return fmt.Errorf("txn: prepare: %w", err)
 	}
-	if err := t.waitToken(token); err != nil {
+	if err := WaitToken(token, t.yield); err != nil {
 		return fmt.Errorf("txn: prepare stabilization: %w", err)
 	}
 	t.state = txnPrepared
