@@ -146,11 +146,17 @@ func distPanel(figure, name string, s Spec) Spec {
 
 // nodePanel completes a single-node panel: the six system versions, each
 // a one-node cluster driven through its local transaction manager by 16
-// clients for 2 s. The local path isolates the engine and never forces
-// the Clog, so the nodes store to memory.
+// clients for 6 s. The local path isolates the engine and never forces
+// the Clog, so the nodes store to memory. The window is three times the
+// distributed panels' because a round (a third of it; a sixtieth at tier-1
+// scale) has to span the engine's background cycle: at these write rates
+// a memtable flush every 100-250 ms and, every fourth flush, an L0
+// compaction that halves throughput for 100-200 ms — more than the
+// counter round per commit costs the stabilized version (about 1.3x
+// with tier-1's 4 clients; 16 clients share the rounds and tie).
 func nodePanel(figure, cc, name string, s Spec) Spec {
 	s.Title = fmt.Sprintf("%s: single-node %s txns, %s", figure, cc, name)
 	s.Arms = versions(1, core.AllModes()...)
-	s.MemFS, s.Workers, s.Clients, s.Window = true, 1, 16, 2*time.Second
+	s.MemFS, s.Workers, s.Clients, s.Window = true, 1, 16, 6*time.Second
 	return s
 }

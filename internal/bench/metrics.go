@@ -82,10 +82,23 @@ type NodeDigest struct {
 	ReplRecvAcked   uint64 `json:"repl_recv_acked,omitempty"`
 }
 
-// MetricsReport is the per-version report: one digest per node address.
+// ReplicaDigest condenses one counter replica's snapshot: what persisting
+// its state cost the confirms it served.
+type ReplicaDigest struct {
+	Confirms       uint64  `json:"confirms"`
+	JournalAppends uint64  `json:"journal_appends"`
+	JournalBytes   int64   `json:"journal_bytes"`
+	Compactions    uint64  `json:"compactions"`
+	PersistP50Us   float64 `json:"persist_p50_us"`
+	PersistP99Us   float64 `json:"persist_p99_us"`
+}
+
+// MetricsReport is the per-version report: one digest per node address
+// and, on arms that run the counter service, one per replica address.
 type MetricsReport struct {
-	Label string                `json:"label"`
-	Nodes map[string]NodeDigest `json:"nodes"`
+	Label           string                   `json:"label"`
+	Nodes           map[string]NodeDigest    `json:"nodes"`
+	CounterReplicas map[string]ReplicaDigest `json:"counter_replicas,omitempty"`
 }
 
 // twopcStages are the stage-histogram suffixes digested into NodeDigest.
@@ -155,6 +168,21 @@ func CaptureMetrics(label string, c *core.Cluster) *MetricsReport {
 	r := &MetricsReport{Label: label, Nodes: make(map[string]NodeDigest)}
 	for addr, s := range c.Snapshot() {
 		r.Nodes[addr] = DigestSnapshot(s)
+	}
+	replicas := c.CounterSnapshot()
+	if len(replicas) > 0 {
+		r.CounterReplicas = make(map[string]ReplicaDigest, len(replicas))
+	}
+	for addr, s := range replicas {
+		persist := s.Histograms["counter.replica.persist_ns"]
+		r.CounterReplicas[addr] = ReplicaDigest{
+			Confirms:       s.Counter("counter.replica.confirms"),
+			JournalAppends: s.Counter("counter.replica.journal_appends"),
+			JournalBytes:   s.Gauge("counter.replica.journal_bytes"),
+			Compactions:    s.Counter("counter.replica.compactions"),
+			PersistP50Us:   float64(persist.P50) / 1e3,
+			PersistP99Us:   float64(persist.P99) / 1e3,
+		}
 	}
 	return r
 }

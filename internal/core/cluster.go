@@ -77,11 +77,23 @@ type Cluster struct {
 	cas     *attest.CAS
 	nodes   []*Node
 	nodeCfg []NodeConfig
-	ctrEPs  []*erpc.Endpoint
-	ctrPoll []*erpc.Poller
+	ctrs    []*counterReplica
+	netKey  seal.Key
 	baseDir string
 	ownsDir bool
 	clients int
+}
+
+// counterReplica is one member of the protection group. The enclave
+// outlives the replica's incarnations: a restarted replica can only unseal
+// its state under the same platform key, and a new platform mints a new one.
+type counterReplica struct {
+	addr    string
+	encl    *enclave.Enclave
+	ep      *erpc.Endpoint
+	poller  *erpc.Poller
+	replica *counter.Replica
+	reg     *obs.Registry
 }
 
 // NewCluster boots a cluster.
@@ -115,6 +127,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.netKey = netKey
 
 	nodeAddrs := make([]string, opts.Nodes)
 	for i := range nodeAddrs {
@@ -136,8 +149,13 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	})
 
 	// Trusted counter protection group (its own platforms).
-	for i := 0; i < len(ctrAddrs); i++ {
-		if err := c.startCounterReplica(i, ctrAddrs[i], netKey); err != nil {
+	for i, addr := range ctrAddrs {
+		cr, err := newCounterReplica(addr)
+		if err == nil {
+			c.ctrs = append(c.ctrs, cr)
+			err = c.startCounterReplica(i)
+		}
+		if err != nil {
 			c.Stop()
 			return nil, err
 		}
@@ -207,39 +225,87 @@ func (c *Cluster) nodeConfig(id uint64, addr string) (NodeConfig, error) {
 	}, nil
 }
 
-// startCounterReplica boots one protection-group member.
-func (c *Cluster) startCounterReplica(i int, addr string, netKey seal.Key) error {
+// newCounterReplica launches a protection-group member's enclave on a
+// platform of its own.
+func newCounterReplica(addr string) (*counterReplica, error) {
 	platform, err := enclave.NewPlatform(addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	encl, err := platform.Launch("treaty-counter", enclave.RuntimeConfig{Mode: enclave.ModeNative})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	nep, err := c.net.Listen(addr)
+	return &counterReplica{addr: addr, encl: encl}, nil
+}
+
+// startCounterReplica boots an incarnation of protection-group member i:
+// it listens on the member's address and loads the state its directory
+// holds. Each incarnation gets a metrics registry of its own.
+func (c *Cluster) startCounterReplica(i int) error {
+	cr := c.ctrs[i]
+	nep, err := c.net.Listen(cr.addr)
 	if err != nil {
 		return err
 	}
 	ep, err := erpc.NewEndpoint(erpc.Config{
 		NodeID:     2000 + uint64(i),
 		Transport:  erpc.NewSimTransport(nep, nil, erpc.KindDPDK),
-		NetworkKey: netKey,
+		NetworkKey: c.netKey,
 		Secure:     true,
 	})
 	if err != nil {
+		nep.Close()
 		return err
 	}
-	dir := filepath.Join(c.baseDir, addr)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	dir := filepath.Join(c.baseDir, cr.addr)
+	err = os.MkdirAll(dir, 0o755)
+	if err == nil {
+		cr.replica, err = counter.NewReplica(ep, cr.encl, dir)
+	}
+	if err != nil {
+		ep.Close()
 		return err
 	}
-	if _, err := counter.NewReplica(ep, encl, dir); err != nil {
-		return err
-	}
-	c.ctrEPs = append(c.ctrEPs, ep)
-	c.ctrPoll = append(c.ctrPoll, erpc.StartPoller(ep))
+	cr.reg = obs.NewRegistry()
+	cr.replica.RegisterMetrics(cr.reg)
+	cr.ep, cr.poller = ep, erpc.StartPoller(ep)
 	return nil
+}
+
+// stop ends the replica's current incarnation, if it has one.
+func (cr *counterReplica) stop() error {
+	if cr.poller == nil {
+		return nil
+	}
+	cr.poller.Stop()
+	err := errors.Join(cr.ep.Close(), cr.replica.Close())
+	cr.poller = nil
+	return err
+}
+
+// RestartCounterReplica stops protection-group member i — event loop,
+// endpoint, journal — and boots it again on the same address from its
+// directory, with the same enclave: what it reports afterwards is what its
+// snapshot and journal carried through.
+func (c *Cluster) RestartCounterReplica(i int) error {
+	if err := c.ctrs[i].stop(); err != nil {
+		return err
+	}
+	return c.startCounterReplica(i)
+}
+
+// CounterSnapshot returns a metrics snapshot ("counter.replica.*") for
+// every running member of the protection group, keyed by its address. It
+// is not part of Snapshot, whose entries are all nodes.
+func (c *Cluster) CounterSnapshot() map[string]obs.Snapshot {
+	out := make(map[string]obs.Snapshot)
+	for _, cr := range c.ctrs {
+		if cr.poller != nil {
+			out[cr.addr] = cr.reg.Snapshot()
+		}
+	}
+	return out
 }
 
 // Node returns node i.
@@ -340,11 +406,8 @@ func (c *Cluster) Stop() error {
 		}
 	}
 	c.nodes = nil
-	for _, p := range c.ctrPoll {
-		p.Stop()
-	}
-	for _, ep := range c.ctrEPs {
-		errs = append(errs, ep.Close())
+	for _, cr := range c.ctrs {
+		errs = append(errs, cr.stop())
 	}
 	c.net.Close()
 	if c.ownsDir {

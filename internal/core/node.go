@@ -441,13 +441,35 @@ func (n *Node) buildCounters(clusterCfg *attest.ClusterConfig) (lsm.CounterFacto
 		full := fmt.Sprintf("node%d/%s", nodeID, name)
 		h := cli.Counter(full)
 		// Seed the local view from the protection group so recovery
-		// freshness checks see the quorum-stable value.
-		if v, err := cli.RecoverStable(full); err == nil {
+		// freshness checks see the quorum-stable value. A log file that is
+		// already there holds acknowledged entries only that value protects:
+		// replayed against an unseeded 0 they would all be truncated as an
+		// unstabilized tail. So without a quorum its counter fails instead,
+		// durlog refuses to replay against a failed counter, and the boot
+		// fails with no file touched — a fault of the counter group "can only
+		// affect availability" (§VI). A log the node is about to create has
+		// nothing to lose, and a transient no-quorum at a rotation must not
+		// poison a running node: there the query stays best effort.
+		v, err := cli.RecoverStable(full)
+		if _, statErr := n.cfg.FS.Stat(filepath.Join(n.cfg.Dir, name)); statErr == nil {
+			retry := n.ctrEP.Retry(recoverQueryAttempts, erpc.RetryBase, erpc.RetryCap, nil)
+			for err != nil && retry.Next() {
+				v, err = cli.RecoverStable(full)
+			}
+			if err != nil {
+				h.Fail(fmt.Errorf("core: recovering trusted counter %s: %w", full, err))
+			}
+		}
+		if err == nil {
 			h.SeedStable(v)
 		}
 		return h
 	}, nil
 }
+
+// recoverQueryAttempts bounds the boot-time queries for the counter of an
+// existing log file: each already waits out the client's round timeout.
+const recoverQueryAttempts = 3
 
 // shutdownPartial tears down whatever StartNode built before failing,
 // releasing every network address so a later retry can bind again.

@@ -118,6 +118,8 @@ type Log struct {
 	// lastCtr is the counter value of the most recent framed entry, synced
 	// the highest value known forced. Commit never stabilizes past synced.
 	lastCtr, synced atomic.Uint64
+	// size is the file's length: the kept prefix plus every group written.
+	size atomic.Int64
 }
 
 func (cfg *Config) withDefaults() {
@@ -156,7 +158,7 @@ func Create(cfg Config) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("durlog: syncing dir after creating %s: %w", cfg.Path, err)
 	}
-	return newLog(cfg, f, codec), nil
+	return newLog(cfg, f, codec, 0), nil
 }
 
 // Open replays an existing log (see Replay), durably drops whatever tail
@@ -190,14 +192,15 @@ func Open(cfg Config, maxStable int64) (*Log, Replayed, error) {
 	if err != nil {
 		return nil, Replayed{}, fmt.Errorf("durlog: reopening %s: %w", cfg.Path, err)
 	}
-	return newLog(cfg, f, r.codec), r, nil
+	return newLog(cfg, f, r.codec, r.kept), r, nil
 }
 
-func newLog(cfg Config, f vfs.File, codec *seal.LogCodec) *Log {
+func newLog(cfg Config, f vfs.File, codec *seal.LogCodec, size int64) *Log {
 	cfg.syscall()
 	l := &Log{cfg: cfg, f: f, codec: codec, name: filepath.Base(cfg.Path)}
 	l.lastCtr.Store(codec.NextCounter() - 1)
 	l.synced.Store(codec.NextCounter() - 1)
+	l.size.Store(size)
 	return l
 }
 
@@ -231,6 +234,7 @@ func (l *Log) Commit(group []Entry, demand bool) error {
 	if _, err := l.f.Write(buf); err != nil {
 		return l.poison("write", err)
 	}
+	l.size.Add(int64(len(buf)))
 	if l.cfg.Force {
 		start := time.Now()
 		err := l.sync()
@@ -369,6 +373,9 @@ func (l *Log) Close() error {
 // LastCounter returns the counter value of the most recent entry (0 when
 // empty).
 func (l *Log) LastCounter() uint64 { return l.lastCtr.Load() }
+
+// Size returns the log file's length in bytes.
+func (l *Log) Size() int64 { return l.size.Load() }
 
 // SyncedCounter returns the highest counter value known forced to stable
 // storage: acknowledged tokens never exceed it.

@@ -37,9 +37,19 @@ type Replayed struct {
 //     rollback-protected entries: ErrRollbackDetected;
 //   - a decode failure is a torn tail where tolerableTear allows it and an
 //     error (splicing, tampering) inside the protected region.
+//
+// A log whose counter has failed is not replayed at all: the counter's
+// stable value is not the trusted one (a recovery query that found no
+// quorum leaves it at 0), and replaying against it would class every
+// acknowledged entry an unstabilized tail for Open to truncate.
 func Replay(cfg Config, maxStable int64) (Replayed, error) {
 	cfg.withDefaults()
 	name := filepath.Base(cfg.Path)
+	if cfg.Counter != nil {
+		if err := cfg.Counter.Failed(); err != nil {
+			return Replayed{}, fmt.Errorf("durlog: %s has no trusted value to replay against: %w", name, err)
+		}
+	}
 	codec, err := cfg.newCodec()
 	if err != nil {
 		return Replayed{}, err
@@ -97,12 +107,15 @@ func TrustedValue(level seal.SecurityLevel, ctr TrustedCounter) int64 {
 // truncation is always a possible crash artifact (and if it cut into the
 // rollback-protected region, the freshness check still flags it); other
 // failures (bad checksum, broken chain) are tolerable only where the log
-// is unprotected: at LevelNone, when no freshness information exists, or
-// at or past the trusted stable point (those entries were never
-// acknowledged).
+// is unprotected: at LevelNone, or at or past the trusted stable point
+// (those entries were never acknowledged). A secure log replayed without a
+// trusted value (maxStable < 0: nothing stabilizes after the write, so
+// every record whose write returned may have been acknowledged — the
+// counter replica's journal) has no such region: there only truncation is
+// a tear.
 func tolerableTear(derr error, level seal.SecurityLevel, last uint64, maxStable int64) bool {
 	if errors.Is(derr, seal.ErrTruncated) || level == seal.LevelNone {
 		return true
 	}
-	return maxStable < 0 || last >= uint64(maxStable)
+	return maxStable >= 0 && last >= uint64(maxStable)
 }

@@ -115,6 +115,7 @@ func (p *Platform) Launch(identity string, cfg RuntimeConfig) (*Enclave, error) 
 		platform:    p,
 		measurement: MeasureCode(identity),
 		identity:    identity,
+		sealKey:     sealKey,
 		sealCipher:  cipher,
 		runtime:     NewRuntime(cfg),
 	}
@@ -132,6 +133,7 @@ type Enclave struct {
 	platform    *Platform
 	measurement Measurement
 	identity    string
+	sealKey     seal.Key
 	sealCipher  *seal.Cipher
 	runtime     *Runtime
 }
@@ -160,6 +162,14 @@ func (e *Enclave) Unseal(sealed []byte) ([]byte, error) {
 		return nil, ErrSealedTampered
 	}
 	return plain, nil
+}
+
+// SealingKey derives a sub-key of the enclave's sealing key for sealed
+// state that is framed by a codec of its own (the counter replica's
+// journal) rather than as one Seal blob. Like Seal it is bound to platform
+// and measurement: another platform or code identity derives another key.
+func (e *Enclave) SealingKey(label string) seal.Key {
+	return seal.DeriveKey(e.sealKey, "derived/"+label)
 }
 
 // Quote produces an attestation quote over reportData: a statement, keyed
