@@ -82,8 +82,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLogReplay -fuzztime $(FUZZTIME) ./internal/durlog/
 
 # Crash-point harness: power-cut after every durable write site
-# (WAL/SSTable/MANIFEST/counter/Clog) at all three security levels,
-# reboot each image, and check the recovery invariants. The repl sweep
+# (WAL/SSTable/MANIFEST/counter/Clog) at all three security levels, on
+# counter files (a trusted value at recovery) and on immediate counters
+# (none), reboot each image, and check the recovery invariants. The repl sweep
 # power-cuts both sides of the replication pipeline and checks that
 # stabilized counters never outrun the backup's synced mirror.
 crashpoint:
@@ -104,6 +105,8 @@ vet:
 # goes for the counter replica's persistence: it is a durlog client over
 # vfs.FS, so non-test files of internal/counter import no "os" — a bare
 # rewrite-and-rename of the state file cannot come back by the side door.
+# And no node, harness of internal/bench, command or example builds a file
+# counter: a mode's counter kind comes from core's policy table.
 ONCE_SRC = find $(1) -name '*.go' ! -name '*_test.go' ! -path internal/fibers/wait.go ! -path internal/erpc/retry.go ! -path internal/erpc/opid.go
 check-once:
 	@fail=0; \
@@ -112,7 +115,8 @@ check-once:
 	grep -n 'backoff \*= 2' $$($(call ONCE_SRC,internal)) | grep -v '^internal/fibers/fibers\.go:' && fail=1; \
 	grep -n 'rand\.Read' $$($(call ONCE_SRC,internal/erpc internal/twopc internal/counter internal/repl)) | grep -v txSeed && fail=1; \
 	grep -n '"os"' $$($(call ONCE_SRC,internal/counter)) && fail=1; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log); call the shared one"; exit 1; }
+	grep -n 'NewFileCounter' $$($(call ONCE_SRC,internal/core internal/bench cmd examples)) && fail=1; \
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, mode policy); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

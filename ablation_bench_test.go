@@ -248,7 +248,7 @@ func BenchmarkAblation_SecurityLevels(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			db, err := lsm.Open(lsm.Options{Dir: b.TempDir(), Level: mode.StorageLevel(), Key: key})
+			db, err := lsm.Open(lsm.Options{Dir: b.TempDir(), Level: mode.Policy().Level, Key: key})
 			if err != nil {
 				b.Fatal(err)
 			}

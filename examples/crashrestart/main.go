@@ -2,9 +2,10 @@
 // encrypted mode: commit data, crash-stop every node in turn (no
 // graceful shutdown — memory is dropped, only files survive), restart
 // it, and show that every acknowledged commit is still readable. This
-// exercises the persistent instant-stability counters: without them,
-// secure-level recovery would discard the whole WAL as an unstabilized
-// tail and silently lose the data.
+// mode runs no counter service, so recovery replays the sealed logs with
+// no trusted value: every complete record is kept (replaying them against
+// a counter that restarted at zero would discard the whole WAL as an
+// unstabilized tail and silently lose the data).
 package main
 
 import (

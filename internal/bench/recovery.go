@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
-	"treaty/internal/durlog"
+	"treaty/internal/core"
 	"treaty/internal/enclave"
 	"treaty/internal/lsm"
 	"treaty/internal/seal"
@@ -50,17 +49,17 @@ func RunTableI(cfg RecoveryConfig) ([]RecoveryResult, error) {
 	}
 	versions := []struct {
 		label string
-		level seal.SecurityLevel
+		mode  core.SecurityMode
 	}{
-		{"Native recovery", seal.LevelNone},
-		{"Treaty w/o Enc", seal.LevelIntegrity},
-		{"Treaty w/ Enc", seal.LevelEncrypted},
+		{"Native recovery", core.ModeRocksDB},
+		{core.ModeSconeNoEnc.String(), core.ModeSconeNoEnc},
+		{core.ModeSconeEnc.String(), core.ModeSconeEnc},
 	}
 	out := make([]RecoveryResult, 0, len(versions))
 	for _, v := range versions {
 		runs := make([]RecoveryResult, 0, rounds)
 		for i := 0; i < rounds; i++ {
-			r, err := runRecovery(cfg, v.level)
+			r, err := runRecovery(cfg, v.mode.Policy())
 			if err != nil {
 				return nil, err
 			}
@@ -73,8 +72,9 @@ func RunTableI(cfg RecoveryConfig) ([]RecoveryResult, error) {
 	return out, nil
 }
 
-// runRecovery writes the log and measures a cold re-open.
-func runRecovery(cfg RecoveryConfig, level seal.SecurityLevel) (RecoveryResult, error) {
+// runRecovery writes the log and measures a cold re-open of the engine as
+// a node of policy p would run it.
+func runRecovery(cfg RecoveryConfig, p core.Policy) (RecoveryResult, error) {
 	dir, err := os.MkdirTemp("", "treaty-recovery-")
 	if err != nil {
 		return RecoveryResult{}, err
@@ -85,24 +85,22 @@ func runRecovery(cfg RecoveryConfig, level seal.SecurityLevel) (RecoveryResult, 
 	if err != nil {
 		return RecoveryResult{}, err
 	}
-	counters := newSharedCounters()
 	// Treaty versions recover inside the enclave (boundary costs per
 	// entry); the native baseline does not. Replay issues its per-entry
 	// syscalls through SCONE's batched async interface, which amortizes
 	// the cost below the interactive-path figure.
 	var rt *enclave.Runtime
-	if level >= seal.LevelIntegrity {
+	if p.Enclave == enclave.ModeScone {
 		costs := enclave.DefaultCosts()
 		costs.AsyncSyscall = 700 * time.Nanosecond
-		rt = enclave.NewRuntime(enclave.RuntimeConfig{Mode: enclave.ModeScone, Costs: costs})
+		rt = enclave.NewRuntime(enclave.RuntimeConfig{Mode: p.Enclave, Costs: costs})
 	}
 	// A huge memtable keeps every entry in the WAL (recovery replays the
 	// log, which is the measured path).
 	opt := lsm.Options{
-		Dir: dir, Level: level, Key: key,
+		Dir: dir, Level: p.Level, Key: key,
 		MemTableSize: 1 << 40,
 		SyncWAL:      false,
-		Counters:     counters.factory,
 		Runtime:      rt,
 	}
 	db, err := lsm.Open(opt)
@@ -146,28 +144,6 @@ func runRecovery(cfg RecoveryConfig, level seal.SecurityLevel) (RecoveryResult, 
 	}
 	db2.Close()
 	return RecoveryResult{Duration: elapsed, LogBytes: logBytes}, nil
-}
-
-// sharedCounters is an immediate counter registry shared across the
-// write and recovery opens (playing the trusted counter service role).
-type sharedCounters struct {
-	mu sync.Mutex
-	m  map[string]durlog.TrustedCounter
-}
-
-func newSharedCounters() *sharedCounters {
-	return &sharedCounters{m: make(map[string]durlog.TrustedCounter)}
-}
-
-func (s *sharedCounters) factory(name string) durlog.TrustedCounter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.m[name]; ok {
-		return c
-	}
-	c := durlog.NewImmediateCounter()
-	s.m[name] = c
-	return c
 }
 
 // PrintTableI renders the table.

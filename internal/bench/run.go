@@ -61,12 +61,10 @@ type Spec struct {
 	Link    simnet.LinkConfig
 	Workers int
 	// MemFS keeps every node's files in memory instead of on the real
-	// disk, where the native modes' file counter pays two fsyncs per
-	// stabilization — more than a whole counter-service round, enough to
-	// rank Stab above RocksDB — and fsync latency on a shared host is a
-	// lottery. MemFS's Sync is O(file length), so a panel that forces a
-	// growing log on every commit (the Clog, under Distributed) can only
-	// use it for windows short enough that the log stays small.
+	// disk, where fsync latency on a shared host is a lottery. MemFS's
+	// Sync is O(file length), so a panel that forces a growing log on
+	// every commit (the Clog, under Distributed) can only use it for
+	// windows short enough that the log stays small.
 	MemFS bool
 	// Clients is the number of concurrent closed-loop drivers.
 	Clients int

@@ -134,7 +134,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		nodeAddrs[i] = fmt.Sprintf("node-%d", i)
 	}
 	var ctrAddrs []string
-	if opts.Mode.UsesCounterService() {
+	if opts.Mode.Policy().Counter == CounterService {
 		ctrAddrs = make([]string, opts.CounterReplicas)
 		for i := range ctrAddrs {
 			ctrAddrs[i] = fmt.Sprintf("ctr-%d", i)
@@ -352,7 +352,7 @@ func (c *Cluster) NewClient() (*Client, error) {
 		CAS:          c.cas,
 		CredentialID: cred,
 		Secret:       secret,
-		Secure:       c.opts.Mode.SecureRPC(),
+		Secure:       c.opts.Mode.Policy().SealedRPC,
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,57 +129,77 @@ func TestClientRollbackDiscards(t *testing.T) {
 	tx2.TxnRollback()
 }
 
-func TestClusterCrashRestartDurability(t *testing.T) {
-	c := newCluster(t, ModeSconeEncStab)
-	tx := c.Node(0).Begin(nil)
-	for i := 0; i < 9; i++ {
-		if err := tx.Put([]byte(fmt.Sprintf("durable-%d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
+// crashRestartKeepsAcked commits one distributed transaction coordinated by
+// node 0, crash-restarts node victim and reads every key back through it,
+// in every mode. A mode without the counter service recovers with no
+// trusted value; replaying a secure log against a counter that restarted
+// at zero instead would discard the acknowledged commits as an
+// unstabilized tail. No mode keeps a counters/ directory beside its logs.
+func crashRestartKeepsAcked(t *testing.T, victim int) {
+	for _, mode := range AllModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := newCluster(t, mode)
+			keys := commitKeys(t, c, "durable", 1, 9)
+			c.CrashNode(victim)
+			if _, err := c.RestartNode(victim); err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			wantKeys(t, c, victim, keys)
+			for i := 0; i < c.Nodes(); i++ {
+				if _, err := os.Stat(filepath.Join(c.baseDir, c.NodeAddr(i), "counters")); !os.IsNotExist(err) {
+					t.Errorf("%s has a counters/ entry (stat err=%v)", c.NodeAddr(i), err)
+				}
+			}
+		})
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash and restart node 1; committed data must survive and the
-	// restarted node must serve it.
-	c.CrashNode(1)
-	if _, err := c.RestartNode(1); err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	tx2 := c.Node(1).Begin(nil)
-	for i := 0; i < 9; i++ {
-		if _, ok, err := tx2.Get([]byte(fmt.Sprintf("durable-%d", i))); err != nil || !ok {
-			t.Errorf("durable-%d after restart: %v/%v", i, ok, err)
-		}
-	}
-	tx2.Rollback()
 }
 
-func TestClusterCoordinatorCrashRecovery(t *testing.T) {
-	c := newCluster(t, ModeSconeEncStab)
-	tx := c.Node(0).Begin(nil)
-	for i := 0; i < 9; i++ {
-		if err := tx.Put([]byte(fmt.Sprintf("cc-%d", i)), []byte("v")); err != nil {
+// TestClusterCrashRestartDurability: a crashed participant restarts with
+// the committed data and serves it.
+func TestClusterCrashRestartDurability(t *testing.T) { crashRestartKeepsAcked(t, 1) }
+
+// TestClusterCoordinatorCrashRecovery: a coordinator crashed right after
+// commit recovers the decision from its Clog and keeps the data.
+func TestClusterCoordinatorCrashRecovery(t *testing.T) { crashRestartKeepsAcked(t, 0) }
+
+// TestServiceModeWithoutReplicasRefusesBoot: a node whose mode stabilizes
+// on the counter service, provisioned a cluster config that lists no
+// counter replicas, used to boot on local counter files and still report
+// "Treaty w/ Enc w/ Stab". It must refuse, name the mode, touch no file
+// and release its address.
+func TestServiceModeWithoutReplicasRefusesBoot(t *testing.T) {
+	c := newCluster(t, ModeSconeEnc) // same seal level, no protection group
+	commitKeys(t, c, "downgrade", 1, 9)
+	c.CrashNode(1)
+	listing := func() string {
+		entries, err := os.ReadDir(c.nodeCfg[1].Dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Crash the coordinator node right after commit; restart must
-	// recover the decision from the Clog and keep the data.
-	c.CrashNode(0)
-	if _, err := c.RestartNode(0); err != nil {
-		t.Fatalf("restart coordinator: %v", err)
-	}
-	tx2 := c.Node(0).Begin(nil)
-	for i := 0; i < 9; i++ {
-		if _, ok, err := tx2.Get([]byte(fmt.Sprintf("cc-%d", i))); err != nil || !ok {
-			t.Errorf("cc-%d after coordinator recovery: %v/%v", i, ok, err)
+		var out string
+		for _, e := range entries {
+			info, _ := e.Info()
+			out += fmt.Sprintf("%s:%d ", e.Name(), info.Size())
 		}
+		return out
 	}
-	tx2.Rollback()
+	before := listing()
+	cfg := c.nodeCfg[1]
+	cfg.Mode = ModeSconeEncStab
+	n, err := StartNode(cfg)
+	if err == nil {
+		n.Stop()
+		t.Fatalf("a %v node booted with no counter replicas provisioned", cfg.Mode)
+	}
+	if !strings.Contains(err.Error(), ModeSconeEncStab.String()) {
+		t.Errorf("boot error does not name the mode: %v", err)
+	}
+	if after := listing(); after != before {
+		t.Errorf("refused boot touched the node directory:\n before %s\n after  %s", before, after)
+	}
+	if _, err := c.RestartNode(1); err != nil {
+		t.Fatalf("restart in the provisioned mode after the refused boot: %v", err)
+	}
 }
 
 func TestRuntimeChargesInSconeModes(t *testing.T) {
@@ -343,43 +364,39 @@ func TestConcurrentClientsManyTxns(t *testing.T) {
 	}
 }
 
-// TestCrashPoisonsVolatileCounters: at plain level buildCounters falls
-// back to a volatile counter when a counter file is unreadable. Crash must
-// cut the acknowledgement path on such a node too: every stable-token wait
-// after it fails, for tokens handed out before the crash and after.
+// TestCrashPoisonsVolatileCounters: the immediate counters of a mode
+// without the counter service stabilize instantly, so Crash has to poison
+// them to cut the node's acknowledgement path: every stable-token wait
+// after it fails, for tokens handed out before the crash and after, at
+// the plain level and at a secure one.
 func TestCrashPoisonsVolatileCounters(t *testing.T) {
-	base := t.TempDir()
-	ctrDir := filepath.Join(base, "node-0", "counters")
-	if err := os.MkdirAll(ctrDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// The first WAL's counter file is damaged (a counter file is 16 bytes).
-	if err := os.WriteFile(filepath.Join(ctrDir, "wal-000001.log"), []byte{1, 2, 3}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCluster(ClusterOptions{Nodes: 1, Mode: ModeRocksDB, BaseDir: base, Workers: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Stop() })
-	n := c.Node(0)
-	apply := func() (durlog.StableToken, error) {
-		b := lsm.NewBatch()
-		b.Put([]byte("k"), []byte("v"))
-		tok, _, err := n.DB().Apply(b)
-		return tok, err
-	}
-	before, err := apply()
-	if err != nil || before.Wait() != nil {
-		t.Fatalf("commit before crash: %v", err)
-	}
-	c.CrashNode(0)
-	if err := before.Wait(); err == nil {
-		t.Fatal("a token handed out before Crash still waits out to success")
-	}
-	// The abandoned engine either refuses the commit or hands out a token
-	// that can never be waited out.
-	if tok, err := apply(); err == nil && (tok.Wait() == nil || !tok.Ready()) {
-		t.Fatal("a commit after Crash can still be acknowledged")
+	for _, mode := range []SecurityMode{ModeRocksDB, ModeNativeTreatyEnc} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c, err := NewCluster(ClusterOptions{Nodes: 1, Mode: mode, BaseDir: t.TempDir(), Workers: 2, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Stop() })
+			n := c.Node(0)
+			apply := func() (durlog.StableToken, error) {
+				b := lsm.NewBatch()
+				b.Put([]byte("k"), []byte("v"))
+				tok, _, err := n.DB().Apply(b)
+				return tok, err
+			}
+			before, err := apply()
+			if err != nil || before.Wait() != nil {
+				t.Fatalf("commit before crash: %v", err)
+			}
+			c.CrashNode(0)
+			if err := before.Wait(); err == nil {
+				t.Fatal("a token handed out before Crash still waits out to success")
+			}
+			// The abandoned engine either refuses the commit or hands out a
+			// token that can never be waited out.
+			if tok, err := apply(); err == nil && (tok.Wait() == nil || !tok.Ready()) {
+				t.Fatal("a commit after Crash can still be acknowledged")
+			}
+		})
 	}
 }

@@ -40,68 +40,68 @@ const (
 	ModeSconeEncStab
 )
 
+// CounterKind names what stabilizes a mode's logs.
+type CounterKind int
+
+const (
+	// CounterNone is no rollback protection, and none paid for: each log
+	// gets durlog's immediate counter, which persists nothing and gives
+	// recovery no trusted value. A reboot keeps every complete record; at
+	// the secure levels anything but a byte-truncated tail refuses it.
+	CounterNone CounterKind = iota
+	// CounterService is the replicated trusted counter service (§VI):
+	// commits wait for their records to stabilize on it, and recovery
+	// replays each log against its quorum-stable value.
+	CounterService
+)
+
+// Policy is what a SecurityMode fixes. Everything that depends on the
+// mode reads it from here.
+type Policy struct {
+	// Label is the mode's name in the paper's figures.
+	Label string
+	// Enclave is the TEE runtime whose costs are charged.
+	Enclave enclave.Mode
+	// Level seals the persistent structures (WAL, MANIFEST, SSTables, Clog).
+	Level seal.SecurityLevel
+	// SealedRPC seals node-to-node and client-to-node messages.
+	SealedRPC bool
+	// Counter is the stabilization backend. Commits wait for rollback
+	// protection exactly when there is one (CounterService).
+	Counter CounterKind
+}
+
+// policies has one row per mode, indexed by it.
+var policies = [...]Policy{
+	ModeRocksDB:         {"RocksDB", enclave.ModeNative, seal.LevelNone, false, CounterNone},
+	ModeNativeTreaty:    {"Native Treaty", enclave.ModeNative, seal.LevelIntegrity, false, CounterNone},
+	ModeNativeTreatyEnc: {"Native Treaty w/ Enc", enclave.ModeNative, seal.LevelEncrypted, true, CounterNone},
+	ModeSconeNoEnc:      {"Treaty w/o Enc", enclave.ModeScone, seal.LevelIntegrity, false, CounterNone},
+	ModeSconeEnc:        {"Treaty w/ Enc", enclave.ModeScone, seal.LevelEncrypted, true, CounterNone},
+	ModeSconeEncStab:    {"Treaty w/ Enc w/ Stab", enclave.ModeScone, seal.LevelEncrypted, true, CounterService},
+}
+
+// Policy returns m's row; a value that names no mode has the zero Policy.
+func (m SecurityMode) Policy() Policy {
+	if m < 1 || int(m) >= len(policies) {
+		return Policy{}
+	}
+	return policies[m]
+}
+
 // String returns the evaluation label for the mode.
 func (m SecurityMode) String() string {
-	switch m {
-	case ModeRocksDB:
-		return "RocksDB"
-	case ModeNativeTreaty:
-		return "Native Treaty"
-	case ModeNativeTreatyEnc:
-		return "Native Treaty w/ Enc"
-	case ModeSconeNoEnc:
-		return "Treaty w/o Enc"
-	case ModeSconeEnc:
-		return "Treaty w/ Enc"
-	case ModeSconeEncStab:
-		return "Treaty w/ Enc w/ Stab"
-	default:
-		return fmt.Sprintf("SecurityMode(%d)", int(m))
+	if p := m.Policy(); p.Label != "" {
+		return p.Label
 	}
+	return fmt.Sprintf("SecurityMode(%d)", int(m))
 }
 
 // AllModes lists the six single-node evaluation versions in figure order.
 func AllModes() []SecurityMode {
-	return []SecurityMode{
-		ModeRocksDB, ModeNativeTreaty, ModeNativeTreatyEnc,
-		ModeSconeNoEnc, ModeSconeEnc, ModeSconeEncStab,
+	modes := make([]SecurityMode, 0, len(policies)-1)
+	for m := ModeRocksDB; int(m) < len(policies); m++ {
+		modes = append(modes, m)
 	}
+	return modes
 }
-
-// EnclaveMode returns the TEE runtime mode for m.
-func (m SecurityMode) EnclaveMode() enclave.Mode {
-	switch m {
-	case ModeRocksDB, ModeNativeTreaty, ModeNativeTreatyEnc:
-		return enclave.ModeNative
-	default:
-		return enclave.ModeScone
-	}
-}
-
-// StorageLevel returns the seal level for persistent structures.
-func (m SecurityMode) StorageLevel() seal.SecurityLevel {
-	switch m {
-	case ModeRocksDB:
-		return seal.LevelNone
-	case ModeNativeTreaty, ModeSconeNoEnc:
-		return seal.LevelIntegrity
-	default:
-		return seal.LevelEncrypted
-	}
-}
-
-// SecureRPC reports whether RPC messages are sealed.
-func (m SecurityMode) SecureRPC() bool {
-	switch m {
-	case ModeNativeTreatyEnc, ModeSconeEnc, ModeSconeEncStab:
-		return true
-	default:
-		return false
-	}
-}
-
-// WaitStable reports whether commits wait for rollback protection.
-func (m SecurityMode) WaitStable() bool { return m == ModeSconeEncStab }
-
-// UsesCounterService reports whether the distributed counter group runs.
-func (m SecurityMode) UsesCounterService() bool { return m == ModeSconeEncStab }

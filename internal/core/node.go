@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,9 +66,9 @@ type NodeConfig struct {
 	IdleTimeout time.Duration
 	// MemTableSize overrides the flush threshold (0 = engine default).
 	MemTableSize int64
-	// FS is the filesystem the node's durable writers (LSM, Clog,
-	// trusted counter files) go through; nil uses the real OS. The chaos
-	// and crash-point harnesses substitute fault-injecting filesystems.
+	// FS is the filesystem the node's durable writers (LSM, Clog, mirror)
+	// go through; nil uses the real OS. The chaos and crash-point
+	// harnesses substitute fault-injecting filesystems.
 	FS vfs.FS
 	// DisableGroupCommit is the group-commit ablation (both the storage
 	// engine's WAL committer and the Clog leader).
@@ -137,7 +136,11 @@ type Node struct {
 // the cluster configuration, open (or recover) the storage engine, and
 // start serving.
 func StartNode(cfg NodeConfig) (*Node, error) {
-	rtCfg := enclave.RuntimeConfig{Mode: cfg.Mode.EnclaveMode(), EPCBudget: cfg.EPCBudget}
+	policy := cfg.Mode.Policy()
+	if policy == (Policy{}) {
+		return nil, fmt.Errorf("core: unknown security mode %v", cfg.Mode)
+	}
+	rtCfg := enclave.RuntimeConfig{Mode: policy.Enclave, EPCBudget: cfg.EPCBudget}
 	encl, err := cfg.Platform.Launch(enclaveIdentity, rtCfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: launching enclave: %w", err)
@@ -197,7 +200,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		NodeID:     cfg.ID,
 		Transport:  erpc.NewSimTransport(nep, n.rt, erpc.KindDPDK),
 		NetworkKey: clusterCfg.NetworkKey,
-		Secure:     cfg.Mode.SecureRPC(),
+		Secure:     policy.SealedRPC,
 		Runtime:    n.rt,
 		Pool:       n.pool,
 		Metrics:    n.reg,
@@ -208,7 +211,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 
-	// Trusted counter client (stab mode) or immediate counters.
+	// Trusted counter client or immediate counters, as the mode says.
 	counters, err := n.buildCounters(clusterCfg)
 	if err != nil {
 		// The endpoint is already listening: a partial shutdown must
@@ -274,7 +277,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n.db, err = lsm.Open(lsm.Options{
 		Dir:                cfg.Dir,
 		FS:                 cfg.FS,
-		Level:              cfg.Mode.StorageLevel(),
+		Level:              policy.Level,
 		Key:                clusterCfg.StorageKey,
 		Runtime:            n.rt,
 		Counters:           counters,
@@ -296,7 +299,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		LockShards:  cfg.LockShards,
 		LockTimeout: cfg.LockTimeout,
 		Pool:        n.pool,
-		WaitStable:  cfg.Mode.WaitStable(),
+		WaitStable:  policy.Counter == CounterService,
 	})
 
 	// 2PC participant + coordinator.
@@ -311,8 +314,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Metrics:     n.reg,
 	})
 	clogCtr := counters("CLOG-000001")
-	level := cfg.Mode.StorageLevel()
-	clog, recovered, err := twopc.OpenClog(cfg.FS, cfg.Dir, level, clusterCfg.StorageKey, n.rt, clogCtr, durlog.TrustedValue(level, clogCtr))
+	clog, recovered, err := twopc.OpenClog(cfg.FS, cfg.Dir, policy.Level, clusterCfg.StorageKey, n.rt, clogCtr, durlog.TrustedValue(policy.Level, clogCtr))
 	if err != nil {
 		n.shutdownPartial()
 		return nil, err
@@ -352,54 +354,11 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 
 // buildCounters wires the trusted counter factory for the node's mode.
 func (n *Node) buildCounters(clusterCfg *attest.ClusterConfig) (lsm.CounterFactory, error) {
-	if !n.cfg.Mode.UsesCounterService() || len(clusterCfg.CounterReplicas) == 0 {
-		// Instant-stability counters, persisted in the node directory: a
-		// purely in-memory counter resets to zero on reboot, and at secure
-		// storage levels recovery would then discard the entire WAL as an
-		// unstabilized tail — losing acknowledged commits.
-		fs := n.cfg.FS
-		ctrDir := filepath.Join(n.cfg.Dir, "counters")
-		if err := fs.MkdirAll(ctrDir, 0o755); err != nil {
-			return nil, fmt.Errorf("core: counter dir: %w", err)
-		}
-		// Load every persisted counter up front: at secure storage levels
-		// an unreadable or corrupt counter file must refuse the boot —
-		// recovery running against a zero counter would discard the WAL
-		// and silently lose acknowledged commits. Plain level never checks
-		// freshness, so it may fall back to a volatile counter.
-		secure := n.cfg.Mode.StorageLevel() > seal.LevelNone
-		entries, err := fs.ReadDir(ctrDir)
-		if err != nil {
-			return nil, fmt.Errorf("core: counter dir: %w", err)
-		}
-		cache := make(map[string]durlog.TrustedCounter)
-		for _, e := range entries {
-			if e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
-				continue // .tmp: torn atomic-write leftover; the real file is authoritative
-			}
-			c, err := durlog.NewFileCounter(fs, filepath.Join(ctrDir, e.Name()))
-			if err != nil {
-				if secure {
-					return nil, fmt.Errorf("core: trusted counter unreadable, refusing to boot (recovery would discard the WAL): %w", err)
-				}
-				c = durlog.NewImmediateCounter()
-			}
-			cache[e.Name()] = c
-		}
-		return func(name string) durlog.TrustedCounter {
-			if c, ok := cache[name]; ok {
-				return c
-			}
-			// Not in the cache ⇒ no counter file existed at boot, so there
-			// is no pre-crash stable value to lose; a creation failure here
-			// only costs durability of stabilizations made after it.
-			c, err := durlog.NewFileCounter(fs, filepath.Join(ctrDir, name))
-			if err != nil {
-				c = durlog.NewImmediateCounter()
-			}
-			cache[name] = c
-			return c
-		}, nil
+	if n.cfg.Mode.Policy().Counter == CounterNone {
+		return func(string) durlog.TrustedCounter { return durlog.NewImmediateCounter() }, nil
+	}
+	if len(clusterCfg.CounterReplicas) == 0 {
+		return nil, fmt.Errorf("core: mode %q stabilizes on the counter service and the provisioned cluster lists no counter replicas", n.cfg.Mode)
 	}
 	// Dedicated endpoint for counter traffic so protocol rounds are not
 	// queued behind transaction handling. Round numbers restart with the
@@ -692,9 +651,8 @@ func (n *Node) Crash() {
 		n.ctrCli.Fail(errCrashStopped)
 	}
 	// The counter-service client above only covers the stabilization
-	// modes; the native modes hand out file (or, at plain level, volatile)
-	// counters, which stabilize instantly — poison those too, or their
-	// waitToken always succeeds.
+	// mode; the others hand out immediate counters, which stabilize
+	// instantly — poison those too, or their waitToken always succeeds.
 	n.ctrMu.Lock()
 	ctrs := append([]durlog.TrustedCounter(nil), n.trustedCtrs...)
 	n.ctrMu.Unlock()

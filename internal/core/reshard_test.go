@@ -96,7 +96,7 @@ func TestStaleShardMapRejected(t *testing.T) {
 	cl, err := Connect(ClientOptions{
 		ID: 777, Addr: "client-replay", Net: c.net, CAS: c.cas,
 		CredentialID: "replay-victim", Secret: []byte("s"),
-		Secure: c.opts.Mode.SecureRPC(), Metrics: reg,
+		Secure: c.opts.Mode.Policy().SealedRPC, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 
 	"treaty/internal/enclave"
 	"treaty/internal/erpc"
+	"treaty/internal/fibers"
 	"treaty/internal/seal"
 	"treaty/internal/simnet"
 )
@@ -217,6 +218,12 @@ func TestRecoverStableAfterReplicaRestart(t *testing.T) {
 	h.Stabilize(42)
 	if err := h.WaitStable(42); err != nil {
 		t.Fatal(err)
+	}
+	// The round returned on a 2-of-3 quorum, which replica 0 may not be in
+	// yet; its confirm is still on its way.
+	confirmed := func() bool { return g.replicas[0].StableValue("wal-000001.log") == 42 }
+	if !fibers.Wait(confirmed, nil, time.Now().Add(2*time.Second), nil) {
+		t.Fatal("replica 0 never confirmed 42")
 	}
 	// "Restart" replica 0: new instance loading the sealed state.
 	nep, err := g.net.Listen("counter-replica-0-restarted")

@@ -49,15 +49,16 @@ func (s *stickyErr) get() error {
 
 func (s *stickyErr) set(err error) { s.p.CompareAndSwap(nil, &err) }
 
-// immediateCounter is the TrustedCounter of native (non-secure) builds:
-// everything is instantly stable, nothing persists.
+// immediateCounter is the TrustedCounter of a log without rollback
+// protection: everything is instantly stable, nothing persists, and
+// recovery gets no trusted value from it (TrustedValue).
 type immediateCounter struct {
 	v      atomic.Uint64
 	failed stickyErr
 }
 
 // NewImmediateCounter returns a TrustedCounter that stabilizes instantly
-// (used for native baselines, where rollback protection is absent).
+// (every mode that does not run the counter service).
 func NewImmediateCounter() TrustedCounter { return &immediateCounter{} }
 
 func (c *immediateCounter) Stabilize(v uint64) {
@@ -75,12 +76,9 @@ func (c *immediateCounter) Failed() error           { return c.failed.get() }
 func (c *immediateCounter) Fail(err error)          { c.failed.set(err) }
 
 // fileCounter is a TrustedCounter that stabilizes instantly but persists
-// its value, so a restarted node's recovery freshness checks see the
-// pre-crash stable value instead of zero. Without persistence an
-// instant-stability counter silently breaks durability at secure storage
-// levels: recovery treats the entire log as an unstabilized tail and
-// discards acknowledged commits. Used by the native (no counter service)
-// modes; the stabilization modes use the replicated counter service.
+// its value, so recovery's freshness checks see the pre-crash stable value.
+// No node uses it: the crash-point harness runs it as its model of an
+// ideal local trusted counter.
 type fileCounter struct {
 	mu   sync.Mutex
 	fs   vfs.FS

@@ -196,6 +196,38 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 }
 
+// TestImmediateCounterGivesNoTrustedValue pins the regime of a log without
+// rollback protection at the secure levels: whatever the immediate counter
+// holds, replay gets no trusted value from it, so a cut inside the final
+// frame is a tear and dropped, while a flipped byte in a complete frame —
+// the final one included, which a trusted value of n-1 would let go as an
+// unacknowledged tail — fails the replay.
+func TestImmediateCounterGivesNoTrustedValue(t *testing.T) {
+	const n = 4
+	for _, level := range allLevels[1:] {
+		t.Run(level.String(), func(t *testing.T) {
+			full, ends, payloads := buildLog(t, level, n)
+			ctr := NewImmediateCounter()
+			ctr.Stabilize(n - 1)
+			if v := TrustedValue(level, ctr); v != -1 {
+				t.Fatalf("TrustedValue of an immediate counter = %d, want -1", v)
+			}
+			r, err := Replay(testConfig(imageOf(t, full[:ends[n-1]-3]), level, ctr), TrustedValue(level, ctr))
+			if err != nil || len(r.Entries) != n-1 || len(r.Dropped) != 0 || !r.Torn {
+				t.Fatalf("mid-frame cut: %d entries + %d dropped, torn=%v, err=%v", len(r.Entries), len(r.Dropped), r.Torn, err)
+			}
+			checkPayloads(t, "mid-frame cut", r.Entries, payloads)
+			for _, frame := range []int{1, n - 1} {
+				bad := append([]byte(nil), full...)
+				bad[ends[frame-1]+5] ^= 0x01
+				if _, err := Replay(testConfig(imageOf(t, bad), level, ctr), TrustedValue(level, ctr)); err == nil {
+					t.Fatalf("flipped byte in complete frame %d replayed without error", frame+1)
+				}
+			}
+		})
+	}
+}
+
 // TestDoubleRebootOverDeferredTail reboots twice over a forced-but-
 // unstabilized tail — the normal state of a crashed log whose last groups
 // deferred their counter round. The first open drops the tail and must

@@ -94,9 +94,10 @@ func Replay(cfg Config, maxStable int64) (Replayed, error) {
 }
 
 // TrustedValue is the freshness bound to replay a log against: its
-// counter's stable value at the secure levels, none (-1) at LevelNone.
+// counter's stable value at the secure levels, none (-1) at LevelNone and
+// for an immediate counter, whose value is as old as the process.
 func TrustedValue(level seal.SecurityLevel, ctr TrustedCounter) int64 {
-	if level < seal.LevelIntegrity {
+	if _, volatile := ctr.(*immediateCounter); volatile || level < seal.LevelIntegrity {
 		return -1
 	}
 	return int64(ctr.StableValue())

@@ -22,6 +22,10 @@ type testCounters struct {
 	m  map[string]durlog.TrustedCounter
 }
 
+// serviceCounter is a counter recovery trusts: being a type of its own, it
+// is not the immediate counter durlog.TrustedValue ignores.
+type serviceCounter struct{ durlog.TrustedCounter }
+
 func newTestCounters() *testCounters {
 	return &testCounters{m: make(map[string]durlog.TrustedCounter)}
 }
@@ -32,7 +36,7 @@ func (tc *testCounters) factory(name string) durlog.TrustedCounter {
 	if c, ok := tc.m[name]; ok {
 		return c
 	}
-	c := durlog.NewImmediateCounter()
+	c := serviceCounter{durlog.NewImmediateCounter()}
 	tc.m[name] = c
 	return c
 }

@@ -1,6 +1,7 @@
 // Package crashtest is the crash-point harness: it runs a deterministic
 // bank workload against a full storage stack (LSM engine, coordinator
-// log, persistent trusted counters) on an in-memory filesystem with a
+// log, trusted counters: files, or immediate ones that give recovery no
+// trusted value — Config.Immediate) on an in-memory filesystem with a
 // strict crash model, captures a power-cut image after every durable
 // write site the workload touches, reboots the stack from each image,
 // and asserts the recovery invariants:
@@ -53,6 +54,11 @@ type Config struct {
 	// the unsynced tail present) at every snapshot point, and from extra
 	// images taken mid-append on the WAL and Clog.
 	PartialTails bool
+	// Immediate runs the stack on durlog's immediate counters — nothing
+	// persisted, no trusted value at recovery: what a node without the
+	// counter service runs — instead of on counter files, the model of an
+	// ideal local trusted counter.
+	Immediate bool
 	// MemTableSize forces memtable flushes (default 1 KiB, small enough
 	// that the workload exercises SSTable and MANIFEST write sites).
 	MemTableSize int64
@@ -81,6 +87,7 @@ var ctrDir = filepath.Join(dbDir, "ctr")
 
 // requiredCategories are the durable write sites the workload must
 // demonstrably touch; missing one means the harness lost coverage.
+// Immediate counters write nothing, so "ctr" is only required without them.
 var requiredCategories = []string{"wal", "sst", "manifest", "clog", "ctr"}
 
 // category buckets a mutated path by the log/file family it belongs to.
@@ -174,27 +181,66 @@ func (r *recorder) hook(e vfs.Event) {
 	}
 }
 
-// counterFactory builds the persistent per-log trusted counters on fsys,
-// mirroring a node's native-mode counter wiring (one checksummed file
-// per log under dir/ctr).
-func counterFactory(fsys vfs.FS) lsm.CounterFactory {
-	var mu sync.Mutex
-	cache := make(map[string]durlog.TrustedCounter)
-	return func(name string) durlog.TrustedCounter {
-		mu.Lock()
-		defer mu.Unlock()
-		if c, ok := cache[name]; ok {
-			return c
-		}
-		c, err := durlog.NewFileCounter(fsys, filepath.Join(ctrDir, name))
-		if err != nil {
+// counters hands out one boot's per-log trusted counters: one checksummed
+// file per log under dbDir/ctr, or immediate ones.
+type counters struct {
+	fs        vfs.FS
+	immediate bool
+	mu        sync.Mutex
+	m         map[string]durlog.TrustedCounter
+}
+
+func newCounters(fsys vfs.FS, immediate bool) *counters {
+	return &counters{fs: fsys, immediate: immediate, m: make(map[string]durlog.TrustedCounter)}
+}
+
+func (cs *counters) get(name string) durlog.TrustedCounter {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if c, ok := cs.m[name]; ok {
+		return c
+	}
+	c := durlog.NewImmediateCounter()
+	if !cs.immediate {
+		var err error
+		if c, err = durlog.NewFileCounter(cs.fs, filepath.Join(ctrDir, name)); err != nil {
 			// Counter files are replaced atomically; a corrupt one can
 			// only mean a harness or engine bug, so fail loudly.
 			panic(fmt.Sprintf("crashtest: counter %s: %v", name, err))
 		}
-		cache[name] = c
-		return c
 	}
+	cs.m[name] = c
+	return c
+}
+
+// stables samples the stable value of every counter handed out.
+func (cs *counters) stables() map[string]uint64 {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	out := make(map[string]uint64, len(cs.m))
+	for name, c := range cs.m {
+		out[name] = c.StableValue()
+	}
+	return out
+}
+
+// fileStables reads the stable value of every counter file in a crash
+// image (none under immediate counters, which write no file).
+func fileStables(fsys vfs.FS) (map[string]uint64, error) {
+	out := make(map[string]uint64)
+	ents, _ := fsys.ReadDir(ctrDir)
+	for _, de := range ents {
+		name := de.Name()
+		if strings.HasSuffix(name, ".tmp") {
+			continue
+		}
+		c, err := durlog.NewFileCounter(fsys, filepath.Join(ctrDir, name))
+		if err != nil {
+			return nil, fmt.Errorf("counter %s corrupt in crash image: %w", name, err)
+		}
+		out[name] = c.StableValue()
+	}
+	return out, nil
 }
 
 func acctKey(i int) []byte { return []byte(fmt.Sprintf("acct-%d", i)) }
@@ -314,7 +360,7 @@ func Run(cfg Config) (Result, error) {
 	// durable write sites worth crashing in.
 	fs.SetHook(rec.hook)
 
-	counters := counterFactory(fs)
+	counters := newCounters(fs, cfg.Immediate).get
 	db, err := lsm.Open(lsm.Options{
 		Dir:          dbDir,
 		FS:           fs,
@@ -391,14 +437,14 @@ func Run(cfg Config) (Result, error) {
 	// otherwise the sweep silently shrank.
 	res.Categories = rec.categories
 	for _, c := range requiredCategories {
-		if rec.categories[c] == 0 {
+		if rec.categories[c] == 0 && !(c == "ctr" && cfg.Immediate) {
 			return res, fmt.Errorf("no mutation events in category %q — crash-point coverage lost (events: %v)", c, rec.categories)
 		}
 	}
 
 	res.Snapshots = len(rec.snaps)
-	logf("level=%d ops=%d: %d crash images (%d torn), events=%v",
-		cfg.Level, cfg.Ops, len(rec.snaps), rec.partials, rec.categories)
+	logf("level=%d immediate=%v ops=%d: %d crash images (%d torn), events=%v",
+		cfg.Level, cfg.Immediate, cfg.Ops, len(rec.snaps), rec.partials, rec.categories)
 
 	// Reboot from every image. Snapshots are ordered by durable version
 	// (the recorder serializes capture), so counter stable values must be
@@ -419,29 +465,22 @@ func Run(cfg Config) (Result, error) {
 // recovery invariant.
 func replay(cfg Config, snap *snapshot, expected []bankState, issued map[lsm.TxID]bool, prevCtr map[string]uint64) error {
 	fsys := snap.fs
-	counters := counterFactory(fsys)
+	counters := newCounters(fsys, cfg.Immediate).get
 
 	// Trusted counters must never move backwards along the image
 	// sequence (a stable value regressing is exactly the rollback the
 	// design must prevent). Torn images share the durable version of
 	// their frac-0 sibling, so equality is allowed.
-	if ents, err := fsys.ReadDir(ctrDir); err == nil {
-		for _, de := range ents {
-			name := de.Name()
-			if strings.HasSuffix(name, ".tmp") {
-				continue
-			}
-			c, err := durlog.NewFileCounter(fsys, filepath.Join(ctrDir, name))
-			if err != nil {
-				return fmt.Errorf("counter %s corrupt in crash image: %w", name, err)
-			}
-			v := c.StableValue()
-			if v < prevCtr[name] {
-				return fmt.Errorf("counter %s went backwards: %d after %d", name, v, prevCtr[name])
-			}
-			if snap.frac == 0 {
-				prevCtr[name] = v
-			}
+	stables, err := fileStables(fsys)
+	if err != nil {
+		return err
+	}
+	for name, v := range stables {
+		if v < prevCtr[name] {
+			return fmt.Errorf("counter %s went backwards: %d after %d", name, v, prevCtr[name])
+		}
+		if snap.frac == 0 {
+			prevCtr[name] = v
 		}
 	}
 

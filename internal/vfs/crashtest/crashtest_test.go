@@ -15,6 +15,16 @@ func testKey() seal.Key {
 	return k
 }
 
+// counterKinds is the second table dimension of both sweeps: counter files
+// give recovery a trusted value, immediate counters give it none.
+var counterKinds = []struct {
+	name      string
+	immediate bool
+}{
+	{"file", false},
+	{"immediate", true},
+}
+
 // TestReplCrashPoint sweeps a power cut across both sides of the
 // replication pipeline — ship, ack, stabilize — at every security
 // level: primary images must hold the single-node recovery invariants
@@ -36,21 +46,26 @@ func TestReplCrashPoint(t *testing.T) {
 		lv := lv
 		t.Run(lv.name, func(t *testing.T) {
 			t.Parallel()
-			res, err := RunRepl(Config{
-				Level:        lv.level,
-				Key:          testKey(),
-				Ops:          ops,
-				PartialTails: true,
-				Logf:         t.Logf,
-			})
-			if err != nil {
-				t.Fatal(err)
+			for _, kind := range counterKinds {
+				t.Run(kind.name, func(t *testing.T) {
+					res, err := RunRepl(Config{
+						Level:        lv.level,
+						Key:          testKey(),
+						Immediate:    kind.immediate,
+						Ops:          ops,
+						PartialTails: true,
+						Logf:         t.Logf,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.PrimaryImages == 0 || res.BackupImages == 0 || res.ShippedGroups == 0 || res.StableChecks == 0 {
+						t.Fatalf("suspicious run: %+v", res)
+					}
+					t.Logf("primary=%d backup=%d replays=%d shipped=%d stableChecks=%d",
+						res.PrimaryImages, res.BackupImages, res.Replays, res.ShippedGroups, res.StableChecks)
+				})
 			}
-			if res.PrimaryImages == 0 || res.BackupImages == 0 || res.ShippedGroups == 0 || res.StableChecks == 0 {
-				t.Fatalf("suspicious run: %+v", res)
-			}
-			t.Logf("primary=%d backup=%d replays=%d shipped=%d stableChecks=%d",
-				res.PrimaryImages, res.BackupImages, res.Replays, res.ShippedGroups, res.StableChecks)
 		})
 	}
 }
@@ -76,20 +91,25 @@ func TestCrashPoint(t *testing.T) {
 		lv := lv
 		t.Run(lv.name, func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(Config{
-				Level:        lv.level,
-				Key:          testKey(),
-				Ops:          ops,
-				PartialTails: true,
-				Logf:         t.Logf,
-			})
-			if err != nil {
-				t.Fatal(err)
+			for _, kind := range counterKinds {
+				t.Run(kind.name, func(t *testing.T) {
+					res, err := Run(Config{
+						Level:        lv.level,
+						Key:          testKey(),
+						Immediate:    kind.immediate,
+						Ops:          ops,
+						PartialTails: true,
+						Logf:         t.Logf,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Snapshots == 0 || res.Replays < res.Snapshots {
+						t.Fatalf("suspicious run: %+v", res)
+					}
+					t.Logf("snapshots=%d replays=%d categories=%v", res.Snapshots, res.Replays, res.Categories)
+				})
 			}
-			if res.Snapshots == 0 || res.Replays < res.Snapshots {
-				t.Fatalf("suspicious run: %+v", res)
-			}
-			t.Logf("snapshots=%d replays=%d categories=%v", res.Snapshots, res.Replays, res.Categories)
 		})
 	}
 }

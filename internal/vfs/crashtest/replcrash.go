@@ -2,9 +2,7 @@ package crashtest
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -117,6 +115,9 @@ type replSnapshot struct {
 	ackedTx   uint64
 	walSeq    uint64
 	clogSeq   uint64
+	// stable holds the live counters' stable values, sampled like the ack
+	// bounds; nil when the image's counter files carry them.
+	stable map[string]uint64
 }
 
 // replRecorder hooks one side's MemFS and captures crash images,
@@ -131,6 +132,7 @@ type replRecorder struct {
 	ackedClog *atomic.Uint64
 	ackedTx   *atomic.Uint64
 	wal, clog *miniShipper
+	stables   func() map[string]uint64 // primary side, immediate counters
 
 	tearMirror bool // backup side: also capture torn mirror tails
 
@@ -148,12 +150,16 @@ func (r *replRecorder) hook(e vfs.Event) {
 		aop, aclog, atx = r.ackedOp.Load(), r.ackedClog.Load(), r.ackedTx.Load()
 	}
 	walSeq, clogSeq := r.wal.ackedSeq.Load(), r.clog.ackedSeq.Load()
+	var stable map[string]uint64
+	if r.stables != nil {
+		stable = r.stables()
+	}
 
 	clone, ver := r.fs.CloneCrashVersioned(0)
 	changed := ver != r.lastVersion
 	if changed {
 		r.lastVersion = ver
-		s := &replSnapshot{fs: clone, event: e, ackedOp: aop, ackedClog: aclog, ackedTx: atx, walSeq: walSeq, clogSeq: clogSeq}
+		s := &replSnapshot{fs: clone, event: e, ackedOp: aop, ackedClog: aclog, ackedTx: atx, walSeq: walSeq, clogSeq: clogSeq, stable: stable}
 		if r.peer != nil {
 			s.peer, _ = r.peer.CloneCrashVersioned(0)
 		}
@@ -206,10 +212,14 @@ func RunRepl(cfg Config) (ReplResult, error) {
 	var ackedOp, ackedClog, ackedTx atomic.Uint64
 	prec := &replRecorder{fs: pfs, peer: bfs, ackedOp: &ackedOp, ackedClog: &ackedClog, ackedTx: &ackedTx, wal: walShip, clog: clogShip}
 	brec := &replRecorder{fs: bfs, wal: walShip, clog: clogShip, tearMirror: cfg.PartialTails}
+	ctrs := newCounters(pfs, cfg.Immediate)
+	if cfg.Immediate {
+		prec.stables = ctrs.stables
+	}
 	pfs.SetHook(prec.hook)
 	bfs.SetHook(brec.hook)
 
-	counters := counterFactory(pfs)
+	counters := ctrs.get
 	db, err := lsm.Open(lsm.Options{
 		Dir:          dbDir,
 		FS:           pfs,
@@ -331,48 +341,35 @@ func RunRepl(cfg Config) (ReplResult, error) {
 	return res, nil
 }
 
-// stableOf reads one trusted counter's stable value from a crash image
-// (0 when the counter file does not exist yet).
-func stableOf(fsys vfs.FS, name string) (uint64, error) {
-	if _, err := fsys.Stat(filepath.Join(ctrDir, name)); err != nil {
-		return 0, nil
+// stablesOf returns every trusted counter's stable value as of a primary
+// image: read from the image's counter files, or, for immediate counters,
+// which leave none, as sampled from the live ones before the cut.
+func stablesOf(snap *replSnapshot) (map[string]uint64, error) {
+	if snap.stable != nil {
+		return snap.stable, nil
 	}
-	c, err := durlog.NewFileCounter(fsys, filepath.Join(ctrDir, name))
-	if err != nil {
-		return 0, fmt.Errorf("counter %s corrupt in crash image: %w", name, err)
-	}
-	return c.StableValue(), nil
+	return fileStables(snap.fs)
 }
 
-// walStables returns the stable values of every WAL counter file in
-// the image, ordered by file number. Per-file log codecs restart their
-// counter at 1, so each file is checked against its own mirrored run.
-func walStables(fsys vfs.FS) ([]uint64, error) {
-	ents, err := fsys.ReadDir(ctrDir)
-	if err != nil {
-		return nil, nil
-	}
-	nums := make([]uint64, 0, len(ents))
-	byNum := make(map[uint64]string)
-	for _, de := range ents {
-		name := de.Name()
+// walStables picks the WAL counters out of stables, ordered by file
+// number. Per-file log codecs restart their counter at 1, so each file is
+// checked against its own mirrored run.
+func walStables(stables map[string]uint64) []uint64 {
+	byNum := make(map[uint64]uint64)
+	nums := make([]uint64, 0, len(stables))
+	for name, v := range stables {
 		var num uint64
-		if _, err := fmt.Sscanf(name, "wal-%d.log", &num); err != nil || strings.HasSuffix(name, ".tmp") {
-			continue
+		if _, err := fmt.Sscanf(name, "wal-%d.log", &num); err == nil {
+			nums = append(nums, num)
+			byNum[num] = v
 		}
-		nums = append(nums, num)
-		byNum[num] = name
 	}
 	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
 	out := make([]uint64, 0, len(nums))
 	for _, n := range nums {
-		v, err := stableOf(fsys, byNum[n])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
+		out = append(out, byNum[n])
 	}
-	return out, nil
+	return out
 }
 
 // splitRuns segments mirrored frames into maximal strictly-increasing
@@ -406,11 +403,11 @@ func replOrderCheck(cfg Config, snap *replSnapshot) (bool, error) {
 	engaged := false
 
 	// Clog: one file, one monotone counter sequence.
-	sClog, err := stableOf(snap.fs, "CLOG-000001")
+	stables, err := stablesOf(snap)
 	if err != nil {
 		return false, err
 	}
-	if sClog > 0 {
+	if sClog := stables["CLOG-000001"]; sClog > 0 {
 		engaged = true
 		var maxC uint64
 		frames := bk.Frames(replPrimaryID, repl.StreamClog)
@@ -431,19 +428,15 @@ func replOrderCheck(cfg Config, snap *replSnapshot) (bool, error) {
 	// precedes stabilize), runs and counter files are both in file
 	// order, and the mirror may only be AHEAD (a newly rotated file can
 	// ship before its first stabilize persists, never the other way).
-	stables, err := walStables(snap.fs)
-	if err != nil {
-		return false, err
-	}
 	runs := splitRuns(bk.Frames(replPrimaryID, repl.StreamWAL))
-	if len(runs) < len(stables) {
-		return false, fmt.Errorf("%d wal counter files but only %d mirrored runs — a stabilized file never shipped", len(stables), len(runs))
-	}
-	for j, sWal := range stables {
+	for j, sWal := range walStables(stables) {
 		if sWal == 0 {
 			continue
 		}
 		engaged = true
+		if j >= len(runs) {
+			return false, fmt.Errorf("wal file %d stabilized %d with only %d mirrored runs — a stabilized file never shipped", j+1, sWal, len(runs))
+		}
 		if last := runs[j][1]; last < sWal {
 			return false, fmt.Errorf("wal file %d stable counter %d outruns its synced mirror run (last mirrored %d)", j+1, sWal, last)
 		}

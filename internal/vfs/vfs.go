@@ -1,5 +1,6 @@
 // Package vfs is the filesystem abstraction under Treaty's trusted
-// storage stack (WAL, SSTables, MANIFEST, Clog, trusted counter files).
+// storage stack (WAL, SSTables, MANIFEST, Clog, mirror, counter replica
+// state).
 // Every durable byte the engine writes goes through an FS, which lets
 // tests substitute fault-injecting and crash-simulating backends:
 //
