@@ -94,14 +94,17 @@ vet:
 	$(GO) vet ./...
 
 # The request lifecycle's mechanisms exist once each: the
-# yield/pause/deadline loop (fibers/wait.go), the exponential backoff
-# (erpc/retry.go), the enqueue-N-wait-for-k fan-out (erpc/fanout.go) and
-# the per-boot op-id seed (erpc/opid.go). This greps non-test code
-# outside those files for what a hand-written copy would contain: the
-# spin idiom, a time.After in the packages that wait on requests, a
-# backoff doubling (the scheduler's idle sleep in fibers.go is exempt:
-# nothing is re-sent), and a rand.Read in a package that sends requests
-# (the coordinator's transaction-id seed is the one other use). The same
+# block-until-ready-or-deadline wait, parked on a fiber (fibers/wait.go),
+# the exponential backoff (erpc/retry.go), the enqueue-N-wait-for-k
+# fan-out (erpc/fanout.go) and the per-boot op-id seed (erpc/opid.go).
+# This greps non-test code outside those files for what a hand-written
+# copy would contain: the spin idiom, a Yield call outside the scheduler
+# (a fiber that waits parks in fibers.Wait, it does not poll through
+# yields), a polled StableToken.Ready (a token wait is txn.WaitToken's
+# job), a time.After in the packages that wait on requests or schedule
+# fibers, a backoff doubling (the scheduler's idle sleep in fibers.go is
+# exempt: nothing is re-sent), and a rand.Read in a package that sends
+# requests (the coordinator's transaction-id seed is the one other use). The same
 # goes for the counter replica's persistence: it is a durlog client over
 # vfs.FS, so non-test files of internal/counter import no "os" — a bare
 # rewrite-and-rename of the state file cannot come back by the side door.
@@ -111,7 +114,9 @@ ONCE_SRC = find $(1) -name '*.go' ! -name '*_test.go' ! -path internal/fibers/wa
 check-once:
 	@fail=0; \
 	grep -n 'spins *% *64' $$($(call ONCE_SRC,internal)) && fail=1; \
-	grep -n 'time\.After(' $$($(call ONCE_SRC,internal/erpc internal/twopc internal/counter internal/txn)) && fail=1; \
+	grep -n '\.Yield(' $$($(call ONCE_SRC,internal) ! -path 'internal/fibers/*') && fail=1; \
+	grep -n '\.Ready()' $$($(call ONCE_SRC,internal) ! -path 'internal/fibers/*') && fail=1; \
+	grep -n 'time\.After(' $$($(call ONCE_SRC,internal/erpc internal/twopc internal/counter internal/txn internal/fibers)) && fail=1; \
 	grep -n 'backoff \*= 2' $$($(call ONCE_SRC,internal)) | grep -v '^internal/fibers/fibers\.go:' && fail=1; \
 	grep -n 'rand\.Read' $$($(call ONCE_SRC,internal/erpc internal/twopc internal/counter internal/repl)) | grep -v txSeed && fail=1; \
 	grep -n '"os"' $$($(call ONCE_SRC,internal/counter)) && fail=1; \

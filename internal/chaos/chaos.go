@@ -591,6 +591,7 @@ func (h *Harness) verify() error {
 //   - req.pending, for the node endpoint and (in stab mode) the
 //     counter-service endpoint.
 //   - Logs: see logLaws.
+//   - Fibers: none is parked; at quiesce a waiting handler is a wedge.
 func nodeMetricLaws(addr string, s obs.Snapshot) string {
 	begun := s.Counter("twopc.tx.begun")
 	committed := s.Counter("twopc.tx.committed")
@@ -612,6 +613,9 @@ func nodeMetricLaws(addr string, s obs.Snapshot) string {
 	}
 	if why := logLaws(addr, s, false); why != "" {
 		return why
+	}
+	if parked := s.Gauge("fibers.parked"); parked != 0 {
+		return fmt.Sprintf("%s: fiber law violated: %d fibers parked at quiesce", addr, parked)
 	}
 	// Replication: every shipped commit group resolves to exactly one of
 	// acked, failed (degrade), or skipped (no backup bound yet), and

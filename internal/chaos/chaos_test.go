@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"strings"
 	"testing"
 
 	"treaty/internal/audit"
@@ -246,6 +247,13 @@ func TestMetricLawViolationDetected(t *testing.T) {
 	s.Counters["counter.rounds"] = s.Counter("lsm.stabilize.demanded") + s.Histograms["twopc.clog.group_size"].Count + 1
 	if why := logLaws("node-0", s, false); why == "" {
 		t.Fatal("checker missed a forced round law violation")
+	}
+	// A fiber that is still parked when everything has drained must trip
+	// the fiber law.
+	s = h.Cluster().Node(0).Snapshot()
+	s.Gauges["fibers.parked"] = 1
+	if why := nodeMetricLaws("node-0", s); !strings.Contains(why, "fiber law") {
+		t.Fatalf("checker missed a parked fiber at quiesce: %q", why)
 	}
 	h.Cluster().Node(0).Metrics().Counter("twopc.tx.begun").Inc()
 	if why := nodeMetricLaws("node-0", h.Cluster().Node(0).Snapshot()); why == "" {

@@ -98,7 +98,7 @@ func (cs *clientSessions) handleOp(f *fibers.Fiber, req *erpc.Request) {
 		req.ReplyError("core: malformed sizes")
 		return
 	}
-	tx.SetYield(f.Yield)
+	tx.SetFiber(f)
 	var reply []byte
 	var err error
 	switch req.Type() {
@@ -131,7 +131,7 @@ func (cs *clientSessions) handleEnd(f *fibers.Fiber, req *erpc.Request) {
 		req.ReplyError("core: no such transaction")
 		return
 	}
-	tx.SetYield(f.Yield)
+	tx.SetFiber(f)
 	cs.drop(req)
 	end := tx.Rollback
 	if req.Type() == reqClientCommit {

@@ -95,6 +95,9 @@ func TestBootWithoutCounterQuorumRefuses(t *testing.T) {
 func TestCounterQuorumSurvivesReplicaRestart(t *testing.T) {
 	c := newCluster(t, ModeSconeEncStab)
 	cutCounterReplica(c, 1, true)
+	// A boot-time confirm may have been on its way to ctr-1 when the cut
+	// fell: one whole transaction later it has been journaled.
+	commitKeys(t, c, "settle", 1, 1)
 	before := c.CounterSnapshot()
 	keys := commitKeys(t, c, "restart", 12, 4)
 	for addr, s := range c.CounterSnapshot() {

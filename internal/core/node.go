@@ -189,6 +189,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	// Memory allocator and userland scheduler.
 	n.pool = mempool.New(n.rt, 8)
 	n.sched = fibers.New(cfg.Workers, n.rt)
+	n.sched.Observe(n.reg)
 
 	// RPC endpoint over the kernel-bypass transport.
 	nep, err := cfg.Net.Listen(cfg.Addr)
@@ -555,8 +556,8 @@ func (n *Node) replBackupID() (uint64, bool) {
 // Backup exposes the node's mirror receiver (nil unless replicating).
 func (n *Node) Backup() *repl.Backup { return n.backup }
 
-// Begin starts a distributed transaction coordinated by this node.
-func (n *Node) Begin(yield func()) *twopc.DistTxn { return n.coord.Begin(yield) }
+// Begin starts a distributed transaction coordinated by this node on fiber f (nil: a goroutine).
+func (n *Node) Begin(f *fibers.Fiber) *twopc.DistTxn { return n.coord.Begin(f) }
 
 // Recover finishes crash recovery once the whole cluster is reachable:
 // the coordinator re-drives its pending transactions and the participant
@@ -622,7 +623,7 @@ var errCrashStopped = errors.New("core: node crash-stopped")
 // Ordering matters for a faithful crash: stop ingesting requests first
 // (poller), silence the participant's janitor without rolling anything
 // back (Abandon — rollback would be graceful shutdown, not a crash),
-// then stop the scheduler so mid-yield fibers freeze permanently instead
+// then stop the scheduler so mid-wait fibers freeze permanently instead
 // of mutating files a restarted instance now owns, and finally release
 // the network addresses.
 func (n *Node) Crash() {

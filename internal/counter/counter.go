@@ -139,8 +139,7 @@ func (c *Client) Counter(name string) *Handle {
 	if h, ok := c.handles[name]; ok {
 		return h
 	}
-	h := &Handle{client: c, name: name}
-	h.cond = sync.NewCond(&h.mu)
+	h := &Handle{client: c, name: name, changed: make(chan struct{})}
 	if c.failErr != nil {
 		h.closed = true
 		h.failed.Store(c.failErr)
@@ -193,18 +192,30 @@ type Handle struct {
 	client *Client
 	name   string
 
-	// stable and failed are read lock-free: every stabilization waiter
-	// (commit fibers polling StableToken.Ready) consults them once per
-	// scheduling round, and taking h.mu there would serialize all fibers
-	// against the pump's round-in-progress critical sections. Writes stay
-	// under h.mu so cond wakeups are not lost.
+	// stable and failed are read lock-free: an already stable token costs
+	// its waiter two atomic loads. Writes stay under h.mu, wake following.
 	stable atomic.Uint64 // highest value confirmed by quorum
 	failed atomic.Value  // sticky error (no quorum after MaxRetries)
 
-	mu      sync.Mutex
-	cond    *sync.Cond
+	mu sync.Mutex
+	// changed is closed and replaced (wake) whenever state moves: the pump
+	// and every waiter block on it, as lock waiters do on keyLock.wait.
+	changed chan struct{}
 	pending uint64 // highest value requested
 	closed  bool
+}
+
+// wake releases everything blocked on the handle (h.mu held).
+func (h *Handle) wake() {
+	close(h.changed)
+	h.changed = make(chan struct{})
+}
+
+// Changed implements durlog.TrustedCounter.
+func (h *Handle) Changed() <-chan struct{} {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.changed
 }
 
 // failedErr returns the sticky failure without locking.
@@ -230,28 +241,28 @@ func (h *Handle) Stabilize(v uint64) {
 	defer h.mu.Unlock()
 	if v > h.pending {
 		h.pending = v
-		h.cond.Broadcast()
+		h.wake()
 	}
 }
 
 // WaitStable blocks until the counter service has made v
 // rollback-protected (or the service failed to reach quorum). The whole
-// cohort of waiters covered by a round wakes on its single Broadcast —
+// cohort of waiters covered by a round wakes on its single wake —
 // stabilizing the round's target implicitly stabilizes every lower value.
 func (h *Handle) WaitStable(v uint64) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if v > h.pending {
-		h.pending = v
-		h.cond.Broadcast()
+	h.Stabilize(v)
+	for {
+		h.mu.Lock()
+		changed, closed := h.changed, h.closed
+		h.mu.Unlock()
+		if err := h.failedErr(); err != nil || h.stable.Load() >= v {
+			return err
+		}
+		if closed {
+			return ErrClosed
+		}
+		<-changed
 	}
-	for h.stable.Load() < v && h.failedErr() == nil && !h.closed {
-		h.cond.Wait()
-	}
-	if err := h.failedErr(); err != nil || h.stable.Load() >= v {
-		return err
-	}
-	return ErrClosed
 }
 
 // StableValue returns the highest quorum-stable value observed locally
@@ -290,16 +301,16 @@ func (h *Handle) pump() {
 	retry := fresh
 	for {
 		h.mu.Lock()
-		for h.pending <= h.stable.Load() && !h.closed {
-			h.cond.Wait()
-		}
-		if h.closed {
-			h.mu.Unlock()
+		target, changed, closed := h.pending, h.changed, h.closed
+		h.mu.Unlock()
+		if closed {
 			return
 		}
-		target := h.pending
+		if target <= h.stable.Load() {
+			<-changed
+			continue
+		}
 		batched := target - h.stable.Load() // increments covered by this round
-		h.mu.Unlock()
 
 		c.rounds.Inc()
 		c.batchSize.Observe(int64(batched))
@@ -311,7 +322,7 @@ func (h *Handle) pump() {
 			h.mu.Lock()
 			h.raiseStable(target)
 			// One wakeup for the whole cohort the round covered.
-			h.cond.Broadcast()
+			h.wake()
 			h.mu.Unlock()
 			continue
 		}
@@ -324,8 +335,8 @@ func (h *Handle) pump() {
 }
 
 // Failed returns the handle's permanent failure, if any (lock-free). The
-// storage layer's stable tokens consult this on every readiness poll so
-// waiters surface the error instead of spinning.
+// storage layer's stable tokens consult this on every readiness check so
+// waiters surface the error instead of waiting forever.
 func (h *Handle) Failed() error { return h.failedErr() }
 
 // runRounds executes echo broadcast + confirmation for value v.
@@ -352,7 +363,7 @@ func (h *Handle) close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.closed = true
-	h.cond.Broadcast()
+	h.wake()
 }
 
 // Fail poisons the handle: every present and future stabilization wait
@@ -367,7 +378,7 @@ func (h *Handle) Fail(err error) {
 	if h.failedErr() == nil {
 		h.failed.Store(err)
 	}
-	h.cond.Broadcast()
+	h.wake()
 }
 
 // Close stops all handle pumps.

@@ -384,3 +384,41 @@ func TestQuorumRoundsLeaveNothingRegistered(t *testing.T) {
 		t.Errorf("vacuous: %d requests cancelled, want the dead replica's share of %d rounds", s.Cancelled, rounds)
 	}
 }
+
+// TestFailWakesEveryWaiter: a handle that fails releases everything
+// blocked on it — goroutines inside WaitStable and waiters blocked on
+// the change channel (stable tokens, parked fibers) — with the failure.
+func TestFailWakesEveryWaiter(t *testing.T) {
+	g := newGroup(t, 3, "", 0)
+	for _, addr := range g.addrs {
+		g.net.Partition("counter-client", addr) // no round can complete
+	}
+	h := g.client.Counter("wal")
+	boom := errors.New("boom")
+	const waiters = 4
+	errs := make(chan error, 2*waiters)
+	for i := 0; i < waiters; i++ {
+		go func(v uint64) { errs <- h.WaitStable(v) }(uint64(i + 1))
+		go func() {
+			for {
+				changed := h.Changed() // before the look, as StableToken.Poll does
+				if err := h.Failed(); err != nil {
+					errs <- err
+					return
+				}
+				<-changed
+			}
+		}()
+	}
+	h.Fail(boom)
+	for i := 0; i < 2*waiters; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, boom) {
+				t.Errorf("waiter got %v, want the handle's failure", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a waiter outlived the handle's failure")
+		}
+	}
+}

@@ -22,14 +22,18 @@ import (
 type TrustedCounter interface {
 	// Stabilize asynchronously records that entries up to value v exist.
 	Stabilize(v uint64)
-	// WaitStable blocks (or cooperatively yields) until the service has
-	// made v rollback-protected, or reports the counter's failure.
+	// WaitStable blocks until the service has made v rollback-protected,
+	// or reports the counter's failure.
 	WaitStable(v uint64) error
 	// StableValue returns the current quorum-stable counter value.
 	StableValue() uint64
 	// Failed returns the counter's permanent failure, if any, without
-	// blocking: stabilization waiters poll it on every readiness check.
+	// blocking: stabilization waiters consult it on every readiness check.
 	Failed() error
+	// Changed returns the channel a stabilization wait blocks on: closed
+	// (and replaced: fetch it before looking) when the stable value rises
+	// or the counter fails. Nil if stable as soon as Stabilize returns.
+	Changed() <-chan struct{}
 	// Fail poisons the counter: every present and later wait reports err
 	// and the stable value never advances again. Crash teardown uses it
 	// to cut the acknowledgement path — a commit whose group skipped the
@@ -70,10 +74,11 @@ func (c *immediateCounter) Stabilize(v uint64) {
 	}
 }
 
-func (c *immediateCounter) WaitStable(uint64) error { return c.Failed() }
-func (c *immediateCounter) StableValue() uint64     { return c.v.Load() }
-func (c *immediateCounter) Failed() error           { return c.failed.get() }
-func (c *immediateCounter) Fail(err error)          { c.failed.set(err) }
+func (c *immediateCounter) WaitStable(uint64) error  { return c.Failed() }
+func (c *immediateCounter) StableValue() uint64      { return c.v.Load() }
+func (c *immediateCounter) Failed() error            { return c.failed.get() }
+func (c *immediateCounter) Changed() <-chan struct{} { return nil }
+func (c *immediateCounter) Fail(err error)           { c.failed.set(err) }
 
 // fileCounter is a TrustedCounter that stabilizes instantly but persists
 // its value, so recovery's freshness checks see the pre-crash stable value.
@@ -197,9 +202,10 @@ func (c *fileCounter) persist(v uint64) error {
 	return c.fs.SyncDir(filepath.Dir(c.path))
 }
 
-func (c *fileCounter) WaitStable(uint64) error { return c.Failed() }
-func (c *fileCounter) StableValue() uint64     { return c.v.Load() }
-func (c *fileCounter) Failed() error           { return c.failed.get() }
+func (c *fileCounter) WaitStable(uint64) error  { return c.Failed() }
+func (c *fileCounter) StableValue() uint64      { return c.v.Load() }
+func (c *fileCounter) Failed() error            { return c.failed.get() }
+func (c *fileCounter) Changed() <-chan struct{} { return nil }
 
 // Fail implements TrustedCounter. It takes c.mu so that it orders after
 // an in-flight Stabilize: once Fail returns, the value never moves.
@@ -232,20 +238,28 @@ func (t StableToken) Wait() error {
 	return t.ctr.WaitStable(t.value)
 }
 
-// Ready reports (without blocking) whether waiting is over: the position
+// Poll reports (without blocking) whether waiting is over — the position
 // is rollback-protected OR the counter failed permanently (Wait then
-// surfaces the error). Fibers poll this and yield instead of blocking.
-// Polling a deferred token raises the demand its record did not, so the
-// poll cannot spin forever; every other token stays a lock-free read.
-func (t StableToken) Ready() bool {
-	if t.ctr == nil || t.ctr.Failed() != nil || t.ctr.StableValue() >= t.value {
-		return true
+// surfaces the error) — and otherwise the channel to block on before
+// polling again, fetched before the deciding look so no change is missed.
+// Polling a deferred token raises the demand its record did not.
+func (t StableToken) Poll() (ready bool, changed <-chan struct{}) {
+	if t.ctr == nil {
+		return true, nil
+	}
+	over := func() bool { return t.ctr.Failed() != nil || t.ctr.StableValue() >= t.value }
+	if over() {
+		return true, nil
 	}
 	if t.deferred {
 		t.ctr.Stabilize(t.value)
 	}
-	return false
+	changed = t.ctr.Changed()
+	return over(), changed
 }
+
+// Ready is Poll for a caller that does not wait.
+func (t StableToken) Ready() bool { ready, _ := t.Poll(); return ready }
 
 // Value returns the log position (trusted counter value) the token waits
 // on. Tests use it to check write-path ordering invariants (an acked

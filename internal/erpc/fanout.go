@@ -22,8 +22,8 @@ type Reply struct {
 // point are abandoned (their late responses count as stale), so a
 // fan-out leaves nothing registered on the endpoint, however many
 // destinations are dead. Replies are indexed like addrs. md supplies the
-// transaction id, operation type and epoch; yield is as for Call.
-func Fanout(ep *Endpoint, addrs []string, reqType uint8, md seal.MsgMetadata, payload []byte, need int, timeout time.Duration, yield func()) []Reply {
+// transaction id, operation type and epoch; f is as for Call.
+func Fanout(ep *Endpoint, addrs []string, reqType uint8, md seal.MsgMetadata, payload []byte, need int, timeout time.Duration, f *fibers.Fiber) []Reply {
 	// Level-triggered wakeup shared by all the requests (capacity 1): a
 	// completion that finds it full has already been announced.
 	wake := make(chan struct{}, 1)
@@ -50,7 +50,7 @@ func Fanout(ep *Endpoint, addrs []string, reqType uint8, md seal.MsgMetadata, pa
 		}
 		return ok >= need || answered == len(pending)
 	}
-	fibers.Wait(enough, wake, time.Now().Add(timeout), yield)
+	fibers.Wait(enough, wake, time.Now().Add(timeout), f)
 	replies := make([]Reply, len(pending))
 	for i, p := range pending {
 		ep.settle(p)

@@ -89,17 +89,17 @@ func (p *Poller) Stop() {
 // ErrTimeout indicates a Call did not complete in time.
 var ErrTimeout = fmt.Errorf("erpc: request timed out")
 
-// Call enqueues a request and waits until the response arrives or
-// timeout passes: a goroutine (nil yield) blocks on the completion
-// channel, a fiber yields between polls (fibers.Wait). The endpoint's
-// event loop must be running (Poller or an external RunOnce driver).
+// Call enqueues a request and waits on its completion channel until the
+// response arrives or timeout passes: a goroutine (nil f) directly, the
+// fiber f parked (fibers.Wait). The endpoint's event loop must be running
+// (Poller or an external RunOnce driver).
 //
 // A timed-out call is abandoned: its pending entry is deregistered so
 // the map cannot grow without bound, and a response that arrives later
 // is counted as stale rather than delivered.
-func Call(ep *Endpoint, to string, reqType uint8, md seal.MsgMetadata, payload []byte, timeout time.Duration, yield func()) ([]byte, error) {
+func Call(ep *Endpoint, to string, reqType uint8, md seal.MsgMetadata, payload []byte, timeout time.Duration, f *fibers.Fiber) ([]byte, error) {
 	pend := ep.Enqueue(to, reqType, md, payload, nil)
-	fibers.Wait(pend.Done, pend.ch, time.Now().Add(timeout), yield)
+	fibers.Wait(pend.Done, pend.ch, time.Now().Add(timeout), f)
 	if !ep.settle(pend) {
 		return nil, fmt.Errorf("%w: %s type=%d", ErrTimeout, to, reqType)
 	}

@@ -29,15 +29,15 @@ type Retry struct {
 	ep         *Endpoint
 	left       int
 	delay, max time.Duration
-	yield      func()
+	f          *fibers.Fiber
 }
 
 // Retry starts a ladder allowing attempts tries in total, waiting base
-// before the second and doubling up to max. yield, when non-nil, is the
-// calling fiber's Yield: the waits then cooperate instead of parking the
-// fiber's worker thread.
-func (ep *Endpoint) Retry(attempts int, base, max time.Duration, yield func()) Retry {
-	return Retry{ep: ep, left: attempts - 1, delay: base, max: max, yield: yield}
+// before the second and doubling up to max. f, when non-nil, is the
+// calling fiber: it waits out a rung parked, its worker running other
+// fibers meanwhile.
+func (ep *Endpoint) Retry(attempts int, base, max time.Duration, f *fibers.Fiber) Retry {
+	return Retry{ep: ep, left: attempts - 1, delay: base, max: max, f: f}
 }
 
 // Next is called after a failed attempt. It reports false if the budget
@@ -49,11 +49,7 @@ func (r *Retry) Next() bool {
 	}
 	r.left--
 	r.ep.retries.Add(1)
-	if r.yield == nil {
-		time.Sleep(r.delay)
-	} else {
-		fibers.Wait(func() bool { return false }, nil, time.Now().Add(r.delay), r.yield)
-	}
+	r.f.Park(func() { time.Sleep(r.delay) })
 	r.delay = min(2*r.delay, r.max)
 	return true
 }

@@ -6,7 +6,7 @@
 // at blocking points (lock waits, RPC polls, stabilization waits).
 //
 // Each worker runs exactly one fiber at a time. When a fiber yields or
-// blocks, the worker picks the next runnable fiber from its run queue with
+// parks, the worker picks the next runnable fiber from its run queue with
 // no syscall or world switch (a channel handoff between goroutines). When
 // a worker has no runnable fibers it sleeps — the one place a (charged)
 // world switch happens — with exponentially increasing backoff, exactly as
@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"treaty/internal/enclave"
+	"treaty/internal/obs"
 )
 
 // ErrStopped is returned by Go after the scheduler has been stopped.
@@ -46,6 +47,27 @@ func (f *Fiber) Yield() {
 	<-f.resume
 }
 
+// Park is how fiber code blocks without blocking its worker thread: the
+// worker goes to the next runnable fiber, block runs on the fiber's own
+// goroutine, where it may block like any goroutine (and must only wait,
+// not do the fiber's work), and the fiber re-enters the back of the run
+// queue. If the scheduler stops meanwhile it is never resumed: frozen, as
+// a fiber that had yielded is. A nil fiber (a goroutine) just calls block.
+func (f *Fiber) Park(block func()) {
+	if f == nil {
+		block()
+		return
+	}
+	s, start := f.worker.sched, time.Now()
+	s.parked.Add(1)
+	f.worker.relinquish()
+	block()
+	s.parked.Add(-1)
+	s.parkedNs.ObserveSince(start)
+	f.worker.enqueue(f)
+	<-f.resume
+}
+
 // Scheduler multiplexes fibers over a fixed set of workers.
 type Scheduler struct {
 	workers []*worker
@@ -54,6 +76,9 @@ type Scheduler struct {
 	nextW   atomic.Uint64
 	stopped atomic.Bool
 	wg      sync.WaitGroup
+	// Fibers inside Park's block, and how long each stayed; nil until Observe.
+	parked   *obs.Gauge
+	parkedNs *obs.Histogram
 }
 
 // New creates a scheduler with the given number of workers (0 means 8,
@@ -76,6 +101,13 @@ func New(workers int, rt *enclave.Runtime) *Scheduler {
 		go w.loop(&s.wg)
 	}
 	return s
+}
+
+// Observe exports "fibers.parked" (a gauge: above zero on a quiet node is
+// a wedge) and "fibers.parked_ns" in reg. Call it before the first Go.
+func (s *Scheduler) Observe(reg *obs.Registry) {
+	s.parked = reg.Gauge("fibers.parked")
+	s.parkedNs = reg.Histogram("fibers.parked_ns")
 }
 
 // Go spawns fn as a fiber, placed round-robin on a worker (one fiber per
@@ -155,6 +187,9 @@ func (w *worker) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	backoff := 10 * time.Microsecond
 	const maxBackoff = 2 * time.Millisecond
+	// One timer for all idle sleeps. It is stopped or spent at every
+	// Reset; a tick that races a Stop at worst cuts one sleep short.
+	sleep := time.NewTimer(backoff)
 	for {
 		select {
 		case f := <-w.runq:
@@ -167,12 +202,15 @@ func (w *worker) loop(wg *sync.WaitGroup) {
 			if w.sched.rt != nil {
 				w.sched.rt.WorldSwitch()
 			}
+			sleep.Reset(backoff)
 			select {
 			case f := <-w.runq:
+				sleep.Stop()
 				backoff = 10 * time.Microsecond
 				w.runFiber(f)
 			case <-w.kickCh:
-			case <-time.After(backoff):
+				sleep.Stop()
+			case <-sleep.C:
 				backoff *= 2
 				if backoff > maxBackoff {
 					backoff = maxBackoff

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"treaty/internal/enclave"
+	"treaty/internal/obs"
 )
 
 func TestFibersRunToCompletion(t *testing.T) {
@@ -32,9 +33,13 @@ func TestFibersRunToCompletion(t *testing.T) {
 func TestOneFiberPerWorkerAtATime(t *testing.T) {
 	s := New(1, nil) // single worker: strict serialization
 	defer s.Stop()
+	// running counts fibers executing fiber code. A parked fiber executes
+	// none — its goroutine only blocks — so odd fibers parking on a timer
+	// while the others yield must never lift it above one.
 	var running, maxRunning atomic.Int64
 	var handles []*Fiber
 	for i := 0; i < 10; i++ {
+		i := i
 		f, err := s.Go(func(f *Fiber) {
 			for j := 0; j < 20; j++ {
 				cur := running.Add(1)
@@ -45,7 +50,11 @@ func TestOneFiberPerWorkerAtATime(t *testing.T) {
 					}
 				}
 				running.Add(-1)
-				f.Yield()
+				if i%2 == 1 {
+					f.Park(func() { time.Sleep(50 * time.Microsecond) })
+				} else {
+					f.Yield()
+				}
 			}
 		})
 		if err != nil {
@@ -58,6 +67,138 @@ func TestOneFiberPerWorkerAtATime(t *testing.T) {
 	}
 	if got := maxRunning.Load(); got != 1 {
 		t.Errorf("max concurrent fibers on one worker = %d, want 1", got)
+	}
+}
+
+// TestParkGivesTheWorkerAway: with one worker, a fiber parked on a channel
+// lets a second fiber run to completion, and continues after the channel
+// closes.
+func TestParkGivesTheWorkerAway(t *testing.T) {
+	s := New(1, nil)
+	defer s.Stop()
+	gate := make(chan struct{})
+	var order []string // appended by fiber code only: one worker, no lock
+	parker, err := s.Go(func(f *Fiber) {
+		order = append(order, "parker parks")
+		f.Park(func() { <-gate })
+		order = append(order, "parker resumed")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := s.Go(func(f *Fiber) {
+		f.Yield()
+		order = append(order, "other done")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Join(other) // would hang if the parked fiber kept the worker
+	close(gate)
+	s.Join(parker)
+	want := []string{"parker parks", "other done", "parker resumed"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// TestParkedWaitLeavesWorkerIdle: a fiber that waits 50 ms is not run once
+// meanwhile — no yield, no poll. The worker, having nothing else, climbs
+// its idle ladder (10 µs doubling to 2 ms: some 30 transitions), each a
+// charged world switch; a fiber polling through yields would keep the
+// worker busy and charge none.
+func TestParkedWaitLeavesWorkerIdle(t *testing.T) {
+	rt := enclave.NewRuntime(enclave.RuntimeConfig{
+		Mode:  enclave.ModeScone,
+		Costs: enclave.Costs{WorldSwitch: time.Microsecond},
+	})
+	s := New(1, rt)
+	defer s.Stop()
+	wake := make(chan struct{})
+	var idled uint64
+	f, err := s.Go(func(f *Fiber) {
+		before := rt.Stats().WorldSwitches
+		if Wait(func() bool { return false }, wake, time.Now().Add(50*time.Millisecond), f) {
+			t.Error("Wait reported an impossible condition met")
+		}
+		idled = rt.Stats().WorldSwitches - before
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Join(f)
+	if idled < 3 || idled > 200 {
+		t.Errorf("worker idled %d times during a 50 ms parked wait, want the ladder's ~30", idled)
+	}
+}
+
+// TestParkAcrossStopFreezes: a parked fiber whose block returns after the
+// scheduler stopped queues itself and never runs another line — the same
+// freeze a crash gives a fiber that had yielded.
+func TestParkAcrossStopFreezes(t *testing.T) {
+	s := New(1, nil)
+	gate := make(chan struct{})
+	parked := make(chan struct{})
+	var ranOn atomic.Bool
+	if _, err := s.Go(func(f *Fiber) {
+		f.Park(func() {
+			close(parked)
+			<-gate
+		})
+		ranOn.Store(true)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	s.Stop()
+	close(gate)
+	for deadline := time.Now().Add(5 * time.Second); len(s.workers[0].runq) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the unparked fiber never queued itself")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // a resumed fiber would get here well within this
+	if ranOn.Load() {
+		t.Error("fiber code ran after Stop")
+	}
+}
+
+// TestObserveCountsParkedFibers: the gauge is up while a fiber is parked
+// and down after, and the histogram has its duration.
+func TestObserveCountsParkedFibers(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(1, nil)
+	s.Observe(reg)
+	defer s.Stop()
+	gate := make(chan struct{})
+	parked := make(chan struct{})
+	f, err := s.Go(func(f *Fiber) {
+		f.Park(func() {
+			close(parked)
+			<-gate
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	if got := reg.Snapshot().Gauge("fibers.parked"); got != 1 {
+		t.Errorf("fibers.parked = %d with one fiber parked, want 1", got)
+	}
+	close(gate)
+	s.Join(f)
+	snap := reg.Snapshot()
+	if got := snap.Gauge("fibers.parked"); got != 0 {
+		t.Errorf("fibers.parked = %d after the fiber finished, want 0", got)
+	}
+	if got := snap.Histograms["fibers.parked_ns"].Count; got != 1 {
+		t.Errorf("fibers.parked_ns has %d observations, want 1", got)
 	}
 }
 
@@ -93,7 +234,7 @@ func TestSleepDoesNotBlockOtherFibers(t *testing.T) {
 	s := New(1, nil)
 	defer s.Stop()
 	sleeper, err := s.Go(func(f *Fiber) {
-		Wait(func() bool { return false }, nil, time.Now().Add(100*time.Millisecond), f.Yield)
+		Wait(func() bool { return false }, nil, time.Now().Add(100*time.Millisecond), f)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +273,7 @@ func TestYieldUntil(t *testing.T) {
 	}
 	var met bool
 	waiter, err := s.Go(func(f *Fiber) {
-		met = Wait(flag.Load, nil, time.Now().Add(time.Second), f.Yield)
+		met = Wait(flag.Load, nil, time.Now().Add(time.Second), f)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +290,7 @@ func TestYieldUntilDeadline(t *testing.T) {
 	defer s.Stop()
 	var met bool
 	f, err := s.Go(func(f *Fiber) {
-		met = Wait(func() bool { return false }, nil, time.Now().Add(10*time.Millisecond), f.Yield)
+		met = Wait(func() bool { return false }, nil, time.Now().Add(10*time.Millisecond), f)
 	})
 	if err != nil {
 		t.Fatal(err)

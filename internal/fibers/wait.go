@@ -5,47 +5,42 @@ import (
 	"time"
 )
 
-// pause is how long a polling waiter takes its thread off the CPU, so that
-// pollers and handlers run on saturated or low-core machines.
+// pause is how often a waiter with no wake source looks again.
 const pause = 20 * time.Microsecond
 
-// Wait is the one wait of the request lifecycle — "poll for replies
-// and/or yield" (§VII-A, §VII-C). It returns true once ready reports
-// true and false if the deadline passes first. Call sites pass what
-// varies between them; the policy is fixed here:
+// Wait is the one wait of the request lifecycle (§VII-A, §VII-C). It
+// returns true once ready reports true and false if the deadline passes
+// first. Call sites pass what varies between them; the policy is fixed
+// here and the same for every caller: block on the wake source under a
+// pooled timer until ready or the deadline.
 //
-//   - ready is the completion poll. It is polled once more after the
-//     deadline has passed, so a completion that lands during the final
-//     poll still wins.
-//   - wake, when non-nil, receives (or is closed) whenever ready may have
-//     turned true. A goroutine then blocks on it under a pooled timer
-//     instead of polling: zero spin.
+//   - ready is the completion check. It is made once more after the
+//     deadline, so a completion that lands during the final check wins,
+//     and from a parked fiber's goroutine, so it must be safe anywhere.
+//     Nil when wake is closed rather than sent to: the close completes.
+//   - wake receives (or is closed) whenever ready may have turned true.
+//     Nil only for state that announces nothing (a drain count), which
+//     is looked at every pause.
 //   - deadline is the zero time for a wait that something else bounds.
-//   - yield, when non-nil, is the calling fiber's Yield. A fiber must not
-//     block its worker thread, so it polls, yields between polls, and
-//     pauses the worker every 64th fruitless yield. A goroutine with no
-//     wake channel polls at the pause interval.
-func Wait(ready func() bool, wake <-chan struct{}, deadline time.Time, yield func()) bool {
-	if yield == nil && wake != nil {
-		return block(ready, wake, deadline)
+//   - f is the waiting fiber, nil on a goroutine. A fiber must not block
+//     its worker thread, so it waits parked (Fiber.Park).
+func Wait(ready func() bool, wake <-chan struct{}, deadline time.Time, f *Fiber) (ok bool) {
+	if ready != nil && ready() {
+		return true
 	}
-	for spins := 1; !ready(); spins++ {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return ready()
-		}
-		if yield != nil {
-			yield()
-		}
-		if yield == nil || spins%64 == 0 {
-			time.Sleep(pause)
-		}
-	}
-	return true
+	f.Park(func() { ok = block(ready, wake, deadline) })
+	return ok
 }
 
-// block is Wait's goroutine arm.
+// block waits on the calling goroutine.
 func block(ready func() bool, wake <-chan struct{}, deadline time.Time) bool {
-	if ready() {
+	if wake == nil {
+		for !ready() {
+			if !deadline.IsZero() && time.Now().After(deadline) {
+				return ready()
+			}
+			time.Sleep(pause)
+		}
 		return true
 	}
 	var expired <-chan time.Time // nil without a deadline: never fires
@@ -60,17 +55,17 @@ func block(ready func() bool, wake <-chan struct{}, deadline time.Time) bool {
 	for {
 		select {
 		case <-wake:
-			if ready() {
+			if ready == nil || ready() {
 				return true
 			}
 		case <-expired:
-			return ready()
+			return ready != nil && ready()
 		}
 	}
 }
 
-// timerPool recycles deadline timers. A timer goes back stopped and
-// drained, so a pooled timer's channel is always empty.
+// timerPool recycles deadline timers. A timer goes back stopped with its
+// channel empty.
 var timerPool sync.Pool
 
 func acquireTimer(d time.Duration) *time.Timer {
@@ -83,11 +78,12 @@ func acquireTimer(d time.Duration) *time.Timer {
 
 func releaseTimer(t *time.Timer) {
 	if !t.Stop() {
-		// Already fired (consumed by the wait, or racing this Stop): drain
-		// so the next acquire does not observe a stale tick.
 		select {
 		case <-t.C:
 		default:
+			// Fired and no tick: consumed by the wait, or still on its way
+			// to expire the next user's deadline at once. Drop the timer.
+			return
 		}
 	}
 	timerPool.Put(t)

@@ -46,7 +46,7 @@ func TestWait(t *testing.T) {
 					if caller == "fiber" {
 						s := New(1, nil)
 						defer s.Stop()
-						f, err := s.Go(func(f *Fiber) { got = Wait(ready, wake, deadline, f.Yield) })
+						f, err := s.Go(func(f *Fiber) { got = Wait(ready, wake, deadline, f) })
 						if err != nil {
 							t.Fatal(err)
 						}

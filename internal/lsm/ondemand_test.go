@@ -113,8 +113,8 @@ func TestStabilizeOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Ready() || !out.Ready() {
-		t.Fatal("polling a deferred token must raise the demand, then see it served")
+	if stable() != 5 || !out.Ready() || stable() != 6 {
+		t.Fatalf("polling a deferred token must raise the demand and see it served: stable=%d", stable())
 	}
 }
 

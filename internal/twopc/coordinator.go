@@ -19,6 +19,7 @@ import (
 	"treaty/internal/obs"
 	"treaty/internal/seal"
 	"treaty/internal/shardmap"
+	"treaty/internal/txn"
 )
 
 // debugAdopt dumps adoption/resolution decisions to stderr
@@ -38,10 +39,6 @@ var (
 	ErrAborted = errors.New("twopc: transaction aborted")
 	// ErrTxnFinished indicates use of a finished distributed transaction.
 	ErrTxnFinished = errors.New("twopc: transaction already finished")
-	// ErrStabilizeTimeout indicates the trusted counter service did not
-	// stabilize a decision within the deadline; the transaction aborts
-	// instead of spinning its fiber forever on a dead counter service.
-	ErrStabilizeTimeout = errors.New("twopc: decision stabilization timed out")
 	// ErrNoShardMap indicates the coordinator has no routing view yet
 	// (boot wiring incomplete).
 	ErrNoShardMap = errors.New("twopc: no shard map view")
@@ -281,7 +278,7 @@ type DistTxn struct {
 	// replays, which broadcast control messages and never route keys.
 	view  *shardmap.Map
 	parts map[string]bool
-	yield func()
+	f     *fibers.Fiber // waits parked for remote replies; nil on a goroutine
 	done  bool
 	// outcome is the client-visible classification, set once by finish.
 	outcome TxnOutcome
@@ -318,9 +315,9 @@ const (
 // or Rollback returns).
 func (t *DistTxn) Outcome() TxnOutcome { return t.outcome }
 
-// Begin starts a distributed transaction. yield is invoked while waiting
-// for remote replies (fiber cooperation); may be nil.
-func (c *Coordinator) Begin(yield func()) *DistTxn {
+// Begin starts a distributed transaction driven by fiber f (nil on a
+// goroutine), which waits parked for remote replies.
+func (c *Coordinator) Begin(f *fibers.Fiber) *DistTxn {
 	seq := c.nextTx.Add(1)
 	c.met.begun.Inc()
 	c.met.inflight.Add(1)
@@ -335,7 +332,7 @@ func (c *Coordinator) Begin(yield func()) *DistTxn {
 		seq:   seq,
 		view:  view,
 		parts: make(map[string]bool),
-		yield: yield,
+		f:     f,
 		trace: c.tracer.Begin(txTraceID(id), obs.StageBegin),
 	}
 }
@@ -410,10 +407,10 @@ func (t *DistTxn) finish(committed bool, reason string) {
 // ID returns the global transaction id.
 func (t *DistTxn) ID() lsm.TxID { return t.id }
 
-// SetYield rebinds the cooperative-wait callback. Server-side client
-// sessions execute each client request on its own fiber, so the current
-// fiber's yield must be bound before every operation.
-func (t *DistTxn) SetYield(yield func()) { t.yield = yield }
+// SetFiber rebinds the waiting fiber. Server-side client sessions
+// execute each client request on its own fiber, so the current fiber must
+// be bound before every operation.
+func (t *DistTxn) SetFiber(f *fibers.Fiber) { t.f = f }
 
 // call performs one remote operation against the key's owner.
 func (t *DistTxn) call(addr string, reqType uint8, key, value []byte) ([]byte, error) {
@@ -430,7 +427,7 @@ func (t *DistTxn) call(addr string, reqType uint8, key, value []byte) ([]byte, e
 	payload = append(payload, value...)
 	t.parts[addr] = true
 	t.trace.Enter(obs.StageExecute) // collapses across per-op calls
-	return erpc.Call(t.c.ep, addr, reqType, md, payload, t.c.timeout, t.yield)
+	return erpc.Call(t.c.ep, addr, reqType, md, payload, t.c.timeout, t.f)
 }
 
 // op executes one keyed operation: route key to its owner under the
@@ -479,7 +476,7 @@ func (t *DistTxn) Delete(key []byte) error {
 // messages.
 func (t *DistTxn) broadcast(reqType uint8, participants []string) ([]erpc.Reply, error) {
 	md := seal.MsgMetadata{TxID: t.seq, OpType: uint32(reqType)}
-	replies := erpc.Fanout(t.c.ep, participants, reqType, md, nil, len(participants), t.c.timeout, t.yield)
+	replies := erpc.Fanout(t.c.ep, participants, reqType, md, nil, len(participants), t.c.timeout, t.f)
 	for _, r := range replies {
 		if r.Err != nil {
 			return replies, r.Err
@@ -504,7 +501,7 @@ const (
 // never answered.
 func (t *DistTxn) broadcastRetry(reqType uint8, participants []string, attempts int) error {
 	remaining := participants
-	for retry := t.c.ep.Retry(attempts, erpc.RetryBase, erpc.RetryCap, t.yield); ; {
+	for retry := t.c.ep.Retry(attempts, erpc.RetryBase, erpc.RetryCap, t.f); ; {
 		replies, _ := t.broadcast(reqType, remaining)
 		var unanswered []string
 		var lastErr error
@@ -625,16 +622,12 @@ func (t *DistTxn) Commit() error {
 
 // waitToken waits for a stable token up to the coordinator's
 // stabilization deadline, 4 × the RPC timeout — a dead counter service
-// must abort the transaction, not hold its fiber forever. The final Wait
-// is non-blocking once Ready reports true; it surfaces a permanent
-// counter-service failure as an error.
+// must abort the transaction (txn.ErrStabilizeTimeout), not hold its fiber
+// forever; a permanent counter-service failure surfaces as its error.
 func (t *DistTxn) waitToken(token durlog.StableToken) error {
 	start := time.Now()
 	defer t.c.met.stabilizeWait.ObserveSince(start)
-	if !fibers.Wait(token.Ready, nil, start.Add(4*t.c.timeout), t.yield) {
-		return ErrStabilizeTimeout
-	}
-	return token.Wait()
+	return txn.WaitToken(token, start.Add(4*t.c.timeout), t.f)
 }
 
 // record notes a transaction's decision for status queries.
@@ -720,9 +713,9 @@ func foldClog(entries []ClogEntry) []pending {
 // Recovery replays intentionally carry no DistTxn trace and never touch
 // the tx.* conservation counters (coordMetrics); their paths are recorded
 // via recover.* counters and standalone traces.
-func (c *Coordinator) resolve(w pending, reason string, yield func()) error {
+func (c *Coordinator) resolve(w pending, reason string, f *fibers.Fiber) error {
 	_, seq := splitTxID(w.id)
-	t := &DistTxn{c: c, id: w.id, seq: seq, parts: map[string]bool{}, yield: yield}
+	t := &DistTxn{c: c, id: w.id, seq: seq, parts: map[string]bool{}, f: f}
 	tr := c.tracer.Begin(txTraceID(w.id), obs.StageRecover)
 	switch {
 	case w.redo:
@@ -759,7 +752,7 @@ func (c *Coordinator) resolve(w pending, reason string, yield func()) error {
 
 // RecoverPending finishes transactions the coordinator left in flight at
 // a crash (§VI); see resolve.
-func (c *Coordinator) RecoverPending(yield func()) error {
+func (c *Coordinator) RecoverPending(f *fibers.Fiber) error {
 	c.mu.Lock()
 	var work []pending
 	for id, parts := range c.prepared {
@@ -773,7 +766,7 @@ func (c *Coordinator) RecoverPending(yield func()) error {
 	sortPending(work)
 
 	for _, w := range work {
-		if err := c.resolve(w, "", yield); err != nil {
+		if err := c.resolve(w, "", f); err != nil {
 			return err
 		}
 	}
@@ -790,7 +783,7 @@ func (c *Coordinator) RecoverPending(yield func()) error {
 // primary's address). Adopted decisions also seed the status table, so
 // participants probing the dead coordinator's transactions get answers
 // from the successor.
-func (c *Coordinator) AdoptRecovered(entries []ClogEntry, rewrite func(string) string, yield func()) error {
+func (c *Coordinator) AdoptRecovered(entries []ClogEntry, rewrite func(string) string, f *fibers.Fiber) error {
 	for _, w := range foldClog(entries) {
 		if rewrite != nil {
 			parts := make([]string, len(w.parts))
@@ -814,7 +807,7 @@ func (c *Coordinator) AdoptRecovered(entries []ClogEntry, rewrite func(string) s
 			continue
 		}
 		c.met.recoverAdopted.Inc()
-		if err := c.resolve(w, "adopt_", yield); err != nil {
+		if err := c.resolve(w, "adopt_", f); err != nil {
 			return err
 		}
 	}

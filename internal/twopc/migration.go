@@ -112,7 +112,7 @@ func decodeSlotChunk(b []byte) (slot int, first bool, entries []slotEntry, err e
 // The caller must have fenced and drained the slot first; the snapshot
 // is only migration-consistent once no in-flight transaction can still
 // write the slot here.
-func (p *Participant) StreamSlot(dst string, slot, chunkSize int, epoch uint64, yield func(), onChunk func(chunk int)) (int, error) {
+func (p *Participant) StreamSlot(dst string, slot, chunkSize int, epoch uint64, f *fibers.Fiber, onChunk func(chunk int)) (int, error) {
 	if chunkSize <= 0 {
 		chunkSize = 256
 	}
@@ -150,7 +150,7 @@ func (p *Participant) StreamSlot(dst string, slot, chunkSize int, epoch uint64, 
 			OpType: uint32(ReqSlotIngest),
 			Epoch:  epoch,
 		}
-		if _, err := erpc.Call(p.ep, dst, ReqSlotIngest, md, payload, 10*time.Second, yield); err != nil {
+		if _, err := erpc.Call(p.ep, dst, ReqSlotIngest, md, payload, 10*time.Second, f); err != nil {
 			return moved, fmt.Errorf("twopc: slot %d chunk %d to %s: %w", slot, chunk, dst, err)
 		}
 		sent = end
@@ -199,7 +199,7 @@ func (p *Participant) handleSlotIngest(f *fibers.Fiber, req *erpc.Request) {
 		req.ReplyError(err.Error())
 		return
 	}
-	if err := txn.WaitToken(token, f.Yield); err != nil {
+	if err := txn.WaitToken(token, time.Time{}, f); err != nil {
 		req.ReplyError(err.Error())
 		return
 	}

@@ -23,8 +23,8 @@ import (
 // set and stabilizes before ACKing; commit/abort resolve it.
 //
 // Request handlers run on fibers from the node's userland scheduler, so
-// lock waits and stabilization waits yield instead of blocking the RPC
-// event loop (§VII-C).
+// lock waits and stabilization waits park the fiber instead of blocking
+// the RPC event loop or a scheduler worker (§VII-C).
 type Participant struct {
 	mgr   *txn.Manager
 	ep    *erpc.Endpoint
@@ -106,6 +106,16 @@ type activeTxn struct {
 	// would invert the at.mu → p.mu order the handlers use via drop().
 	prepared atomic.Bool
 	last     time.Time
+}
+
+// lock takes at.mu for the handler on fiber f and binds f as the local
+// transaction's waiter. Contended, it is taken parked: a parked holder (a
+// prepare, across its counter round) cannot resume on a blocked worker.
+func (at *activeTxn) lock(f *fibers.Fiber) {
+	if !at.mu.TryLock() {
+		f.Park(at.mu.Lock)
+	}
+	at.local.SetFiber(f)
 }
 
 // ParticipantConfig configures a Participant.
@@ -199,7 +209,7 @@ func (p *Participant) Close() {
 
 // OnFiber adapts a handler to run as a fiber on the node's userland
 // scheduler — one fiber per request (§VII-C) — so its lock, RPC and
-// stabilization waits yield instead of blocking the RPC event loop.
+// stabilization waits park instead of blocking the RPC event loop.
 func OnFiber(sched *fibers.Scheduler, h func(*fibers.Fiber, *erpc.Request)) erpc.Handler {
 	return func(req *erpc.Request) {
 		if _, err := sched.Go(func(f *fibers.Fiber) { h(f, req) }); err != nil {
@@ -217,11 +227,11 @@ func txIDOf(md seal.MsgMetadata) lsm.TxID {
 	return globalTxID(md.NodeID, md.TxID)
 }
 
-// find returns the active transaction for id, creating one (with the
-// fiber's yield) if create is set. Ids tombstoned by the janitor are
-// never re-created: a late operation after reclamation must fail so the
-// coordinator aborts instead of preparing a partial write set.
-func (p *Participant) find(id lsm.TxID, f *fibers.Fiber, create bool) *activeTxn {
+// find returns the active transaction for id, creating one if create is
+// set. Ids tombstoned by the janitor are never re-created: a late
+// operation after reclamation must fail so the coordinator aborts
+// instead of preparing a partial write set.
+func (p *Participant) find(id lsm.TxID, create bool) *activeTxn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	at, ok := p.active[id]
@@ -365,7 +375,7 @@ func (p *Participant) handleOp(f *fibers.Fiber, req *erpc.Request) {
 		req.ReplyError(reject)
 		return
 	}
-	at := p.find(txIDOf(req.Meta), f, true)
+	at := p.find(txIDOf(req.Meta), true)
 	if at == nil {
 		req.ReplyError(errTxnReclaimed)
 		return
@@ -373,8 +383,7 @@ func (p *Participant) handleOp(f *fibers.Fiber, req *erpc.Request) {
 	p.markSlot(at, slot)
 	var reply []byte
 	var err error
-	at.mu.Lock()
-	at.local.SetYield(f.Yield)
+	at.lock(f)
 	switch req.Type() {
 	case ReqTxnGet:
 		var v []byte
@@ -399,16 +408,16 @@ func (p *Participant) handleOp(f *fibers.Fiber, req *erpc.Request) {
 
 // handlePrepare durably prepares the local transaction. The reply is
 // delayed until the prepare entry is stabilized (§V-A step 8) — the
-// Prepare call below blocks (yielding) until rollback protection holds.
+// Prepare call below waits (parked) until rollback protection holds.
 // The prepare's WAL force groups in the engine's committer, and the
 // stabilization wait rides the counter client's per-round batching:
 // one trusted-counter round covers the whole cohort of concurrently
-// preparing transactions (§VI), whose readiness polls are satisfied by
-// a single lock-free stable-value read after the round's broadcast.
+// preparing transactions (§VI), all woken by the round's one close of
+// the handle's change channel.
 // Re-prepares of an already-prepared transaction ACK idempotently.
 func (p *Participant) handlePrepare(f *fibers.Fiber, req *erpc.Request) {
 	id := txIDOf(req.Meta)
-	at := p.find(id, f, false)
+	at := p.find(id, false)
 	if at == nil {
 		// Nothing to prepare here: the coordinator believed we were
 		// involved but we have no state (e.g. crash wiped an unprepared
@@ -417,9 +426,8 @@ func (p *Participant) handlePrepare(f *fibers.Fiber, req *erpc.Request) {
 		req.ReplyError("twopc: unknown transaction at prepare")
 		return
 	}
-	at.mu.Lock()
+	at.lock(f)
 	defer at.mu.Unlock()
-	at.local.SetYield(f.Yield)
 	if at.prepared.Load() {
 		req.Reply([]byte{voteYes})
 		return
@@ -452,14 +460,13 @@ func (p *Participant) handlePrepare(f *fibers.Fiber, req *erpc.Request) {
 // ignored", §VI).
 func (p *Participant) handleCommit(f *fibers.Fiber, req *erpc.Request) {
 	id := txIDOf(req.Meta)
-	at := p.find(id, f, false)
+	at := p.find(id, false)
 	if at == nil {
 		req.Reply(nil)
 		return
 	}
-	at.mu.Lock()
+	at.lock(f)
 	defer at.mu.Unlock()
-	at.local.SetYield(f.Yield)
 	if !at.prepared.Load() {
 		req.ReplyError("twopc: commit for unprepared transaction")
 		return
@@ -476,14 +483,13 @@ func (p *Participant) handleCommit(f *fibers.Fiber, req *erpc.Request) {
 // handleAbort aborts a transaction (prepared or not). Unknown ids ACK.
 func (p *Participant) handleAbort(f *fibers.Fiber, req *erpc.Request) {
 	id := txIDOf(req.Meta)
-	at := p.find(id, f, false)
+	at := p.find(id, false)
 	if at == nil {
 		req.Reply(nil)
 		return
 	}
-	at.mu.Lock()
+	at.lock(f)
 	defer at.mu.Unlock()
-	at.local.SetYield(f.Yield)
 	var err error
 	if at.prepared.Load() {
 		err = at.local.AbortPrepared(id)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -45,6 +46,11 @@ type testCluster struct {
 	ctrs   *sharedCounters
 	shard  *shardmap.Holder
 	router Router
+	// workers and timeout shape every node started after they are set
+	// (newTestCluster's defaults: 4 scheduler workers, 3 s coordinator
+	// timeout).
+	workers int
+	timeout time.Duration
 }
 
 // owner resolves a key's owning address under the cluster's shard map.
@@ -58,7 +64,14 @@ type sharedCounters struct {
 	m map[string]*fakeCounter
 }
 
-type fakeCounter struct{ v atomic.Uint64 }
+type fakeCounter struct {
+	v atomic.Uint64
+	// withhold makes the counter look as if its round never completes:
+	// StableValue reads 0 until it is cleared. Changed, which only a
+	// waiter on a withheld value reaches, has it look again every
+	// millisecond.
+	withhold atomic.Bool
+}
 
 func (c *fakeCounter) Stabilize(v uint64) {
 	for {
@@ -69,9 +82,19 @@ func (c *fakeCounter) Stabilize(v uint64) {
 	}
 }
 func (c *fakeCounter) WaitStable(uint64) error { return nil }
-func (c *fakeCounter) StableValue() uint64     { return c.v.Load() }
-func (c *fakeCounter) Failed() error           { return nil }
-func (c *fakeCounter) Fail(error)              {}
+func (c *fakeCounter) StableValue() uint64 {
+	if c.withhold.Load() {
+		return 0
+	}
+	return c.v.Load()
+}
+func (c *fakeCounter) Failed() error { return nil }
+func (c *fakeCounter) Changed() <-chan struct{} {
+	ch := make(chan struct{})
+	time.AfterFunc(time.Millisecond, func() { close(ch) })
+	return ch
+}
+func (c *fakeCounter) Fail(error) {}
 
 func (s *sharedCounters) factory(prefix string) lsm.CounterFactory {
 	return func(name string) durlog.TrustedCounter {
@@ -87,6 +110,13 @@ func (s *sharedCounters) factory(prefix string) lsm.CounterFactory {
 
 func newTestCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
+	return newShapedCluster(t, n, 4, 3*time.Second)
+}
+
+// newShapedCluster is newTestCluster with the scheduler width and the
+// coordinator timeout chosen by the test.
+func newShapedCluster(t *testing.T, n, workers int, timeout time.Duration) *testCluster {
+	t.Helper()
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +126,9 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 		net:  simnet.New(simnet.LinkConfig{}, 11),
 		key:  key,
 		ctrs: &sharedCounters{m: make(map[string]*fakeCounter)},
+
+		workers: workers,
+		timeout: timeout,
 	}
 	addrs := make([]string, n)
 	for i := range addrs {
@@ -147,7 +180,7 @@ func (tc *testCluster) startNode(id uint64, addr, dir string) *testNode {
 		tc.t.Fatal(err)
 	}
 	mgr := txn.NewManager(txn.Config{DB: db, LockTimeout: 500 * time.Millisecond, WaitStable: true})
-	sched := fibers.New(4, nil)
+	sched := fibers.New(tc.workers, nil)
 	part := NewParticipant(ParticipantConfig{
 		Manager: mgr, Endpoint: ep, Scheduler: sched, IdleTimeout: 5 * time.Second,
 		NodeID: id, Shard: tc.shard,
@@ -160,7 +193,7 @@ func (tc *testCluster) startNode(id uint64, addr, dir string) *testNode {
 	}
 	coord := NewCoordinator(CoordinatorConfig{
 		NodeID: id, Endpoint: ep, Clog: clog, Router: tc.router,
-		Timeout: 3 * time.Second, Recovered: recovered,
+		Timeout: tc.timeout, Recovered: recovered,
 		Metrics: reg,
 	})
 	if err := part.RestorePrepared(db.RecoveredPrepared()); err != nil {
@@ -338,7 +371,7 @@ func TestCommitWithFibersYield(t *testing.T) {
 	defer sched.Stop()
 	done := make(chan error, 1)
 	_, err := sched.Go(func(f *fibers.Fiber) {
-		tx := tc.nodes[0].coord.Begin(f.Yield)
+		tx := tc.nodes[0].coord.Begin(f)
 		for i := 0; i < 6; i++ {
 			if err := tx.Put([]byte(fmt.Sprintf("fib-%d", i)), []byte("v")); err != nil {
 				done <- err
@@ -757,12 +790,13 @@ func TestClogTamperDetected(t *testing.T) {
 // manualCounter lets tests control the stable value explicitly.
 type manualCounter struct{ v atomic.Uint64 }
 
-func (c *manualCounter) Stabilize(uint64)        {}
-func (c *manualCounter) WaitStable(uint64) error { return nil }
-func (c *manualCounter) StableValue() uint64     { return c.v.Load() }
-func (c *manualCounter) Failed() error           { return nil }
-func (c *manualCounter) Fail(error)              {}
-func (c *manualCounter) set(v uint64)            { c.v.Store(v) }
+func (c *manualCounter) Stabilize(uint64)         {}
+func (c *manualCounter) WaitStable(uint64) error  { return nil }
+func (c *manualCounter) StableValue() uint64      { return c.v.Load() }
+func (c *manualCounter) Failed() error            { return nil }
+func (c *manualCounter) Changed() <-chan struct{} { return nil }
+func (c *manualCounter) Fail(error)               {}
+func (c *manualCounter) set(v uint64)             { c.v.Store(v) }
 
 // TestDistTxnOutcome pins the outcome classification the serializability
 // auditor depends on: a clean commit is Committed, a client rollback is
@@ -875,4 +909,101 @@ func TestCoordinatorCrashMidPrepareReleasesParticipants(t *testing.T) {
 		}
 	}
 	check.Rollback()
+}
+
+// withhold sets or clears the withhold flag on every counter of addr.
+func (s *sharedCounters) withhold(addr string, on bool) {
+	for name, c := range s.m {
+		if strings.HasPrefix(name, addr+"/") {
+			c.withhold.Store(on)
+		}
+	}
+}
+
+// TestDecisionDuringPrepareWaitDoesNotWedge: handlePrepare holds the
+// transaction's mutex across its stabilization wait. When the
+// coordinator gives up on the prepare and its abort arrives meanwhile,
+// the abort handler — a fiber of the same worker, with one worker per
+// node as the benchmark runs — must wait for the mutex parked. Blocking
+// the worker thread on it left the prepare fiber unresumable and the
+// node dead to every later transaction.
+func TestDecisionDuringPrepareWaitDoesNotWedge(t *testing.T) {
+	tc := newShapedCluster(t, 2, 1, 300*time.Millisecond)
+	coord := tc.nodes[0].coord
+	var key []byte
+	for i := 0; key == nil; i++ {
+		if k := []byte(fmt.Sprintf("wedge-%d", i)); tc.owner(k) == "node-1" {
+			key = k
+		}
+	}
+
+	tx := coord.Begin(nil)
+	if err := tx.Put(key, []byte("never")); err != nil {
+		t.Fatal(err)
+	}
+	tc.ctrs.withhold("node-1", true) // node-1's prepare entry will not stabilize
+	if err := tx.Commit(); err == nil || !strings.Contains(err.Error(), "prepare failed") {
+		t.Fatalf("commit over a participant that cannot stabilize: %v, want a failed prepare", err)
+	}
+	tc.ctrs.withhold("node-1", false) // the counter recovers
+
+	// node-1 must serve again once the late prepare and the abort behind
+	// it have run: retry until a transaction on the same key commits.
+	var err error
+	for watchdog := time.Now().Add(5 * time.Second); ; {
+		tx := coord.Begin(nil)
+		if err = tx.Put(key, []byte("after")); err == nil {
+			err = tx.Commit()
+		} else {
+			_ = tx.Rollback()
+		}
+		if err == nil {
+			break
+		}
+		if time.Now().After(watchdog) {
+			t.Fatalf("node-1 is wedged: 5 s after its counter recovered transactions still fail: %v", err)
+		}
+	}
+	tx = coord.Begin(nil)
+	if v, ok := distGet(t, tx, string(key)); !ok || v != "after" {
+		t.Errorf("%s = %q/%v, want the later transaction's value (the timed-out one aborted)", key, v, ok)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWaitTokenStabilizeTimeout: a decision whose counter round never
+// completes costs its transaction 4 × the RPC timeout and then
+// txn.ErrStabilizeTimeout — on a goroutine and on a fiber, which spends
+// the wait parked.
+func TestWaitTokenStabilizeTimeout(t *testing.T) {
+	const timeout = 25 * time.Millisecond
+	tc := newShapedCluster(t, 1, 1, timeout)
+	nd := tc.nodes[0]
+	token, err := nd.clog.Append(clogDecision, globalTxID(0, 99), true, []string{nd.addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.ctrs.withhold(nd.addr, true)
+	check := func(f *fibers.Fiber) {
+		start := time.Now()
+		err := nd.coord.Begin(f).waitToken(token)
+		if !errors.Is(err, txn.ErrStabilizeTimeout) {
+			t.Errorf("waitToken = %v, want ErrStabilizeTimeout", err)
+		}
+		if waited := time.Since(start); waited < 4*timeout || waited > 40*timeout {
+			t.Errorf("waitToken gave up after %v, want about %v", waited, 4*timeout)
+		}
+	}
+	check(nil)
+	f, err := nd.sched.Go(check)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.sched.Join(f)
+	tc.ctrs.withhold(nd.addr, false)
+	if err := nd.coord.Begin(nil).waitToken(token); err != nil {
+		t.Errorf("waitToken after the counter recovered: %v", err)
+	}
 }

@@ -93,8 +93,8 @@ func (lt *LockTable) shardFor(key string) *lockShard {
 // Acquire takes the lock on key in the given mode for txn. It supports
 // re-entrancy (a holder re-acquiring the same or weaker mode) and
 // shared→exclusive upgrade when txn is the sole holder. Between
-// attempts the caller waits for the lock's state to change: a fiber
-// (non-nil yield) yields, a goroutine blocks on the lock's wait channel.
+// attempts the caller waits on the lock's wait channel for its state to
+// change: a fiber (non-nil f) parked, a goroutine directly.
 // Returns ErrLockTimeout after the table's timeout.
 //
 // The retry loop stays here rather than inside fibers.Wait because each
@@ -102,7 +102,7 @@ func (lt *LockTable) shardFor(key string) *lockShard {
 // attempt failed — which a wait on one fixed wake channel cannot say
 // without knowing about locks. The wait itself (pause, timer, final
 // poll) is the shared one.
-func (lt *LockTable) Acquire(txn uint64, key string, mode LockMode, yield func()) error {
+func (lt *LockTable) Acquire(txn uint64, key string, mode LockMode, f *fibers.Fiber) error {
 	sh := lt.shardFor(key)
 	deadline := time.Now().Add(lt.timeout)
 	for {
@@ -119,15 +119,7 @@ func (lt *LockTable) Acquire(txn uint64, key string, mode LockMode, yield func()
 		wait := kl.wait
 		sh.mu.Unlock()
 
-		changed := func() bool {
-			select {
-			case <-wait:
-				return true
-			default:
-				return false
-			}
-		}
-		if !fibers.Wait(changed, wait, deadline, yield) {
+		if !fibers.Wait(nil, wait, deadline, f) {
 			return fmt.Errorf("%w: key %q", ErrLockTimeout, key)
 		}
 	}

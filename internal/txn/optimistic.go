@@ -3,8 +3,10 @@ package txn
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"treaty/internal/durlog"
+	"treaty/internal/fibers"
 )
 
 // OTxn is an optimistic transaction: reads run lock-free against a
@@ -20,12 +22,12 @@ type OTxn struct {
 	writes  *writeBuffer
 	reads   map[string]uint64 // key -> observed version (0 = absent)
 	state   txnState
-	yield   func()
+	f       *fibers.Fiber // see Txn.f
 }
 
 // BeginOptimistic starts an optimistic transaction reading from the
 // current snapshot.
-func (m *Manager) BeginOptimistic(yield func()) *OTxn {
+func (m *Manager) BeginOptimistic(f *fibers.Fiber) *OTxn {
 	return &OTxn{
 		m:       m,
 		id:      m.nextID.Add(1),
@@ -33,15 +35,15 @@ func (m *Manager) BeginOptimistic(yield func()) *OTxn {
 		writes:  newWriteBuffer(m.pool),
 		reads:   make(map[string]uint64),
 		state:   txnActive,
-		yield:   yield,
+		f:       f,
 	}
 }
 
 // ID returns the transaction's local id.
 func (t *OTxn) ID() uint64 { return t.id }
 
-// SetYield rebinds the cooperative-wait callback (see Txn.SetYield).
-func (t *OTxn) SetYield(yield func()) { t.yield = yield }
+// SetFiber rebinds the waiting fiber (see Txn.SetFiber).
+func (t *OTxn) SetFiber(f *fibers.Fiber) { t.f = f }
 
 // Get reads key from the snapshot, recording its version for validation.
 func (t *OTxn) Get(key []byte) ([]byte, bool, error) {
@@ -113,7 +115,7 @@ func (t *OTxn) Commit() error {
 	var latched []string
 	release := func() { t.m.locks.ReleaseAll(t.id, latched) }
 	for _, k := range keys {
-		if err := t.m.locks.Acquire(t.id, k, modes[k], t.yield); err != nil {
+		if err := t.m.locks.Acquire(t.id, k, modes[k], t.f); err != nil {
 			release()
 			t.finish(txnAborted)
 			return err
@@ -153,7 +155,7 @@ func (t *OTxn) Commit() error {
 	release()
 	t.finish(txnCommitted)
 	if t.m.waitStable && len(t.writes.recs) > 0 {
-		return WaitToken(token, t.yield)
+		return WaitToken(token, time.Time{}, t.f)
 	}
 	return nil
 }

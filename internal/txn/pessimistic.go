@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -19,19 +20,18 @@ type Txn struct {
 	writes *writeBuffer
 	locked []string // acquisition order, for release
 	state  txnState
-	// yield is invoked while waiting (fiber cooperation); may be nil.
-	yield func()
+	f      *fibers.Fiber // runs the current operation and waits parked; nil on a goroutine
 }
 
-// BeginPessimistic starts a pessimistic transaction. yield may be nil
-// (blocking waits) or a fiber's Yield for cooperative scheduling.
-func (m *Manager) BeginPessimistic(yield func()) *Txn {
+// BeginPessimistic starts a pessimistic transaction run by fiber f (nil
+// on a goroutine).
+func (m *Manager) BeginPessimistic(f *fibers.Fiber) *Txn {
 	return &Txn{
 		m:      m,
 		id:     m.nextID.Add(1),
 		writes: newWriteBuffer(m.pool),
 		state:  txnActive,
-		yield:  yield,
+		f:      f,
 	}
 }
 
@@ -41,16 +41,16 @@ func (t *Txn) ID() uint64 { return t.id }
 // ReadOnly reports whether the transaction has buffered no writes.
 func (t *Txn) ReadOnly() bool { return len(t.writes.recs) == 0 }
 
-// SetYield rebinds the cooperative-wait callback. A transaction whose
-// operations arrive on different fibers (the 2PC participant) must bind
-// the *current* fiber's yield before each operation; calling another
-// fiber's Yield corrupts the scheduler.
-func (t *Txn) SetYield(yield func()) { t.yield = yield }
+// SetFiber rebinds the waiting fiber. A transaction whose operations
+// arrive on different fibers (the 2PC participant) must bind the
+// *current* fiber before each operation; parking another fiber corrupts
+// the scheduler.
+func (t *Txn) SetFiber(f *fibers.Fiber) { t.f = f }
 
 // lock acquires key in mode, remembering it for release.
 func (t *Txn) lock(key string, mode LockMode) error {
 	before := t.m.locks.HeldMode(t.id, key)
-	if err := t.m.locks.Acquire(t.id, key, mode, t.yield); err != nil {
+	if err := t.m.locks.Acquire(t.id, key, mode, t.f); err != nil {
 		return err
 	}
 	if before == 0 {
@@ -122,20 +122,27 @@ func (t *Txn) Commit() error {
 		return fmt.Errorf("txn: commit: %w", err)
 	}
 	if t.m.waitStable {
-		if err := WaitToken(token, t.yield); err != nil {
+		if err := WaitToken(token, time.Time{}, t.f); err != nil {
 			return fmt.Errorf("txn: stabilization: %w", err)
 		}
 	}
 	return nil
 }
 
-// WaitToken waits until token's log position is rollback-protected: a
-// fiber (non-nil yield) polls and yields, a goroutine blocks in Wait.
-// Neither has a deadline: the counter handle's own failure bounds the
-// wait, and Wait — non-blocking once Ready reports true — surfaces it.
-func WaitToken(token durlog.StableToken, yield func()) error {
-	if yield != nil {
-		fibers.Wait(token.Ready, nil, time.Time{}, yield)
+// ErrStabilizeTimeout: a log position did not stabilize by the deadline.
+var ErrStabilizeTimeout = errors.New("txn: stabilization timed out")
+
+// WaitToken waits, blocked on the counter's change channel (fiber f
+// parked, a goroutine directly), until token's log position is
+// rollback-protected. A zero deadline leaves the counter handle's own
+// failure to bound the wait; Wait, non-blocking by then, surfaces it. The
+// loop is here as in LockTable.Acquire: the channel is replaced at every
+// change, and a change need not cover this position yet.
+func WaitToken(token durlog.StableToken, deadline time.Time, f *fibers.Fiber) error {
+	for ready, changed := token.Poll(); !ready; ready, changed = token.Poll() {
+		if !fibers.Wait(nil, changed, deadline, f) {
+			return ErrStabilizeTimeout
+		}
 	}
 	return token.Wait()
 }
@@ -174,7 +181,7 @@ func (t *Txn) Prepare(global lsm.TxID) error {
 	if err != nil {
 		return fmt.Errorf("txn: prepare: %w", err)
 	}
-	if err := WaitToken(token, t.yield); err != nil {
+	if err := WaitToken(token, time.Time{}, t.f); err != nil {
 		return fmt.Errorf("txn: prepare stabilization: %w", err)
 	}
 	t.state = txnPrepared
@@ -185,8 +192,8 @@ func (t *Txn) Prepare(global lsm.TxID) error {
 // recovery: the write set is replayed into a fresh transaction (re-
 // acquiring its exclusive locks) and the state set directly to prepared —
 // the prepare record already exists durably, so nothing is re-logged.
-func (m *Manager) RestorePrepared(batch *lsm.Batch, yield func()) (*Txn, error) {
-	t := m.BeginPessimistic(yield)
+func (m *Manager) RestorePrepared(batch *lsm.Batch, f *fibers.Fiber) (*Txn, error) {
+	t := m.BeginPessimistic(f)
 	err := batch.Each(func(kind lsm.RecordKind, key, value []byte) error {
 		if kind == lsm.KindSet {
 			return t.Put(key, value)

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"treaty/internal/fibers"
 	"treaty/internal/lsm"
 	"treaty/internal/seal"
 )
@@ -453,17 +455,35 @@ func TestLockTableSharding(t *testing.T) {
 	wg.Wait()
 }
 
+// TestLockYieldPath: a fiber that waits for a lock gives its worker away
+// — a second fiber of the same (only) worker runs to completion during
+// the wait — and still gets its timeout.
 func TestLockYieldPath(t *testing.T) {
 	lt := NewLockTable(16, 50*time.Millisecond)
 	if err := lt.Acquire(1, "k", LockExclusive, nil); err != nil {
 		t.Fatal(err)
 	}
-	yields := 0
-	err := lt.Acquire(2, "k", LockExclusive, func() { yields++ })
+	s := fibers.New(1, nil)
+	defer s.Stop()
+	var err error
+	var waited, ranMeanwhile atomic.Bool
+	waiter, gerr := s.Go(func(f *fibers.Fiber) {
+		err = lt.Acquire(2, "k", LockExclusive, f)
+		waited.Store(true)
+	})
+	if gerr != nil {
+		t.Fatal(gerr)
+	}
+	other, gerr := s.Go(func(*fibers.Fiber) { ranMeanwhile.Store(!waited.Load()) })
+	if gerr != nil {
+		t.Fatal(gerr)
+	}
+	s.Join(other)
+	s.Join(waiter)
 	if !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("got %v", err)
 	}
-	if yields == 0 {
-		t.Error("yield must be called while spinning")
+	if !ranMeanwhile.Load() {
+		t.Error("the worker must run another fiber while this one waits for the lock")
 	}
 }
