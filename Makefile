@@ -110,6 +110,10 @@ vet:
 # rewrite-and-rename of the state file cannot come back by the side door.
 # And no node, harness of internal/bench, command or example builds a file
 # counter: a mode's counter kind comes from core's policy table.
+# A packet reaches its handler one way: internal/erpc starts one goroutine,
+# the poller (a second one between the fabric and it would pay receive costs
+# off the books), and the optional-interface and socket-transport names stay
+# gone.
 ONCE_SRC = find $(1) -name '*.go' ! -name '*_test.go' ! -path internal/fibers/wait.go ! -path internal/erpc/retry.go ! -path internal/erpc/opid.go
 check-once:
 	@fail=0; \
@@ -121,7 +125,10 @@ check-once:
 	grep -n 'rand\.Read' $$($(call ONCE_SRC,internal/erpc internal/twopc internal/counter internal/repl)) | grep -v txSeed && fail=1; \
 	grep -n '"os"' $$($(call ONCE_SRC,internal/counter)) && fail=1; \
 	grep -n 'NewFileCounter' $$($(call ONCE_SRC,internal/core internal/bench cmd examples)) && fail=1; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, mode policy); call the shared one"; exit 1; }
+	gos=$$(grep -nE '^[[:space:]]*go [a-zA-Z_(]' $$(find internal/erpc -name '*.go' ! -name '*_test.go')); \
+	[ $$(printf '%s\n' "$$gos" | grep -c .) -eq 1 ] || { printf '%s\n' "$$gos"; fail=1; }; \
+	grep -nE 'PollPacket|ChannelTransport|PacketTransport|UDPTransport' $$($(call ONCE_SRC,internal cmd examples)) && fail=1; \
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, mode policy, packet path); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

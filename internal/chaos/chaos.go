@@ -685,7 +685,8 @@ func logLaws(addr string, s obs.Snapshot, closed bool) string {
 	return ""
 }
 
-// checkMetricLaws asserts the conservation laws on every live node. A
+// checkMetricLaws asserts the conservation laws on every live node and
+// the fabric's (every packet delivered or counted as dropped). A
 // snapshot is not one atomic cut across a node's atomics, so a transient
 // imbalance right after quiescence is legal; the check retries briefly
 // and only a persistent violation is fatal.
@@ -700,6 +701,9 @@ func (h *Harness) checkMetricLaws() error {
 			}
 		}
 		h.nodesMu.RUnlock()
+		if st := h.cluster.Net().Stats(); why == "" && st.InFlight() != 0 {
+			why = fmt.Sprintf("simnet law violated: %d packets neither delivered nor dropped: %+v", st.InFlight(), st)
+		}
 		if why == "" {
 			return nil
 		}

@@ -202,7 +202,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Transport:  erpc.NewSimTransport(nep, n.rt, erpc.KindDPDK),
 		NetworkKey: clusterCfg.NetworkKey,
 		Secure:     policy.SealedRPC,
-		Runtime:    n.rt,
 		Pool:       n.pool,
 		Metrics:    n.reg,
 	})
@@ -375,7 +374,6 @@ func (n *Node) buildCounters(clusterCfg *attest.ClusterConfig) (lsm.CounterFacto
 		Transport:  erpc.NewSimTransport(cep, n.rt, erpc.KindDPDK),
 		NetworkKey: clusterCfg.NetworkKey,
 		Secure:     true,
-		Runtime:    n.rt,
 		Metrics:    n.reg,
 		// The node endpoint already owns the "erpc." names in this
 		// registry; the counter-service endpoint gets its own prefix.

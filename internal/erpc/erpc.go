@@ -28,10 +28,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"treaty/internal/enclave"
 	"treaty/internal/mempool"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
+	"treaty/internal/simnet"
 )
 
 // Errors returned by this package.
@@ -149,8 +149,6 @@ type Config struct {
 	// messages travel in plaintext with the same framing (the
 	// "w/o Enc" evaluation ablation).
 	Secure bool
-	// Runtime charges TEE costs; nil means native.
-	Runtime *enclave.Runtime
 	// Pool supplies host-memory message buffers; nil allocates from the
 	// Go heap directly.
 	Pool *mempool.Pool
@@ -174,11 +172,6 @@ type Endpoint struct {
 	cfg      Config
 	codec    *seal.MsgCodec
 	handlers [256]Handler
-
-	// pktTransport is cfg.Transport when it supports release-aware
-	// polling; nil otherwise. Cached once at construction so RunOnce does
-	// not pay a type assertion per packet.
-	pktTransport PacketTransport
 
 	mu      sync.Mutex
 	txq     []outMsg
@@ -234,7 +227,6 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 		replay:   newReplayCache(replayWindow),
 	}
 	ep.nextOp.Store(opSeed)
-	ep.pktTransport, _ = cfg.Transport.(PacketTransport)
 	if cfg.Secure {
 		codec, err := seal.NewMsgCodec(cfg.NetworkKey)
 		if err != nil {
@@ -363,16 +355,28 @@ func (ep *Endpoint) wakeTx() {
 	}
 }
 
-// TxNotify exposes the transmit-wakeup channel to the event loop.
-func (ep *Endpoint) TxNotify() <-chan struct{} { return ep.txNotify }
-
-// HandlePacket feeds one received packet into the endpoint (used by
-// event loops that take packets from a ChannelTransport's channel,
-// bypassing Poll).
+// HandlePacket dispatches one wire message and flushes the replies it
+// enqueued. The event loop reaches it through receive; the 2PC fuzz
+// harness injects frames here directly.
 func (ep *Endpoint) HandlePacket(from string, data []byte) {
 	ep.dispatch(from, data)
-	// Dispatch may have enqueued replies; flush them immediately.
 	_ = ep.TxBurst()
+}
+
+// receive is the one way a packet reaches its handler: the event loop's
+// goroutine pays the packet's receive cost and runs the dispatch. A
+// secure endpoint never retains the wire buffer — the data path decrypts
+// into fresh memory and every drop branch (decode failure, replay, auth)
+// returns without keeping a reference — so it recycles unconditionally.
+// A plaintext endpoint hands payload views of the buffer to handlers and
+// completions: ownership transfers to dispatch and the buffer falls to
+// the GC.
+func (ep *Endpoint) receive(pkt simnet.Packet) {
+	ep.cfg.Transport.Charge(len(pkt.Data))
+	ep.HandlePacket(pkt.From, pkt.Data)
+	if ep.codec != nil {
+		pkt.Release()
+	}
 }
 
 // enqueueWire places a prebuilt message on the transmit queue.
@@ -397,8 +401,7 @@ func (ep *Endpoint) TxBurst() error {
 	for _, m := range batch {
 		err := ep.cfg.Transport.Send(m.to, m.wire)
 		if m.buf != nil {
-			// Sealed-frame reuse: Send either copied the frame (simnet)
-			// or transmitted it synchronously (UDP), so the pooled
+			// Sealed-frame reuse: Send copied the frame, so the pooled
 			// backing recycles immediately — sent or dropped alike.
 			ep.cfg.Pool.Free(m.buf)
 		}
@@ -416,42 +419,27 @@ func (ep *Endpoint) TxBurst() error {
 }
 
 // RunOnce performs one event-loop iteration: transmit pending messages,
-// then receive and dispatch up to RxBurst packets. It returns the number
-// of packets processed; callers poll in a loop, yielding between calls.
+// then take up to RxBurst packets that are already waiting, without
+// blocking. It returns the number of packets processed. Transport send
+// failures surface per-pending via timeouts at the protocol layer; the
+// loop keeps running.
 func (ep *Endpoint) RunOnce() int {
 	if ep.closed.Load() {
 		return 0
 	}
-	if err := ep.TxBurst(); err != nil && !ep.closed.Load() {
-		// Transport failures surface per-pending via timeouts at the
-		// protocol layer; the loop keeps running.
-		_ = err
-	}
+	_ = ep.TxBurst()
+	rx := ep.cfg.Transport.Recv()
 	n := 0
 	for ; n < ep.cfg.RxBurst; n++ {
-		if ep.pktTransport != nil {
-			pkt, ok := ep.pktTransport.PollPacket()
+		select {
+		case pkt, ok := <-rx:
 			if !ok {
-				break
+				return n
 			}
-			ep.dispatch(pkt.From, pkt.Data)
-			// Secure endpoints never retain the wire buffer: the data
-			// path decrypts into fresh memory and every drop branch
-			// (decode failure, replay, auth) returns without keeping a
-			// reference, so the receive buffer recycles unconditionally.
-			// Plaintext endpoints hand payload views of the buffer to
-			// handlers and completions — ownership transfers to dispatch
-			// and the buffer falls to the GC instead.
-			if ep.codec != nil {
-				pkt.Release()
-			}
-			continue
+			ep.receive(pkt)
+		default:
+			return n
 		}
-		from, data, ok := ep.cfg.Transport.Poll()
-		if !ok {
-			break
-		}
-		ep.dispatch(from, data)
 	}
 	return n
 }
@@ -590,7 +578,7 @@ func (ep *Endpoint) dispatch(from string, wire []byte) {
 			// The completion owns the payload: on the secure path
 			// OpenMessage decrypted into fresh memory, and on the
 			// plaintext path the event loop hands the whole receive
-			// buffer over instead of recycling it (see RunOnce).
+			// buffer over instead of recycling it (see receive).
 			p.complete(payload, nil)
 		}
 		return

@@ -4,16 +4,18 @@ import (
 	"testing"
 
 	"treaty/internal/seal"
+	"treaty/internal/simnet"
 )
 
 // sinkTransport swallows sends; the fuzz harness feeds packets straight
 // into dispatch, so nothing needs to come back out.
 type sinkTransport struct{ addr string }
 
-func (s *sinkTransport) Send(string, []byte) error         { return nil }
-func (s *sinkTransport) Poll() (string, []byte, bool)      { return "", nil, false }
-func (s *sinkTransport) LocalAddr() string                 { return s.addr }
-func (s *sinkTransport) Close() error                      { return nil }
+func (s *sinkTransport) Send(string, []byte) error  { return nil }
+func (s *sinkTransport) Recv() <-chan simnet.Packet { return nil }
+func (s *sinkTransport) Charge(int)                 {}
+func (s *sinkTransport) LocalAddr() string          { return s.addr }
+func (s *sinkTransport) Close() error               { return nil }
 
 // FuzzFrameDecode feeds arbitrary wire bytes through the full inbound
 // path — header parse, plaintext metadata decode, sealed-message

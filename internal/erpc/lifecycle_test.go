@@ -89,9 +89,10 @@ func (f *flakyTransport) Send(to string, data []byte) error {
 	return nil
 }
 
-func (f *flakyTransport) Poll() (string, []byte, bool) { return "", nil, false }
-func (f *flakyTransport) LocalAddr() string            { return "flaky" }
-func (f *flakyTransport) Close() error                 { return nil }
+func (f *flakyTransport) Recv() <-chan simnet.Packet { return nil }
+func (f *flakyTransport) Charge(int)                 {}
+func (f *flakyTransport) LocalAddr() string          { return "flaky" }
+func (f *flakyTransport) Close() error               { return nil }
 
 // TestTxBurstPartialFailure checks that one dead destination does not
 // take down the rest of a transmit batch: the burst keeps sending,

@@ -2,7 +2,6 @@ package erpc
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -12,9 +11,8 @@ import (
 
 // Poller drives an endpoint's event loop from a dedicated goroutine,
 // emulating eRPC's per-thread RPC ownership: all handler execution and
-// continuation firing happens on the poller goroutine. Polling spins
-// while traffic flows and backs off quickly when the port goes quiet so
-// that low-core machines are not monopolized.
+// continuation firing happens on the poller goroutine, the only one that
+// handles a received packet and so the one that pays its receive cost.
 type Poller struct {
 	ep   *Endpoint
 	stop chan struct{}
@@ -29,53 +27,31 @@ func StartPoller(ep *Endpoint) *Poller {
 	return p
 }
 
-// loop runs the event loop until Stop. With a ChannelTransport the loop
-// is event-driven: it spins through bursts while traffic flows and then
-// blocks on packet arrival or transmit-queue wakeups — no sleeps, no
-// idle latency. Plain transports fall back to adaptive sleep-polling.
+// loop runs the event loop until Stop or until the transport closes: it
+// runs through bursts while traffic flows, then blocks on packet arrival
+// or a transmit-queue wakeup — no sleeps, no idle latency.
 func (p *Poller) loop() {
 	defer p.wg.Done()
-	ct, eventDriven := p.ep.cfg.Transport.(ChannelTransport)
-	idle := 0
+	rx := p.ep.cfg.Transport.Recv()
 	for {
 		select {
 		case <-p.stop:
 			return
 		default:
 		}
-		if n := p.ep.RunOnce(); n > 0 {
-			idle = 0
+		if p.ep.RunOnce() > 0 {
 			continue
 		}
-		if eventDriven {
-			select {
-			case <-p.stop:
+		select {
+		case <-p.stop:
+			return
+		case <-p.ep.txNotify:
+			// Transmit work arrived; next RunOnce flushes it.
+		case pkt, ok := <-rx:
+			if !ok {
 				return
-			case <-p.ep.TxNotify():
-				// Transmit work arrived; next RunOnce flushes it.
-			case pkt, ok := <-ct.RecvCh():
-				if !ok {
-					return
-				}
-				p.ep.HandlePacket(pkt.From, pkt.Data)
-				// Secure dispatch does not retain the wire buffer (see
-				// RunOnce); recycle it, decode failures included.
-				// Plaintext dispatch takes ownership (payloads alias the
-				// buffer), so it falls to the GC.
-				if p.ep.codec != nil {
-					pkt.Release()
-				}
 			}
-			continue
-		}
-		idle++
-		switch {
-		case idle <= 8:
-			runtime.Gosched()
-		case idle <= 64:
-			time.Sleep(5 * time.Microsecond)
-		default:
-			time.Sleep(50 * time.Microsecond)
+			p.ep.receive(pkt)
 		}
 	}
 }

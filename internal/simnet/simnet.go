@@ -13,6 +13,14 @@
 //
 // Endpoints exchange datagrams; reliability, ordering, and security are
 // the job of the layers above (package erpc).
+//
+// Every packet is accounted for exactly once. With nothing in flight
+// (Stats.InFlight):
+//
+//	Sent + Duplicated == Delivered + DroppedMTU + DroppedLoss +
+//	    DroppedAdversary + DroppedPartition + DroppedOverrun
+//
+// and every drop returns the packet's pooled buffer.
 package simnet
 
 import (
@@ -54,19 +62,6 @@ type Packet struct {
 func (p Packet) Release() {
 	if p.buf != nil {
 		pktBufPool.Put(p.buf)
-	}
-}
-
-// Buf exposes the packet's pooled backing, nil when Data is GC-owned.
-// Release-aware receivers that cannot afford a per-packet closure carry
-// this pointer instead and hand it to RecycleBuf; doing both (Release
-// and RecycleBuf) double-frees.
-func (p Packet) Buf() *[]byte { return p.buf }
-
-// RecycleBuf returns a pooled backing obtained from Packet.Buf. Nil-safe.
-func RecycleBuf(buf *[]byte) {
-	if buf != nil {
-		pktBufPool.Put(buf)
 	}
 }
 
@@ -130,6 +125,8 @@ type LinkConfig struct {
 type Stats struct {
 	// Sent counts packets accepted for transmission.
 	Sent uint64
+	// Duplicated counts the extra copies the adversary injected.
+	Duplicated uint64
 	// Delivered counts packets handed to receivers.
 	Delivered uint64
 	// DroppedMTU counts packets dropped for exceeding the MTU.
@@ -140,8 +137,20 @@ type Stats struct {
 	DroppedAdversary uint64
 	// DroppedPartition counts packets dropped by partitions.
 	DroppedPartition uint64
+	// DroppedOverrun counts packets dropped because a link's pipe or the
+	// receiver's inbox was full, or the receiver had closed.
+	DroppedOverrun uint64
 	// BytesDelivered counts delivered payload bytes.
 	BytesDelivered uint64
+}
+
+// InFlight is the number of packets accepted or duplicated and neither
+// delivered nor dropped yet: zero once the links have drained (the
+// package comment's law). A snapshot is not one atomic cut, so a reading
+// taken under traffic may be off by the packets that moved meanwhile.
+func (s Stats) InFlight() int64 {
+	return int64(s.Sent + s.Duplicated - s.Delivered - s.DroppedMTU - s.DroppedLoss -
+		s.DroppedAdversary - s.DroppedPartition - s.DroppedOverrun)
 }
 
 // Network is a set of endpoints connected by configurable links.
@@ -159,11 +168,13 @@ type Network struct {
 	rngMu     sync.Mutex
 
 	sent             atomic.Uint64
+	duplicated       atomic.Uint64
 	delivered        atomic.Uint64
 	droppedMTU       atomic.Uint64
 	droppedLoss      atomic.Uint64
 	droppedAdversary atomic.Uint64
 	droppedPartition atomic.Uint64
+	droppedOverrun   atomic.Uint64
 	bytesDelivered   atomic.Uint64
 }
 
@@ -199,6 +210,7 @@ func (l *link) enqueue(n *Network, s scheduledPkt) {
 	select {
 	case l.q <- s:
 	default:
+		n.dropOverrun(s.pkt)
 	}
 }
 
@@ -309,11 +321,13 @@ func (n *Network) Close() {
 func (n *Network) Stats() Stats {
 	return Stats{
 		Sent:             n.sent.Load(),
+		Duplicated:       n.duplicated.Load(),
 		Delivered:        n.delivered.Load(),
 		DroppedMTU:       n.droppedMTU.Load(),
 		DroppedLoss:      n.droppedLoss.Load(),
 		DroppedAdversary: n.droppedAdversary.Load(),
 		DroppedPartition: n.droppedPartition.Load(),
+		DroppedOverrun:   n.droppedOverrun.Load(),
 		BytesDelivered:   n.bytesDelivered.Load(),
 	}
 }
@@ -335,6 +349,13 @@ func (n *Network) linkFor(from, to string) *link {
 	l = &link{cfg: n.defaults}
 	n.links[key] = l
 	return l
+}
+
+// dropOverrun discards a packet no queue had room for (link pipe or
+// inbox full) or whose receiver closed.
+func (n *Network) dropOverrun(pkt Packet) {
+	n.droppedOverrun.Add(1)
+	pkt.Release()
 }
 
 // chance samples the seeded RNG.
@@ -415,6 +436,9 @@ func (n *Network) send(pkt Packet) error {
 	}
 
 	total := cfg.Latency + queueDelay + delay
+	if copies > 1 {
+		n.duplicated.Add(uint64(copies - 1))
+	}
 	for i := 0; i < copies; i++ {
 		p := pkt
 		if copies > 1 {
@@ -470,38 +494,10 @@ func (e *Endpoint) Recv() (Packet, error) {
 	return pkt, nil
 }
 
-// RecvCh exposes the receive ring as a channel so event loops can block
-// on packet arrival instead of sleep-polling (essential on low-core
-// hosts). The channel closes when the endpoint closes.
+// RecvCh exposes the receive ring as a channel: an event loop takes
+// what is waiting with a non-blocking select and blocks on it when idle.
+// The channel closes when the endpoint closes.
 func (e *Endpoint) RecvCh() <-chan Packet { return e.inbox }
-
-// Poll returns a packet if one is immediately available. This is the
-// polling receive used by the kernel-bypass RPC event loop (no blocking,
-// no syscalls).
-func (e *Endpoint) Poll() (Packet, bool) {
-	select {
-	case pkt, ok := <-e.inbox:
-		if !ok {
-			return Packet{}, false
-		}
-		return pkt, true
-	default:
-		return Packet{}, false
-	}
-}
-
-// RecvTimeout blocks up to d for a packet.
-func (e *Endpoint) RecvTimeout(d time.Duration) (Packet, error) {
-	select {
-	case pkt, ok := <-e.inbox:
-		if !ok {
-			return Packet{}, ErrClosed
-		}
-		return pkt, nil
-	case <-time.After(d):
-		return Packet{}, errors.New("simnet: receive timeout")
-	}
-}
 
 // deliver hands a packet to the endpoint unless it is closed or full
 // (receiver overrun drops, like a NIC ring).
@@ -509,7 +505,7 @@ func (e *Endpoint) deliver(pkt Packet, n *Network) {
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
 	if e.closed.Load() {
-		pkt.Release()
+		n.dropOverrun(pkt)
 		return
 	}
 	select {
@@ -518,7 +514,7 @@ func (e *Endpoint) deliver(pkt Packet, n *Network) {
 		n.bytesDelivered.Add(uint64(len(pkt.Data)))
 	default:
 		// Receiver overrun: drop, as a NIC would.
-		pkt.Release()
+		n.dropOverrun(pkt)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"treaty/internal/lsm"
 	"treaty/internal/seal"
 	"treaty/internal/shardmap"
+	"treaty/internal/simnet"
 	"treaty/internal/txn"
 )
 
@@ -19,10 +20,11 @@ import (
 // comes back out of a single-node stack talking to a fuzzer.
 type fuzzSink struct{ addr string }
 
-func (s *fuzzSink) Send(string, []byte) error    { return nil }
-func (s *fuzzSink) Poll() (string, []byte, bool) { return "", nil, false }
-func (s *fuzzSink) LocalAddr() string            { return s.addr }
-func (s *fuzzSink) Close() error                 { return nil }
+func (s *fuzzSink) Send(string, []byte) error  { return nil }
+func (s *fuzzSink) Recv() <-chan simnet.Packet { return nil }
+func (s *fuzzSink) Charge(int)                 {}
+func (s *fuzzSink) LocalAddr() string          { return s.addr }
+func (s *fuzzSink) Close() error               { return nil }
 
 // fuzzFrame hand-builds a plaintext erpc frame carrying a 2PC protocol
 // message: 12-byte header (version, reqType, flags, reqID) followed by
