@@ -81,12 +81,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplStreamDecode -fuzztime $(FUZZTIME) ./internal/repl/
 	$(GO) test -run '^$$' -fuzz FuzzLogReplay -fuzztime $(FUZZTIME) ./internal/durlog/
 
-# Crash-point harness: power-cut after every durable write site
-# (WAL/SSTable/MANIFEST/counter/Clog) at all three security levels, on
-# counter files (a trusted value at recovery) and on immediate counters
-# (none), reboot each image, and check the recovery invariants. The repl sweep
-# power-cuts both sides of the replication pipeline and checks that
-# stabilized counters never outrun the backup's synced mirror.
+# Crash-point sweep: power-cut after every durable write site of a
+# primary (WAL/SSTable/MANIFEST/counter/Clog) and of the backup mirror it
+# ships to, at all three security levels, on counter files (a trusted
+# value at recovery) and on immediate counters (none); reboot each image
+# and check the recovery invariants, that stabilized counters never
+# outrun the forced mirror, and that the mirror covers every acked group.
+# One sweep per cell; the two tests report its single-node and
+# replication views.
 crashpoint:
 	$(GO) test -v -run 'TestCrashPoint|TestReplCrashPoint' ./internal/vfs/crashtest/
 
@@ -110,6 +112,10 @@ vet:
 # rewrite-and-rename of the state file cannot come back by the side door.
 # And no node, harness of internal/bench, command or example builds a file
 # counter: a mode's counter kind comes from core's policy table.
+# The replication mirror is a durlog client too (non-test internal/repl
+# imports no "os"), a WAL record is read only by lsm's fold (nothing
+# outside internal/lsm names its kinds or payload decoders), and no
+# environment variable turns on debug prints (TREATY_DEBUG).
 # A packet reaches its handler one way: internal/erpc starts one goroutine,
 # the poller (a second one between the fabric and it would pay receive costs
 # off the books), and the optional-interface and socket-transport names stay
@@ -125,10 +131,13 @@ check-once:
 	grep -n 'rand\.Read' $$($(call ONCE_SRC,internal/erpc internal/twopc internal/counter internal/repl)) | grep -v txSeed && fail=1; \
 	grep -n '"os"' $$($(call ONCE_SRC,internal/counter)) && fail=1; \
 	grep -n 'NewFileCounter' $$($(call ONCE_SRC,internal/core internal/bench cmd examples)) && fail=1; \
+	grep -n '"os"' $$($(call ONCE_SRC,internal/repl)) && fail=1; \
+	grep -nE 'WALKind|DecodePreparePayload|DecodeOutcomePayload' $$($(call ONCE_SRC,internal cmd examples) ! -path 'internal/lsm/*') && fail=1; \
+	grep -n 'TREATY_DEBUG' $$($(call ONCE_SRC,.)) && fail=1; \
 	gos=$$(grep -nE '^[[:space:]]*go [a-zA-Z_(]' $$(find internal/erpc -name '*.go' ! -name '*_test.go')); \
 	[ $$(printf '%s\n' "$$gos" | grep -c .) -eq 1 ] || { printf '%s\n' "$$gos"; fail=1; }; \
 	grep -nE 'PollPacket|ChannelTransport|PacketTransport|UDPTransport' $$($(call ONCE_SRC,internal cmd examples)) && fail=1; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, mode policy, packet path); call the shared one"; exit 1; }
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, packet path); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

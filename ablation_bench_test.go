@@ -1,7 +1,7 @@
 package treaty
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: group
-// commit, lock-table sharding, stabilization batching, and host-memory vs
+// Ablation benchmarks for the design choices DESIGN.md calls out:
+// lock-table sharding, stabilization batching, and host-memory vs
 // enclave-resident buffers (EPC pressure). Each compares configurations
 // of the same module so the effect of one mechanism is isolated.
 //
@@ -19,49 +19,7 @@ import (
 	"treaty/internal/lsm"
 	"treaty/internal/seal"
 	"treaty/internal/txn"
-	"treaty/internal/workload"
 )
-
-// BenchmarkAblation_GroupCommit compares commits with the group-commit
-// leader (§VII-B) against one-WAL-sync-per-transaction.
-func BenchmarkAblation_GroupCommit(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "grouped"
-		if disable {
-			name = "per-txn-sync"
-		}
-		b.Run(name, func(b *testing.B) {
-			key, err := seal.NewRandomKey()
-			if err != nil {
-				b.Fatal(err)
-			}
-			db, err := lsm.Open(lsm.Options{
-				Dir: b.TempDir(), Level: seal.LevelEncrypted, Key: key,
-				DisableGroupCommit: disable,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			mgr := txn.NewManager(txn.Config{DB: db, LockTimeout: 2 * time.Second})
-
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				local := workload.NewYCSB(workload.YCSBConfig{ReadRatio: 0, OpsPerTxn: 5, ValueSize: 200, Keys: 5000}, 2)
-				for pb.Next() {
-					t := mgr.BeginPessimistic(nil)
-					for _, op := range local.NextTxn() {
-						if err := t.Put(op.Key, op.Value); err != nil {
-							t.Rollback()
-							break
-						}
-					}
-					_ = t.Commit()
-				}
-			})
-		})
-	}
-}
 
 // BenchmarkAblation_LockShards sweeps the lock-table shard count (§V-B:
 // "TREATY runs with a big number of shards to avoid locking

@@ -40,8 +40,6 @@ type ClusterOptions struct {
 	IdleTimeout time.Duration
 	// MemTableSize overrides the flush threshold.
 	MemTableSize int64
-	// DisableGroupCommit is the group-commit ablation.
-	DisableGroupCommit bool
 	// LockShards overrides the lock-table shard count.
 	LockShards int
 	// BlockCacheBytes sizes each node's authenticated block cache
@@ -203,25 +201,24 @@ func (c *Cluster) nodeConfig(id uint64, addr string) (NodeConfig, error) {
 		nfs = c.opts.NodeFS(int(id))
 	}
 	return NodeConfig{
-		ID:                 id,
-		Addr:               addr,
-		FS:                 nfs,
-		Dir:                dir,
-		Mode:               c.opts.Mode,
-		Net:                c.net,
-		Platform:           platform,
-		LAS:                las,
-		CAS:                c.cas,
-		Workers:            c.opts.Workers,
-		LockTimeout:        c.opts.LockTimeout,
-		TxnTimeout:         c.opts.TxnTimeout,
-		IdleTimeout:        c.opts.IdleTimeout,
-		MemTableSize:       c.opts.MemTableSize,
-		DisableGroupCommit: c.opts.DisableGroupCommit,
-		LockShards:         c.opts.LockShards,
-		BlockCacheBytes:    c.opts.BlockCacheBytes,
-		EPCBudget:          c.opts.EPCBudget,
-		Replicate:          c.opts.Replicate,
+		ID:              id,
+		Addr:            addr,
+		FS:              nfs,
+		Dir:             dir,
+		Mode:            c.opts.Mode,
+		Net:             c.net,
+		Platform:        platform,
+		LAS:             las,
+		CAS:             c.cas,
+		Workers:         c.opts.Workers,
+		LockTimeout:     c.opts.LockTimeout,
+		TxnTimeout:      c.opts.TxnTimeout,
+		IdleTimeout:     c.opts.IdleTimeout,
+		MemTableSize:    c.opts.MemTableSize,
+		LockShards:      c.opts.LockShards,
+		BlockCacheBytes: c.opts.BlockCacheBytes,
+		EPCBudget:       c.opts.EPCBudget,
+		Replicate:       c.opts.Replicate,
 	}, nil
 }
 

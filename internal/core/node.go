@@ -70,9 +70,6 @@ type NodeConfig struct {
 	// go through; nil uses the real OS. The chaos and crash-point
 	// harnesses substitute fault-injecting filesystems.
 	FS vfs.FS
-	// DisableGroupCommit is the group-commit ablation (both the storage
-	// engine's WAL committer and the Clog leader).
-	DisableGroupCommit bool
 	// LockShards overrides the lock-table shard count.
 	LockShards int
 	// BlockCacheBytes sizes the engine's authenticated block cache
@@ -275,18 +272,17 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 
 	// Storage engine (recovers from cfg.Dir if state exists).
 	n.db, err = lsm.Open(lsm.Options{
-		Dir:                cfg.Dir,
-		FS:                 cfg.FS,
-		Level:              policy.Level,
-		Key:                clusterCfg.StorageKey,
-		Runtime:            n.rt,
-		Counters:           counters,
-		MemTableSize:       cfg.MemTableSize,
-		DisableGroupCommit: cfg.DisableGroupCommit,
-		BlockCacheBytes:    cfg.BlockCacheBytes,
-		Pool:               n.pool,
-		Metrics:            n.reg,
-		Ship:               walShipHook,
+		Dir:             cfg.Dir,
+		FS:              cfg.FS,
+		Level:           policy.Level,
+		Key:             clusterCfg.StorageKey,
+		Runtime:         n.rt,
+		Counters:        counters,
+		MemTableSize:    cfg.MemTableSize,
+		BlockCacheBytes: cfg.BlockCacheBytes,
+		Pool:            n.pool,
+		Metrics:         n.reg,
+		Ship:            walShipHook,
 	})
 	if err != nil {
 		n.shutdownPartial()
@@ -320,10 +316,9 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	clog.Configure(twopc.ClogTuning{
-		DisableGroupCommit: cfg.DisableGroupCommit,
-		Metrics:            n.reg,
-		Pool:               n.pool,
-		Ship:               clogShipHook,
+		Metrics: n.reg,
+		Pool:    n.pool,
+		Ship:    clogShipHook,
 	})
 	if clog.TornTailDropped() {
 		n.reg.Counter("storage.clog.torn_dropped").Inc()

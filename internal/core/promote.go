@@ -3,43 +3,21 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
-	"sort"
 
 	"treaty/internal/attest"
-	"treaty/internal/lsm"
 	"treaty/internal/repl"
-	"treaty/internal/twopc"
 )
-
-// debugPromote dumps the mirror replay to stderr (TREATY_DEBUG_PROMOTE=1).
-var debugPromote = os.Getenv("TREATY_DEBUG_PROMOTE") != ""
-
-func dbgf(format string, args ...any) {
-	if debugPromote {
-		fmt.Fprintf(os.Stderr, "[promote] "+format+"\n", args...)
-	}
-}
-
-func dbgBatch(prefix string, b *lsm.Batch) {
-	if !debugPromote {
-		return
-	}
-	_ = b.Each(func(kind lsm.RecordKind, key, value []byte) error {
-		fmt.Fprintf(os.Stderr, "[promote]   %s %q = %q\n", prefix, key, value)
-		return nil
-	})
-}
 
 // Failover: a backup taking over a dead primary's slots. The takeover is
 // gated by a CAS promotion certificate — the trusted-counter-anchored
 // proof that this backup's mirror covers every commit group any
 // stabilized counter value can reference — and then replays the mirror
-// through the same decode paths crash recovery uses:
+// through the folds crash recovery uses:
 //
-//	phase A (before the epoch flip): WAL mirror → engine state. Committed
-//	  batches re-apply; prepares without decisions restore as prepared
-//	  transactions for 2PC resolution, exactly as a local reboot would.
+//	phase A (before the epoch flip): WAL mirror → engine state, through
+//	  lsm's WAL fold (DB.ApplyLog). Committed batches re-apply; prepares
+//	  without decisions restore as prepared transactions for 2PC
+//	  resolution, exactly as a local reboot would.
 //	phase B (after the flip): Clog mirror → coordinator adoption. The
 //	  dead primary's undecided transactions re-drive under this node's
 //	  coordinator, with participant lists rewritten so entries naming
@@ -126,62 +104,10 @@ func (n *Node) Promote(primary uint64) error {
 	// now for the Clog participant rewrite.
 	oldAddr := n.AddrOfNode(primary)
 
-	// Phase A: WAL mirror → engine, through recovery's decode semantics.
-	pending := make(map[lsm.TxID]*lsm.Batch)
-	var order []lsm.TxID
-	for _, f := range n.backup.Frames(primary, repl.StreamWAL) {
-		switch f.Kind {
-		case lsm.WALKindBatch:
-			b, err := lsm.DecodeBatch(f.Payload)
-			if err != nil {
-				return fmt.Errorf("core: promoting %d: WAL batch: %w", primary, err)
-			}
-			dbgf("walA ctr=%d batch count=%d", f.Counter, b.Count())
-			dbgBatch("batch", b)
-			if _, _, err := n.db.Apply(b); err != nil {
-				return fmt.Errorf("core: promoting %d: applying batch: %w", primary, err)
-			}
-		case lsm.WALKindPrepare:
-			id, b, err := lsm.DecodePreparePayload(f.Payload)
-			if err != nil {
-				return fmt.Errorf("core: promoting %d: WAL prepare: %w", primary, err)
-			}
-			dbgf("walA ctr=%d prepare tx=%x count=%d", f.Counter, id, b.Count())
-			dbgBatch("prep", b)
-			if _, ok := pending[id]; !ok {
-				order = append(order, id)
-			}
-			pending[id] = b
-		case lsm.WALKindOutcome:
-			id, commit, b, err := lsm.DecodeOutcomePayload(f.Payload)
-			if err != nil {
-				return fmt.Errorf("core: promoting %d: WAL outcome: %w", primary, err)
-			}
-			dbgf("walA ctr=%d outcome tx=%x commit=%v", f.Counter, id, commit)
-			// Apply and mark decided in one step, as recovery does: a
-			// commit carries its own write set, an abort left no state.
-			if commit {
-				dbgBatch("outcome", b)
-				if _, _, err := n.db.Apply(b); err != nil {
-					return fmt.Errorf("core: promoting %d: applying outcome: %w", primary, err)
-				}
-			}
-			delete(pending, id)
-		default:
-			return fmt.Errorf("core: promoting %d: unknown WAL record kind %d", primary, f.Kind)
-		}
-	}
-	var undecided []lsm.PreparedTx
-	for _, id := range order {
-		if b, ok := pending[id]; ok {
-			undecided = append(undecided, lsm.PreparedTx{ID: id, Batch: b})
-		}
-	}
-	sort.Slice(undecided, func(i, j int) bool {
-		return string(undecided[i].ID[:]) < string(undecided[j].ID[:])
-	})
-	for _, u := range undecided {
-		dbgf("restore prepared tx=%x count=%d", u.ID, u.Batch.Count())
+	// Phase A: WAL mirror → engine, through recovery's fold.
+	undecided, err := n.db.ApplyLog(n.backup.Entries(primary, repl.StreamWAL))
+	if err != nil {
+		return fmt.Errorf("core: promoting %d: replaying WAL mirror: %w", primary, err)
 	}
 	if err := n.part.RestorePrepared(undecided); err != nil {
 		return fmt.Errorf("core: promoting %d: restoring prepared: %w", primary, err)
@@ -195,22 +121,13 @@ func (n *Node) Promote(primary uint64) error {
 
 	// Phase B: Clog mirror → coordinator adoption. Entries naming the
 	// dead primary as a participant are rewritten to us.
-	var entries []twopc.ClogEntry
-	for _, f := range n.backup.Frames(primary, repl.StreamClog) {
-		e, err := twopc.DecodeClogRecord(f.Kind, f.Counter, f.Payload)
-		if err != nil {
-			return fmt.Errorf("core: promoting %d: clog record: %w", primary, err)
-		}
-		dbgf("clogB tx=%x kind=%d commit=%v parts=%v", e.TxID, e.Kind, e.Commit, e.Participants)
-		entries = append(entries, e)
-	}
 	rewrite := func(a string) string {
 		if a == oldAddr {
 			return n.cfg.Addr
 		}
 		return a
 	}
-	if err := n.coord.AdoptRecovered(entries, rewrite, nil); err != nil {
+	if err := n.coord.AdoptRecovered(n.backup.Entries(primary, repl.StreamClog), rewrite, nil); err != nil {
 		return fmt.Errorf("core: promoting %d: adopting clog: %w", primary, err)
 	}
 	if err := n.part.ResolveRecovered(n.AddrOfNode); err != nil {

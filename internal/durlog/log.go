@@ -1,7 +1,8 @@
 // Package durlog is Treaty's one durable log (§V-A, §VI): every log file
-// — WAL, MANIFEST, Clog — is a sequence of hash-chained frames, each bound
-// to the next value of the file's own trusted counter, that is written,
-// forced, shipped and then stabilized. The package states once the three
+// — WAL, MANIFEST, Clog, the counter replica's journal and the backup's
+// replication mirror — is a sequence of chained frames, each bound to the
+// next value of the file's own trusted counter, that is written, forced,
+// shipped and then stabilized. The package states once the three
 // invariants all of them rely on:
 //
 //  1. stable ≤ synced ≤ appended. The trusted counter is only ever told

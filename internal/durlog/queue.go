@@ -14,11 +14,9 @@ const groupLimit = 64
 // to commit, which runs the log's Commit (under whatever lock the owner
 // needs) and completes the waiters.
 type Queue[R any] struct {
-	// Single makes every request a group of its own (the group-commit
-	// ablation); Sizes observes group sizes. Both may be set until the
-	// first Submit, whose channel send publishes them to the leader.
-	Single bool
-	Sizes  *obs.Histogram
+	// Sizes observes group sizes. It may be set until the first Submit,
+	// whose channel send publishes it to the leader.
+	Sizes *obs.Histogram
 
 	ch     chan R
 	mu     sync.RWMutex // orders Submit's send before Close's close(ch)
@@ -38,7 +36,7 @@ func NewQueue[R any](commit func(group []R)) *Queue[R] {
 		for r := range q.ch {
 			group = append(group[:0], r)
 		drain:
-			for !q.Single && len(group) < groupLimit {
+			for len(group) < groupLimit {
 				select {
 				case r, ok := <-q.ch:
 					if !ok {

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -116,6 +117,16 @@ func decodeBatch(data []byte) ([]batchRecord, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptBatch, len(data)-off)
 	}
 	return recs, nil
+}
+
+// batchFromEncoded rebuilds a Batch from its validated encoded form, on
+// a copy of data.
+func batchFromEncoded(data []byte) (*Batch, error) {
+	recs, err := decodeBatch(data)
+	if err != nil {
+		return nil, err
+	}
+	return &Batch{buf: bytes.Clone(data), count: uint32(len(recs))}, nil
 }
 
 // applyToMemTable inserts the batch's records starting at baseSeq.

@@ -55,9 +55,6 @@ type Options struct {
 	// SyncWAL fsyncs the WAL on every commit group (off by default;
 	// rotation and Close force the log either way).
 	SyncWAL bool
-	// DisableGroupCommit makes every commit write and sync alone (the
-	// group-commit ablation).
-	DisableGroupCommit bool
 	// Metrics, when non-nil, exports storage metrics under "lsm.*":
 	// WAL appends/syncs and sync latency, commit group sizes, memtable
 	// flushes, compactions, bloom filter hit rate, and the WAL
@@ -280,7 +277,6 @@ func Open(opt Options) (*DB, error) {
 	}
 
 	db.commits = durlog.NewQueue(db.commitGroup)
-	db.commits.Single = opt.DisableGroupCommit
 	db.commits.Sizes = opt.Metrics.Histogram("lsm.commit.group_size")
 	db.bgWG.Add(1)
 	go db.background()

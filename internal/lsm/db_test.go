@@ -529,6 +529,96 @@ func TestDBPreparedTxRecovery(t *testing.T) {
 	}
 }
 
+// TestApplyLogEqualsRecovery pins that promotion replays a WAL stream the
+// way recovery does: one stream — committed batches, a prepare decided
+// after a WAL rotation, a prepare aborted and one left undecided — read
+// back (a) by reopening its DB from the files and (b) by applying the
+// groups its Ship hook captured to a fresh DB must agree on every key and
+// on the undecided set.
+func TestApplyLogEqualsRecovery(t *testing.T) {
+	dir, key := t.TempDir(), testKey(t)
+	tc := newTestCounters()
+	var shipped []durlog.Entry
+	db, err := Open(Options{Dir: dir, Level: seal.LevelEncrypted, Key: key, Counters: tc.factory, MemTableSize: 64 << 10,
+		Ship: func(group []ReplEntry) {
+			for _, e := range group {
+				shipped = append(shipped, durlog.Entry{Kind: e.Kind, Counter: e.Counter, Payload: bytes.Clone(e.Payload)})
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := func(name string) (id TxID, b *Batch) {
+		copy(id[:], name)
+		b = NewBatch()
+		b.Put([]byte(name+"-key"), []byte(name+"-val"))
+		if _, err := db.LogPrepare(id, b); err != nil {
+			t.Fatal(err)
+		}
+		return id, b
+	}
+	for i := 0; i < 20; i++ {
+		put(t, db, fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i))
+	}
+	del := NewBatch()
+	del.Delete([]byte("k03"))
+	if _, _, err := db.Apply(del); err != nil {
+		t.Fatal(err)
+	}
+	rotated, rb := tx("rotated")
+	aborted, ab := tx("aborted")
+	undecided, _ := tx("undecided")
+	if err := db.Flush(); err != nil { // the prepares' WAL rotates out
+		t.Fatal(err)
+	}
+	for _, o := range []struct {
+		id     TxID
+		commit bool
+		b      *Batch
+	}{{rotated, true, rb}, {aborted, false, ab}} {
+		if _, err := db.LogOutcome(o.id, o.commit, o.b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(t, db, "k01", "rewritten")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := openTestDB(t, dir, seal.LevelEncrypted, key, tc)
+	defer recovered.Close()
+	promoted := openTestDB(t, t.TempDir(), seal.LevelEncrypted, key, nil)
+	defer promoted.Close()
+	applied, err := promoted.ApplyLog(shipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	contents := func(db *DB) map[string]string {
+		it, err := db.NewIterator(db.LatestSeq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		kv := map[string]string{}
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			kv[string(it.Key())] = string(it.Value())
+		}
+		return kv
+	}
+	want, got := contents(recovered), contents(promoted)
+	if fmt.Sprint(want) != fmt.Sprint(got) {
+		t.Fatalf("promoted state differs from recovered state:\nrecovered %v\npromoted  %v", want, got)
+	}
+	if want["rotated-key"] != "rotated-val" || want["k01"] != "rewritten" || want["k03"] != "" || len(want) != 20 {
+		t.Fatalf("recovered state is not the stream's: %v", want)
+	}
+	inDoubt := recovered.RecoveredPrepared()
+	if len(inDoubt) != 1 || len(applied) != 1 || inDoubt[0].ID != undecided || applied[0].ID != undecided ||
+		!bytes.Equal(inDoubt[0].Batch.encode(), applied[0].Batch.encode()) {
+		t.Fatalf("undecided sets differ: recovered %v, promoted %v", inDoubt, applied)
+	}
+}
+
 func TestDBConcurrentWriters(t *testing.T) {
 	db := openTestDB(t, t.TempDir(), seal.LevelEncrypted, testKey(t), nil)
 	defer db.Close()

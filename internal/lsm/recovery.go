@@ -84,10 +84,10 @@ func (db *DB) recover() error {
 		}
 	}
 
-	// Undecided prepares, in log order: an outcome record always follows
-	// its prepare, so deleting on outcome leaves exactly the in-doubt set.
-	preparedByID := make(map[TxID]*Batch)
-	applyBatch := func(mem *memTable, encoded []byte) error {
+	// One fold over every live WAL, in order: a prepare and its outcome
+	// may sit in different files.
+	var mem *memTable
+	fold := newWALFold(func(encoded []byte) error {
 		recs, err := decodeBatch(encoded)
 		if err != nil {
 			return err
@@ -96,8 +96,7 @@ func (db *DB) recover() error {
 		applyToMemTable(mem, base, recs)
 		db.lastSeq.Store(base + uint64(len(recs)) - 1)
 		return nil
-	}
-
+	})
 	for _, num := range walNums {
 		if num < logNumber {
 			// Obsolete WAL whose memtable was flushed; it survived only
@@ -114,32 +113,10 @@ func (db *DB) recover() error {
 		if wal.Torn {
 			db.corruptions.Add(1)
 		}
-		mem := newMemTable(db.opt.Level, db.rt, db.memCipher, num)
+		mem = newMemTable(db.opt.Level, db.rt, db.memCipher, num)
 		for _, e := range wal.Entries {
-			switch e.Kind {
-			case walKindBatch:
-				if derr := applyBatch(mem, e.Payload); derr != nil {
-					return derr
-				}
-			case walKindPrepare:
-				id, b, derr := DecodePreparePayload(e.Payload)
-				if derr != nil {
-					return derr
-				}
-				preparedByID[id] = b
-				db.prepLog[id] = num
-			case walKindOutcome:
-				id, commit, writes, derr := decodeOutcome(e.Payload)
-				if derr != nil {
-					return derr
-				}
-				if commit {
-					if derr := applyBatch(mem, writes); derr != nil {
-						return derr
-					}
-				}
-				delete(preparedByID, id)
-				delete(db.prepLog, id)
+			if err := fold.add(e, num); err != nil {
+				return err
 			}
 		}
 		if mem.entries() > 0 {
@@ -151,12 +128,11 @@ func (db *DB) recover() error {
 
 	// Prepared transactions without a decision must be re-initialized;
 	// the 2PC layer asks their coordinators to commit or abort (§VI).
-	for id, b := range preparedByID {
-		db.prepared = append(db.prepared, PreparedTx{ID: id, Batch: b})
+	// Each pins the WAL holding its prepare record.
+	db.prepared = fold.undecided()
+	for id, p := range fold.pending {
+		db.prepLog[id] = p.log
 	}
-	sort.Slice(db.prepared, func(i, j int) bool {
-		return string(db.prepared[i].ID[:]) < string(db.prepared[j].ID[:])
-	})
 
 	// 3. Fresh WAL for new writes. The minimum live log does NOT advance
 	// here: the replayed WALs back memtables that are not flushed yet (and
@@ -173,6 +149,85 @@ func (db *DB) recover() error {
 		defer db.scheduleBG()
 	}
 	return nil
+}
+
+// walFold is the one reading of a WAL stream, shared by recovery and
+// promotion: a batch, or the write set of a committing outcome, goes to
+// apply; a prepare waits in pending, under the number of the WAL holding
+// it, until its outcome record removes it. An outcome always follows its
+// prepare, so what is left at the end is exactly the in-doubt set.
+type walFold struct {
+	apply   func(encoded []byte) error
+	pending map[TxID]pendingPrepare
+}
+
+// pendingPrepare is a prepare record without an outcome yet.
+type pendingPrepare struct {
+	batch *Batch
+	log   uint64
+}
+
+func newWALFold(apply func(encoded []byte) error) *walFold {
+	return &walFold{apply: apply, pending: make(map[TxID]pendingPrepare)}
+}
+
+// add folds one record of WAL log.
+func (f *walFold) add(e durlog.Entry, log uint64) error {
+	switch e.Kind {
+	case walKindBatch:
+		return f.apply(e.Payload)
+	case walKindPrepare:
+		id, b, err := decodePrepare(e.Payload)
+		if err != nil {
+			return err
+		}
+		f.pending[id] = pendingPrepare{batch: b, log: log}
+	case walKindOutcome:
+		id, commit, writes, err := decodeOutcome(e.Payload)
+		if err != nil {
+			return err
+		}
+		if commit {
+			if err := f.apply(writes); err != nil {
+				return err
+			}
+		}
+		delete(f.pending, id)
+	default:
+		return fmt.Errorf("lsm: unknown WAL record kind %d", e.Kind)
+	}
+	return nil
+}
+
+// undecided returns the pending prepares sorted by transaction id.
+func (f *walFold) undecided() []PreparedTx {
+	out := make([]PreparedTx, 0, len(f.pending))
+	for id, p := range f.pending {
+		out = append(out, PreparedTx{ID: id, Batch: p.batch})
+	}
+	sort.Slice(out, func(i, j int) bool { return string(out[i].ID[:]) < string(out[j].ID[:]) })
+	return out
+}
+
+// ApplyLog replays a WAL stream recorded elsewhere — a promoted backup's
+// mirror of its primary's WAL, across every file the primary rotated
+// through — with recovery's fold: committed batches are committed
+// through this DB's own commit path, and the prepares left without an
+// outcome are returned sorted by id, as RecoveredPrepared returns them.
+func (db *DB) ApplyLog(entries []durlog.Entry) ([]PreparedTx, error) {
+	fold := newWALFold(func(encoded []byte) error {
+		b, err := batchFromEncoded(encoded)
+		if err == nil {
+			_, _, err = db.Apply(b)
+		}
+		return err
+	})
+	for _, e := range entries {
+		if err := fold.add(e, 0); err != nil {
+			return nil, err
+		}
+	}
+	return fold.undecided(), nil
 }
 
 // listWALs returns the wal file numbers in dir, ascending.

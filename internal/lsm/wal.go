@@ -43,6 +43,18 @@ func decodeOutcome(payload []byte) (id TxID, commit bool, writes []byte, err err
 	return id, true, payload[len(id)+1:], nil
 }
 
+// decodePrepare splits a walKindPrepare payload into the transaction id
+// and its write batch.
+func decodePrepare(payload []byte) (TxID, *Batch, error) {
+	var id TxID
+	if len(payload) < len(id) {
+		return id, nil, fmt.Errorf("lsm: short prepare payload (%d bytes)", len(payload))
+	}
+	copy(id[:], payload)
+	b, err := batchFromEncoded(payload[len(id):])
+	return id, b, err
+}
+
 // walFileName builds the WAL path for a file number.
 func walFileName(dir string, number uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%06d.log", number))

@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 
+	"treaty/internal/durlog"
 	"treaty/internal/erpc"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
@@ -16,10 +16,10 @@ import (
 
 // Backup receives ship requests and durably mirrors them. It does NOT
 // apply the records to its own engine: a mirror is raw replicated
-// history, applied exactly once — at promotion — through the same
-// decode path crash recovery uses. (Applying eagerly would also ship
-// the applied records back out through the backup's own Ship hook,
-// an infinite echo in mutual-replication topologies.)
+// history, applied exactly once — at promotion — through the fold crash
+// recovery uses. (Applying eagerly would also ship the applied records
+// back out through the backup's own Ship hook, an infinite echo in
+// mutual-replication topologies.)
 //
 // The handler runs directly on the RPC poller, not on a worker fiber:
 // a mirror append touches only the mirror file, never this node's own
@@ -44,18 +44,35 @@ type witnessKey struct {
 	stream  uint8
 }
 
-// mirror is one (primary, stream) replicated prefix.
+// mirror is one (primary, stream) replicated prefix: a durlog file with
+// one entry per acked group — the encoded request, at entry counter =
+// group seq — and the verified groups in memory (groups[i].Seq == i+1).
+// A failed append poisons the log (durlog's fail-stop rule), so the
+// stream refuses every later group until a restart reopens the file.
 type mirror struct {
-	f      vfs.File
-	size   int64
-	seq    uint64
-	digest [seal.HashSize]byte
-	// boundaries records the running digest after every group, so a
-	// promotion request can present the digest at the CAS-witnessed
-	// position even when the mirror is ahead of the witness.
-	boundaries map[uint64][seal.HashSize]byte
-	// frames is the mirrored history in order, payloads copied.
-	frames []Frame
+	log    *durlog.Log
+	groups []*ShipRequest
+	rec    [1]durlog.Entry // the one-record group ingest commits
+}
+
+func (m *mirror) seq() uint64 { return uint64(len(m.groups)) }
+
+func (m *mirror) digest() (d [seal.HashSize]byte) {
+	if len(m.groups) > 0 {
+		d = m.groups[len(m.groups)-1].Digest
+	}
+	return d
+}
+
+// follows checks that req is the group right after the mirrored prefix.
+func (m *mirror) follows(req *ShipRequest) error {
+	if req.Seq != m.seq()+1 {
+		return fmt.Errorf("group gap: have %d, got %d", m.seq(), req.Seq)
+	}
+	if ChainDigest(m.digest(), req.Entries) != req.Digest {
+		return fmt.Errorf("digest mismatch at group %d", req.Seq)
+	}
+	return nil
 }
 
 // BackupConfig configures a backup receiver.
@@ -71,11 +88,14 @@ type BackupConfig struct {
 }
 
 // NewBackup opens a backup receiver, replaying any mirror files left by
-// a previous incarnation (torn tails are truncated, like the WAL's).
+// a previous incarnation. A torn tail is a crash artifact: durlog drops
+// it. A whole record that fails its kind, signature, sequence or chain digest
+// is tampering, and NewBackup refuses it with an error naming the file —
+// dropping it would shorten a mirror the CAS then rejects at promotion.
 func NewBackup(cfg BackupConfig) (*Backup, error) {
 	fs := cfg.FS
 	if fs == nil {
-		fs = vfs.OS{}
+		fs = vfs.Default
 	}
 	b := &Backup{
 		dir:     filepath.Join(cfg.Dir, "repl"),
@@ -102,6 +122,7 @@ func NewBackup(cfg BackupConfig) (*Backup, error) {
 			continue
 		}
 		if _, err := b.openMirror(primary, stream); err != nil {
+			b.Close()
 			return nil, err
 		}
 	}
@@ -111,98 +132,71 @@ func NewBackup(cfg BackupConfig) (*Backup, error) {
 // mirrorPattern names one (primary, stream) mirror file.
 const mirrorPattern = "p%d-s%d.mirror"
 
-// openMirror opens (or creates) and replays one mirror file. Caller
-// need not hold b.mu (boot only); HandleShip takes it.
+// mirrorKindGroup is the durlog record kind of a mirror entry: one acked
+// group, its encoded ShipRequest as payload. No other kind is written, so
+// a reopen refuses any other.
+const mirrorKindGroup uint8 = 1
+
+// mirrorConfig describes a mirror file to durlog: CRC frames (each group
+// carries its own signature and chain digest), an immediate counter
+// (nothing here is rollback-protected; the CAS witness is), and a force
+// per group, since the ack is the shipper's license to stabilize.
+func mirrorConfig(fs vfs.FS, path string) durlog.Config {
+	return durlog.Config{FS: fs, Path: path, Level: seal.LevelNone, Counter: durlog.NewImmediateCounter(), Force: true}
+}
+
+// openMirror opens (or creates) and verifies one mirror file. Caller
+// need not hold b.mu (boot only); ingest takes it.
 func (b *Backup) openMirror(primary uint64, stream uint8) (*mirror, error) {
 	k := witnessKey{primary, stream}
 	if m := b.streams[k]; m != nil {
 		return m, nil
 	}
 	path := filepath.Join(b.dir, fmt.Sprintf(mirrorPattern, primary, stream))
-	f, err := b.fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	log, replayed, err := durlog.Open(mirrorConfig(b.fs, path), -1)
 	if err != nil {
-		return nil, fmt.Errorf("repl: open mirror %s: %w", path, err)
+		return nil, fmt.Errorf("repl: mirror %s: %w", path, err)
 	}
-	// The creation must be durable before any group in this file is
-	// acked: a synced mirror file that vanishes with its directory entry
-	// on power cut would silently roll the replicated prefix back to
-	// zero.
-	if err := b.fs.SyncDir(b.dir); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("repl: syncing mirror dir %s: %w", b.dir, err)
-	}
-	m := &mirror{f: f, boundaries: make(map[uint64][seal.HashSize]byte)}
-	data, err := b.fs.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("repl: read mirror %s: %w", path, err)
-	}
-	good := int64(0)
-	for len(data) >= 4 {
-		n := int(binary.LittleEndian.Uint32(data))
-		if len(data) < 4+n {
-			break // torn tail
+	m := &mirror{log: log}
+	for _, e := range replayed.Entries {
+		req, err := DecodeShipRequest(e.Payload)
+		switch {
+		case e.Kind != mirrorKindGroup:
+			err = fmt.Errorf("record kind %d", e.Kind)
+		case err != nil: // undecodable; err says why
+		case req.Primary != primary || req.Stream != stream:
+			err = fmt.Errorf("group of primary %d stream %d", req.Primary, req.Stream)
+		case !req.VerifySig(b.key):
+			err = errors.New("bad proof signature")
+		default:
+			err = m.follows(req)
 		}
-		req, err := DecodeShipRequest(data[4 : 4+n])
-		if err != nil || !req.VerifySig(b.key) || req.Seq != m.seq+1 ||
-			ChainDigest(m.digest, req.Frames) != req.Digest {
-			break // torn/corrupt tail: everything after it is unusable
+		if err != nil {
+			log.Close()
+			return nil, fmt.Errorf("repl: mirror %s record %d tampered: %w", path, e.Counter, err)
 		}
-		m.apply(req)
-		good += int64(4 + n)
-		data = data[4+n:]
+		m.groups = append(m.groups, req)
 	}
-	if st, err := f.Stat(); err == nil && st.Size() > good {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("repl: truncating torn mirror %s: %w", path, err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("repl: syncing truncated mirror %s: %w", path, err)
-		}
-	}
-	m.size = good
 	b.streams[k] = m
 	return m, nil
-}
-
-// apply folds one verified, contiguous group into the in-memory state.
-func (m *mirror) apply(req *ShipRequest) {
-	for _, f := range req.Frames {
-		m.frames = append(m.frames, Frame{
-			Kind:    f.Kind,
-			Counter: f.Counter,
-			Payload: append([]byte(nil), f.Payload...),
-		})
-	}
-	m.seq = req.Seq
-	m.digest = req.Digest
-	m.boundaries[req.Seq] = req.Digest
 }
 
 // Handler returns the erpc handler for ReqReplShip. Register it
 // directly (not via a fiber adapter): see the type comment.
 func (b *Backup) Handler() erpc.Handler {
-	return func(r *erpc.Request) { b.handleShip(r) }
-}
-
-// handleShip verifies and durably appends one shipped group, acking
-// only after the mirror file is fsynced — the ack is the shipper's
-// license to stabilize, so an unsynced ack would let the stable prefix
-// outrun the mirror across a backup power cut.
-func (b *Backup) handleShip(r *erpc.Request) {
-	ack, errMsg := b.ingest(r.Payload)
-	if errMsg != "" {
-		r.ReplyError(errMsg)
-		return
+	return func(r *erpc.Request) {
+		ack, errMsg := b.ingest(r.Payload)
+		if errMsg != "" {
+			r.ReplyError(errMsg)
+			return
+		}
+		r.Reply(ack)
 	}
-	r.Reply(ack)
 }
 
 // Ingest verifies and durably appends one encoded ship request outside
-// any transport, returning the ack payload. Crash harnesses and tools
-// feed mirrors directly through it; the RPC handler wraps the same
+// any transport, returning the ack payload. The crash-point harness
+// feeds mirrors directly through it; the RPC handler wraps the same
 // path.
 func (b *Backup) Ingest(payload []byte) ([]byte, error) {
 	ack, errMsg := b.ingest(payload)
@@ -212,9 +206,11 @@ func (b *Backup) Ingest(payload []byte) ([]byte, error) {
 	return ack, nil
 }
 
-// ingest is handleShip minus the transport: it verifies and durably
-// appends one shipped group, returning the ack payload or the rejection
-// message.
+// ingest verifies and durably appends one shipped group, acking only
+// after the mirror append is forced — the ack is the shipper's license
+// to stabilize, so an unforced ack would let the stable prefix outrun
+// the mirror across a backup power cut. It returns the ack payload or
+// the rejection message.
 func (b *Backup) ingest(payload []byte) (ack []byte, errMsg string) {
 	b.groups.Inc()
 	req, err := DecodeShipRequest(payload)
@@ -233,40 +229,46 @@ func (b *Backup) ingest(payload []byte) (ack []byte, errMsg string) {
 		b.rejected.Inc()
 		return nil, err.Error()
 	}
-	if req.Seq <= m.seq {
+	if req.Seq >= 1 && req.Seq <= m.seq() {
 		// Duplicate of an already-mirrored group (a retried ship whose
 		// ack was lost): idempotent ack iff it matches our history.
-		if d, ok := m.boundaries[req.Seq]; ok && d == req.Digest {
+		if m.groups[req.Seq-1].Digest == req.Digest {
 			b.acked.Inc()
-			return ackPayload(m.seq), ""
+			return ackPayload(m.seq()), ""
 		}
 		b.rejected.Inc()
 		return nil, fmt.Sprintf("repl: divergent duplicate group %d", req.Seq)
 	}
-	if req.Seq != m.seq+1 {
+	if err := m.follows(req); err != nil {
 		b.rejected.Inc()
-		return nil, fmt.Sprintf("repl: group gap: have %d, got %d", m.seq, req.Seq)
+		return nil, "repl: " + err.Error()
 	}
-	if ChainDigest(m.digest, req.Frames) != req.Digest {
+	m.rec[0] = durlog.Entry{Kind: mirrorKindGroup, Payload: payload}
+	err = m.log.Commit(m.rec[:], true)
+	m.rec[0].Payload = nil // the transport owns payload
+	if err != nil {
 		b.rejected.Inc()
-		return nil, fmt.Sprintf("repl: digest mismatch at group %d", req.Seq)
+		return nil, fmt.Sprintf("repl: mirror append: %v", err)
 	}
-	raw := req.Encode()
-	rec := make([]byte, 4+len(raw))
-	binary.LittleEndian.PutUint32(rec, uint32(len(raw)))
-	copy(rec[4:], raw)
-	if _, err := m.f.Write(rec); err != nil {
-		b.rejected.Inc()
-		return nil, fmt.Sprintf("repl: mirror write: %v", err)
-	}
-	if err := m.f.Sync(); err != nil {
-		b.rejected.Inc()
-		return nil, fmt.Sprintf("repl: mirror sync: %v", err)
-	}
-	m.size += int64(len(rec))
-	m.apply(req)
+	own(req.Entries)
+	m.groups = append(m.groups, req)
 	b.acked.Inc()
-	return ackPayload(m.seq), ""
+	return ackPayload(m.seq()), ""
+}
+
+// own moves entry payloads out of the transport's buffer, which it may
+// reuse, into one allocation the mirror keeps.
+func own(entries []durlog.Entry) {
+	n := 0
+	for _, e := range entries {
+		n += len(e.Payload)
+	}
+	buf := make([]byte, 0, n)
+	for i, e := range entries {
+		start := len(buf)
+		buf = append(buf, e.Payload...)
+		entries[i].Payload = buf[start:len(buf):len(buf)]
+	}
 }
 
 func ackPayload(seq uint64) []byte {
@@ -282,34 +284,35 @@ func (b *Backup) StreamState(primary uint64, stream uint8) (seq uint64, digest [
 	if m == nil {
 		return 0, digest, false
 	}
-	return m.seq, m.digest, true
+	return m.seq(), m.digest(), true
 }
 
 // DigestAt returns the mirror's running digest right after group seq
-// (false if the mirror has no boundary there — shorter, or the
-// boundary fell inside a group, both fork/rollback symptoms).
+// (false if the mirror is shorter — a fork/rollback symptom).
 func (b *Backup) DigestAt(primary uint64, stream uint8, seq uint64) ([seal.HashSize]byte, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var zero [seal.HashSize]byte
 	m := b.streams[witnessKey{primary, stream}]
-	if m == nil {
-		return zero, false
+	if m == nil || seq == 0 || seq > m.seq() {
+		return [seal.HashSize]byte{}, false
 	}
-	d, ok := m.boundaries[seq]
-	return d, ok
+	return m.groups[seq-1].Digest, true
 }
 
-// Frames returns the mirrored records of one stream in ship order
+// Entries returns the mirrored records of one stream in ship order
 // (payloads are the mirror's own copies; callers must not mutate).
-func (b *Backup) Frames(primary uint64, stream uint8) []Frame {
+func (b *Backup) Entries(primary uint64, stream uint8) []durlog.Entry {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	m := b.streams[witnessKey{primary, stream}]
 	if m == nil {
 		return nil
 	}
-	return append([]Frame(nil), m.frames...)
+	var out []durlog.Entry
+	for _, g := range m.groups {
+		out = append(out, g.Entries...)
+	}
+	return out
 }
 
 // Close closes every mirror file.
@@ -318,7 +321,7 @@ func (b *Backup) Close() error {
 	defer b.mu.Unlock()
 	var first error
 	for _, m := range b.streams {
-		if err := m.f.Close(); err != nil && first == nil {
+		if err := m.log.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -25,9 +25,9 @@ func testKey(t *testing.T) seal.Key {
 	return k
 }
 
-func group(key seal.Key, prev [seal.HashSize]byte, seq uint64, frames ...Frame) *ShipRequest {
-	r := &ShipRequest{Stream: StreamWAL, Primary: 7, Frames: frames, Seq: seq}
-	r.Digest = ChainDigest(prev, frames)
+func group(key seal.Key, prev [seal.HashSize]byte, seq uint64, entries ...durlog.Entry) *ShipRequest {
+	r := &ShipRequest{Stream: StreamWAL, Primary: 7, Entries: entries, Seq: seq}
+	r.Digest = ChainDigest(prev, entries)
 	r.Sign(key)
 	return r
 }
@@ -35,23 +35,23 @@ func group(key seal.Key, prev [seal.HashSize]byte, seq uint64, frames ...Frame) 
 func TestShipRequestRoundTrip(t *testing.T) {
 	key := testKey(t)
 	r := group(key, [seal.HashSize]byte{}, 1,
-		Frame{Kind: 1, Counter: 10, Payload: []byte("hello")},
-		Frame{Kind: 3, Counter: 11, Payload: nil},
-		Frame{Kind: 2, Counter: 12, Payload: bytes.Repeat([]byte{0xAB}, 300)},
+		durlog.Entry{Kind: 1, Counter: 10, Payload: []byte("hello")},
+		durlog.Entry{Kind: 3, Counter: 11, Payload: nil},
+		durlog.Entry{Kind: 2, Counter: 12, Payload: bytes.Repeat([]byte{0xAB}, 300)},
 	)
 	got, err := DecodeShipRequest(r.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Stream != r.Stream || got.Primary != r.Primary || got.Seq != r.Seq ||
-		got.Digest != r.Digest || got.Sig != r.Sig || len(got.Frames) != 3 {
+		got.Digest != r.Digest || got.Sig != r.Sig || len(got.Entries) != 3 {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, r)
 	}
-	for i := range r.Frames {
-		if got.Frames[i].Kind != r.Frames[i].Kind ||
-			got.Frames[i].Counter != r.Frames[i].Counter ||
-			!bytes.Equal(got.Frames[i].Payload, r.Frames[i].Payload) {
-			t.Fatalf("frame %d mismatch", i)
+	for i := range r.Entries {
+		if got.Entries[i].Kind != r.Entries[i].Kind ||
+			got.Entries[i].Counter != r.Entries[i].Counter ||
+			!bytes.Equal(got.Entries[i].Payload, r.Entries[i].Payload) {
+			t.Fatalf("entry %d mismatch", i)
 		}
 	}
 	if !got.VerifySig(key) {
@@ -61,7 +61,7 @@ func TestShipRequestRoundTrip(t *testing.T) {
 
 func TestDecodeShipRequestRejectsJunk(t *testing.T) {
 	key := testKey(t)
-	good := group(key, [seal.HashSize]byte{}, 1, Frame{Kind: 1, Counter: 5, Payload: []byte("x")}).Encode()
+	good := group(key, [seal.HashSize]byte{}, 1, durlog.Entry{Kind: 1, Counter: 5, Payload: []byte("x")}).Encode()
 	cases := map[string][]byte{
 		"empty":       nil,
 		"short":       good[:8],
@@ -99,10 +99,10 @@ func TestBackupMirrorsAndSurvivesReopen(t *testing.T) {
 	var prev [seal.HashSize]byte
 	var reqs []*ShipRequest
 	for seq := uint64(1); seq <= 3; seq++ {
-		r := &ShipRequest{Stream: StreamWAL, Primary: 7, Seq: seq, Frames: []Frame{
+		r := &ShipRequest{Stream: StreamWAL, Primary: 7, Seq: seq, Entries: []durlog.Entry{
 			{Kind: 1, Counter: seq * 10, Payload: []byte{byte(seq)}},
 		}}
-		r.Digest = ChainDigest(prev, r.Frames)
+		r.Digest = ChainDigest(prev, r.Entries)
 		signRaw(b, r)
 		if _, errMsg := b.ingest(r.Encode()); errMsg != "" {
 			t.Fatalf("group %d rejected: %s", seq, errMsg)
@@ -124,9 +124,9 @@ func TestBackupMirrorsAndSurvivesReopen(t *testing.T) {
 	if !ok || seq != 3 || digest != prev {
 		t.Fatalf("reopened stream state = (%d, ok=%v), want (3, true)", seq, ok)
 	}
-	frames := b2.Frames(7, StreamWAL)
-	if len(frames) != 3 || frames[2].Counter != 30 {
-		t.Fatalf("reopened frames = %+v", frames)
+	entries := b2.Entries(7, StreamWAL)
+	if len(entries) != 3 || entries[2].Counter != 30 {
+		t.Fatalf("reopened entries = %+v", entries)
 	}
 	for _, r := range reqs {
 		if d, ok := b2.DigestAt(7, StreamWAL, r.Seq); !ok || d != r.Digest {
@@ -139,10 +139,10 @@ func TestBackupTruncatesTornTail(t *testing.T) {
 	fs := vfs.NewMemFS()
 	key := testKey(t)
 	b, _ := newTestBackup(t, fs, "node", key)
-	r := &ShipRequest{Stream: StreamClog, Primary: 3, Seq: 1, Frames: []Frame{
+	r := &ShipRequest{Stream: StreamClog, Primary: 3, Seq: 1, Entries: []durlog.Entry{
 		{Kind: 1, Counter: 1, Payload: []byte("entry")},
 	}}
-	r.Digest = ChainDigest([seal.HashSize]byte{}, r.Frames)
+	r.Digest = ChainDigest([seal.HashSize]byte{}, r.Entries)
 	signRaw(b, r)
 	if _, errMsg := b.ingest(r.Encode()); errMsg != "" {
 		t.Fatal(errMsg)
@@ -171,7 +171,7 @@ func TestBackupTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != 4+len(r.Encode()) {
+	if len(data) != seal.EncodedLen(seal.LevelNone, len(r.Encode())) {
 		t.Fatalf("torn tail not truncated: %d bytes", len(data))
 	}
 }
@@ -181,10 +181,10 @@ func TestBackupRejectsBadGroups(t *testing.T) {
 	key := testKey(t)
 	b, reg := newTestBackup(t, fs, "node", key)
 	mk := func(seq uint64, prev [seal.HashSize]byte, payload string) *ShipRequest {
-		r := &ShipRequest{Stream: StreamWAL, Primary: 1, Seq: seq, Frames: []Frame{
+		r := &ShipRequest{Stream: StreamWAL, Primary: 1, Seq: seq, Entries: []durlog.Entry{
 			{Kind: 1, Counter: seq, Payload: []byte(payload)},
 		}}
-		r.Digest = ChainDigest(prev, r.Frames)
+		r.Digest = ChainDigest(prev, r.Entries)
 		signRaw(b, r)
 		return r
 	}
@@ -228,6 +228,102 @@ func TestBackupRejectsBadGroups(t *testing.T) {
 	}
 }
 
+// TestBackupFailedWriteFailStopsStream pins mirrored-before-acked across
+// a failed mirror write: a group whose append came up short poisons the
+// stream's mirror log, so its retry is refused instead of acked behind
+// the torn bytes — which reopening would cut away with it — and a
+// shipper facing that stream degrades it rather than stabilize past it.
+func TestBackupFailedWriteFailStopsStream(t *testing.T) {
+	mem := vfs.NewMemFS()
+	faults := vfs.NewFaultFS(mem)
+	key := testKey(t)
+	b, reg := newTestBackup(t, faults, "node", key)
+	chain := NewChain(StreamWAL, 7, key)
+	ship := func(req *ShipRequest) string {
+		_, errMsg := b.ingest(req.Encode())
+		if errMsg == "" {
+			chain.Acked(req)
+		}
+		return errMsg
+	}
+	entry := func(c uint64) []durlog.Entry {
+		return []durlog.Entry{{Kind: 1, Counter: c, Payload: bytes.Repeat([]byte{byte(c)}, 64)}}
+	}
+	if errMsg := ship(chain.Next(entry(1))); errMsg != "" {
+		t.Fatal(errMsg)
+	}
+	g2 := chain.Next(entry(2))
+	faults.SetShortWriteProb(1)
+	if errMsg := ship(g2); errMsg == "" {
+		t.Fatal("group 2 acked through a short mirror write")
+	}
+	faults.SetShortWriteProb(0)
+	if errMsg := ship(g2); !strings.Contains(errMsg, "poisoned") {
+		t.Fatalf("retry of group 2 after a failed mirror write: got %q, want a poisoned-stream refusal", errMsg)
+	}
+	if got := reg.Snapshot().Counters["repl.recv_rejected"]; got != 2 {
+		t.Fatalf("recv_rejected = %d, want 2", got)
+	}
+	b.Close()
+
+	b2, _ := newTestBackup(t, mem, "node", key)
+	if seq, _, _ := b2.StreamState(7, StreamWAL); seq != chain.Seq() {
+		t.Fatalf("reopened mirror at seq %d, shipper acked %d", seq, chain.Seq())
+	}
+	// The reopened stream takes group 2 again.
+	if _, errMsg := b2.ingest(g2.Encode()); errMsg != "" {
+		t.Fatalf("group 2 after reopen: %s", errMsg)
+	}
+
+	// Through the shipper: the poisoned stream's refusals degrade it.
+	rig := newShipperRig(t, nil)
+	rig.shipper.Ship(entry(1))
+	rig.faults.SetShortWriteProb(1)
+	rig.shipper.Ship(entry(2))
+	if rig.shipper.Seq() != 1 || !rig.witness.degraded[StreamWAL] {
+		t.Fatalf("shipper seq %d degraded %v, want 1 and a degraded stream", rig.shipper.Seq(), rig.witness.degraded[StreamWAL])
+	}
+}
+
+// TestBackupRefusesTamperedMirror: a whole, CRC-valid mirror record whose
+// signature, sequence or chain digest fails is tampering, not a tear —
+// reopening refuses the mirror and names the file.
+func TestBackupRefusesTamperedMirror(t *testing.T) {
+	key := testKey(t)
+	chain := NewChain(StreamClog, 3, key)
+	g1 := chain.Next([]durlog.Entry{{Kind: 1, Counter: 1, Payload: []byte("one")}})
+	chain.Acked(g1)
+	g2 := chain.Next([]durlog.Entry{{Kind: 2, Counter: 2, Payload: []byte("two")}})
+	badSig, badChain, badSeq := *g2, *g2, *g2
+	badSig.Sig[0] ^= 1
+	badChain.Entries = []durlog.Entry{{Kind: 2, Counter: 2, Payload: []byte("TWO")}}
+	badSeq.Seq = 3
+	badChain.Sign(KeyFor(key))
+	badSeq.Sign(KeyFor(key))
+	for name, bad := range map[string]*ShipRequest{"signature": &badSig, "chain digest": &badChain, "sequence": &badSeq} {
+		t.Run(name, func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			path := filepath.Join("node", "repl", "p3-s2.mirror")
+			if err := fs.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			log, _, err := durlog.Open(mirrorConfig(fs, path), -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := []durlog.Entry{{Kind: mirrorKindGroup, Payload: g1.Encode()}, {Kind: mirrorKindGroup, Payload: bad.Encode()}}
+			if err := log.Commit(recs, true); err != nil {
+				t.Fatal(err)
+			}
+			log.Close()
+			_, err = NewBackup(BackupConfig{Dir: "node", FS: fs, Key: key})
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "tampered") {
+				t.Fatalf("reopen over a tampered record: err = %v, want a tampering error naming %s", err, path)
+			}
+		})
+	}
+}
+
 // witnessRec is a test Witness recording every report.
 type witnessRec struct {
 	seqs     map[uint8]uint64
@@ -256,6 +352,7 @@ type shipperRig struct {
 	backup  *Backup
 	witness *witnessRec
 	reg     *obs.Registry
+	faults  *vfs.FaultFS // under the backup's mirrors
 }
 
 func newShipperRig(t *testing.T, backupOf func() (uint64, bool)) *shipperRig {
@@ -286,7 +383,8 @@ func newShipperRig(t *testing.T, backupOf func() (uint64, bool)) *shipperRig {
 	bakEP := mkEP("backup", 2)
 
 	reg := obs.NewRegistry()
-	backup, err := NewBackup(BackupConfig{Dir: "bak", FS: vfs.NewMemFS(), Key: key, Metrics: reg})
+	faults := vfs.NewFaultFS(vfs.NewMemFS())
+	backup, err := NewBackup(BackupConfig{Dir: "bak", FS: faults, Key: key, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +411,7 @@ func newShipperRig(t *testing.T, backupOf func() (uint64, bool)) *shipperRig {
 		Timeout: 100 * time.Millisecond,
 		Metrics: reg,
 	})
-	return &shipperRig{shipper: shipper, backup: backup, witness: w, reg: reg}
+	return &shipperRig{shipper: shipper, backup: backup, witness: w, reg: reg, faults: faults}
 }
 
 func TestShipperReplicatesAndWitnesses(t *testing.T) {
@@ -338,9 +436,9 @@ func TestShipperReplicatesAndWitnesses(t *testing.T) {
 	if rig.witness.degraded[StreamWAL] {
 		t.Fatal("stream degraded on the happy path")
 	}
-	frames := rig.backup.Frames(1, StreamWAL)
-	if len(frames) != 6 {
-		t.Fatalf("mirrored %d frames, want 6", len(frames))
+	entries := rig.backup.Entries(1, StreamWAL)
+	if len(entries) != 6 {
+		t.Fatalf("mirrored %d entries, want 6", len(entries))
 	}
 	snap := rig.reg.Snapshot()
 	if snap.Counters["repl.ship_groups"] != 3 || snap.Counters["repl.ship_acked"] != 3 {
@@ -421,13 +519,13 @@ func FuzzReplStreamDecode(f *testing.F) {
 	var key seal.Key
 	copy(key[:], bytes.Repeat([]byte{7}, len(key)))
 	seed := group(key, [seal.HashSize]byte{}, 1,
-		Frame{Kind: 1, Counter: 42, Payload: []byte("seed-payload")},
-		Frame{Kind: 2, Counter: 43, Payload: []byte{}},
+		durlog.Entry{Kind: 1, Counter: 42, Payload: []byte("seed-payload")},
+		durlog.Entry{Kind: 2, Counter: 43, Payload: []byte{}},
 	)
 	f.Add(seed.Encode())
 	f.Add([]byte{})
-	f.Add([]byte{frameVersion, StreamWAL})
-	big := group(key, [seal.HashSize]byte{}, 9, Frame{Kind: 3, Counter: 1, Payload: bytes.Repeat([]byte{1}, 4096)})
+	f.Add([]byte{wireVersion, StreamWAL})
+	big := group(key, [seal.HashSize]byte{}, 9, durlog.Entry{Kind: 3, Counter: 1, Payload: bytes.Repeat([]byte{1}, 4096)})
 	f.Add(big.Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,8 +2,6 @@ package repl
 
 import (
 	"encoding/binary"
-	"fmt"
-	"os"
 	"sync/atomic"
 	"time"
 
@@ -13,9 +11,6 @@ import (
 	"treaty/internal/seal"
 	"treaty/internal/twopc"
 )
-
-// debugShip logs teardown-window skips to stderr (TREATY_DEBUG_PROMOTE=1).
-var debugShip = os.Getenv("TREATY_DEBUG_PROMOTE") != ""
 
 // Witness is the trusted anchor the shipper reports to before letting a
 // group stabilize: implemented by *attest.CAS. ReplWitness records a
@@ -70,9 +65,7 @@ const (
 // is race-free.
 type Shipper struct {
 	cfg     ShipperConfig
-	key     seal.Key
-	seq     uint64
-	digest  [seal.HashSize]byte
+	chain   *Chain
 	target  uint64
 	bound   bool
 	stopped atomic.Bool
@@ -95,7 +88,7 @@ func NewShipper(cfg ShipperConfig) *Shipper {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 250 * time.Millisecond
 	}
-	s := &Shipper{cfg: cfg, key: KeyFor(cfg.Key)}
+	s := &Shipper{cfg: cfg, chain: NewChain(cfg.Stream, cfg.Primary, cfg.Key)}
 	if m := cfg.Metrics; m != nil {
 		s.groups = m.Counter("repl.ship_groups")
 		s.acked = m.Counter("repl.ship_acked")
@@ -116,7 +109,7 @@ func NewShipper(cfg ShipperConfig) *Shipper {
 func (s *Shipper) Stop() { s.stopped.Store(true) }
 
 // Seq returns the last acked group sequence.
-func (s *Shipper) Seq() uint64 { return s.seq }
+func (s *Shipper) Seq() uint64 { return s.chain.Seq() }
 
 // Ship is the group-commit hook: it replicates one fsynced group to
 // the backup and witnesses the ack to the CAS, returning only when the
@@ -129,10 +122,6 @@ func (s *Shipper) Ship(entries []durlog.Entry) {
 		return
 	}
 	if s.stopped.Load() {
-		if debugShip {
-			fmt.Fprintf(os.Stderr, "[repl] primary=%d stream=%d SKIP(stopped-early) group seq=%d frames=%d\n",
-				s.cfg.Primary, s.cfg.Stream, s.seq+1, len(entries))
-		}
 		return
 	}
 	s.groups.Inc()
@@ -169,17 +158,7 @@ func (s *Shipper) Ship(entries []durlog.Entry) {
 		return
 	}
 
-	req := &ShipRequest{
-		Stream:  s.cfg.Stream,
-		Primary: s.cfg.Primary,
-		Frames:  make([]Frame, len(entries)),
-		Seq:     s.seq + 1,
-	}
-	for i, e := range entries {
-		req.Frames[i] = Frame{Kind: e.Kind, Counter: e.Counter, Payload: e.Payload}
-	}
-	req.Digest = ChainDigest(s.digest, req.Frames)
-	req.Sign(s.key)
+	req := s.chain.Next(entries)
 	payload := req.Encode()
 
 	// Under bursty loss or delay an immediate re-send tends to die the
@@ -203,21 +182,16 @@ func (s *Shipper) Ship(entries []durlog.Entry) {
 		// counter right after this hook, and the promotion gate is only
 		// sound if the witness covers every stabilized group.
 		s.cfg.Witness.ReplWitness(s.cfg.Primary, s.cfg.Stream, req.Seq, req.Digest)
-		s.seq = req.Seq
-		s.digest = req.Digest
+		s.chain.Acked(req)
 		s.target, s.bound = id, true
 		s.acked.Inc()
-		s.seqGauge.Set(int64(s.seq))
+		s.seqGauge.Set(int64(req.Seq))
 		return
 	}
 	if s.stopped.Load() {
 		// The node is tearing down: the failure is the teardown's, not
 		// the stream's, and the group's ack can no longer reach anyone
 		// (see Node.stopShippers for why skipping is sound here).
-		if debugShip {
-			fmt.Fprintf(os.Stderr, "[repl] primary=%d stream=%d SKIP(stopped-raced) group seq=%d frames=%d\n",
-				s.cfg.Primary, s.cfg.Stream, s.seq+1, len(entries))
-		}
 		s.skipped.Inc()
 		return
 	}

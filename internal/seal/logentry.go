@@ -129,16 +129,14 @@ func (lc *LogCodec) AppendEntry(dst []byte, kind uint8, payload []byte) ([]byte,
 	hdr[8] = kind
 	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(stored)))
 
+	start := len(dst)
 	dst = append(dst, hdr[:]...)
 	dst = append(dst, stored...)
 
 	switch lc.level {
 	case LevelNone:
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[:])
-		crc.Write(stored)
 		var tr [4]byte
-		binary.LittleEndian.PutUint32(tr[:], crc.Sum32())
+		binary.LittleEndian.PutUint32(tr[:], crc32.ChecksumIEEE(dst[start:]))
 		dst = append(dst, tr[:]...)
 	default:
 		h := HashConcat(lc.prevHash[:], hdr[:], stored)
@@ -179,10 +177,7 @@ func (lc *LogCodec) DecodeEntry(buf []byte) (LogEntry, int, error) {
 
 	switch lc.level {
 	case LevelNone:
-		crc := crc32.NewIEEE()
-		crc.Write(hdr)
-		crc.Write(stored)
-		if crc.Sum32() != binary.LittleEndian.Uint32(trailer) {
+		if crc32.ChecksumIEEE(buf[:logEntryHeaderLen+plen]) != binary.LittleEndian.Uint32(trailer) {
 			return e, 0, ErrBadChecksum
 		}
 	default:

@@ -56,19 +56,6 @@ type ClogEntry struct {
 	Counter uint64
 }
 
-// DecodeClogRecord rebuilds a ClogEntry from a shipped (kind, counter,
-// payload) triple — the form replication mirrors Clog records in.
-func DecodeClogRecord(kind uint8, counter uint64, payload []byte) (ClogEntry, error) {
-	if kind != clogPrepare && kind != clogDecision {
-		return ClogEntry{}, fmt.Errorf("twopc: unknown clog record kind %d", kind)
-	}
-	txID, commit, parts, err := decodeClogPayload(payload)
-	if err != nil {
-		return ClogEntry{}, err
-	}
-	return ClogEntry{Kind: kind, TxID: txID, Commit: commit, Participants: parts, Counter: counter}, nil
-}
-
 // encodeClogPayload serializes an entry body.
 func encodeClogPayload(txID lsm.TxID, commit bool, participants []string) []byte {
 	out := make([]byte, 0, 32)
@@ -164,36 +151,37 @@ func OpenClog(fs vfs.FS, dir string, level seal.SecurityLevel, key seal.Key, rt 
 	if err != nil {
 		return nil, nil, err
 	}
-	entries, err := decodeClogRecords(replayed.Entries)
+	entries, err := DecodeClogRecords(replayed.Entries)
 	if err != nil {
 		return nil, nil, err
 	}
 	c := &Clog{log: log, tornDropped: replayed.Torn}
-	if c.droppedTail, err = decodeClogRecords(replayed.Dropped); err != nil {
+	if c.droppedTail, err = DecodeClogRecords(replayed.Dropped); err != nil {
 		return nil, nil, err
 	}
 	c.queue = durlog.NewQueue(c.commitGroup)
 	return c, entries, nil
 }
 
-// decodeClogRecords decodes replayed log entries.
-func decodeClogRecords(recs []durlog.Entry) ([]ClogEntry, error) {
+// DecodeClogRecords decodes Clog records: replayed from this node's
+// log, or mirrored from a dead peer's.
+func DecodeClogRecords(recs []durlog.Entry) ([]ClogEntry, error) {
 	var out []ClogEntry
 	for _, r := range recs {
-		e, err := DecodeClogRecord(r.Kind, r.Counter, r.Payload)
+		if r.Kind != clogPrepare && r.Kind != clogDecision {
+			return nil, fmt.Errorf("twopc: unknown clog record kind %d", r.Kind)
+		}
+		txID, commit, parts, err := decodeClogPayload(r.Payload)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, e)
+		out = append(out, ClogEntry{Kind: r.Kind, TxID: txID, Commit: commit, Participants: parts, Counter: r.Counter})
 	}
 	return out, nil
 }
 
 // ClogTuning adjusts the group-commit leader.
 type ClogTuning struct {
-	// DisableGroupCommit makes every append write, force, and stabilize
-	// alone (the group-commit ablation).
-	DisableGroupCommit bool
 	// Metrics, when non-nil, exports the append/sync counters and the
 	// "twopc.clog.group_size" histogram.
 	Metrics *obs.Registry
@@ -208,7 +196,6 @@ type ClogTuning struct {
 // Configure applies tuning. It must be called before the first Append.
 func (c *Clog) Configure(t ClogTuning) {
 	m := t.Metrics
-	c.queue.Single = t.DisableGroupCommit
 	c.queue.Sizes = m.Histogram("twopc.clog.group_size")
 	c.log.SetHooks(durlog.Hooks{
 		Pool: t.Pool, Ship: t.Ship,

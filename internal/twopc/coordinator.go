@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -21,16 +20,6 @@ import (
 	"treaty/internal/shardmap"
 	"treaty/internal/txn"
 )
-
-// debugAdopt dumps adoption/resolution decisions to stderr
-// (TREATY_DEBUG_PROMOTE=1), for debugging failover soak audits.
-var debugAdopt = os.Getenv("TREATY_DEBUG_PROMOTE") != ""
-
-func debugAdoptf(format string, args ...any) {
-	if debugAdopt {
-		fmt.Fprintf(os.Stderr, "[twopc] "+format+"\n", args...)
-	}
-}
 
 // Errors returned by the coordinator.
 var (
@@ -721,7 +710,6 @@ func (c *Coordinator) resolve(w pending, reason string, f *fibers.Fiber) error {
 	case w.redo:
 		c.met.recoverRedo.Inc()
 		if _, err := t.broadcast(ReqPrepare, w.parts); err != nil {
-			debugAdoptf("%sresolve tx=%x redo prepare failed: %v -> abort", reason, w.id, err)
 			t.decide(false, w.parts)
 			tr.Finish(obs.OutcomeRecovered, reason+"redo_prepare_aborted")
 			return nil
@@ -738,9 +726,7 @@ func (c *Coordinator) resolve(w pending, reason string, f *fibers.Fiber) error {
 		tr.Finish(obs.OutcomeRecovered, reason+"redo_prepare")
 	case w.commit:
 		c.met.recoverRepushCommit.Inc()
-		if err := t.broadcastRetry(ReqCommit, w.parts, recoverAttempts); err != nil {
-			debugAdoptf("%sresolve tx=%x commit re-push failed: %v", reason, w.id, err)
-		}
+		_ = t.broadcastRetry(ReqCommit, w.parts, recoverAttempts)
 		tr.Finish(obs.OutcomeRecovered, reason+"repush_commit")
 	default:
 		c.met.recoverRepushAbort.Inc()
@@ -774,16 +760,21 @@ func (c *Coordinator) RecoverPending(f *fibers.Fiber) error {
 }
 
 // AdoptRecovered folds a dead peer coordinator's replicated Clog
-// entries into this coordinator and resolves them, exactly as
-// RecoverPending resolves this node's own log after a crash (presumed
-// abort stays sound because a decision absent from the replicated prefix
-// was never stabilized, hence never acknowledged to anyone). rewrite,
+// records (as its Ship hook handed them over) into this coordinator
+// and resolves them, exactly as RecoverPending resolves this node's own
+// log after a crash (presumed abort stays sound because a decision
+// absent from the replicated prefix was never stabilized, hence never
+// acknowledged to anyone). rewrite,
 // when non-nil, maps participant addresses recorded by the dead peer to
 // their current holders (the promoted successor answers for the dead
 // primary's address). Adopted decisions also seed the status table, so
 // participants probing the dead coordinator's transactions get answers
 // from the successor.
-func (c *Coordinator) AdoptRecovered(entries []ClogEntry, rewrite func(string) string, f *fibers.Fiber) error {
+func (c *Coordinator) AdoptRecovered(records []durlog.Entry, rewrite func(string) string, f *fibers.Fiber) error {
+	entries, err := DecodeClogRecords(records)
+	if err != nil {
+		return err
+	}
 	for _, w := range foldClog(entries) {
 		if rewrite != nil {
 			parts := make([]string, len(w.parts))
@@ -802,7 +793,6 @@ func (c *Coordinator) AdoptRecovered(entries []ClogEntry, rewrite func(string) s
 			c.decisions[w.id] = w.commit
 		}
 		c.mu.Unlock()
-		debugAdoptf("adopt tx=%x redo=%v commit=%v known=%v parts=%v", w.id, w.redo, w.commit, known, w.parts)
 		if known {
 			continue
 		}

@@ -589,7 +589,6 @@ func (p *Participant) ResolveRecovered(addrOf func(nodeID uint64) string) error 
 			// node id is this node's, not the original coordinator's.
 			md := seal.MsgMetadata{TxID: seq, OpID: p.ep.NextOpID(), OpType: uint32(ReqTxStatus)}
 			resp, err := erpc.Call(p.ep, addr, ReqTxStatus, md, at.id[:], 2*time.Second, nil)
-			debugAdoptf("resolve tx=%x coord=%d addr=%s status=%v err=%v", at.id, coordID, addr, resp, err)
 			status := StatusPending
 			if err == nil && len(resp) > 0 {
 				status = resp[0]
