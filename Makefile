@@ -19,7 +19,8 @@ race:
 # with its block cache (concurrent Get/compaction/invalidation hammer),
 # the durable log under it and the Clog, the cluster package (the
 # counter-round budget of a full-security cluster), the experiment
-# harness's driver (its wall-clock shape tests skip under -short), and
+# harness's closed-loop runner and packet-path rig (its wall-clock
+# cluster panels skip under -short), and
 # the rest of the request lifecycle: the wait primitive and scheduler,
 # the counter client's rounds, the lock table and the shipper.
 test-race:
@@ -87,8 +88,8 @@ fuzz:
 # value at recovery) and on immediate counters (none); reboot each image
 # and check the recovery invariants, that stabilized counters never
 # outrun the forced mirror, and that the mirror covers every acked group.
-# One sweep per cell; the two tests report its single-node and
-# replication views.
+# One sweep per cell: TestCrashPoint runs it and asserts the single-node
+# side, TestReplCrashPoint asserts the replication side of the same result.
 crashpoint:
 	$(GO) test -v -run 'TestCrashPoint|TestReplCrashPoint' ./internal/vfs/crashtest/
 
@@ -119,7 +120,8 @@ vet:
 # A packet reaches its handler one way: internal/erpc starts one goroutine,
 # the poller (a second one between the fabric and it would pay receive costs
 # off the books), and the optional-interface and socket-transport names stay
-# gone.
+# gone. A TEE or network cost has one price list: nothing outside
+# internal/enclave busy-waits, names the price table or builds one.
 ONCE_SRC = find $(1) -name '*.go' ! -name '*_test.go' ! -path internal/fibers/wait.go ! -path internal/erpc/retry.go ! -path internal/erpc/opid.go
 check-once:
 	@fail=0; \
@@ -137,7 +139,8 @@ check-once:
 	gos=$$(grep -nE '^[[:space:]]*go [a-zA-Z_(]' $$(find internal/erpc -name '*.go' ! -name '*_test.go')); \
 	[ $$(printf '%s\n' "$$gos" | grep -c .) -eq 1 ] || { printf '%s\n' "$$gos"; fail=1; }; \
 	grep -nE 'PollPacket|ChannelTransport|PacketTransport|UDPTransport' $$($(call ONCE_SRC,internal cmd examples)) && fail=1; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, packet path); call the shared one"; exit 1; }
+	grep -nE 'Spin\(|spinWait|DefaultCosts|Costs\{' $$($(call ONCE_SRC,.) ! -path './internal/enclave/*') && fail=1; \
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, packet path, price list); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

@@ -228,14 +228,14 @@ func BenchmarkAblation_SecurityLevels(b *testing.B) {
 // sealing: the Fig. 4 protocol skeleton on native hardware with and
 // without the secure message format.
 func BenchmarkAblation_NetworkSecurity(b *testing.B) {
-	for _, v := range []bench.Fig4Version{{Label: "plain"}, {Label: "sealed", Enc: true}} {
-		b.Run(v.Label, func(b *testing.B) {
+	for _, arm := range bench.NetArms()[:2] { // native: plain, sealed
+		b.Run(sanitize(arm.Label), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ms, err := bench.RunFig4(bench.Fig4Config{Clients: 8, Duration: 300 * time.Millisecond, OpsPerTxn: 4}, []bench.Fig4Version{v})
+				runs, err := bench.RunFig4(bench.Fig4Config{Clients: 8, Duration: 300 * time.Millisecond, OpsPerTxn: 4}, []bench.NetArm{arm})
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(ms[0].Tps, "tps")
+				b.ReportMetric(runs[0].Tps, "tps")
 			}
 		})
 	}

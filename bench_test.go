@@ -75,14 +75,18 @@ func sanitize(s string) string {
 }
 
 // BenchmarkFig4_TwoPCProtocol reproduces Figure 4: the 2PC protocol with
-// no storage underneath, four versions, YCSB 50R/50W.
+// no storage underneath, four arms, YCSB 50R/50W.
 func BenchmarkFig4_TwoPCProtocol(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ms, err := bench.RunFig4(bench.Fig4Config{Clients: 32, Duration: time.Second}, bench.Fig4Versions())
+		runs, err := bench.RunFig4(bench.Fig4Config{Clients: 32, Duration: time.Second}, bench.NetArms())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Log("\n" + bench.PrintFig4(ms))
+		b.Log("\n" + bench.PrintFig4(runs))
+		ms := make([]bench.Measurement, len(runs))
+		for i, r := range runs {
+			ms[i] = r.Measurement
+		}
 		reportVersions(b, ms)
 	}
 }
@@ -119,19 +123,18 @@ func BenchmarkFig7_SingleNodeOptimistic_TPCC(b *testing.B) { runPanels(b, "fig7"
 // Figure 7 (the paper evaluates the read-heavy workload for OCC).
 func BenchmarkFig7_SingleNodeOptimistic_YCSB(b *testing.B) { runPanels(b, "fig7", 1) }
 
-// BenchmarkFig8_NetworkLibrary reproduces Figure 8: seven network stacks
-// across message sizes 64 B–4 KiB.
+// BenchmarkFig8_NetworkLibrary reproduces Figure 8: the four packet-path
+// arms across message sizes 64 B–4 KiB.
 func BenchmarkFig8_NetworkLibrary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := bench.RunFig8(100 * time.Millisecond)
+		runs, err := bench.RunFig8(100 * time.Millisecond)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Log("\n" + bench.PrintFig8(series))
-		for _, sys := range bench.Fig8Systems() {
-			vals := series[sys.Label]
+		b.Log("\n" + bench.PrintFig8(runs))
+		for _, row := range runs {
 			// Report the 1 KiB point as the summary metric.
-			b.ReportMetric(vals[2], "Gbps:"+sanitize(sys.Label))
+			b.ReportMetric(row[2].Tps, "calls/s:"+sanitize(row[2].Label))
 		}
 	}
 }

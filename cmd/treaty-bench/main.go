@@ -69,10 +69,11 @@ func main() {
 		}})
 	}
 	// Not clusters under a workload: the protocol skeleton with no
-	// storage, the iperf stacks, a cold reopen, raw engine reads.
+	// storage, sized calls over the packet path, a cold reopen, raw
+	// engine reads.
 	exps = append(exps,
 		experiment{"fig4", func() error {
-			return show(bench.PrintFig4)(bench.RunFig4(bench.Fig4Config{Clients: *clients, Duration: *duration}, bench.Fig4Versions()))
+			return show(bench.PrintFig4)(bench.RunFig4(bench.Fig4Config{Clients: *clients, Duration: *duration}, bench.NetArms()))
 		}},
 		experiment{"fig8", func() error { return show(bench.PrintFig8)(bench.RunFig8(*duration / 10)) }},
 		experiment{"table1", func() error {

@@ -16,7 +16,8 @@ import (
 // (~100 B) entries — 69 MiB plaintext / 91 MiB encrypted — and measures
 // recovery time of Treaty w/o Enc (~1.5×) and Treaty w/ Enc (~2.0×)
 // against native recovery. Small entries are the worst case: more
-// syscalls and more decryption calls per byte.
+// syscalls and more decryption calls per byte. Each version recovers on
+// the runtime its node would run, charging what that node would charge.
 
 // RecoveryConfig tunes the experiment.
 type RecoveryConfig struct {
@@ -35,6 +36,9 @@ type RecoveryResult struct {
 	Duration time.Duration
 	// LogBytes is the on-disk size of the replayed logs.
 	LogBytes int64
+	// Syscalls counts the async syscalls the runtime charged during the
+	// re-open (none on a native runtime).
+	Syscalls uint64
 }
 
 // RunTableI builds identical workloads at the three log security levels
@@ -47,28 +51,21 @@ func RunTableI(cfg RecoveryConfig) ([]RecoveryResult, error) {
 	if cfg.EntrySize == 0 {
 		cfg.EntrySize = 100
 	}
-	versions := []struct {
-		label string
-		mode  core.SecurityMode
-	}{
-		{"Native recovery", core.ModeRocksDB},
-		{core.ModeSconeNoEnc.String(), core.ModeSconeNoEnc},
-		{core.ModeSconeEnc.String(), core.ModeSconeEnc},
-	}
-	out := make([]RecoveryResult, 0, len(versions))
-	for _, v := range versions {
+	var out []RecoveryResult
+	for _, mode := range []core.SecurityMode{core.ModeRocksDB, core.ModeSconeNoEnc, core.ModeSconeEnc} {
 		runs := make([]RecoveryResult, 0, rounds)
 		for i := 0; i < rounds; i++ {
-			r, err := runRecovery(cfg, v.mode.Policy())
+			r, err := runRecovery(cfg, mode.Policy())
 			if err != nil {
 				return nil, err
 			}
 			runs = append(runs, r)
 		}
 		r := median(runs, func(r RecoveryResult) float64 { return float64(r.Duration) })
-		r.Label = v.label
+		r.Label = mode.String()
 		out = append(out, r)
 	}
+	out[0].Label = "Native recovery"
 	return out, nil
 }
 
@@ -85,16 +82,7 @@ func runRecovery(cfg RecoveryConfig, p core.Policy) (RecoveryResult, error) {
 	if err != nil {
 		return RecoveryResult{}, err
 	}
-	// Treaty versions recover inside the enclave (boundary costs per
-	// entry); the native baseline does not. Replay issues its per-entry
-	// syscalls through SCONE's batched async interface, which amortizes
-	// the cost below the interactive-path figure.
-	var rt *enclave.Runtime
-	if p.Enclave == enclave.ModeScone {
-		costs := enclave.DefaultCosts()
-		costs.AsyncSyscall = 700 * time.Nanosecond
-		rt = enclave.NewRuntime(enclave.RuntimeConfig{Mode: p.Enclave, Costs: costs})
-	}
+	rt := enclave.NewRuntime(enclave.RuntimeConfig{Mode: p.Enclave})
 	// A huge memtable keeps every entry in the WAL (recovery replays the
 	// log, which is the measured path).
 	opt := lsm.Options{
@@ -131,34 +119,36 @@ func runRecovery(cfg RecoveryConfig, p core.Policy) (RecoveryResult, error) {
 		}
 	}
 
+	syscalls := rt.Stats().AsyncSyscalls
 	start := time.Now()
 	db2, err := lsm.Open(opt)
 	if err != nil {
 		return RecoveryResult{}, err
 	}
 	elapsed := time.Since(start)
+	syscalls = rt.Stats().AsyncSyscalls - syscalls
 	// Verify the recovery actually restored the data.
 	if _, _, found, gerr := db2.Get(fmt.Appendf(nil, "k%010d", cfg.Entries-1), db2.LatestSeq()); gerr != nil || !found {
 		db2.Close()
 		return RecoveryResult{}, fmt.Errorf("bench: recovery lost data: found=%v err=%v", found, gerr)
 	}
 	db2.Close()
-	return RecoveryResult{Duration: elapsed, LogBytes: logBytes}, nil
+	return RecoveryResult{Duration: elapsed, LogBytes: logBytes, Syscalls: syscalls}, nil
 }
 
 // PrintTableI renders the table.
 func PrintTableI(rs []RecoveryResult) string {
 	var b strings.Builder
 	b.WriteString("Table I: recovery overheads w.r.t. native recovery\n")
-	fmt.Fprintf(&b, "  %-20s %12s %12s %10s\n", "version", "time", "log size", "slowdown")
+	fmt.Fprintf(&b, "  %-20s %12s %12s %10s %10s\n", "version", "time", "log size", "slowdown", "syscalls")
 	if len(rs) == 0 {
 		return b.String()
 	}
 	base := rs[0].Duration
 	for _, r := range rs {
 		slow := float64(r.Duration) / float64(base)
-		fmt.Fprintf(&b, "  %-20s %12s %9.1fMiB %9.2fx\n",
-			r.Label, r.Duration.Round(time.Millisecond), float64(r.LogBytes)/(1<<20), slow)
+		fmt.Fprintf(&b, "  %-20s %12s %9.1fMiB %9.2fx %10d\n",
+			r.Label, r.Duration.Round(time.Millisecond), float64(r.LogBytes)/(1<<20), slow, r.Syscalls)
 	}
 	return b.String()
 }

@@ -86,14 +86,20 @@ func (f *migrateLiveFault) Inject(h *Harness) {
 	f.src = int(cur.SlotOwner(f.slot))
 	f.wantEpoch = cur.Epoch + 1
 	f.base = h.fenceRejections(f.src)
+	end := time.Now().Add(h.cfg.RoundDuration)
 	go func() {
-		// Let the round's traffic get going before the fence drops, and
-		// hold the fence open across several chunk sends so live
-		// transactions demonstrably collide with it.
+		// Let the round's traffic get going before the fence drops, then
+		// hold the fence until a live transaction has collided with it at
+		// the source — the soak's non-vacuity check, met by construction —
+		// or the round's traffic ends.
 		time.Sleep(h.cfg.RoundDuration / 4)
 		f.done <- h.cluster.MigrateSlot(f.slot, f.dst, core.MigrateOptions{
 			ChunkSize: 1,
-			OnChunk:   func(int) { time.Sleep(10 * time.Millisecond) },
+			OnChunk: func(int) {
+				for h.fenceRejections(f.src) == f.base && time.Now().Before(end) {
+					time.Sleep(time.Millisecond)
+				}
+			},
 		})
 	}()
 }

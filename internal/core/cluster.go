@@ -40,19 +40,6 @@ type ClusterOptions struct {
 	IdleTimeout time.Duration
 	// MemTableSize overrides the flush threshold.
 	MemTableSize int64
-	// LockShards overrides the lock-table shard count.
-	LockShards int
-	// BlockCacheBytes sizes each node's authenticated block cache
-	// (0 = engine default, negative disables — the cache ablation).
-	BlockCacheBytes int64
-	// EPCBudget sizes each node's modelled enclave page cache in bytes
-	// (0 = the SGXv1 default, 94 MiB). The scaling experiments shrink it
-	// so EPC pressure — the paper's §II-B scale-out motivation — shows
-	// up at testbed-sized datasets.
-	EPCBudget int64
-	// CounterReplicas sizes the trusted counter protection group
-	// (0 = 3; only used in stabilization mode).
-	CounterReplicas int
 	// Seed makes the network's randomness reproducible.
 	Seed int64
 	// NodeFS, when set, supplies a per-node filesystem for durable
@@ -64,6 +51,10 @@ type ClusterOptions struct {
 	// node (see NodeConfig.Replicate).
 	Replicate bool
 }
+
+// counterReplicas is the size of the trusted counter protection group in
+// the modes that stabilize on the counter service.
+const counterReplicas = 3
 
 // Cluster is an in-process Treaty deployment: N nodes, a CAS, an IAS, a
 // trusted-counter protection group, and a simulated network — the whole
@@ -99,9 +90,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	if opts.Nodes == 0 {
 		opts.Nodes = 3
 	}
-	if opts.CounterReplicas == 0 {
-		opts.CounterReplicas = 3
-	}
 	c := &Cluster{
 		opts:    opts,
 		net:     simnet.New(opts.Link, opts.Seed),
@@ -133,7 +121,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	}
 	var ctrAddrs []string
 	if opts.Mode.Policy().Counter == CounterService {
-		ctrAddrs = make([]string, opts.CounterReplicas)
+		ctrAddrs = make([]string, counterReplicas)
 		for i := range ctrAddrs {
 			ctrAddrs[i] = fmt.Sprintf("ctr-%d", i)
 		}
@@ -201,24 +189,21 @@ func (c *Cluster) nodeConfig(id uint64, addr string) (NodeConfig, error) {
 		nfs = c.opts.NodeFS(int(id))
 	}
 	return NodeConfig{
-		ID:              id,
-		Addr:            addr,
-		FS:              nfs,
-		Dir:             dir,
-		Mode:            c.opts.Mode,
-		Net:             c.net,
-		Platform:        platform,
-		LAS:             las,
-		CAS:             c.cas,
-		Workers:         c.opts.Workers,
-		LockTimeout:     c.opts.LockTimeout,
-		TxnTimeout:      c.opts.TxnTimeout,
-		IdleTimeout:     c.opts.IdleTimeout,
-		MemTableSize:    c.opts.MemTableSize,
-		LockShards:      c.opts.LockShards,
-		BlockCacheBytes: c.opts.BlockCacheBytes,
-		EPCBudget:       c.opts.EPCBudget,
-		Replicate:       c.opts.Replicate,
+		ID:           id,
+		Addr:         addr,
+		FS:           nfs,
+		Dir:          dir,
+		Mode:         c.opts.Mode,
+		Net:          c.net,
+		Platform:     platform,
+		LAS:          las,
+		CAS:          c.cas,
+		Workers:      c.opts.Workers,
+		LockTimeout:  c.opts.LockTimeout,
+		TxnTimeout:   c.opts.TxnTimeout,
+		IdleTimeout:  c.opts.IdleTimeout,
+		MemTableSize: c.opts.MemTableSize,
+		Replicate:    c.opts.Replicate,
 	}, nil
 }
 

@@ -70,14 +70,6 @@ type NodeConfig struct {
 	// go through; nil uses the real OS. The chaos and crash-point
 	// harnesses substitute fault-injecting filesystems.
 	FS vfs.FS
-	// LockShards overrides the lock-table shard count.
-	LockShards int
-	// BlockCacheBytes sizes the engine's authenticated block cache
-	// (0 = engine default, negative disables — the cache ablation).
-	BlockCacheBytes int64
-	// EPCBudget overrides the modelled enclave page cache size in bytes
-	// (0 = the SGXv1 default).
-	EPCBudget int64
 	// Replicate enables per-shard primary-backup replication: the node
 	// ships every fsynced WAL/Clog commit group to the backup the shard
 	// map assigns its slots (before the groups' trusted counters
@@ -137,8 +129,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if policy == (Policy{}) {
 		return nil, fmt.Errorf("core: unknown security mode %v", cfg.Mode)
 	}
-	rtCfg := enclave.RuntimeConfig{Mode: policy.Enclave, EPCBudget: cfg.EPCBudget}
-	encl, err := cfg.Platform.Launch(enclaveIdentity, rtCfg)
+	encl, err := cfg.Platform.Launch(enclaveIdentity, enclave.RuntimeConfig{Mode: policy.Enclave})
 	if err != nil {
 		return nil, fmt.Errorf("core: launching enclave: %w", err)
 	}
@@ -272,17 +263,16 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 
 	// Storage engine (recovers from cfg.Dir if state exists).
 	n.db, err = lsm.Open(lsm.Options{
-		Dir:             cfg.Dir,
-		FS:              cfg.FS,
-		Level:           policy.Level,
-		Key:             clusterCfg.StorageKey,
-		Runtime:         n.rt,
-		Counters:        counters,
-		MemTableSize:    cfg.MemTableSize,
-		BlockCacheBytes: cfg.BlockCacheBytes,
-		Pool:            n.pool,
-		Metrics:         n.reg,
-		Ship:            walShipHook,
+		Dir:          cfg.Dir,
+		FS:           cfg.FS,
+		Level:        policy.Level,
+		Key:          clusterCfg.StorageKey,
+		Runtime:      n.rt,
+		Counters:     counters,
+		MemTableSize: cfg.MemTableSize,
+		Pool:         n.pool,
+		Metrics:      n.reg,
+		Ship:         walShipHook,
 	})
 	if err != nil {
 		n.shutdownPartial()
@@ -292,7 +282,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	// Transaction layer.
 	n.mgr = txn.NewManager(txn.Config{
 		DB:          n.db,
-		LockShards:  cfg.LockShards,
 		LockTimeout: cfg.LockTimeout,
 		Pool:        n.pool,
 		WaitStable:  policy.Counter == CounterService,

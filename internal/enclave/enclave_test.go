@@ -132,31 +132,27 @@ func TestRuntimeNativeIsFree(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		rt.Syscall()
 		rt.WorldSwitch()
+		rt.MessageCost(1024)
 	}
 	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
 		t.Errorf("native mode must be near-free, took %v", elapsed)
 	}
 	s := rt.Stats()
-	if s.AsyncSyscalls != 0 || s.WorldSwitches != 0 {
+	if s.AsyncSyscalls != 0 || s.WorldSwitches != 0 || s.Messages != 0 {
 		t.Errorf("native mode must not count TEE events: %+v", s)
 	}
 }
 
 func TestRuntimeSconeChargesCosts(t *testing.T) {
-	rt := NewRuntime(RuntimeConfig{
-		Mode:  ModeScone,
-		Costs: Costs{AsyncSyscall: 100 * time.Microsecond, WorldSwitch: 200 * time.Microsecond},
-	})
-	start := time.Now()
+	rt := NewSconeRuntime()
 	rt.Syscall()
+	rt.Syscalls(2)
 	rt.WorldSwitch()
-	elapsed := time.Since(start)
-	if elapsed < 300*time.Microsecond {
-		t.Errorf("costs not charged: elapsed %v", elapsed)
-	}
+	rt.MessageCost(100)
+	rt.MessageCost(4096)
 	s := rt.Stats()
-	if s.AsyncSyscalls != 1 || s.WorldSwitches != 1 {
-		t.Errorf("stats = %+v, want 1 syscall + 1 world switch", s)
+	if s.AsyncSyscalls != 3 || s.WorldSwitches != 1 || s.Messages != 2 {
+		t.Errorf("stats = %+v, want 3 syscalls, 1 world switch, 2 messages", s)
 	}
 }
 
@@ -177,12 +173,8 @@ func TestRuntimeDefaultsFilled(t *testing.T) {
 }
 
 func TestEPCPagingChargedBeyondBudget(t *testing.T) {
-	rt := NewRuntime(RuntimeConfig{
-		Mode:      ModeScone,
-		Costs:     Costs{PageFault: time.Microsecond},
-		EPCBudget: 1 << 20, // 1 MiB
-	})
-	rt.AllocEnclave(1 << 20) // fill budget exactly: no paging
+	rt := NewRuntime(RuntimeConfig{Mode: ModeScone, EPCBudget: 1 << 20})
+	rt.AllocEnclave(1 << 20) // fill the 1 MiB budget exactly: no paging
 	if rt.Stats().PageFaults != 0 {
 		t.Fatalf("paging charged within budget: %+v", rt.Stats())
 	}

@@ -12,20 +12,17 @@ import (
 type RuntimeConfig struct {
 	// Mode selects native (no costs) or SCONE-style enclave execution.
 	Mode Mode
-	// Costs are the per-event penalties. Zero value means DefaultCosts
-	// when Mode is ModeScone.
-	Costs Costs
 	// EPCBudget is the enclave page cache size in bytes (94 MiB on SGXv1
 	// per the paper). Enclave allocations beyond the budget charge
 	// paging penalties per 4 KiB page. Zero means DefaultEPCBudget.
 	EPCBudget int64
 }
 
-// Costs are the calibrated penalties for TEE events, applied as busy-waits
-// so measured wall-clock throughput exhibits the paper's native-vs-SCONE
-// shape. The defaults follow published SGX/SCONE microbenchmarks: a world
-// switch (synchronous enclave transition) costs ~8 µs, a SCONE
-// asynchronous syscall ~1.5 µs, and an EPC page fault ~12 µs.
+// Costs are the penalties for TEE events, applied as busy-waits so
+// measured wall-clock throughput exhibits the paper's native-vs-SCONE
+// shape. They follow published SGX/SCONE microbenchmarks: a world switch
+// (synchronous enclave transition) costs ~8 µs, a SCONE asynchronous
+// syscall ~1.5 µs, and an EPC page fault ~12 µs.
 type Costs struct {
 	// WorldSwitch is charged for synchronous enclave exits (OCALLs,
 	// blocking syscalls without the async path).
@@ -44,7 +41,8 @@ type Costs struct {
 	MsgOverhead time.Duration
 }
 
-// DefaultCosts are the calibrated SCONE penalties.
+// DefaultCosts is the one price list: every SCONE runtime charges it, and
+// nothing outside this package prices a TEE or network event.
 func DefaultCosts() Costs {
 	return Costs{
 		WorldSwitch:  8 * time.Microsecond,
@@ -68,6 +66,9 @@ type Stats struct {
 	WorldSwitches uint64
 	// AsyncSyscalls counts exit-less syscalls.
 	AsyncSyscalls uint64
+	// Messages counts network messages charged (MessageCost), one per
+	// packet sent or received.
+	Messages uint64
 	// PageFaults counts 4 KiB EPC paging events.
 	PageFaults uint64
 	// EnclaveBytes is the current enclave-resident allocation footprint.
@@ -85,6 +86,7 @@ type Runtime struct {
 
 	worldSwitches atomic.Uint64
 	asyncSyscalls atomic.Uint64
+	messages      atomic.Uint64
 	pageFaults    atomic.Uint64
 	enclaveBytes  atomic.Int64
 	hostBytes     atomic.Int64
@@ -92,11 +94,11 @@ type Runtime struct {
 
 // NewRuntime creates a runtime from cfg, filling in defaults.
 func NewRuntime(cfg RuntimeConfig) *Runtime {
-	rt := &Runtime{mode: cfg.Mode, costs: cfg.Costs, epcBudget: cfg.EPCBudget}
+	rt := &Runtime{mode: cfg.Mode, epcBudget: cfg.EPCBudget}
 	if rt.mode == 0 {
 		rt.mode = ModeNative
 	}
-	if rt.mode == ModeScone && rt.costs == (Costs{}) {
+	if rt.mode == ModeScone {
 		rt.costs = DefaultCosts()
 	}
 	if rt.epcBudget == 0 {
@@ -172,11 +174,6 @@ func spinItersPerNS() float64 {
 	return spinPerNS
 }
 
-// Spin busy-waits for d, occupying the core. Exposed for components that
-// model per-operation CPU costs outside the standard syscall/world-switch
-// events (e.g. the network microbenchmark's per-message stack overheads).
-func Spin(d time.Duration) { spinWait(d) }
-
 // Syscall charges one asynchronous (exit-less) syscall. Use at every I/O
 // call site that goes through SCONE's async syscall interface: file
 // read/write/fsync, socket send/recv.
@@ -215,6 +212,7 @@ func (rt *Runtime) MessageCost(n int) {
 	if rt.mode != ModeScone {
 		return
 	}
+	rt.messages.Add(1)
 	kb := time.Duration((n + 1023) / 1024)
 	spinWait(rt.costs.MsgOverhead + kb*rt.costs.CopyPerKB)
 }
@@ -233,7 +231,7 @@ func (rt *Runtime) AllocEnclave(n int) {
 		return
 	}
 	if over := newTotal - rt.epcBudget; over > 0 {
-		pages := int(min64(over, int64(n))+pageSize-1) / pageSize
+		pages := int(min(over, int64(n))+pageSize-1) / pageSize
 		rt.pageFaults.Add(uint64(pages))
 		spinWait(time.Duration(pages) * rt.costs.PageFault)
 	}
@@ -284,6 +282,7 @@ func (rt *Runtime) TouchEnclave(n int) {
 func (rt *Runtime) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("enclave.world_switches", rt.worldSwitches.Load)
 	reg.CounterFunc("enclave.async_syscalls", rt.asyncSyscalls.Load)
+	reg.CounterFunc("enclave.messages", rt.messages.Load)
 	reg.CounterFunc("enclave.page_faults", rt.pageFaults.Load)
 	reg.CounterFunc("enclave.paging_penalty_ns", func() uint64 {
 		return rt.pageFaults.Load() * uint64(rt.costs.PageFault.Nanoseconds())
@@ -297,15 +296,9 @@ func (rt *Runtime) Stats() Stats {
 	return Stats{
 		WorldSwitches: rt.worldSwitches.Load(),
 		AsyncSyscalls: rt.asyncSyscalls.Load(),
+		Messages:      rt.messages.Load(),
 		PageFaults:    rt.pageFaults.Load(),
 		EnclaveBytes:  rt.enclaveBytes.Load(),
 		HostBytes:     rt.hostBytes.Load(),
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -113,10 +113,7 @@ func TestParkGivesTheWorkerAway(t *testing.T) {
 // charged world switch; a fiber polling through yields would keep the
 // worker busy and charge none.
 func TestParkedWaitLeavesWorkerIdle(t *testing.T) {
-	rt := enclave.NewRuntime(enclave.RuntimeConfig{
-		Mode:  enclave.ModeScone,
-		Costs: enclave.Costs{WorldSwitch: time.Microsecond},
-	})
+	rt := enclave.NewSconeRuntime()
 	s := New(1, rt)
 	defer s.Stop()
 	wake := make(chan struct{})
@@ -316,10 +313,7 @@ func TestStopIdempotent(t *testing.T) {
 }
 
 func TestIdleWorkerChargesWorldSwitch(t *testing.T) {
-	rt := enclave.NewRuntime(enclave.RuntimeConfig{
-		Mode:  enclave.ModeScone,
-		Costs: enclave.Costs{WorldSwitch: time.Microsecond},
-	})
+	rt := enclave.NewSconeRuntime()
 	s := New(1, rt)
 	time.Sleep(20 * time.Millisecond) // idle workers sleep and charge switches
 	s.Stop()

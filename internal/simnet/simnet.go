@@ -2,9 +2,8 @@
 // communicate over. It stands in for the paper's 40 GbE testbed fabric and
 // plays two roles:
 //
-//   - A performance model: per-link latency, bandwidth serialization, MTU
-//     (datagrams over the MTU are dropped, as the paper observes for UDP),
-//     and random loss, so network benchmarks exhibit realistic shape.
+//   - A performance model: per-link latency, bandwidth serialization and
+//     random loss, so network benchmarks exhibit realistic shape.
 //   - The adversary from the threat model (§III): an interposition hook
 //     that can drop, delay, corrupt, duplicate, or replay any packet, plus
 //     partitions. Treaty must *detect* all of these (integrity/freshness
@@ -17,8 +16,8 @@
 // Every packet is accounted for exactly once. With nothing in flight
 // (Stats.InFlight):
 //
-//	Sent + Duplicated == Delivered + DroppedMTU + DroppedLoss +
-//	    DroppedAdversary + DroppedPartition + DroppedOverrun
+//	Sent + Duplicated == Delivered + DroppedLoss + DroppedAdversary +
+//	    DroppedPartition + DroppedOverrun
 //
 // and every drop returns the packet's pooled buffer.
 package simnet
@@ -109,14 +108,6 @@ type LinkConfig struct {
 	// BandwidthBps is the link bandwidth in bytes per second; zero means
 	// unlimited.
 	BandwidthBps int64
-	// MTU is the maximum datagram size; packets larger than MTU are
-	// dropped when DropOversized is set (UDP-like), otherwise delivered
-	// (the transport is assumed to segment, TCP-like). Zero means no MTU.
-	MTU int
-	// DropOversized selects drop (true, UDP) vs deliver (false, TCP
-	// with segmentation) behaviour for over-MTU packets. When false and
-	// MTU > 0, bandwidth cost still accounts per-segment overhead.
-	DropOversized bool
 	// LossRate is the probability in [0,1) that a packet is dropped.
 	LossRate float64
 }
@@ -129,8 +120,6 @@ type Stats struct {
 	Duplicated uint64
 	// Delivered counts packets handed to receivers.
 	Delivered uint64
-	// DroppedMTU counts packets dropped for exceeding the MTU.
-	DroppedMTU uint64
 	// DroppedLoss counts packets dropped by random loss.
 	DroppedLoss uint64
 	// DroppedAdversary counts packets dropped by the adversary.
@@ -149,8 +138,8 @@ type Stats struct {
 // package comment's law). A snapshot is not one atomic cut, so a reading
 // taken under traffic may be off by the packets that moved meanwhile.
 func (s Stats) InFlight() int64 {
-	return int64(s.Sent + s.Duplicated - s.Delivered - s.DroppedMTU - s.DroppedLoss -
-		s.DroppedAdversary - s.DroppedPartition - s.DroppedOverrun)
+	return int64(s.Sent + s.Duplicated - s.Delivered - s.DroppedLoss - s.DroppedAdversary -
+		s.DroppedPartition - s.DroppedOverrun)
 }
 
 // Network is a set of endpoints connected by configurable links.
@@ -170,7 +159,6 @@ type Network struct {
 	sent             atomic.Uint64
 	duplicated       atomic.Uint64
 	delivered        atomic.Uint64
-	droppedMTU       atomic.Uint64
 	droppedLoss      atomic.Uint64
 	droppedAdversary atomic.Uint64
 	droppedPartition atomic.Uint64
@@ -323,7 +311,6 @@ func (n *Network) Stats() Stats {
 		Sent:             n.sent.Load(),
 		Duplicated:       n.duplicated.Load(),
 		Delivered:        n.delivered.Load(),
-		DroppedMTU:       n.droppedMTU.Load(),
 		DroppedLoss:      n.droppedLoss.Load(),
 		DroppedAdversary: n.droppedAdversary.Load(),
 		DroppedPartition: n.droppedPartition.Load(),
@@ -368,8 +355,8 @@ func (n *Network) chance(p float64) bool {
 	return n.rng.Float64() < p
 }
 
-// send transmits pkt, applying partition, adversary, MTU, loss, latency,
-// and bandwidth in that order.
+// send transmits pkt, applying partition, adversary, loss, latency, and
+// bandwidth in that order.
 func (n *Network) send(pkt Packet) error {
 	n.mu.RLock()
 	closed := n.closed
@@ -410,11 +397,6 @@ func (n *Network) send(pkt Packet) error {
 
 	l := n.linkFor(pkt.From, pkt.To)
 	cfg := l.cfg
-	if cfg.MTU > 0 && cfg.DropOversized && len(pkt.Data) > cfg.MTU {
-		n.droppedMTU.Add(1)
-		pkt.Release()
-		return nil
-	}
 	if n.chance(cfg.LossRate) {
 		n.droppedLoss.Add(1)
 		pkt.Release()

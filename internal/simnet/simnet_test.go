@@ -126,36 +126,6 @@ func TestBandwidthSerializes(t *testing.T) {
 	}
 }
 
-func TestMTUDropUDPStyle(t *testing.T) {
-	n, a, b := pair(t, LinkConfig{MTU: 1460, DropOversized: true})
-	if err := a.Send("b", make([]byte, 2000)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := recvWithin(b, 0); ok {
-		t.Error("over-MTU datagram must be dropped")
-	}
-	if n.Stats().DroppedMTU != 1 {
-		t.Errorf("DroppedMTU = %d", n.Stats().DroppedMTU)
-	}
-	// Under the MTU passes.
-	if err := a.Send("b", make([]byte, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Recv(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMTUSegmentingTCPStyle(t *testing.T) {
-	_, a, b := pair(t, LinkConfig{MTU: 1460, DropOversized: false})
-	if err := a.Send("b", make([]byte, 4000)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Recv(); err != nil {
-		t.Fatal(err) // TCP-like links deliver over-MTU payloads
-	}
-}
-
 func TestLoss(t *testing.T) {
 	n, a, b := pair(t, LinkConfig{LossRate: 1.0})
 	for i := 0; i < 10; i++ {

@@ -28,8 +28,6 @@ type Manager struct {
 type Config struct {
 	// DB is the node's storage engine.
 	DB *lsm.DB
-	// LockShards sizes the lock table (0 = 1024).
-	LockShards int
 	// LockTimeout bounds lock waits (0 = 1s).
 	LockTimeout time.Duration
 	// Pool supplies write-buffer memory (nil creates one).
@@ -46,7 +44,7 @@ func NewManager(cfg Config) *Manager {
 	}
 	return &Manager{
 		db:         cfg.DB,
-		locks:      NewLockTable(cfg.LockShards, cfg.LockTimeout),
+		locks:      NewLockTable(0, cfg.LockTimeout),
 		pool:       pool,
 		waitStable: cfg.WaitStable,
 	}

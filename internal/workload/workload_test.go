@@ -161,6 +161,9 @@ func TestTPCCLoadAndRun(t *testing.T) {
 			t.Errorf("type %v never ran in 200 draws", typ)
 		}
 	}
+	if fmt.Sprint(TxnNewOrder) != "NewOrder" {
+		t.Error("TPCC txn label")
+	}
 }
 
 func TestTPCCNewOrderAdvancesOrderID(t *testing.T) {
@@ -283,61 +286,6 @@ func TestRowCodecsRoundTrip(t *testing.T) {
 	// Truncated rows error.
 	if _, err := decodeCustomer([]byte{1, 2, 3}); err == nil {
 		t.Error("short customer row must fail")
-	}
-}
-
-func TestIperfUDPDropsLargeMessages(t *testing.T) {
-	big, err := RunIperf(IperfConfig{Stack: StackUDP, MsgSize: 2048, Duration: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.Received != 0 {
-		t.Errorf("UDP over MTU delivered %d messages, want 0", big.Received)
-	}
-	small, err := RunIperf(IperfConfig{Stack: StackUDP, MsgSize: 1024, Duration: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Received == 0 {
-		t.Error("UDP under MTU must deliver")
-	}
-}
-
-func TestIperfSconeSlower(t *testing.T) {
-	native, err := RunIperf(IperfConfig{Stack: StackTCP, MsgSize: 1024, Duration: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scone, err := RunIperf(IperfConfig{Stack: StackTCP, Scone: true, MsgSize: 1024, Duration: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scone.Gbps >= native.Gbps {
-		t.Errorf("SCONE TCP (%.2f Gbps) must be slower than native (%.2f Gbps)", scone.Gbps, native.Gbps)
-	}
-}
-
-func TestIperfTreatyDelivers(t *testing.T) {
-	res, err := RunIperf(IperfConfig{Stack: StackTreaty, MsgSize: 1024, Duration: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Received == 0 {
-		t.Error("Treaty networking must deliver sealed messages")
-	}
-	if res.Gbps <= 0 {
-		t.Error("goodput must be positive")
-	}
-}
-
-func TestIperfStackLabels(t *testing.T) {
-	for _, s := range []NetStack{StackTCP, StackUDP, StackERPC, StackTreaty} {
-		if s.String() == "" || s.String()[0] == 'N' {
-			t.Errorf("missing label for stack %d", int(s))
-		}
-	}
-	if fmt.Sprint(TxnNewOrder) != "NewOrder" {
-		t.Error("TPCC txn label")
 	}
 }
 

@@ -3,8 +3,8 @@
 // operations per transaction, value size, uniform or zipfian key
 // popularity), a TPC-C implementation (full schema as key-value records,
 // NURand, the standard five-transaction mix, remote-warehouse touches
-// that force distributed transactions), and an iperf-style network
-// stress workload for the networking comparison.
+// that force distributed transactions), and the bank-transfer workload
+// the chaos soaks audit.
 package workload
 
 import (
