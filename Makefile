@@ -121,7 +121,10 @@ vet:
 # the poller (a second one between the fabric and it would pay receive costs
 # off the books), and the optional-interface and socket-transport names stay
 # gone. A TEE or network cost has one price list: nothing outside
-# internal/enclave busy-waits, names the price table or builds one.
+# internal/enclave busy-waits, names the price table or builds one. A keyed
+# operation has one body, Participant.op in internal/twopc/participant.go:
+# a request off the wire and a coordinator's call on a key its node owns
+# both run it, so its three engine calls appear nowhere else.
 ONCE_SRC = find $(1) -name '*.go' ! -name '*_test.go' ! -path internal/fibers/wait.go ! -path internal/erpc/retry.go ! -path internal/erpc/opid.go
 check-once:
 	@fail=0; \
@@ -140,7 +143,10 @@ check-once:
 	[ $$(printf '%s\n' "$$gos" | grep -c .) -eq 1 ] || { printf '%s\n' "$$gos"; fail=1; }; \
 	grep -nE 'PollPacket|ChannelTransport|PacketTransport|UDPTransport' $$($(call ONCE_SRC,internal cmd examples)) && fail=1; \
 	grep -nE 'Spin\(|spinWait|DefaultCosts|Costs\{' $$($(call ONCE_SRC,.) ! -path './internal/enclave/*') && fail=1; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, packet path, price list); call the shared one"; exit 1; }
+	ops=$$(awk '/^func /{fn=$$0} /at\.local\.(Get|Put|Delete)\(/{print FILENAME ":" FNR ": in " fn}' $$($(call ONCE_SRC,internal cmd examples))); \
+	[ $$(printf '%s\n' "$$ops" | grep -c '^internal/twopc/participant\.go:[0-9]*: in func (p \*Participant) op(') -eq 3 ] && \
+		[ $$(printf '%s\n' "$$ops" | grep -c .) -eq 3 ] || { printf '%s\n' "$$ops"; fail=1; }; \
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, packet path, price list, keyed-op body); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

@@ -314,14 +314,15 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.clog = clog
 	n.coord = twopc.NewCoordinator(twopc.CoordinatorConfig{
-		NodeID:    cfg.ID,
-		Endpoint:  n.ep,
-		Clog:      clog,
-		Router:    n.shard,
-		Refresh:   n.RefreshShardMap,
-		Recovered: recovered,
-		Timeout:   cfg.TxnTimeout,
-		Metrics:   n.reg,
+		NodeID:      cfg.ID,
+		Endpoint:    n.ep,
+		Participant: n.part,
+		Clog:        clog,
+		Router:      n.shard,
+		Refresh:     n.RefreshShardMap,
+		Recovered:   recovered,
+		Timeout:     cfg.TxnTimeout,
+		Metrics:     n.reg,
 	})
 
 	// Re-initialize prepared transactions found during recovery; they

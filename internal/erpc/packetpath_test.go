@@ -1,6 +1,7 @@
 package erpc
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -19,12 +20,28 @@ func waitFor(cond func() bool) bool {
 	return true
 }
 
+// goroutines counts the goroutines running this module's code outside a
+// test function. runtime.NumGoroutine also counts goroutines the runtime
+// and the standard library run on their own schedule, which made a count
+// taken around them flaky.
+func goroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("treaty/internal/")) && !bytes.Contains(g, []byte("testing.tRunner")) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestOneGoroutinePerEndpoint pins the packet path's shape: an endpoint
 // under traffic runs its poller and nothing else — no goroutine stands
 // between the fabric's inbox and the poller — and everything exits on
 // Stop / Close / Network.Close.
 func TestOneGoroutinePerEndpoint(t *testing.T) {
-	start := runtime.NumGoroutine()
+	start := goroutines()
 	n := simnet.New(simnet.LinkConfig{Latency: 100 * time.Microsecond}, 3)
 	key, err := seal.NewRandomKey()
 	if err != nil {
@@ -52,8 +69,8 @@ func TestOneGoroutinePerEndpoint(t *testing.T) {
 		}
 	}
 	// Two pollers, and one drainer per direction of the one link in use.
-	if want := start + 4; !waitFor(func() bool { return runtime.NumGoroutine() == want }) {
-		t.Errorf("%d goroutines under traffic, want %d (start %d + 2 pollers + 2 link drainers)", runtime.NumGoroutine(), want, start)
+	if want := start + 4; !waitFor(func() bool { return goroutines() == want }) {
+		t.Errorf("%d goroutines under traffic, want %d (start %d + 2 pollers + 2 link drainers)", goroutines(), want, start)
 	}
 	for _, p := range pollers {
 		p.Stop()
@@ -62,8 +79,8 @@ func TestOneGoroutinePerEndpoint(t *testing.T) {
 		ep.Close()
 	}
 	n.Close()
-	if !waitFor(func() bool { return runtime.NumGoroutine() == start }) {
-		t.Errorf("%d goroutines after shutdown, want the %d the test started with", runtime.NumGoroutine(), start)
+	if !waitFor(func() bool { return goroutines() == start }) {
+		t.Errorf("%d goroutines after shutdown, want the %d the test started with", goroutines(), start)
 	}
 }
 

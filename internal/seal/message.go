@@ -56,9 +56,10 @@ type MsgMetadata struct {
 	// Epoch stamps the shard-map epoch the sender routed under; a
 	// participant whose current epoch differs rejects the operation with
 	// a retriable "wrong epoch" error so the sender refetches the map.
-	// Zero means unversioned (legacy frames and epoch-free protocols);
-	// the field occupies previously-reserved metadata bytes, so the wire
-	// format is unchanged and old frames decode with Epoch == 0.
+	// Zero means unversioned, which only protocols without keys send
+	// (counter, replication, status queries); a keyed operation always
+	// carries its view's epoch, so a participant rejects one stamped 0.
+	// The field occupies previously-reserved metadata bytes.
 	Epoch uint64
 }
 

@@ -166,6 +166,15 @@ type Network struct {
 	bytesDelivered   atomic.Uint64
 }
 
+// inlineTransit is the longest transit the fabric does not wait out. OS
+// timers cannot resolve below ~100 µs reliably; waiting on them would add
+// a millisecond to every packet, and the scheduling delay to the receiver
+// supplies at least this much latency anyway. It is the one admit rule of
+// a link: a packet of at most this transit with nothing queued ahead of
+// it is delivered by its sender, and the drainer delivers a queued packet
+// as soon as at most this much of its transit remains.
+const inlineTransit = 50 * time.Microsecond
+
 // link carries the per-direction bandwidth serialization state and the
 // delivery queue: one drainer goroutine per link delivers packets in
 // FIFO order at their scheduled times (modelling an in-order pipe
@@ -175,6 +184,10 @@ type link struct {
 	mu  sync.Mutex
 	// busyUntil is when the link's transmitter becomes free.
 	busyUntil time.Time
+	// queued counts packets handed to the drainer and not yet delivered
+	// or dropped. A sender delivers inline only while it is zero, so no
+	// packet overtakes one sent before it on the link.
+	queued atomic.Int64
 
 	once sync.Once
 	q    chan scheduledPkt
@@ -195,9 +208,11 @@ func (l *link) enqueue(n *Network, s scheduledPkt) {
 		n.drainers.Add(1)
 		go l.drain(n)
 	})
+	l.queued.Add(1)
 	select {
 	case l.q <- s:
 	default:
+		l.queued.Add(-1)
 		n.dropOverrun(s.pkt)
 	}
 }
@@ -210,11 +225,7 @@ func (l *link) drain(n *Network) {
 		case <-n.quit:
 			return
 		case s := <-l.q:
-			// OS timers cannot resolve below ~100 µs reliably; waiting on
-			// them would add a millisecond to every packet. Sub-50 µs
-			// remainders are delivered immediately — the scheduling delay
-			// to the receiver supplies at least that much latency anyway.
-			if d := time.Until(s.at); d > 50*time.Microsecond {
+			if d := time.Until(s.at); d > inlineTransit {
 				select {
 				case <-n.quit:
 					return
@@ -222,6 +233,7 @@ func (l *link) drain(n *Network) {
 				}
 			}
 			s.dst.deliver(s.pkt, n)
+			l.queued.Add(-1)
 		}
 	}
 }
@@ -429,7 +441,7 @@ func (n *Network) send(pkt Packet) error {
 			p.Data = append([]byte(nil), pkt.Data...)
 			p.buf = nil
 		}
-		if total <= 0 {
+		if total <= inlineTransit && l.queued.Load() == 0 {
 			dst.deliver(p, n)
 			continue
 		}

@@ -418,3 +418,58 @@ func TestStatsBalance(t *testing.T) {
 		t.Fatalf("after the receiver closed under a packet in flight: in flight %d, stats %+v", s.InFlight(), s)
 	}
 }
+
+// TestLinkNeverReorders: a packet the adversary holds back holds back
+// the packets sent after it on its link, however short their own transit,
+// and only on its link: a packet to another receiver goes straight
+// through.
+func TestLinkNeverReorders(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  LinkConfig
+	}{{"zero-config", LinkConfig{}}, {"5GBps", LinkConfig{BandwidthBps: 5 << 30}}} {
+		t.Run(c.name, func(t *testing.T) {
+			n, a, b := pair(t, c.cfg)
+			other, err := n.Listen("c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var held atomic.Bool
+			n.SetAdversary(FuncAdversary(func(pkt Packet) Verdict {
+				if pkt.To == "b" && held.CompareAndSwap(false, true) {
+					return Verdict{Delay: 2 * time.Millisecond}
+				}
+				return Verdict{}
+			}))
+			for i := 0; i < 3; i++ {
+				if err := a.Send("b", []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := a.Send("c", []byte{9}); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := recvWithin(other, 0); !ok {
+				t.Error("a packet on a second link waited behind the held one")
+			}
+			var got []byte
+			for i := 0; i < 3; i++ {
+				pkt, ok := recvWithin(b, time.Second)
+				if !ok {
+					t.Fatalf("packet %d never arrived (got %v)", i, got)
+				}
+				got = append(got, pkt.Data[0])
+			}
+			if !bytes.Equal(got, []byte{0, 1, 2}) {
+				t.Errorf("received %v, want send order [0 1 2]", got)
+			}
+			deadline := time.Now().Add(time.Second)
+			for n.Stats().InFlight() != 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if s := n.Stats(); s.InFlight() != 0 {
+				t.Errorf("in flight %d after every packet arrived: %+v", s.InFlight(), s)
+			}
+		})
+	}
+}

@@ -76,6 +76,7 @@ func IsSlotFenced(err error) bool {
 type Coordinator struct {
 	nodeID  uint64
 	ep      *erpc.Endpoint
+	part    *Participant
 	clog    *Clog
 	router  Router
 	refresh func()
@@ -151,6 +152,9 @@ type CoordinatorConfig struct {
 	NodeID uint64
 	// Endpoint sends protocol messages (its event loop must be driven).
 	Endpoint *erpc.Endpoint
+	// Participant is this node's participant (required): an operation on
+	// a key the node owns is a call into it, not a request to itself.
+	Participant *Participant
 	// Clog is the coordinator log.
 	Clog *Clog
 	// Router supplies the shard-map view that maps keys to owners.
@@ -173,9 +177,13 @@ type CoordinatorConfig struct {
 
 // NewCoordinator creates a coordinator and registers its status handler.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
+	if cfg.Participant == nil {
+		panic("twopc: a coordinator needs its node's participant")
+	}
 	c := &Coordinator{
 		nodeID:       cfg.NodeID,
 		ep:           cfg.Endpoint,
+		part:         cfg.Participant,
 		clog:         cfg.Clog,
 		router:       cfg.Router,
 		refresh:      cfg.Refresh,
@@ -401,21 +409,30 @@ func (t *DistTxn) ID() lsm.TxID { return t.id }
 // be bound before every operation.
 func (t *DistTxn) SetFiber(f *fibers.Fiber) { t.f = f }
 
-// call performs one remote operation against the key's owner.
+// call performs one operation against the key's owner at addr. When the
+// owner is this node, the operation is a call into its participant, on
+// the transaction's fiber (or goroutine). It passes the same gate as a
+// request off the wire, and no message is built, sealed or sent. The
+// decision fan-outs still reach this node through erpc, in parallel with
+// the other participants.
 func (t *DistTxn) call(addr string, reqType uint8, key, value []byte) ([]byte, error) {
 	md := seal.MsgMetadata{
 		TxID:     t.seq,
-		OpID:     t.c.ep.NextOpID(),
 		OpType:   uint32(reqType),
 		KeyLen:   uint32(len(key)),
 		ValueLen: uint32(len(value)),
 		Epoch:    t.Epoch(),
 	}
+	t.parts[addr] = true
+	t.trace.Enter(obs.StageExecute) // collapses across per-op calls
+	if addr == t.c.ep.LocalAddr() {
+		md.NodeID = t.c.ep.NodeID()
+		return t.c.part.op(t.f, reqType, md, key, value)
+	}
+	md.OpID = t.c.ep.NextOpID()
 	payload := make([]byte, 0, len(key)+len(value))
 	payload = append(payload, key...)
 	payload = append(payload, value...)
-	t.parts[addr] = true
-	t.trace.Enter(obs.StageExecute) // collapses across per-op calls
 	return erpc.Call(t.c.ep, addr, reqType, md, payload, t.c.timeout, t.f)
 }
 

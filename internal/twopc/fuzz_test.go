@@ -90,7 +90,7 @@ func FuzzProtocolMessages(f *testing.F) {
 		f.Fatal(err)
 	}
 	coord := NewCoordinator(CoordinatorConfig{
-		NodeID: 1, Endpoint: ep, Clog: clog,
+		NodeID: 1, Endpoint: ep, Participant: part, Clog: clog,
 		Router:  shardmap.NewHolder(shardmap.Uniform([]shardmap.Member{{ID: 1, Addr: addr}})),
 		Timeout: 50 * time.Millisecond, Recovered: recovered,
 	})

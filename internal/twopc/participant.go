@@ -260,30 +260,30 @@ func (p *Participant) drop(id lsm.TxID) {
 }
 
 // checkRoute gates a keyed operation by the participant's routing view:
-// the key's slot must not be fenced for migration, the request must
+// the key's slot must not be fenced for migration, the operation must
 // carry this node's current shard-map epoch, and this node must own the
 // slot. Rejections are retriable — the sender refetches the shard map
-// and retries. Epoch 0 marks unversioned senders (rigs without a shard
-// map) and passes the epoch check. Prepare/commit/abort are NOT gated:
-// in-flight transactions drain across an epoch flip; only new keyed
-// operations are redirected.
-func (p *Participant) checkRoute(key []byte, md seal.MsgMetadata) (int, string) {
+// and retries. A keyed operation always carries its view's epoch, so an
+// unversioned one (epoch 0) is rejected like any other stale epoch.
+// Prepare/commit/abort are NOT gated: in-flight transactions drain
+// across an epoch flip; only new keyed operations are redirected.
+func (p *Participant) checkRoute(key []byte, md seal.MsgMetadata) (int, error) {
 	slot := shardmap.SlotOf(key)
 	if p.shard == nil {
-		return slot, ""
+		return slot, nil
 	}
 	view := p.shard.View()
 	if view == nil {
-		return slot, ""
+		return slot, nil
 	}
 	p.mu.Lock()
 	_, isFenced := p.fenced[slot]
 	p.mu.Unlock()
 	if isFenced {
 		p.met.fenceRejects.Inc()
-		return slot, fmt.Sprintf("%s: slot %d", slotFencedMsg, slot)
+		return slot, fmt.Errorf("%s: slot %d", slotFencedMsg, slot)
 	}
-	if md.Epoch != 0 && md.Epoch != view.Epoch {
+	if md.Epoch != view.Epoch {
 		// A sender ahead of this node may have seen the new map first:
 		// refresh once and re-check before rejecting.
 		if md.Epoch > view.Epoch && p.refresh != nil {
@@ -292,16 +292,16 @@ func (p *Participant) checkRoute(key []byte, md seal.MsgMetadata) (int, string) 
 		}
 		if md.Epoch != view.Epoch {
 			p.met.staleEpoch.Inc()
-			return slot, fmt.Sprintf("%s: op at epoch %d, node at %d",
+			return slot, fmt.Errorf("%s: op at epoch %d, node at %d",
 				wrongEpochMsg, md.Epoch, view.Epoch)
 		}
 	}
 	if owner := view.SlotOwner(slot); owner != p.nodeID {
 		p.met.staleEpoch.Inc()
-		return slot, fmt.Sprintf("%s: slot %d owned by node %d, not node %d",
+		return slot, fmt.Errorf("%s: slot %d owned by node %d, not node %d",
 			wrongEpochMsg, slot, owner, p.nodeID)
 	}
-	return slot, ""
+	return slot, nil
 }
 
 // markSlot records that at touched slot on this node (drain accounting
@@ -358,33 +358,43 @@ func SplitKV(req *erpc.Request) (key, value []byte, ok bool) {
 	return req.Payload[:kl], req.Payload[kl : kl+vl], true
 }
 
-// handleOp executes one keyed operation — get, put or delete, told apart
-// by the request type — inside the transaction's private local
-// transaction, opening it on first use. The checks every operation must
-// pass are stated once, here: well-formed sizes, a route this node
-// serves at the sender's epoch (checkRoute), and an id the janitor has
-// not reclaimed (find).
+// handleOp serves a keyed operation that arrived as a request: it checks
+// the sizes the frame declares and replies with op's result.
 func (p *Participant) handleOp(f *fibers.Fiber, req *erpc.Request) {
 	key, value, ok := SplitKV(req)
 	if !ok {
 		req.ReplyError("twopc: malformed request sizes")
 		return
 	}
-	slot, reject := p.checkRoute(key, req.Meta)
-	if reject != "" {
-		req.ReplyError(reject)
+	reply, err := p.op(f, req.Type(), req.Meta, key, value)
+	if err != nil {
+		req.ReplyError(err.Error())
 		return
 	}
-	at := p.find(txIDOf(req.Meta), true)
+	req.Reply(reply)
+}
+
+// op executes one keyed operation — get, put or delete, told apart by
+// reqType — inside the transaction's private local transaction, opening
+// it on first use. It is the one body of a keyed operation: handleOp runs
+// it for a request off the wire, and this node's coordinator calls it
+// directly for a key the node owns (DistTxn.call). The checks every
+// operation must pass are stated once, here: a route this node serves at
+// the sender's epoch (checkRoute), and an id the janitor has not
+// reclaimed (find).
+func (p *Participant) op(f *fibers.Fiber, reqType uint8, md seal.MsgMetadata, key, value []byte) ([]byte, error) {
+	slot, err := p.checkRoute(key, md)
+	if err != nil {
+		return nil, err
+	}
+	at := p.find(txIDOf(md), true)
 	if at == nil {
-		req.ReplyError(errTxnReclaimed)
-		return
+		return nil, errors.New(errTxnReclaimed)
 	}
 	p.markSlot(at, slot)
 	var reply []byte
-	var err error
 	at.lock(f)
-	switch req.Type() {
+	switch reqType {
 	case ReqTxnGet:
 		var v []byte
 		var found bool
@@ -399,11 +409,7 @@ func (p *Participant) handleOp(f *fibers.Fiber, req *erpc.Request) {
 		err = at.local.Delete(key)
 	}
 	at.mu.Unlock()
-	if err != nil {
-		req.ReplyError(err.Error())
-		return
-	}
-	req.Reply(reply)
+	return reply, err
 }
 
 // handlePrepare durably prepares the local transaction. The reply is

@@ -13,17 +13,22 @@ import (
 // unprepared transaction, a late Put for the same id must NOT silently
 // start a fresh local transaction — a later prepare would then commit a
 // partial write set. The late operation errors, the commit aborts, and
-// none of the transaction's writes become visible.
+// none of the transaction's writes become visible. The reclaimed half
+// sits on the coordinator's own node (a local call) or on another node.
 func TestReclaimedTxnIsTombstoned(t *testing.T) {
-	tc := newTestCluster(t, 3)
-	nd := tc.nodes[1]
-	nd.part.Close()
-	nd.part = NewParticipant(ParticipantConfig{
-		Manager: nd.mgr, Endpoint: nd.ep, Scheduler: nd.sched,
-		IdleTimeout: 100 * time.Millisecond,
-	})
+	for _, c := range []struct {
+		name     string
+		reclaims int // the node whose janitor reclaims its half
+	}{{"local", 0}, {"remote", 1}} {
+		t.Run(c.name, func(t *testing.T) { testReclaimedTxnIsTombstoned(t, c.reclaims) })
+	}
+}
 
-	// One key on node-1 (will be reclaimed), one on node-2 (stays live).
+func testReclaimedTxnIsTombstoned(t *testing.T, reclaims int) {
+	tc := newTestCluster(t, 3)
+	nd := tc.shortIdle(reclaims, 100*time.Millisecond)
+
+	// One key on the reclaiming node, one on node-2 (stays live).
 	keyOn := func(addr string) string {
 		for i := 0; ; i++ {
 			k := fmt.Sprintf("tomb-%s-%d", addr, i)
@@ -32,7 +37,7 @@ func TestReclaimedTxnIsTombstoned(t *testing.T) {
 			}
 		}
 	}
-	k1, k2 := keyOn("node-1"), keyOn("node-2")
+	k1, k2 := keyOn(nd.addr), keyOn("node-2")
 
 	tx := tc.nodes[0].coord.Begin(nil)
 	if err := tx.Put([]byte(k1), []byte("half")); err != nil {
@@ -42,7 +47,7 @@ func TestReclaimedTxnIsTombstoned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait for node-1's janitor to reclaim its half.
+	// Wait for the janitor to reclaim its half.
 	deadline := time.Now().Add(3 * time.Second)
 	for nd.part.ActiveCount() != 0 {
 		if time.Now().After(deadline) {
@@ -64,7 +69,8 @@ func TestReclaimedTxnIsTombstoned(t *testing.T) {
 		t.Errorf("late Put recreated active state on the reclaimed participant")
 	}
 
-	// The commit must abort (node-1 votes no on an unknown/reclaimed id).
+	// The commit must abort (the reclaiming node votes no on an
+	// unknown/reclaimed id).
 	if err := tx.Commit(); !errors.Is(err, ErrAborted) {
 		t.Fatalf("Commit = %v, want ErrAborted", err)
 	}
@@ -86,12 +92,7 @@ func TestReclaimedTxnIsTombstoned(t *testing.T) {
 // swept out by the janitor.
 func TestReclaimedTombstonesArePurged(t *testing.T) {
 	tc := newTestCluster(t, 3)
-	nd := tc.nodes[1]
-	nd.part.Close()
-	nd.part = NewParticipant(ParticipantConfig{
-		Manager: nd.mgr, Endpoint: nd.ep, Scheduler: nd.sched,
-		IdleTimeout: 50 * time.Millisecond,
-	})
+	nd := tc.shortIdle(1, 50*time.Millisecond)
 
 	tx := tc.nodes[0].coord.Begin(nil)
 	var key string

@@ -27,91 +27,121 @@ func (tc *testCluster) flipEpoch(slot int, newOwner uint64) {
 	tc.shard.Store(next)
 }
 
+// counterOn reads one counter of node i's registry.
+func (tc *testCluster) counterOn(i int, name string) uint64 {
+	return tc.nodes[i].reg.Snapshot().Counter(name)
+}
+
 // TestParticipantRejectsStaleEpoch: a transaction pinned to epoch N
-// keeps sending N after the cluster flips to N+1; the participant must
-// reject it retriably and fire shardmap.stale_epoch_rejected.
+// keeps sending N after the cluster flips to N+1, or sends a hand-built
+// unversioned (epoch 0) put; the owner must reject it retriably and fire
+// shardmap.stale_epoch_rejected. Node-0 coordinates, so an owner of 0 is
+// the local call and an owner of 1 a request.
 func TestParticipantRejectsStaleEpoch(t *testing.T) {
-	tc := newTestCluster(t, 3)
+	for _, c := range []struct {
+		name   string
+		owner  int
+		epoch0 bool
+	}{{"local", 0, false}, {"remote", 1, false}, {"epoch0-local", 0, true}, {"epoch0-remote", 1, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newTestCluster(t, 3)
+			key, slot := tc.keyInSlotOwnedBy(tc.nodes[c.owner].addr)
+			stale := tc.nodes[0].coord.Begin(nil) // pins epoch 1
 
-	key, slot := tc.keyInSlotOwnedBy("node-1")
-	stale := tc.nodes[0].coord.Begin(nil) // pins epoch 1
+			var err error
+			if c.epoch0 {
+				stale.view = nil // unpinned: the put is stamped epoch 0
+				_, err = stale.call(tc.nodes[c.owner].addr, ReqTxnPut, []byte(key), []byte("v"))
+			} else {
+				// Epoch flips (slot keeps its owner — only the epoch moves,
+				// so the rejection is purely the epoch check, not an
+				// ownership change).
+				tc.flipEpoch(slot, tc.shard.View().SlotOwner(slot))
+				err = stale.Put([]byte(key), []byte("v"))
+			}
+			if !IsWrongEpoch(err) {
+				t.Fatalf("want wrong-epoch error, got: %v", err)
+			}
+			if tc.counterOn(c.owner, "shardmap.stale_epoch_rejected") == 0 {
+				t.Error("shardmap.stale_epoch_rejected did not fire on the owner")
+			}
+			_ = stale.Rollback()
 
-	// Epoch flips (slot keeps its owner — only the epoch moves, so the
-	// rejection is purely the epoch check, not an ownership change).
-	tc.flipEpoch(slot, tc.shard.View().SlotOwner(slot))
-
-	err := stale.Put([]byte(key), []byte("v"))
-	if err == nil {
-		t.Fatal("stale-epoch operation accepted")
-	}
-	if !IsWrongEpoch(err) {
-		t.Fatalf("want wrong-epoch error, got: %v", err)
-	}
-	if got := tc.nodes[1].reg.Snapshot().Counter("shardmap.stale_epoch_rejected"); got == 0 {
-		t.Error("shardmap.stale_epoch_rejected did not fire on the participant")
-	}
-	_ = stale.Rollback()
-
-	// A fresh transaction picks up epoch 2 and proceeds.
-	fresh := tc.nodes[0].coord.Begin(nil)
-	if fresh.Epoch() != 2 {
-		t.Fatalf("fresh txn epoch = %d, want 2", fresh.Epoch())
-	}
-	if err := fresh.Put([]byte(key), []byte("v2")); err != nil {
-		t.Fatalf("fresh-epoch put: %v", err)
-	}
-	if err := fresh.Commit(); err != nil {
-		t.Fatal(err)
+			// A fresh transaction picks up the current epoch and proceeds.
+			fresh := tc.nodes[0].coord.Begin(nil)
+			if fresh.Epoch() != tc.shard.View().Epoch {
+				t.Fatalf("fresh txn epoch = %d, want %d", fresh.Epoch(), tc.shard.View().Epoch)
+			}
+			if err := fresh.Put([]byte(key), []byte("v2")); err != nil {
+				t.Fatalf("fresh-epoch put: %v", err)
+			}
+			if err := fresh.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 // TestParticipantRejectsMisroutedKey: an operation carrying the right
 // epoch but addressed to a node that does not own the key's slot is
 // rejected (a confused or malicious router cannot write through the
-// wrong owner).
+// wrong owner) — by node-0's own participant on the local call, or by
+// node-2 on a request.
 func TestParticipantRejectsMisroutedKey(t *testing.T) {
-	tc := newTestCluster(t, 3)
-	key, _ := tc.keyInSlotOwnedBy("node-1")
+	for _, c := range []struct {
+		name string
+		to   int
+	}{{"local", 0}, {"remote", 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newTestCluster(t, 3)
+			key, _ := tc.keyInSlotOwnedBy("node-1")
 
-	tx := tc.nodes[0].coord.Begin(nil)
-	// Bypass the router: call node-2 directly with node-1's key.
-	_, err := tx.call("node-2", ReqTxnPut, []byte(key), []byte("v"))
-	if err == nil {
-		t.Fatal("misrouted put accepted")
+			tx := tc.nodes[0].coord.Begin(nil)
+			// Bypass the router: call another node directly with node-1's key.
+			_, err := tx.call(tc.nodes[c.to].addr, ReqTxnPut, []byte(key), []byte("v"))
+			if !IsWrongEpoch(err) {
+				t.Fatalf("want wrong-epoch rejection, got: %v", err)
+			}
+			if tc.counterOn(c.to, "shardmap.stale_epoch_rejected") == 0 {
+				t.Error("shardmap.stale_epoch_rejected did not fire on the misrouted node")
+			}
+			_ = tx.Rollback()
+		})
 	}
-	if !IsWrongEpoch(err) {
-		t.Fatalf("want wrong-epoch rejection, got: %v", err)
-	}
-	_ = tx.Rollback()
 }
 
 // TestSlotFenceRejectsAndLifts: a fenced slot refuses new operations
-// retriably; lifting the fence restores service.
+// retriably, on the coordinator's own node or another; lifting the fence
+// restores service.
 func TestSlotFenceRejectsAndLifts(t *testing.T) {
-	tc := newTestCluster(t, 3)
-	key, slot := tc.keyInSlotOwnedBy("node-2")
+	for _, c := range []struct {
+		name  string
+		owner int
+	}{{"local", 0}, {"remote", 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newTestCluster(t, 3)
+			owner := tc.nodes[c.owner]
+			key, slot := tc.keyInSlotOwnedBy(owner.addr)
 
-	tc.nodes[2].part.FreezeSlot(slot)
-	tx := tc.nodes[0].coord.Begin(nil)
-	err := tx.Put([]byte(key), []byte("v"))
-	if err == nil {
-		t.Fatal("fenced put accepted")
-	}
-	if !IsSlotFenced(err) {
-		t.Fatalf("want fence rejection, got: %v", err)
-	}
-	_ = tx.Rollback()
-	if got := tc.nodes[2].reg.Snapshot().Counter("shardmap.fence_rejected"); got == 0 {
-		t.Error("shardmap.fence_rejected did not fire")
-	}
+			owner.part.FreezeSlot(slot)
+			tx := tc.nodes[0].coord.Begin(nil)
+			if err := tx.Put([]byte(key), []byte("v")); !IsSlotFenced(err) {
+				t.Fatalf("want fence rejection, got: %v", err)
+			}
+			_ = tx.Rollback()
+			if tc.counterOn(c.owner, "shardmap.fence_rejected") == 0 {
+				t.Error("shardmap.fence_rejected did not fire")
+			}
 
-	tc.nodes[2].part.UnfreezeSlot(slot)
-	tx2 := tc.nodes[0].coord.Begin(nil)
-	if err := tx2.Put([]byte(key), []byte("v")); err != nil {
-		t.Fatalf("put after unfence: %v", err)
-	}
-	if err := tx2.Commit(); err != nil {
-		t.Fatal(err)
+			owner.part.UnfreezeSlot(slot)
+			tx2 := tc.nodes[0].coord.Begin(nil)
+			if err := tx2.Put([]byte(key), []byte("v")); err != nil {
+				t.Fatalf("put after unfence: %v", err)
+			}
+			if err := tx2.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -192,7 +192,7 @@ func (tc *testCluster) startNode(id uint64, addr, dir string) *testNode {
 		tc.t.Fatal(err)
 	}
 	coord := NewCoordinator(CoordinatorConfig{
-		NodeID: id, Endpoint: ep, Clog: clog, Router: tc.router,
+		NodeID: id, Endpoint: ep, Participant: part, Clog: clog, Router: tc.router,
 		Timeout: tc.timeout, Recovered: recovered,
 		Metrics: reg,
 	})
@@ -227,6 +227,20 @@ func (tc *testCluster) crashNode(i int) {
 	// The DB is abandoned (no Close): memtable contents are "lost", only
 	// synced files survive — crash-fail semantics.
 	tc.nodes[i] = nil
+}
+
+// shortIdle swaps node i's participant for one without route enforcement
+// that reclaims transactions idle for d, and wires the node's coordinator
+// to it.
+func (tc *testCluster) shortIdle(i int, d time.Duration) *testNode {
+	nd := tc.nodes[i]
+	nd.part.Close()
+	nd.part = NewParticipant(ParticipantConfig{
+		Manager: nd.mgr, Endpoint: nd.ep, Scheduler: nd.sched,
+		IdleTimeout: d,
+	})
+	nd.coord.part = nd.part
+	return nd
 }
 
 // restartNode brings a crashed node back from its directory.
@@ -303,6 +317,55 @@ func TestDistributedReadMyWrites(t *testing.T) {
 		t.Errorf("RYOW across network = %q/%v", v, ok)
 	}
 	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCoLocatedOpsSendNoPacket: an operation on a key the coordinator's
+// own node owns is a call into its participant — no request is enqueued
+// and no packet crosses the fabric — while every other operation costs
+// one request and two packets. The commit then reads back every key.
+func TestCoLocatedOpsSendNoPacket(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	const k, m = 4, 5
+	var local, remote []string
+	for i := 0; len(local) < k || len(remote) < m; i++ {
+		key := fmt.Sprintf("coloc-%d", i)
+		if tc.owner([]byte(key)) == "node-0" {
+			if len(local) < k {
+				local = append(local, key)
+			}
+		} else if len(remote) < m {
+			remote = append(remote, key)
+		}
+	}
+	all := append(append([]string(nil), local...), remote...)
+	enqueued := func() uint64 { return tc.counterOn(0, "erpc.req.enqueued") }
+	req0, sent0 := enqueued(), tc.net.Stats().Sent
+
+	tx := tc.nodes[0].coord.Begin(nil)
+	for _, key := range all {
+		if err := tx.Put([]byte(key), []byte("v-"+key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := enqueued() - req0; got != m {
+		t.Errorf("erpc.req.enqueued advanced by %d for %d local + %d remote ops, want %d", got, k, m, m)
+	}
+	if got := tc.net.Stats().Sent - sent0; got != 2*m {
+		t.Errorf("simnet sent %d packets for %d remote ops, want %d", got, m, 2*m)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := tc.nodes[0].coord.Begin(nil)
+	for _, key := range all {
+		if v, ok := distGet(t, check, key); !ok || v != "v-"+key {
+			t.Errorf("%s = %q/%v after commit", key, v, ok)
+		}
+	}
+	if err := check.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -587,12 +650,7 @@ func TestClogRoundTripAndTamper(t *testing.T) {
 func TestJanitorReclaimsAbandonedTxns(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	// Shrink the idle timeout on one participant.
-	nd := tc.nodes[1]
-	nd.part.Close()
-	nd.part = NewParticipant(ParticipantConfig{
-		Manager: nd.mgr, Endpoint: nd.ep, Scheduler: nd.sched,
-		IdleTimeout: 100 * time.Millisecond,
-	})
+	nd := tc.shortIdle(1, 100*time.Millisecond)
 
 	// A coordinator writes to node-1 and then disappears (never commits).
 	tx := tc.nodes[0].coord.Begin(nil)
