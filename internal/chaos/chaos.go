@@ -1,16 +1,18 @@
 // Package chaos is an end-to-end fault-injection soak harness for the
-// Treaty cluster: scripted rounds of network adversity (loss, delay,
-// duplication, partitions) and node crash-restarts run against a live
+// Treaty cluster: scripted rounds of faults (network adversity, node
+// crash-restarts, disk failures, migrations, failover) run against a live
 // cluster while workers execute a bank-transfer workload whose global
 // invariant — the sum of all balances never changes — catches lost or
 // partial writes. After every round the harness forces recovery, waits
-// for the cluster to quiesce, and asserts that no request-lifecycle
-// state leaked: zero pending RPCs, zero active participant transactions,
-// zero undecided coordinator entries.
+// for the cluster to quiesce, asserts that no request-lifecycle state
+// leaked (zero pending RPCs, zero active participant transactions, zero
+// undecided coordinator entries) and checks the metric conservation laws;
+// at the end the whole client-observed history must be serializable.
 package chaos
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"strconv"
 	"sync"
@@ -19,63 +21,54 @@ import (
 	"treaty/internal/audit"
 	"treaty/internal/core"
 	"treaty/internal/obs"
-	"treaty/internal/simnet"
+	"treaty/internal/shardmap"
 	"treaty/internal/twopc"
 	"treaty/internal/vfs"
 	"treaty/internal/workload"
 )
 
-// Config tunes a soak run. The zero value of every field selects a
-// default sized for an in-process 3-node cluster.
+// The cluster shape and timeouts every soak runs with.
+const (
+	clusterSize    = 3
+	initialBalance = 1000
+	// roundDuration is how long workers run under each fault.
+	roundDuration = 400 * time.Millisecond
+	// txnTimeout bounds 2PC round-trips — short, so calls into faulted
+	// nodes abort quickly instead of stalling the round.
+	txnTimeout  = 250 * time.Millisecond
+	lockTimeout = 150 * time.Millisecond
+	// idleTimeout is the participant janitor's reclaim age.
+	idleTimeout = time.Second
+	// drainTimeout bounds post-round quiescence; it must cover a janitor
+	// sweep (idleTimeout plus a tick).
+	drainTimeout = 15 * time.Second
+	// settle is how long a node stays isolated before it is killed: every
+	// call and lock wait involving it has expired by then.
+	settle = max(txnTimeout, lockTimeout) + 50*time.Millisecond
+)
+
+// Config is what differs between soaks. The zero value of every field
+// selects a default.
 type Config struct {
-	// Nodes is the cluster size (0 = 3).
-	Nodes int
 	// Accounts is the number of bank accounts (0 = 32).
 	Accounts int
-	// InitialBalance funds each account (0 = 1000).
-	InitialBalance int64
 	// Workers is the number of concurrent transfer loops (0 = 4).
 	Workers int
-	// Rounds is the number of fault rounds to run (0 = 20).
-	Rounds int
-	// RoundDuration is how long workers run under each fault (0 = 400ms).
-	RoundDuration time.Duration
-	// TxnTimeout bounds 2PC round-trips (0 = 250ms) — short, so calls
-	// into faulted nodes abort quickly instead of stalling the round.
-	TxnTimeout time.Duration
-	// LockTimeout bounds lock waits (0 = 150ms).
-	LockTimeout time.Duration
-	// IdleTimeout is the participant janitor reclaim age (0 = 1s).
-	IdleTimeout time.Duration
-	// DrainTimeout bounds post-round quiescence (0 = 15s); it must cover
-	// a janitor sweep (IdleTimeout plus a tick).
-	DrainTimeout time.Duration
 	// Mode is the cluster security mode (0 = ModeNativeTreatyEnc: secure
 	// RPC and encrypted storage without TEE overhead or an external
 	// counter service, the fastest full-protocol configuration).
 	Mode core.SecurityMode
+	// MemTableSize overrides the flush threshold; disk-fault soaks set it
+	// small so rounds actually reach the SSTable read/write paths.
+	MemTableSize int64
+	// Replicate assigns every slot a backup and ships commit groups to
+	// it before the primary's counters stabilize, so a failover fault can
+	// promote a backup instead of restarting the dead node.
+	Replicate bool
 	// Seed makes the run reproducible (0 = 1).
 	Seed int64
 	// Logf receives progress lines (nil = discard).
 	Logf func(format string, args ...any)
-	// DiskFaults interposes a fault-injecting filesystem under every
-	// node's durable writes so DiskFaultScript rounds (slow disk, ENOSPC,
-	// fsync failure, bit rot) can drive it. The injector survives node
-	// restarts, so its cumulative fault counters span incarnations.
-	DiskFaults bool
-	// MemTableSize overrides the flush threshold; disk-fault runs set it
-	// small so rounds actually reach the SSTable read/write paths.
-	MemTableSize int64
-	// Audit records every client-observed operation into an
-	// audit.Recorder and runs the serialization-graph checker at the end
-	// of the soak: stale reads, lost updates, write skew, and dependency
-	// cycles become hard failures instead of silently passing the
-	// balance sum.
-	Audit bool
-	// Replicate assigns every slot a backup and ships commit groups to
-	// it before the primary's counters stabilize, so failover faults can
-	// promote a backup instead of restarting the dead node.
-	Replicate bool
 }
 
 // SeedFromEnv returns the soak seed: the TREATY_SEED environment
@@ -91,35 +84,11 @@ func SeedFromEnv(def int64) int64 {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Nodes == 0 {
-		c.Nodes = 3
-	}
 	if c.Accounts == 0 {
 		c.Accounts = 32
 	}
-	if c.InitialBalance == 0 {
-		c.InitialBalance = 1000
-	}
 	if c.Workers == 0 {
 		c.Workers = 4
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 20
-	}
-	if c.RoundDuration == 0 {
-		c.RoundDuration = 400 * time.Millisecond
-	}
-	if c.TxnTimeout == 0 {
-		c.TxnTimeout = 250 * time.Millisecond
-	}
-	if c.LockTimeout == 0 {
-		c.LockTimeout = 150 * time.Millisecond
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = time.Second
-	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = 15 * time.Second
 	}
 	if c.Mode == 0 {
 		c.Mode = core.ModeNativeTreatyEnc
@@ -133,31 +102,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// RoundStats summarizes one fault round.
-type RoundStats struct {
-	// Fault names the injected fault.
-	Fault string
-	// Commits and Aborts count worker transaction outcomes.
-	Commits, Aborts uint64
-	// DrainTime is how long quiescence took after the fault lifted.
-	DrainTime time.Duration
-}
-
-// Harness owns the cluster, the fault adversary, and the workload.
+// Harness owns the cluster, the fault injectors, and the workload.
 type Harness struct {
 	cfg     Config
 	cluster *core.Cluster
-	adv     *chaosAdversary
-	// hold is a second, swappable adversary slot chained after adv:
-	// adversary-script rounds install simnet building blocks (Recorder,
-	// Corrupter, Delayer) here without disturbing the knob adversary.
-	hold *simnet.Holder
-	// rec captures the client-observed history when Config.Audit is set
-	// (nil otherwise; the recorder API is nil-safe).
+	// rec captures the client-observed history for the serializability
+	// audit.
 	rec *audit.Recorder
-	// fsByNode holds each node's disk-fault injector (nil without
-	// Config.DiskFaults). Indexed by node id; shared across restarts.
-	fsByNode []*vfs.FaultFS
+	// fs holds each node's disk-fault injector, indexed by node id and
+	// shared across restarts, so its cumulative counters span
+	// incarnations.
+	fs []*vfs.FaultFS
+	// rng seeds the faults' own randomness; only the goroutine running
+	// the script draws from it.
+	rng *rand.Rand
+	// seen is what the faults did, for the non-vacuity checks.
+	seen witness
 
 	// nodesMu guards live-node access: workers take the read side to
 	// pick a coordinator; crash/restart take the write side.
@@ -173,28 +133,38 @@ type Harness struct {
 	aborted   []uint64
 }
 
+// witness counts what the faults actually did: a soak whose faults never
+// fired proved nothing.
+type witness struct {
+	// startEpoch is the shard map's epoch at boot; each clean or
+	// killed-then-retried migration flips it once.
+	startEpoch      uint64
+	migrations      int
+	kills           int    // migration sources crashed mid-stream
+	fenceRejections uint64 // live transactions refused by a fence or a stale epoch
+	promotions      int
+	rollbackRejects int // rolled-back promotion requests the CAS refused
+	preKillCommits  int // commits on the healed cluster before a failover kill
+	successor       uint64
+}
+
 // New boots a cluster and seeds the accounts.
 func New(cfg Config) (*Harness, error) {
 	cfg = cfg.withDefaults()
-	var fsByNode []*vfs.FaultFS
-	var nodeFS func(i int) vfs.FS
-	if cfg.DiskFaults {
-		fsByNode = make([]*vfs.FaultFS, cfg.Nodes)
-		for i := range fsByNode {
-			fsByNode[i] = vfs.NewFaultFS(vfs.OS{})
-			fsByNode[i].Seed(cfg.Seed + int64(i))
-		}
-		nodeFS = func(i int) vfs.FS { return fsByNode[i] }
+	fs := make([]*vfs.FaultFS, clusterSize)
+	for i := range fs {
+		fs[i] = vfs.NewFaultFS(vfs.OS{})
+		fs[i].Seed(cfg.Seed + int64(i))
 	}
 	cluster, err := core.NewCluster(core.ClusterOptions{
-		Nodes:        cfg.Nodes,
+		Nodes:        clusterSize,
 		Mode:         cfg.Mode,
-		LockTimeout:  cfg.LockTimeout,
-		TxnTimeout:   cfg.TxnTimeout,
-		IdleTimeout:  cfg.IdleTimeout,
+		LockTimeout:  lockTimeout,
+		TxnTimeout:   txnTimeout,
+		IdleTimeout:  idleTimeout,
 		MemTableSize: cfg.MemTableSize,
 		Seed:         cfg.Seed,
-		NodeFS:       nodeFS,
+		NodeFS:       func(i int) vfs.FS { return fs[i] },
 		Replicate:    cfg.Replicate,
 	})
 	if err != nil {
@@ -203,18 +173,15 @@ func New(cfg Config) (*Harness, error) {
 	h := &Harness{
 		cfg:        cfg,
 		cluster:    cluster,
-		adv:        newChaosAdversary(cfg.Seed),
-		hold:       &simnet.Holder{},
+		rec:        audit.NewRecorder(),
+		fs:         fs,
+		rng:        rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
+		seen:       witness{startEpoch: cluster.CAS().ShardMap().Epoch},
 		committed:  make([]uint64, cfg.Workers),
 		aborted:    make([]uint64, cfg.Workers),
-		fsByNode:   fsByNode,
 		failedOver: make(map[int]bool),
 	}
-	if cfg.Audit {
-		h.rec = audit.NewRecorder()
-	}
-	cluster.Net().SetAdversary(simnet.Chain{h.adv, h.hold})
-	cfg.Logf("chaos: seed=%d audit=%v (set TREATY_SEED=%d to replay)", cfg.Seed, cfg.Audit, cfg.Seed)
+	cfg.Logf("chaos: seed=%d mode=%v (set TREATY_SEED=%d to replay)", cfg.Seed, cfg.Mode, cfg.Seed)
 	if err := h.seedAccounts(); err != nil {
 		_ = cluster.Stop()
 		return nil, err
@@ -228,27 +195,16 @@ func New(cfg Config) (*Harness, error) {
 // Close tears the cluster down and checks the log laws once more on the
 // stopped nodes: a clean close leaves no log with an unstabilized tail.
 func (h *Harness) Close() error {
-	nodes := h.cluster.LiveNodes()
+	live := h.cluster.LiveNodes()
 	if err := h.cluster.Stop(); err != nil {
 		return err
 	}
-	for _, n := range nodes {
+	for _, n := range live {
 		if why := logLaws(n.Addr(), n.Snapshot(), true); why != "" {
 			return fmt.Errorf("chaos: after close: %s", why)
 		}
 	}
 	return nil
-}
-
-// Cluster exposes the underlying cluster (faults manipulate it).
-func (h *Harness) Cluster() *core.Cluster { return h.cluster }
-
-// NodeFS returns node i's disk-fault injector (nil without DiskFaults).
-func (h *Harness) NodeFS(i int) *vfs.FaultFS {
-	if h.fsByNode == nil {
-		return nil
-	}
-	return h.fsByNode[i]
 }
 
 func accountKey(i int) []byte { return workload.BankAccountKey(i) }
@@ -282,7 +238,7 @@ func (h *Harness) seedAccounts() error {
 		txn := h.cluster.Node(0).Begin(nil)
 		ok := true
 		for i := 0; i < h.cfg.Accounts && ok; i++ {
-			v := rec.Write(accountKey(i), strconv.FormatInt(h.cfg.InitialBalance, 10))
+			v := rec.Write(accountKey(i), strconv.FormatInt(initialBalance, 10))
 			ok = txn.Put(accountKey(i), v) == nil
 		}
 		for w := 0; w < h.cfg.Workers && ok; w++ {
@@ -309,8 +265,8 @@ func (h *Harness) seedAccounts() error {
 func (h *Harness) pickNode(start int) *core.Node {
 	h.nodesMu.RLock()
 	defer h.nodesMu.RUnlock()
-	for k := 0; k < h.cluster.Nodes(); k++ {
-		if n := h.cluster.Node((start + k) % h.cluster.Nodes()); n != nil {
+	for k := 0; k < clusterSize; k++ {
+		if n := h.cluster.Node((start + k) % clusterSize); n != nil {
 			return n
 		}
 	}
@@ -342,11 +298,44 @@ func (h *Harness) restartNode(i int) error {
 	return fmt.Errorf("chaos: restarting node %d: %w", i, lastErr)
 }
 
+// isolate cuts (or, with cut false, heals) every link between node and
+// the rest of the cluster.
+func (h *Harness) isolate(node int, cut bool) {
+	addr := h.cluster.NodeAddr(node)
+	for i := 0; i < clusterSize; i++ {
+		if i == node {
+			continue
+		}
+		if cut {
+			h.cluster.Net().Partition(addr, h.cluster.NodeAddr(i))
+		} else {
+			h.cluster.Net().Heal(addr, h.cluster.NodeAddr(i))
+		}
+	}
+}
+
+// kill crash-stops a node the safe way — isolate it, let every call and
+// lock wait involving it expire, kill it, heal — so the abandoned process
+// cannot race its successor's files.
+func (h *Harness) kill(node int) {
+	h.isolate(node, true)
+	time.Sleep(settle)
+	h.crashNode(node)
+	h.isolate(node, false)
+}
+
+// reboot kills a node and restarts it with recovery: after a poisoned log
+// or a quarantined table that is the designed continuation.
+func (h *Harness) reboot(node int) error {
+	h.kill(node)
+	return h.restartNode(node)
+}
+
 // transfer runs one bank transfer plus the worker's commit-counter
 // read-modify-write inside a single distributed transaction. Every
-// operation is recorded into the audit history (when enabled), and
-// every write is an RMW of what the transaction just read — that
-// parentage is what lets the checker reconstruct version orders.
+// operation is recorded into the audit history, and every write is an
+// RMW of what the transaction just read — that parentage is what lets
+// the checker reconstruct version orders.
 func (h *Harness) transfer(worker int, tr workload.BankTransfer, start int) error {
 	n := h.pickNode(start)
 	if n == nil {
@@ -404,8 +393,8 @@ func readBalance(txn *twopc.DistTxn, rec *audit.TxnRec, acct int) (int64, error)
 }
 
 // readCounter reads one worker's commit counter, recording the
-// observation. A missing counter reads as zero (pre-audit histories
-// started it lazily), though seedAccounts now always writes it.
+// observation. A missing counter reads as zero, though seedAccounts
+// always writes it.
 func readCounter(txn *twopc.DistTxn, rec *audit.TxnRec, worker int) (uint64, error) {
 	v, found, err := txn.Get(workerKey(worker))
 	if err != nil {
@@ -431,7 +420,7 @@ func (h *Harness) runTraffic(d time.Duration) (commits, aborts uint64) {
 				workload.BankConfig{Accounts: h.cfg.Accounts},
 				h.cfg.Seed+int64(w)*7919+int64(h.committed[w]))
 			for time.Now().Before(stop) {
-				if err := h.transfer(w, bank.Next(), bank.Intn(h.cfg.Nodes)); err != nil {
+				if err := h.transfer(w, bank.Next(), bank.Intn(clusterSize)); err != nil {
 					h.aborted[w]++
 					results[w].a++
 					continue
@@ -467,7 +456,7 @@ func (h *Harness) recoverAll() {
 func (h *Harness) leaks() string {
 	h.nodesMu.RLock()
 	defer h.nodesMu.RUnlock()
-	for i := 0; i < h.cluster.Nodes(); i++ {
+	for i := 0; i < clusterSize; i++ {
 		n := h.cluster.Node(i)
 		if n == nil {
 			if h.failedOver[i] {
@@ -493,7 +482,7 @@ func (h *Harness) leaks() string {
 // no undecided coordinator entries.
 func (h *Harness) drain() (time.Duration, error) {
 	start := time.Now()
-	deadline := start.Add(h.cfg.DrainTimeout)
+	deadline := start.Add(drainTimeout)
 	h.recoverAll()
 	for {
 		why := h.leaks()
@@ -508,63 +497,60 @@ func (h *Harness) drain() (time.Duration, error) {
 	}
 }
 
+// reading names key and its owner under the current shard map, so a read
+// that keeps failing points at the shard holding the stuck lock.
+func (h *Harness) reading(key []byte, err error) error {
+	m := h.cluster.CAS().ShardMap()
+	slot := shardmap.SlotOf(key)
+	return fmt.Errorf("reading %q (slot %d, owner node %d at epoch %d): %w", key, slot, m.SlotOwner(slot), m.Epoch, err)
+}
+
 // verify checks the global invariants on a quiesced cluster: the balance
 // sum is conserved, and no worker's observed commit was lost. The
 // verification reads are themselves recorded as a read-only audited
 // transaction — a stale post-round state becomes an anti-dependency
 // cycle the checker reports, not just a wrong sum.
 func (h *Harness) verify() error {
-	var txn *twopc.DistTxn
-	var sum int64
 	var lastErr error
 	for attempt := 0; attempt < 5; attempt++ {
+		if attempt > 0 {
+			time.Sleep(50 * time.Millisecond)
+		}
 		rec := h.rec.Begin(-2)
 		coord := h.pickNode(attempt)
 		if coord == nil {
 			return fmt.Errorf("chaos: no live node to verify from")
 		}
-		txn = coord.Begin(nil)
-		sum = 0
-		ok := true
-		for i := 0; i < h.cfg.Accounts; i++ {
-			bal, err := readBalance(txn, rec, i)
-			if err != nil {
-				lastErr = err
-				ok = false
-				break
+		txn := coord.Begin(nil)
+		var sum int64
+		var err error
+		for i := 0; i < h.cfg.Accounts && err == nil; i++ {
+			var bal int64
+			if bal, err = readBalance(txn, rec, i); err != nil {
+				err = h.reading(accountKey(i), err)
 			}
 			sum += bal
 		}
-		if !ok {
-			_ = txn.Rollback()
-			rec.End(audit.OutcomeAborted)
-			time.Sleep(50 * time.Millisecond)
-			continue
-		}
-
 		counters := make([]uint64, h.cfg.Workers)
-		for w := 0; w < h.cfg.Workers; w++ {
-			counters[w], lastErr = readCounter(txn, rec, w)
-			if lastErr != nil {
-				ok = false
-				break
+		for w := 0; w < h.cfg.Workers && err == nil; w++ {
+			if counters[w], err = readCounter(txn, rec, w); err != nil {
+				err = h.reading(workerKey(w), err)
 			}
 		}
-		if !ok {
+		if err != nil {
+			lastErr = err
 			_ = txn.Rollback()
 			rec.End(audit.OutcomeAborted)
-			time.Sleep(50 * time.Millisecond)
 			continue
 		}
-		err := txn.Commit()
+		err = txn.Commit()
 		rec.End(outcomeOf(txn, err))
 		if err != nil {
 			lastErr = err
-			time.Sleep(50 * time.Millisecond)
 			continue
 		}
 
-		if want := int64(h.cfg.Accounts) * h.cfg.InitialBalance; sum != want {
+		if want := int64(h.cfg.Accounts) * initialBalance; sum != want {
 			return fmt.Errorf("chaos: balance invariant violated: sum=%d want=%d", sum, want)
 		}
 		for w := 0; w < h.cfg.Workers; w++ {
@@ -695,7 +681,7 @@ func (h *Harness) checkMetricLaws() error {
 	for {
 		why := ""
 		h.nodesMu.RLock()
-		for i := 0; i < h.cluster.Nodes() && why == ""; i++ {
+		for i := 0; i < clusterSize && why == ""; i++ {
 			if n := h.cluster.Node(i); n != nil {
 				why = nodeMetricLaws(n.Addr(), n.Snapshot())
 			}
@@ -714,78 +700,49 @@ func (h *Harness) checkMetricLaws() error {
 	}
 }
 
-// Auditor exposes the history recorder (nil when Config.Audit is off);
-// tests drive extra audited traffic through it.
-func (h *Harness) Auditor() *audit.Recorder { return h.rec }
-
-// AuditReport runs the serializability checker over the history so far
-// (nil when auditing is off). Call at quiescence.
-func (h *Harness) AuditReport() *audit.Report {
-	if h.rec == nil {
-		return nil
-	}
-	return audit.Check(h.rec.History())
-}
-
-// AuditCheck runs the checker and converts violations into an error
-// carrying the reproduction seed.
-func (h *Harness) AuditCheck() error {
-	rep := h.AuditReport()
-	if rep == nil {
-		return nil
-	}
+// auditCheck runs the serializability checker over the history so far
+// (call at quiescence) and converts violations into an error carrying
+// the reproduction seed.
+func (h *Harness) auditCheck() (*audit.Report, error) {
 	if open := h.rec.Open(); open != 0 {
-		return fmt.Errorf("chaos: audit ran with %d transactions still open (TREATY_SEED=%d)", open, h.cfg.Seed)
+		return nil, fmt.Errorf("chaos: audit ran with %d transactions still open (TREATY_SEED=%d)", open, h.cfg.Seed)
 	}
+	rep := audit.Check(h.rec.History())
 	h.cfg.Logf("chaos: %s", rep)
 	if err := rep.Err(); err != nil {
-		return fmt.Errorf("chaos: serializability violated (replay with TREATY_SEED=%d): %w", h.cfg.Seed, err)
+		return rep, fmt.Errorf("chaos: serializability violated (replay with TREATY_SEED=%d): %w", h.cfg.Seed, err)
 	}
-	return nil
+	return rep, nil
 }
 
-// Run executes the scripted soak: for each fault, inject, run traffic,
-// lift, drain, verify. It returns per-round stats and the first fatal
-// invariant violation; with Config.Audit set the whole history must
-// also pass the serializability checker. Any error names the seed that
-// replays the run.
-func (h *Harness) Run(script []Fault) ([]RoundStats, error) {
-	stats, err := h.run(script)
-	if err != nil {
-		return stats, fmt.Errorf("%w [replay with TREATY_SEED=%d]", err, h.cfg.Seed)
-	}
-	if err := h.AuditCheck(); err != nil {
-		return stats, err
-	}
-	return stats, nil
-}
-
-func (h *Harness) run(script []Fault) ([]RoundStats, error) {
-	stats := make([]RoundStats, 0, len(script))
-	for round, fault := range script {
-		h.cfg.Logf("chaos: round %d/%d: %s", round+1, len(script), fault.Name())
-		fault.Inject(h)
-		commits, aborts := h.runTraffic(h.cfg.RoundDuration)
-		if err := fault.Lift(h); err != nil {
-			return stats, fmt.Errorf("chaos: round %d (%s): lifting fault: %w", round+1, fault.Name(), err)
+// Run executes the script: for each fault, inject, run traffic, lift,
+// drain, verify and check the metric laws; then the whole history must
+// pass the serializability checker. It returns the commits the workers
+// observed, the audit report, and the first violation, which names the
+// seed that replays the run.
+func (h *Harness) Run(script []Fault) (commits uint64, rep *audit.Report, err error) {
+	for round, f := range script {
+		h.cfg.Logf("chaos: round %d/%d: %s", round+1, len(script), f.Name)
+		f.Inject(h)
+		c, aborts := h.runTraffic(roundDuration)
+		commits += c
+		var drained time.Duration
+		if err = f.Lift(h); err != nil {
+			err = fmt.Errorf("lifting fault: %w", err)
+		} else if drained, err = h.drain(); err == nil {
+			if err = h.verify(); err == nil {
+				err = h.checkMetricLaws()
+			}
 		}
-		drainTime, err := h.drain()
 		if err != nil {
-			return stats, fmt.Errorf("chaos: round %d (%s): %w", round+1, fault.Name(), err)
+			return commits, nil, fmt.Errorf("chaos: round %d (%s): %w [replay with TREATY_SEED=%d]", round+1, f.Name, err, h.cfg.Seed)
 		}
-		if err := h.verify(); err != nil {
-			return stats, fmt.Errorf("chaos: round %d (%s): %w", round+1, fault.Name(), err)
-		}
-		if err := h.checkMetricLaws(); err != nil {
-			return stats, fmt.Errorf("chaos: round %d (%s): %w", round+1, fault.Name(), err)
-		}
-		rs := RoundStats{Fault: fault.Name(), Commits: commits, Aborts: aborts, DrainTime: drainTime}
-		stats = append(stats, rs)
 		h.cfg.Logf("chaos: round %d/%d: %s: %d commits, %d aborts, drained in %v",
-			round+1, len(script), fault.Name(), commits, aborts, drainTime)
+			round+1, len(script), f.Name, c, aborts, drained)
 	}
 	if js, err := h.cluster.SnapshotJSON(); err == nil {
 		h.cfg.Logf("chaos: final metrics snapshot:\n%s", js)
 	}
-	return stats, nil
+	rep, err = h.auditCheck()
+	return commits, rep, err
 }

@@ -1,208 +1,269 @@
 package chaos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"treaty/internal/audit"
+	"treaty/internal/core"
+	"treaty/internal/shardmap"
 )
 
-// TestChaosSoak runs the scripted fault soak against a live 3-node
-// cluster: every round injects one fault (30% loss, a partition, a
-// coordinator or participant crash-restart, delay+duplication), runs the
-// bank-transfer workload, lifts the fault, forces recovery, and asserts
-// quiescence plus the balance and durability invariants. Short mode runs
-// one full cycle of the fault mix.
+// soak is one row of the soak table: the cluster it boots, the fault
+// cycle it repeats, and what its faults must have done.
+type soak struct {
+	name string
+	// seed is the default; TREATY_SEED overrides it.
+	seed        int64
+	full, short int // rounds
+	cfg         Config
+	cycle       func(i int) []Fault
+	// check asserts the row's faults fired; it runs after the script
+	// passed.
+	check func(t *testing.T, h *Harness)
+}
+
+// networkCycle is the canonical round mix: loss, a partition, a
+// coordinator and a participant crash-restart, delay+duplication.
+func networkCycle(i int) []Fault {
+	return []Fault{
+		loss(0.30),
+		partition(i % clusterSize),
+		crashRestart("coordinator", i%clusterSize),
+		crashRestart("participant", (i+1)%clusterSize),
+		delayDup(),
+	}
+}
+
+var soaks = []soak{{
+	name: "network", seed: 1, full: 20, short: 5,
+	cycle: networkCycle,
+	check: func(t *testing.T, h *Harness) {
+		// Some live node coordinated committed transactions through the
+		// full stage machine.
+		var samples uint64
+		for _, s := range h.cluster.Snapshot() {
+			for _, stage := range []string{"prepare", "log-force", "counter-stabilize", "commit"} {
+				samples += s.Histograms["twopc.stage."+stage].Count
+			}
+		}
+		if samples == 0 {
+			t.Error("no 2PC stage latency samples recorded across the cluster")
+		}
+	},
+}, {
+	// The same mix against the real trusted-counter protection group, plus
+	// a replica restart under load.
+	name: "counter", seed: 5, full: 6, short: 6,
+	cfg:   Config{Mode: core.ModeSconeEncStab},
+	cycle: func(i int) []Fault { return append(networkCycle(i), counterRestart(0)) },
+	check: func(t *testing.T, h *Harness) {
+		if sum(h, "counter.rounds") == 0 {
+			t.Error("no counter round on any live node — the round law was checked against nothing")
+		}
+	},
+}, {
+	// Small memtables, so rounds reach the SSTable write and read paths
+	// (bit rot is only observable on real block reads).
+	name: "disk", seed: 2, full: 12, short: 6,
+	cfg: Config{MemTableSize: 16 << 10},
+	cycle: func(i int) []Fault {
+		return []Fault{
+			slowDisk(i % clusterSize), enospc((i + 1) % clusterSize), syncFail((i + 2) % clusterSize),
+			bitRot(i % clusterSize), loss(0.20), rotBoot((i + 1) % clusterSize),
+		}
+	},
+	check: func(t *testing.T, h *Harness) {
+		var syncsFailed, rotted uint64
+		for _, fs := range h.fs {
+			syncsFailed += fs.SyncsFailed()
+			rotted += fs.ReadsRotted()
+		}
+		if syncsFailed == 0 || rotted == 0 {
+			t.Errorf("disk faults never fired: %d failed syncs, %d rotted reads", syncsFailed, rotted)
+		}
+	},
+}, {
+	// The audit is the proof that the sealed channel neutralizes the
+	// adversary rather than merely surviving it.
+	name: "adversary", seed: 3, full: 18, short: 6,
+	cycle: func(i int) []Fault {
+		return []Fault{
+			lossy("adv-delay-3ms", 0, 3*time.Millisecond, 0), lossy("adv-duplicate", 0, 0, 2), replay(),
+			partition(i % clusterSize), corrupt(), delayDup(),
+		}
+	},
+	check: func(t *testing.T, h *Harness) {
+		// No node crashes in this script, so the counters span the soak.
+		if hits := sum(h, "erpc.replay.hits"); hits == 0 {
+			t.Error("no duplicate/replayed request was ever deduped — the replay adversary tested nothing")
+		}
+		if drops := sum(h, "erpc.msg.auth_dropped"); drops == 0 {
+			t.Error("no corrupted message was ever rejected — the corrupter tested nothing")
+		}
+	},
+}, {
+	name: "reshard", seed: 4, full: 16, short: 8,
+	cycle: func(i int) []Fault {
+		return []Fault{migrateLive(i % clusterSize), loss(0.20), killMigrationSource((i + 1) % clusterSize), delayDup()}
+	},
+	check: func(t *testing.T, h *Harness) {
+		w := h.seen
+		if w.migrations == 0 || w.kills == 0 || w.fenceRejections == 0 {
+			t.Errorf("resharding went untested: %d migrations, %d mid-stream kills, %d fence/epoch rejections",
+				w.migrations, w.kills, w.fenceRejections)
+		}
+		want := w.startEpoch + uint64(w.migrations+w.kills)
+		for i := 0; i < clusterSize; i++ {
+			if got := h.cluster.Node(i).ShardEpoch(); got != want {
+				t.Errorf("node %d epoch = %d, want %d (%d migrations + %d kill-retries from %d)",
+					i, got, want, w.migrations, w.kills, w.startEpoch)
+			}
+		}
+	},
+}, {
+	name: "failover", seed: 6, full: 10, short: 5,
+	cfg: Config{Replicate: true},
+	cycle: func(i int) []Fault {
+		if i == 0 {
+			return []Fault{loss(0.20), delayDup(), failover(0)}
+		}
+		return []Fault{loss(0.20), delayDup()}
+	},
+	check: func(t *testing.T, h *Harness) {
+		w := h.seen
+		if w.promotions != 1 || w.preKillCommits == 0 || w.rollbackRejects == 0 {
+			t.Fatalf("failover went untested: %d promotions, %d commits before the kill, %d rolled-back requests refused",
+				w.promotions, w.preKillCommits, w.rollbackRejects)
+		}
+		// The successor's own counters agree, and its mirror received
+		// groups before the takeover.
+		succ := h.cluster.Node(int(w.successor))
+		if succ == nil {
+			t.Fatalf("successor %d not live at end of soak", w.successor)
+		}
+		s := succ.Snapshot()
+		if p, r, a := s.Counter("repl.promotions"), s.Counter("repl.rollback_rejected"), s.Counter("repl.recv_acked"); p != 1 || r != 1 || a == 0 {
+			t.Errorf("successor: repl.promotions=%d rollback_rejected=%d (want 1, 1), recv_acked=%d (want > 0)", p, r, a)
+		}
+	},
+}, {
+	// Coordinator.RecoverPending under duplicate delivery of its control
+	// messages, and under a partition that heals with work in flight.
+	name: "recover", seed: 11, full: 4, short: 4,
+	cfg: Config{Accounts: 16, Workers: 3},
+	cycle: func(int) []Fault {
+		return []Fault{dupCrash(0), partition(1), dupCrash(1), delayDup()}
+	},
+	check: func(t *testing.T, h *Harness) {
+		// The crash rounds exercised the recovery paths, not just rebooted
+		// idle nodes.
+		if n := sum(h, "twopc.recover.redo_prepare") + sum(h, "twopc.recover.repush_commit") +
+			sum(h, "twopc.recover.repush_abort"); n == 0 {
+			t.Error("no recovery replay on any live node — the recovery rounds rebooted idle nodes")
+		}
+		// Re-deliver recovery itself: RecoverPending and ResolveRecovered
+		// must be idempotent against their own duplicates.
+		for pass := 0; pass < 2; pass++ {
+			for _, n := range h.cluster.LiveNodes() {
+				if err := n.Recover(); err != nil {
+					t.Fatalf("recovery pass %d on node %d: %v", pass, n.ID(), err)
+				}
+			}
+		}
+		if _, err := h.drain(); err != nil {
+			t.Fatalf("after duplicate recovery: %v", err)
+		}
+		if err := h.verify(); err != nil {
+			t.Fatalf("after duplicate recovery: %v", err)
+		}
+		if _, err := h.auditCheck(); err != nil {
+			t.Fatalf("after duplicate recovery: %v", err)
+		}
+	},
+}}
+
+// sum adds one counter over the live nodes' current incarnations.
+func sum(h *Harness, counter string) uint64 {
+	var n uint64
+	for _, s := range h.cluster.Snapshot() {
+		n += s.Counter(counter)
+	}
+	return n
+}
+
+// TestChaosSoak runs every row of the soak table against a live 3-node
+// cluster: each round injects one fault, runs the audited bank-transfer
+// workload, lifts the fault, forces recovery, and asserts quiescence, the
+// balance and durability invariants and the metric laws; the history
+// must be serializable. Short mode runs about one cycle per row.
+// `TREATY_SEED=<n> go test -run TestChaosSoak/<row>` replays one row.
 func TestChaosSoak(t *testing.T) {
-	rounds := 20
-	if testing.Short() {
-		rounds = 5
-	}
-	h, err := New(Config{
-		Rounds: rounds,
-		Audit:  true,
-		Seed:   SeedFromEnv(1),
-		Logf:   t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("boot: %v", err)
-	}
-	defer func() {
-		if err := h.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}()
-
-	stats, err := h.Run(DefaultScript(rounds, h.Cluster().Nodes()))
-	if err != nil {
-		t.Fatalf("soak failed after %d clean rounds: %v", len(stats), err)
-	}
-	var commits uint64
-	for _, rs := range stats {
-		commits += rs.Commits
-	}
-	if commits == 0 {
-		t.Fatalf("workload never committed — the soak exercised nothing")
-	}
-	t.Logf("soak: %d rounds, %d total commits", len(stats), commits)
-
-	// Run already failed on any serializability violation; make sure the
-	// audit itself was non-vacuous: history captured, graph populated.
-	rep := h.AuditReport()
-	if rep == nil || rep.Committed == 0 || rep.Edges == 0 {
-		t.Fatalf("audit vacuous: %v", rep)
-	}
-	t.Logf("%s", rep)
-
-	// The post-soak cluster snapshot is non-empty and carries per-stage
-	// 2PC latency histograms with real samples: at least one live node
-	// coordinated committed transactions through the full stage machine.
-	snap := h.Cluster().Snapshot()
-	if len(snap) == 0 {
-		t.Fatal("cluster snapshot empty after soak")
-	}
-	js, err := h.Cluster().SnapshotJSON()
-	if err != nil || len(js) == 0 {
-		t.Fatalf("snapshot JSON: %v (%d bytes)", err, len(js))
-	}
-	stageSamples := uint64(0)
-	for addr, s := range snap {
-		if law := nodeMetricLaws(addr, s); law != "" {
-			t.Errorf("post-soak %s", law)
-		}
-		for _, stage := range []string{
-			"twopc.stage.prepare", "twopc.stage.log-force",
-			"twopc.stage.counter-stabilize", "twopc.stage.commit",
-		} {
-			stageSamples += snap[addr].Histograms[stage].Count
-		}
-	}
-	if stageSamples == 0 {
-		t.Error("no 2PC stage latency samples recorded across the cluster")
+	for _, row := range soaks {
+		t.Run(row.name, func(t *testing.T) {
+			rounds := row.full
+			if testing.Short() {
+				rounds = row.short
+			}
+			cfg := row.cfg
+			cfg.Seed, cfg.Logf = SeedFromEnv(row.seed), t.Logf
+			h, err := New(cfg)
+			if err != nil {
+				t.Fatalf("boot: %v", err)
+			}
+			defer func() {
+				if err := h.Close(); err != nil {
+					t.Errorf("close: %v", err)
+				}
+			}()
+			commits, rep, err := h.Run(Script(rounds, row.cycle))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if commits == 0 {
+				t.Fatal("workload never committed — the soak exercised nothing")
+			}
+			if rep.Committed == 0 || rep.Edges == 0 {
+				t.Fatalf("audit vacuous: %v", rep)
+			}
+			row.check(t, h)
+			for addr, s := range h.cluster.Snapshot() {
+				if law := nodeMetricLaws(addr, s); law != "" {
+					t.Errorf("post-soak %s", law)
+				}
+			}
+			t.Logf("%s soak: %d rounds, %d commits, %+v; %s", row.name, rounds, commits, h.seen, rep)
+		})
 	}
 }
 
-// TestChaosSoakDisk runs the disk-adversity soak: slow devices, ENOSPC,
-// fsync failures (fsyncgate semantics: the unsynced tail is dropped),
-// read-side bit rot, and a boot-from-corrupted-storage refusal — each
-// against live traffic, with the same conservation and no-lost-commit
-// invariants as the network soak. `make soak-disk` runs it verbosely.
-func TestChaosSoakDisk(t *testing.T) {
-	rounds := 12
-	if testing.Short() {
-		rounds = 6
-	}
-	h, err := New(Config{
-		Rounds:     rounds,
-		Audit:      true,
-		Seed:       SeedFromEnv(2),
-		DiskFaults: true,
-		// Small memtables so rounds reach the SSTable write AND read
-		// paths (bit rot is only observable on real block reads).
-		MemTableSize: 16 << 10,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("boot: %v", err)
-	}
-	defer func() {
-		if err := h.Close(); err != nil {
-			t.Errorf("close: %v", err)
+// TestSoakScripts checks the cycle helper on every row: a script has
+// exactly the rounds asked for, and the failover row fires exactly one
+// failover however long it runs.
+func TestSoakScripts(t *testing.T) {
+	for _, row := range soaks {
+		for _, rounds := range []int{0, 1, 7, row.full} {
+			script := Script(rounds, row.cycle)
+			if len(script) != rounds {
+				t.Errorf("%s: script length = %d, want %d", row.name, len(script), rounds)
+			}
+			failovers := 0
+			for _, f := range script {
+				if strings.HasPrefix(f.Name, "failover") {
+					failovers++
+				}
+			}
+			want := 0
+			if row.name == "failover" && rounds >= 3 {
+				want = 1
+			}
+			if failovers != want {
+				t.Errorf("%s: %d rounds hold %d failovers, want %d", row.name, rounds, failovers, want)
+			}
 		}
-	}()
-
-	stats, err := h.Run(DiskFaultScript(rounds, h.Cluster().Nodes()))
-	if err != nil {
-		t.Fatalf("disk soak failed after %d clean rounds: %v", len(stats), err)
 	}
-	var commits uint64
-	for _, rs := range stats {
-		commits += rs.Commits
-	}
-	if commits == 0 {
-		t.Fatal("workload never committed — the disk soak exercised nothing")
-	}
-
-	// The injectors must have actually fired: a soak whose fault counters
-	// are all zero silently tested a healthy disk.
-	var syncsFailed, rotted uint64
-	for i := 0; i < h.Cluster().Nodes(); i++ {
-		fs := h.NodeFS(i)
-		syncsFailed += fs.SyncsFailed()
-		rotted += fs.ReadsRotted()
-	}
-	if syncsFailed == 0 {
-		t.Error("no fsync failures were injected across the whole soak")
-	}
-	if rotted == 0 {
-		t.Error("no reads were bit-rotted across the whole soak")
-	}
-	t.Logf("disk soak: %d rounds, %d commits, %d failed syncs, %d rotted reads",
-		len(stats), commits, syncsFailed, rotted)
-	if rep := h.AuditReport(); rep == nil || rep.Committed == 0 {
-		t.Fatalf("audit vacuous: %v", rep)
-	}
-}
-
-// TestChaosSoakAdversary is the network-adversary soak: the simnet
-// adversary building blocks (delay, duplication, capture-and-replay,
-// partition, payload corruption) run against live 2PC traffic, and the
-// full client-observed history must stay serializable. This is the
-// end-to-end proof that the sealed channel (AEAD + per-op replay cache)
-// neutralizes the adversary, not merely survives it.
-func TestChaosSoakAdversary(t *testing.T) {
-	rounds := 18
-	if testing.Short() {
-		rounds = 6 // one full cycle: every adversary fires at least once
-	}
-	seed := SeedFromEnv(3)
-	h, err := New(Config{
-		Rounds: rounds,
-		Audit:  true,
-		Seed:   seed,
-		Logf:   t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("boot: %v", err)
-	}
-	defer func() {
-		if err := h.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}()
-
-	stats, err := h.Run(AdversaryScript(rounds, h.Cluster().Nodes(), seed))
-	if err != nil {
-		t.Fatalf("adversary soak failed after %d clean rounds: %v", len(stats), err)
-	}
-	var commits uint64
-	for _, rs := range stats {
-		commits += rs.Commits
-	}
-	if commits == 0 {
-		t.Fatal("workload never committed — the adversary soak exercised nothing")
-	}
-
-	// Non-vacuity: the adversary must actually have hit the defenses.
-	// No node crashed during this script, so the per-incarnation
-	// counters span the whole soak.
-	var replayHits, authDropped uint64
-	for _, s := range h.Cluster().Snapshot() {
-		replayHits += s.Counter("erpc.replay.hits")
-		authDropped += s.Counter("erpc.msg.auth_dropped")
-	}
-	if replayHits == 0 {
-		t.Error("no duplicate/replayed request was ever deduped — the replay adversary tested nothing")
-	}
-	if authDropped == 0 {
-		t.Error("no corrupted message was ever rejected — the corrupter tested nothing")
-	}
-	rep := h.AuditReport()
-	if rep == nil || rep.Committed == 0 || rep.Edges == 0 {
-		t.Fatalf("audit vacuous: %v", rep)
-	}
-	t.Logf("adversary soak: %d rounds, %d commits, %d replay hits, %d auth drops; %s",
-		len(stats), commits, replayHits, authDropped, rep)
 }
 
 // TestSeedFromEnv covers the deterministic-repro plumbing.
@@ -225,55 +286,59 @@ func TestSeedFromEnv(t *testing.T) {
 // actually fails on an imbalanced snapshot (the soak passing must mean
 // the laws hold, not that the checker is vacuous).
 func TestMetricLawViolationDetected(t *testing.T) {
-	h, err := New(Config{Rounds: 1})
+	h, err := New(Config{})
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
 	defer h.Close()
 	// A committed transaction makes begun == committed; bumping begun
 	// behind the coordinator's back must trip the 2PC law.
-	txn := h.Cluster().Node(0).Begin(nil)
+	txn := h.cluster.Node(0).Begin(nil)
 	if err := txn.Put([]byte("law-probe"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if why := nodeMetricLaws("node-0", h.Cluster().Node(0).Snapshot()); why != "" {
+	if why := nodeMetricLaws("node-0", h.cluster.Node(0).Snapshot()); why != "" {
 		t.Fatalf("law violated on clean cluster: %s", why)
 	}
 	// A counter round nobody demanded must trip the round law.
-	s := h.Cluster().Node(0).Snapshot()
+	s := h.cluster.Node(0).Snapshot()
 	s.Counters["counter.rounds"] = s.Counter("lsm.stabilize.demanded") + s.Histograms["twopc.clog.group_size"].Count + 1
 	if why := logLaws("node-0", s, false); why == "" {
 		t.Fatal("checker missed a forced round law violation")
 	}
 	// A fiber that is still parked when everything has drained must trip
 	// the fiber law.
-	s = h.Cluster().Node(0).Snapshot()
+	s = h.cluster.Node(0).Snapshot()
 	s.Gauges["fibers.parked"] = 1
 	if why := nodeMetricLaws("node-0", s); !strings.Contains(why, "fiber law") {
 		t.Fatalf("checker missed a parked fiber at quiesce: %q", why)
 	}
-	h.Cluster().Node(0).Metrics().Counter("twopc.tx.begun").Inc()
-	if why := nodeMetricLaws("node-0", h.Cluster().Node(0).Snapshot()); why == "" {
+	h.cluster.Node(0).Metrics().Counter("twopc.tx.begun").Inc()
+	if why := nodeMetricLaws("node-0", h.cluster.Node(0).Snapshot()); why == "" {
 		t.Fatal("checker missed a forced 2PC law violation")
 	}
 }
 
-// TestDefaultScript checks script construction edge cases.
-func TestDefaultScript(t *testing.T) {
-	if got := len(DefaultScript(7, 3)); got != 7 {
-		t.Fatalf("script length = %d, want 7", got)
+// TestVerifyNamesStuckKey holds a lock on one account past every verify
+// attempt: the give-up error must name the key and the node that owns it.
+func TestVerifyNamesStuckKey(t *testing.T) {
+	h, err := New(Config{})
+	if err != nil {
+		t.Fatalf("boot: %v", err)
 	}
-	if got := len(DefaultScript(0, 3)); got != 0 {
-		t.Fatalf("script length = %d, want 0", got)
+	defer h.Close()
+	holder := h.cluster.Node(0).Begin(nil)
+	defer holder.Rollback()
+	if err := holder.Put(accountKey(3), []byte("0")); err != nil {
+		t.Fatal(err)
 	}
-	if got := len(AdversaryScript(7, 3, 1)); got != 7 {
-		t.Fatalf("adversary script length = %d, want 7", got)
-	}
-	if got := len(AdversaryScript(0, 3, 1)); got != 0 {
-		t.Fatalf("adversary script length = %d, want 0", got)
+	err = h.verify()
+	owner := fmt.Sprintf("owner node %d", h.cluster.CAS().ShardMap().SlotOwner(shardmap.SlotOf(accountKey(3))))
+	if err == nil || !strings.Contains(err.Error(), string(accountKey(3))) || !strings.Contains(err.Error(), owner) {
+		t.Fatalf("verify error %v does not name %q and its %s", err, accountKey(3), owner)
 	}
 }
 
@@ -282,12 +347,12 @@ func TestDefaultScript(t *testing.T) {
 // inject a lost update behind the harness's back and the audit check
 // must fail.
 func TestAuditViolationDetected(t *testing.T) {
-	h, err := New(Config{Rounds: 1, Audit: true})
+	h, err := New(Config{})
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
 	defer h.Close()
-	if err := h.AuditCheck(); err != nil {
+	if _, err := h.auditCheck(); err != nil {
 		t.Fatalf("clean seeded cluster flagged: %v", err)
 	}
 
@@ -295,9 +360,8 @@ func TestAuditViolationDetected(t *testing.T) {
 	// version chain (lost update) that balance conservation alone would
 	// also catch, and — crucially — the audit must catch even though we
 	// never run verify().
-	rec := h.Auditor()
 	seedVal := func() []byte {
-		txn := h.Cluster().Node(0).Begin(nil)
+		txn := h.cluster.Node(0).Begin(nil)
 		defer txn.Rollback()
 		v, _, err := txn.Get(accountKey(0))
 		if err != nil {
@@ -306,12 +370,12 @@ func TestAuditViolationDetected(t *testing.T) {
 		return v
 	}()
 	for i := 0; i < 2; i++ {
-		tr := rec.Begin(i)
+		tr := h.rec.Begin(i)
 		tr.Read(accountKey(0), seedVal, true)
 		tr.Write(accountKey(0), "999")
 		tr.End(audit.OutcomeCommitted)
 	}
-	if err := h.AuditCheck(); err == nil {
+	if _, err := h.auditCheck(); err == nil {
 		t.Fatal("audit checker missed a forced lost update")
 	} else {
 		t.Logf("caught as expected: %v", err)

@@ -3,7 +3,6 @@ package simnet
 import (
 	"math/rand"
 	"sync"
-	"time"
 )
 
 // FuncAdversary adapts a function to the Adversary interface.
@@ -107,75 +106,3 @@ func (c *Corrupter) Interpose(pkt Packet) Verdict {
 }
 
 var _ Adversary = (*Corrupter)(nil)
-
-// Delayer adds fixed delay to matching packets (e.g. to force 2PC
-// timeouts without dropping traffic).
-type Delayer struct {
-	// Delay is the extra latency added.
-	Delay time.Duration
-	// Filter selects target packets; nil matches everything.
-	Filter func(Packet) bool
-}
-
-// Interpose implements Adversary.
-func (d *Delayer) Interpose(pkt Packet) Verdict {
-	if d.Filter != nil && !d.Filter(pkt) {
-		return Verdict{}
-	}
-	return Verdict{Delay: d.Delay}
-}
-
-var _ Adversary = (*Delayer)(nil)
-
-// Holder is a thread-safe swappable adversary slot: the network keeps a
-// stable Adversary reference while soak scripts swap the inner one per
-// round (a Recorder this round, a Corrupter the next). A nil inner
-// adversary passes traffic through untouched.
-type Holder struct {
-	mu    sync.RWMutex
-	inner Adversary
-}
-
-// Set swaps the inner adversary (nil clears it).
-func (h *Holder) Set(a Adversary) {
-	h.mu.Lock()
-	h.inner = a
-	h.mu.Unlock()
-}
-
-// Interpose implements Adversary.
-func (h *Holder) Interpose(pkt Packet) Verdict {
-	h.mu.RLock()
-	a := h.inner
-	h.mu.RUnlock()
-	if a == nil {
-		return Verdict{}
-	}
-	return a.Interpose(pkt)
-}
-
-var _ Adversary = (*Holder)(nil)
-
-// Chain composes adversaries; the first verdict that takes any action
-// wins (drop beats mutate beats delay beats duplicate, evaluated in
-// order of the chain).
-type Chain []Adversary
-
-// Interpose implements Adversary.
-func (c Chain) Interpose(pkt Packet) Verdict {
-	var out Verdict
-	for _, a := range c {
-		v := a.Interpose(pkt)
-		if v.Drop {
-			return v
-		}
-		if v.Mutate != nil && out.Mutate == nil {
-			out.Mutate = v.Mutate
-		}
-		out.Delay += v.Delay
-		out.Duplicates += v.Duplicates
-	}
-	return out
-}
-
-var _ Adversary = (Chain)(nil)

@@ -247,39 +247,6 @@ func TestRecorderLimit(t *testing.T) {
 	}
 }
 
-func TestHolderSwap(t *testing.T) {
-	n, a, b := pair(t, LinkConfig{})
-	hold := &Holder{}
-	n.SetAdversary(hold)
-
-	// Empty holder passes through.
-	if err := a.Send("b", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Recv(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Swap in a dropper without touching the network's adversary.
-	hold.Set(FuncAdversary(func(Packet) Verdict { return Verdict{Drop: true} }))
-	if err := a.Send("b", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := recvWithin(b, 50*time.Millisecond); ok {
-		t.Fatal("holder-installed dropper did not drop")
-	}
-
-	// Clear and traffic flows again.
-	hold.Set(nil)
-	if err := a.Send("b", []byte("z")); err != nil {
-		t.Fatal(err)
-	}
-	pkt, ok := recvWithin(b, time.Second)
-	if !ok || string(pkt.Data) != "z" {
-		t.Fatalf("after clear: pkt=%v delivered=%v", pkt, ok)
-	}
-}
-
 func TestCorrupterAlwaysCorrupts(t *testing.T) {
 	n, a, b := pair(t, LinkConfig{})
 	n.SetAdversary(NewCorrupter(1.0, 7))
@@ -293,25 +260,6 @@ func TestCorrupterAlwaysCorrupts(t *testing.T) {
 	}
 	if bytes.Equal(pkt.Data, orig) {
 		t.Error("corrupter must modify the payload")
-	}
-}
-
-func TestChainComposition(t *testing.T) {
-	n, a, b := pair(t, LinkConfig{})
-	rec := &Recorder{}
-	n.SetAdversary(Chain{rec, &Delayer{Delay: 5 * time.Millisecond}})
-	start := time.Now()
-	if err := a.Send("b", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Error("chained delayer not applied")
-	}
-	if len(rec.Captured()) != 1 {
-		t.Error("chained recorder missed the packet")
 	}
 }
 
