@@ -239,31 +239,69 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestSoakScripts checks the cycle helper on every row: a script has
-// exactly the rounds asked for, and the failover row fires exactly one
-// failover however long it runs.
-func TestSoakScripts(t *testing.T) {
-	for _, row := range soaks {
-		for _, rounds := range []int{0, 1, 7, row.full} {
-			script := Script(rounds, row.cycle)
-			if len(script) != rounds {
-				t.Errorf("%s: script length = %d, want %d", row.name, len(script), rounds)
-			}
-			failovers := 0
-			for _, f := range script {
-				if strings.HasPrefix(f.Name, "failover") {
-					failovers++
-				}
-			}
-			want := 0
-			if row.name == "failover" && rounds >= 3 {
-				want = 1
-			}
-			if failovers != want {
-				t.Errorf("%s: %d rounds hold %d failovers, want %d", row.name, rounds, failovers, want)
-			}
+// soakRow returns the soak table's row of that name.
+func soakRow(t *testing.T, name string) soak {
+	t.Helper()
+	for _, r := range soaks {
+		if r.name == name {
+			return r
 		}
 	}
+	t.Fatalf("no soak row %q", name)
+	return soak{}
+}
+
+// checkLengths asserts the cycle helper cuts a row's script at exactly
+// the rounds asked for.
+func checkLengths(t *testing.T, r soak) {
+	t.Helper()
+	for _, rounds := range []int{0, 1, 7, 9, r.full} {
+		if got := len(Script(rounds, r.cycle)); got != rounds {
+			t.Errorf("%s: script length = %d, want %d", r.name, got, rounds)
+		}
+	}
+}
+
+// failovers counts a script's failover rounds.
+func failovers(script []Fault) int {
+	n := 0
+	for _, f := range script {
+		if strings.HasPrefix(f.Name, "failover") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDefaultScript checks the cycle helper on every row: a script has
+// exactly the rounds asked for, and only the failover row fails over.
+func TestDefaultScript(t *testing.T) {
+	for _, r := range soaks {
+		checkLengths(t, r)
+		if n := failovers(Script(r.full, r.cycle)); r.name != "failover" && n != 0 {
+			t.Errorf("%s: %d rounds hold %d failovers, want 0", r.name, r.full, n)
+		}
+	}
+}
+
+// TestFailoverScript checks the failover row fires exactly one failover
+// however long it runs, and none when cut before its third round.
+func TestFailoverScript(t *testing.T) {
+	r := soakRow(t, "failover")
+	checkLengths(t, r)
+	for _, rounds := range []int{3, 7, r.full} {
+		if n := failovers(Script(rounds, r.cycle)); n != 1 {
+			t.Errorf("%d rounds hold %d failovers, want exactly 1", rounds, n)
+		}
+	}
+	if n := failovers(Script(2, r.cycle)); n != 0 {
+		t.Errorf("2 rounds hold %d failovers, want 0", n)
+	}
+}
+
+// TestReshardScript checks the reshard row's script lengths.
+func TestReshardScript(t *testing.T) {
+	checkLengths(t, soakRow(t, "reshard"))
 }
 
 // TestSeedFromEnv covers the deterministic-repro plumbing.
