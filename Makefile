@@ -65,7 +65,7 @@ vet:
 # The request lifecycle's mechanisms exist once each: the
 # block-until-ready-or-deadline wait, parked on a fiber (fibers/wait.go),
 # the exponential backoff (erpc/retry.go), the enqueue-N-wait-for-k
-# fan-out (erpc/fanout.go) and the per-boot op-id seed (erpc/opid.go).
+# send and wait (erpc/fanout.go) and the per-boot op-id seed (erpc/opid.go).
 # This greps non-test code outside those files for what a hand-written
 # copy would contain: the spin idiom, a Yield call outside the scheduler
 # (a fiber that waits parks in fibers.Wait, it does not poll through
@@ -90,9 +90,18 @@ vet:
 # internal/enclave busy-waits, names the price table or builds one. A keyed
 # operation has one body, Participant.op in internal/twopc/participant.go:
 # a request off the wire and a coordinator's call on a key its node owns
-# both run it, so its three engine calls appear nowhere else. A soak is a
-# row of the table in internal/chaos: one test function runs a harness
-# script, so a second one is a second soak loop.
+# both run it, so its three engine calls appear nowhere else. So has a
+# control message, Participant.control: a prepare, commit or abort off the
+# wire, the coordinator's own leg of a fan-out and a recovered decision
+# all run it, so Prepare, CommitPrepared and AbortPrepared on at.local
+# appear nowhere else. A soak is a row of the table in internal/chaos: one
+# test function runs a harness script, so a second one is a second soak
+# loop.
+# $(call BODY_ONCE,<calls>,<method>): the three engine calls on at.local
+# that <calls> names appear in non-test code only in Participant.<method>.
+BODY_ONCE = hits=$$(awk '/^func /{fn=$$0} /at\.local\.($(1))\(/{print FILENAME ":" FNR ": in " fn}' $$($(call ONCE_SRC,internal cmd examples))); \
+	[ $$(printf '%s\n' "$$hits" | grep -c '^internal/twopc/participant\.go:[0-9]*: in func (p \*Participant) $(2)(') -eq 3 ] && \
+		[ $$(printf '%s\n' "$$hits" | grep -c .) -eq 3 ] || { printf '%s\n' "$$hits"; fail=1; }
 ONCE_SRC = find $(1) -name '*.go' ! -name '*_test.go' ! -path internal/fibers/wait.go ! -path internal/erpc/retry.go ! -path internal/erpc/opid.go
 check-once:
 	@fail=0; \
@@ -111,12 +120,11 @@ check-once:
 	[ $$(printf '%s\n' "$$gos" | grep -c .) -eq 1 ] || { printf '%s\n' "$$gos"; fail=1; }; \
 	grep -nE 'PollPacket|ChannelTransport|PacketTransport|UDPTransport' $$($(call ONCE_SRC,internal cmd examples)) && fail=1; \
 	grep -nE 'Spin\(|spinWait|DefaultCosts|Costs\{' $$($(call ONCE_SRC,.) ! -path './internal/enclave/*') && fail=1; \
-	ops=$$(awk '/^func /{fn=$$0} /at\.local\.(Get|Put|Delete)\(/{print FILENAME ":" FNR ": in " fn}' $$($(call ONCE_SRC,internal cmd examples))); \
-	[ $$(printf '%s\n' "$$ops" | grep -c '^internal/twopc/participant\.go:[0-9]*: in func (p \*Participant) op(') -eq 3 ] && \
-		[ $$(printf '%s\n' "$$ops" | grep -c .) -eq 3 ] || { printf '%s\n' "$$ops"; fail=1; }; \
+	$(call BODY_ONCE,Get|Put|Delete,op); \
+	$(call BODY_ONCE,Prepare|CommitPrepared|AbortPrepared,control); \
 	soaks=$$(awk '/^func Test/{fn=$$2} /\.Run\(/ && !/[^A-Za-z0-9_]t\.Run\(/{print FILENAME ": " fn}' internal/chaos/*_test.go | sort -u); \
 	[ $$(printf '%s\n' "$$soaks" | grep -c .) -le 1 ] || { printf '%s\n' "$$soaks"; fail=1; }; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, packet path, price list, keyed-op body, soak loop); call the shared one"; exit 1; }
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, packet path, price list, keyed-op body, control body, soak loop); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

@@ -103,7 +103,7 @@ func runRig(a NetArm, handlers map[uint8]erpc.Handler, clients int, window time.
 	m := drive(clients, window, func(int) error {
 		tx := txSeq.Add(1)
 		err := work(func(reqType uint8, body []byte) error {
-			md := seal.MsgMetadata{TxID: tx, OpID: client.NextOpID(), OpType: uint32(reqType)}
+			md := seal.MsgMetadata{TxID: tx, OpType: uint32(reqType)}
 			_, err := erpc.Call(client, rigServer, reqType, md, body, 5*time.Second, nil)
 			return err
 		})

@@ -596,6 +596,11 @@ func nodeMetricLaws(addr string, s obs.Snapshot) string {
 			return fmt.Sprintf("%s: %s request law violated: enqueued=%d resolved=%d pending=%d",
 				addr, pfx, enq, resolved, pending)
 		}
+		// A node reaches its own participant and coordinator by calls:
+		// no request addresses the endpoint that sends it.
+		if self := s.Counter(pfx + ".req.self"); self != 0 {
+			return fmt.Sprintf("%s: %s self-request law violated: %d requests to its own address", addr, pfx, self)
+		}
 	}
 	if why := logLaws(addr, s, false); why != "" {
 		return why

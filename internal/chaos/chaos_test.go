@@ -354,6 +354,12 @@ func TestMetricLawViolationDetected(t *testing.T) {
 	if why := nodeMetricLaws("node-0", s); !strings.Contains(why, "fiber law") {
 		t.Fatalf("checker missed a parked fiber at quiesce: %q", why)
 	}
+	// A request a node addressed to itself must trip the self-request law.
+	s = h.cluster.Node(0).Snapshot()
+	s.Counters["erpc.req.self"] = 1
+	if why := nodeMetricLaws("node-0", s); !strings.Contains(why, "self-request law") {
+		t.Fatalf("checker missed a self-addressed request: %q", why)
+	}
 	h.cluster.Node(0).Metrics().Counter("twopc.tx.begun").Inc()
 	if why := nodeMetricLaws("node-0", h.cluster.Node(0).Snapshot()); why == "" {
 		t.Fatal("checker missed a forced 2PC law violation")

@@ -322,7 +322,6 @@ var ErrTxnDone = errors.New("core: transaction already finished")
 func (c *Client) call(reqType uint8, tx uint64, key, value []byte) ([]byte, error) {
 	md := seal.MsgMetadata{
 		TxID:     tx,
-		OpID:     c.ep.NextOpID(),
 		OpType:   uint32(reqType),
 		KeyLen:   uint32(len(key)),
 		ValueLen: uint32(len(value)),

@@ -169,13 +169,13 @@ func (c *Client) RecoverStable(name string) (uint64, error) {
 }
 
 // broadcast sends one round to all replicas and waits for a quorum of
-// replies (erpc.Fanout with need = quorum), returning their reported
+// replies (erpc.Send, then Fan.Wait with need = quorum), returning their reported
 // values. The replicas the quorum made unnecessary are abandoned, not
 // left registered: a dead replica never answers.
 func (c *Client) broadcast(reqType uint8, name string, value uint64) ([]uint64, error) {
 	md := seal.MsgMetadata{TxID: c.nextTx.Add(1), OpType: uint32(reqType)}
 	var values []uint64
-	for _, r := range erpc.Fanout(c.ep, c.replicas, reqType, md, encodeReq(name, value), c.quorum, c.timeout, nil) {
+	for _, r := range erpc.Send(c.ep, c.replicas, reqType, md, encodeReq(name, value)).Wait(c.quorum, c.timeout, nil) {
 		if r.Err == nil && len(r.Resp) >= 8 {
 			values = append(values, binary.LittleEndian.Uint64(r.Resp))
 		}

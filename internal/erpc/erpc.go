@@ -113,18 +113,9 @@ type Pending struct {
 	start  time.Time
 }
 
-// Done reports whether the response (or failure) has arrived.
+// Done reports whether the response (or failure) has arrived; Fan.Wait
+// is the one wait for it.
 func (p *Pending) Done() bool { return p.done.Load() }
-
-// Ch returns a channel closed when the response arrives; non-fiber
-// callers block on it instead of spinning.
-func (p *Pending) Ch() <-chan struct{} { return p.ch }
-
-// Response returns the response payload; valid once Done.
-func (p *Pending) Response() []byte { return p.resp }
-
-// Err returns the remote error, if any; valid once Done.
-func (p *Pending) Err() error { return p.err }
 
 // complete finishes the pending request and fires its continuation.
 func (p *Pending) complete(resp []byte, err error) {
@@ -191,7 +182,7 @@ type Endpoint struct {
 	// concurrently with the data path)
 	sent, received, replayDropped, authDropped, staleResponses atomic.Uint64
 	cancelled, txDropped, handlerPanics                        atomic.Uint64
-	requests, delivered, orphaned, retries                     atomic.Uint64
+	requests, delivered, orphaned, retries, self               atomic.Uint64
 
 	// callLatency records enqueue-to-response time for delivered
 	// requests (nil when metrics are not configured; Observe is nil-safe).
@@ -261,6 +252,7 @@ func (ep *Endpoint) registerMetrics() {
 	m.CounterFunc(pfx+".req.cancelled", ep.cancelled.Load)
 	m.CounterFunc(pfx+".req.orphaned", ep.orphaned.Load)
 	m.CounterFunc(pfx+".req.retries", ep.retries.Load)
+	m.CounterFunc(pfx+".req.self", ep.self.Load)
 	m.CounterFunc(pfx+".msg.sent", ep.sent.Load)
 	m.CounterFunc(pfx+".msg.received", ep.received.Load)
 	m.CounterFunc(pfx+".msg.tx_dropped", ep.txDropped.Load)
@@ -287,8 +279,13 @@ func (ep *Endpoint) NodeID() uint64 { return ep.cfg.NodeID }
 // transmit queue — it does not transmit (§V-A step 2: "en-queuing the
 // request does not transmit the message"); call TxBurst (or RunOnce) to
 // flush. onDone, if non-nil, runs on the event loop when the response
-// arrives.
+// arrives. A request to this endpoint's own address is counted
+// ("<prefix>.req.self"): a node reaches its own handlers by a call, so the
+// chaos soak's metric laws hold that count at zero.
 func (ep *Endpoint) Enqueue(to string, reqType uint8, md seal.MsgMetadata, payload []byte, onDone func(*Pending)) *Pending {
+	if to == ep.LocalAddr() {
+		ep.self.Add(1)
+	}
 	reqID := ep.nextReqID.Add(1)
 	p := &Pending{onDone: onDone, reqID: reqID, ch: make(chan struct{}), start: time.Now()}
 	md.NodeID = ep.cfg.NodeID
@@ -315,28 +312,6 @@ func (ep *Endpoint) Enqueue(to string, reqType uint8, md seal.MsgMetadata, paylo
 	ep.mu.Unlock()
 	ep.wakeTx()
 	return p
-}
-
-// Abandon cancels an outstanding request whose caller gave up (timeout):
-// the pending entry is deregistered — so a response arriving later is
-// counted as stale instead of delivered — and the Pending completes with
-// ErrTimeout. It reports false if the request already completed (the
-// response won the race), in which case the Pending's result is valid.
-func (ep *Endpoint) Abandon(p *Pending) bool {
-	ep.mu.Lock()
-	cur, ok := ep.pending[p.reqID]
-	if ok && cur == p {
-		delete(ep.pending, p.reqID)
-	} else {
-		ok = false
-	}
-	ep.mu.Unlock()
-	if !ok {
-		return false
-	}
-	ep.cancelled.Add(1)
-	p.complete(nil, ErrTimeout)
-	return true
 }
 
 // PendingCount reports the number of outstanding requests (used by the

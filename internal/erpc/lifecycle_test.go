@@ -2,6 +2,7 @@ package erpc
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,10 +235,11 @@ func TestCallRetryRecoversFromLoss(t *testing.T) {
 	}
 }
 
-// TestFanout: a fan-out returns as soon as `need` destinations answered
-// without error (or all answered, or the timeout passed), reports each
-// destination's outcome in address order, and — above all — leaves no
-// request registered, however many destinations are dead.
+// TestFanout: a fan's Wait returns as soon as `need` destinations
+// answered without error (or all answered, or the timeout passed),
+// reports each destination's outcome in address order, and — above all —
+// leaves no request registered, however many destinations are dead. Call
+// is a fan of one, so its timeout is the same Wait's.
 func TestFanout(t *testing.T) {
 	testBothModes(t, func(t *testing.T, secure bool) {
 		tc := newTestCluster(t, secure)
@@ -248,7 +250,7 @@ func TestFanout(t *testing.T) {
 		// need = 2 of 3: the two live answers end the wait long before the
 		// timeout; the dead destination is abandoned at return.
 		start := time.Now()
-		replies := Fanout(tc.client, addrs, reqEcho, md, []byte("fan"), 2, timeout, nil)
+		replies := Send(tc.client, addrs, reqEcho, md, []byte("fan")).Wait(2, timeout, nil)
 		if elapsed := time.Since(start); elapsed >= timeout {
 			t.Errorf("quorum fan-out took %v: it waited out the dead destination", elapsed)
 		}
@@ -262,7 +264,7 @@ func TestFanout(t *testing.T) {
 		}
 
 		// need = all: only the timeout ends the wait on a dead destination.
-		replies = Fanout(tc.client, addrs, reqEcho, md, nil, len(addrs), 30*time.Millisecond, nil)
+		replies = Send(tc.client, addrs, reqEcho, md, nil).Wait(len(addrs), 30*time.Millisecond, nil)
 		if replies[0].Err != nil || !errors.Is(replies[1].Err, ErrTimeout) || replies[2].Err != nil {
 			t.Errorf("all-of-3 fan-out: %v / %v / %v", replies[0].Err, replies[1].Err, replies[2].Err)
 		}
@@ -270,9 +272,16 @@ func TestFanout(t *testing.T) {
 		// Error replies are answers: once everyone has answered there is
 		// nothing left to wait for, even though `need` was never met.
 		start = time.Now()
-		replies = Fanout(tc.client, addrs[:1], reqFail, md, nil, 1, timeout, nil)
+		replies = Send(tc.client, addrs[:1], reqFail, md, nil).Wait(1, timeout, nil)
 		if elapsed := time.Since(start); elapsed >= timeout || !errors.Is(replies[0].Err, ErrRemote) {
 			t.Errorf("all-answered fan-out: %v after %v, want the remote error at once", replies[0].Err, elapsed)
+		}
+
+		// A Call to a dead destination times out through the same Wait,
+		// naming the destination and the request type.
+		_, err := Call(tc.client, "nobody-home", reqEcho, md, nil, 30*time.Millisecond, nil)
+		if want := fmt.Sprintf("nobody-home type=%d", reqEcho); !errors.Is(err, ErrTimeout) || !strings.Contains(err.Error(), want) {
+			t.Errorf("Call to a dead destination: %v, want ErrTimeout naming %q", err, want)
 		}
 
 		if n := tc.client.PendingCount(); n != 0 {

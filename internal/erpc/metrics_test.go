@@ -177,7 +177,7 @@ func TestCloseOrphansCounted(t *testing.T) {
 	}
 	// One more after close: fails immediately, still counted.
 	p := ep.Enqueue("void", reqEcho, seal.MsgMetadata{TxID: 1, OpID: 9}, nil, nil)
-	if p.Err() == nil {
+	if p.err == nil {
 		t.Fatal("enqueue after close must fail")
 	}
 	s := ep.Stats()

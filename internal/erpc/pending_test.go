@@ -14,12 +14,12 @@ func TestPendingChannelClosesOnCompletion(t *testing.T) {
 	md := seal.MsgMetadata{TxID: 500, OpID: 1}
 	pend := tc.client.Enqueue("server", reqEcho, md, []byte("x"), nil)
 	select {
-	case <-pend.Ch():
+	case <-pend.ch:
 		if !pend.Done() {
 			t.Fatal("channel closed before Done")
 		}
-		if string(pend.Response()) != "x" {
-			t.Errorf("response = %q", pend.Response())
+		if string(pend.resp) != "x" {
+			t.Errorf("response = %q", pend.resp)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("pending channel never closed")

@@ -1,13 +1,6 @@
 package erpc
 
-import (
-	"fmt"
-	"sync"
-	"time"
-
-	"treaty/internal/fibers"
-	"treaty/internal/seal"
-)
+import "sync"
 
 // Poller drives an endpoint's event loop from a dedicated goroutine,
 // emulating eRPC's per-thread RPC ownership: all handler execution and
@@ -60,43 +53,4 @@ func (p *Poller) loop() {
 func (p *Poller) Stop() {
 	close(p.stop)
 	p.wg.Wait()
-}
-
-// ErrTimeout indicates a Call did not complete in time.
-var ErrTimeout = fmt.Errorf("erpc: request timed out")
-
-// Call enqueues a request and waits on its completion channel until the
-// response arrives or timeout passes: a goroutine (nil f) directly, the
-// fiber f parked (fibers.Wait). The endpoint's event loop must be running
-// (Poller or an external RunOnce driver).
-//
-// A timed-out call is abandoned: its pending entry is deregistered so
-// the map cannot grow without bound, and a response that arrives later
-// is counted as stale rather than delivered.
-func Call(ep *Endpoint, to string, reqType uint8, md seal.MsgMetadata, payload []byte, timeout time.Duration, f *fibers.Fiber) ([]byte, error) {
-	pend := ep.Enqueue(to, reqType, md, payload, nil)
-	fibers.Wait(pend.Done, pend.ch, time.Now().Add(timeout), f)
-	if !ep.settle(pend) {
-		return nil, fmt.Errorf("%w: %s type=%d", ErrTimeout, to, reqType)
-	}
-	if err := pend.Err(); err != nil {
-		return nil, err
-	}
-	return pend.Response(), nil
-}
-
-// settle ends a caller's wait on p and reports whether p holds an answer
-// (a response, a remote error or ErrClosed). A request still outstanding
-// is abandoned, so no wait leaves an entry registered; if the response
-// wins the race against Abandon, its completion is imminent and is
-// waited out and delivered.
-func (ep *Endpoint) settle(p *Pending) bool {
-	if p.Done() {
-		return true
-	}
-	if ep.Abandon(p) {
-		return false
-	}
-	<-p.ch
-	return true
 }

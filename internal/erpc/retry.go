@@ -20,11 +20,11 @@ const (
 //
 // Only idempotent requests may be retried (2PC status queries, decision
 // pushes, ship groups, counter rounds): a request that timed out may
-// still have executed remotely. Every attempt needs a fresh operation id
-// (NextOpID): the receiver's replay cache answers a repeated
-// (node, tx, op) tuple with the cached wire reply, which carries the
-// original request id — an id the sender deregistered when the first
-// attempt timed out, so that reply would land as stale.
+// still have executed remotely. Every attempt goes out under a fresh
+// operation id, which Send draws (NextOpID): the receiver's replay cache
+// answers a repeated (node, tx, op) tuple with the cached wire reply,
+// which carries the original request id — an id the sender deregistered
+// when the first attempt timed out, so that reply would land as stale.
 type Retry struct {
 	ep         *Endpoint
 	left       int

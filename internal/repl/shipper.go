@@ -167,7 +167,7 @@ func (s *Shipper) Ship(entries []durlog.Entry) {
 	// group-commit leader and a failed attempt has spent a full Timeout
 	// there already.
 	for retry := s.cfg.Endpoint.Retry(shipAttempts, erpc.RetryBase, shipRetryCap, nil); ; {
-		md := seal.MsgMetadata{OpID: s.cfg.Endpoint.NextOpID(), OpType: uint32(twopc.ReqReplShip)}
+		md := seal.MsgMetadata{OpType: uint32(twopc.ReqReplShip)}
 		resp, err := erpc.Call(s.cfg.Endpoint, addr, twopc.ReqReplShip, md, payload, s.cfg.Timeout, nil)
 		if err != nil && s.stopped.Load() {
 			break // teardown raced the ship; see the stopped check below

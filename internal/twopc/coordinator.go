@@ -153,7 +153,8 @@ type CoordinatorConfig struct {
 	// Endpoint sends protocol messages (its event loop must be driven).
 	Endpoint *erpc.Endpoint
 	// Participant is this node's participant (required): an operation on
-	// a key the node owns is a call into it, not a request to itself.
+	// a key the node owns, and this node's leg of a prepare, commit or
+	// abort, are calls into it, never a request to itself.
 	Participant *Participant
 	// Clog is the coordinator log.
 	Clog *Clog
@@ -230,35 +231,36 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if _, err := rand.Read(txSeed[:5]); err == nil {
 		c.nextTx.Store(binary.LittleEndian.Uint64(txSeed[:]) << 24)
 	}
+	c.part.coord = c
 	c.ep.Register(ReqTxStatus, c.handleStatus)
 	return c
 }
 
-// handleStatus answers participant recovery queries: the global tx id is
-// carried in the payload (16 bytes).
+// handleStatus answers a participant's recovery query, which names the
+// transaction in its payload.
 func (c *Coordinator) handleStatus(req *erpc.Request) {
-	if len(req.Payload) < 16 {
+	id, ok := payloadTxID(req)
+	if !ok {
 		req.ReplyError("twopc: short status query")
 		return
 	}
-	var id lsm.TxID
-	copy(id[:], req.Payload)
+	req.Reply([]byte{c.status(id)})
+}
+
+// status reports id's outcome to a participant resolving it. A
+// transaction this coordinator never prepared is presumed aborted.
+func (c *Coordinator) status(id lsm.TxID) uint8 {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	commit, decided := c.decisions[id]
 	_, pending := c.prepared[id]
-	c.mu.Unlock()
 	switch {
 	case decided && commit:
-		req.Reply([]byte{StatusCommit})
-	case decided:
-		req.Reply([]byte{StatusAbort})
-	case pending:
-		req.Reply([]byte{StatusPending})
-	default:
-		// Never prepared from this coordinator's perspective: the
-		// decision is abort (presumed abort).
-		req.Reply([]byte{StatusAbort})
+		return StatusCommit
+	case !decided && pending:
+		return StatusPending
 	}
+	return StatusAbort
 }
 
 // DistTxn is one distributed transaction driven by a coordinator on
@@ -412,9 +414,7 @@ func (t *DistTxn) SetFiber(f *fibers.Fiber) { t.f = f }
 // call performs one operation against the key's owner at addr. When the
 // owner is this node, the operation is a call into its participant, on
 // the transaction's fiber (or goroutine). It passes the same gate as a
-// request off the wire, and no message is built, sealed or sent. The
-// decision fan-outs still reach this node through erpc, in parallel with
-// the other participants.
+// request off the wire, and no message is built, sealed or sent.
 func (t *DistTxn) call(addr string, reqType uint8, key, value []byte) ([]byte, error) {
 	md := seal.MsgMetadata{
 		TxID:     t.seq,
@@ -429,7 +429,6 @@ func (t *DistTxn) call(addr string, reqType uint8, key, value []byte) ([]byte, e
 		md.NodeID = t.c.ep.NodeID()
 		return t.c.part.op(t.f, reqType, md, key, value)
 	}
-	md.OpID = t.c.ep.NextOpID()
 	payload := make([]byte, 0, len(key)+len(value))
 	payload = append(payload, key...)
 	payload = append(payload, value...)
@@ -474,15 +473,36 @@ func (t *DistTxn) Delete(key []byte) error {
 	return err
 }
 
-// broadcast sends reqType to every participant in parallel and waits for
-// all replies (erpc.Fanout with need = all); it returns the
-// per-participant results and the first error. Participants that do not
-// answer within the timeout are abandoned — their pending entries are
-// deregistered so the endpoint's pending map cannot grow across lost
+// broadcast sends control message reqType to every participant and waits
+// for all replies; it returns the per-participant results, in participant
+// order, and the first error. This node's own leg is a call into its
+// participant (control) on the transaction's fiber, made between sending
+// the remote legs and waiting for them, so it overlaps them. Remote
+// participants that do not answer within the timeout are abandoned
+// (erpc.Fan.Wait), so the endpoint's pending map cannot grow across lost
 // messages.
 func (t *DistTxn) broadcast(reqType uint8, participants []string) ([]erpc.Reply, error) {
-	md := seal.MsgMetadata{TxID: t.seq, OpType: uint32(reqType)}
-	replies := erpc.Fanout(t.c.ep, participants, reqType, md, nil, len(participants), t.c.timeout, t.f)
+	self := t.c.ep.LocalAddr()
+	var remote []string
+	for _, addr := range participants {
+		if addr != self {
+			remote = append(remote, addr)
+		}
+	}
+	fan := erpc.Send(t.c.ep, remote, reqType, seal.MsgMetadata{TxID: t.seq, OpType: uint32(reqType)}, t.id[:])
+	var local erpc.Reply
+	if len(remote) < len(participants) {
+		local.Resp, local.Err = t.c.part.control(t.f, reqType, t.id)
+	}
+	remoteReplies := fan.Wait(len(remote), t.c.timeout, t.f)
+	replies := make([]erpc.Reply, len(participants))
+	for i, addr := range participants {
+		if addr == self {
+			replies[i] = local
+		} else {
+			replies[i], remoteReplies = remoteReplies[0], remoteReplies[1:]
+		}
+	}
 	for _, r := range replies {
 		if r.Err != nil {
 			return replies, r.Err
@@ -501,7 +521,8 @@ const (
 
 // broadcastRetry re-sends an idempotent control message (commit/abort
 // decision push) to the participants that did not answer, on the retry
-// ladder. A lost decision push is always safe — recovery re-derives it —
+// ladder. Only remote legs can go unanswered: this node's own leg is a
+// call. A lost decision push is always safe — recovery re-derives it —
 // but re-pushing promptly releases prepared participants without waiting
 // for a restart. It returns the last timeout error if some participant
 // never answered.
@@ -571,7 +592,7 @@ func (t *DistTxn) Commit() error {
 	votes, err := t.broadcast(ReqPrepare, participants)
 	if err != nil {
 		t.trace.Enter(obs.StageAbort)
-		t.decide(false, participants)
+		t.abort(participants)
 		t.c.met.abortPrepareFailed.Inc()
 		t.finish(false, "prepare_failed")
 		return fmt.Errorf("%w: prepare failed: %v", ErrAborted, err)
@@ -601,7 +622,7 @@ func (t *DistTxn) Commit() error {
 	token, err := t.c.clog.Append(clogDecision, t.id, true, writers)
 	if err != nil {
 		t.trace.Enter(obs.StageAbort)
-		t.decide(false, writers)
+		t.abort(writers)
 		t.c.met.abortLogAppend.Inc()
 		t.finish(false, "decision_log_failed")
 		return fmt.Errorf("%w: decision log failed: %v", ErrAborted, err)
@@ -609,7 +630,7 @@ func (t *DistTxn) Commit() error {
 	t.trace.Enter(obs.StageStabilize)
 	if err := t.waitToken(token); err != nil {
 		t.trace.Enter(obs.StageAbort)
-		t.decide(false, writers)
+		t.abort(writers)
 		t.c.met.abortStabilize.Inc()
 		t.finish(false, "stabilize_timeout")
 		return fmt.Errorf("%w: decision stabilization failed: %v", ErrAborted, err)
@@ -644,10 +665,11 @@ func (c *Coordinator) record(id lsm.TxID, commit bool) {
 	c.mu.Unlock()
 }
 
-// decide logs and pushes an abort decision.
-func (t *DistTxn) decide(commit bool, participants []string) {
-	if _, err := t.c.clog.Append(clogDecision, t.id, commit, participants); err == nil {
-		t.c.record(t.id, commit)
+// abort logs and pushes an abort decision: the one abort path of Commit,
+// Rollback and resolve.
+func (t *DistTxn) abort(participants []string) {
+	if _, err := t.c.clog.Append(clogDecision, t.id, false, participants); err == nil {
+		t.c.record(t.id, false)
 	}
 	_, _ = t.broadcast(ReqAbort, participants)
 }
@@ -665,7 +687,7 @@ func (t *DistTxn) Rollback() error {
 		return nil
 	}
 	t.trace.Enter(obs.StageAbort)
-	t.decide(false, participants)
+	t.abort(participants)
 	t.finish(false, "client_rollback")
 	return nil
 }
@@ -727,7 +749,7 @@ func (c *Coordinator) resolve(w pending, reason string, f *fibers.Fiber) error {
 	case w.redo:
 		c.met.recoverRedo.Inc()
 		if _, err := t.broadcast(ReqPrepare, w.parts); err != nil {
-			t.decide(false, w.parts)
+			t.abort(w.parts)
 			tr.Finish(obs.OutcomeRecovered, reason+"redo_prepare_aborted")
 			return nil
 		}
@@ -777,14 +799,14 @@ func (c *Coordinator) RecoverPending(f *fibers.Fiber) error {
 }
 
 // AdoptRecovered folds a dead peer coordinator's replicated Clog
-// records (as its Ship hook handed them over) into this coordinator
-// and resolves them, exactly as RecoverPending resolves this node's own
-// log after a crash (presumed abort stays sound because a decision
-// absent from the replicated prefix was never stabilized, hence never
-// acknowledged to anyone). rewrite,
-// when non-nil, maps participant addresses recorded by the dead peer to
-// their current holders (the promoted successor answers for the dead
-// primary's address). Adopted decisions also seed the status table, so
+// records (as its Ship hook handed them over) into this coordinator and
+// resolves them as RecoverPending resolves this node's own log, except
+// that a prepare without a decision is aborted, never re-prepared:
+// presumed abort is sound (a decision absent from the replicated prefix
+// was never stabilized, hence never acknowledged), and a re-prepare is
+// not, because rewrite, when non-nil, maps the dead primary's address to
+// this node's, whose one vote would then also stand for the dead
+// primary's part. Adopted decisions seed the status table, so
 // participants probing the dead coordinator's transactions get answers
 // from the successor.
 func (c *Coordinator) AdoptRecovered(records []durlog.Entry, rewrite func(string) string, f *fibers.Fiber) error {
@@ -800,13 +822,10 @@ func (c *Coordinator) AdoptRecovered(records []durlog.Entry, rewrite func(string
 			}
 			w.parts = parts
 		}
+		w.redo = false // presumed abort: w.commit is false for an undecided prepare
 		c.mu.Lock()
 		_, known := c.decisions[w.id]
-		switch {
-		case known: // this coordinator already resolved it
-		case w.redo:
-			c.prepared[w.id] = w.parts
-		default:
+		if !known { // else this coordinator already resolved it
 			c.decisions[w.id] = w.commit
 		}
 		c.mu.Unlock()

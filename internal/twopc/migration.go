@@ -146,7 +146,6 @@ func (p *Participant) StreamSlot(dst string, slot, chunkSize int, epoch uint64, 
 			onChunk(chunk)
 		}
 		md := seal.MsgMetadata{
-			OpID:   p.ep.NextOpID(),
 			OpType: uint32(ReqSlotIngest),
 			Epoch:  epoch,
 		}

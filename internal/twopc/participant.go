@@ -37,6 +37,9 @@ type Participant struct {
 	nodeID  uint64
 	shard   *shardmap.Holder
 	refresh func()
+	// coord is this node's coordinator, which answers a recovered
+	// transaction's status query by a call (set by NewCoordinator).
+	coord *Coordinator
 
 	mu     sync.Mutex
 	active map[lsm.TxID]*activeTxn
@@ -68,8 +71,6 @@ type partMetrics struct {
 	aborts        *obs.Counter // transactions aborted on instruction
 	reclaims      *obs.Counter // janitor-reclaimed idle transactions
 	restored      *obs.Counter // prepared transactions restored from WAL
-	resolvedOK    *obs.Counter // recovery resolutions: commit
-	resolvedAbort *obs.Counter // recovery resolutions: abort
 	staleEpoch    *obs.Counter // operations rejected for a stale/foreign epoch
 	fenceRejects  *obs.Counter // operations rejected by a migration fence
 	ingestChunks  *obs.Counter // slot-migration chunks applied
@@ -84,8 +85,6 @@ func newPartMetrics(m *obs.Registry) partMetrics {
 		aborts:        m.Counter("twopc.part.aborts"),
 		reclaims:      m.Counter("twopc.part.reclaims"),
 		restored:      m.Counter("twopc.part.restored"),
-		resolvedOK:    m.Counter("twopc.part.resolved_commit"),
-		resolvedAbort: m.Counter("twopc.part.resolved_abort"),
 		staleEpoch:    m.Counter("shardmap.stale_epoch_rejected"),
 		fenceRejects:  m.Counter("shardmap.fence_rejected"),
 		ingestChunks:  m.Counter("shardmap.ingest_chunks"),
@@ -168,9 +167,9 @@ func NewParticipant(cfg ParticipantConfig) *Participant {
 	p.ep.Register(ReqTxnGet, OnFiber(p.sched, p.handleOp))
 	p.ep.Register(ReqTxnPut, OnFiber(p.sched, p.handleOp))
 	p.ep.Register(ReqTxnDelete, OnFiber(p.sched, p.handleOp))
-	p.ep.Register(ReqPrepare, OnFiber(p.sched, p.handlePrepare))
-	p.ep.Register(ReqCommit, OnFiber(p.sched, p.handleCommit))
-	p.ep.Register(ReqAbort, OnFiber(p.sched, p.handleAbort))
+	p.ep.Register(ReqPrepare, OnFiber(p.sched, p.handleControl))
+	p.ep.Register(ReqCommit, OnFiber(p.sched, p.handleControl))
+	p.ep.Register(ReqAbort, OnFiber(p.sched, p.handleControl))
 	p.ep.Register(ReqSlotIngest, OnFiber(p.sched, p.handleSlotIngest))
 	p.janitorWG.Add(1)
 	go p.janitor()
@@ -221,11 +220,6 @@ func OnFiber(sched *fibers.Scheduler, h func(*fibers.Fiber, *erpc.Request)) erpc
 // errTxnReclaimed answers late operations for a janitor-reclaimed
 // transaction; the coordinator sees the error and aborts.
 const errTxnReclaimed = "twopc: transaction reclaimed after idle timeout"
-
-// txIDOf extracts the global transaction id from message metadata.
-func txIDOf(md seal.MsgMetadata) lsm.TxID {
-	return globalTxID(md.NodeID, md.TxID)
-}
 
 // find returns the active transaction for id, creating one if create is
 // set. Ids tombstoned by the janitor are never re-created: a late
@@ -367,6 +361,11 @@ func (p *Participant) handleOp(f *fibers.Fiber, req *erpc.Request) {
 		return
 	}
 	reply, err := p.op(f, req.Type(), req.Meta, key, value)
+	respond(req, reply, err)
+}
+
+// respond answers req with a body's result.
+func respond(req *erpc.Request, reply []byte, err error) {
 	if err != nil {
 		req.ReplyError(err.Error())
 		return
@@ -387,7 +386,7 @@ func (p *Participant) op(f *fibers.Fiber, reqType uint8, md seal.MsgMetadata, ke
 	if err != nil {
 		return nil, err
 	}
-	at := p.find(txIDOf(md), true)
+	at := p.find(globalTxID(md.NodeID, md.TxID), true)
 	if at == nil {
 		return nil, errors.New(errTxnReclaimed)
 	}
@@ -412,103 +411,80 @@ func (p *Participant) op(f *fibers.Fiber, reqType uint8, md seal.MsgMetadata, ke
 	return reply, err
 }
 
-// handlePrepare durably prepares the local transaction. The reply is
-// delayed until the prepare entry is stabilized (§V-A step 8) — the
-// Prepare call below waits (parked) until rollback protection holds.
-// The prepare's WAL force groups in the engine's committer, and the
-// stabilization wait rides the counter client's per-round batching:
-// one trusted-counter round covers the whole cohort of concurrently
-// preparing transactions (§VI), all woken by the round's one close of
-// the handle's change channel.
-// Re-prepares of an already-prepared transaction ACK idempotently.
-func (p *Participant) handlePrepare(f *fibers.Fiber, req *erpc.Request) {
-	id := txIDOf(req.Meta)
-	at := p.find(id, false)
-	if at == nil {
-		// Nothing to prepare here: the coordinator believed we were
-		// involved but we have no state (e.g. crash wiped an unprepared
-		// transaction). Vote no.
-		p.met.prepareNoes.Inc()
-		req.ReplyError("twopc: unknown transaction at prepare")
+// handleControl serves a prepare, commit or abort that arrived as a
+// request: the payload names the transaction, and the reply is control's.
+func (p *Participant) handleControl(f *fibers.Fiber, req *erpc.Request) {
+	id, ok := payloadTxID(req)
+	if !ok {
+		req.ReplyError("twopc: malformed transaction id")
 		return
 	}
-	at.lock(f)
-	defer at.mu.Unlock()
-	if at.prepared.Load() {
-		req.Reply([]byte{voteYes})
-		return
-	}
-	if at.local.ReadOnly() {
-		// Read-only optimization: nothing to make durable, nothing to
-		// decide. Release the read locks now and tell the coordinator
-		// not to send us a decision.
-		_ = at.local.Rollback()
-		p.drop(id)
-		p.met.readonlyVotes.Inc()
-		req.Reply([]byte{voteReadOnly})
-		return
-	}
-	if err := at.local.Prepare(id); err != nil {
-		_ = at.local.Rollback()
-		p.drop(id)
-		p.met.prepareNoes.Inc()
-		req.ReplyError(err.Error())
-		return
-	}
-	at.prepared.Store(true)
-	p.met.prepares.Inc()
-	req.Reply([]byte{voteYes})
+	reply, err := p.control(f, req.Type(), id)
+	respond(req, reply, err)
 }
 
-// handleCommit commits a prepared transaction. Unknown transactions ACK:
-// prepare-before-commit means an unknown id was already committed and
-// reclaimed ("If a node has already committed the Tx, this message is
-// ignored", §VI).
-func (p *Participant) handleCommit(f *fibers.Fiber, req *erpc.Request) {
-	id := txIDOf(req.Meta)
+// control applies one control message — prepare, commit or abort, told
+// apart by reqType — to transaction id. It is the one body of a control
+// message, the twin of op: handleControl runs it for a request off the
+// wire, this node's coordinator for its own leg of a fan-out, and
+// ResolveRecovered for a recovered decision. A prepare answers once its
+// entry is stabilized (§V-A step 8; Prepare waits parked, and one counter
+// round covers every concurrent prepare, §VI). A re-prepare votes yes, a
+// participant that only read releases its locks and votes read-only, and
+// an unknown id votes no. A decision for an unknown or already finished
+// transaction is acknowledged ("If a node has already committed the Tx,
+// this message is ignored", §VI); a commit for an unprepared one is an
+// error. A finished transaction is dropped under at.mu.
+func (p *Participant) control(f *fibers.Fiber, reqType uint8, id lsm.TxID) ([]byte, error) {
 	at := p.find(id, false)
 	if at == nil {
-		req.Reply(nil)
-		return
-	}
-	at.lock(f)
-	defer at.mu.Unlock()
-	if !at.prepared.Load() {
-		req.ReplyError("twopc: commit for unprepared transaction")
-		return
-	}
-	if err := at.local.CommitPrepared(id); err != nil {
-		req.ReplyError(err.Error())
-		return
-	}
-	p.drop(id)
-	p.met.commits.Inc()
-	req.Reply(nil)
-}
-
-// handleAbort aborts a transaction (prepared or not). Unknown ids ACK.
-func (p *Participant) handleAbort(f *fibers.Fiber, req *erpc.Request) {
-	id := txIDOf(req.Meta)
-	at := p.find(id, false)
-	if at == nil {
-		req.Reply(nil)
-		return
+		if reqType == ReqPrepare { // a crash wiped an unprepared transaction
+			p.met.prepareNoes.Inc()
+			return nil, errors.New("twopc: unknown transaction at prepare")
+		}
+		return nil, nil
 	}
 	at.lock(f)
 	defer at.mu.Unlock()
 	var err error
-	if at.prepared.Load() {
-		err = at.local.AbortPrepared(id)
-	} else {
-		err = at.local.Rollback()
+	switch {
+	case reqType == ReqPrepare && at.prepared.Load():
+		return []byte{voteYes}, nil
+	case reqType == ReqPrepare && at.local.ReadOnly():
+		_ = at.local.Rollback()
+		p.drop(id)
+		p.met.readonlyVotes.Inc()
+		return []byte{voteReadOnly}, nil
+	case reqType == ReqPrepare:
+		if err = at.local.Prepare(id); err == nil {
+			at.prepared.Store(true)
+			p.met.prepares.Inc()
+			return []byte{voteYes}, nil
+		}
+		_ = at.local.Rollback()
+		p.drop(id)
+		p.met.prepareNoes.Inc()
+		return nil, err
+	case reqType == ReqCommit && !at.prepared.Load():
+		return nil, errors.New("twopc: commit for unprepared transaction")
+	case reqType == ReqCommit:
+		if err = at.local.CommitPrepared(id); err == nil {
+			p.met.commits.Inc()
+		}
+	case at.prepared.Load():
+		if err = at.local.AbortPrepared(id); err == nil {
+			p.met.aborts.Inc()
+		}
+	default:
+		if err = at.local.Rollback(); err == nil {
+			p.met.aborts.Inc()
+		}
+	}
+	if errors.Is(err, txn.ErrTxnDone) {
+		return nil, nil
 	}
 	p.drop(id)
-	p.met.aborts.Inc()
-	if err != nil {
-		req.ReplyError(err.Error())
-		return
-	}
-	req.Reply(nil)
+	return nil, err
 }
 
 // janitor aborts transactions whose coordinator went silent. Prepared
@@ -529,11 +505,18 @@ func (p *Participant) janitor() {
 		p.mu.Lock()
 		var stale []*activeTxn
 		for id, at := range p.active {
-			if !at.prepared.Load() && at.last.Before(cutoff) {
-				stale = append(stale, at)
-				delete(p.active, id)
-				p.reclaimed[id] = time.Now()
+			// A held at.mu means in use, not idle: a prepare holds it
+			// across a stabilization that may outlast the idle timeout.
+			if !at.last.Before(cutoff) || !at.mu.TryLock() {
+				continue
 			}
+			if at.prepared.Load() {
+				at.mu.Unlock()
+				continue
+			}
+			stale = append(stale, at)
+			delete(p.active, id)
+			p.reclaimed[id] = time.Now()
 		}
 		for id, when := range p.reclaimed {
 			if when.Before(tombCutoff) {
@@ -543,7 +526,6 @@ func (p *Participant) janitor() {
 		p.mu.Unlock()
 		p.met.reclaims.Add(uint64(len(stale)))
 		for _, at := range stale {
-			at.mu.Lock()
 			_ = at.local.Rollback()
 			at.mu.Unlock()
 		}
@@ -579,56 +561,53 @@ func (p *Participant) RestorePrepared(pending []lsm.PreparedTx) error {
 // still restarting or partitioned.
 func (p *Participant) ResolveRecovered(addrOf func(nodeID uint64) string) error {
 	p.mu.Lock()
-	var prepared []*activeTxn
-	for _, at := range p.active {
+	var prepared []lsm.TxID
+	for id, at := range p.active {
 		if at.prepared.Load() {
-			prepared = append(prepared, at)
+			prepared = append(prepared, id)
 		}
 	}
 	p.mu.Unlock()
 
-	for _, at := range prepared {
-		coordID, seq := splitTxID(at.id)
+	for _, id := range prepared {
+		coordID, _ := splitTxID(id)
 		addr := addrOf(coordID)
 		for retry := p.ep.Retry(20, 50*time.Millisecond, 800*time.Millisecond, nil); ; {
-			// The query names the transaction in its payload: the metadata's
-			// node id is this node's, not the original coordinator's.
-			md := seal.MsgMetadata{TxID: seq, OpID: p.ep.NextOpID(), OpType: uint32(ReqTxStatus)}
-			resp, err := erpc.Call(p.ep, addr, ReqTxStatus, md, at.id[:], 2*time.Second, nil)
-			status := StatusPending
-			if err == nil && len(resp) > 0 {
-				status = resp[0]
-			}
-			if commit := status == StatusCommit; commit || status == StatusAbort {
-				at.mu.Lock()
-				if commit {
-					err = at.local.CommitPrepared(at.id)
-				} else {
-					err = at.local.AbortPrepared(at.id)
+			if status := p.status(addr, id); status == StatusCommit || status == StatusAbort {
+				decision := ReqAbort
+				if status == StatusCommit {
+					decision = ReqCommit
 				}
-				at.mu.Unlock()
-				// ErrTxnDone: the coordinator's own decision push beat
-				// this query to the transaction (it is reachable again
-				// the moment the epoch flips) — already resolved.
-				if err != nil && !errors.Is(err, txn.ErrTxnDone) {
+				if _, err := p.control(nil, decision, id); err != nil {
 					return err
-				}
-				p.drop(at.id)
-				if commit {
-					p.met.resolvedOK.Inc()
-				} else {
-					p.met.resolvedAbort.Inc()
 				}
 				break
 			}
 			// Unanswered, or pending (coordinator recovery will push a
 			// decision): the ladder paces the re-ask.
 			if !retry.Next() {
-				return fmt.Errorf("twopc: could not resolve recovered tx %x with coordinator %d", at.id[:4], coordID)
+				return fmt.Errorf("twopc: could not resolve recovered tx %x with coordinator %d", id[:4], coordID)
 			}
 		}
 	}
 	return nil
+}
+
+// status asks the coordinator at addr for id's outcome, reading an
+// unanswered query as pending. When addr is this node's own (after a
+// restart, or the dead primary's address once this node is promoted),
+// it is a call into this node's coordinator.
+func (p *Participant) status(addr string, id lsm.TxID) uint8 {
+	if addr == p.ep.LocalAddr() {
+		return p.coord.status(id)
+	}
+	_, seq := splitTxID(id)
+	md := seal.MsgMetadata{TxID: seq, OpType: uint32(ReqTxStatus)}
+	resp, err := erpc.Call(p.ep, addr, ReqTxStatus, md, id[:], 2*time.Second, nil)
+	if err != nil || len(resp) == 0 {
+		return StatusPending
+	}
+	return resp[0]
 }
 
 // ActiveCount reports in-flight transactions (test hook).

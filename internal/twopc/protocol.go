@@ -3,6 +3,7 @@ package twopc
 import (
 	"encoding/binary"
 
+	"treaty/internal/erpc"
 	"treaty/internal/lsm"
 )
 
@@ -15,6 +16,8 @@ const (
 	// ReqTxnDelete deletes a key inside a transaction.
 	ReqTxnDelete
 	// ReqPrepare asks a participant to prepare (lock + log + stabilize).
+	// It, ReqCommit, ReqAbort and ReqTxStatus carry the global
+	// transaction id as their payload (payloadTxID).
 	ReqPrepare
 	// ReqCommit instructs a participant to commit its prepared part.
 	ReqCommit
@@ -72,4 +75,14 @@ func globalTxID(nodeID, seq uint64) lsm.TxID {
 // splitTxID recovers the coordinator node id and sequence.
 func splitTxID(id lsm.TxID) (nodeID, seq uint64) {
 	return binary.LittleEndian.Uint64(id[:8]), binary.LittleEndian.Uint64(id[8:])
+}
+
+// payloadTxID reads the global transaction id a control message or a
+// status query carries: the sender is not the coordinator when a
+// successor or a recovering participant speaks for a transaction.
+func payloadTxID(req *erpc.Request) (id lsm.TxID, ok bool) {
+	if ok = len(req.Payload) >= len(id); ok {
+		id = lsm.TxID(req.Payload[:len(id)])
+	}
+	return id, ok
 }

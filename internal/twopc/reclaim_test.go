@@ -123,3 +123,30 @@ func TestReclaimedTombstonesArePurged(t *testing.T) {
 	}
 	_ = tx.Rollback()
 }
+
+// TestJanitorSparesPrepareInProgress: a prepare holds its transaction's
+// mutex across its stabilization wait, which may outlast the idle
+// timeout. The janitor must not take that transaction for an idle one:
+// rolling it back under the prepare would release its locks and drop its
+// writes after it voted yes, and the commit that follows would find
+// nothing to commit. Here the coordinator's own leg is the slow prepare.
+func TestJanitorSparesPrepareInProgress(t *testing.T) {
+	tc := newTestCluster(t, 1)
+	nd := tc.shortIdle(0, 100*time.Millisecond)
+	tx := nd.coord.Begin(nil)
+	if err := tx.Put([]byte("slow-prepare"), []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	tc.ctrs.withhold(nd.addr, true) // the prepare entry will not stabilize
+	time.AfterFunc(500*time.Millisecond, func() { tc.ctrs.withhold(nd.addr, false) })
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check := nd.coord.Begin(nil)
+	if v, ok := distGet(t, check, "slow-prepare"); !ok || v != "kept" {
+		t.Errorf("slow-prepare = %q/%v after a commit whose prepare outlasted the idle timeout, want \"kept\"", v, ok)
+	}
+	if err := check.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -231,7 +231,7 @@ func (tc *testCluster) crashNode(i int) {
 
 // shortIdle swaps node i's participant for one without route enforcement
 // that reclaims transactions idle for d, and wires the node's coordinator
-// to it.
+// and it to each other.
 func (tc *testCluster) shortIdle(i int, d time.Duration) *testNode {
 	nd := tc.nodes[i]
 	nd.part.Close()
@@ -239,7 +239,7 @@ func (tc *testCluster) shortIdle(i int, d time.Duration) *testNode {
 		Manager: nd.mgr, Endpoint: nd.ep, Scheduler: nd.sched,
 		IdleTimeout: d,
 	})
-	nd.coord.part = nd.part
+	nd.coord.part, nd.part.coord = nd.part, nd.coord
 	return nd
 }
 
@@ -321,49 +321,191 @@ func TestDistributedReadMyWrites(t *testing.T) {
 	}
 }
 
-// TestCoLocatedOpsSendNoPacket: an operation on a key the coordinator's
-// own node owns is a call into its participant — no request is enqueued
-// and no packet crosses the fabric — while every other operation costs
-// one request and two packets. The commit then reads back every key.
+// TestCoLocatedOpsSendNoPacket: the coordinator's own node is reached by
+// calls into its participant — keyed operations and its legs of the
+// prepare and commit fan-outs alike. A transaction whose keys all live on
+// the coordinator's node enqueues no request and sends no packet from
+// Begin through Commit. A mixed one enqueues exactly one request per
+// remote operation, per remote prepare leg and per remote commit leg, and
+// each costs two packets. The commits then read back every key.
 func TestCoLocatedOpsSendNoPacket(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	const k, m = 4, 5
 	var local, remote []string
+	remoteOwners := map[string]bool{}
 	for i := 0; len(local) < k || len(remote) < m; i++ {
 		key := fmt.Sprintf("coloc-%d", i)
-		if tc.owner([]byte(key)) == "node-0" {
+		if owner := tc.owner([]byte(key)); owner == "node-0" {
 			if len(local) < k {
 				local = append(local, key)
 			}
 		} else if len(remote) < m {
 			remote = append(remote, key)
+			remoteOwners[owner] = true
 		}
 	}
-	all := append(append([]string(nil), local...), remote...)
 	enqueued := func() uint64 { return tc.counterOn(0, "erpc.req.enqueued") }
-	req0, sent0 := enqueued(), tc.net.Stats().Sent
-
-	tx := tc.nodes[0].coord.Begin(nil)
-	for _, key := range all {
-		if err := tx.Put([]byte(key), []byte("v-"+key)); err != nil {
+	run := func(keys []string, wantReqs uint64) {
+		t.Helper()
+		req0, sent0 := enqueued(), tc.net.Stats().Sent
+		tx := tc.nodes[0].coord.Begin(nil)
+		for _, key := range keys {
+			if err := tx.Put([]byte(key), []byte("v-"+key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
+		if got := enqueued() - req0; got != wantReqs {
+			t.Errorf("%d keys: erpc.req.enqueued advanced by %d from Begin through Commit, want %d", len(keys), got, wantReqs)
+		}
+		if got := tc.net.Stats().Sent - sent0; got != 2*wantReqs {
+			t.Errorf("%d keys: simnet sent %d packets from Begin through Commit, want %d", len(keys), got, 2*wantReqs)
+		}
 	}
-	if got := enqueued() - req0; got != m {
-		t.Errorf("erpc.req.enqueued advanced by %d for %d local + %d remote ops, want %d", got, k, m, m)
-	}
-	if got := tc.net.Stats().Sent - sent0; got != 2*m {
-		t.Errorf("simnet sent %d packets for %d remote ops, want %d", got, m, 2*m)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
+	run(local, 0)
+	// Every remote owner took a write: one prepare and one commit leg each.
+	run(append(append([]string(nil), local...), remote...), uint64(m+2*len(remoteOwners)))
+	if got := tc.counterOn(0, "erpc.req.self"); got != 0 {
+		t.Errorf("erpc.req.self = %d, want 0: node-0 sent itself a request", got)
 	}
 
 	check := tc.nodes[0].coord.Begin(nil)
-	for _, key := range all {
+	for _, key := range append(local, remote...) {
 		if v, ok := distGet(t, check, key); !ok || v != "v-"+key {
 			t.Errorf("%s = %q/%v after commit", key, v, ok)
 		}
+	}
+	if err := check.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecisionAfterFinishAcks: a decision that finds its transaction
+// already finished is acknowledged ("If a node has already committed the
+// Tx, this message is ignored", §VI): a commit pushed twice, two commits
+// that both found the prepared transaction before either applied it, and
+// a push landing after ResolveRecovered applied the decision. Resolving
+// a transaction this node coordinates asks its own coordinator by a call.
+func TestDecisionAfterFinishAcks(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	coord := tc.nodes[0].coord
+	n := 0
+	prepare := func(owner string) *DistTxn {
+		t.Helper()
+		var key []byte
+		for key == nil {
+			n++
+			if k := []byte(fmt.Sprintf("done-%d", n)); tc.owner(k) == owner {
+				key = k
+			}
+		}
+		tx := coord.Begin(nil)
+		if err := tx.Put(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.broadcast(ReqPrepare, tx.participants()); err != nil {
+			t.Fatalf("prepare: %v", err)
+		}
+		coord.record(tx.id, true)
+		return tx
+	}
+	push := func(tx *DistTxn, what string) {
+		t.Helper()
+		if _, err := tx.broadcast(ReqCommit, tx.participants()); err != nil {
+			t.Errorf("%s: commit push = %v, want an ACK", what, err)
+		}
+	}
+
+	tx := prepare("node-1")
+	push(tx, "first push")
+	push(tx, "second push")
+
+	part := tc.nodes[1].part
+	tx = prepare("node-1")
+	at := part.find(tx.id, false)
+	at.mu.Lock()
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := part.control(nil, ReqCommit, tx.id)
+			errs <- err
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // both find the transaction and wait for at.mu
+	at.mu.Unlock()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("racing commit %d = %v, want an ACK", i, err)
+		}
+	}
+
+	addrOf := func(id uint64) string { return fmt.Sprintf("node-%d", id) }
+	for i, owner := range []string{"node-1", "node-0"} {
+		tx = prepare(owner)
+		req0 := tc.counterOn(i, "erpc.req.enqueued")
+		if err := tc.nodes[i].part.ResolveRecovered(addrOf); err != nil {
+			t.Fatal(err)
+		}
+		if a := tc.nodes[i].part.ActiveCount(); a != 0 {
+			t.Errorf("%s holds %d transactions after ResolveRecovered", owner, a)
+		}
+		if got := tc.counterOn(i, "erpc.req.enqueued") - req0; i == 0 && got != 0 {
+			t.Errorf("resolving its own coordinator's transaction enqueued %d requests, want 0", got)
+		}
+		push(tx, "push after ResolveRecovered on "+owner)
+	}
+	for i, want := range []uint64{1, 3} {
+		if got := tc.counterOn(i, "twopc.part.commits"); got != want {
+			t.Errorf("node-%d committed %d transactions, want %d", i, got, want)
+		}
+	}
+}
+
+// TestAdoptedPrepareIsAborted: a successor adopting a dead coordinator's
+// Clog aborts a transaction that logged its prepare but no decision, even
+// when every live participant would vote yes. The dead primary's address
+// is rewritten to the successor's, so the successor's one vote would
+// stand for its own part and for the dead primary's part.
+func TestAdoptedPrepareIsAborted(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	var key []byte
+	for i := 0; key == nil; i++ {
+		if k := []byte(fmt.Sprintf("adopt-%d", i)); tc.owner(k) == "node-1" {
+			key = k
+		}
+	}
+	// node-0 plays the dead primary: its transaction holds a prepared part
+	// on node-1, and its mirrored Clog names both nodes.
+	tx := tc.nodes[0].coord.Begin(nil)
+	if err := tx.Put(key, []byte("orphan")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.broadcast(ReqPrepare, []string{"node-1"}); err != nil {
+		t.Fatal(err)
+	}
+	records := []durlog.Entry{{Kind: clogPrepare, Counter: 1,
+		Payload: encodeClogPayload(tx.id, false, []string{"node-0", "node-1"})}}
+	toSuccessor := func(a string) string {
+		if a == "node-0" {
+			return "node-1"
+		}
+		return a
+	}
+	successor := tc.nodes[1]
+	if err := successor.coord.AdoptRecovered(records, toSuccessor, nil); err != nil {
+		t.Fatal(err)
+	}
+	if commit, decided := successor.coord.Decision(tx.id); !decided || commit {
+		t.Errorf("adopted undecided prepare: decision = %v/%v, want presumed abort", commit, decided)
+	}
+	if a := successor.part.ActiveCount(); a != 0 {
+		t.Errorf("successor still holds %d transactions", a)
+	}
+	check := successor.coord.Begin(nil)
+	if v, ok := distGet(t, check, string(key)); ok {
+		t.Errorf("%s = %q: the adopted undecided transaction committed", key, v)
 	}
 	if err := check.Commit(); err != nil {
 		t.Fatal(err)
@@ -978,7 +1120,7 @@ func (s *sharedCounters) withhold(addr string, on bool) {
 	}
 }
 
-// TestDecisionDuringPrepareWaitDoesNotWedge: handlePrepare holds the
+// TestDecisionDuringPrepareWaitDoesNotWedge: a prepare (control) holds the
 // transaction's mutex across its stabilization wait. When the
 // coordinator gives up on the prepare and its abort arrives meanwhile,
 // the abort handler — a fiber of the same worker, with one worker per
