@@ -91,17 +91,18 @@ vet:
 # operation has one body, Participant.op in internal/twopc/participant.go:
 # a request off the wire and a coordinator's call on a key its node owns
 # both run it, so its three engine calls appear nowhere else. So has a
-# control message, Participant.control: a prepare, commit or abort off the
-# wire, the coordinator's own leg of a fan-out and a recovered decision
-# all run it, so Prepare, CommitPrepared and AbortPrepared on at.local
-# appear nowhere else. A soak is a row of the table in internal/chaos: one
+# control message, Participant.control: a prepare, commit, one-phase commit
+# or abort off the wire, the coordinator's own leg of a fan-out and a
+# recovered decision all run it, so Prepare, CommitPrepared, CommitOnePhase
+# and AbortPrepared on at.local appear nowhere else. A soak is a row of the table in internal/chaos: one
 # test function runs a harness script, so a second one is a second soak
 # loop.
-# $(call BODY_ONCE,<calls>,<method>): the three engine calls on at.local
-# that <calls> names appear in non-test code only in Participant.<method>.
+# $(call BODY_ONCE,<calls>,<method>): the engine calls on at.local that
+# <calls> names, one site each, appear in non-test code only in
+# Participant.<method>.
 BODY_ONCE = hits=$$(awk '/^func /{fn=$$0} /at\.local\.($(1))\(/{print FILENAME ":" FNR ": in " fn}' $$($(call ONCE_SRC,internal cmd examples))); \
-	[ $$(printf '%s\n' "$$hits" | grep -c '^internal/twopc/participant\.go:[0-9]*: in func (p \*Participant) $(2)(') -eq 3 ] && \
-		[ $$(printf '%s\n' "$$hits" | grep -c .) -eq 3 ] || { printf '%s\n' "$$hits"; fail=1; }
+	[ $$(printf '%s\n' "$$hits" | grep -c '^internal/twopc/participant\.go:[0-9]*: in func (p \*Participant) $(2)(') -eq $(words $(subst |, ,$(1))) ] && \
+		[ $$(printf '%s\n' "$$hits" | grep -c .) -eq $(words $(subst |, ,$(1))) ] || { printf '%s\n' "$$hits"; fail=1; }
 ONCE_SRC = find $(1) -name '*.go' ! -name '*_test.go' ! -path internal/fibers/wait.go ! -path internal/erpc/retry.go ! -path internal/erpc/opid.go
 check-once:
 	@fail=0; \
@@ -121,7 +122,7 @@ check-once:
 	grep -nE 'PollPacket|ChannelTransport|PacketTransport|UDPTransport' $$($(call ONCE_SRC,internal cmd examples)) && fail=1; \
 	grep -nE 'Spin\(|spinWait|DefaultCosts|Costs\{' $$($(call ONCE_SRC,.) ! -path './internal/enclave/*') && fail=1; \
 	$(call BODY_ONCE,Get|Put|Delete,op); \
-	$(call BODY_ONCE,Prepare|CommitPrepared|AbortPrepared,control); \
+	$(call BODY_ONCE,Prepare|CommitPrepared|CommitOnePhase|AbortPrepared,control); \
 	soaks=$$(awk '/^func Test/{fn=$$2} /\.Run\(/ && !/[^A-Za-z0-9_]t\.Run\(/{print FILENAME ": " fn}' internal/chaos/*_test.go | sort -u); \
 	[ $$(printf '%s\n' "$$soaks" | grep -c .) -le 1 ] || { printf '%s\n' "$$soaks"; fail=1; }; \
 	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, packet path, price list, keyed-op body, control body, soak loop); call the shared one"; exit 1; }

@@ -146,6 +146,7 @@ type witness struct {
 	rollbackRejects int // rolled-back promotion requests the CAS refused
 	preKillCommits  int // commits on the healed cluster before a failover kill
 	successor       uint64
+	onePhase        uint64 // twopc.part.one_phase of crashed incarnations
 }
 
 // New boots a cluster and seeds the accounts.
@@ -277,6 +278,7 @@ func (h *Harness) pickNode(start int) *core.Node {
 // stale pointer mid-pick.
 func (h *Harness) crashNode(i int) {
 	h.nodesMu.Lock()
+	h.seen.onePhase += h.cluster.Node(i).Snapshot().Counter("twopc.part.one_phase")
 	h.cluster.CrashNode(i)
 	h.nodesMu.Unlock()
 }

@@ -162,6 +162,40 @@ func TestClusterCrashRestartDurability(t *testing.T) { crashRestartKeepsAcked(t,
 // commit recovers the decision from its Clog and keeps the data.
 func TestClusterCoordinatorCrashRecovery(t *testing.T) { crashRestartKeepsAcked(t, 0) }
 
+// TestCrashedNodeCommitsNothing: a client still holding a crashed node
+// runs a transaction whose only writer is that node. Its one-phase commit
+// would be a call that appends nothing to the Clog the crash abandoned,
+// but a coordinator whose Clog fail-stopped commits nothing: the commit
+// must fail without writing the WAL, so the restarted node never serves
+// the write.
+func TestCrashedNodeCommitsNothing(t *testing.T) {
+	for _, mode := range AllModes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := newCluster(t, mode)
+			key := []byte(keysOwnedBy(t, c, 1, 1)[0])
+			crashed := c.Node(1)
+			c.CrashNode(1)
+			tx := crashed.Begin(nil)
+			if err := tx.Put(key, []byte("ghost")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err == nil {
+				t.Fatal("a crashed node committed a transaction")
+			}
+			if _, err := c.RestartNode(1); err != nil {
+				t.Fatal(err)
+			}
+			check := c.Node(0).Begin(nil)
+			if v, ok, err := check.Get(key); err != nil || ok {
+				t.Errorf("%s = %q/%v/%v after restart: the crashed node's commit reached its WAL", key, v, ok, err)
+			}
+			if err := check.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestServiceModeWithoutReplicasRefusesBoot: a node whose mode stabilizes
 // on the counter service, provisioned a cluster config that lists no
 // counter replicas, used to boot on local counter files and still report

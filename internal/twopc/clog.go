@@ -278,6 +278,9 @@ func (c *Clog) Close() error {
 	return c.log.Close()
 }
 
+// Poisoned returns the Clog's fail-stop error, if any (Abandon sets one).
+func (c *Clog) Poisoned() error { return c.log.Poisoned() }
+
 // LastCounter returns the counter value of the most recent entry.
 func (c *Clog) LastCounter() uint64 { return c.log.LastCounter() }
 

@@ -276,8 +276,8 @@ type DistTxn struct {
 	// rejection rather than a torn route. Nil only for recovery
 	// replays, which broadcast control messages and never route keys.
 	view  *shardmap.Map
-	parts map[string]bool
-	f     *fibers.Fiber // waits parked for remote replies; nil on a goroutine
+	parts map[string]bool // participant address → sent a put or delete
+	f     *fibers.Fiber   // waits parked for remote replies; nil on a goroutine
 	done  bool
 	// outcome is the client-visible classification, set once by finish.
 	outcome TxnOutcome
@@ -292,10 +292,10 @@ type DistTxn struct {
 // TxnIndeterminate is a durability argument, not a convenience: once
 // Commit has appended a prepare record, a coordinator crash can leave
 // that record behind and RecoverPending will re-drive the decision — a
-// transaction whose Commit returned an error may still commit later.
-// Only the Rollback path (no prepare record can exist) and transactions
-// that never reached Commit are definite aborts. History auditors rely
-// on this classification being sound.
+// transaction whose Commit returned an error may still commit later, as
+// may a sole writer whose one-phase commit went unanswered. Only Rollback
+// and commits that failed before any writer could commit are definite
+// aborts. History auditors rely on this classification being sound.
 type TxnOutcome uint8
 
 const (
@@ -379,22 +379,10 @@ func (c *Coordinator) Tracer() *obs.Tracer { return c.tracer }
 // finish settles the transaction's outcome in the conservation counters
 // and closes its trace. Called exactly once per client-begun transaction
 // (Commit or Rollback); recovery replays never reach it.
-func (t *DistTxn) finish(committed bool, reason string) {
+func (t *DistTxn) finish(outcome TxnOutcome, reason string) {
 	t.c.met.inflight.Add(-1)
-	switch {
-	case committed:
-		t.outcome = TxnCommitted
-	case reason == "client_rollback":
-		// Rollback never logs a prepare record, so recovery can never
-		// resurrect this transaction: a definite abort.
-		t.outcome = TxnAborted
-	default:
-		// Every failed Commit path is indeterminate: the prepare record
-		// (and possibly the decision) may be durable, and RecoverPending
-		// is entitled to commit it after the fact.
-		t.outcome = TxnIndeterminate
-	}
-	if committed {
+	t.outcome = outcome
+	if outcome == TxnCommitted {
 		t.c.met.committed.Inc()
 		t.trace.Finish(obs.OutcomeCommitted, reason)
 	} else {
@@ -423,7 +411,8 @@ func (t *DistTxn) call(addr string, reqType uint8, key, value []byte) ([]byte, e
 		ValueLen: uint32(len(value)),
 		Epoch:    t.Epoch(),
 	}
-	t.parts[addr] = true
+	// A writer is marked before the send, so a lost reply still counts.
+	t.parts[addr] = t.parts[addr] || reqType != ReqTxnGet
 	t.trace.Enter(obs.StageExecute) // collapses across per-op calls
 	if addr == t.c.ep.LocalAddr() {
 		md.NodeID = t.c.ep.NodeID()
@@ -554,7 +543,58 @@ func (t *DistTxn) participants() []string {
 	return out
 }
 
-// Commit runs the two-phase commit (Fig. 2):
+// Commit picks its path by the number of writers. With none, nothing is
+// logged: every participant votes read-only at prepare. With one, the
+// readers' prepares come first, then the writer commits in one phase and
+// its stabilized WAL record is the decision. With more, it is Fig. 2.
+func (t *DistTxn) Commit() error {
+	if t.done {
+		return ErrTxnFinished
+	}
+	t.done = true
+	participants := t.participants()
+	var readers, writers []string
+	for _, addr := range participants {
+		if t.parts[addr] {
+			writers = append(writers, addr)
+		} else {
+			readers = append(readers, addr)
+		}
+	}
+	if len(participants) == 0 {
+		t.finish(TxnCommitted, "empty")
+		return nil // no operations
+	}
+	if len(writers) > 1 {
+		return t.commitTwoPhase(participants)
+	}
+	// A coordinator whose Clog fail-stopped (a crashed node's, say) commits
+	// nothing, though these paths append no record. An unknown reader
+	// released its locks early: abort the uncommitted writer. A one-phase
+	// commit is sent once; its failure is indeterminate.
+	t.trace.Enter(obs.StagePrepare)
+	err := t.c.clog.Poisoned()
+	if err == nil {
+		_, err = t.broadcast(ReqPrepare, readers)
+	}
+	outcome, reason := TxnAborted, "prepare_failed"
+	if err == nil && len(writers) == 1 {
+		t.trace.Enter(obs.StageCommit)
+		_, err = t.broadcast(ReqCommitOnePhase, writers)
+		outcome, reason = TxnIndeterminate, "one_phase_failed"
+	}
+	if err != nil {
+		t.trace.Enter(obs.StageAbort)
+		_, _ = t.broadcast(ReqAbort, participants) // nothing prepared: nothing to log
+		t.c.met.abortPrepareFailed.Inc()
+		t.finish(outcome, reason)
+		return fmt.Errorf("%w: %s: %v", ErrAborted, reason, err)
+	}
+	t.finish(TxnCommitted, "")
+	return nil
+}
+
+// commitTwoPhase runs the two-phase commit (Fig. 2):
 //
 //  5. Log the prepare start to the Clog (counter-bound) and send
 //     TxnPrepare to every participant; each prepares its local
@@ -566,23 +606,14 @@ func (t *DistTxn) participants() []string {
 //     stable before acknowledging the client: after a crash the same
 //     decision re-derives from the stabilized Clog.
 //
-// Any prepare failure aborts everywhere and returns ErrAborted.
-func (t *DistTxn) Commit() error {
-	if t.done {
-		return ErrTxnFinished
-	}
-	t.done = true
-	participants := t.participants()
-	if len(participants) == 0 {
-		t.finish(true, "empty")
-		return nil // no operations
-	}
-
+// Any prepare failure aborts everywhere and returns ErrAborted; every
+// failure is indeterminate, since the prepare record may be durable.
+func (t *DistTxn) commitTwoPhase(participants []string) error {
 	// Step 5: prepare phase.
 	t.trace.Enter(obs.StagePrepare)
 	if _, err := t.c.clog.Append(clogPrepare, t.id, false, participants); err != nil {
 		t.c.met.abortLogAppend.Inc()
-		t.finish(false, "prepare_log_failed")
+		t.finish(TxnIndeterminate, "prepare_log_failed")
 		return err
 	}
 	t.c.mu.Lock()
@@ -594,7 +625,7 @@ func (t *DistTxn) Commit() error {
 		t.trace.Enter(obs.StageAbort)
 		t.abort(participants)
 		t.c.met.abortPrepareFailed.Inc()
-		t.finish(false, "prepare_failed")
+		t.finish(TxnIndeterminate, "prepare_failed")
 		return fmt.Errorf("%w: prepare failed: %v", ErrAborted, err)
 	}
 	// Read-only participants voted and released at prepare; only writers
@@ -606,10 +637,10 @@ func (t *DistTxn) Commit() error {
 		}
 	}
 	if len(writers) == 0 {
-		// Fully read-only transaction: nothing to decide or make
+		// Every write failed where it was sent: nothing to decide or make
 		// durable; record the outcome locally for status queries.
 		t.c.record(t.id, true)
-		t.finish(true, "readonly")
+		t.finish(TxnCommitted, "readonly")
 		return nil
 	}
 
@@ -624,7 +655,7 @@ func (t *DistTxn) Commit() error {
 		t.trace.Enter(obs.StageAbort)
 		t.abort(writers)
 		t.c.met.abortLogAppend.Inc()
-		t.finish(false, "decision_log_failed")
+		t.finish(TxnIndeterminate, "decision_log_failed")
 		return fmt.Errorf("%w: decision log failed: %v", ErrAborted, err)
 	}
 	t.trace.Enter(obs.StageStabilize)
@@ -632,7 +663,7 @@ func (t *DistTxn) Commit() error {
 		t.trace.Enter(obs.StageAbort)
 		t.abort(writers)
 		t.c.met.abortStabilize.Inc()
-		t.finish(false, "stabilize_timeout")
+		t.finish(TxnIndeterminate, "stabilize_timeout")
 		return fmt.Errorf("%w: decision stabilization failed: %v", ErrAborted, err)
 	}
 	t.c.record(t.id, true)
@@ -643,7 +674,7 @@ func (t *DistTxn) Commit() error {
 	t.trace.Enter(obs.StageCommit)
 	_ = t.broadcastRetry(ReqCommit, writers, pushAttempts)
 	t.trace.Enter(obs.StageReclaim)
-	t.finish(true, "")
+	t.finish(TxnCommitted, "")
 	return nil
 }
 
@@ -665,8 +696,8 @@ func (c *Coordinator) record(id lsm.TxID, commit bool) {
 	c.mu.Unlock()
 }
 
-// abort logs and pushes an abort decision: the one abort path of Commit,
-// Rollback and resolve.
+// abort logs and pushes an abort decision: the abort path of a
+// transaction that may hold a prepare record (commitTwoPhase, resolve).
 func (t *DistTxn) abort(participants []string) {
 	if _, err := t.c.clog.Append(clogDecision, t.id, false, participants); err == nil {
 		t.c.record(t.id, false)
@@ -681,14 +712,11 @@ func (t *DistTxn) Rollback() error {
 	}
 	t.done = true
 	t.c.met.abortClient.Inc()
-	participants := t.participants()
-	if len(participants) == 0 {
-		t.finish(false, "client_rollback")
-		return nil
+	if participants := t.participants(); len(participants) > 0 {
+		t.trace.Enter(obs.StageAbort)
+		_, _ = t.broadcast(ReqAbort, participants) // nothing prepared: nothing to log
 	}
-	t.trace.Enter(obs.StageAbort)
-	t.abort(participants)
-	t.finish(false, "client_rollback")
+	t.finish(TxnAborted, "client_rollback")
 	return nil
 }
 

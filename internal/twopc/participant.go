@@ -67,6 +67,7 @@ type partMetrics struct {
 	prepares      *obs.Counter // fresh yes-votes (durably prepared)
 	prepareNoes   *obs.Counter // no-votes (unknown txn, prepare failure)
 	readonlyVotes *obs.Counter // read-only optimization releases
+	onePhase      *obs.Counter // sole writers committed in one phase
 	commits       *obs.Counter // prepared transactions committed
 	aborts        *obs.Counter // transactions aborted on instruction
 	reclaims      *obs.Counter // janitor-reclaimed idle transactions
@@ -81,6 +82,7 @@ func newPartMetrics(m *obs.Registry) partMetrics {
 		prepares:      m.Counter("twopc.part.prepares"),
 		prepareNoes:   m.Counter("twopc.part.prepare_noes"),
 		readonlyVotes: m.Counter("twopc.part.readonly_votes"),
+		onePhase:      m.Counter("twopc.part.one_phase"),
 		commits:       m.Counter("twopc.part.commits"),
 		aborts:        m.Counter("twopc.part.aborts"),
 		reclaims:      m.Counter("twopc.part.reclaims"),
@@ -170,6 +172,7 @@ func NewParticipant(cfg ParticipantConfig) *Participant {
 	p.ep.Register(ReqPrepare, OnFiber(p.sched, p.handleControl))
 	p.ep.Register(ReqCommit, OnFiber(p.sched, p.handleControl))
 	p.ep.Register(ReqAbort, OnFiber(p.sched, p.handleControl))
+	p.ep.Register(ReqCommitOnePhase, OnFiber(p.sched, p.handleControl))
 	p.ep.Register(ReqSlotIngest, OnFiber(p.sched, p.handleSlotIngest))
 	p.janitorWG.Add(1)
 	go p.janitor()
@@ -411,8 +414,8 @@ func (p *Participant) op(f *fibers.Fiber, reqType uint8, md seal.MsgMetadata, ke
 	return reply, err
 }
 
-// handleControl serves a prepare, commit or abort that arrived as a
-// request: the payload names the transaction, and the reply is control's.
+// handleControl serves a control message that arrived as a request: the
+// payload names the transaction, and the reply is control's.
 func (p *Participant) handleControl(f *fibers.Fiber, req *erpc.Request) {
 	id, ok := payloadTxID(req)
 	if !ok {
@@ -423,24 +426,29 @@ func (p *Participant) handleControl(f *fibers.Fiber, req *erpc.Request) {
 	respond(req, reply, err)
 }
 
-// control applies one control message — prepare, commit or abort, told
-// apart by reqType — to transaction id. It is the one body of a control
-// message, the twin of op: handleControl runs it for a request off the
-// wire, this node's coordinator for its own leg of a fan-out, and
-// ResolveRecovered for a recovered decision. A prepare answers once its
-// entry is stabilized (§V-A step 8; Prepare waits parked, and one counter
-// round covers every concurrent prepare, §VI). A re-prepare votes yes, a
-// participant that only read releases its locks and votes read-only, and
-// an unknown id votes no. A decision for an unknown or already finished
-// transaction is acknowledged ("If a node has already committed the Tx,
-// this message is ignored", §VI); a commit for an unprepared one is an
-// error. A finished transaction is dropped under at.mu.
+// control applies one control message — prepare, commit, one-phase
+// commit or abort, told apart by reqType — to transaction id. It is the
+// one body of a control message, the twin of op: handleControl runs it
+// for a request off the wire, this node's coordinator for its own leg of
+// a fan-out, and ResolveRecovered for a recovered decision. A prepare
+// answers once its entry is stabilized (§V-A step 8; Prepare waits
+// parked, and one counter round covers every concurrent prepare, §VI). A
+// re-prepare votes yes, a participant that only read releases its locks
+// and votes read-only, and an unknown id votes no. A decision for an
+// unknown or already finished transaction is acknowledged ("If a node has
+// already committed the Tx, this message is ignored", §VI); a commit for
+// an unprepared one is an error. A one-phase commit answers once an active
+// part's write set is a stabilized WAL record; for any other part it is an
+// error, so it never commits twice. A finished one is dropped under at.mu.
 func (p *Participant) control(f *fibers.Fiber, reqType uint8, id lsm.TxID) ([]byte, error) {
 	at := p.find(id, false)
 	if at == nil {
-		if reqType == ReqPrepare { // a crash wiped an unprepared transaction
+		switch reqType { // a crash or the janitor wiped an unprepared transaction
+		case ReqPrepare:
 			p.met.prepareNoes.Inc()
 			return nil, errors.New("twopc: unknown transaction at prepare")
+		case ReqCommitOnePhase:
+			return nil, errors.New("twopc: unknown transaction at one-phase commit")
 		}
 		return nil, nil
 	}
@@ -465,6 +473,12 @@ func (p *Participant) control(f *fibers.Fiber, reqType uint8, id lsm.TxID) ([]by
 		p.drop(id)
 		p.met.prepareNoes.Inc()
 		return nil, err
+	case reqType == ReqCommitOnePhase:
+		if err = at.local.CommitOnePhase(); errors.Is(err, txn.ErrTxnDone) {
+			return nil, errors.New("twopc: one-phase commit for a prepared or finished transaction")
+		} else if err == nil {
+			p.met.onePhase.Inc()
+		}
 	case reqType == ReqCommit && !at.prepared.Load():
 		return nil, errors.New("twopc: commit for unprepared transaction")
 	case reqType == ReqCommit:

@@ -32,6 +32,9 @@ const (
 	// ReqReplShip streams one fsynced commit group of WAL/Clog records
 	// from a shard primary to its replication backup (internal/repl).
 	ReqReplShip
+	// ReqCommitOnePhase commits a sole writer in one phase: its stabilized
+	// WAL record is the decision. Its payload is ReqPrepare's.
+	ReqCommitOnePhase
 )
 
 // Transaction status codes returned by ReqTxStatus.

@@ -679,11 +679,21 @@ func TestCoordinatorCrashRecoveryCommitsDecided(t *testing.T) {
 	check.Rollback()
 }
 
+// TestStatusQueryAnswers: a coordinator answers a participant's status
+// query from its logged decision. Only a transaction with two or more
+// writers logs one, so this one writes on node-0 and node-1.
 func TestStatusQueryAnswers(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	tx := tc.nodes[0].coord.Begin(nil)
-	if err := tx.Put([]byte("status-key"), []byte("v")); err != nil {
-		t.Fatal(err)
+	for _, owner := range []string{"node-0", "node-1"} {
+		for i := 0; ; i++ {
+			if k := []byte(fmt.Sprintf("status-%d", i)); tc.owner(k) == owner {
+				if err := tx.Put(k, []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -841,20 +851,24 @@ func TestReadOnlyOptimization(t *testing.T) {
 	}
 
 	// A purely read-only distributed transaction: every participant votes
-	// read-only at prepare, releases immediately, and no decision round
-	// is needed — Commit must succeed and leave no active state behind.
+	// read-only at prepare and releases immediately. The coordinator logs
+	// nothing and records no decision — Commit must succeed and leave no
+	// active state behind.
 	tx := tc.nodes[1].coord.Begin(nil)
 	for i := 0; i < 6; i++ {
 		if _, ok := distGet(t, tx, fmt.Sprintf("ro-%d", i)); !ok {
 			t.Fatalf("ro-%d missing", i)
 		}
 	}
+	appends := tc.counterOn(1, "twopc.clog.appends")
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("read-only commit: %v", err)
 	}
-	commit, decided := tc.nodes[1].coord.Decision(tx.ID())
-	if !decided || !commit {
-		t.Errorf("read-only txn decision = %v/%v", commit, decided)
+	if commit, decided := tc.nodes[1].coord.Decision(tx.ID()); decided {
+		t.Errorf("read-only txn recorded a decision (commit=%v)", commit)
+	}
+	if d := tc.counterOn(1, "twopc.clog.appends") - appends; d != 0 {
+		t.Errorf("read-only commit appended %d Clog records, want 0", d)
 	}
 	// Participants must have dropped the transaction at prepare.
 	deadline := time.Now().Add(2 * time.Second)
@@ -1121,35 +1135,53 @@ func (s *sharedCounters) withhold(addr string, on bool) {
 }
 
 // TestDecisionDuringPrepareWaitDoesNotWedge: a prepare (control) holds the
-// transaction's mutex across its stabilization wait. When the
-// coordinator gives up on the prepare and its abort arrives meanwhile,
-// the abort handler — a fiber of the same worker, with one worker per
-// node as the benchmark runs — must wait for the mutex parked. Blocking
-// the worker thread on it left the prepare fiber unresumable and the
-// node dead to every later transaction.
+// transaction's mutex across its stabilization wait, and so does a sole
+// writer's one-phase commit. When the coordinator gives up on it and its
+// abort arrives meanwhile, the abort handler — a fiber of the same
+// worker, with one worker per node as the benchmark runs — must wait for
+// the mutex parked. Blocking the worker thread on it left the waiting
+// fiber unresumable and the node dead to every later transaction. The
+// prepare case writes on node-0 too, so the transaction takes two phases.
 func TestDecisionDuringPrepareWaitDoesNotWedge(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		twoWriters bool
+		want       string
+	}{{"prepare", true, "prepare failed"}, {"one-phase", false, "one_phase_failed"}} {
+		t.Run(c.name, func(t *testing.T) { testDecisionDuringWaitDoesNotWedge(t, c.twoWriters, c.want) })
+	}
+}
+
+func testDecisionDuringWaitDoesNotWedge(t *testing.T, twoWriters bool, want string) {
 	tc := newShapedCluster(t, 2, 1, 300*time.Millisecond)
 	coord := tc.nodes[0].coord
-	var key []byte
-	for i := 0; key == nil; i++ {
-		if k := []byte(fmt.Sprintf("wedge-%d", i)); tc.owner(k) == "node-1" {
-			key = k
+	keyOn := func(owner string) []byte {
+		for i := 0; ; i++ {
+			if k := []byte(fmt.Sprintf("wedge-%d", i)); tc.owner(k) == owner {
+				return k
+			}
 		}
 	}
+	key := keyOn("node-1")
 
 	tx := coord.Begin(nil)
 	if err := tx.Put(key, []byte("never")); err != nil {
 		t.Fatal(err)
 	}
-	tc.ctrs.withhold("node-1", true) // node-1's prepare entry will not stabilize
-	if err := tx.Commit(); err == nil || !strings.Contains(err.Error(), "prepare failed") {
-		t.Fatalf("commit over a participant that cannot stabilize: %v, want a failed prepare", err)
+	if twoWriters {
+		if err := tx.Put(keyOn("node-0"), []byte("never")); err != nil {
+			t.Fatal(err)
+		}
 	}
+	tc.ctrs.withhold("node-1", true) // node-1's WAL record will not stabilize
+	err := tx.Commit()
 	tc.ctrs.withhold("node-1", false) // the counter recovers
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("commit over a participant that cannot stabilize: %v, want %q", err, want)
+	}
 
-	// node-1 must serve again once the late prepare and the abort behind
+	// node-1 must serve again once the late record and the abort behind
 	// it have run: retry until a transaction on the same key commits.
-	var err error
 	for watchdog := time.Now().Add(5 * time.Second); ; {
 		tx := coord.Begin(nil)
 		if err = tx.Put(key, []byte("after")); err == nil {
@@ -1166,7 +1198,7 @@ func TestDecisionDuringPrepareWaitDoesNotWedge(t *testing.T) {
 	}
 	tx = coord.Begin(nil)
 	if v, ok := distGet(t, tx, string(key)); !ok || v != "after" {
-		t.Errorf("%s = %q/%v, want the later transaction's value (the timed-out one aborted)", key, v, ok)
+		t.Errorf("%s = %q/%v, want the later transaction's value", key, v, ok)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)

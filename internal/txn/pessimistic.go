@@ -108,7 +108,13 @@ func (t *Txn) Delete(key []byte) error {
 // "We only reply to a client after the Tx becomes stable, ensuring that
 // upon a crash, clients will not have to re-execute successfully
 // committed transactions" (§V-B).
-func (t *Txn) Commit() error {
+func (t *Txn) Commit() error { return t.commit(t.m.waitStable) }
+
+// CommitOnePhase commits a distributed transaction's sole writer. Its WAL
+// record is the decision, so it waits for stabilization, as Prepare does.
+func (t *Txn) CommitOnePhase() error { return t.commit(true) }
+
+func (t *Txn) commit(wait bool) error {
 	if t.state != txnActive {
 		return ErrTxnDone
 	}
@@ -118,10 +124,10 @@ func (t *Txn) Commit() error {
 	}
 	token, _, err := t.m.db.Apply(t.writes.batch())
 	if err != nil {
-		t.state = txnAborted
+		t.finish(txnAborted)
 		return fmt.Errorf("txn: commit: %w", err)
 	}
-	if t.m.waitStable {
+	if wait {
 		if err := WaitToken(token, time.Time{}, t.f); err != nil {
 			return fmt.Errorf("txn: stabilization: %w", err)
 		}

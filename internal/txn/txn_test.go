@@ -434,6 +434,30 @@ func TestTxnDoneErrors(t *testing.T) {
 	}
 }
 
+// TestFailedCommitReleasesLocks: a commit whose WAL append fails (here,
+// on a closed engine) aborts the transaction and releases its locks, so
+// another transaction can take the key at once.
+func TestFailedCommitReleasesLocks(t *testing.T) {
+	m := newManager(t, false)
+	tx := m.BeginPessimistic(nil)
+	if err := tx.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	m.DB().Close()
+	if err := tx.Commit(); err == nil {
+		t.Fatal("commit on a closed engine succeeded")
+	}
+	if mode := m.Locks().HeldMode(tx.ID(), "k"); mode != 0 {
+		t.Errorf("failed commit still holds k in mode %d", mode)
+	}
+	if err := m.BeginPessimistic(nil).Put([]byte("k"), []byte("w")); err != nil {
+		t.Errorf("k still locked after a failed commit: %v", err)
+	}
+	if err := tx.Rollback(); !errors.Is(err, ErrTxnDone) {
+		t.Errorf("Rollback after a failed commit = %v, want ErrTxnDone", err)
+	}
+}
+
 func TestLockTableSharding(t *testing.T) {
 	lt := NewLockTable(4, 100*time.Millisecond)
 	// Many distinct keys lock independently without contention.
