@@ -78,7 +78,10 @@ vet:
 # vfs.FS, so non-test files of internal/counter import no "os" — a bare
 # rewrite-and-rename of the state file cannot come back by the side door.
 # And no node, harness of internal/bench, command or example builds a file
-# counter: a mode's counter kind comes from core's policy table.
+# counter: a mode's counter kind comes from core's policy table. The
+# harness stores only to memory (no temp directory in non-test
+# internal/bench), and a log's force is not an engine option (SyncWAL stays
+# gone: every log a node acknowledges from forces each group).
 # The replication mirror is a durlog client too (non-test internal/repl
 # imports no "os"), a WAL record is read only by lsm's fold (nothing
 # outside internal/lsm names its kinds or payload decoders), and no
@@ -114,18 +117,19 @@ check-once:
 	grep -n 'rand\.Read' $$($(call ONCE_SRC,internal/erpc internal/twopc internal/counter internal/repl)) | grep -v txSeed && fail=1; \
 	grep -n '"os"' $$($(call ONCE_SRC,internal/counter)) && fail=1; \
 	grep -n 'NewFileCounter' $$($(call ONCE_SRC,internal/core internal/bench cmd examples)) && fail=1; \
+	grep -nE 'os\.MkdirTemp|TempDir\(' $$($(call ONCE_SRC,internal/bench)) && fail=1; \
 	grep -n '"os"' $$($(call ONCE_SRC,internal/repl)) && fail=1; \
 	grep -nE 'WALKind|DecodePreparePayload|DecodeOutcomePayload' $$($(call ONCE_SRC,internal cmd examples) ! -path 'internal/lsm/*') && fail=1; \
 	grep -n 'TREATY_DEBUG' $$($(call ONCE_SRC,.)) && fail=1; \
 	gos=$$(grep -nE '^[[:space:]]*go [a-zA-Z_(]' $$(find internal/erpc -name '*.go' ! -name '*_test.go')); \
 	[ $$(printf '%s\n' "$$gos" | grep -c .) -eq 1 ] || { printf '%s\n' "$$gos"; fail=1; }; \
-	grep -nE 'PollPacket|ChannelTransport|PacketTransport|UDPTransport' $$($(call ONCE_SRC,internal cmd examples)) && fail=1; \
+	grep -nE 'PollPacket|ChannelTransport|PacketTransport|UDPTransport|SyncWAL' $$($(call ONCE_SRC,internal cmd examples)) && fail=1; \
 	grep -nE 'Spin\(|spinWait|DefaultCosts|Costs\{' $$($(call ONCE_SRC,.) ! -path './internal/enclave/*') && fail=1; \
 	$(call BODY_ONCE,Get|Put|Delete,op); \
 	$(call BODY_ONCE,Prepare|CommitPrepared|CommitOnePhase|AbortPrepared,control); \
 	soaks=$$(awk '/^func Test/{fn=$$2} /\.Run\(/ && !/[^A-Za-z0-9_]t\.Run\(/{print FILENAME ": " fn}' internal/chaos/*_test.go | sort -u); \
 	[ $$(printf '%s\n' "$$soaks" | grep -c .) -le 1 ] || { printf '%s\n' "$$soaks"; fail=1; }; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, packet path, price list, keyed-op body, control body, soak loop); call the shared one"; exit 1; }
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, control body, soak loop); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

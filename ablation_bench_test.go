@@ -19,6 +19,7 @@ import (
 	"treaty/internal/lsm"
 	"treaty/internal/seal"
 	"treaty/internal/txn"
+	"treaty/internal/vfs"
 )
 
 // BenchmarkAblation_LockShards sweeps the lock-table shard count (§V-B:
@@ -201,7 +202,7 @@ func BenchmarkAblation_Replication(b *testing.B) {
 
 // BenchmarkAblation_SecurityLevels isolates the storage-engine cost of
 // each security level with no concurrency: one writer, sequential
-// commits.
+// commits, each forced, on an in-memory filesystem.
 func BenchmarkAblation_SecurityLevels(b *testing.B) {
 	for _, mode := range []core.SecurityMode{core.ModeRocksDB, core.ModeNativeTreaty, core.ModeNativeTreatyEnc} {
 		b.Run(mode.String(), func(b *testing.B) {
@@ -209,7 +210,7 @@ func BenchmarkAblation_SecurityLevels(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			db, err := lsm.Open(lsm.Options{Dir: b.TempDir(), Level: mode.Policy().Level, Key: key})
+			db, err := lsm.Open(lsm.Options{Dir: "/db", FS: vfs.NewMemFS(), Level: mode.Policy().Level, Key: key})
 			if err != nil {
 				b.Fatal(err)
 			}

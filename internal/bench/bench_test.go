@@ -47,14 +47,10 @@ func TestExperimentsShape(t *testing.T) {
 // twentieth of the full window (100 ms for the figure panels), and a
 // TPC-C population that loads in a blink yet gives every client a home
 // warehouse of its own (shared ones stretch rounds by the lock timeout).
-// Every panel stores to memory: windows this short keep the Clog small,
-// and the declared orderings then rest on what the versions compute, not
-// on how long this host's disk took over an fsync.
 func miniature(s Spec) Spec {
 	s.Clients = 4
 	s.Window = s.Window / 20 * rounds
 	s.Warehouses = min(s.Warehouses, s.Clients)
-	s.MemFS = true
 	return s
 }
 

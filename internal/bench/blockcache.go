@@ -3,13 +3,13 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"treaty/internal/enclave"
 	"treaty/internal/lsm"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
+	"treaty/internal/vfs"
 	"treaty/internal/workload"
 )
 
@@ -94,11 +94,6 @@ func RunBlockCacheAblation(cfg BlockCacheConfig) (BlockCacheResult, error) {
 // runBlockCacheArm measures one arm: preload, flush so reads hit
 // SSTables, then a fixed op count of the read-heavy mix.
 func runBlockCacheArm(cfg BlockCacheConfig, cacheOn bool) (tps float64, reg *obs.Registry, err error) {
-	dir, err := os.MkdirTemp("", "treaty-bcache-")
-	if err != nil {
-		return 0, nil, err
-	}
-	defer os.RemoveAll(dir)
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		return 0, nil, err
@@ -109,7 +104,8 @@ func runBlockCacheArm(cfg BlockCacheConfig, cacheOn bool) (tps float64, reg *obs
 		cacheBytes = -1
 	}
 	db, err := lsm.Open(lsm.Options{
-		Dir:             dir,
+		Dir:             "/db",
+		FS:              vfs.NewMemFS(),
 		Level:           seal.LevelEncrypted,
 		Key:             key,
 		Runtime:         enclave.NewSconeRuntime(),

@@ -146,8 +146,8 @@ func distPanel(figure, name string, s Spec) Spec {
 
 // nodePanel completes a single-node panel: the six system versions, each
 // a one-node cluster driven through its local transaction manager by 16
-// clients for 6 s. The local path isolates the engine and never forces
-// the Clog, so the nodes store to memory. The window is three times the
+// clients for 6 s. The local path isolates the engine: it forces the WAL
+// and MANIFEST and never the Clog. The window is three times the
 // distributed panels' because a round (a third of it; a sixtieth at tier-1
 // scale) has to span the engine's background cycle: at these write rates
 // a memtable flush every 100-250 ms and, every fourth flush, an L0
@@ -157,6 +157,6 @@ func distPanel(figure, name string, s Spec) Spec {
 func nodePanel(figure, cc, name string, s Spec) Spec {
 	s.Title = fmt.Sprintf("%s: single-node %s txns, %s", figure, cc, name)
 	s.Arms = versions(1, core.AllModes()...)
-	s.MemFS, s.Workers, s.Clients, s.Window = true, 1, 16, 6*time.Second
+	s.Workers, s.Clients, s.Window = 1, 16, 6*time.Second
 	return s
 }

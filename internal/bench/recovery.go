@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"treaty/internal/enclave"
 	"treaty/internal/lsm"
 	"treaty/internal/seal"
+	"treaty/internal/vfs"
 )
 
 // Table I: recovery overheads. The paper constructs logs of 800 k small
@@ -72,12 +72,8 @@ func RunTableI(cfg RecoveryConfig) ([]RecoveryResult, error) {
 // runRecovery writes the log and measures a cold re-open of the engine as
 // a node of policy p would run it.
 func runRecovery(cfg RecoveryConfig, p core.Policy) (RecoveryResult, error) {
-	dir, err := os.MkdirTemp("", "treaty-recovery-")
-	if err != nil {
-		return RecoveryResult{}, err
-	}
-	defer os.RemoveAll(dir)
-
+	const dir = "/db"
+	fs := vfs.NewMemFS()
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		return RecoveryResult{}, err
@@ -86,9 +82,8 @@ func runRecovery(cfg RecoveryConfig, p core.Policy) (RecoveryResult, error) {
 	// A huge memtable keeps every entry in the WAL (recovery replays the
 	// log, which is the measured path).
 	opt := lsm.Options{
-		Dir: dir, Level: p.Level, Key: key,
+		Dir: dir, FS: fs, Level: p.Level, Key: key,
 		MemTableSize: 1 << 40,
-		SyncWAL:      false,
 		Runtime:      rt,
 	}
 	db, err := lsm.Open(opt)
@@ -109,7 +104,7 @@ func runRecovery(cfg RecoveryConfig, p core.Policy) (RecoveryResult, error) {
 	}
 
 	var logBytes int64
-	entries, err := os.ReadDir(dir)
+	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return RecoveryResult{}, err
 	}

@@ -60,12 +60,6 @@ type Spec struct {
 	// size.
 	Link    simnet.LinkConfig
 	Workers int
-	// MemFS keeps every node's files in memory instead of on the real
-	// disk, where fsync latency on a shared host is a lottery. MemFS's
-	// Sync is O(file length), so a panel that forces a growing log on
-	// every commit (the Clog, under Distributed) can only use it for
-	// windows short enough that the log stays small.
-	MemFS bool
 	// Clients is the number of concurrent closed-loop drivers.
 	Clients int
 	// Window is the measured time per arm, split into rounds.
@@ -95,7 +89,10 @@ func Run(s Spec) ([]Measurement, error) {
 }
 
 // runArm boots one arm's cluster, preloads it, measures the rounds and
-// tears it down.
+// tears it down. Every node stores to memory: a force then costs what it
+// copies (MemFS.Sync copies only the bytes written since the last one)
+// and its charged syscall, not the fsync latency of whatever disk the
+// host has, so the panels' orderings rest on what the versions compute.
 func runArm(s Spec, arm Arm) (m Measurement, err error) {
 	opts := core.ClusterOptions{
 		Nodes:     arm.Nodes,
@@ -108,9 +105,7 @@ func runArm(s Spec, arm Arm) (m Measurement, err error) {
 		LockTimeout: 250 * time.Millisecond,
 		Workers:     s.Workers,
 		Seed:        21,
-	}
-	if s.MemFS {
-		opts.NodeFS = func(int) vfs.FS { return vfs.NewMemFS() }
+		NodeFS:      func(int) vfs.FS { return vfs.NewMemFS() },
 	}
 	c, err := core.NewCluster(opts)
 	if err != nil {

@@ -240,9 +240,10 @@ func (r *Replica) onQuery(req *erpc.Request) {
 }
 
 // journalConfig describes the journal to durlog: frames encrypted under a
-// key derived from the enclave's sealing key, no fsync per record (the
-// process-crash model the state file always had), and a counter that is
-// stable at once — nothing stabilizes a trusted counter's own log.
+// key derived from the enclave's sealing key, no fsync per record (ROTE's
+// process-crash model; the only durlog log that does not force), and a
+// counter that is stable at once — nothing stabilizes a trusted counter's
+// own log.
 func (r *Replica) journalConfig() durlog.Config {
 	return durlog.Config{
 		FS: r.fs, Path: r.journalPath,

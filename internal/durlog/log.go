@@ -69,9 +69,12 @@ type Config struct {
 	Runtime *enclave.Runtime
 	// Counter is the file's own trusted counter.
 	Counter TrustedCounter
-	// Force fsyncs every commit group. Without it a written group counts
-	// as synced (the WAL of a node that does not ask for per-commit
-	// durability) and only Close forces.
+	// Force fsyncs every commit group. Every log a node acknowledges from
+	// — WAL, MANIFEST, Clog, the replication mirror — sets it, which is
+	// what makes invariant 1 hold across a power cut. Without it a written
+	// group counts as synced and only Close forces: that is the counter
+	// replica's journal alone, which keeps ROTE's process-crash model (a
+	// replica's power cut is a minority rollback, not a lost write).
 	Force bool
 	Hooks
 }

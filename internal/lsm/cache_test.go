@@ -193,7 +193,7 @@ func TestCacheDBReadHeavyHitRate(t *testing.T) {
 	fs := vfs.NewMemFS()
 	reg := obs.NewRegistry()
 	db, err := Open(Options{
-		Dir: "/db", FS: fs, SyncWAL: false, Metrics: reg,
+		Dir: "/db", FS: fs, Metrics: reg,
 		Level: seal.LevelEncrypted, Key: faultTestKey(),
 	})
 	if err != nil {
@@ -240,7 +240,7 @@ func TestCacheDBReadHeavyHitRate(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	fs := vfs.NewMemFS()
 	reg := obs.NewRegistry()
-	db, err := Open(Options{Dir: "/db", FS: fs, SyncWAL: false, Metrics: reg, BlockCacheBytes: -1})
+	db, err := Open(Options{Dir: "/db", FS: fs, Metrics: reg, BlockCacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestCacheConcurrentGetCompactionInvalidation(t *testing.T) {
 	fs := vfs.NewMemFS()
 	reg := obs.NewRegistry()
 	db, err := Open(Options{
-		Dir: "/db", FS: fs, SyncWAL: false, Metrics: reg,
+		Dir: "/db", FS: fs, Metrics: reg,
 		Level: seal.LevelIntegrity, Key: faultTestKey(),
 		MemTableSize: 16 << 10, L0Trigger: 2, BaseLevelBytes: 64 << 10,
 		BlockCacheBytes: 128 << 10, // small: eviction + invalidation churn

@@ -52,9 +52,6 @@ type Options struct {
 	// BaseLevelBytes is the L1 size limit; each level below is 10×
 	// (default 16 MiB).
 	BaseLevelBytes int64
-	// SyncWAL fsyncs the WAL on every commit group (off by default;
-	// rotation and Close force the log either way).
-	SyncWAL bool
 	// Metrics, when non-nil, exports storage metrics under "lsm.*":
 	// WAL appends/syncs and sync latency, commit group sizes, memtable
 	// flushes, compactions, bloom filter hit rate, and the WAL
@@ -333,17 +330,20 @@ func (db *DB) registerMetrics() {
 	})
 }
 
-// logConfig describes one of the engine's log files to durlog.
-func (db *DB) logConfig(path string, force bool, hooks durlog.Hooks) durlog.Config {
+// logConfig describes one of the engine's log files to durlog. Both the
+// WAL and the MANIFEST force every group: a group is acknowledged (a
+// commit, a prepare vote, an edit that lets a file be deleted) only once
+// it is on the platter.
+func (db *DB) logConfig(path string, hooks durlog.Hooks) durlog.Config {
 	return durlog.Config{
 		FS: db.fs, Path: path, Level: db.opt.Level, Key: db.opt.Key, Runtime: db.rt,
-		Counter: db.opt.Counters(filepath.Base(path)), Force: force, Hooks: hooks,
+		Counter: db.opt.Counters(filepath.Base(path)), Force: true, Hooks: hooks,
 	}
 }
 
-// manifestConfig describes the MANIFEST, which forces every edit.
+// manifestConfig describes the MANIFEST.
 func (db *DB) manifestConfig() durlog.Config {
-	return db.logConfig(manifestName(db.opt.Dir), true, durlog.Hooks{Demanded: db.walHooks.Demanded})
+	return db.logConfig(manifestName(db.opt.Dir), durlog.Hooks{Demanded: db.walHooks.Demanded})
 }
 
 // create initializes a fresh database.
@@ -379,7 +379,7 @@ func (db *DB) allocFileLocked() uint64 {
 
 // newWALLocked rotates in a fresh WAL and memtable for log number num.
 func (db *DB) newWALLocked(num uint64) error {
-	w, err := durlog.Create(db.logConfig(walFileName(db.opt.Dir, num), db.opt.SyncWAL, db.walHooks))
+	w, err := durlog.Create(db.logConfig(walFileName(db.opt.Dir, num), db.walHooks))
 	if err != nil {
 		return err
 	}

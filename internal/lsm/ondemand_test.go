@@ -40,7 +40,7 @@ func openOnFS(t *testing.T, fs vfs.FS, key seal.Key, reg *obs.Registry) *DB {
 	t.Helper()
 	db, err := Open(Options{
 		Dir: "/db", FS: fs, Level: seal.LevelEncrypted, Key: key,
-		Counters: fileCounters(t, fs), SyncWAL: true, Metrics: reg,
+		Counters: fileCounters(t, fs), Metrics: reg,
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)

@@ -105,7 +105,7 @@ func (db *DB) recover() error {
 			continue
 		}
 		db.logs = append(db.logs, num)
-		wcfg := db.logConfig(walFileName(db.opt.Dir, num), false, durlog.Hooks{})
+		wcfg := db.logConfig(walFileName(db.opt.Dir, num), durlog.Hooks{})
 		wal, werr := durlog.Replay(wcfg, durlog.TrustedValue(wcfg.Level, wcfg.Counter))
 		if werr != nil {
 			return werr

@@ -39,7 +39,7 @@ var allLevels = []struct {
 func TestWALSyncFailureFailStop(t *testing.T) {
 	mem := vfs.NewMemFS()
 	ff := vfs.NewFaultFS(mem)
-	db, err := Open(Options{Dir: "/db", FS: ff, SyncWAL: true})
+	db, err := Open(Options{Dir: "/db", FS: ff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestWALSyncFailureFailStop(t *testing.T) {
 	_ = db.Close()
 
 	// Reboot: the pre-failure commit is there, nothing after it is.
-	db2, err := Open(Options{Dir: "/db", FS: ff, SyncWAL: true})
+	db2, err := Open(Options{Dir: "/db", FS: ff})
 	if err != nil {
 		t.Fatalf("reboot after poisoned wal: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestCounterPersistFailureFailStop(t *testing.T) {
 		return c
 	}
 	db, err := Open(Options{
-		Dir: "/db", FS: ff, SyncWAL: true,
+		Dir: "/db", FS: ff,
 		Level: seal.LevelIntegrity, Key: faultTestKey(),
 		Counters: factory,
 	})
@@ -149,7 +149,7 @@ func TestCounterPersistFailureFailStop(t *testing.T) {
 // counted in the corruption metric.
 func TestNativeModeBlockCorruptionDetected(t *testing.T) {
 	fs := vfs.NewMemFS()
-	db, err := Open(Options{Dir: "/db", FS: fs, SyncWAL: true})
+	db, err := Open(Options{Dir: "/db", FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestNativeModeBlockCorruptionDetected(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	db2, err := Open(Options{Dir: "/db", FS: fs, SyncWAL: true, Metrics: reg})
+	db2, err := Open(Options{Dir: "/db", FS: fs, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestWarmCacheQuarantinePurge(t *testing.T) {
 			fs := vfs.NewMemFS()
 			reg := obs.NewRegistry()
 			db, err := Open(Options{
-				Dir: "/db", FS: fs, SyncWAL: true, Metrics: reg,
+				Dir: "/db", FS: fs, Metrics: reg,
 				Level: lv.level, Key: faultTestKey(),
 			})
 			if err != nil {

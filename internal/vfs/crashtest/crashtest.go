@@ -454,7 +454,6 @@ func Run(cfg Config) (Result, error) {
 		Key:          cfg.Key,
 		Counters:     counters,
 		MemTableSize: cfg.MemTableSize,
-		SyncWAL:      true,
 		Ship:         shipTo(backup, repl.NewChain(repl.StreamWAL, primaryID, cfg.Key), &rec.walSeq, &walErr),
 	})
 	if err != nil {
@@ -616,7 +615,6 @@ func replay(cfg Config, snap *snapshot, expected []bankState, issued map[lsm.TxI
 		Key:          cfg.Key,
 		Counters:     counters,
 		MemTableSize: cfg.MemTableSize,
-		SyncWAL:      true,
 	})
 	if err != nil {
 		return fmt.Errorf("reboot failed: %w", err)

@@ -15,8 +15,8 @@ import (
 var ErrInjected = errors.New("vfs: injected I/O error")
 
 // FaultFS wraps another FS and injects disk faults: scripted ("fail the
-// next N") and probabilistic write/sync errors, short (torn) writes,
-// ENOSPC via a write budget, read-side bit rot, and per-op delay.
+// next N") write/sync errors, probabilistic short (torn) writes, ENOSPC
+// via a write budget, read-side bit rot, and per-op delay.
 //
 // Injected sync failures follow fsyncgate semantics: the wrapped file is
 // truncated back to its last successfully-synced size before the error
@@ -35,8 +35,6 @@ type FaultFS struct {
 	rng            *rand.Rand
 	failNextWrites int
 	failNextSyncs  int
-	writeErrProb   float64
-	syncErrProb    float64
 	shortWriteProb float64
 	readRotProb    float64
 	rotReadFile    bool
@@ -86,20 +84,6 @@ func (f *FaultFS) FailNextSyncs(n int) {
 	f.mu.Unlock()
 }
 
-// SetWriteErrProb sets the probability that a write fails outright.
-func (f *FaultFS) SetWriteErrProb(p float64) {
-	f.mu.Lock()
-	f.writeErrProb = p
-	f.mu.Unlock()
-}
-
-// SetSyncErrProb sets the probability that a sync fails.
-func (f *FaultFS) SetSyncErrProb(p float64) {
-	f.mu.Lock()
-	f.syncErrProb = p
-	f.mu.Unlock()
-}
-
 // SetShortWriteProb sets the probability that a write is torn: a strict
 // prefix reaches the file, then the write errors.
 func (f *FaultFS) SetShortWriteProb(p float64) {
@@ -138,8 +122,6 @@ func (f *FaultFS) Reset() {
 	f.mu.Lock()
 	f.failNextWrites = 0
 	f.failNextSyncs = 0
-	f.writeErrProb = 0
-	f.syncErrProb = 0
 	f.shortWriteProb = 0
 	f.readRotProb = 0
 	f.rotReadFile = false
@@ -207,10 +189,6 @@ func (f *FaultFS) writeFault(name string, n int) (int, error) {
 		atomic.AddUint64(&f.writesFailed, 1)
 		return 0, ErrInjected
 	}
-	if f.writeErrProb > 0 && f.rng.Float64() < f.writeErrProb {
-		atomic.AddUint64(&f.writesFailed, 1)
-		return 0, ErrInjected
-	}
 	if f.shortWriteProb > 0 && n > 1 && f.rng.Float64() < f.shortWriteProb {
 		atomic.AddUint64(&f.tornWrites, 1)
 		return f.rng.Intn(n-1) + 1, ErrInjected
@@ -227,10 +205,6 @@ func (f *FaultFS) syncFault(name string) bool {
 	}
 	if f.failNextSyncs > 0 {
 		f.failNextSyncs--
-		atomic.AddUint64(&f.syncsFailed, 1)
-		return true
-	}
-	if f.syncErrProb > 0 && f.rng.Float64() < f.syncErrProb {
 		atomic.AddUint64(&f.syncsFailed, 1)
 		return true
 	}

@@ -24,13 +24,37 @@ type Event struct {
 
 // memNode is one file's content. data is the volatile (page-cache)
 // content; synced is the content guaranteed to survive a power cut
-// (updated on each successful Sync). Nodes are shared between the
-// volatile and durable namespaces: content durability is per inode,
-// namespace durability is per directory entry.
+// (updated on each successful Sync). dirty is the lowest offset written
+// since the last sync: data and synced agree below it, so a sync copies
+// only data[dirty:] and costs what was written, not the file's length.
+// Nodes are shared between the volatile and durable namespaces: content
+// durability is per inode, namespace durability is per directory entry.
 type memNode struct {
 	data   []byte
 	synced []byte
+	dirty  int
 }
+
+// growLocked zero-extends data to at least size bytes.
+func (nd *memNode) growLocked(size int64) {
+	if old := len(nd.data); int(size) > old {
+		nd.data = resize(nd.data, int(size))
+		clear(nd.data[old:])
+	}
+}
+
+// resize returns b with length n, at least doubling its capacity when it
+// must reallocate: append grows large slices by a quarter, which would
+// copy a growing log's bytes several times over.
+func resize(b []byte, n int) []byte {
+	if n > cap(b) {
+		b = append(make([]byte, 0, max(n, 2*cap(b))), b...)
+	}
+	return b[:n]
+}
+
+// markDirty lowers the watermark to off.
+func (nd *memNode) markDirty(off int) { nd.dirty = min(nd.dirty, off) }
 
 // MemFS is an in-memory filesystem with a strict crash model:
 //
@@ -130,7 +154,7 @@ func (m *MemFS) CloneCrashVersioned(tailFrac float64) (*MemFS, uint64) {
 			}
 			content = append(content, tail[:keep]...)
 		}
-		n := &memNode{data: content, synced: append([]byte(nil), content...)}
+		n := &memNode{data: content, synced: append([]byte(nil), content...), dirty: len(content)}
 		out.files[name] = n
 		out.durable[name] = n
 	}
@@ -187,6 +211,7 @@ func (m *MemFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) 
 		// The truncation itself is volatile: a crash before the next
 		// sync may resurrect the old content.
 		nd.data = nil
+		nd.markDirty(0)
 	}
 	h := &memHandle{
 		fs:       m,
@@ -286,10 +311,9 @@ func (m *MemFS) Truncate(name string, size int64) error {
 
 // truncateLocked resizes a node, shrinking the synced view when needed.
 func (nd *memNode) truncateLocked(size int64) {
-	for int64(len(nd.data)) < size {
-		nd.data = append(nd.data, 0)
-	}
+	nd.growLocked(size)
 	nd.data = nd.data[:size]
+	nd.markDirty(int(size))
 	if int64(len(nd.synced)) > size {
 		nd.synced = nd.synced[:size]
 	}
@@ -395,10 +419,9 @@ func (h *memHandle) Write(p []byte) (int, error) {
 		h.pos = int64(len(nd.data))
 	}
 	end := h.pos + int64(len(p))
-	for int64(len(nd.data)) < end {
-		nd.data = append(nd.data, 0)
-	}
+	nd.growLocked(end)
 	copy(nd.data[h.pos:end], p)
+	nd.markDirty(int(h.pos))
 	h.pos = end
 	h.fs.mu.Unlock()
 	h.fs.fire("write", h.name)
@@ -440,7 +463,10 @@ func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 // Sync implements File: the volatile content becomes durable.
 func (h *memHandle) Sync() error {
 	h.fs.mu.Lock()
-	h.node.synced = append(h.node.synced[:0], h.node.data...)
+	nd := h.node
+	nd.synced = resize(nd.synced, len(nd.data))
+	copy(nd.synced[nd.dirty:], nd.data[nd.dirty:])
+	nd.dirty = len(nd.data)
 	h.fs.version++
 	h.fs.mu.Unlock()
 	h.fs.fire("sync", h.name)

@@ -68,6 +68,65 @@ func TestMemFSCrashDurability(t *testing.T) {
 	}
 }
 
+// TestMemFSSyncWatermark pins the dirty watermark Sync copies from: a
+// write, truncation or O_TRUNC anywhere below the synced length must still
+// reach the crash image after the next sync, and nothing unsynced may.
+func TestMemFSSyncWatermark(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, m *MemFS, f File)
+		want string
+	}{
+		{"overwrite below synced length", func(t *testing.T, m *MemFS, _ File) {
+			g, err := m.OpenFile("/d/f", os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Write([]byte("AB"))
+			g.Sync()
+		}, "AB23456789"},
+		{"reopen with O_TRUNC", func(t *testing.T, m *MemFS, _ File) {
+			g, err := m.OpenFile("/d/f", os.O_WRONLY|os.O_TRUNC, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Sync()
+		}, ""},
+		{"shrinking truncate then write", func(t *testing.T, m *MemFS, f File) {
+			// f's offset stays at 10, so the write lands above the cut and
+			// only the truncation can lower the watermark to 4.
+			m.Truncate("/d/f", 4)
+			f.Write([]byte("ZZ"))
+			f.Sync()
+		}, "0123\x00\x00\x00\x00\x00\x00ZZ"},
+		{"unsynced overwrite", func(t *testing.T, m *MemFS, _ File) {
+			g, err := m.OpenFile("/d/f", os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Write([]byte("AB"))
+		}, "0123456789"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMemFS()
+			m.MkdirAll("/d", 0o755)
+			f, err := m.Create("/d/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write([]byte("01234"))
+			f.Sync()
+			f.Write([]byte("56789"))
+			f.Sync()
+			m.SyncDir("/d")
+			tc.run(t, m, f)
+			if got := string(readAll(t, m.CloneCrash(0), "/d/f")); got != tc.want {
+				t.Fatalf("crash image %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestMemFSRenameDurability(t *testing.T) {
 	m := NewMemFS()
 	m.MkdirAll("/d", 0o755)
