@@ -99,7 +99,9 @@ vet:
 # recovered decision all run it, so Prepare, CommitPrepared, CommitOnePhase
 # and AbortPrepared on at.local appear nowhere else. A soak is a row of the table in internal/chaos: one
 # test function runs a harness script, so a second one is a second soak
-# loop.
+# loop. A node has one replication backup, recorded on its shard-map member
+# and read through Map.BackupOf: no per-slot backup table (Backups[,
+# SlotBackup) comes back.
 # $(call BODY_ONCE,<calls>,<method>): the engine calls on at.local that
 # <calls> names, one site each, appear in non-test code only in
 # Participant.<method>.
@@ -121,6 +123,7 @@ check-once:
 	grep -n '"os"' $$($(call ONCE_SRC,internal/repl)) && fail=1; \
 	grep -nE 'WALKind|DecodePreparePayload|DecodeOutcomePayload' $$($(call ONCE_SRC,internal cmd examples) ! -path 'internal/lsm/*') && fail=1; \
 	grep -n 'TREATY_DEBUG' $$($(call ONCE_SRC,.)) && fail=1; \
+	grep -nE 'Backups\[|SlotBackup' $$($(call ONCE_SRC,.)) && fail=1; \
 	gos=$$(grep -nE '^[[:space:]]*go [a-zA-Z_(]' $$(find internal/erpc -name '*.go' ! -name '*_test.go')); \
 	[ $$(printf '%s\n' "$$gos" | grep -c .) -eq 1 ] || { printf '%s\n' "$$gos"; fail=1; }; \
 	grep -nE 'PollPacket|ChannelTransport|PacketTransport|UDPTransport|SyncWAL' $$($(call ONCE_SRC,internal cmd examples)) && fail=1; \
@@ -129,7 +132,7 @@ check-once:
 	$(call BODY_ONCE,Prepare|CommitPrepared|CommitOnePhase|AbortPrepared,control); \
 	soaks=$$(awk '/^func Test/{fn=$$2} /\.Run\(/ && !/[^A-Za-z0-9_]t\.Run\(/{print FILENAME ": " fn}' internal/chaos/*_test.go | sort -u); \
 	[ $$(printf '%s\n' "$$soaks" | grep -c .) -le 1 ] || { printf '%s\n' "$$soaks"; fail=1; }; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, control body, soak loop); call the shared one"; exit 1; }
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, control body, soak loop, member backup); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

@@ -261,8 +261,9 @@ func (c *CAS) InstallShardMap(next *shardmap.Map) error {
 
 // AddNode extends the cluster with a new member: the address joins the
 // provisioned node list (so the new node's attestation sees itself),
-// and a new shard-map epoch adds the member owning zero slots — slots
-// move to it only through explicit migration. Returns the new map.
+// and a new shard-map epoch adds the member owning zero slots and with
+// no backup — slots move to it only through explicit migration. Returns
+// the new map.
 func (c *CAS) AddNode(addr string) (*shardmap.Map, error) {
 	c.mu.Lock()
 	if c.shard == nil {
@@ -273,7 +274,7 @@ func (c *CAS) AddNode(addr string) (*shardmap.Map, error) {
 	c.config.Nodes = append(c.config.Nodes, addr)
 	next := c.shard.Clone()
 	next.Epoch++
-	next.Members = append(next.Members, shardmap.Member{ID: id, Addr: addr})
+	next.Members = append(next.Members, shardmap.Member{ID: id, Addr: addr, Backup: shardmap.NoBackup})
 	c.mu.Unlock()
 	if err := c.InstallShardMap(next); err != nil {
 		return nil, err

@@ -208,23 +208,8 @@ func (c *CAS) IssuePromotionCert(req *PromotionRequest) (*PromotionCert, error) 
 		return nil, fmt.Errorf("attest: promotion backup %d is not a member", req.Backup)
 	}
 	// The successor must be the backup the signed epoch records for the
-	// primary's slots — promotion eligibility is trust state, not a
-	// caller claim.
-	owns, recorded := false, false
-	for s := 0; s < shardmap.NumSlots; s++ {
-		if c.shard.Slots[s] != req.Primary {
-			continue
-		}
-		owns = true
-		if c.shard.Backups[s] == req.Backup {
-			recorded = true
-			break
-		}
-	}
-	if !owns {
-		return nil, fmt.Errorf("attest: promotion primary %d owns no slots", req.Primary)
-	}
-	if !recorded {
+	// primary — promotion eligibility is trust state, not a caller claim.
+	if b, ok := c.shard.BackupOf(req.Primary); !ok || b != req.Backup {
 		return nil, fmt.Errorf("attest: node %d is not the recorded backup of primary %d", req.Backup, req.Primary)
 	}
 	claims := make(map[uint8]StreamClaim, len(req.Streams))
@@ -290,19 +275,22 @@ func (c *CAS) InstallPromotion(cert *PromotionCert) (*shardmap.Map, error) {
 	for s := 0; s < shardmap.NumSlots; s++ {
 		if next.Slots[s] == cert.Primary {
 			next.Slots[s] = cert.Backup
-			next.Backups[s] = shardmap.NoBackup
-		}
-		if next.Backups[s] == cert.Primary {
-			next.Backups[s] = shardmap.NoBackup
 		}
 	}
+	// The dead primary's own stream is consumed with the certificate, and
+	// the members it was backing up run unreplicated from here on; the
+	// successor keeps its backup.
 	for i := range next.Members {
-		if next.Members[i].ID == cert.Primary {
-			next.Members[i].Addr = backupAddr
+		mem := &next.Members[i]
+		if mem.ID == cert.Primary {
+			mem.Addr = backupAddr
+			mem.Backup = shardmap.NoBackup
+		}
+		if mem.Backup == cert.Primary {
+			mem.Backup = shardmap.NoBackup
 		}
 	}
-	// The promoted primary's witness state is consumed with the cert:
-	// the successor starts unreplicated (its slots carry NoBackup).
+	// The promoted primary's witness state is consumed with the cert.
 	for k := range c.repl {
 		if k.primary == cert.Primary {
 			delete(c.repl, k)

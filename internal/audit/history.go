@@ -81,8 +81,8 @@ type Txn struct {
 	// Epoch is the recorder fence epoch the transaction began in. The
 	// checker may assume real-time order across epochs: everything in
 	// epoch e committed or aborted before anything in epoch e+1 began.
-	Epoch uint64
-	Ops   []Op
+	Epoch   uint64
+	Ops     []Op
 	Outcome Outcome
 }
 

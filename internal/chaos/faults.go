@@ -267,7 +267,8 @@ func rotBoot(node int) Fault {
 // workers keep running: the successor adopts the dead node's slots,
 // address and undecided transactions. Before the genuine takeover a
 // rolled-back promotion request must be refused. A soak fires one
-// failover: the successor's own slots have no backup left to promote.
+// failover: after it, the members the dead node was backing up have no
+// backup left to promote.
 func failover(node int) Fault {
 	var done <-chan error
 	return Fault{
@@ -308,16 +309,8 @@ func failover(node int) Fault {
 // rolled-back request first (it must be refused), then the genuine
 // certificate.
 func (h *Harness) promote(dead int) error {
-	m := h.cluster.CAS().ShardMap()
-	backupID := shardmap.NoBackup
-	for s := 0; s < shardmap.NumSlots && backupID == shardmap.NoBackup; s++ {
-		if m.Slots[s] == uint64(dead) {
-			if b, ok := m.SlotBackup(s); ok {
-				backupID = b
-			}
-		}
-	}
-	if backupID == shardmap.NoBackup {
+	backupID, ok := h.cluster.CAS().ShardMap().BackupOf(uint64(dead))
+	if !ok {
 		return fmt.Errorf("dead node %d has no recorded backup", dead)
 	}
 	h.nodesMu.RLock()

@@ -152,7 +152,6 @@ type Client struct {
 	ep      *erpc.Endpoint
 	poller  *erpc.Poller
 	coord   string
-	nodes   []string
 	timeout time.Duration
 	nextTx  uint64
 
@@ -162,7 +161,6 @@ type Client struct {
 	cas      *attest.CAS
 	shardKey seal.Key
 	shard    *shardmap.Holder
-	shardMin uint64
 	met      *obs.Registry
 }
 
@@ -232,7 +230,6 @@ func Connect(opts ClientOptions) (*Client, error) {
 		ep:       ep,
 		poller:   erpc.StartPoller(ep),
 		coord:    coord,
-		nodes:    cfg.Nodes,
 		timeout:  timeout,
 		cas:      opts.CAS,
 		shardKey: shardmap.KeyFor(cfg.NetworkKey),
@@ -251,29 +248,17 @@ func Connect(opts ClientOptions) (*Client, error) {
 	return c, nil
 }
 
-// ApplyShardMap verifies a presented shard map against the CAS
-// signature, the trusted counter, and the client's highest-seen epoch,
+// ApplyShardMap verifies a presented shard map against the trusted
+// counter and the client's highest-seen epoch (shardmap.Holder.Apply)
 // and adopts it if it advances the view. A replayed older map — even a
-// genuinely signed one — fails the counter binding and fires
-// shardmap.stale_epoch_rejected on the client's registry.
+// genuinely signed one — fires shardmap.stale_epoch_rejected on the
+// client's registry.
 func (c *Client) ApplyShardMap(m *shardmap.Map) error {
-	floor := c.shardMin
-	if ctr := c.cas.ShardMapStable(); ctr > floor {
-		floor = ctr
+	err := c.shard.Apply(m, c.shardKey, c.cas.ShardMapStable())
+	if errors.Is(err, shardmap.ErrStaleEpoch) {
+		c.met.Counter("shardmap.stale_epoch_rejected").Inc()
 	}
-	if err := m.Verify(c.shardKey, floor); err != nil {
-		if errors.Is(err, shardmap.ErrStaleEpoch) {
-			c.met.Counter("shardmap.stale_epoch_rejected").Inc()
-		}
-		return err
-	}
-	if m.Epoch > c.shardMin {
-		c.shardMin = m.Epoch
-	}
-	if cur := c.shard.View(); cur == nil || m.Epoch > cur.Epoch {
-		c.shard.Store(m.Clone())
-	}
-	return nil
+	return err
 }
 
 // RefreshShardMap refetches and re-verifies the CAS map (after a

@@ -215,16 +215,12 @@ func TestFailoverBackupBeyondBootList(t *testing.T) {
 		t.Fatalf("AddNode: %v", err)
 	}
 
-	// Reassign node 0's slots to back up onto the newcomer (id 3 —
-	// beyond every original node's 3-entry boot list).
+	// Back node 0 up onto the newcomer (id 3 — beyond every original
+	// node's 3-entry boot list).
 	cur := c.CAS().ShardMap()
 	next := cur.Clone()
 	next.Epoch++
-	for s := 0; s < shardmap.NumSlots; s++ {
-		if next.Slots[s] == 0 {
-			next.Backups[s] = 3
-		}
-	}
+	next.Members[0].Backup = 3
 	if err := c.CAS().InstallShardMap(next); err != nil {
 		t.Fatal(err)
 	}
@@ -260,5 +256,68 @@ func TestFailoverBackupBeyondBootList(t *testing.T) {
 	}
 	if successor.ID() != 3 {
 		t.Fatalf("promoted node %d, want the late-joined backup 3", successor.ID())
+	}
+}
+
+// TestMigrateIntoReplicatedNodeKeepsBackup moves a slot into a
+// replicated node and then fails that node over. A node ships its whole
+// WAL and Clog to one backup, so the slot it gains must follow its new
+// owner's backup: its stream must not degrade, and the recorded backup
+// must be able to take over with every committed key.
+func TestMigrateIntoReplicatedNodeKeepsBackup(t *testing.T) {
+	c := newReplicatedCluster(t, ModeSconeEnc)
+	want := map[string]string{}
+	commit := func(round string, keys []string) {
+		t.Helper()
+		for i, k := range keys {
+			tx := c.Node(i % 3).Begin(nil)
+			v := round + "-" + k
+			if err := tx.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("%s commit %s: %v", round, k, err)
+			}
+			want[k] = v
+		}
+	}
+	commit("before", keysOwnedBy(t, c, 2, 4))
+
+	slot := -1
+	for s := 0; s < shardmap.NumSlots && slot < 0; s++ {
+		if c.CAS().ShardMap().SlotOwner(s) == 0 {
+			slot = s
+		}
+	}
+	var moved []string
+	for i := 0; len(moved) < 4; i++ {
+		if k := fmt.Sprintf("fo-%d", i); shardmap.SlotOf([]byte(k)) == slot {
+			moved = append(moved, k)
+		}
+	}
+	commit("before", moved)
+	if err := c.MigrateSlot(slot, 2, MigrateOptions{}); err != nil {
+		t.Fatalf("MigrateSlot(%d, 2): %v", slot, err)
+	}
+	commit("after", append(keysOwnedBy(t, c, 2, 4), moved...))
+
+	shipFailed := c.Node(2).Snapshot().Counter("repl.ship_failed")
+	c.CrashNode(2)
+	successor, err := c.Promote(2)
+	if err != nil {
+		t.Fatalf("Promote(2): %v", err)
+	}
+	if shipFailed != 0 {
+		t.Fatalf("node 2 repl.ship_failed = %d after gaining slot %d, want 0", shipFailed, slot)
+	}
+	check := successor.Begin(nil)
+	for k, v := range want {
+		got, ok, err := check.Get([]byte(k))
+		if err != nil || !ok || string(got) != v {
+			t.Fatalf("%s = %q/%v/%v after failover, want %q", k, got, ok, err, v)
+		}
+	}
+	if err := check.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"treaty/internal/attest"
@@ -103,13 +102,9 @@ type Node struct {
 	// acknowledgement gate — in one step, whatever the counter backend.
 	ctrMu       sync.Mutex
 	trustedCtrs []durlog.TrustedCounter
-	cluster     *attest.ClusterConfig
-	// shard holds the node's verified view of the attested shard map;
-	// shardMin is the highest epoch this node has ever verified — the
-	// rollback floor a replayed older map is checked against.
+	// shard holds the node's verified view of the attested shard map.
 	shard    *shardmap.Holder
 	shardKey seal.Key
-	shardMin atomic.Uint64
 	clients  *clientSessions
 	reg      *obs.Registry
 
@@ -158,18 +153,15 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: opening provisioned config: %w", err)
 	}
-	n.cluster = clusterCfg
 
 	// Shard map: fetch the CAS-signed routing epoch and verify it against
 	// the trusted counter before serving anything. A node that cannot
 	// establish a verified view must not boot — it would route blind.
 	n.shardKey = shardmap.KeyFor(clusterCfg.NetworkKey)
-	bootMap := cfg.CAS.ShardMap()
-	if err := bootMap.Verify(n.shardKey, cfg.CAS.ShardMapStable()); err != nil {
+	n.shard = shardmap.NewHolder(nil)
+	if err := n.ApplyShardMap(cfg.CAS.ShardMap()); err != nil {
 		return nil, fmt.Errorf("core: boot shard map rejected: %w", err)
 	}
-	n.shard = shardmap.NewHolder(bootMap)
-	n.shardMin.Store(bootMap.Epoch)
 	n.reg.GaugeFunc("shardmap.epoch", func() int64 {
 		return int64(n.shard.View().Epoch)
 	})
@@ -244,14 +236,11 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		shipCfg := repl.ShipperConfig{
 			Primary:  cfg.ID,
 			Endpoint: n.ep,
-			BackupOf: n.replBackupID,
-			AddrOf: func(id uint64) (string, bool) {
-				a := n.AddrOfNode(id)
-				return a, a != ""
-			},
-			Witness: cfg.CAS,
-			Key:     clusterCfg.NetworkKey,
-			Metrics: n.reg,
+			BackupOf: func() (uint64, bool) { return n.shard.View().BackupOf(cfg.ID) },
+			AddrOf:   func(id uint64) (string, bool) { return n.shard.View().Addr(id) },
+			Witness:  cfg.CAS,
+			Key:      clusterCfg.NetworkKey,
+			Metrics:  n.reg,
 		}
 		shipCfg.Stream = repl.StreamWAL
 		n.walShip = repl.NewShipper(shipCfg)
@@ -318,7 +307,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Endpoint:    n.ep,
 		Participant: n.part,
 		Clog:        clog,
-		Router:      n.shard,
+		Shard:       n.shard,
 		Refresh:     n.RefreshShardMap,
 		Recovered:   recovered,
 		Timeout:     cfg.TxnTimeout,
@@ -453,34 +442,16 @@ func (n *Node) RefreshShardMap() {
 	}
 }
 
-// ApplyShardMap verifies a presented shard map — signature, counter
-// binding, and the node's own rollback floor — and installs it if it is
-// at least as new as the current view. A replayed older map (even one
-// carrying a genuine CAS signature) fails the floor check and fires
-// shardmap.stale_epoch_rejected.
+// ApplyShardMap verifies a presented shard map against the trusted
+// counter and the node's own rollback floor (shardmap.Holder.Apply) and
+// installs it if it advances the view. A replayed older map (even one
+// carrying a genuine CAS signature) fires shardmap.stale_epoch_rejected.
 func (n *Node) ApplyShardMap(m *shardmap.Map) error {
-	floor := n.shardMin.Load()
-	if ctr := n.cfg.CAS.ShardMapStable(); ctr > floor {
-		// The trusted counter has advanced past our floor: adopt the
-		// tighter bound (rollback detection against long-offline nodes).
-		floor = ctr
+	err := n.shard.Apply(m, n.shardKey, n.cfg.CAS.ShardMapStable())
+	if errors.Is(err, shardmap.ErrStaleEpoch) {
+		n.reg.Counter("shardmap.stale_epoch_rejected").Inc()
 	}
-	if err := m.Verify(n.shardKey, floor); err != nil {
-		if errors.Is(err, shardmap.ErrStaleEpoch) {
-			n.reg.Counter("shardmap.stale_epoch_rejected").Inc()
-		}
-		return err
-	}
-	for {
-		cur := n.shardMin.Load()
-		if m.Epoch <= cur || n.shardMin.CompareAndSwap(cur, m.Epoch) {
-			break
-		}
-	}
-	if cur := n.shard.View(); cur == nil || m.Epoch > cur.Epoch {
-		n.shard.Store(m.Clone())
-	}
-	return nil
+	return err
 }
 
 // Shard exposes the node's shard-map holder (routing view).
@@ -490,50 +461,13 @@ func (n *Node) Shard() *shardmap.Holder { return n.shard }
 func (n *Node) ShardEpoch() uint64 { return n.shard.View().Epoch }
 
 // AddrOfNode resolves a member id to its RPC address through the shard
-// map's membership table. Resolution is by member ID, never by position
-// in the boot-time node list: after cluster growth a node's provisioned
-// list may be shorter than the membership, and positional indexing
-// would misresolve (or drop) coordinators.
+// map's membership table ("" for a non-member). Resolution is by member
+// ID, never by position in the boot-time node list: after cluster growth
+// a node's provisioned list may be shorter than the membership, and
+// positional indexing would misresolve (or drop) coordinators.
 func (n *Node) AddrOfNode(id uint64) string {
-	if v := n.shard.View(); v != nil {
-		if a, ok := v.Addr(id); ok {
-			return a
-		}
-	}
-	// Membership miss: fall back to the provisioned boot list only for
-	// ids it actually covers.
-	if int(id) < len(n.cluster.Nodes) {
-		return n.cluster.Nodes[id]
-	}
-	return ""
-}
-
-// replBackupID resolves the backup node the current shard map assigns
-// this node's slots. Replication streams are per node-pair: if the map
-// ever assigns different backups to different slots of this node, the
-// assignment is ambiguous for a whole-log stream and the shipper treats
-// it as unassigned (degrading if it had already bound a mirror).
-func (n *Node) replBackupID() (uint64, bool) {
-	v := n.shard.View()
-	if v == nil {
-		return 0, false
-	}
-	var id uint64
-	found := false
-	for s := 0; s < shardmap.NumSlots; s++ {
-		if v.Slots[s] != n.cfg.ID {
-			continue
-		}
-		b, ok := v.SlotBackup(s)
-		if !ok || b == n.cfg.ID {
-			continue
-		}
-		if found && b != id {
-			return 0, false
-		}
-		id, found = b, true
-	}
-	return id, found
+	a, _ := n.shard.View().Addr(id)
+	return a
 }
 
 // Backup exposes the node's mirror receiver (nil unless replicating).

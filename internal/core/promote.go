@@ -146,19 +146,8 @@ func (c *Cluster) Promote(dead int) (*Node, error) {
 		return nil, fmt.Errorf("core: node %d is still live; crash it before promoting", dead)
 	}
 	deadID := c.nodeCfg[dead].ID
-	m := c.cas.ShardMap()
-	backupID := uint64(0)
-	found := false
-	for s := 0; s < len(m.Slots); s++ {
-		if m.Slots[s] != deadID {
-			continue
-		}
-		if b, ok := m.SlotBackup(s); ok {
-			backupID, found = b, true
-			break
-		}
-	}
-	if !found {
+	backupID, ok := c.cas.ShardMap().BackupOf(deadID)
+	if !ok {
 		return nil, fmt.Errorf("core: node %d has no recorded backup", dead)
 	}
 	var successor *Node

@@ -13,8 +13,8 @@ func FuzzDecodeReq(f *testing.F) {
 	f.Add(encodeReq("", uint64(0)))
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
-	f.Add([]byte{0xff, 0xff})                // name length far past the buffer
-	f.Add(append(encodeReq("x", 1), 0xAA))   // trailing garbage
+	f.Add([]byte{0xff, 0xff})              // name length far past the buffer
+	f.Add(append(encodeReq("x", 1), 0xAA)) // trailing garbage
 	f.Add(encodeReq(string(make([]byte, 300)), ^uint64(0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		name, v, err := decodeReq(data)

@@ -30,9 +30,9 @@ type ShipperConfig struct {
 	Primary uint64
 	// Endpoint sends the ship RPCs.
 	Endpoint *erpc.Endpoint
-	// BackupOf returns the current backup node id for this primary's
-	// slots (false if unassigned). Consulted per group, so a promotion
-	// that consumes the backup stops shipping cleanly.
+	// BackupOf returns the backup the current shard map records for this
+	// primary (false if none). Consulted per group, so a promotion that
+	// consumes the backup stops shipping cleanly.
 	BackupOf func() (uint64, bool)
 	// AddrOf resolves a node id to its RPC address through the current
 	// shard map (id-keyed, never positional).

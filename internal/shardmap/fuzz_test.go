@@ -56,5 +56,13 @@ func FuzzShardMapDecode(f *testing.F) {
 		if m.Owner([]byte("probe")) == "" {
 			t.Fatalf("verified map routed to empty owner")
 		}
+		// And every recorded backup resolves to an address.
+		for _, mem := range m.Members {
+			if b, ok := m.BackupOf(mem.ID); ok {
+				if _, ok := m.Addr(b); !ok {
+					t.Fatalf("member %d backed up by unresolvable %d", mem.ID, b)
+				}
+			}
+		}
 	})
 }

@@ -59,11 +59,18 @@ func SlotOf(key []byte) int {
 type Member struct {
 	ID   uint64
 	Addr string
+	// Backup is the member this node ships its whole WAL and Clog to
+	// (NoBackup if it is unreplicated). It is part of the signed epoch:
+	// promotion hands the node's slots to the backup recorded here, so
+	// which replica may take over is trust state, not local
+	// configuration. A zero Backup names node 0; a builder that means
+	// "none" must say NoBackup.
+	Backup uint64
 }
 
-// NoBackup is the sentinel backup ID for a slot with no replication
-// backup assigned (single-node clusters, or slots orphaned by a
-// promotion that consumed their backup).
+// NoBackup is the sentinel Member.Backup of a node with no replication
+// backup (single-node clusters, members added after boot, and nodes
+// whose backup a promotion consumed).
 const NoBackup = ^uint64(0)
 
 // Map is one epoch of the shard map.
@@ -78,14 +85,10 @@ type Map struct {
 	Counter uint64
 	// Members is the membership table, ordered by ID.
 	Members []Member
-	// Slots assigns each hash slot to an owning member ID.
+	// Slots assigns each hash slot to an owning member ID. A slot's
+	// backup is its owner's Member.Backup, so migrating a slot needs no
+	// second assignment.
 	Slots [NumSlots]uint64
-	// Backups assigns each hash slot a replication backup member ID
-	// (NoBackup if the slot is unreplicated). The backup is part of the
-	// signed epoch: promotion flips ownership to the backup recorded
-	// here, so which replica is allowed to take over is trust state,
-	// not local configuration.
-	Backups [NumSlots]uint64
 	// Sig authenticates everything above under the CAS's map key.
 	Sig [seal.HashSize]byte
 }
@@ -100,15 +103,19 @@ func KeyFor(networkKey seal.Key) seal.Key {
 // SlotOwner returns the member ID owning a slot.
 func (m *Map) SlotOwner(slot int) uint64 { return m.Slots[slot] }
 
-// SlotBackup returns the replication backup of a slot and whether one
-// is assigned. A backup equal to the owner counts as unassigned (the
-// zero value of a hand-built map).
-func (m *Map) SlotBackup(slot int) (uint64, bool) {
-	b := m.Backups[slot]
-	if b == NoBackup || b == m.Slots[slot] {
-		return NoBackup, false
+// BackupOf returns the replication backup the map records for member
+// id and whether it has one. A non-member, NoBackup and a member
+// recorded as its own backup all have none.
+func (m *Map) BackupOf(id uint64) (uint64, bool) {
+	for _, mem := range m.Members {
+		if mem.ID == id {
+			if mem.Backup == NoBackup || mem.Backup == id {
+				return NoBackup, false
+			}
+			return mem.Backup, true
+		}
 	}
-	return b, true
+	return NoBackup, false
 }
 
 // OwnerID returns the member ID owning a key.
@@ -142,17 +149,19 @@ func (m *Map) Clone() *Map {
 }
 
 // Uniform builds the epoch-1 map: slots dealt round-robin across the
-// members. This is the boot-time assignment the CAS signs for a fresh
-// cluster.
+// members, each member backed up by the next one in the list (none in a
+// one-member cluster). This is the boot-time assignment the CAS signs
+// for a fresh cluster; the members' own Backup fields are ignored.
 func Uniform(members []Member) *Map {
 	m := &Map{Epoch: 1, Counter: 1, Members: append([]Member(nil), members...)}
+	for i := range m.Members {
+		m.Members[i].Backup = NoBackup
+		if len(members) > 1 {
+			m.Members[i].Backup = members[(i+1)%len(members)].ID
+		}
+	}
 	for s := 0; s < NumSlots; s++ {
 		m.Slots[s] = members[s%len(members)].ID
-		if len(members) > 1 {
-			m.Backups[s] = members[(s+1)%len(members)].ID
-		} else {
-			m.Backups[s] = NoBackup
-		}
 	}
 	return m
 }
@@ -163,9 +172,9 @@ const maxMembers = 1 << 12
 
 // encodeBody serializes everything covered by the signature.
 func (m *Map) encodeBody() []byte {
-	n := 8 + 8 + 2 + NumSlots*16
+	n := 8 + 8 + 2 + NumSlots*8
 	for _, mem := range m.Members {
-		n += 8 + 2 + len(mem.Addr)
+		n += 8 + 8 + 2 + len(mem.Addr)
 	}
 	b := make([]byte, 0, n)
 	b = binary.LittleEndian.AppendUint64(b, m.Epoch)
@@ -173,14 +182,12 @@ func (m *Map) encodeBody() []byte {
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(m.Members)))
 	for _, mem := range m.Members {
 		b = binary.LittleEndian.AppendUint64(b, mem.ID)
+		b = binary.LittleEndian.AppendUint64(b, mem.Backup)
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(mem.Addr)))
 		b = append(b, mem.Addr...)
 	}
 	for _, owner := range m.Slots {
 		b = binary.LittleEndian.AppendUint64(b, owner)
-	}
-	for _, backup := range m.Backups {
-		b = binary.LittleEndian.AppendUint64(b, backup)
 	}
 	return b
 }
@@ -195,7 +202,7 @@ func (m *Map) Encode() []byte {
 // floor before using the result.
 func DecodeMap(data []byte) (*Map, error) {
 	const fixed = 8 + 8 + 2
-	if len(data) < fixed+NumSlots*16+seal.HashSize {
+	if len(data) < fixed+NumSlots*8+seal.HashSize {
 		return nil, ErrMalformed
 	}
 	m := &Map{
@@ -209,26 +216,29 @@ func DecodeMap(data []byte) (*Map, error) {
 	rest := data[fixed:]
 	m.Members = make([]Member, 0, nm)
 	for i := 0; i < nm; i++ {
-		if len(rest) < 10 {
+		if len(rest) < 18 {
 			return nil, ErrMalformed
 		}
-		id := binary.LittleEndian.Uint64(rest[0:])
-		al := int(binary.LittleEndian.Uint16(rest[8:]))
-		rest = rest[10:]
+		mem := Member{
+			ID:     binary.LittleEndian.Uint64(rest[0:]),
+			Backup: binary.LittleEndian.Uint64(rest[8:]),
+		}
+		al := int(binary.LittleEndian.Uint16(rest[16:]))
+		rest = rest[18:]
 		if len(rest) < al {
 			return nil, ErrMalformed
 		}
-		m.Members = append(m.Members, Member{ID: id, Addr: string(rest[:al])})
+		mem.Addr = string(rest[:al])
+		m.Members = append(m.Members, mem)
 		rest = rest[al:]
 	}
-	if len(rest) != NumSlots*16+seal.HashSize {
+	if len(rest) != NumSlots*8+seal.HashSize {
 		return nil, ErrMalformed
 	}
 	for s := 0; s < NumSlots; s++ {
 		m.Slots[s] = binary.LittleEndian.Uint64(rest[s*8:])
-		m.Backups[s] = binary.LittleEndian.Uint64(rest[(NumSlots+s)*8:])
 	}
-	copy(m.Sig[:], rest[NumSlots*16:])
+	copy(m.Sig[:], rest[NumSlots*8:])
 	return m, nil
 }
 
@@ -249,8 +259,9 @@ func (m *Map) Sign(key seal.Key) {
 //     floor (the counter service's stable value, or the verifier's
 //     current view) — anything older is a replayed map.
 //
-// Structural invariants are checked too: every slot's owner must be a
-// member, so a verified map always routes every key to a resolvable
+// Structural invariants are checked too: every slot's owner and every
+// member's backup must be a member, so a verified map always routes
+// every key, and every node's replication stream, to a resolvable
 // address.
 func (m *Map) Verify(key seal.Key, minEpoch uint64) error {
 	mac := hmac.New(sha256.New, key[:])
@@ -274,27 +285,30 @@ func (m *Map) Verify(key seal.Key, minEpoch uint64) error {
 		}
 		ids[mem.ID] = true
 	}
+	for _, mem := range m.Members {
+		if mem.Backup != NoBackup && !ids[mem.Backup] {
+			return fmt.Errorf("%w: member %d backed up by non-member %d", ErrMalformed, mem.ID, mem.Backup)
+		}
+	}
 	for s, owner := range m.Slots {
 		if !ids[owner] {
 			return fmt.Errorf("%w: slot %d owned by non-member %d", ErrMalformed, s, owner)
-		}
-	}
-	for s, backup := range m.Backups {
-		if backup != NoBackup && !ids[backup] {
-			return fmt.Errorf("%w: slot %d backed up by non-member %d", ErrMalformed, s, backup)
 		}
 	}
 	return nil
 }
 
 // Holder is an atomically swappable reference to the current map; it
-// is the live routing table a node or client holds. It implements the
-// coordinator's Router interface.
+// is the live routing table a node, a client or a coordinator holds.
 type Holder struct {
 	m atomic.Pointer[Map]
+	// floor is the highest epoch this holder has ever verified: the
+	// rollback floor a replayed older map is checked against.
+	floor atomic.Uint64
 }
 
-// NewHolder creates a holder (optionally pre-seeded).
+// NewHolder creates a holder (optionally pre-seeded with an unverified
+// map, for rigs without a CAS).
 func NewHolder(m *Map) *Holder {
 	h := &Holder{}
 	if m != nil {
@@ -303,8 +317,35 @@ func NewHolder(m *Map) *Holder {
 	return h
 }
 
-// View returns the current map (nil before the first Store).
+// View returns the current map (nil before the first map is held).
 func (h *Holder) View() *Map { return h.m.Load() }
 
-// Store swaps in a new map. Callers must have verified it.
+// Store swaps in a new map unverified. Only rigs without a CAS use it;
+// a node or client accepts a map through Apply.
 func (h *Holder) Store(m *Map) { h.m.Store(m) }
+
+// Apply is the one acceptance routine for a presented map. It verifies
+// m under key against the higher of trusted (the shard-map counter's
+// stable value) and the highest epoch this holder has verified, so a
+// replayed older map fails with ErrStaleEpoch even when genuinely
+// signed. A verified map raises that floor and, if it is newer than the
+// current view, is installed as a copy; a late older map never replaces
+// a newer one, however concurrent applies interleave.
+func (h *Holder) Apply(m *Map, key seal.Key, trusted uint64) error {
+	if err := m.Verify(key, max(trusted, h.floor.Load())); err != nil {
+		return err
+	}
+	for {
+		cur := h.floor.Load()
+		if m.Epoch <= cur || h.floor.CompareAndSwap(cur, m.Epoch) {
+			break
+		}
+	}
+	c := m.Clone()
+	for {
+		cur := h.m.Load()
+		if cur != nil && cur.Epoch >= m.Epoch || h.m.CompareAndSwap(cur, c) {
+			return nil
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package shardmap
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"treaty/internal/seal"
@@ -103,10 +105,13 @@ func TestEpochSuccessorDiffersOnlyInMigratedSlots(t *testing.T) {
 	}
 }
 
+// Member backups ride in the encoding: a backup, NoBackup and node 0
+// (the zero value) all come back as they went in.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	key := testKey(t)
 	m := Uniform(testMembers(4))
 	m.Epoch, m.Counter = 9, 9
+	m.Members[1].Backup = NoBackup
 	m.Sign(key)
 	got, err := DecodeMap(m.Encode())
 	if err != nil {
@@ -117,8 +122,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for i, mem := range got.Members {
 		if mem != m.Members[i] {
-			t.Fatalf("member %d mismatch: %v vs %v", i, mem, m.Members[i])
+			t.Fatalf("member %d mismatch: %+v vs %+v", i, mem, m.Members[i])
 		}
+	}
+	if b, ok := got.BackupOf(3); !ok || b != 0 {
+		t.Fatalf("decoded BackupOf(3) = %d, %v; want node 0", b, ok)
 	}
 	if got.Slots != m.Slots || got.Sig != m.Sig {
 		t.Fatal("slots or signature did not round trip")
@@ -172,6 +180,12 @@ func TestTamperedMapRejected(t *testing.T) {
 	if err := tampered.Verify(key, 0); err != ErrBadSignature {
 		t.Fatalf("tampered map: want ErrBadSignature, got %v", err)
 	}
+	// The backup is signed too: redirecting a takeover is tampering.
+	rebacked := m.Clone()
+	rebacked.Members[0].Backup = 2
+	if err := rebacked.Verify(key, 0); err != ErrBadSignature {
+		t.Fatalf("re-backed map: want ErrBadSignature, got %v", err)
+	}
 	// Wrong key (an unattested party cannot mint maps).
 	other := testKey(t)
 	if err := m.Verify(other, 0); err != ErrBadSignature {
@@ -209,20 +223,121 @@ func TestAddrIsIDKeyedNotPositional(t *testing.T) {
 	}
 }
 
-func TestHolderSwap(t *testing.T) {
-	h := NewHolder(nil)
-	if h.View() != nil {
-		t.Fatal("empty holder returned a map")
+// A member's backup is recorded on the member, so BackupOf answers for
+// a node, never for a slot: a member with a backup, one with NoBackup,
+// one recorded as its own backup, and a non-member.
+func TestBackupOf(t *testing.T) {
+	m := Uniform(testMembers(3))
+	m.Members[1].Backup = NoBackup
+	m.Members[2].Backup = 2
+	for _, tc := range []struct {
+		id     uint64
+		want   uint64
+		wantOK bool
+	}{
+		{0, 1, true},
+		{1, NoBackup, false},
+		{2, NoBackup, false},
+		{9, NoBackup, false},
+	} {
+		if got, ok := m.BackupOf(tc.id); got != tc.want || ok != tc.wantOK {
+			t.Errorf("BackupOf(%d) = %d, %v; want %d, %v", tc.id, got, ok, tc.want, tc.wantOK)
+		}
 	}
-	m1 := Uniform(testMembers(3))
-	h.Store(m1)
-	if h.View() != m1 {
-		t.Fatal("holder did not return stored map")
+	// A one-member cluster has nobody to ship to.
+	if b, ok := Uniform(testMembers(1)).BackupOf(0); ok {
+		t.Errorf("single member backed up by %d", b)
 	}
-	m2 := m1.Clone()
-	m2.Epoch = 2
-	h.Store(m2)
-	if h.View().Epoch != 2 {
-		t.Fatal("holder did not swap")
+}
+
+func TestVerifyRejectsNonMemberBackup(t *testing.T) {
+	key := testKey(t)
+	m := Uniform(testMembers(3))
+	m.Members[1].Backup = 99
+	m.Sign(key)
+	if err := m.Verify(key, 0); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("member backed up by non-member: got %v, want ErrMalformed", err)
 	}
+}
+
+// signedAt returns a genuinely signed, counter-bound map at epoch e.
+func signedAt(key seal.Key, e uint64) *Map {
+	m := Uniform(testMembers(3))
+	m.Epoch, m.Counter = e, e
+	m.Sign(key)
+	return m
+}
+
+func TestHolderApply(t *testing.T) {
+	key := testKey(t)
+	t.Run("swap", func(t *testing.T) {
+		h := NewHolder(nil)
+		if h.View() != nil {
+			t.Fatal("empty holder returned a map")
+		}
+		for _, e := range []uint64{1, 2} {
+			m := signedAt(key, e)
+			if err := h.Apply(m, key, 0); err != nil {
+				t.Fatal(err)
+			}
+			if v := h.View(); v == m || v.Epoch != e {
+				t.Fatalf("view at epoch %d, want a copy of epoch %d", v.Epoch, e)
+			}
+		}
+	})
+	t.Run("older-keeps-newer", func(t *testing.T) {
+		h := NewHolder(nil)
+		for _, e := range []uint64{1, 3} {
+			if err := h.Apply(signedAt(key, e), key, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Epoch 2 is genuine and verifies against the counter alone, but
+		// this holder has verified epoch 3.
+		if err := h.Apply(signedAt(key, 2), key, 0); !isStale(err) {
+			t.Fatalf("older epoch after a newer one: got %v, want ErrStaleEpoch", err)
+		}
+		if got := h.View().Epoch; got != 3 {
+			t.Fatalf("view at epoch %d, want 3", got)
+		}
+		// Re-applying the current epoch is accepted and changes nothing.
+		cur := h.View()
+		if err := h.Apply(signedAt(key, 3), key, 0); err != nil || h.View() != cur {
+			t.Fatalf("same-epoch apply: err %v, view replaced %v", err, h.View() != cur)
+		}
+	})
+	t.Run("stale-against-trusted", func(t *testing.T) {
+		h := NewHolder(nil)
+		if err := h.Apply(signedAt(key, 1), key, 2); !isStale(err) {
+			t.Fatalf("epoch below the trusted counter: got %v, want ErrStaleEpoch", err)
+		}
+		if h.View() != nil {
+			t.Fatal("a rejected map was installed")
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		const n = 16
+		maps := make([]*Map, n)
+		for i := range maps {
+			maps[i] = signedAt(key, uint64(i+1))
+		}
+		for round := 0; round < 200; round++ {
+			h := NewHolder(nil)
+			var wg sync.WaitGroup
+			for _, m := range maps {
+				wg.Add(1)
+				go func(m *Map) {
+					defer wg.Done()
+					// A late older map may fail the floor; it must not win.
+					if err := h.Apply(m, key, 0); err != nil && !isStale(err) {
+						t.Error(err)
+					}
+				}(m)
+			}
+			wg.Wait()
+			if got := h.View().Epoch; got != n {
+				t.Fatalf("round %d: concurrent applies ended at epoch %d, want %d", round, got, n)
+			}
+		}
+	})
 }

@@ -33,18 +33,6 @@ var (
 	ErrNoShardMap = errors.New("twopc: no shard map view")
 )
 
-// Router supplies the coordinator's routing view: the current epoch of
-// the attested shard map. A transaction pins one view at Begin and
-// routes every operation through it, stamping the view's epoch into the
-// message metadata — the whole transaction executes at a single epoch,
-// and participants whose epoch differs reject with ErrWrongEpoch.
-//
-// shardmap.Holder implements this directly.
-type Router interface {
-	// View returns the current shard map (nil only before boot wiring).
-	View() *shardmap.Map
-}
-
 // wrongEpochMsg is the participant's retriable rejection of an
 // operation carrying a different shard-map epoch than its own view (or
 // routed to a node that does not own the key's slot). Coordinators and
@@ -78,7 +66,7 @@ type Coordinator struct {
 	ep      *erpc.Endpoint
 	part    *Participant
 	clog    *Clog
-	router  Router
+	shard   *shardmap.Holder
 	refresh func()
 	timeout time.Duration
 
@@ -158,8 +146,12 @@ type CoordinatorConfig struct {
 	Participant *Participant
 	// Clog is the coordinator log.
 	Clog *Clog
-	// Router supplies the shard-map view that maps keys to owners.
-	Router Router
+	// Shard supplies the routing view: the current epoch of the attested
+	// shard map. A transaction pins one view at Begin and routes every
+	// operation through it, stamping the view's epoch into the message
+	// metadata — the whole transaction executes at a single epoch, and
+	// participants whose epoch differs reject with ErrWrongEpoch.
+	Shard *shardmap.Holder
 	// Refresh, when non-nil, is invoked after a wrong-epoch rejection so
 	// the node refetches the shard map from the CAS before the client
 	// retries (may be nil; tests and single-node rigs skip it).
@@ -186,7 +178,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		ep:           cfg.Endpoint,
 		part:         cfg.Participant,
 		clog:         cfg.Clog,
-		router:       cfg.Router,
+		shard:        cfg.Shard,
 		refresh:      cfg.Refresh,
 		timeout:      cfg.Timeout,
 		decisions:    make(map[lsm.TxID]bool),
@@ -322,8 +314,8 @@ func (c *Coordinator) Begin(f *fibers.Fiber) *DistTxn {
 	c.met.inflight.Add(1)
 	id := globalTxID(c.nodeID, seq)
 	var view *shardmap.Map
-	if c.router != nil {
-		view = c.router.View()
+	if c.shard != nil {
+		view = c.shard.View()
 	}
 	return &DistTxn{
 		c:     c,

@@ -91,7 +91,7 @@ func FuzzProtocolMessages(f *testing.F) {
 	}
 	coord := NewCoordinator(CoordinatorConfig{
 		NodeID: 1, Endpoint: ep, Participant: part, Clog: clog,
-		Router:  shardmap.NewHolder(shardmap.Uniform([]shardmap.Member{{ID: 1, Addr: addr}})),
+		Shard:   shardmap.NewHolder(shardmap.Uniform([]shardmap.Member{{ID: 1, Addr: addr}})),
 		Timeout: 50 * time.Millisecond, Recovered: recovered,
 	})
 	_ = coord

@@ -39,13 +39,12 @@ type testNode struct {
 
 // testCluster is an N-node cluster.
 type testCluster struct {
-	t      *testing.T
-	net    *simnet.Network
-	nodes  []*testNode
-	key    seal.Key
-	ctrs   *sharedCounters
-	shard  *shardmap.Holder
-	router Router
+	t     *testing.T
+	net   *simnet.Network
+	nodes []*testNode
+	key   seal.Key
+	ctrs  *sharedCounters
+	shard *shardmap.Holder
 	// workers and timeout shape every node started after they are set
 	// (newTestCluster's defaults: 4 scheduler workers, 3 s coordinator
 	// timeout).
@@ -139,7 +138,6 @@ func newShapedCluster(t *testing.T, n, workers int, timeout time.Duration) *test
 		members[i] = shardmap.Member{ID: uint64(i), Addr: addrs[i]}
 	}
 	tc.shard = shardmap.NewHolder(shardmap.Uniform(members))
-	tc.router = tc.shard
 	for i := 0; i < n; i++ {
 		tc.nodes = append(tc.nodes, tc.startNode(uint64(i), addrs[i], t.TempDir()))
 	}
@@ -192,7 +190,7 @@ func (tc *testCluster) startNode(id uint64, addr, dir string) *testNode {
 		tc.t.Fatal(err)
 	}
 	coord := NewCoordinator(CoordinatorConfig{
-		NodeID: id, Endpoint: ep, Participant: part, Clog: clog, Router: tc.router,
+		NodeID: id, Endpoint: ep, Participant: part, Clog: clog, Shard: tc.shard,
 		Timeout: tc.timeout, Recovered: recovered,
 		Metrics: reg,
 	})
