@@ -580,6 +580,7 @@ func (h *Harness) verify() error {
 //     counter-service endpoint.
 //   - Logs: see logLaws.
 //   - Fibers: none is parked; at quiesce a waiting handler is a wedge.
+//   - Commit pushes: none is running; at quiesce one is a leak.
 func nodeMetricLaws(addr string, s obs.Snapshot) string {
 	begun := s.Counter("twopc.tx.begun")
 	committed := s.Counter("twopc.tx.committed")
@@ -609,6 +610,9 @@ func nodeMetricLaws(addr string, s obs.Snapshot) string {
 	}
 	if parked := s.Gauge("fibers.parked"); parked != 0 {
 		return fmt.Sprintf("%s: fiber law violated: %d fibers parked at quiesce", addr, parked)
+	}
+	if pushing := s.Gauge("twopc.coord.pushing"); pushing != 0 {
+		return fmt.Sprintf("%s: push law violated: %d commit pushes running at quiesce", addr, pushing)
 	}
 	// Replication: every shipped commit group resolves to exactly one of
 	// acked, failed (degrade), or skipped (no backup bound yet), and

@@ -380,6 +380,7 @@ func TestMetricLawViolationDetected(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	h.cluster.Node(0).Coordinator().Drain() // the seeding commit's push runs after its answer
 	if why := nodeMetricLaws("node-0", h.cluster.Node(0).Snapshot()); why != "" {
 		t.Fatalf("law violated on clean cluster: %s", why)
 	}
@@ -395,6 +396,13 @@ func TestMetricLawViolationDetected(t *testing.T) {
 	s.Gauges["fibers.parked"] = 1
 	if why := nodeMetricLaws("node-0", s); !strings.Contains(why, "fiber law") {
 		t.Fatalf("checker missed a parked fiber at quiesce: %q", why)
+	}
+	// A commit push still running when everything has drained must trip
+	// the push law.
+	s = h.cluster.Node(0).Snapshot()
+	s.Gauges["twopc.coord.pushing"] = 1
+	if why := nodeMetricLaws("node-0", s); !strings.Contains(why, "push law") {
+		t.Fatalf("checker missed a running commit push at quiesce: %q", why)
 	}
 	// A request a node addressed to itself must trip the self-request law.
 	s = h.cluster.Node(0).Snapshot()

@@ -379,8 +379,13 @@ func (c *Cluster) RestartNode(i int) (*Node, error) {
 	return n, nil
 }
 
-// Stop shuts the whole cluster down.
+// Stop shuts the whole cluster down, once every commit push has ended.
 func (c *Cluster) Stop() error {
+	for _, n := range c.nodes {
+		if n != nil {
+			n.coord.Drain()
+		}
+	}
 	var errs []error
 	for _, n := range c.nodes {
 		if n != nil {

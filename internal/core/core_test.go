@@ -12,6 +12,7 @@ import (
 	"treaty/internal/lsm"
 	"treaty/internal/shardmap"
 	"treaty/internal/simnet"
+	"treaty/internal/vfs"
 )
 
 func newCluster(t *testing.T, mode SecurityMode) *Cluster {
@@ -194,6 +195,128 @@ func TestCrashedNodeCommitsNothing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// memCluster is newCluster with every node storing to its own MemFS,
+// which outlives the node and the cluster. It returns the options, so a
+// cluster of the same shape can boot on the same storage.
+func memCluster(t *testing.T, mode SecurityMode) (*Cluster, ClusterOptions) {
+	t.Helper()
+	fs := []*vfs.MemFS{vfs.NewMemFS(), vfs.NewMemFS(), vfs.NewMemFS()}
+	opts := ClusterOptions{
+		Nodes:       3,
+		Mode:        mode,
+		BaseDir:     t.TempDir(),
+		LockTimeout: 500 * time.Millisecond,
+		Workers:     4,
+		Seed:        5,
+		Link:        simnet.LinkConfig{Latency: 50 * time.Microsecond},
+		NodeFS:      func(i int) vfs.FS { return fs[i] },
+	}
+	c, err := NewCluster(opts)
+	if err != nil {
+		t.Fatalf("NewCluster(%v): %v", mode, err)
+	}
+	t.Cleanup(func() { c.Stop() })
+	return c, opts
+}
+
+// TestStopDrainsPushes: a clean stop ends every commit push, which runs
+// after its client's answer, before any node stops. A push cut off by a
+// stopped peer would leave that part prepared in its WAL, so a cluster
+// booted on the same storage must find nothing in doubt, and the
+// participants must have committed every writer leg before the stop.
+func TestStopDrainsPushes(t *testing.T) {
+	// Unsealed, so the second cluster's fresh keys read the first's files.
+	c, opts := memCluster(t, ModeRocksDB)
+	const txns = 12
+	keys := make([][]string, c.Nodes())
+	for i := range keys {
+		keys[i] = keysOwnedBy(t, c, uint64(i), txns)
+	}
+	nodes := []*Node{c.Node(0), c.Node(1), c.Node(2)}
+	for n := 0; n < txns; n++ {
+		tx := nodes[n%len(nodes)].Begin(nil)
+		for i := range nodes { // a writer on every node
+			if err := tx.Put([]byte(keys[i][n]), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	var commits uint64
+	for _, n := range nodes {
+		commits += n.Snapshot().Counter("twopc.part.commits")
+	}
+	if want := uint64(txns * len(nodes)); commits != want {
+		t.Errorf("participants committed %d writer legs before Stop returned, want %d", commits, want)
+	}
+
+	again, err := NewCluster(opts)
+	if err != nil {
+		t.Fatalf("reboot on the same storage: %v", err)
+	}
+	defer again.Stop()
+	for i := 0; i < again.Nodes(); i++ {
+		if p := again.Node(i).DB().RecoveredPrepared(); len(p) != 0 {
+			t.Errorf("%s recovered %d transactions prepared: a push was cut off by Stop", again.NodeAddr(i), len(p))
+		}
+	}
+}
+
+// TestPushAfterCrashWritesNothing: a commit push runs after its client's
+// answer, on a goroutine a crash cannot stop. Held across a crash and
+// restart of its coordinator's node, then released, its local leg must
+// fail without writing the WAL the restarted node replayed and owns, and
+// the transaction reads back committed from recovery.
+func TestPushAfterCrashWritesNothing(t *testing.T) {
+	c, opts := memCluster(t, ModeSconeEnc)
+	keys := [][]byte{[]byte(keysOwnedBy(t, c, 0, 1)[0]), []byte(keysOwnedBy(t, c, 1, 1)[0])}
+	crashed := c.Node(0)
+	release := crashed.Coordinator().HoldPushes()
+	tx := crashed.Begin(nil)
+	for _, key := range keys {
+		if err := tx.Put(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	c.CrashNode(0)
+	if _, err := c.RestartNode(0); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	fs, dir := opts.NodeFS(0), filepath.Join(c.baseDir, c.NodeAddr(0))
+	walBytes := func() int64 {
+		entries, err := fs.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), "wal-") {
+				info, err := fs.Stat(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += info.Size()
+			}
+		}
+		return sum
+	}
+	before := walBytes()
+	release()
+	crashed.Coordinator().Drain()
+	if after := walBytes(); after != before {
+		t.Errorf("WAL bytes on %s went %d → %d: the crashed node's push wrote the restarted node's log", c.NodeAddr(0), before, after)
+	}
+	wantKeys(t, c, 2, keys)
 }
 
 // TestServiceModeWithoutReplicasRefusesBoot: a node whose mode stabilizes

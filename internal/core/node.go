@@ -486,8 +486,9 @@ func (n *Node) Recover() error {
 	return n.part.ResolveRecovered(n.AddrOfNode)
 }
 
-// Stop shuts the node down cleanly.
+// Stop shuts the node down cleanly, once its commit pushes have ended.
 func (n *Node) Stop() error {
+	n.coord.Drain()
 	n.stopShippers()
 	n.poller.Stop()
 	n.part.Close()
@@ -591,7 +592,10 @@ func (n *Node) Crash() {
 	if n.ctrEP != nil {
 		_ = n.ctrEP.Close()
 	}
-	// The DB and in-flight transactions are abandoned, not closed.
+	// The DB and in-flight transactions are abandoned, not closed. The WAL
+	// goes last, when no group can wait on a counter or a ship: a client
+	// goroutine or a commit push may still run a local leg into it.
+	n.db.Abandon()
 }
 
 // DB exposes the storage engine (benchmarks, tests).

@@ -39,7 +39,10 @@ func TestCounterRoundBudget(t *testing.T) {
 		}
 	}
 	// Every round of the window was waited for (prepare votes, decisions),
-	// so the counters are settled once the last Commit returned.
+	// so the counters are settled once the last commit push has ended.
+	for i := 0; i < c.Nodes(); i++ {
+		c.Node(i).Coordinator().Drain()
+	}
 	dRounds, dPrepares := sum("counter.rounds")-rounds, sum("twopc.part.prepares")-prepares
 	if dPrepares < txns {
 		t.Fatalf("vacuous: %d prepares for %d transactions", dPrepares, txns)

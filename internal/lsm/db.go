@@ -915,6 +915,14 @@ func (db *DB) deleteObsolete() {
 	}
 }
 
+// Abandon crash-stops the WAL (durlog.Log.Abandon); db.mu barriers on the
+// group in flight.
+func (db *DB) Abandon() {
+	db.mu.Lock()
+	db.wal.Abandon()
+	db.mu.Unlock()
+}
+
 // Close flushes state and shuts the DB down.
 func (db *DB) Close() error {
 	if !db.commits.Close() {

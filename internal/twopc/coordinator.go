@@ -82,6 +82,10 @@ type Coordinator struct {
 	// can re-instruct them.
 	decidedParts map[lsm.TxID][]string
 
+	// Commit pushes running after their answer (Drain, HoldPushes).
+	pushes   pushSet
+	pushGate sync.RWMutex
+
 	tracer *obs.Tracer
 	met    coordMetrics
 }
@@ -190,6 +194,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	cfg.Metrics.GaugeFunc("twopc.coord.prepared", func() int64 {
 		return int64(c.PreparedCount())
 	})
+	cfg.Metrics.GaugeFunc("twopc.coord.pushing", c.pushes.n.Load)
 	if c.timeout == 0 {
 		c.timeout = 2 * time.Second
 	}
@@ -492,35 +497,26 @@ func (t *DistTxn) broadcast(reqType uint8, participants []string) ([]erpc.Reply,
 	return replies, nil
 }
 
-// Decision pushes go out up to pushAttempts times when a client is
-// waiting on the commit (each attempt can cost it a full timeout) and
-// recoverAttempts times from recovery, where nobody waits.
-const (
-	pushAttempts    = 3
-	recoverAttempts = 4
-)
+// decisionAttempts bounds a decision push, live or from recovery.
+const decisionAttempts = 4
 
 // broadcastRetry re-sends an idempotent control message (commit/abort
 // decision push) to the participants that did not answer, on the retry
 // ladder. Only remote legs can go unanswered: this node's own leg is a
 // call. A lost decision push is always safe — recovery re-derives it —
 // but re-pushing promptly releases prepared participants without waiting
-// for a restart. It returns the last timeout error if some participant
-// never answered.
-func (t *DistTxn) broadcastRetry(reqType uint8, participants []string, attempts int) error {
-	remaining := participants
-	for retry := t.c.ep.Retry(attempts, erpc.RetryBase, erpc.RetryCap, t.f); ; {
+// for a restart.
+func (t *DistTxn) broadcastRetry(reqType uint8, remaining []string) {
+	for retry := t.c.ep.Retry(decisionAttempts, erpc.RetryBase, erpc.RetryCap, t.f); ; {
 		replies, _ := t.broadcast(reqType, remaining)
 		var unanswered []string
-		var lastErr error
 		for i, r := range replies {
 			if errors.Is(r.Err, erpc.ErrTimeout) {
 				unanswered = append(unanswered, remaining[i])
-				lastErr = r.Err
 			}
 		}
 		if remaining = unanswered; len(remaining) == 0 || !retry.Next() {
-			return lastErr
+			return
 		}
 	}
 }
@@ -594,9 +590,9 @@ func (t *DistTxn) Commit() error {
 //  6. Log the commit decision to the Clog and wait until it is
 //     rollback-protected ("The TxC, before committing/aborting, also
 //     stabilizes the prepare's phase decision on the Clog").
-//  7. Send TxnCommit to all participants. The commit entries need not be
-//     stable before acknowledging the client: after a crash the same
-//     decision re-derives from the stabilized Clog.
+//  7. Answer the client, then send TxnCommit to every writer. The commit
+//     entries need not be stable before acknowledging the client: after
+//     a crash the same decision re-derives from the stabilized Clog.
 //
 // Any prepare failure aborts everywhere and returns ErrAborted; every
 // failure is indeterminate, since the prepare record may be durable.
@@ -662,12 +658,43 @@ func (t *DistTxn) commitTwoPhase(participants []string) error {
 
 	// The decision is stable: the transaction IS committed even if a
 	// commit message is lost; such a participant resolves at recovery.
-	// Retrying lost pushes here just releases participant locks sooner.
+	// So the client is answered now and a goroutine pushes the commits;
+	// the writers hold their locks until theirs lands, so the client's
+	// next transaction still reads its own writes.
 	t.trace.Enter(obs.StageCommit)
-	_ = t.broadcastRetry(ReqCommit, writers, pushAttempts)
-	t.trace.Enter(obs.StageReclaim)
+	push := &DistTxn{c: t.c, id: t.id, seq: t.seq, trace: t.trace}
+	t.trace = nil // the push ends it
 	t.finish(TxnCommitted, "")
+	t.c.pushes.Add()
+	go func() {
+		defer t.c.pushes.Done()
+		t.c.pushGate.RLock()
+		t.c.pushGate.RUnlock()
+		push.broadcastRetry(ReqCommit, writers)
+		push.trace.Enter(obs.StageReclaim)
+		push.trace.Finish(obs.OutcomeCommitted, "")
+	}()
 	return nil
+}
+
+// pushSet is a WaitGroup whose count the twopc.coord.pushing gauge reads.
+type pushSet struct {
+	sync.WaitGroup
+	n atomic.Int64
+}
+
+func (p *pushSet) Add()  { p.n.Add(1); p.WaitGroup.Add(1) }
+func (p *pushSet) Done() { p.n.Add(-1); p.WaitGroup.Done() }
+
+// Drain waits for every commit push in flight. A clean stop calls it
+// while the endpoints still run; a crash never does: recovery re-pushes.
+func (c *Coordinator) Drain() { c.pushes.Wait() }
+
+// HoldPushes holds commit pushes that start from now on until release
+// (test hook).
+func (c *Coordinator) HoldPushes() (release func()) {
+	c.pushGate.Lock()
+	return c.pushGate.Unlock
 }
 
 // waitToken waits for a stable token up to the coordinator's
@@ -781,15 +808,15 @@ func (c *Coordinator) resolve(w pending, reason string, f *fibers.Fiber) error {
 			return err
 		}
 		c.record(w.id, true)
-		_ = t.broadcastRetry(ReqCommit, w.parts, recoverAttempts)
+		t.broadcastRetry(ReqCommit, w.parts)
 		tr.Finish(obs.OutcomeRecovered, reason+"redo_prepare")
 	case w.commit:
 		c.met.recoverRepushCommit.Inc()
-		_ = t.broadcastRetry(ReqCommit, w.parts, recoverAttempts)
+		t.broadcastRetry(ReqCommit, w.parts)
 		tr.Finish(obs.OutcomeRecovered, reason+"repush_commit")
 	default:
 		c.met.recoverRepushAbort.Inc()
-		_ = t.broadcastRetry(ReqAbort, w.parts, recoverAttempts)
+		t.broadcastRetry(ReqAbort, w.parts)
 		tr.Finish(obs.OutcomeRecovered, reason+"repush_abort")
 	}
 	return nil

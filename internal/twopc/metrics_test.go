@@ -62,6 +62,7 @@ func TestMetricsConservationCleanRun(t *testing.T) {
 	if err := ro.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	coord.Drain() // the commit pushes run after Commit returns
 
 	snap := tc.nodes[0].reg.Snapshot()
 	begun := snap.Counter("twopc.tx.begun")
@@ -138,6 +139,7 @@ func TestStageTraceSequences(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	coord.Drain() // the commit's trace ends with its push
 	rb := coord.Begin(nil)
 	if err := rb.Put([]byte("tr-rb"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -243,6 +245,7 @@ func TestRetriesCounted(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
+		coord.Drain() // the push and its retries run after Commit returns
 	}
 	commit("lossless")
 	if got := tc.nodes[0].reg.Snapshot().Counter("erpc.req.retries"); got != 0 {

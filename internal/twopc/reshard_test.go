@@ -164,6 +164,7 @@ func TestSlotMigrationMovesKeys(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	tc.nodes[0].coord.Drain() // the writers hold the slot until the commit push lands
 
 	// Move one of node-1's slots to node-0.
 	_, slot := tc.keyInSlotOwnedBy("node-1")

@@ -144,6 +144,11 @@ func newShapedCluster(t *testing.T, n, workers int, timeout time.Duration) *test
 	t.Cleanup(func() {
 		for _, nd := range tc.nodes {
 			if nd != nil {
+				nd.coord.Drain()
+			}
+		}
+		for _, nd := range tc.nodes {
+			if nd != nil {
 				tc.stopNode(nd)
 			}
 		}
@@ -222,8 +227,11 @@ func (tc *testCluster) crashNode(i int) {
 	nd := tc.nodes[i]
 	nd.poller.Stop()
 	nd.ep.Close()
-	// The DB is abandoned (no Close): memtable contents are "lost", only
-	// synced files survive — crash-fail semantics.
+	// The logs and the DB are abandoned (no Close): memtable contents are
+	// "lost", only synced files survive — crash-fail semantics — and a
+	// commit push still running cannot write the restarted node's files.
+	nd.clog.Abandon()
+	nd.db.Abandon()
 	tc.nodes[i] = nil
 }
 
@@ -355,11 +363,12 @@ func TestCoLocatedOpsSendNoPacket(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
+		tc.nodes[0].coord.Drain() // the commit legs go out after Commit returns
 		if got := enqueued() - req0; got != wantReqs {
-			t.Errorf("%d keys: erpc.req.enqueued advanced by %d from Begin through Commit, want %d", len(keys), got, wantReqs)
+			t.Errorf("%d keys: erpc.req.enqueued advanced by %d from Begin through the commit push, want %d", len(keys), got, wantReqs)
 		}
 		if got := tc.net.Stats().Sent - sent0; got != 2*wantReqs {
-			t.Errorf("%d keys: simnet sent %d packets from Begin through Commit, want %d", len(keys), got, 2*wantReqs)
+			t.Errorf("%d keys: simnet sent %d packets from Begin through the commit push, want %d", len(keys), got, 2*wantReqs)
 		}
 	}
 	run(local, 0)
@@ -458,6 +467,78 @@ func TestDecisionAfterFinishAcks(t *testing.T) {
 		if got := tc.counterOn(i, "twopc.part.commits"); got != want {
 			t.Errorf("node-%d committed %d transactions, want %d", i, got, want)
 		}
+	}
+}
+
+// TestCommitAnswersAtDecision: a two-phase commit answers its client once
+// the decision is stable, and pushes the commits after the answer. With
+// every ReqCommit to node-1 dropped, Commit succeeds, the decision reads
+// committed and node-1 still holds its part prepared, locks and all: a
+// reader from another coordinator waits on the key until the fault lifts
+// and the re-pushed commit lands, then reads the committed value.
+func TestCommitAnswersAtDecision(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	coord := tc.nodes[0].coord
+	coord.timeout = 100 * time.Millisecond // what each dropped push costs
+	key, _ := tc.keyInSlotOwnedBy("node-1")
+	other, _ := tc.keyInSlotOwnedBy("node-2")
+	var faulty atomic.Bool
+	faulty.Store(true)
+	tc.net.SetAdversary(simnet.FuncAdversary(func(pkt simnet.Packet) simnet.Verdict {
+		// The erpc header is cleartext: byte 1 is the request type, byte 2
+		// the flags (bit 0: response).
+		isCommit := len(pkt.Data) > 2 && pkt.Data[1] == ReqCommit && pkt.Data[2]&1 == 0
+		return simnet.Verdict{Drop: isCommit && pkt.To == "node-1" && faulty.Load()}
+	}))
+
+	tx := coord.Begin(nil)
+	for _, k := range []string{key, other} {
+		if err := tx.Put([]byte(k), []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("Commit = %v with node-1's commit dropped, want nil", err)
+	}
+	if commit, decided := coord.Decision(tx.ID()); !commit || !decided {
+		t.Fatalf("Decision = %v/%v after Commit returned, want committed", commit, decided)
+	}
+	if at := tc.nodes[1].part.find(tx.ID(), false); at == nil || !at.prepared.Load() {
+		t.Fatal("node-1 does not hold the transaction prepared while its commit is dropped")
+	}
+
+	type read struct {
+		v       string
+		ok      bool
+		err     error
+		settled time.Time
+	}
+	reads := make(chan read, 1)
+	go func() {
+		rd := tc.nodes[2].coord.Begin(nil)
+		v, ok, err := rd.Get([]byte(key))
+		r := read{string(v), ok, err, time.Now()}
+		_ = rd.Rollback()
+		reads <- r
+	}()
+	time.Sleep(30 * time.Millisecond)
+	select {
+	case r := <-reads:
+		t.Fatalf("reader got %q/%v/%v while node-1 held the transaction prepared", r.v, r.ok, r.err)
+	default:
+	}
+	lifted := time.Now()
+	faulty.Store(false)
+	r := <-reads
+	if r.err != nil || !r.ok || r.v != "new" {
+		t.Fatalf("reader got %q/%v/%v after the fault lifted, want the committed value", r.v, r.ok, r.err)
+	}
+	if r.settled.Before(lifted) {
+		t.Error("the reader returned before the fault lifted")
+	}
+	coord.Drain()
+	if a := tc.nodes[1].part.ActiveCount(); a != 0 {
+		t.Errorf("node-1 holds %d transactions after the push ended", a)
 	}
 }
 
