@@ -1,6 +1,6 @@
 // Command treaty-server runs a Treaty cluster in one process and exposes
-// a simple line-oriented TCP front end for interactive clients
-// (cmd/treaty-cli). The cluster — nodes, CAS, counter group, fabric — is
+// a simple line-oriented TCP front end for interactive clients (any
+// line client, e.g. nc 127.0.0.1 7654). The cluster — nodes, CAS, counter group, fabric — is
 // the same in-process deployment the benchmarks use; the TCP front end
 // plays the role of the paper's client machines.
 //

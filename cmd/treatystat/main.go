@@ -18,8 +18,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -45,12 +47,24 @@ type shardMapDump struct {
 
 func main() {
 	log.SetFlags(0)
-	nodes := flag.Int("nodes", 3, "cluster size")
-	txns := flag.Int("txns", 200, "transactions to run before snapshotting")
-	mode := flag.String("mode", "enc", "security mode: enc (encrypted, immediate counters) or stab (counter-service stabilization)")
-	digest := flag.Bool("digest", false, "print the condensed per-node digest instead of the raw snapshot")
-	shardMap := flag.Bool("shardmap", false, "print the attested shard map (epoch, per-slot ownership, per-node view epochs)")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatalf("treatystat: %v", err)
+	}
+}
+
+// run parses args, drives the workload and writes the chosen JSON
+// rendering to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("treatystat", flag.ContinueOnError)
+	nodes := fs.Int("nodes", 3, "cluster size")
+	txns := fs.Int("txns", 200, "transactions to run before snapshotting")
+	mode := fs.String("mode", "enc", "security mode: enc (encrypted, immediate counters) or stab (counter-service stabilization)")
+	digest := fs.Bool("digest", false, "print the condensed per-node digest instead of the raw snapshot")
+	shardMap := fs.Bool("shardmap", false, "print the attested shard map (epoch, per-slot ownership, per-node view epochs)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	secMode := core.ModeNativeTreatyEnc
 	switch *mode {
@@ -58,13 +72,12 @@ func main() {
 	case "stab":
 		secMode = core.ModeSconeEncStab
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
 	cluster, err := core.NewCluster(core.ClusterOptions{Nodes: *nodes, Mode: secMode, Seed: 7})
 	if err != nil {
-		log.Fatalf("treatystat: booting cluster: %v", err)
+		return fmt.Errorf("booting cluster: %w", err)
 	}
 	defer cluster.Stop()
 
@@ -119,7 +132,8 @@ func main() {
 		out, err = cluster.SnapshotJSON()
 	}
 	if err != nil {
-		log.Fatalf("treatystat: rendering snapshot: %v", err)
+		return fmt.Errorf("rendering snapshot: %w", err)
 	}
-	fmt.Println(string(out))
+	_, err = fmt.Fprintln(w, string(out))
+	return err
 }

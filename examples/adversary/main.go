@@ -66,10 +66,16 @@ func run() error {
 	fmt.Println("  baseline data committed")
 
 	// --- Attack 1: corrupt all 2PC traffic. ---
+	// The tampered key lives on another node, so the write crosses the
+	// corrupted network; a key node 0 owns would be a local call.
 	fmt.Println("\n[attack 1] corrupting network traffic between nodes...")
+	tampered, err := remoteKey(cluster.Node(0), "asset:tampered")
+	if err != nil {
+		return err
+	}
 	cluster.Net().SetAdversary(simnet.NewCorrupter(1.0, 99))
 	tx2 := cluster.Node(0).Begin(nil)
-	err = tx2.Put([]byte("asset:tampered"), []byte("evil"))
+	err = tx2.Put(tampered, []byte("evil"))
 	if err == nil {
 		err = tx2.Commit()
 	} else {
@@ -176,6 +182,18 @@ func run() error {
 
 	fmt.Println("\nAll four attacks detected. The adversary can deny service, never corrupt it.")
 	return nil
+}
+
+// remoteKey returns the first of prefix-0, prefix-1, ... that a node
+// other than n owns.
+func remoteKey(n *treaty.Node, prefix string) ([]byte, error) {
+	view := n.Shard().View()
+	for i := 0; i < 1000; i++ {
+		if key := fmt.Appendf(nil, "%s-%d", prefix, i); view.OwnerID(key) != n.ID() {
+			return key, nil
+		}
+	}
+	return nil, fmt.Errorf("no key with prefix %q is remote to node %d", prefix, n.ID())
 }
 
 // newestWAL returns the highest-numbered WAL in dir.

@@ -15,16 +15,11 @@ import (
 	"treaty"
 )
 
-const (
-	accounts       = 50
-	initialBalance = 1000
-	workers        = 8
-	transfersPer   = 40
-)
+const initialBalance = 1000
 
 func main() {
 	log.SetFlags(0)
-	if err := run(); err != nil {
+	if err := run(50, 8, 40); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -37,7 +32,9 @@ func encBalance(v uint64) []byte {
 
 func decBalance(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
-func run() error {
+// run seeds that many accounts, has workers goroutines attempt
+// transfersPer transfers each, and checks the total.
+func run(accounts, workers, transfersPer int) error {
 	fmt.Printf("Booting cluster; creating %d accounts with %d each (total %d)...\n",
 		accounts, initialBalance, accounts*initialBalance)
 	cluster, err := treaty.NewCluster(treaty.ClusterOptions{
@@ -95,7 +92,7 @@ func run() error {
 	}
 	check.Rollback()
 	fmt.Printf("Total after transfers: %d\n", total)
-	if total != accounts*initialBalance {
+	if total != uint64(accounts*initialBalance) {
 		return fmt.Errorf("INVARIANT VIOLATED: total %d != %d — money was created or destroyed",
 			total, accounts*initialBalance)
 	}

@@ -18,18 +18,20 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	if err := run(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run() error {
 	cfg := workload.TPCCConfig{
 		Warehouses:            4,
 		DistrictsPerWarehouse: 10,
 		CustomersPerDistrict:  30,
 		Items:                 200,
 	}
+	if err := run(cfg, 6, 50); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run loads cfg and has clients goroutines run perClient transactions
+// each; it fails if none commits.
+func run(cfg workload.TPCCConfig, clients, perClient int) error {
 	fmt.Printf("Booting secure cluster; loading TPC-C (%d warehouses)...\n", cfg.Warehouses)
 	cluster, err := treaty.NewCluster(treaty.ClusterOptions{
 		Nodes:       3,
@@ -52,7 +54,6 @@ func run() error {
 	fmt.Printf("  loaded in %v (every row encrypted, every batch a distributed txn)\n",
 		time.Since(start).Round(time.Millisecond))
 
-	const clients, perClient = 6, 50
 	var mu sync.Mutex
 	counts := map[workload.TPCCTxnType]int{}
 	rollbacks, conflicts := 0, 0
@@ -95,5 +96,8 @@ func run() error {
 	fmt.Printf("  %-12s %4d (spec-mandated 1%% new-order rollbacks)\n", "user-aborts", rollbacks)
 	fmt.Printf("  %-12s %4d (lock conflicts, retried in production drivers)\n", "aborts", conflicts)
 	fmt.Printf("Committed %d/%d transactions across %d clients.\n", total, clients*perClient, clients)
+	if total == 0 {
+		return errors.New("no transaction committed")
+	}
 	return nil
 }

@@ -166,15 +166,6 @@ type TxnRec struct {
 	done   bool
 }
 
-// ID returns the audit id embedded in this transaction's written values
-// (0 for a nil rec).
-func (tr *TxnRec) ID() uint64 {
-	if tr == nil {
-		return 0
-	}
-	return tr.t.ID
-}
-
 // Read records a client-observed read.
 func (tr *TxnRec) Read(key []byte, value []byte, found bool) {
 	if tr == nil {

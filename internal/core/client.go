@@ -261,16 +261,6 @@ func (c *Client) ApplyShardMap(m *shardmap.Map) error {
 	return err
 }
 
-// RefreshShardMap refetches and re-verifies the CAS map (after a
-// wrong-epoch rejection).
-func (c *Client) RefreshShardMap() error {
-	m := c.cas.ShardMap()
-	if m == nil {
-		return errors.New("core: CAS has no shard map")
-	}
-	return c.ApplyShardMap(m)
-}
-
 // ShardEpoch reports the client's verified shard-map epoch (0 before
 // any map was accepted).
 func (c *Client) ShardEpoch() uint64 {
@@ -278,13 +268,6 @@ func (c *Client) ShardEpoch() uint64 {
 		return v.Epoch
 	}
 	return 0
-}
-
-// IsRetriable reports whether a transaction error is a transient
-// routing condition — wrong epoch or a migration fence — that a client
-// resolves by refreshing its shard map and retrying the transaction.
-func IsRetriable(err error) bool {
-	return twopc.IsWrongEpoch(err) || twopc.IsSlotFenced(err)
 }
 
 // Close releases the client.

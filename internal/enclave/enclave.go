@@ -114,7 +114,6 @@ func (p *Platform) Launch(identity string, cfg RuntimeConfig) (*Enclave, error) 
 	e := &Enclave{
 		platform:    p,
 		measurement: MeasureCode(identity),
-		identity:    identity,
 		sealKey:     sealKey,
 		sealCipher:  cipher,
 		runtime:     NewRuntime(cfg),
@@ -132,17 +131,10 @@ func (p *Platform) Launch(identity string, cfg RuntimeConfig) (*Enclave, error) 
 type Enclave struct {
 	platform    *Platform
 	measurement Measurement
-	identity    string
 	sealKey     seal.Key
 	sealCipher  *seal.Cipher
 	runtime     *Runtime
 }
-
-// Measurement returns the enclave's code measurement.
-func (e *Enclave) Measurement() Measurement { return e.measurement }
-
-// Identity returns the code identity string the enclave was launched with.
-func (e *Enclave) Identity() string { return e.identity }
 
 // Runtime returns the enclave's cost-model runtime.
 func (e *Enclave) Runtime() *Runtime { return e.runtime }

@@ -117,9 +117,6 @@ func NewSconeRuntime() *Runtime {
 	return NewRuntime(RuntimeConfig{Mode: ModeScone})
 }
 
-// Mode returns the runtime's execution mode.
-func (rt *Runtime) Mode() Mode { return rt.mode }
-
 // EPCBudget returns the modelled enclave page cache size in bytes.
 // Enclave-resident allocations past this point pay paging penalties.
 func (rt *Runtime) EPCBudget() int64 { return rt.epcBudget }

@@ -149,9 +149,6 @@ func (s *Scheduler) Stop() {
 	s.wg.Wait()
 }
 
-// Workers returns the number of workers.
-func (s *Scheduler) Workers() int { return len(s.workers) }
-
 // worker runs fibers one at a time from its run queue.
 type worker struct {
 	sched   *Scheduler

@@ -9,7 +9,6 @@ import (
 // order. Implemented by memIterator, sstIterator and mergeIterator.
 type internalIterator interface {
 	SeekToFirst()
-	Seek(ikey []byte)
 	Valid() bool
 	Next()
 	Key() []byte
@@ -66,14 +65,6 @@ func (m *mergeIterator) SeekToFirst() {
 	m.rebuild()
 }
 
-// Seek implements internalIterator.
-func (m *mergeIterator) Seek(ikey []byte) {
-	for _, it := range m.iters {
-		it.Seek(ikey)
-	}
-	m.rebuild()
-}
-
 // Valid implements internalIterator.
 func (m *mergeIterator) Valid() bool { return len(m.h) > 0 }
 
@@ -117,12 +108,6 @@ func newIterator(inner internalIterator, readSeq uint64) *Iterator {
 // SeekToFirst positions at the first visible user key.
 func (it *Iterator) SeekToFirst() {
 	it.inner.SeekToFirst()
-	it.skipToVisible(nil)
-}
-
-// Seek positions at the first visible user key >= key.
-func (it *Iterator) Seek(key []byte) {
-	it.inner.Seek(makeIKey(key, it.readSeq, RecordKind(0xFF)))
 	it.skipToVisible(nil)
 }
 

@@ -170,9 +170,6 @@ func (m *memTable) newIterator() *memIterator {
 // SeekToFirst implements internalIterator.
 func (it *memIterator) SeekToFirst() { it.it.SeekToFirst() }
 
-// Seek implements internalIterator.
-func (it *memIterator) Seek(ik []byte) { it.it.Seek(ik) }
-
 // Valid implements internalIterator.
 func (it *memIterator) Valid() bool { return it.it.Valid() }
 

@@ -159,9 +159,6 @@ func (sl *skipList) iterator() *slIterator { return &slIterator{sl: sl} }
 // SeekToFirst positions at the first entry.
 func (it *slIterator) SeekToFirst() { it.node = it.sl.first() }
 
-// Seek positions at the first entry with key >= target.
-func (it *slIterator) Seek(target []byte) { it.node = it.sl.seek(target) }
-
 // Valid reports whether the iterator is positioned at an entry.
 func (it *slIterator) Valid() bool { return it.node != nil }
 

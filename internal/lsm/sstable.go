@@ -613,33 +613,6 @@ func (it *sstIterator) advanceBlock() {
 	}
 }
 
-// Seek implements internalIterator.
-func (it *sstIterator) Seek(target []byte) {
-	it.err = nil
-	i := sort.Search(len(it.r.handles), func(i int) bool {
-		return compareIKeys(it.r.handles[i].lastKey, target) >= 0
-	})
-	if i >= len(it.r.handles) {
-		it.valid = false
-		return
-	}
-	data, err := it.r.block(i, false)
-	if err != nil {
-		it.err = err
-		it.valid = false
-		return
-	}
-	it.block = i
-	it.it.reset(data)
-	for it.it.next() {
-		if compareIKeys(it.it.ikey, target) >= 0 {
-			it.valid = true
-			return
-		}
-	}
-	it.advanceBlock()
-}
-
 // Valid implements internalIterator.
 func (it *sstIterator) Valid() bool { return it.valid }
 

@@ -107,32 +107,6 @@ func TestSSTIteratorFullScan(t *testing.T) {
 	}
 }
 
-func TestSSTIteratorSeek(t *testing.T) {
-	dir := t.TempDir()
-	key := testKey(t)
-	meta := buildTestSST(t, dir, seal.LevelIntegrity, key, 300)
-	r, err := openSST(vfs.Default, dir, 1, seal.LevelIntegrity, key, nil, meta.footerHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.close()
-
-	it := r.newIterator()
-	it.Seek(makeIKey([]byte("key-000150"), MaxSeq, RecordKind(0xFF)))
-	if !it.Valid() {
-		t.Fatal("seek missed")
-	}
-	uk, _, _ := parseIKey(it.Key())
-	if string(uk) != "key-000150" {
-		t.Errorf("seek landed on %q", uk)
-	}
-	// Seek past the end.
-	it.Seek(makeIKey([]byte("zzz"), MaxSeq, RecordKind(0xFF)))
-	if it.Valid() {
-		t.Error("seek past end must be invalid")
-	}
-}
-
 func TestSSTTamperedBlockDetected(t *testing.T) {
 	for _, level := range []seal.SecurityLevel{seal.LevelIntegrity, seal.LevelEncrypted} {
 		t.Run(level.String(), func(t *testing.T) {

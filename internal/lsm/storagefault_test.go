@@ -87,6 +87,70 @@ func TestWALSyncFailureFailStop(t *testing.T) {
 	}
 }
 
+// TestFlushFailureFailStop: a memtable flush whose SSTable write fails
+// latches the background error, so Flush keeps reporting it, and no
+// acknowledged write is lost: its WAL stays live until a flush succeeds,
+// so a reboot on the healthy disk replays it.
+func TestFlushFailureFailStop(t *testing.T) {
+	for _, lv := range allLevels {
+		t.Run(lv.name, func(t *testing.T) {
+			mem := vfs.NewMemFS()
+			ff := vfs.NewFaultFS(mem)
+			db, err := Open(Options{Dir: "/db", FS: ff, Level: lv.level, Key: faultTestKey()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acked []string
+			put := func(k string) error {
+				b := NewBatch()
+				b.Put([]byte(k), []byte("v-"+k))
+				_, _, err := db.Apply(b)
+				if err == nil {
+					acked = append(acked, k)
+				}
+				return err
+			}
+			for i := 0; i < 8; i++ {
+				if err := put(fmt.Sprintf("before-%d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			ff.SetMatch(func(name string) bool { return strings.HasSuffix(name, ".sst") })
+			ff.FailNextWrites(1)
+			if err := db.Flush(); !errors.Is(err, vfs.ErrInjected) {
+				t.Fatalf("Flush over a failed SSTable write = %v, want vfs.ErrInjected", err)
+			}
+			if ff.WritesFailed() != 1 {
+				t.Fatalf("%d writes failed, want 1", ff.WritesFailed())
+			}
+			// The disk is healthy again, but the error is latched. A write
+			// may still be acknowledged into the live WAL; if it is, it
+			// must survive too.
+			ff.Reset()
+			_ = put("after")
+			if err := db.Flush(); !errors.Is(err, vfs.ErrInjected) {
+				t.Fatalf("second Flush = %v, want the latched vfs.ErrInjected", err)
+			}
+			if err := db.Close(); !errors.Is(err, vfs.ErrInjected) {
+				t.Fatalf("Close = %v, want the latched vfs.ErrInjected", err)
+			}
+
+			db2, err := Open(Options{Dir: "/db", FS: mem, Level: lv.level, Key: faultTestKey()})
+			if err != nil {
+				t.Fatalf("reboot after failed flush: %v", err)
+			}
+			defer db2.Close()
+			for _, k := range acked {
+				v, _, found, err := db2.Get([]byte(k), db2.LatestSeq())
+				if err != nil || !found || string(v) != "v-"+k {
+					t.Fatalf("acknowledged %q after reboot: %q found=%v err=%v", k, v, found, err)
+				}
+			}
+		})
+	}
+}
+
 // TestCounterPersistFailureFailStop: a trusted counter that can no
 // longer persist must fail-stop the commit path — acknowledging a commit
 // whose counter binding is only in memory re-opens the lost-ack hole on

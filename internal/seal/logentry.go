@@ -103,14 +103,8 @@ func NewLogCodec(level SecurityLevel, key Key, genesis string, firstCounter uint
 	return lc, nil
 }
 
-// Level returns the codec's security level.
-func (lc *LogCodec) Level() SecurityLevel { return lc.level }
-
 // NextCounter returns the counter value the next appended entry will carry.
 func (lc *LogCodec) NextCounter() uint64 { return lc.nextCtr }
-
-// ChainHash returns the current head of the hash chain.
-func (lc *LogCodec) ChainHash() [HashSize]byte { return lc.prevHash }
 
 // AppendEntry frames payload as the next log entry and appends the encoded
 // bytes to dst, returning the extended slice and the entry's counter value.

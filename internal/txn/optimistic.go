@@ -39,12 +39,6 @@ func (m *Manager) BeginOptimistic(f *fibers.Fiber) *OTxn {
 	}
 }
 
-// ID returns the transaction's local id.
-func (t *OTxn) ID() uint64 { return t.id }
-
-// SetFiber rebinds the waiting fiber (see Txn.SetFiber).
-func (t *OTxn) SetFiber(f *fibers.Fiber) { t.f = f }
-
 // Get reads key from the snapshot, recording its version for validation.
 func (t *OTxn) Get(key []byte) ([]byte, bool, error) {
 	if t.state != txnActive {

@@ -237,6 +237,20 @@ func TestOptimisticCommit(t *testing.T) {
 	if !found || string(v) != "v" {
 		t.Fatalf("after OCC commit: %q/%v", v, found)
 	}
+
+	// A committed delete is a tombstone: the key reads as absent.
+	del := m.BeginOptimistic(nil)
+	if err := del.Delete([]byte("k")); err != nil {
+		t.Fatal(err)
+	}
+	if err := del.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check := m.BeginOptimistic(nil)
+	if v, found, err := check.Get([]byte("k")); err != nil || found {
+		t.Fatalf("after OCC delete: %q/%v err=%v", v, found, err)
+	}
+	check.Rollback()
 }
 
 func TestOptimisticConflictDetected(t *testing.T) {

@@ -86,7 +86,7 @@ func NewMemFS() *MemFS {
 
 // SetHook installs a callback fired after every mutating operation (not
 // inherited by clones). The hook runs outside the filesystem lock, so it
-// may call CloneCrash/DurableVersion.
+// may call CloneCrash.
 func (m *MemFS) SetHook(h func(Event)) {
 	m.mu.Lock()
 	m.hook = h
@@ -101,14 +101,6 @@ func (m *MemFS) fire(op, name string) {
 	if h != nil {
 		h(Event{Op: op, Name: name})
 	}
-}
-
-// DurableVersion returns a counter that changes whenever the durable
-// (post-crash) state changes; harnesses use it to dedupe snapshots.
-func (m *MemFS) DurableVersion() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.version
 }
 
 // UnsyncedBytes sums the unsynced content tails of durable files.

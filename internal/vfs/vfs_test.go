@@ -196,6 +196,15 @@ func TestMemFSBasicOps(t *testing.T) {
 	if err != nil || len(ents) != 1 || ents[0].Name() != "f1" {
 		t.Fatalf("ReadDir: %v %v", ents, err)
 	}
+	if ents[0].IsDir() || !ents[0].Type().IsRegular() {
+		t.Fatalf("ReadDir entry: dir=%v type=%v", ents[0].IsDir(), ents[0].Type())
+	}
+	if fi, err := m.Stat("/a/b/f1"); err != nil || fi.Name() != "f1" || fi.Size() != 6 || fi.IsDir() {
+		t.Fatalf("Stat(file): %v %v", fi, err)
+	}
+	if fi, err := m.Stat("/a/b"); err != nil || !fi.IsDir() || !fi.Mode().IsDir() {
+		t.Fatalf("Stat(dir): %v %v", fi, err)
+	}
 	if err := m.Remove("/a/b/f1"); err != nil {
 		t.Fatal(err)
 	}
@@ -256,6 +265,13 @@ func TestFaultFSSyncFailureDropsTail(t *testing.T) {
 	// Faults off again: handle keeps working at the truncated offset
 	// only if the caller seeks; our append-style writers reopen instead.
 	ff.Reset()
+	// A truncate by path reaches the inner filesystem.
+	if err := ff.Truncate("/d/log", 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(readAll(t, mem, "/d/log")); got != "sta" {
+		t.Fatalf("after truncate: %q", got)
+	}
 }
 
 func TestFaultFSWriteBudget(t *testing.T) {

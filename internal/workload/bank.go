@@ -46,9 +46,6 @@ func NewBank(cfg BankConfig, seed int64) *Bank {
 	return &Bank{cfg: cfg.withDefaults(), rng: rand.New(rand.NewSource(seed))}
 }
 
-// Accounts returns the configured account count.
-func (b *Bank) Accounts() int { return b.cfg.Accounts }
-
 // Next generates the next transfer.
 func (b *Bank) Next() BankTransfer {
 	from := b.rng.Intn(b.cfg.Accounts)

@@ -329,9 +329,6 @@ func NewTPCC(cfg TPCCConfig, seed int64) *TPCC {
 	return &TPCC{cfg: cfg, rng: rand.New(rand.NewSource(seed)), cLoad: 123}
 }
 
-// Config returns the effective configuration.
-func (t *TPCC) Config() TPCCConfig { return t.cfg }
-
 // nuRand is the spec's non-uniform random function.
 func (t *TPCC) nuRand(a, x, y int) int {
 	return (((t.rng.Intn(a+1) | (x + t.rng.Intn(y-x+1))) + t.cLoad) % (y - x + 1)) + x

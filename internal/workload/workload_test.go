@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,6 +98,20 @@ func TestLastName(t *testing.T) {
 	}
 }
 
+// TestTPCCSpecScaleIDsInRange draws customer and item ids at the spec's
+// scale, where they come from NURand, and requires each in range.
+func TestTPCCSpecScaleIDsInRange(t *testing.T) {
+	driver := NewTPCC(TPCCConfig{}, 3) // defaults: 3000 customers, 100000 items
+	for i := 0; i < 10000; i++ {
+		if c := driver.randCustomer(); c < 1 || c > 3000 {
+			t.Fatalf("customer id %d outside [1, 3000]", c)
+		}
+		if it := driver.randItem(); it < 1 || it > 100000 {
+			t.Fatalf("item id %d outside [1, 100000]", it)
+		}
+	}
+}
+
 // miniTPCC is a small-but-structurally-faithful configuration for tests.
 func miniTPCC() TPCCConfig {
 	return TPCCConfig{
@@ -129,6 +144,10 @@ func newTestManager(t *testing.T) *txn.Manager {
 func TestTPCCLoadAndRun(t *testing.T) {
 	m := newTestManager(t)
 	driver := NewTPCC(miniTPCC(), 17)
+	// Before the load a NewOrder finds no warehouse row.
+	if err := driver.Run(localBegin(m), TxnNewOrder, 1); err == nil || !strings.Contains(err.Error(), "row not found") {
+		t.Fatalf("NewOrder on an empty store = %v, want a row-not-found error", err)
+	}
 	if err := driver.Load(localBegin(m), 200); err != nil {
 		t.Fatalf("Load: %v", err)
 	}

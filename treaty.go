@@ -55,14 +55,8 @@ type ClusterOptions = core.ClusterOptions
 // coordinator/participant inside an enclave).
 type Node = core.Node
 
-// NodeConfig configures StartNode for manual deployments.
-type NodeConfig = core.NodeConfig
-
 // Client is an authenticated Treaty client.
 type Client = core.Client
-
-// ClientOptions configures Connect.
-type ClientOptions = core.ClientOptions
 
 // ClientTxn is one interactive client transaction (BeginTxn / TxnGet /
 // TxnPut / TxnDelete / TxnCommit / TxnRollback).
@@ -90,11 +84,3 @@ const (
 
 // NewCluster boots an in-process cluster.
 func NewCluster(opts ClusterOptions) (*Cluster, error) { return core.NewCluster(opts) }
-
-// StartNode boots a single node against an existing CAS/network (manual
-// deployments; most users want NewCluster).
-func StartNode(cfg NodeConfig) (*Node, error) { return core.StartNode(cfg) }
-
-// Connect authenticates a client against a CAS and opens a coordinator
-// session.
-func Connect(opts ClientOptions) (*Client, error) { return core.Connect(opts) }
