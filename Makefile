@@ -81,7 +81,8 @@ race:
 	$(GO) vet ./... && $(GO) test -race -short ./internal/erpc/... ./internal/twopc/... ./internal/chaos/...
 
 # Race-detector pass over the observability layer and everything that
-# feeds it (metrics registry, RPC, 2PC, chaos invariants), plus the
+# feeds it (metrics registry and the conservation laws every Cluster.Stop
+# checks, RPC, 2PC, the chaos soak), plus the
 # filesystem fault layer, crash-point harness, and the storage engine
 # with its block cache (concurrent Get/compaction/invalidation hammer),
 # the durable log under it and the Clog, the cluster package (the
@@ -168,7 +169,11 @@ vet:
 # test function runs a harness script, so a second one is a second soak
 # loop. A node has one replication backup, recorded on its shard-map member
 # and read through Map.BackupOf: no per-slot backup table (Backups[,
-# SlotBackup) comes back.
+# SlotBackup) comes back. A conservation law lives with its counters: a
+# package registers its own (obs.Registry's Law, Balance or AtMost, named
+# "<pkg>.…", core's cross-package round law "core.…"), so no non-test file
+# outside internal/<pkg> registers a "<pkg>." law, and the chaos harness's
+# own law functions (nodeMetricLaws, logLaws, checkMetricLaws) stay gone.
 # $(call BODY_ONCE,<calls>,<method>): the engine calls on at.local that
 # <calls> names, one site each, appear in non-test code only in
 # Participant.<method>.
@@ -191,6 +196,9 @@ check-once:
 	grep -nE 'WALKind|DecodePreparePayload|DecodeOutcomePayload' $$($(call ONCE_SRC,internal cmd examples) ! -path 'internal/lsm/*') && fail=1; \
 	grep -n 'TREATY_DEBUG' $$($(call ONCE_SRC,.)) && fail=1; \
 	grep -nE 'Backups\[|SlotBackup' $$($(call ONCE_SRC,.)) && fail=1; \
+	grep -nE 'nodeMetricLaws|logLaws|checkMetricLaws' $$(find . -name '*.go') && fail=1; \
+	laws=$$(grep -HnE '\.(Law|Balance|AtMost)\("[a-z]+\.' $$($(call ONCE_SRC,.)) | awk '{ p = $$0; sub(/.*\.(Law|Balance|AtMost)\("/, "", p); sub(/\..*/, "", p); if (index($$0, "./internal/" p "/") != 1) print }'); \
+	[ -z "$$laws" ] || { printf '%s\n' "$$laws"; fail=1; }; \
 	gos=$$(grep -nE '^[[:space:]]*go [a-zA-Z_(]' $$(find internal/erpc -name '*.go' ! -name '*_test.go')); \
 	[ $$(printf '%s\n' "$$gos" | grep -c .) -eq 1 ] || { printf '%s\n' "$$gos"; fail=1; }; \
 	grep -nE 'PollPacket|ChannelTransport|PacketTransport|UDPTransport|SyncWAL' $$($(call ONCE_SRC,internal cmd examples)) && fail=1; \
@@ -199,7 +207,7 @@ check-once:
 	$(call BODY_ONCE,Prepare|CommitPrepared|CommitOnePhase|AbortPrepared,control); \
 	soaks=$$(awk '/^func Test/{fn=$$2} /\.Run\(/ && !/[^A-Za-z0-9_]t\.Run\(/{print FILENAME ": " fn}' internal/chaos/*_test.go | sort -u); \
 	[ $$(printf '%s\n' "$$soaks" | grep -c .) -le 1 ] || { printf '%s\n' "$$soaks"; fail=1; }; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, control body, soak loop, member backup); call the shared one"; exit 1; }
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, control body, soak loop, member backup, conservation law); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

@@ -22,7 +22,11 @@ func dialServer(t *testing.T) (*bufio.Scanner, net.Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cluster.Stop() })
+	t.Cleanup(func() {
+		if err := cluster.Stop(); err != nil {
+			t.Errorf("stop: %v", err)
+		}
+	})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

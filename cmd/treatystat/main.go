@@ -55,7 +55,7 @@ func main() {
 
 // run parses args, drives the workload and writes the chosen JSON
 // rendering to w.
-func run(args []string, w io.Writer) error {
+func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("treatystat", flag.ContinueOnError)
 	nodes := fs.Int("nodes", 3, "cluster size")
 	txns := fs.Int("txns", 200, "transactions to run before snapshotting")
@@ -79,7 +79,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("booting cluster: %w", err)
 	}
-	defer cluster.Stop()
+	defer func() { err = errors.Join(err, cluster.Stop()) }()
 
 	// A short mixed workload: writes spanning all shards, reads, and a
 	// rollback every 10th transaction so abort metrics are populated too.

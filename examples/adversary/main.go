@@ -34,7 +34,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	base, err := os.MkdirTemp("", "treaty-adversary-")
 	if err != nil {
 		return err
@@ -51,7 +51,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer cluster.Stop()
+	defer func() { err = errors.Join(err, cluster.Stop()) }()
 
 	// Commit some baseline data.
 	tx := cluster.Node(0).Begin(nil)

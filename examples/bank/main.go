@@ -7,6 +7,7 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"log"
 	"sync"
@@ -34,7 +35,7 @@ func decBalance(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
 // run seeds that many accounts, has workers goroutines attempt
 // transfersPer transfers each, and checks the total.
-func run(accounts, workers, transfersPer int) error {
+func run(accounts, workers, transfersPer int) (err error) {
 	fmt.Printf("Booting cluster; creating %d accounts with %d each (total %d)...\n",
 		accounts, initialBalance, accounts*initialBalance)
 	cluster, err := treaty.NewCluster(treaty.ClusterOptions{
@@ -44,7 +45,7 @@ func run(accounts, workers, transfersPer int) error {
 	if err != nil {
 		return err
 	}
-	defer cluster.Stop()
+	defer func() { err = errors.Join(err, cluster.Stop()) }()
 
 	// Seed accounts in one transaction.
 	seed := cluster.Node(0).Begin(nil)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -23,7 +24,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	base, err := os.MkdirTemp("", "treaty-crashrestart-")
 	if err != nil {
 		return err
@@ -37,7 +38,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer cluster.Stop()
+	defer func() { err = errors.Join(err, cluster.Stop()) }()
 
 	tx := cluster.Node(0).Begin(nil)
 	for i := 0; i < 30; i++ {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	fmt.Println("Booting a 3-node Treaty cluster (full security: enclave + encryption + stabilization)...")
 	cluster, err := treaty.NewCluster(treaty.ClusterOptions{
 		Nodes: 3,
@@ -27,7 +28,7 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("booting cluster: %w", err)
 	}
-	defer cluster.Stop()
+	defer func() { err = errors.Join(err, cluster.Stop()) }()
 	fmt.Println("  cluster up: nodes attested to the CAS, keys provisioned, counter group running")
 
 	client, err := cluster.NewClient()

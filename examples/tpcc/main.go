@@ -31,7 +31,7 @@ func main() {
 
 // run loads cfg and has clients goroutines run perClient transactions
 // each; it fails if none commits.
-func run(cfg workload.TPCCConfig, clients, perClient int) error {
+func run(cfg workload.TPCCConfig, clients, perClient int) (err error) {
 	fmt.Printf("Booting secure cluster; loading TPC-C (%d warehouses)...\n", cfg.Warehouses)
 	cluster, err := treaty.NewCluster(treaty.ClusterOptions{
 		Nodes:       3,
@@ -41,7 +41,7 @@ func run(cfg workload.TPCCConfig, clients, perClient int) error {
 	if err != nil {
 		return err
 	}
-	defer cluster.Stop()
+	defer func() { err = errors.Join(err, cluster.Stop()) }()
 
 	begin := func(node *treaty.Node) workload.Begin {
 		return func() workload.Txn { return node.Begin(nil) }

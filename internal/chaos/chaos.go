@@ -6,8 +6,9 @@
 // partial writes. After every round the harness forces recovery, waits
 // for the cluster to quiesce, asserts that no request-lifecycle state
 // leaked (zero pending RPCs, zero active participant transactions, zero
-// undecided coordinator entries) and checks the metric conservation laws;
-// at the end the whole client-observed history must be serializable.
+// undecided coordinator entries) and checks the conservation laws the
+// packages registered (core.Cluster.CheckLaws); at the end the whole
+// client-observed history must be serializable.
 package chaos
 
 import (
@@ -20,7 +21,6 @@ import (
 
 	"treaty/internal/audit"
 	"treaty/internal/core"
-	"treaty/internal/obs"
 	"treaty/internal/shardmap"
 	"treaty/internal/twopc"
 	"treaty/internal/vfs"
@@ -193,20 +193,8 @@ func New(cfg Config) (*Harness, error) {
 	return h, nil
 }
 
-// Close tears the cluster down and checks the log laws once more on the
-// stopped nodes: a clean close leaves no log with an unstabilized tail.
-func (h *Harness) Close() error {
-	live := h.cluster.LiveNodes()
-	if err := h.cluster.Stop(); err != nil {
-		return err
-	}
-	for _, n := range live {
-		if why := logLaws(n.Addr(), n.Snapshot(), true); why != "" {
-			return fmt.Errorf("chaos: after close: %s", why)
-		}
-	}
-	return nil
-}
+// Close tears the cluster down; Stop checks the conservation laws first.
+func (h *Harness) Close() error { return h.cluster.Stop() }
 
 func accountKey(i int) []byte { return workload.BankAccountKey(i) }
 func workerKey(i int) []byte  { return workload.BankWorkerKey(i) }
@@ -569,148 +557,6 @@ func (h *Harness) verify() error {
 	return fmt.Errorf("chaos: verification transaction kept aborting: %w", lastErr)
 }
 
-// nodeMetricLaws checks the metric conservation laws on one node's
-// snapshot, or returns "" when they all hold:
-//
-//   - 2PC: tx.begun == tx.committed + tx.aborted + tx.inflight — every
-//     coordinated transaction is accounted for exactly once (recovery
-//     replays are deliberately outside the law, see twopc.recover.*).
-//   - eRPC: req.enqueued == req.delivered + req.cancelled + req.orphaned
-//   - req.pending, for the node endpoint and (in stab mode) the
-//     counter-service endpoint.
-//   - Logs: see logLaws.
-//   - Fibers: none is parked; at quiesce a waiting handler is a wedge.
-//   - Commit pushes: none is running; at quiesce one is a leak.
-func nodeMetricLaws(addr string, s obs.Snapshot) string {
-	begun := s.Counter("twopc.tx.begun")
-	committed := s.Counter("twopc.tx.committed")
-	aborted := s.Counter("twopc.tx.aborted")
-	inflight := s.Gauge("twopc.tx.inflight")
-	if inflight < 0 || begun != committed+aborted+uint64(inflight) {
-		return fmt.Sprintf("%s: 2PC law violated: begun=%d committed=%d aborted=%d inflight=%d",
-			addr, begun, committed, aborted, inflight)
-	}
-	for _, pfx := range []string{"erpc", "erpc.ctr"} {
-		enq := s.Counter(pfx + ".req.enqueued")
-		resolved := s.Counter(pfx+".req.delivered") + s.Counter(pfx+".req.cancelled") +
-			s.Counter(pfx+".req.orphaned")
-		pending := s.Gauge(pfx + ".req.pending")
-		if pending < 0 || enq != resolved+uint64(pending) {
-			return fmt.Sprintf("%s: %s request law violated: enqueued=%d resolved=%d pending=%d",
-				addr, pfx, enq, resolved, pending)
-		}
-		// A node reaches its own participant and coordinator by calls:
-		// no request addresses the endpoint that sends it.
-		if self := s.Counter(pfx + ".req.self"); self != 0 {
-			return fmt.Sprintf("%s: %s self-request law violated: %d requests to its own address", addr, pfx, self)
-		}
-	}
-	if why := logLaws(addr, s, false); why != "" {
-		return why
-	}
-	if parked := s.Gauge("fibers.parked"); parked != 0 {
-		return fmt.Sprintf("%s: fiber law violated: %d fibers parked at quiesce", addr, parked)
-	}
-	if pushing := s.Gauge("twopc.coord.pushing"); pushing != 0 {
-		return fmt.Sprintf("%s: push law violated: %d commit pushes running at quiesce", addr, pushing)
-	}
-	// Replication: every shipped commit group resolves to exactly one of
-	// acked, failed (degrade), or skipped (no backup bound yet), and
-	// every group a backup received was either acked or rejected. Both
-	// hold trivially at zero when replication is off.
-	shipped := s.Counter("repl.ship_groups")
-	shipRes := s.Counter("repl.ship_acked") + s.Counter("repl.ship_failed") + s.Counter("repl.ship_skipped")
-	if shipped != shipRes {
-		return fmt.Sprintf("%s: repl ship law violated: groups=%d acked+failed+skipped=%d",
-			addr, shipped, shipRes)
-	}
-	recv := s.Counter("repl.recv_groups")
-	recvRes := s.Counter("repl.recv_acked") + s.Counter("repl.recv_rejected")
-	if recv != recvRes {
-		return fmt.Sprintf("%s: repl recv law violated: groups=%d acked+rejected=%d",
-			addr, recv, recvRes)
-	}
-	// Block cache (only when enabled: capacity gauge is 0 otherwise):
-	// every lookup resolves to exactly one of hit or miss, resident bytes
-	// stay within capacity, and every quarantined table purged its cached
-	// blocks before the corruption error propagated.
-	if capacity := s.Gauge("lsm.cache.capacity_bytes"); capacity > 0 {
-		lookups := s.Counter("lsm.cache.lookups")
-		hits := s.Counter("lsm.cache.hits")
-		misses := s.Counter("lsm.cache.misses")
-		if hits+misses != lookups {
-			return fmt.Sprintf("%s: cache law violated: hits=%d + misses=%d != lookups=%d",
-				addr, hits, misses, lookups)
-		}
-		if bytes := s.Gauge("lsm.cache.bytes"); bytes < 0 || bytes > capacity {
-			return fmt.Sprintf("%s: cache law violated: bytes=%d outside [0, capacity=%d]",
-				addr, bytes, capacity)
-		}
-		if q, p := s.Counter("lsm.quarantine.tables"), s.Counter("lsm.cache.quarantine_purges"); p != q {
-			return fmt.Sprintf("%s: cache law violated: quarantine_purges=%d != quarantined tables=%d",
-				addr, p, q)
-		}
-	}
-	return ""
-}
-
-// logLaws checks the stabilize-on-demand laws of one node's WAL and Clog:
-//
-//   - the appended LSN never trails the stabilized counter — the counter
-//     only advances after a durable append — and after a clean Close the
-//     two are equal: no log is left with an unstabilized tail;
-//   - successful trusted-counter rounds never exceed the commit groups
-//     that demanded one: a group written without a waiter (a WAL outcome
-//     record, a Clog prepare) must not fire a round of its own.
-//     Close itself demands one per log for whatever tail was deferred.
-func logLaws(addr string, s obs.Snapshot, closed bool) string {
-	for _, log := range []string{"lsm.wal", "twopc.clog"} {
-		app, stable := s.Gauge(log+".appended_lsn"), s.Gauge(log+".stable_lsn")
-		if app < stable || (closed && app != stable) {
-			return fmt.Sprintf("%s: %s law violated: appended_lsn=%d stable_lsn=%d closed=%v", addr, log, app, stable, closed)
-		}
-	}
-	rounds := s.Counter("counter.rounds") - s.Counter("counter.round.failures")
-	demanding := s.Counter("lsm.stabilize.demanded") +
-		s.Histograms["twopc.clog.group_size"].Count - s.Counter("twopc.clog.stabilize_deferred")
-	if closed {
-		demanding++ // the Clog's close-time tail
-	}
-	if rounds > demanding {
-		return fmt.Sprintf("%s: round law violated: %d counter rounds > %d demanding groups", addr, rounds, demanding)
-	}
-	return ""
-}
-
-// checkMetricLaws asserts the conservation laws on every live node and
-// the fabric's (every packet delivered or counted as dropped). A
-// snapshot is not one atomic cut across a node's atomics, so a transient
-// imbalance right after quiescence is legal; the check retries briefly
-// and only a persistent violation is fatal.
-func (h *Harness) checkMetricLaws() error {
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		why := ""
-		h.nodesMu.RLock()
-		for i := 0; i < clusterSize && why == ""; i++ {
-			if n := h.cluster.Node(i); n != nil {
-				why = nodeMetricLaws(n.Addr(), n.Snapshot())
-			}
-		}
-		h.nodesMu.RUnlock()
-		if st := h.cluster.Net().Stats(); why == "" && st.InFlight() != 0 {
-			why = fmt.Sprintf("simnet law violated: %d packets neither delivered nor dropped: %+v", st.InFlight(), st)
-		}
-		if why == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: %s", why)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
 // auditCheck runs the serializability checker over the history so far
 // (call at quiescence) and converts violations into an error carrying
 // the reproduction seed.
@@ -727,7 +573,7 @@ func (h *Harness) auditCheck() (*audit.Report, error) {
 }
 
 // Run executes the script: for each fault, inject, run traffic, lift,
-// drain, verify and check the metric laws; then the whole history must
+// drain, verify and check the conservation laws; then the whole history must
 // pass the serializability checker. It returns the commits the workers
 // observed, the audit report, and the first violation, which names the
 // seed that replays the run.
@@ -742,7 +588,7 @@ func (h *Harness) Run(script []Fault) (commits uint64, rep *audit.Report, err er
 			err = fmt.Errorf("lifting fault: %w", err)
 		} else if drained, err = h.drain(); err == nil {
 			if err = h.verify(); err == nil {
-				err = h.checkMetricLaws()
+				err = h.cluster.CheckLaws()
 			}
 		}
 		if err != nil {

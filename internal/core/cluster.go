@@ -379,14 +379,36 @@ func (c *Cluster) RestartNode(i int) (*Node, error) {
 	return n, nil
 }
 
-// Stop shuts the whole cluster down, once every commit push has ended.
+// CheckLaws checks, on a quiet cluster, the conservation laws every live
+// node's packages registered (obs.Registry.Law) and the fabric's
+// (simnet.Stats.Law). A snapshot is not one atomic cut, so a violation is
+// retried for 2 s before it is returned, prefixed by the node's address.
+func (c *Cluster) CheckLaws() error {
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		err := c.net.Stats().Law()
+		for i, n := range c.nodes {
+			if n != nil && err == nil {
+				if err = n.reg.CheckLaws(); err != nil {
+					err = fmt.Errorf("%s: %w", c.nodeCfg[i].Addr, err)
+				}
+			}
+		}
+		if err == nil || time.Now().After(deadline) {
+			return err
+		}
+	}
+}
+
+// Stop shuts the whole cluster down, once every commit push has ended. It
+// checks the conservation laws (CheckLaws) after that drain and before
+// any node stops, and returns a violation along with any shutdown error.
 func (c *Cluster) Stop() error {
 	for _, n := range c.nodes {
 		if n != nil {
 			n.coord.Drain()
 		}
 	}
-	var errs []error
+	errs := []error{c.CheckLaws()}
 	for _, n := range c.nodes {
 		if n != nil {
 			errs = append(errs, n.Stop())

@@ -29,8 +29,18 @@ func newCluster(t *testing.T, mode SecurityMode) *Cluster {
 	if err != nil {
 		t.Fatalf("NewCluster(%v): %v", mode, err)
 	}
-	t.Cleanup(func() { c.Stop() })
+	stopAtCleanup(t, c)
 	return c
+}
+
+// stopAtCleanup stops c when the test ends: a conservation law that does
+// not hold on the quiet cluster, or a shutdown error, fails the test.
+func stopAtCleanup(t *testing.T, c *Cluster) {
+	t.Cleanup(func() {
+		if err := c.Stop(); err != nil {
+			t.Errorf("cluster stop: %v", err)
+		}
+	})
 }
 
 func TestClusterAllModesBasicTxn(t *testing.T) {
@@ -217,8 +227,33 @@ func memCluster(t *testing.T, mode SecurityMode) (*Cluster, ClusterOptions) {
 	if err != nil {
 		t.Fatalf("NewCluster(%v): %v", mode, err)
 	}
-	t.Cleanup(func() { c.Stop() })
+	stopAtCleanup(t, c)
 	return c, opts
+}
+
+// TestStopChecksLaws: Cluster.Stop checks every live node's laws after
+// its drain and names the node and the law that does not hold — here a
+// transaction node-1's coordinator counted as begun and never resolved.
+// The round law, core's own, trips on a counter round no group demanded.
+func TestStopChecksLaws(t *testing.T) {
+	c, err := NewCluster(ClusterOptions{Nodes: 3, Mode: ModeNativeTreatyEnc, BaseDir: t.TempDir(), Workers: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitKeys(t, c, "laws", 2, 6)
+	if err := c.CheckLaws(); err != nil {
+		t.Fatalf("clean cluster: %v", err)
+	}
+	reg := c.Node(2).Metrics()
+	reg.Counter("counter.rounds").Add(1000)
+	if err := reg.CheckLaws(); err == nil || !strings.Contains(err.Error(), "core.round law violated") {
+		t.Fatalf("an undemanded counter round: %v", err)
+	}
+	reg.Counter("counter.round.failures").Add(1000) // failed rounds demand nothing
+	c.Node(1).Metrics().Counter("twopc.tx.begun").Inc()
+	if err := c.Stop(); err == nil || !strings.Contains(err.Error(), "node-1: twopc.tx law violated") {
+		t.Fatalf("Stop over an unresolved transaction: %v", err)
+	}
 }
 
 // TestStopDrainsPushes: a clean stop ends every commit push, which runs
@@ -261,7 +296,7 @@ func TestStopDrainsPushes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reboot on the same storage: %v", err)
 	}
-	defer again.Stop()
+	stopAtCleanup(t, again)
 	for i := 0; i < again.Nodes(); i++ {
 		if p := again.Node(i).DB().RecoveredPrepared(); len(p) != 0 {
 			t.Errorf("%s recovered %d transactions prepared: a push was cut off by Stop", again.NodeAddr(i), len(p))
@@ -423,7 +458,7 @@ func TestSSTableTamperDetectedAtClusterLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Stop()
+	stopAtCleanup(t, c)
 
 	// Write enough data to flush tables on node-0.
 	for round := 0; round < 8; round++ {
@@ -533,7 +568,7 @@ func TestCrashPoisonsVolatileCounters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { c.Stop() })
+			stopAtCleanup(t, c)
 			n := c.Node(0)
 			apply := func() (durlog.StableToken, error) {
 				b := lsm.NewBatch()

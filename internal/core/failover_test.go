@@ -26,7 +26,7 @@ func newReplicatedCluster(t *testing.T, mode SecurityMode) *Cluster {
 	if err != nil {
 		t.Fatalf("NewCluster(%v): %v", mode, err)
 	}
-	t.Cleanup(func() { c.Stop() })
+	stopAtCleanup(t, c)
 	return c
 }
 

@@ -301,6 +301,18 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if clog.TornTailDropped() {
 		n.reg.Counter("storage.clog.torn_dropped").Inc()
 	}
+	// The round law spans the three packages wired here: a commit group
+	// written without a waiter (a WAL outcome record, a Clog prepare) fires
+	// no trusted-counter round of its own.
+	n.reg.Law("core.round", func(s obs.Snapshot) error {
+		rounds := s.Counter("counter.rounds") - s.Counter("counter.round.failures")
+		demanding := s.Counter("lsm.stabilize.demanded") +
+			s.Histograms["twopc.clog.group_size"].Count - s.Counter("twopc.clog.stabilize_deferred")
+		if rounds > demanding {
+			return fmt.Errorf("%d counter rounds > %d demanding groups", rounds, demanding)
+		}
+		return nil
+	})
 	n.clog = clog
 	n.coord = twopc.NewCoordinator(twopc.CoordinatorConfig{
 		NodeID:      cfg.ID,

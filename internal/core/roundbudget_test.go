@@ -25,7 +25,7 @@ func TestCounterRoundBudget(t *testing.T) {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("budget-%03d", i)) }
 
 	const txns, keysPer = 12, 6
-	rounds, prepares := sum("counter.rounds"), sum("twopc.part.prepares")
+	rounds, failures, prepares := sum("counter.rounds"), sum("counter.round.failures"), sum("twopc.part.prepares")
 	demanded := sum("lsm.stabilize.demanded")
 	for n := 0; n < txns; n++ {
 		tx := c.Node(n % 3).Begin(nil)
@@ -44,6 +44,7 @@ func TestCounterRoundBudget(t *testing.T) {
 		c.Node(i).Coordinator().Drain()
 	}
 	dRounds, dPrepares := sum("counter.rounds")-rounds, sum("twopc.part.prepares")-prepares
+	dFailures := sum("counter.round.failures") - failures
 	if dPrepares < txns {
 		t.Fatalf("vacuous: %d prepares for %d transactions", dPrepares, txns)
 	}
@@ -51,8 +52,8 @@ func TestCounterRoundBudget(t *testing.T) {
 	// expected at this volume, but the budget stays exact if one happens.
 	housekeeping := max(sum("lsm.stabilize.demanded")-demanded, dPrepares) - dPrepares
 	if budget := dPrepares + txns + housekeeping; dRounds > budget {
-		t.Fatalf("%d counter rounds for %d transactions, budget %d (prepares %d + decisions %d + housekeeping %d)",
-			dRounds, txns, budget, dPrepares, txns, housekeeping)
+		t.Fatalf("%d counter rounds (%d failed) for %d transactions, budget %d (prepares %d + decisions %d + housekeeping %d)",
+			dRounds, dFailures, txns, budget, dPrepares, txns, housekeeping)
 	}
 	if got := sum("lsm.wal.stabilize_deferred"); got < dPrepares {
 		t.Fatalf("lsm.wal.stabilize_deferred = %d, want one deferred outcome group per prepare (%d)", got, dPrepares)

@@ -95,8 +95,8 @@ type Hooks struct {
 	// Appends counts records, Syncs and SyncLatency the per-group forces.
 	// Demanded counts the stabilizations the log asked for (groups with a
 	// demanding record, the close-time tail), Deferred the groups written
-	// without one. Successful counter rounds never exceed the demands (a
-	// chaos metric law). All are nil-safe.
+	// without one. Successful counter rounds never exceed the demands
+	// (core's round law). All are nil-safe.
 	Appends, Syncs, Demanded, Deferred *obs.Counter
 	SyncLatency                        *obs.Histogram
 }
@@ -348,18 +348,23 @@ func (l *Log) Abandon() {
 // was), then the whole tail is stabilized and waited for, then the file is
 // closed. No log keeps an unstabilized suffix once a successor accepts
 // entries — the suffix would be discarded at recovery while later,
-// stabilized entries in the successor survive. A poisoned log never
-// reports a clean close: its tail durability is unknown.
+// stabilized entries in the successor survive: a clean close leaves the
+// stable value equal to the last appended one, or reports why not. A
+// poisoned log never reports a clean close: its tail durability is
+// unknown.
 func (l *Log) Close() error {
 	err := l.Poisoned()
 	if err == nil && !l.cfg.Force {
 		err = l.sync()
 	}
 	if err == nil {
-		l.synced.Store(l.lastCtr.Load())
+		last := l.lastCtr.Load()
+		l.synced.Store(last)
 		l.cfg.Demanded.Inc()
-		if err = l.Token(l.lastCtr.Load(), false).Wait(); err != nil {
+		if err = l.Token(last, false).Wait(); err != nil {
 			l.setPoison(fmt.Errorf("%w: %s counter: %v", ErrLogPoisoned, l.name, err))
+		} else if stable := l.StableValue(); stable != last {
+			err = fmt.Errorf("durlog: %s closed with stable counter %d != last appended %d", l.name, stable, last)
 		}
 	}
 	l.cfg.syscall()

@@ -230,13 +230,14 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 }
 
 // registerMetrics exports the endpoint's atomics into cfg.Metrics under
-// cfg.MetricsPrefix. The request-lifecycle counters obey a conservation
-// law the chaos soak asserts:
+// cfg.MetricsPrefix, with the two laws they obey: the request law
 //
 //	enqueued == delivered + cancelled + orphaned + pending
 //
 // (every request leaves the pending map exactly once: response
-// delivered, caller abandoned it, or endpoint close orphaned it).
+// delivered, caller abandoned it, or endpoint close orphaned it), and
+// the self law: a node reaches its own participant and coordinator by
+// calls, so no request addresses the endpoint that sends it.
 func (ep *Endpoint) registerMetrics() {
 	m := ep.cfg.Metrics
 	if m == nil {
@@ -261,6 +262,8 @@ func (ep *Endpoint) registerMetrics() {
 	m.CounterFunc(pfx+".replay.hits", ep.replayDropped.Load)
 	m.CounterFunc(pfx+".handler.panics", ep.handlerPanics.Load)
 	m.GaugeFunc(pfx+".req.pending", func() int64 { return int64(ep.PendingCount()) })
+	m.Balance(pfx+".req", pfx+".req.enqueued", pfx+".req.delivered", pfx+".req.cancelled", pfx+".req.orphaned", pfx+".req.pending")
+	m.Balance(pfx+".req.self", pfx+".req.self")
 }
 
 // Register installs the handler for a request type. Registration must
@@ -281,7 +284,7 @@ func (ep *Endpoint) NodeID() uint64 { return ep.cfg.NodeID }
 // flush. onDone, if non-nil, runs on the event loop when the response
 // arrives. A request to this endpoint's own address is counted
 // ("<prefix>.req.self"): a node reaches its own handlers by a call, so the
-// chaos soak's metric laws hold that count at zero.
+// self law holds that count at zero.
 func (ep *Endpoint) Enqueue(to string, reqType uint8, md seal.MsgMetadata, payload []byte, onDone func(*Pending)) *Pending {
 	if to == ep.LocalAddr() {
 		ep.self.Add(1)

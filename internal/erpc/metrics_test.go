@@ -1,6 +1,7 @@
 package erpc
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -104,20 +105,34 @@ func TestStatsRaceRegression(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Conservation law with all traffic quiesced:
-	// enqueued == delivered + cancelled + orphaned + pending.
+	// The endpoint's laws with all traffic quiesced.
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s := client.Stats()
-		pending := uint64(client.PendingCount())
-		if s.Requests == s.Delivered+s.Cancelled+s.Orphaned+pending {
-			break
-		}
+	for err := reg.CheckLaws(); err != nil; err = reg.CheckLaws() {
 		if time.Now().After(deadline) {
-			t.Fatalf("conservation violated: enqueued=%d delivered=%d cancelled=%d orphaned=%d pending=%d",
-				s.Requests, s.Delivered, s.Cancelled, s.Orphaned, pending)
+			t.Fatal(err)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestEndpointLaws: the request and self laws hold after clean traffic,
+// and each trips on its own violation: a request the endpoint addressed
+// to itself, and an enqueued request no resolution accounts for.
+func TestEndpointLaws(t *testing.T) {
+	client, _, reg := newMetricsPair(t)
+	if _, err := Call(client, "server", reqEcho, seal.MsgMetadata{TxID: 1, OpID: 1}, []byte("x"), 2*time.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.CheckLaws(); err != nil {
+		t.Fatalf("clean traffic: %v", err)
+	}
+	client.Enqueue(client.LocalAddr(), reqEcho, seal.MsgMetadata{TxID: 1, OpID: 2}, nil, nil)
+	if err := reg.CheckLaws(); err == nil || !strings.Contains(err.Error(), "erpc.req.self law violated: erpc.req.self=1 != sum()=0") {
+		t.Fatalf("a request to the endpoint's own address: %v", err)
+	}
+	reg.CounterFunc("erpc.req.enqueued", func() uint64 { return client.Stats().Requests + 1 })
+	if err := reg.CheckLaws(); err == nil || !strings.Contains(err.Error(), "erpc.req law violated: erpc.req.enqueued=3 != sum(") {
+		t.Fatalf("an enqueued request never resolved nor pending: %v", err)
 	}
 }
 
@@ -158,12 +173,13 @@ func TestCloseOrphansCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	key, _ := seal.NewRandomKey()
+	reg := obs.NewRegistry()
 	ep, err := NewEndpoint(Config{
 		NodeID:     1,
 		Transport:  NewSimTransport(nep, nil, KindDPDK),
 		NetworkKey: key,
 		Secure:     true,
-		Metrics:    obs.NewRegistry(),
+		Metrics:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +200,7 @@ func TestCloseOrphansCounted(t *testing.T) {
 	if s.Requests != 6 || s.Orphaned != 6 {
 		t.Fatalf("requests=%d orphaned=%d, want 6/6", s.Requests, s.Orphaned)
 	}
-	if got := s.Delivered + s.Cancelled + s.Orphaned + uint64(ep.PendingCount()); got != s.Requests {
-		t.Fatalf("conservation violated after close: %+v", s)
+	if err := reg.CheckLaws(); err != nil {
+		t.Fatalf("after close: %v", err)
 	}
 }

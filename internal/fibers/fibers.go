@@ -103,11 +103,13 @@ func New(workers int, rt *enclave.Runtime) *Scheduler {
 	return s
 }
 
-// Observe exports "fibers.parked" (a gauge: above zero on a quiet node is
-// a wedge) and "fibers.parked_ns" in reg. Call it before the first Go.
+// Observe exports "fibers.parked" and "fibers.parked_ns" in reg, with the
+// parked law: a fiber still parked on a quiet node is a wedge. Call it
+// before the first Go.
 func (s *Scheduler) Observe(reg *obs.Registry) {
 	s.parked = reg.Gauge("fibers.parked")
 	s.parkedNs = reg.Histogram("fibers.parked_ns")
+	reg.Balance("fibers.parked", "fibers.parked")
 }
 
 // Go spawns fn as a fiber, placed round-robin on a worker (one fiber per

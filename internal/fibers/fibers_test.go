@@ -1,6 +1,7 @@
 package fibers
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -167,7 +168,8 @@ func TestParkAcrossStopFreezes(t *testing.T) {
 }
 
 // TestObserveCountsParkedFibers: the gauge is up while a fiber is parked
-// and down after, and the histogram has its duration.
+// and down after, the parked law trips while it is up, and the histogram
+// has the park's duration.
 func TestObserveCountsParkedFibers(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(1, nil)
@@ -188,11 +190,17 @@ func TestObserveCountsParkedFibers(t *testing.T) {
 	if got := reg.Snapshot().Gauge("fibers.parked"); got != 1 {
 		t.Errorf("fibers.parked = %d with one fiber parked, want 1", got)
 	}
+	if err := reg.CheckLaws(); err == nil || !strings.Contains(err.Error(), "fibers.parked law violated: fibers.parked=1 != sum()=0") {
+		t.Errorf("parked law with one fiber parked: %v", err)
+	}
 	close(gate)
 	s.Join(f)
 	snap := reg.Snapshot()
 	if got := snap.Gauge("fibers.parked"); got != 0 {
 		t.Errorf("fibers.parked = %d after the fiber finished, want 0", got)
+	}
+	if err := reg.CheckLaws(); err != nil {
+		t.Errorf("parked law after the fiber finished: %v", err)
 	}
 	if got := snap.Histograms["fibers.parked_ns"].Count; got != 1 {
 		t.Errorf("fibers.parked_ns has %d observations, want 1", got)

@@ -290,7 +290,7 @@ func (c *Cache) Purge() {
 // GaugeFunc (method values register directly). All are nil-safe.
 
 // Lookups counts Get calls. Invariant: Lookups == Hits + Misses at
-// quiescence (the chaos soak asserts this conservation law).
+// quiescence (lsm's cache law).
 func (c *Cache) Lookups() uint64 {
 	if c == nil {
 		return 0

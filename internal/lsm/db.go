@@ -194,8 +194,7 @@ type DB struct {
 	// quarantines counts quarantined tables; cachePurges counts the
 	// cache purges performed for them. With caching enabled the two
 	// must agree at quiescence (a quarantined table's cached blocks are
-	// purged before the corruption error propagates) — the chaos soak
-	// asserts it as a conservation law.
+	// purged before the corruption error propagates): the cache law.
 	quarantines atomic.Uint64
 	cachePurges atomic.Uint64
 
@@ -280,11 +279,11 @@ func Open(opt Options) (*DB, error) {
 	return db, nil
 }
 
-// registerMetrics exports the storage metrics. The LSN gauges are
-// evaluated at snapshot time under db.mu against the *current* WAL and
-// its counter (per-file counters restart when the WAL rotates, so a
-// captured pointer would go stale); they satisfy the rollback-protection
-// invariant appended_lsn >= stable_lsn that the chaos soak asserts.
+// registerMetrics exports the storage metrics and their laws. The LSN
+// gauges are evaluated at snapshot time under db.mu against the *current*
+// WAL and its counter (per-file counters restart when the WAL rotates, so
+// a captured pointer would go stale); the WAL law holds them to the
+// rollback-protection invariant appended_lsn >= stable_lsn.
 func (db *DB) registerMetrics() {
 	m := db.opt.Metrics
 	if m == nil {
@@ -311,6 +310,12 @@ func (db *DB) registerMetrics() {
 		m.CounterFunc("lsm.cache.quarantine_purges", db.cachePurges.Load)
 		m.GaugeFunc("lsm.cache.bytes", db.bcache.Bytes)
 		m.GaugeFunc("lsm.cache.capacity_bytes", db.bcache.Capacity)
+		// Every lookup resolves to exactly one of hit or miss, every
+		// quarantined table purged its cached blocks before the corruption
+		// error propagated, and resident bytes stay within capacity.
+		m.Balance("lsm.cache", "lsm.cache.lookups", "lsm.cache.hits", "lsm.cache.misses")
+		m.Balance("lsm.cache.quarantine", "lsm.quarantine.tables", "lsm.cache.quarantine_purges")
+		m.AtMost("lsm.cache.bytes", "lsm.cache.bytes", "lsm.cache.capacity_bytes")
 	}
 	m.GaugeFunc("lsm.wal.appended_lsn", func() int64 {
 		db.mu.Lock()
@@ -328,6 +333,7 @@ func (db *DB) registerMetrics() {
 		}
 		return int64(db.wal.StableValue())
 	})
+	m.AtMost("lsm.wal", "lsm.wal.stable_lsn", "lsm.wal.appended_lsn") // §VI: stable only past a durable append
 }
 
 // logConfig describes one of the engine's log files to durlog. Both the

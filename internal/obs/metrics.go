@@ -14,12 +14,17 @@
 //     registry turns the whole layer into no-ops.
 //   - Snapshot() is a plain JSON-marshalable struct; cross-process
 //     tooling (cmd/treatystat, the chaos soak, bench reports) diffs it.
+//   - A package that registers metrics registers the laws they obey
+//     (Law); whoever quiesces the system checks them all (CheckLaws).
 package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"maps"
 	"math/bits"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -226,6 +231,7 @@ type Registry struct {
 	hists    map[string]*Histogram
 	cfuncs   map[string]func() uint64
 	gfuncs   map[string]func() int64
+	laws     map[string]func(Snapshot) error
 }
 
 // NewRegistry creates an empty registry.
@@ -236,6 +242,7 @@ func NewRegistry() *Registry {
 		hists:    make(map[string]*Histogram),
 		cfuncs:   make(map[string]func() uint64),
 		gfuncs:   make(map[string]func() int64),
+		laws:     make(map[string]func(Snapshot) error),
 	}
 }
 
@@ -305,6 +312,83 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gfuncs[name] = fn
+}
+
+// Law registers a conservation law over the registry's metrics, named
+// with the registering package's prefix ("twopc.tx"): check returns nil
+// while the law holds on a quiet system. Registering a name again
+// replaces its law.
+func (r *Registry) Law(name string, check func(Snapshot) error) {
+	if r != nil && check != nil {
+		r.mu.Lock()
+		r.laws[name] = check
+		r.mu.Unlock()
+	}
+}
+
+// Balance registers the law total == the sum of parts, each a counter or
+// a gauge, with no part negative; with no parts, total must be zero
+// (nothing left outstanding at quiesce).
+func (r *Registry) Balance(name, total string, parts ...string) {
+	r.Law(name, func(s Snapshot) error {
+		var sum int64
+		terms := make([]string, len(parts))
+		for i, p := range parts {
+			v := s.value(p)
+			if v < 0 {
+				return fmt.Errorf("%s=%d < 0", p, v)
+			}
+			sum += v
+			terms[i] = fmt.Sprintf("%s=%d", p, v)
+		}
+		if v := s.value(total); v != sum {
+			return fmt.Errorf("%s=%d != sum(%s)=%d", total, v, strings.Join(terms, ", "), sum)
+		}
+		return nil
+	})
+}
+
+// AtMost registers the law 0 <= lo <= hi, over counters or gauges.
+func (r *Registry) AtMost(name, lo, hi string) {
+	r.Law(name, func(s Snapshot) error {
+		if l, h := s.value(lo), s.value(hi); l < 0 || l > h {
+			return fmt.Errorf("%s=%d outside [0, %s=%d]", lo, l, hi, h)
+		}
+		return nil
+	})
+}
+
+// value reads a counter or a gauge.
+func (s Snapshot) value(name string) int64 {
+	if v, ok := s.Gauges[name]; ok {
+		return v
+	}
+	return int64(s.Counters[name])
+}
+
+// CheckLaws evaluates every law, in name order, against one snapshot and
+// returns the first violation, prefixed by the law's name. A snapshot is
+// not one atomic cut, so a caller that has just quiesced the system
+// retries a violation briefly before believing it.
+func (r *Registry) CheckLaws() error {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	laws := maps.Clone(r.laws)
+	r.mu.Unlock()
+	names := make([]string, 0, len(laws))
+	for name := range laws {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	s := r.Snapshot()
+	for _, name := range names {
+		if err := laws[name](s); err != nil {
+			return fmt.Errorf("%s law violated: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // Snapshot captures every metric. Registered funcs are called outside

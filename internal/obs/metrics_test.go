@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"sync"
 	"testing"
 )
@@ -195,5 +196,45 @@ func TestSnapshotFuncsAndJSON(t *testing.T) {
 	names := s.Names()
 	if len(names) != 5 {
 		t.Fatalf("Names() = %v, want 5 entries", names)
+	}
+}
+
+// TestLaws: CheckLaws evaluates every registered law against one
+// snapshot, in name order, and returns the first violation prefixed by
+// the law's name; re-registering a name replaces the law, and a nil
+// registry has no laws. Balance and AtMost read counters and gauges alike
+// and refuse a negative gauge.
+func TestLaws(t *testing.T) {
+	reg := NewRegistry()
+	in, out, level := reg.Counter("test.in"), reg.Counter("test.out"), reg.Gauge("test.level")
+	reg.Balance("test.balance", "test.in", "test.out", "test.level")
+	reg.Balance("test.idle", "test.busy")
+	reg.AtMost("test.bound", "test.level", "test.cap")
+	reg.Law("test.zzz", func(Snapshot) error { return errors.New("always") })
+	reg.Law("test.zzz", func(Snapshot) error { return nil })
+	if err := reg.CheckLaws(); err != nil {
+		t.Fatalf("balanced registry: %v", err)
+	}
+	reg.GaugeFunc("test.cap", func() int64 { return 5 })
+	for _, c := range []struct {
+		move func()
+		want string
+	}{
+		{func() { in.Inc() }, "test.balance law violated: test.in=1 != sum(test.out=0, test.level=0)=0"},
+		{func() { level.Add(1) }, ""},
+		{func() { in.Add(5); level.Add(5) }, "test.bound law violated: test.level=6 outside [0, test.cap=5]"},
+		{func() { level.Add(-7); out.Add(6) }, "test.balance law violated: test.level=-1 < 0"},
+		{func() { level.Add(1) }, ""},
+		{func() { reg.Gauge("test.busy").Add(1) }, "test.idle law violated: test.busy=1 != sum()=0"},
+	} {
+		c.move()
+		if err := reg.CheckLaws(); (err == nil) != (c.want == "") || err != nil && err.Error() != c.want {
+			t.Fatalf("CheckLaws = %v, want %q", err, c.want)
+		}
+	}
+	var none *Registry
+	none.Law("test.nil", func(Snapshot) error { return errors.New("never registered") })
+	if err := none.CheckLaws(); err != nil {
+		t.Fatalf("nil registry: %v", err)
 	}
 }

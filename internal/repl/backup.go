@@ -107,6 +107,8 @@ func NewBackup(cfg BackupConfig) (*Backup, error) {
 		b.groups = m.Counter("repl.recv_groups")
 		b.acked = m.Counter("repl.recv_acked")
 		b.rejected = m.Counter("repl.recv_rejected")
+		// Every group a backup received was either acked or rejected.
+		m.Balance("repl.recv", "repl.recv_groups", "repl.recv_acked", "repl.recv_rejected")
 	}
 	if err := fs.MkdirAll(b.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("repl: mkdir %s: %w", b.dir, err)

@@ -515,6 +515,28 @@ func TestShipperUnassignedSkipsUntilBound(t *testing.T) {
 	}
 }
 
+// TestReplLaws: both laws hold after a rig shipped groups that were
+// acked, and each trips on a group counted that resolved nowhere: one the
+// backup received (recv law), one the shipper shipped (ship law).
+func TestReplLaws(t *testing.T) {
+	rig := newShipperRig(t, nil)
+	for i := 1; i <= 2; i++ {
+		rig.shipper.Ship([]durlog.Entry{{Kind: 1, Counter: uint64(i), Payload: []byte{byte(i)}}})
+	}
+	if err := rig.reg.CheckLaws(); err != nil {
+		t.Fatalf("acked ships: %v", err)
+	}
+	rig.reg.Counter("repl.recv_groups").Inc()
+	if err := rig.reg.CheckLaws(); err == nil || !strings.Contains(err.Error(), "repl.recv law violated: repl.recv_groups=3 != sum(repl.recv_acked=2, repl.recv_rejected=0)=2") {
+		t.Fatalf("a received group neither acked nor rejected: %v", err)
+	}
+	rig.reg.Counter("repl.recv_rejected").Inc()
+	rig.reg.Counter("repl.ship_groups").Inc()
+	if err := rig.reg.CheckLaws(); err == nil || !strings.Contains(err.Error(), "repl.ship law violated: repl.ship_groups=3 != sum(repl.ship_acked=2, repl.ship_failed=0, repl.ship_skipped=0)=2") {
+		t.Fatalf("a shipped group neither acked, failed nor skipped: %v", err)
+	}
+}
+
 func FuzzReplStreamDecode(f *testing.F) {
 	var key seal.Key
 	copy(key[:], bytes.Repeat([]byte{7}, len(key)))

@@ -100,6 +100,9 @@ func NewShipper(cfg ShipperConfig) *Shipper {
 		} else {
 			s.seqGauge = m.Gauge("repl.shipped_seq.clog")
 		}
+		// Every shipped group resolves to exactly one of acked, failed
+		// (degrade) or skipped (no backup bound yet).
+		m.Balance("repl.ship", "repl.ship_groups", "repl.ship_acked", "repl.ship_failed", "repl.ship_skipped")
 	}
 	return s
 }

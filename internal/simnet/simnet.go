@@ -14,7 +14,7 @@
 // the job of the layers above (package erpc).
 //
 // Every packet is accounted for exactly once. With nothing in flight
-// (Stats.InFlight):
+// (Stats.Law):
 //
 //	Sent + Duplicated == Delivered + DroppedLoss + DroppedAdversary +
 //	    DroppedPartition + DroppedOverrun
@@ -133,13 +133,16 @@ type Stats struct {
 	BytesDelivered uint64
 }
 
-// InFlight is the number of packets accepted or duplicated and neither
-// delivered nor dropped yet: zero once the links have drained (the
-// package comment's law). A snapshot is not one atomic cut, so a reading
-// taken under traffic may be off by the packets that moved meanwhile.
-func (s Stats) InFlight() int64 {
-	return int64(s.Sent + s.Duplicated - s.Delivered - s.DroppedLoss - s.DroppedAdversary -
-		s.DroppedPartition - s.DroppedOverrun)
+// Law is the package comment's law, for a drained network: every packet
+// accepted or duplicated was delivered or counted as dropped. A snapshot
+// is not one atomic cut, so under traffic it may be off by the packets
+// that moved meanwhile.
+func (s Stats) Law() error {
+	if n := int64(s.Sent + s.Duplicated - s.Delivered - s.DroppedLoss - s.DroppedAdversary -
+		s.DroppedPartition - s.DroppedOverrun); n != 0 {
+		return fmt.Errorf("simnet law violated: %d packets neither delivered nor dropped: %+v", n, s)
+	}
+	return nil
 }
 
 // Network is a set of endpoints connected by configurable links.

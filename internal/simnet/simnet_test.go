@@ -3,6 +3,7 @@ package simnet
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -332,6 +333,27 @@ func TestStatsDelivered(t *testing.T) {
 	}
 }
 
+// TestStatsLaw: the fabric law holds once every packet sent was
+// received, and a packet the books lost (a send counted, no delivery or
+// drop) trips it.
+func TestStatsLaw(t *testing.T) {
+	n, a, b := pair(t, LinkConfig{})
+	if err := a.Send("b", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	s := n.Stats()
+	if err := s.Law(); err != nil {
+		t.Fatalf("drained network: %v", err)
+	}
+	s.Sent++
+	if err := s.Law(); err == nil || !strings.Contains(err.Error(), "simnet law violated: 1 packets") {
+		t.Fatalf("a packet neither delivered nor dropped: %v", err)
+	}
+}
+
 // TestStatsBalance checks the package comment's law where it used to
 // come up short: an inbox nobody reads overruns, the adversary's extra
 // copies are packets too, and a receiver that closes under a packet in
@@ -347,9 +369,9 @@ func TestStatsBalance(t *testing.T) {
 	}
 	slots := uint64(cap(b.inbox))
 	s := n.Stats()
-	if s.InFlight() != 0 || s.Sent != sends || s.Duplicated != sends ||
+	if s.Law() != nil || s.Sent != sends || s.Duplicated != sends ||
 		s.Delivered != slots || s.DroppedOverrun != 2*sends-slots {
-		t.Fatalf("after overrunning an unread inbox: in flight %d, stats %+v", s.InFlight(), s)
+		t.Fatalf("after overrunning an unread inbox: %v, stats %+v", s.Law(), s)
 	}
 
 	n.SetAdversary(nil)
@@ -359,11 +381,11 @@ func TestStatsBalance(t *testing.T) {
 	}
 	b.Close()
 	deadline := time.Now().Add(2 * time.Second)
-	for n.Stats().InFlight() != 0 && time.Now().Before(deadline) {
+	for n.Stats().Law() != nil && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if s := n.Stats(); s.InFlight() != 0 || s.DroppedOverrun != 2*sends-slots+1 {
-		t.Fatalf("after the receiver closed under a packet in flight: in flight %d, stats %+v", s.InFlight(), s)
+	if s := n.Stats(); s.Law() != nil || s.DroppedOverrun != 2*sends-slots+1 {
+		t.Fatalf("after the receiver closed under a packet in flight: %v, stats %+v", s.Law(), s)
 	}
 }
 
@@ -412,11 +434,11 @@ func TestLinkNeverReorders(t *testing.T) {
 				t.Errorf("received %v, want send order [0 1 2]", got)
 			}
 			deadline := time.Now().Add(time.Second)
-			for n.Stats().InFlight() != 0 && time.Now().Before(deadline) {
+			for n.Stats().Law() != nil && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
-			if s := n.Stats(); s.InFlight() != 0 {
-				t.Errorf("in flight %d after every packet arrived: %+v", s.InFlight(), s)
+			if err := n.Stats().Law(); err != nil {
+				t.Errorf("after every packet arrived: %v", err)
 			}
 		})
 	}

@@ -206,6 +206,7 @@ func (c *Clog) Configure(t ClogTuning) {
 	})
 	m.GaugeFunc("twopc.clog.appended_lsn", func() int64 { return int64(c.log.LastCounter()) })
 	m.GaugeFunc("twopc.clog.stable_lsn", func() int64 { return int64(c.log.StableValue()) })
+	m.AtMost("twopc.clog", "twopc.clog.stable_lsn", "twopc.clog.appended_lsn") // §VI: stable only past a durable append
 }
 
 // TornTailDropped reports whether opening dropped a crash-torn tail (a

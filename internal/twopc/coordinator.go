@@ -92,7 +92,7 @@ type Coordinator struct {
 
 // coordMetrics aggregates the coordinator's counters. All fields are
 // nil-safe no-ops when no registry is configured. The transaction
-// counters obey the conservation law the chaos soak asserts:
+// counters obey the twopc.tx law (NewCoordinator):
 //
 //	begun == committed + aborted + inflight
 //
@@ -195,6 +195,10 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		return int64(c.PreparedCount())
 	})
 	cfg.Metrics.GaugeFunc("twopc.coord.pushing", c.pushes.n.Load)
+	// Every coordinated transaction is accounted for exactly once;
+	// recovery replays are outside the law (see twopc.recover.*).
+	cfg.Metrics.Balance("twopc.tx", "twopc.tx.begun", "twopc.tx.committed", "twopc.tx.aborted", "twopc.tx.inflight")
+	cfg.Metrics.Balance("twopc.push", "twopc.coord.pushing")
 	if c.timeout == 0 {
 		c.timeout = 2 * time.Second
 	}

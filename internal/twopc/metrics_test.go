@@ -2,11 +2,13 @@ package twopc
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"treaty/internal/obs"
+	"treaty/internal/seal"
 	"treaty/internal/simnet"
 )
 
@@ -24,11 +26,8 @@ func stagesEqual(got []obs.Stage, want []obs.Stage) bool {
 }
 
 // TestMetricsConservationCleanRun drives a mix of committed, rolled-back
-// and read-only transactions and checks the coordinator conservation law
-// on a quiesced cluster:
-//
-//	twopc.tx.begun == twopc.tx.committed + twopc.tx.aborted
-//	twopc.tx.inflight == 0
+// and read-only transactions and checks the coordinator's laws and counts
+// on a quiesced cluster: every transaction begun, none in flight.
 func TestMetricsConservationCleanRun(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	coord := tc.nodes[0].coord
@@ -64,19 +63,14 @@ func TestMetricsConservationCleanRun(t *testing.T) {
 	}
 	coord.Drain() // the commit pushes run after Commit returns
 
+	if err := checkLaws(tc.nodes[0].reg); err != nil {
+		t.Error(err)
+	}
 	snap := tc.nodes[0].reg.Snapshot()
-	begun := snap.Counter("twopc.tx.begun")
-	committed := snap.Counter("twopc.tx.committed")
-	aborted := snap.Counter("twopc.tx.aborted")
-	inflight := snap.Gauge("twopc.tx.inflight")
-	if begun != commits+rollbacks+1 {
+	if begun := snap.Counter("twopc.tx.begun"); begun != commits+rollbacks+1 {
 		t.Errorf("begun = %d, want %d", begun, commits+rollbacks+1)
 	}
-	if begun != committed+aborted {
-		t.Errorf("conservation violated: begun %d != committed %d + aborted %d",
-			begun, committed, aborted)
-	}
-	if inflight != 0 {
+	if inflight := snap.Gauge("twopc.tx.inflight"); inflight != 0 {
 		t.Errorf("inflight = %d after quiesce, want 0", inflight)
 	}
 	if got := snap.Counter("twopc.abort.client_rollback"); got != rollbacks {
@@ -121,6 +115,60 @@ func TestMetricsConservationCleanRun(t *testing.T) {
 	}
 	if roVotes == 0 {
 		t.Errorf("readonly_votes = 0, want > 0 (read-only txn ran)")
+	}
+}
+
+// TestTwoPCLaws: each of the package's laws trips on its own violation —
+// a commit push still running (push law), a transaction begun that no
+// outcome accounts for (tx law), a Clog whose counter ran past its last
+// append (Clog law) — and such a Clog refuses to report a clean close.
+func TestTwoPCLaws(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	nd := tc.nodes[0]
+	release := nd.coord.HoldPushes()
+	tx := nd.coord.Begin(nil)
+	for i := 0; i < 12; i++ {
+		if err := tx.Put([]byte(fmt.Sprintf("held-%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	err := nd.reg.CheckLaws()
+	release()
+	if err == nil || !strings.Contains(err.Error(), "twopc.push law violated: twopc.coord.pushing=1 != sum()=0") {
+		t.Fatalf("a held commit push: %v", err)
+	}
+	nd.coord.Drain()
+	if err := checkLaws(nd.reg); err != nil {
+		t.Fatalf("drained node: %v", err)
+	}
+	nd.reg.Counter("twopc.tx.begun").Inc()
+	if err := nd.reg.CheckLaws(); err == nil || !strings.Contains(err.Error(), "twopc.tx law violated: twopc.tx.begun=2 != sum(twopc.tx.committed=1, twopc.tx.aborted=0, twopc.tx.inflight=0)=1") {
+		t.Fatalf("a transaction begun and never resolved: %v", err)
+	}
+	nd.reg.Counter("twopc.tx.aborted").Inc() // resolved: the cleanup's check holds
+
+	ctr := &fakeCounter{}
+	clog, _, err := OpenClog(nil, t.TempDir(), seal.LevelEncrypted, tc.key, nil, ctr, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	clog.Configure(ClogTuning{Metrics: reg})
+	if _, err := clog.Append(clogDecision, globalTxID(1, 1), true, []string{"node-1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.CheckLaws(); err != nil {
+		t.Fatalf("clean Clog: %v", err)
+	}
+	ctr.Stabilize(9)
+	if err := reg.CheckLaws(); err == nil || !strings.Contains(err.Error(), "twopc.clog law violated: twopc.clog.stable_lsn=9 outside [0, twopc.clog.appended_lsn=1]") {
+		t.Fatalf("a Clog counter past the last append: %v", err)
+	}
+	if err := clog.Close(); err == nil || !strings.Contains(err.Error(), "closed with stable counter 9 != last appended 1") {
+		t.Fatalf("close of a Clog whose counter ran past it: %v", err)
 	}
 }
 

@@ -149,12 +149,32 @@ func newShapedCluster(t *testing.T, n, workers int, timeout time.Duration) *test
 		}
 		for _, nd := range tc.nodes {
 			if nd != nil {
+				if err := checkLaws(nd.reg); err != nil {
+					t.Errorf("%s: %v", nd.addr, err)
+				}
+			}
+		}
+		for _, nd := range tc.nodes {
+			if nd != nil {
 				tc.stopNode(nd)
 			}
 		}
 		tc.net.Close()
 	})
 	return tc
+}
+
+// checkLaws checks a quiet node's conservation laws, retrying a violation
+// for up to two seconds: a snapshot is not one atomic cut.
+func checkLaws(reg *obs.Registry) error {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		err := reg.CheckLaws()
+		if err == nil || time.Now().After(deadline) {
+			return err
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 }
 
 // startNode builds a node (dir persists across restarts).
@@ -184,6 +204,7 @@ func (tc *testCluster) startNode(id uint64, addr, dir string) *testNode {
 	}
 	mgr := txn.NewManager(txn.Config{DB: db, LockTimeout: 500 * time.Millisecond, WaitStable: true})
 	sched := fibers.New(tc.workers, nil)
+	sched.Observe(reg)
 	part := NewParticipant(ParticipantConfig{
 		Manager: mgr, Endpoint: ep, Scheduler: sched, IdleTimeout: 5 * time.Second,
 		NodeID: id, Shard: tc.shard,
@@ -194,6 +215,7 @@ func (tc *testCluster) startNode(id uint64, addr, dir string) *testNode {
 	if err != nil {
 		tc.t.Fatal(err)
 	}
+	clog.Configure(ClogTuning{Metrics: reg})
 	coord := NewCoordinator(CoordinatorConfig{
 		NodeID: id, Endpoint: ep, Participant: part, Clog: clog, Shard: tc.shard,
 		Timeout: tc.timeout, Recovered: recovered,

@@ -16,7 +16,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Stop()
+	defer func() {
+		if err := cluster.Stop(); err != nil {
+			t.Errorf("stop: %v", err)
+		}
+	}()
 
 	client, err := cluster.NewClient()
 	if err != nil {
