@@ -36,14 +36,12 @@ NEVER_RUN += \
 	internal/audit/history.go:Outcome.String \
 	internal/enclave/enclave.go:Mode.String \
 	internal/mempool/mempool.go:Region.String
-# Run by hand or by bench-smoke, not by tier-1: the block-cache ablation
-# (BenchmarkAblation_BlockCache) and the paper-figure command.
+# Run by bench-smoke, not by tier-1: the block-cache ablation
+# (BenchmarkAblation_BlockCache, a root benchmark).
 NEVER_RUN += \
-	internal/bench/blockcache.go:BlockCacheConfig.withDefaults \
 	internal/bench/blockcache.go:RunBlockCacheAblation \
 	internal/bench/blockcache.go:runBlockCacheArm \
-	internal/bench/blockcache.go:PrintBlockCache \
-	cmd/treaty-bench/main.go:show
+	internal/bench/blockcache.go:PrintBlockCache
 # The check over `go tool cover -func`: it names each 0.0% function by its
 # file and receiver (read from the source line the profile points at).
 define NEVER_RUN_AWK
@@ -174,6 +172,13 @@ vet:
 # "<pkg>.…", core's cross-package round law "core.…"), so no non-test file
 # outside internal/<pkg> registers a "<pkg>." law, and the chaos harness's
 # own law functions (nodeMetricLaws, logLaws, checkMetricLaws) stay gone.
+# The paper harness has one front end, the root benchmarks (no
+# cmd/treaty-bench directory comes back), and one metrics schema, the
+# owning packages' own: a measurement carries its nodes' raw snapshots (the
+# digest's NodeDigest, DigestSnapshot, CaptureMetrics and ReportJSON stay
+# gone), and no non-test file of internal/bench or cmd names another
+# package's metric or reads one by a literal name (METRIC_READ), except the
+# block-cache ablation's two lsm.cache counters.
 # $(call BODY_ONCE,<calls>,<method>): the engine calls on at.local that
 # <calls> names, one site each, appear in non-test code only in
 # Participant.<method>.
@@ -181,6 +186,7 @@ BODY_ONCE = hits=$$(awk '/^func /{fn=$$0} /at\.local\.($(1))\(/{print FILENAME "
 	[ $$(printf '%s\n' "$$hits" | grep -c '^internal/twopc/participant\.go:[0-9]*: in func (p \*Participant) $(2)(') -eq $(words $(subst |, ,$(1))) ] && \
 		[ $$(printf '%s\n' "$$hits" | grep -c .) -eq $(words $(subst |, ,$(1))) ] || { printf '%s\n' "$$hits"; fail=1; }
 ONCE_SRC = find $(1) -name '*.go' ! -name '*_test.go' ! -path internal/fibers/wait.go ! -path internal/erpc/retry.go ! -path internal/erpc/opid.go
+METRIC_READ = '"('"$$(ls internal | paste -sd'|' -)"'|storage)\.[a-z_]|\.(Counter|Gauge)\("|(Counters|Gauges|Histograms)\["'
 check-once:
 	@fail=0; \
 	grep -n 'spins *% *64' $$($(call ONCE_SRC,internal)) && fail=1; \
@@ -197,6 +203,9 @@ check-once:
 	grep -n 'TREATY_DEBUG' $$($(call ONCE_SRC,.)) && fail=1; \
 	grep -nE 'Backups\[|SlotBackup' $$($(call ONCE_SRC,.)) && fail=1; \
 	grep -nE 'nodeMetricLaws|logLaws|checkMetricLaws' $$(find . -name '*.go') && fail=1; \
+	grep -nE 'NodeDigest|DigestSnapshot|CaptureMetrics|ReportJSON' $$(find . -name '*.go') && fail=1; \
+	[ ! -e cmd/treaty-bench ] || { echo "cmd/treaty-bench: the root benchmarks are the paper figures' one front end"; fail=1; }; \
+	grep -nE $(METRIC_READ) $$($(call ONCE_SRC,internal/bench cmd)) | grep -vE '^internal/bench/blockcache\.go:[0-9]+:[[:space:]]+res\.(Lookups|Hits) = s\.Counter\("lsm\.cache\.(lookups|hits)"\)$$' && fail=1; \
 	laws=$$(grep -HnE '\.(Law|Balance|AtMost)\("[a-z]+\.' $$($(call ONCE_SRC,.)) | awk '{ p = $$0; sub(/.*\.(Law|Balance|AtMost)\("/, "", p); sub(/\..*/, "", p); if (index($$0, "./internal/" p "/") != 1) print }'); \
 	[ -z "$$laws" ] || { printf '%s\n' "$$laws"; fail=1; }; \
 	gos=$$(grep -nE '^[[:space:]]*go [a-zA-Z_(]' $$(find internal/erpc -name '*.go' ! -name '*_test.go')); \
@@ -207,7 +216,7 @@ check-once:
 	$(call BODY_ONCE,Prepare|CommitPrepared|CommitOnePhase|AbortPrepared,control); \
 	soaks=$$(awk '/^func Test/{fn=$$2} /\.Run\(/ && !/[^A-Za-z0-9_]t\.Run\(/{print FILENAME ": " fn}' internal/chaos/*_test.go | sort -u); \
 	[ $$(printf '%s\n' "$$soaks" | grep -c .) -le 1 ] || { printf '%s\n' "$$soaks"; fail=1; }; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, control body, soak loop, member backup, conservation law); call the shared one"; exit 1; }
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, control body, soak loop, member backup, conservation law, paper front end, metrics schema); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

@@ -1,22 +1,19 @@
 package treaty
 
 // Benchmarks that regenerate every table and figure of the paper's
-// evaluation (§VIII). Each benchmark runs the corresponding experiment
-// harness and logs the paper-style table; throughput is also exposed as
-// benchmark metrics. Run all of them with:
+// evaluation (§VIII), the one front end of internal/bench. Each benchmark
+// runs the corresponding experiment harness at its own scale and logs the
+// paper-style table; throughput is also exposed as benchmark metrics. Run
+// all of them with:
 //
-//	go test -bench=. -benchmem -benchtime=1x
+//	go test -run '^$' -bench=. -benchmem -benchtime=1x
 //
 // or regenerate a single figure, e.g.:
 //
-//	go test -bench=BenchmarkFig5 -benchtime=1x
-//
-// The same experiments at larger scale are available via
-// cmd/treaty-bench.
+//	go test -run '^$' -bench=BenchmarkFig5 -benchtime=1x
 
 import (
 	"testing"
-	"time"
 
 	"treaty/internal/bench"
 )
@@ -74,11 +71,16 @@ func sanitize(s string) string {
 	return string(out)
 }
 
+// BenchmarkScaling runs the horizontal-scaling panel (beyond the paper):
+// the same read-heavy offered load against 3, 5 and 9 nodes.
+func BenchmarkScaling(b *testing.B) { runPanels(b, "scaling", 0) }
+
 // BenchmarkFig4_TwoPCProtocol reproduces Figure 4: the 2PC protocol with
-// no storage underneath, four arms, YCSB 50R/50W.
+// no storage underneath, four arms, YCSB 50R/50W, at the harness's own
+// scale (32 clients, 2 s per arm).
 func BenchmarkFig4_TwoPCProtocol(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runs, err := bench.RunFig4(bench.Fig4Config{Clients: 32, Duration: time.Second}, bench.NetArms())
+		runs, err := bench.RunFig4(bench.Fig4Config{}, bench.NetArms())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,10 +126,11 @@ func BenchmarkFig7_SingleNodeOptimistic_TPCC(b *testing.B) { runPanels(b, "fig7"
 func BenchmarkFig7_SingleNodeOptimistic_YCSB(b *testing.B) { runPanels(b, "fig7", 1) }
 
 // BenchmarkFig8_NetworkLibrary reproduces Figure 8: the four packet-path
-// arms across message sizes 64 B–4 KiB.
+// arms across message sizes 64 B–4 KiB, 150 ms per point (the harness's
+// own).
 func BenchmarkFig8_NetworkLibrary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runs, err := bench.RunFig8(100 * time.Millisecond)
+		runs, err := bench.RunFig8(0)
 		if err != nil {
 			b.Fatal(err)
 		}

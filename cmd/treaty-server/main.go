@@ -2,7 +2,9 @@
 // a simple line-oriented TCP front end for interactive clients (any
 // line client, e.g. nc 127.0.0.1 7654). The cluster — nodes, CAS, counter group, fabric — is
 // the same in-process deployment the benchmarks use; the TCP front end
-// plays the role of the paper's client machines.
+// plays the role of the paper's client machines. SIGINT or SIGTERM stops
+// it: open transactions roll back, and the cluster stops and checks its
+// conservation laws (a violation exits non-zero).
 //
 // Protocol (one command per line):
 //
@@ -19,50 +21,95 @@ package main
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
+	"os"
+	"os/signal"
 	"strings"
+	"sync"
+	"syscall"
 
 	"treaty"
 )
 
 func main() {
 	log.SetFlags(0)
-	nodes := flag.Int("nodes", 3, "cluster size")
-	modeName := flag.String("mode", "stab", "security mode: rocksdb, native, native-enc, scone, scone-enc, stab")
-	listen := flag.String("listen", "127.0.0.1:7654", "client listen address")
-	dir := flag.String("dir", "", "storage directory (default: temp)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], nil); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatalf("treaty-server: %v", err)
+	}
+}
 
+// run boots the cluster args describe and serves clients until ctx is
+// done (SIGINT or SIGTERM in main). Then it closes the listener and every
+// open connection, waits for their handlers and stops the cluster, which
+// checks its conservation laws; Stop's error is run's. listening, if not
+// nil, is given the bound address before the first client is accepted.
+func run(ctx context.Context, args []string, listening func(net.Addr)) (err error) {
+	fs := flag.NewFlagSet("treaty-server", flag.ContinueOnError)
+	nodes := fs.Int("nodes", 3, "cluster size")
+	modeName := fs.String("mode", "stab", "security mode: rocksdb, native, native-enc, scone, scone-enc, stab")
+	listen := fs.String("listen", "127.0.0.1:7654", "client listen address")
+	dir := fs.String("dir", "", "storage directory (default: temp)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	mode, err := parseMode(*modeName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+
 	log.Printf("booting %d-node cluster in mode %q...", *nodes, mode)
-	cluster, err := treaty.NewCluster(treaty.ClusterOptions{
-		Nodes:   *nodes,
-		Mode:    mode,
-		BaseDir: *dir,
-	})
+	cluster, err := treaty.NewCluster(treaty.ClusterOptions{Nodes: *nodes, Mode: mode, BaseDir: *dir})
 	if err != nil {
-		log.Fatalf("booting cluster: %v", err)
+		return fmt.Errorf("booting cluster: %w", err)
 	}
-	defer cluster.Stop()
+	defer func() { err = errors.Join(err, cluster.Stop()) }()
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		log.Fatalf("listening: %v", err)
+		return fmt.Errorf("listening: %w", err)
 	}
+	// Deferred in reverse: end the connections, wait for their handlers,
+	// then stop the cluster.
+	var handlers sync.WaitGroup
+	defer handlers.Wait()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	context.AfterFunc(ctx, func() { ln.Close() })
+
 	log.Printf("serving clients on %s (protocol: BEGIN/GET/PUT/DEL/COMMIT/ROLLBACK)", ln.Addr())
+	if listening != nil {
+		listening(ln.Addr())
+	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			log.Printf("accept: %v", err)
-			return
+			if ctx.Err() != nil {
+				log.Printf("shutting down")
+				return nil
+			}
+			return fmt.Errorf("accept: %w", err)
 		}
-		go serve(cluster, conn)
+		// Cluster.NewClient is not safe for concurrent use, so each
+		// client connects here, on the accept loop.
+		client, err := cluster.NewClient()
+		if err != nil {
+			fmt.Fprintf(conn, "ERR %v\n", err)
+			conn.Close()
+			continue
+		}
+		handlers.Add(1)
+		go func() {
+			defer handlers.Done()
+			defer context.AfterFunc(ctx, func() { conn.Close() })()
+			serve(client, conn)
+		}()
 	}
 }
 
@@ -86,17 +133,18 @@ func parseMode(s string) (treaty.SecurityMode, error) {
 	}
 }
 
-// serve handles one client connection.
-func serve(cluster *treaty.Cluster, conn net.Conn) {
+// serve handles one client connection, and closes it and its client.
+func serve(client *treaty.Client, conn net.Conn) {
 	defer conn.Close()
-	client, err := cluster.NewClient()
-	if err != nil {
-		fmt.Fprintf(conn, "ERR %v\n", err)
-		return
-	}
 	defer client.Close()
 
+	// A transaction still open when the connection ends is rolled back.
 	var tx *treaty.ClientTxn
+	defer func() {
+		if tx != nil {
+			_ = tx.TxnRollback()
+		}
+	}()
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	reply := func(format string, args ...any) {
@@ -110,9 +158,6 @@ func serve(cluster *treaty.Cluster, conn net.Conn) {
 		cmd := strings.ToUpper(fields[0])
 		switch cmd {
 		case "QUIT":
-			if tx != nil {
-				_ = tx.TxnRollback()
-			}
 			reply("OK bye")
 			return
 		case "BEGIN":

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -11,45 +12,41 @@ import (
 	"treaty"
 )
 
-// dialServer boots a cluster + listener and returns a connected client.
-func dialServer(t *testing.T) (*bufio.Scanner, net.Conn) {
+// startServer runs the server on a free port until the test ends and
+// returns its address. The test fails if the shutdown — connections
+// closed, cluster stopped, laws checked — returns an error.
+func startServer(t *testing.T) string {
 	t.Helper()
-	cluster, err := treaty.NewCluster(treaty.ClusterOptions{
-		Nodes:   3,
-		Mode:    treaty.ModeSconeEnc,
-		BaseDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := cluster.Stop(); err != nil {
-			t.Errorf("stop: %v", err)
-		}
-	})
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
+	args := []string{"-nodes", "3", "-mode", "scone-enc", "-listen", "127.0.0.1:0", "-dir", t.TempDir()}
+	ctx, cancel := context.WithCancel(context.Background())
+	addr := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, args, func(a net.Addr) { addr <- a }) }()
+	select {
+	case err := <-done:
+		cancel()
+		t.Fatalf("run returned before listening: %v", err)
+	case a := <-addr:
+		t.Cleanup(func() {
+			cancel()
+			if err := <-done; err != nil {
+				t.Errorf("run: %v", err)
 			}
-			go serve(cluster, conn)
-		}
-	}()
+		})
+		return a.String()
+	}
+	return ""
+}
 
-	conn, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+// dial connects a client to the server at addr.
+func dial(t *testing.T, addr string) (*bufio.Scanner, net.Conn) {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	sc := bufio.NewScanner(conn)
-	return sc, conn
+	return bufio.NewScanner(conn), conn
 }
 
 // roundTrip sends one command and returns the reply line.
@@ -65,7 +62,7 @@ func roundTrip(t *testing.T, sc *bufio.Scanner, conn net.Conn, cmd string) strin
 }
 
 func TestServerProtocol(t *testing.T) {
-	sc, conn := dialServer(t)
+	sc, conn := dial(t, startServer(t))
 
 	steps := []struct {
 		cmd  string
@@ -97,19 +94,20 @@ func TestServerProtocol(t *testing.T) {
 }
 
 func TestServerRollbackOnDisconnect(t *testing.T) {
-	sc, conn := dialServer(t)
+	addr := startServer(t)
+	sc, conn := dial(t, addr)
 	if got := roundTrip(t, sc, conn, "BEGIN"); got != "OK" {
 		t.Fatal(got)
 	}
 	if got := roundTrip(t, sc, conn, "PUT ghost value"); got != "OK" {
 		t.Fatal(got)
 	}
-	conn.Close() // abrupt disconnect: the open transaction is abandoned
+	conn.Close() // abrupt disconnect: the server rolls the transaction back
 
-	// A new connection must not see the uncommitted write once the
-	// abandoned transaction is reclaimed; immediately it may still hold
-	// locks, so retry briefly.
-	sc2, conn2 := dialServer(t)
+	// A new connection to the same cluster must not see the uncommitted
+	// write. Until the rollback lands its read may wait on the write's
+	// lock, and time out.
+	sc2, conn2 := dial(t, addr)
 	if got := roundTrip(t, sc2, conn2, "BEGIN"); got != "OK" {
 		t.Fatal(got)
 	}

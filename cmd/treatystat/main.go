@@ -5,11 +5,7 @@
 //
 // Usage:
 //
-//	treatystat [-nodes 3] [-txns 200] [-mode enc|stab] [-digest] [-shardmap]
-//
-// -digest prints the condensed per-node report (the same digest the
-// benchmark harness attaches to distributed measurements) instead of the
-// raw snapshot.
+//	treatystat [-nodes 3] [-txns 200] [-mode enc|stab] [-shardmap]
 //
 // -shardmap prints the attested routing state instead: the CAS map's
 // epoch and trusted-counter binding, per-slot ownership, and the epoch
@@ -25,7 +21,6 @@ import (
 	"log"
 	"os"
 
-	"treaty/internal/bench"
 	"treaty/internal/core"
 	"treaty/internal/shardmap"
 )
@@ -60,7 +55,6 @@ func run(args []string, w io.Writer) (err error) {
 	nodes := fs.Int("nodes", 3, "cluster size")
 	txns := fs.Int("txns", 200, "transactions to run before snapshotting")
 	mode := fs.String("mode", "enc", "security mode: enc (encrypted, immediate counters) or stab (counter-service stabilization)")
-	digest := fs.Bool("digest", false, "print the condensed per-node digest instead of the raw snapshot")
 	shardMap := fs.Bool("shardmap", false, "print the attested shard map (epoch, per-slot ownership, per-node view epochs)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -106,8 +100,7 @@ func run(args []string, w io.Writer) (err error) {
 	}
 
 	var out []byte
-	switch {
-	case *shardMap:
+	if *shardMap {
 		m := cluster.CAS().ShardMap()
 		dump := shardMapDump{
 			Epoch:       m.Epoch,
@@ -126,9 +119,7 @@ func run(args []string, w io.Writer) (err error) {
 			}
 		}
 		out, err = json.MarshalIndent(dump, "", "  ")
-	case *digest:
-		out, err = json.MarshalIndent(bench.CaptureMetrics("treatystat", cluster), "", "  ")
-	default:
+	} else {
 		out, err = cluster.SnapshotJSON()
 	}
 	if err != nil {

@@ -15,7 +15,6 @@ func TestRunOutputsJSON(t *testing.T) {
 		key  string
 	}{
 		{"raw", nil, "node-0"},
-		{"digest", []string{"-digest"}, "nodes"},
 		{"shardmap", []string{"-shardmap"}, "slots_by_node"},
 	} {
 		t.Run(c.name, func(t *testing.T) {

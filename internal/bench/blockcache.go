@@ -19,57 +19,31 @@ import (
 // integrity check, and the AES-GCM block decryption — the ablation
 // isolates exactly that saving under a read-heavy YCSB mix.
 
-// BlockCacheConfig tunes the ablation.
-type BlockCacheConfig struct {
-	// Keys is the preloaded key-space size (default 20000).
-	Keys int
-	// ValueSize is the stored value size (default 256).
-	ValueSize int
-	// Ops is the measured operation count per arm (default 30000).
-	Ops int
-	// ReadRatio is the fraction of Gets (default 0.8, the paper's
-	// read-heavy YCSB point).
-	ReadRatio float64
-	// CacheBytes sizes the cache-on arm (0 = engine default).
-	CacheBytes int64
-}
-
-// withDefaults fills zero fields.
-func (c BlockCacheConfig) withDefaults() BlockCacheConfig {
-	if c.Keys == 0 {
-		c.Keys = 20000
-	}
-	if c.ValueSize == 0 {
-		c.ValueSize = 256
-	}
-	if c.Ops == 0 {
-		c.Ops = 30000
-	}
-	if c.ReadRatio == 0 {
-		c.ReadRatio = 0.8
-	}
-	return c
-}
+// The ablation's shape: 20 k preloaded keys of 256 B values, then 30 k
+// operations per arm at the paper's read-heavy YCSB point, with the
+// engine's default cache size in the cache-on arm.
+const (
+	blockCacheKeys      = 20000
+	blockCacheValueSize = 256
+	blockCacheOps       = 30000
+	blockCacheReadRatio = 0.8
+)
 
 // BlockCacheResult reports both arms of the ablation.
 type BlockCacheResult struct {
-	OnTps   float64 `json:"on_tps"`
-	OffTps  float64 `json:"off_tps"`
-	Speedup float64 `json:"speedup"`
-	// HitRate and Lookups come from the cache-on arm; Lookups > 0 is the
-	// non-vacuity check (a zero-lookup run measured nothing).
-	HitRate float64 `json:"hit_rate"`
-	Lookups uint64  `json:"lookups"`
-	Hits    uint64  `json:"hits"`
+	OnTps, OffTps, Speedup float64
+	// HitRate, Lookups and Hits come from the cache-on arm; Hits > 0 is
+	// the non-vacuity check (BenchmarkAblation_BlockCache).
+	HitRate       float64
+	Lookups, Hits uint64
 }
 
 // RunBlockCacheAblation measures the read path with the cache enabled
 // and disabled and returns both throughputs.
-func RunBlockCacheAblation(cfg BlockCacheConfig) (BlockCacheResult, error) {
-	cfg = cfg.withDefaults()
+func RunBlockCacheAblation() (BlockCacheResult, error) {
 	var res BlockCacheResult
 	for _, on := range []bool{true, false} {
-		tps, reg, err := runBlockCacheArm(cfg, on)
+		tps, reg, err := runBlockCacheArm(on)
 		if err != nil {
 			return BlockCacheResult{}, err
 		}
@@ -93,13 +67,13 @@ func RunBlockCacheAblation(cfg BlockCacheConfig) (BlockCacheResult, error) {
 
 // runBlockCacheArm measures one arm: preload, flush so reads hit
 // SSTables, then a fixed op count of the read-heavy mix.
-func runBlockCacheArm(cfg BlockCacheConfig, cacheOn bool) (tps float64, reg *obs.Registry, err error) {
+func runBlockCacheArm(cacheOn bool) (tps float64, reg *obs.Registry, err error) {
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		return 0, nil, err
 	}
 	reg = obs.NewRegistry()
-	cacheBytes := cfg.CacheBytes
+	cacheBytes := int64(0) // the engine's default
 	if !cacheOn {
 		cacheBytes = -1
 	}
@@ -120,7 +94,7 @@ func runBlockCacheArm(cfg BlockCacheConfig, cacheOn bool) (tps float64, reg *obs
 	}
 	defer db.Close()
 
-	gen := workload.NewYCSB(workload.YCSBConfig{ReadRatio: cfg.ReadRatio, ValueSize: cfg.ValueSize, Keys: cfg.Keys}, 1)
+	gen := workload.NewYCSB(workload.YCSBConfig{ReadRatio: blockCacheReadRatio, ValueSize: blockCacheValueSize, Keys: blockCacheKeys}, 1)
 	keys, val := gen.LoadKeys()
 	b := lsm.NewBatch()
 	for i, k := range keys {
@@ -143,9 +117,9 @@ func runBlockCacheArm(cfg BlockCacheConfig, cacheOn bool) (tps float64, reg *obs
 
 	rng := rand.New(rand.NewSource(7))
 	start := time.Now()
-	for op := 0; op < cfg.Ops; op++ {
+	for op := 0; op < blockCacheOps; op++ {
 		k := keys[rng.Intn(len(keys))]
-		if rng.Float64() < cfg.ReadRatio {
+		if rng.Float64() < blockCacheReadRatio {
 			if _, _, _, gerr := db.Get(k, db.LatestSeq()); gerr != nil {
 				return 0, nil, gerr
 			}
@@ -158,7 +132,7 @@ func runBlockCacheArm(cfg BlockCacheConfig, cacheOn bool) (tps float64, reg *obs
 		}
 	}
 	elapsed := time.Since(start)
-	return float64(cfg.Ops) / elapsed.Seconds(), reg, nil
+	return blockCacheOps / elapsed.Seconds(), reg, nil
 }
 
 // PrintBlockCache renders the ablation result.

@@ -12,15 +12,15 @@ import (
 // Experiment is one named entry of the evaluation and the panels it
 // prints.
 type Experiment struct {
-	// Name selects the experiment (treaty-bench -exp).
+	// Name selects the experiment (the root benchmarks' runPanels).
 	Name   string
 	Panels []Spec
 }
 
-// Experiments lists every experiment Run measures. cmd/treaty-bench, the
-// root benchmarks and the tier-1 shape test all range over it, so a
-// panel added here is runnable, benchmarked and smoke-tested without
-// being named anywhere else.
+// Experiments lists every experiment Run measures. The tier-1 shape test
+// ranges over it, so a panel added here is smoke-tested without being
+// named anywhere else; the root benchmarks name each experiment once
+// (runPanels) to run it at this scale.
 var Experiments = []Experiment{
 	// Fig. 3: distributed TPC-C. The paper observes the 10-warehouse
 	// configuration saturating at 10-16 clients (W-W conflicts); piling
@@ -100,7 +100,7 @@ var Experiments = []Experiment{
 	}}},
 	// Write-path smoke: the same run with enough clients that Clog commit
 	// groups and counter rounds batch; the evidence is in the arm's
-	// metrics digest (group-size p95, appends per fsync, rounds per txn).
+	// metrics snapshots (group-size p95, appends per fsync, rounds per txn).
 	{Name: "writepath", Panels: []Spec{{
 		Title:   "Write path: YCSB 20%R, full security, 192 clients",
 		Arms:    versions(3, core.ModeSconeEncStab),

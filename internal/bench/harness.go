@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"treaty/internal/obs"
 )
 
 // Measurement is one experiment cell: throughput and latency for one
@@ -28,9 +30,9 @@ type Measurement struct {
 	// Committed and Aborted count transaction outcomes.
 	Committed uint64
 	Aborted   uint64
-	// Metrics is the per-node observability digest captured before the
-	// run's cluster was torn down (Run's panels only).
-	Metrics *MetricsReport `json:",omitempty"`
+	// Metrics is each node's metrics snapshot, keyed by its address,
+	// taken before the run's cluster was torn down (Run's panels only).
+	Metrics map[string]obs.Snapshot `json:",omitempty"`
 }
 
 // Slowdown returns base.Tps / m.Tps (the paper's "slowdown w.r.t. X").

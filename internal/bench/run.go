@@ -15,7 +15,7 @@ import (
 // Every cluster panel of the evaluation is the same measurement: N
 // system versions, one YCSB or TPC-C workload, throughput and latency
 // reported against the first row. Spec says what differs between
-// panels; Run is the one place that boots, loads, drives, digests and
+// panels; Run is the one place that boots, loads, drives, snapshots and
 // stops a cluster.
 
 // Txn selects the transaction path a panel drives.
@@ -71,7 +71,7 @@ type Spec struct {
 }
 
 // Run measures every arm of s in order and returns one Measurement per
-// arm: the median round, labelled, with the cluster's metrics digest.
+// arm: the median round, labelled, with its nodes' metrics snapshots.
 // Arms run one after the other, each on a freshly booted cluster that is
 // stopped before the next boots: an idle cluster's schedulers still wake
 // and charge world switches, which on a small host would tax whichever
@@ -118,7 +118,7 @@ func runArm(s Spec, arm Arm) (m Measurement, err error) {
 	}
 	m = drive(s.Clients, s.Window, s.work(c))
 	m.Label = arm.Label
-	m.Metrics = CaptureMetrics(arm.Label, c)
+	m.Metrics = c.Snapshot()
 	return m, nil
 }
 

@@ -37,11 +37,14 @@ func TestCounterRoundBudget(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Every round of the window was waited for (prepare votes, decisions),
-	// so the counters are settled once the last commit push has ended.
-	for i := 0; i < c.Nodes(); i++ {
-		c.Node(i).Coordinator().Drain()
+		// Every round of the window is waited for (prepare votes,
+		// decisions), so the counters are settled once the commit push
+		// has ended. Draining after each commit also keeps one
+		// transaction's outcome records out of the next one's WAL groups,
+		// so each prepare's outcome group is deferred on its own.
+		for i := 0; i < c.Nodes(); i++ {
+			c.Node(i).Coordinator().Drain()
+		}
 	}
 	dRounds, dPrepares := sum("counter.rounds")-rounds, sum("twopc.part.prepares")-prepares
 	dFailures := sum("counter.round.failures") - failures
