@@ -137,9 +137,11 @@ vet:
 # (a fiber that waits parks in fibers.Wait, it does not poll through
 # yields), a polled StableToken.Ready (a token wait is txn.WaitToken's
 # job), a time.After in the packages that wait on requests or schedule
-# fibers, a backoff doubling (the scheduler's idle sleep in fibers.go is
-# exempt: nothing is re-sent), and a rand.Read in a package that sends
-# requests (the coordinator's transaction-id seed is the one other use). The same
+# fibers, a backoff doubling (erpc/retry.go holds the only one), and a
+# rand.Read in a package that sends requests (the coordinator's
+# transaction-id seed is the one other use). The scheduler (non-test
+# internal/fibers/fibers.go) names no timer, sleep, time.After or Reset: an
+# idle worker sleeps on its run queue until a fiber arrives. The same
 # goes for the counter replica's persistence: it is a durlog client over
 # vfs.FS, so non-test files of internal/counter import no "os" — a bare
 # rewrite-and-rename of the state file cannot come back by the side door.
@@ -193,7 +195,8 @@ check-once:
 	grep -n '\.Yield(' $$($(call ONCE_SRC,internal) ! -path 'internal/fibers/*') && fail=1; \
 	grep -n '\.Ready()' $$($(call ONCE_SRC,internal) ! -path 'internal/fibers/*') && fail=1; \
 	grep -n 'time\.After(' $$($(call ONCE_SRC,internal/erpc internal/twopc internal/counter internal/txn internal/fibers)) && fail=1; \
-	grep -n 'backoff \*= 2' $$($(call ONCE_SRC,internal)) | grep -v '^internal/fibers/fibers\.go:' && fail=1; \
+	grep -n 'backoff \*= 2' $$($(call ONCE_SRC,internal)) && fail=1; \
+	grep -HnE 'time\.(NewTimer|Sleep|After)|\.Reset\(' internal/fibers/fibers.go && fail=1; \
 	grep -n 'rand\.Read' $$($(call ONCE_SRC,internal/erpc internal/twopc internal/counter internal/repl)) | grep -v txSeed && fail=1; \
 	grep -n '"os"' $$($(call ONCE_SRC,internal/counter)) && fail=1; \
 	grep -n 'NewFileCounter' $$($(call ONCE_SRC,internal/core internal/bench cmd examples)) && fail=1; \

@@ -73,8 +73,9 @@ type Spec struct {
 // Run measures every arm of s in order and returns one Measurement per
 // arm: the median round, labelled, with its nodes' metrics snapshots.
 // Arms run one after the other, each on a freshly booted cluster that is
-// stopped before the next boots: an idle cluster's schedulers still wake
-// and charge world switches, which on a small host would tax whichever
+// stopped before the next boots. An idle cluster's fiber workers sleep
+// without waking, but its memory and its periodic goroutines (the
+// participants' janitors) would still share a small host with whichever
 // arm is being measured.
 func Run(s Spec) ([]Measurement, error) {
 	out := make([]Measurement, 0, len(s.Arms))

@@ -20,28 +20,34 @@ func waitFor(cond func() bool) bool {
 	return true
 }
 
-// goroutines counts the goroutines running this module's code outside a
-// test function. runtime.NumGoroutine also counts goroutines the runtime
-// and the standard library run on their own schedule, which made a count
-// taken around them flaky.
-func goroutines() int {
+// goroutines returns the stacks of the goroutines running this module's
+// code outside a test function. runtime.NumGoroutine also counts
+// goroutines the runtime and the standard library run on their own
+// schedule, which made a count taken around them flaky.
+func goroutines() [][]byte {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	n := 0
+	var gs [][]byte
 	for _, g := range bytes.Split(buf, []byte("\n\n")) {
 		if bytes.Contains(g, []byte("treaty/internal/")) && !bytes.Contains(g, []byte("testing.tRunner")) {
-			n++
+			gs = append(gs, g)
 		}
 	}
-	return n
+	return gs
 }
+
+// stacks is goroutines' stacks as one text, for a failure message.
+func stacks() []byte { return bytes.Join(goroutines(), []byte("\n\n")) }
 
 // TestOneGoroutinePerEndpoint pins the packet path's shape: an endpoint
 // under traffic runs its poller and nothing else — no goroutine stands
 // between the fabric's inbox and the poller — and everything exits on
-// Stop / Close / Network.Close.
+// Stop / Close / Network.Close. It starts once an earlier test's
+// goroutines have exited, so both counts are exact.
 func TestOneGoroutinePerEndpoint(t *testing.T) {
-	start := goroutines()
+	if !waitFor(func() bool { return len(goroutines()) == 0 }) {
+		t.Fatalf("goroutines of an earlier test still run module code:\n%s", stacks())
+	}
 	n := simnet.New(simnet.LinkConfig{Latency: 100 * time.Microsecond}, 3)
 	key, err := seal.NewRandomKey()
 	if err != nil {
@@ -69,8 +75,8 @@ func TestOneGoroutinePerEndpoint(t *testing.T) {
 		}
 	}
 	// Two pollers, and one drainer per direction of the one link in use.
-	if want := start + 4; !waitFor(func() bool { return goroutines() == want }) {
-		t.Errorf("%d goroutines under traffic, want %d (start %d + 2 pollers + 2 link drainers)", goroutines(), want, start)
+	if !waitFor(func() bool { return len(goroutines()) == 4 }) {
+		t.Errorf("%d goroutines under traffic, want 4 (2 pollers + 2 link drainers):\n%s", len(goroutines()), stacks())
 	}
 	for _, p := range pollers {
 		p.Stop()
@@ -79,8 +85,8 @@ func TestOneGoroutinePerEndpoint(t *testing.T) {
 		ep.Close()
 	}
 	n.Close()
-	if !waitFor(func() bool { return goroutines() == start }) {
-		t.Errorf("%d goroutines after shutdown, want the %d the test started with", goroutines(), start)
+	if !waitFor(func() bool { return len(goroutines()) == 0 }) {
+		t.Errorf("%d goroutines after shutdown, want 0:\n%s", len(goroutines()), stacks())
 	}
 }
 

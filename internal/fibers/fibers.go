@@ -8,10 +8,11 @@
 // Each worker runs exactly one fiber at a time. When a fiber yields or
 // parks, the worker picks the next runnable fiber from its run queue with
 // no syscall or world switch (a channel handoff between goroutines). When
-// a worker has no runnable fibers it sleeps — the one place a (charged)
-// world switch happens — with exponentially increasing backoff, exactly as
-// the paper's scheduler yields to SCONE and "increases the amount of time
-// before future yields are triggered".
+// a worker has no runnable fibers it sleeps until one is queued — the one
+// place a (charged) world switch happens, once per sleep. The paper's
+// scheduler yields to SCONE and "increases the amount of time before
+// future yields are triggered"; a sleep that lasts until work arrives is
+// the limit of that growing interval.
 package fibers
 
 import (
@@ -82,7 +83,7 @@ type Scheduler struct {
 }
 
 // New creates a scheduler with the given number of workers (0 means 8,
-// the paper's configuration), charging idle-sleep world switches to rt
+// the paper's configuration), charging rt one world switch per idle sleep
 // (nil for native runs).
 func New(workers int, rt *enclave.Runtime) *Scheduler {
 	if workers <= 0 {
@@ -180,19 +181,14 @@ func (w *worker) kick() {
 
 // loop is the worker's scheduling loop: pick the next runnable fiber,
 // resume it, and wait until it relinquishes the worker. With an empty run
-// queue the worker sleeps with backoff, charging a world switch (sleeping
-// requires a syscall out of the enclave).
+// queue the worker sleeps until a fiber is queued or the scheduler stops,
+// charging one world switch per sleep (sleeping requires a syscall out of
+// the enclave) and none while it stays asleep.
 func (w *worker) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
-	backoff := 10 * time.Microsecond
-	const maxBackoff = 2 * time.Millisecond
-	// One timer for all idle sleeps. It is stopped or spent at every
-	// Reset; a tick that races a Stop at worst cuts one sleep short.
-	sleep := time.NewTimer(backoff)
 	for {
 		select {
 		case f := <-w.runq:
-			backoff = 10 * time.Microsecond
 			w.runFiber(f)
 		default:
 			if w.sched.stopped.Load() {
@@ -201,19 +197,10 @@ func (w *worker) loop(wg *sync.WaitGroup) {
 			if w.sched.rt != nil {
 				w.sched.rt.WorldSwitch()
 			}
-			sleep.Reset(backoff)
 			select {
 			case f := <-w.runq:
-				sleep.Stop()
-				backoff = 10 * time.Microsecond
 				w.runFiber(f)
 			case <-w.kickCh:
-				sleep.Stop()
-			case <-sleep.C:
-				backoff *= 2
-				if backoff > maxBackoff {
-					backoff = maxBackoff
-				}
 			}
 		}
 	}

@@ -109,10 +109,9 @@ func TestParkGivesTheWorkerAway(t *testing.T) {
 }
 
 // TestParkedWaitLeavesWorkerIdle: a fiber that waits 50 ms is not run once
-// meanwhile — no yield, no poll. The worker, having nothing else, climbs
-// its idle ladder (10 µs doubling to 2 ms: some 30 transitions), each a
-// charged world switch; a fiber polling through yields would keep the
-// worker busy and charge none.
+// meanwhile — no yield, no poll. The worker, having nothing else, sleeps
+// once for the whole wait and charges exactly one world switch; a fiber
+// polling through yields would keep the worker busy and charge none.
 func TestParkedWaitLeavesWorkerIdle(t *testing.T) {
 	rt := enclave.NewSconeRuntime()
 	s := New(1, rt)
@@ -130,8 +129,31 @@ func TestParkedWaitLeavesWorkerIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Join(f)
-	if idled < 3 || idled > 200 {
-		t.Errorf("worker idled %d times during a 50 ms parked wait, want the ladder's ~30", idled)
+	if idled != 1 {
+		t.Errorf("worker charged %d world switches during a 50 ms parked wait, want 1", idled)
+	}
+}
+
+// TestOneWorldSwitchPerPark: a fiber parked n times, each park held for a
+// millisecond, costs its worker at most one world switch per idle period —
+// before the fiber starts, at each park, after it ends — however long the
+// park lasts.
+func TestOneWorldSwitchPerPark(t *testing.T) {
+	rt := enclave.NewSconeRuntime()
+	s := New(1, rt)
+	const n = 20
+	f, err := s.Go(func(f *Fiber) {
+		for i := 0; i < n; i++ {
+			f.Park(func() { time.Sleep(time.Millisecond) })
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Join(f)
+	s.Stop()
+	if got := rt.Stats().WorldSwitches; got > n+2 {
+		t.Errorf("%d world switches for %d parks, want at most %d", got, n, n+2)
 	}
 }
 
@@ -320,13 +342,20 @@ func TestStopIdempotent(t *testing.T) {
 	s.Stop() // must not panic or hang
 }
 
+// TestIdleWorkerChargesWorldSwitch: an idle worker charges one world
+// switch for its sleep, and no more however long it sleeps.
 func TestIdleWorkerChargesWorldSwitch(t *testing.T) {
 	rt := enclave.NewSconeRuntime()
 	s := New(1, rt)
-	time.Sleep(20 * time.Millisecond) // idle workers sleep and charge switches
-	s.Stop()
-	if rt.Stats().WorldSwitches == 0 {
-		t.Error("idle worker must charge world switches for its sleeps")
+	defer s.Stop()
+	for deadline := time.Now().Add(5 * time.Second); rt.Stats().WorldSwitches != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle worker charged %d world switches, want 1", rt.Stats().WorldSwitches)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := rt.Stats().WorldSwitches; got != 1 {
+		t.Errorf("idle worker charged %d world switches after 20 ms asleep, want 1", got)
 	}
 }
 
