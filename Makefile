@@ -157,7 +157,9 @@ vet:
 # A packet reaches its handler one way: internal/erpc starts one goroutine,
 # the poller (a second one between the fabric and it would pay receive costs
 # off the books), and the optional-interface and socket-transport names stay
-# gone. A TEE or network cost has one price list: nothing outside
+# gone. A fiber runs on a reused carrier: non-test internal/fibers starts one
+# goroutine, the carrier, so neither a goroutine per fiber nor a worker loop
+# comes back. A TEE or network cost has one price list: nothing outside
 # internal/enclave busy-waits, names the price table or builds one. A keyed
 # operation has one body, Participant.op in internal/twopc/participant.go:
 # a request off the wire and a coordinator's call on a key its node owns
@@ -213,13 +215,15 @@ check-once:
 	[ -z "$$laws" ] || { printf '%s\n' "$$laws"; fail=1; }; \
 	gos=$$(grep -nE '^[[:space:]]*go [a-zA-Z_(]' $$(find internal/erpc -name '*.go' ! -name '*_test.go')); \
 	[ $$(printf '%s\n' "$$gos" | grep -c .) -eq 1 ] || { printf '%s\n' "$$gos"; fail=1; }; \
+	gos=$$(grep -HnE '^[[:space:]]*go [a-zA-Z_(]' $$(find internal/fibers -name '*.go' ! -name '*_test.go')); \
+	[ $$(printf '%s\n' "$$gos" | grep -c 'carry(') -eq 1 ] && [ $$(printf '%s\n' "$$gos" | grep -c .) -eq 1 ] || { printf '%s\n' "$$gos"; fail=1; }; \
 	grep -nE 'PollPacket|ChannelTransport|PacketTransport|UDPTransport|SyncWAL' $$($(call ONCE_SRC,internal cmd examples)) && fail=1; \
 	grep -nE 'Spin\(|spinWait|DefaultCosts|Costs\{' $$($(call ONCE_SRC,.) ! -path './internal/enclave/*') && fail=1; \
 	$(call BODY_ONCE,Get|Put|Delete,op); \
 	$(call BODY_ONCE,Prepare|CommitPrepared|CommitOnePhase|AbortPrepared,control); \
 	soaks=$$(awk '/^func Test/{fn=$$2} /\.Run\(/ && !/[^A-Za-z0-9_]t\.Run\(/{print FILENAME ": " fn}' internal/chaos/*_test.go | sort -u); \
 	[ $$(printf '%s\n' "$$soaks" | grep -c .) -le 1 ] || { printf '%s\n' "$$soaks"; fail=1; }; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, control body, soak loop, member backup, conservation law, paper front end, metrics schema); call the shared one"; exit 1; }
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, control body, soak loop, member backup, conservation law, paper front end, metrics schema, fiber carrier); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

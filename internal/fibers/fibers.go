@@ -1,18 +1,16 @@
 // Package fibers implements Treaty's userland scheduler (§VII-C): a
 // cooperative, round-robin fiber scheduler layered on a small set of
-// worker threads. Timer-based (preemptive) scheduling is prohibitively
+// workers. Timer-based (preemptive) scheduling is prohibitively
 // expensive inside an enclave — interrupts cause world switches — so the
-// engine runs one fiber per connected client and fibers yield explicitly
-// at blocking points (lock waits, RPC polls, stabilization waits).
+// engine runs one fiber per request and fibers yield explicitly at
+// blocking points (lock waits, RPC polls, stabilization waits).
 //
-// Each worker runs exactly one fiber at a time. When a fiber yields or
-// parks, the worker picks the next runnable fiber from its run queue with
-// no syscall or world switch (a channel handoff between goroutines). When
-// a worker has no runnable fibers it sleeps until one is queued — the one
-// place a (charged) world switch happens, once per sleep. The paper's
-// scheduler yields to SCONE and "increases the amount of time before
-// future yields are triggered"; a sleep that lasts until work arrives is
-// the limit of that growing interval.
+// A worker runs one fiber at a time, each on a carrier (a goroutine
+// reused from fiber to fiber); a fiber that yields, parks or finishes
+// hands it straight to the next runnable one. An idle worker sleeps until
+// a fiber arrives, one world switch per sleep, charged to the fiber that
+// left it idle: the limit of the paper's scheduler, which yields to SCONE
+// and "increases the amount of time before future yields are triggered".
 package fibers
 
 import (
@@ -33,7 +31,8 @@ var ErrStopped = errors.New("fibers: scheduler stopped")
 type Fiber struct {
 	id     uint64
 	worker *worker
-	resume chan struct{}
+	fn     func(*Fiber)
+	c      carrier // nil until the fiber first runs
 	done   chan struct{}
 }
 
@@ -43,30 +42,40 @@ func (f *Fiber) ID() uint64 { return f.id }
 // Yield gives up the worker so the next runnable fiber can execute; the
 // calling fiber re-enters the back of the run queue (round-robin).
 func (f *Fiber) Yield() {
-	f.worker.enqueue(f)
-	f.worker.relinquish()
-	<-f.resume
+	w := f.worker
+	w.mu.Lock()
+	if len(w.queue) == 0 {
+		w.mu.Unlock()
+		return // nothing else to run
+	}
+	next := w.queue[0]
+	w.queue = append(append(w.queue[:0], w.queue[1:]...), f)
+	w.mu.Unlock()
+	w.sched.run(next)
+	<-f.c
 }
 
-// Park is how fiber code blocks without blocking its worker thread: the
-// worker goes to the next runnable fiber, block runs on the fiber's own
-// goroutine, where it may block like any goroutine (and must only wait,
-// not do the fiber's work), and the fiber re-enters the back of the run
-// queue. If the scheduler stops meanwhile it is never resumed: frozen, as
-// a fiber that had yielded is. A nil fiber (a goroutine) just calls block.
+// Park is how fiber code blocks without blocking its worker: the worker
+// goes to the next runnable fiber while block runs on the fiber's own
+// goroutine (it may block, and must only wait), then the fiber takes the
+// worker back if idle or queues. If the scheduler stops meanwhile it is
+// never resumed: frozen, as a yielded fiber is. A nil fiber calls block.
 func (f *Fiber) Park(block func()) {
 	if f == nil {
 		block()
 		return
 	}
-	s, start := f.worker.sched, time.Now()
-	s.parked.Add(1)
-	f.worker.relinquish()
+	w, start := f.worker, time.Now()
+	w.sched.parked.Add(1)
+	if next := w.release(); next != nil {
+		w.sched.run(next)
+	}
 	block()
-	s.parked.Add(-1)
-	s.parkedNs.ObserveSince(start)
-	f.worker.enqueue(f)
-	<-f.resume
+	w.sched.parked.Add(-1)
+	w.sched.parkedNs.ObserveSince(start)
+	if !w.claim(f) {
+		<-f.c
+	}
 }
 
 // Scheduler multiplexes fibers over a fixed set of workers.
@@ -76,7 +85,9 @@ type Scheduler struct {
 	nextID  atomic.Uint64
 	nextW   atomic.Uint64
 	stopped atomic.Bool
-	wg      sync.WaitGroup
+	busy    sync.WaitGroup // one count per busy worker
+	mu      sync.Mutex
+	idle    []carrier // carriers waiting for a fiber to start
 	// Fibers inside Park's block, and how long each stayed; nil until Observe.
 	parked   *obs.Gauge
 	parkedNs *obs.Histogram
@@ -84,22 +95,17 @@ type Scheduler struct {
 
 // New creates a scheduler with the given number of workers (0 means 8,
 // the paper's configuration), charging rt one world switch per idle sleep
-// (nil for native runs).
+// (nil for native runs); each worker starts asleep.
 func New(workers int, rt *enclave.Runtime) *Scheduler {
 	if workers <= 0 {
 		workers = 8
 	}
 	s := &Scheduler{rt: rt, workers: make([]*worker, workers)}
 	for i := range s.workers {
-		w := &worker{
-			sched:   s,
-			runq:    make(chan *Fiber, 4096),
-			yielded: make(chan struct{}),
-			kickCh:  make(chan struct{}, 1),
+		s.workers[i] = &worker{sched: s}
+		if rt != nil {
+			rt.WorldSwitch()
 		}
-		s.workers[i] = w
-		s.wg.Add(1)
-		go w.loop(&s.wg)
 	}
 	return s
 }
@@ -114,102 +120,123 @@ func (s *Scheduler) Observe(reg *obs.Registry) {
 }
 
 // Go spawns fn as a fiber, placed round-robin on a worker (one fiber per
-// client in Treaty). The returned handle can be waited on with Join.
+// request in Treaty): it starts at once, on an idle carrier, if the
+// worker is idle, and queues otherwise. Join waits for it.
 func (s *Scheduler) Go(fn func(*Fiber)) (*Fiber, error) {
 	if s.stopped.Load() {
 		return nil, ErrStopped
 	}
 	w := s.workers[s.nextW.Add(1)%uint64(len(s.workers))]
-	f := &Fiber{
-		id:     s.nextID.Add(1),
-		worker: w,
-		resume: make(chan struct{}),
-		done:   make(chan struct{}),
+	f := &Fiber{id: s.nextID.Add(1), worker: w, fn: fn, done: make(chan struct{})}
+	if w.claim(f) {
+		s.run(f)
 	}
-	go func() {
-		<-f.resume // wait to be scheduled the first time
-		fn(f)
-		close(f.done)
-		w.relinquish()
-	}()
-	w.enqueue(f)
 	return f, nil
 }
 
 // Join blocks until fiber f has returned.
 func (s *Scheduler) Join(f *Fiber) { <-f.done }
 
-// Stop shuts the scheduler down. All fibers must have finished (or be
-// permanently blocked and abandoned by their owners) before Stop returns;
-// Stop waits only for the worker loops.
+// Stop shuts the scheduler down: Go refuses new fibers, and Stop waits
+// until no worker runs a fiber, then ends every idle carrier.
 func (s *Scheduler) Stop() {
 	if s.stopped.Swap(true) {
 		return
 	}
 	for _, w := range s.workers {
-		w.kick()
+		w.mu.Lock() // past this, every claim sees stopped
+		w.mu.Unlock()
 	}
-	s.wg.Wait()
-}
-
-// worker runs fibers one at a time from its run queue.
-type worker struct {
-	sched   *Scheduler
-	runq    chan *Fiber
-	yielded chan struct{}
-	kickCh  chan struct{}
-}
-
-// enqueue makes f runnable on this worker. Never drops.
-func (w *worker) enqueue(f *Fiber) {
-	w.runq <- f
-}
-
-// relinquish signals the worker loop that the current fiber has stopped
-// running (yielded or finished).
-func (w *worker) relinquish() {
-	w.yielded <- struct{}{}
-}
-
-// kick wakes the worker loop if it is sleeping idle.
-func (w *worker) kick() {
-	select {
-	case w.kickCh <- struct{}{}:
-	default:
+	s.busy.Wait()
+	s.mu.Lock()
+	for _, c := range s.idle {
+		close(c)
 	}
+	s.idle = nil
+	s.mu.Unlock()
 }
 
-// loop is the worker's scheduling loop: pick the next runnable fiber,
-// resume it, and wait until it relinquishes the worker. With an empty run
-// queue the worker sleeps until a fiber is queued or the scheduler stops,
-// charging one world switch per sleep (sleeping requires a syscall out of
-// the enclave) and none while it stays asleep.
-func (w *worker) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		select {
-		case f := <-w.runq:
-			w.runFiber(f)
-		default:
-			if w.sched.stopped.Load() {
-				return
-			}
-			if w.sched.rt != nil {
-				w.sched.rt.WorldSwitch()
-			}
-			select {
-			case f := <-w.runq:
-				w.runFiber(f)
-			case <-w.kickCh:
-			}
+// run hands f the worker: it resumes f on its carrier, or starts it on an
+// idle carrier or a new one.
+func (s *Scheduler) run(f *Fiber) {
+	if f.c == nil {
+		s.mu.Lock()
+		if n := len(s.idle); n > 0 {
+			f.c, s.idle = s.idle[n-1], s.idle[:n-1]
 		}
+		s.mu.Unlock()
+	}
+	if f.c == nil {
+		f.c = make(carrier, 1)
+		go f.c.carry(s, f)
+	} else {
+		f.c <- f
 	}
 }
 
-// runFiber resumes f and waits for it to relinquish the worker. This is
-// what makes scheduling cooperative: at most one fiber per worker runs at
-// any moment.
-func (w *worker) runFiber(f *Fiber) {
-	f.resume <- struct{}{}
-	<-w.yielded
+// worker runs fibers one at a time.
+type worker struct {
+	sched *Scheduler
+	mu    sync.Mutex
+	busy  bool
+	queue []*Fiber // runnable, oldest first
+}
+
+// claim gives the worker to f if it is idle (the caller then runs f), or
+// queues f. After Stop an idle worker stays idle and f frozen.
+func (w *worker) claim(f *Fiber) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.busy || w.sched.stopped.Load() {
+		w.queue = append(w.queue, f)
+		return false
+	}
+	w.busy = true
+	w.sched.busy.Add(1)
+	return true
+}
+
+// release gives up the worker for its fiber: it returns the queue's head
+// for the caller to run, or charges a world switch and sleeps the worker.
+func (w *worker) release() (next *Fiber) {
+	w.mu.Lock()
+	if w.busy = len(w.queue) > 0; w.busy {
+		next = w.queue[0]
+		w.queue = append(w.queue[:0], w.queue[1:]...)
+		w.mu.Unlock()
+		return next
+	}
+	w.mu.Unlock()
+	if w.sched.rt != nil {
+		w.sched.rt.WorldSwitch()
+	}
+	w.sched.busy.Done()
+	return nil
+}
+
+// carrier is a goroutine fibers run on, named by its channel: a send
+// starts a fiber on an idle carrier or resumes the one suspended on it.
+type carrier chan *Fiber
+
+// carry runs f, then each fiber handed to it (waiting in the idle pool in
+// between) until Stop ends it; a successor that never ran runs right here.
+func (c carrier) carry(s *Scheduler, f *Fiber) {
+	for f != nil {
+		f.fn(f)
+		close(f.done)
+		if f = f.worker.release(); f != nil && f.c == nil {
+			f.c = c
+			continue
+		} else if f != nil {
+			s.run(f)
+		}
+		s.mu.Lock()
+		if s.stopped.Load() {
+			s.mu.Unlock()
+			return
+		}
+		s.idle = append(s.idle, c)
+		s.mu.Unlock()
+		f = <-c
+	}
 }

@@ -1,6 +1,8 @@
 package fibers
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -177,11 +179,14 @@ func TestParkAcrossStopFreezes(t *testing.T) {
 	<-parked
 	s.Stop()
 	close(gate)
-	for deadline := time.Now().Add(5 * time.Second); len(s.workers[0].runq) == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the unparked fiber never queued itself")
-		}
-		time.Sleep(time.Millisecond)
+	w := s.workers[0]
+	queued := func() bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(w.queue) > 0
+	}
+	if !waitFor(queued) {
+		t.Fatal("the unparked fiber never queued itself")
 	}
 	time.Sleep(10 * time.Millisecond) // a resumed fiber would get here well within this
 	if ranOn.Load() {
@@ -475,5 +480,162 @@ func TestFiberIDsUnique(t *testing.T) {
 	}
 	for _, f := range handles {
 		s.Join(f)
+	}
+}
+
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// goroutines returns the stacks of the goroutines running this module's
+// code outside a test function, leaving out fibers frozen for good by an
+// earlier test's Stop (TestParkAcrossStopFreezes).
+func goroutines() [][]byte {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var gs [][]byte
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("treaty/internal/")) && !bytes.Contains(g, []byte("testing.tRunner")) &&
+			!bytes.Contains(g, []byte("fibers.(*Fiber).Park")) {
+			gs = append(gs, g)
+		}
+	}
+	return gs
+}
+
+// idleCarriers is the length of s's pool of idle carriers.
+func idleCarriers(s *Scheduler) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.idle)
+}
+
+// TestSequentialFibersShareOneCarrier: fibers run one after another on a
+// worker reuse one carrier, so the goroutine count does not grow with
+// their number; fibers queued behind a running one run on its carrier
+// too.
+func TestSequentialFibersShareOneCarrier(t *testing.T) {
+	if !waitFor(func() bool { return len(goroutines()) == 0 }) {
+		t.Fatalf("goroutines of an earlier test still run module code:\n%s", bytes.Join(goroutines(), []byte("\n\n")))
+	}
+	s := New(1, nil)
+	defer s.Stop()
+	for i := 0; i < 100; i++ {
+		f, err := s.Go(func(*Fiber) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Join(f)
+		// The carrier goes back to the pool after Join returns; the next
+		// Go must find it there.
+		if !waitFor(func() bool { return idleCarriers(s) == 1 }) {
+			t.Fatalf("fiber %d: %d idle carriers, want 1", i, idleCarriers(s))
+		}
+	}
+	gate := make(chan struct{})
+	first, err := s.Go(func(*Fiber) { <-gate }) // holds the worker
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queued []*Fiber
+	for i := 0; i < 10; i++ {
+		f, err := s.Go(func(*Fiber) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, f)
+	}
+	close(gate)
+	s.Join(first)
+	for _, f := range queued {
+		s.Join(f)
+	}
+	if !waitFor(func() bool { return idleCarriers(s) == 1 }) {
+		t.Errorf("%d idle carriers after 111 fibers, want 1", idleCarriers(s))
+	}
+	if got := len(goroutines()); got != 1 {
+		t.Errorf("%d goroutines after 111 fibers on one worker, want 1 carrier", got)
+	}
+}
+
+// TestStopEndsIdleCarriers: carriers made for fibers that ran at the same
+// time all wait in the pool afterwards, and Stop ends every one of them.
+func TestStopEndsIdleCarriers(t *testing.T) {
+	if !waitFor(func() bool { return len(goroutines()) == 0 }) {
+		t.Fatalf("goroutines of an earlier test still run module code:\n%s", bytes.Join(goroutines(), []byte("\n\n")))
+	}
+	s := New(4, nil)
+	gate := make(chan struct{})
+	const n = 8
+	var started sync.WaitGroup
+	started.Add(n)
+	var handles []*Fiber
+	for i := 0; i < n; i++ {
+		f, err := s.Go(func(f *Fiber) {
+			started.Done()
+			f.Park(func() { <-gate })
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, f)
+	}
+	started.Wait() // every fiber started: each parked on a carrier of its own
+	close(gate)
+	for _, f := range handles {
+		s.Join(f)
+	}
+	if !waitFor(func() bool { return idleCarriers(s) == n }) {
+		t.Errorf("%d idle carriers after %d parked fibers finished, want %d", idleCarriers(s), n, n)
+	}
+	s.Stop()
+	if !waitFor(func() bool { return len(goroutines()) == 0 }) {
+		t.Errorf("%d goroutines after Stop, want 0:\n%s", len(goroutines()), bytes.Join(goroutines(), []byte("\n\n")))
+	}
+}
+
+// TestParkChargesOnTheReleasingSide: a fiber whose Park leaves its worker
+// idle pays the worker's one world switch itself, before its block runs;
+// starting it on an idle worker and taking the worker back after the
+// park charge nothing, and its end charges the sleep that follows.
+func TestParkChargesOnTheReleasingSide(t *testing.T) {
+	rt := enclave.NewSconeRuntime()
+	switches := func() uint64 { return rt.Stats().WorldSwitches }
+	s := New(1, rt)
+	if got := switches(); got != 1 {
+		t.Fatalf("New charged %d world switches for one sleeping worker, want 1", got)
+	}
+	gate := make(chan struct{})
+	var atStart, inBlock, afterPark uint64
+	f, err := s.Go(func(f *Fiber) {
+		atStart = switches()
+		f.Park(func() {
+			inBlock = switches()
+			<-gate
+		})
+		afterPark = switches()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	s.Join(f)
+	s.Stop()
+	if atStart != 1 {
+		t.Errorf("starting a fiber on an idle worker charged %d world switches, want 0", atStart-1)
+	}
+	if inBlock != 2 {
+		t.Errorf("when the parked fiber's block ran, %d world switches were charged, want 2 (New's and the park's)", inBlock)
+	}
+	if afterPark != 2 {
+		t.Errorf("taking the idle worker back after the park charged %d world switches, want 0", afterPark-2)
+	}
+	if got := switches(); got != 3 {
+		t.Errorf("%d world switches in all, want 3 (New, the park, the end)", got)
 	}
 }

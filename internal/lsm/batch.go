@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrCorruptBatch indicates a write batch that cannot be decoded.
@@ -31,6 +32,12 @@ func (b *Batch) Put(key, value []byte) {
 	b.buf = binary.AppendUvarint(b.buf, uint64(len(value)))
 	b.buf = append(b.buf, value...)
 	b.count++
+}
+
+// Grow makes room for that many more records, whose keys and values
+// total n bytes, so that filling the batch never reallocates it.
+func (b *Batch) Grow(records, n int) {
+	b.buf = slices.Grow(b.buf, n+records*(1+2*binary.MaxVarintLen32))
 }
 
 // Delete appends a tombstone record.

@@ -684,3 +684,21 @@ func TestBatchEncodeDecodeProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchGrowFillsWithoutGrowing: a batch grown for its records fills
+// them into the one buffer, long lengths' two-byte varints included.
+func TestBatchGrowFillsWithoutGrowing(t *testing.T) {
+	long := bytes.Repeat([]byte("v"), 300)
+	b := NewBatch()
+	b.Grow(3, len("k1")+len(long)+len("k2")+len(long))
+	start, capacity := &b.buf[0], cap(b.buf)
+	b.Put([]byte("k1"), long)
+	b.Delete([]byte("k2"))
+	b.Put(long, []byte("k2"))
+	if &b.buf[0] != start || cap(b.buf) != capacity {
+		t.Errorf("filling a grown batch reallocated its buffer (cap %d -> %d)", capacity, cap(b.buf))
+	}
+	if recs, err := decodeBatch(b.encode()); err != nil || len(recs) != 3 {
+		t.Errorf("decoded %d records, err %v; want 3", len(recs), err)
+	}
+}

@@ -69,6 +69,9 @@ func (m *memTable) add(seq uint64, kind RecordKind, userKey, value []byte) {
 		m.mu.Lock()
 		h.off = len(m.arena)
 		h.len = len(stored)
+		if h.off+h.len > cap(m.arena) { // double: append grows by a quarter
+			m.arena = append(make([]byte, 0, 2*cap(m.arena)+h.len), m.arena...)
+		}
 		m.arena = append(m.arena, stored...)
 		m.mu.Unlock()
 		if m.rt != nil {

@@ -109,24 +109,23 @@ func (sl *skipList) insert(key []byte, value valueHandle) {
 		}
 	}
 	node := &slNode{key: key, value: value, next: make([]unsafe.Pointer, h)}
+	// One search finds every level's predecessor; a level whose splice
+	// went stale (a lost CAS, a smaller key slipped in) walks on from it.
 	var prev [slMaxHeight]*slNode
+	sl.findGreaterOrEqual(key, &prev)
 	for level := 0; level < h; level++ {
+		p := prev[level]
 		for {
-			sl.findGreaterOrEqual(key, &prev)
-			p := prev[level]
-			if p == nil {
-				p = sl.head
-			}
 			succ := p.loadNext(level)
 			if succ != nil && compareIKeys(succ.key, key) < 0 {
-				continue // a smaller key slipped in behind p since the search
+				p = succ
+				continue
 			}
 			// Position node between p and succ at this level.
 			atomic.StorePointer(&node.next[level], unsafe.Pointer(succ))
 			if p.casNext(level, succ, node) {
 				break
 			}
-			// Lost a race; recompute predecessors and retry this level.
 		}
 	}
 	sl.size.Add(int64(len(key)) + 64)

@@ -133,6 +133,14 @@ func TestSkipListConcurrentInserts(t *testing.T) {
 	if count != writers*perWriter {
 		t.Fatalf("traversed %d entries, want %d", count, writers*perWriter)
 	}
+	// Every upper level is sorted too: a seek descends through them.
+	for level := 1; level < int(sl.height.Load()); level++ {
+		for n := sl.head.loadNext(level); n != nil; n = n.loadNext(level) {
+			if next := n.loadNext(level); next != nil && compareIKeys(n.key, next.key) >= 0 {
+				t.Fatalf("level %d out of order after concurrent inserts", level)
+			}
+		}
+	}
 }
 
 func TestSkipListSeekBeyondEnd(t *testing.T) {

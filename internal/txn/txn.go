@@ -68,6 +68,7 @@ type writeBuffer struct {
 	arena *mempool.Arena
 	recs  []writeRecord
 	index map[string]int // key -> index into recs (latest write wins)
+	bytes int            // keys and values in recs
 }
 
 // newWriteBuffer creates a buffer backed by the pool.
@@ -82,12 +83,14 @@ func newWriteBuffer(pool *mempool.Pool) *writeBuffer {
 func (w *writeBuffer) put(key string, value []byte) {
 	off := w.arena.Append(value)
 	w.recs = append(w.recs, writeRecord{key: key, off: off, n: len(value)})
+	w.bytes += len(key) + len(value)
 	w.index[key] = len(w.recs) - 1
 }
 
 // del buffers a tombstone.
 func (w *writeBuffer) del(key string) {
 	w.recs = append(w.recs, writeRecord{key: key, n: -1})
+	w.bytes += len(key)
 	w.index[key] = len(w.recs) - 1
 }
 
@@ -109,6 +112,7 @@ func (w *writeBuffer) get(key string) (value []byte, deleted, ok bool) {
 // preserved by replaying in order.
 func (w *writeBuffer) batch() *lsm.Batch {
 	b := lsm.NewBatch()
+	b.Grow(len(w.recs), w.bytes)
 	for _, r := range w.recs {
 		if r.n < 0 {
 			b.Delete([]byte(r.key))
