@@ -164,10 +164,14 @@ vet:
 # operation has one body, Participant.op in internal/twopc/participant.go:
 # a request off the wire and a coordinator's call on a key its node owns
 # both run it, so its three engine calls appear nowhere else. So has a
-# control message, Participant.control: a prepare, commit, one-phase commit
-# or abort off the wire, the coordinator's own leg of a fan-out and a
-# recovered decision all run it, so Prepare, CommitPrepared, CommitOnePhase
-# and AbortPrepared on at.local appear nowhere else. A soak is a row of the table in internal/chaos: one
+# local effect of the commit protocol, Participant.local: every control
+# message, off the wire or the coordinator's own leg, and a recovered
+# decision are steps whose engine calls it performs, so Prepare,
+# CommitPrepared, CommitOnePhase and AbortPrepared on at.local appear
+# nowhere else. The commit protocol's transition function,
+# internal/twopc/step.go, is pure: it imports none of erpc, durlog, fibers
+# or obs. A signed statement is signed once, by seal.MAC: no non-test file
+# outside internal/seal calls hmac.New. A soak is a row of the table in internal/chaos: one
 # test function runs a harness script, so a second one is a second soak
 # loop. A node has one replication backup, recorded on its shard-map member
 # and read through Map.BackupOf: no per-slot backup table (Backups[,
@@ -220,10 +224,12 @@ check-once:
 	grep -nE 'PollPacket|ChannelTransport|PacketTransport|UDPTransport|SyncWAL' $$($(call ONCE_SRC,internal cmd examples)) && fail=1; \
 	grep -nE 'Spin\(|spinWait|DefaultCosts|Costs\{' $$($(call ONCE_SRC,.) ! -path './internal/enclave/*') && fail=1; \
 	$(call BODY_ONCE,Get|Put|Delete,op); \
-	$(call BODY_ONCE,Prepare|CommitPrepared|CommitOnePhase|AbortPrepared,control); \
+	$(call BODY_ONCE,Prepare|CommitPrepared|CommitOnePhase|AbortPrepared,local); \
+	grep -nE '"treaty/internal/(erpc|durlog|fibers|obs)"' internal/twopc/step.go && fail=1; \
+	grep -n 'hmac\.New' $$($(call ONCE_SRC,.) ! -path './internal/seal/*') && fail=1; \
 	soaks=$$(awk '/^func Test/{fn=$$2} /\.Run\(/ && !/[^A-Za-z0-9_]t\.Run\(/{print FILENAME ": " fn}' internal/chaos/*_test.go | sort -u); \
 	[ $$(printf '%s\n' "$$soaks" | grep -c .) -le 1 ] || { printf '%s\n' "$$soaks"; fail=1; }; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, control body, soak loop, member backup, conservation law, paper front end, metrics schema, fiber carrier); call the shared one"; exit 1; }
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, local-effect body, pure commit step, signed-statement MAC, soak loop, member backup, conservation law, paper front end, metrics schema, fiber carrier); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

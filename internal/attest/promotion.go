@@ -1,8 +1,6 @@
 package attest
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -182,16 +180,12 @@ func (p *PromotionCert) encodeBody() []byte {
 
 // Sign signs the certificate under the promotion key.
 func (p *PromotionCert) Sign(key seal.Key) {
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write(p.encodeBody())
-	copy(p.Sig[:], mac.Sum(nil))
+	p.Sig = seal.MAC(key, p.encodeBody())
 }
 
 // VerifySig checks the certificate signature.
 func (p *PromotionCert) VerifySig(key seal.Key) bool {
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write(p.encodeBody())
-	return hmac.Equal(mac.Sum(nil), p.Sig[:])
+	return seal.VerifyMAC(key, p.Sig, p.encodeBody())
 }
 
 // IssuePromotionCert validates a backup's mirror evidence against the

@@ -20,9 +20,7 @@
 package enclave
 
 import (
-	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -174,7 +172,7 @@ func (e *Enclave) Quote(reportData []byte) Quote {
 		Platform:    e.platform.Name,
 	}
 	copy(q.ReportData[:], reportData)
-	q.Signature = quoteMAC(e.platform.rootKey, &q)
+	q.Signature = seal.MAC(e.platform.rootKey, quoteBody(&q)...)
 	return q
 }
 
@@ -192,22 +190,15 @@ type Quote struct {
 	Signature [seal.HashSize]byte
 }
 
-// quoteMAC computes the quote signature.
-func quoteMAC(rootKey seal.Key, q *Quote) [seal.HashSize]byte {
-	mac := hmac.New(sha256.New, rootKey[:])
-	mac.Write(q.Measurement[:])
-	mac.Write([]byte(q.Platform))
-	mac.Write(q.ReportData[:])
-	var out [seal.HashSize]byte
-	copy(out[:], mac.Sum(nil))
-	return out
+// quoteBody is what a quote's signature covers.
+func quoteBody(q *Quote) [][]byte {
+	return [][]byte{q.Measurement[:], []byte(q.Platform), q.ReportData[:]}
 }
 
 // VerifyQuote checks q against the given platform root key. The attest
 // package's simulated IAS holds the registry of platform keys.
 func VerifyQuote(rootKey seal.Key, q *Quote) error {
-	want := quoteMAC(rootKey, q)
-	if !hmac.Equal(want[:], q.Signature[:]) {
+	if !seal.VerifyMAC(rootKey, q.Signature, quoteBody(q)...) {
 		return ErrQuoteInvalid
 	}
 	return nil

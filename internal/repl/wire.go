@@ -12,7 +12,6 @@
 package repl
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -130,16 +129,12 @@ func (r *ShipRequest) signBody() []byte {
 // Sign computes the proof signature under the replication key
 // (HMAC-SHA256, like the shard map's signature).
 func (r *ShipRequest) Sign(key seal.Key) {
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write(r.signBody())
-	copy(r.Sig[:], mac.Sum(nil))
+	r.Sig = seal.MAC(key, r.signBody())
 }
 
 // VerifySig checks the proof signature.
 func (r *ShipRequest) VerifySig(key seal.Key) bool {
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write(r.signBody())
-	return hmac.Equal(mac.Sum(nil), r.Sig[:])
+	return seal.VerifyMAC(key, r.Sig, r.signBody())
 }
 
 // Encode serializes a ship request.

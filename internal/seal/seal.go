@@ -72,11 +72,26 @@ func KeyFromBytes(b []byte) (Key, error) {
 // (e.g. "wal", "sstable", "network"). Derivation is HMAC-SHA256(k, label),
 // giving independent keys per subsystem from one provisioned master key.
 func DeriveKey(k Key, label string) Key {
+	return Key(MAC(k, []byte(label)))
+}
+
+// MAC is HMAC-SHA256 under k over the concatenation of parts: the one
+// signature of every signed statement (the shard map, the promotion
+// certificate, a replication ship proof, a quote).
+func MAC(k Key, parts ...[]byte) [HashSize]byte {
 	mac := hmac.New(sha256.New, k[:])
-	mac.Write([]byte(label))
-	var out Key
-	copy(out[:], mac.Sum(nil))
+	for _, p := range parts {
+		mac.Write(p)
+	}
+	var out [HashSize]byte
+	mac.Sum(out[:0])
 	return out
+}
+
+// VerifyMAC reports whether sig is MAC(k, parts...), in constant time.
+func VerifyMAC(k Key, sig [HashSize]byte, parts ...[]byte) bool {
+	want := MAC(k, parts...)
+	return hmac.Equal(want[:], sig[:])
 }
 
 // Hash computes the SHA-256 digest of data.

@@ -165,3 +165,24 @@ func TestHashConcatMatchesHash(t *testing.T) {
 		t.Error("HashConcat must equal Hash of concatenation")
 	}
 }
+
+// TestMAC: a MAC over parts is the MAC of their concatenation, verifies
+// under its key only, and fails on any flipped bit of the signature.
+func TestMAC(t *testing.T) {
+	k, other := Key{1}, Key{2}
+	a, b := []byte("signed "), []byte("statement")
+	sig := MAC(k, a, b)
+	if sig != MAC(k, append(bytes.Clone(a), b...)) {
+		t.Error("MAC over parts must equal MAC of their concatenation")
+	}
+	if !VerifyMAC(k, sig, a, b) || VerifyMAC(other, sig, a, b) || VerifyMAC(k, sig, a) {
+		t.Error("VerifyMAC must accept only the signing key over the signed bytes")
+	}
+	for i := range sig {
+		bad := sig
+		bad[i] ^= 1
+		if VerifyMAC(k, bad, a, b) {
+			t.Fatalf("VerifyMAC accepted a signature with byte %d flipped", i)
+		}
+	}
+}

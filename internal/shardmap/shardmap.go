@@ -18,8 +18,6 @@
 package shardmap
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -245,9 +243,7 @@ func DecodeMap(data []byte) (*Map, error) {
 // Sign computes the map's signature under the CAS map key (HMAC-SHA256
 // over the serialized body).
 func (m *Map) Sign(key seal.Key) {
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write(m.encodeBody())
-	copy(m.Sig[:], mac.Sum(nil))
+	m.Sig = seal.MAC(key, m.encodeBody())
 }
 
 // Verify checks the map's authenticity and freshness:
@@ -264,9 +260,7 @@ func (m *Map) Sign(key seal.Key) {
 // every key, and every node's replication stream, to a resolvable
 // address.
 func (m *Map) Verify(key seal.Key, minEpoch uint64) error {
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write(m.encodeBody())
-	if !hmac.Equal(mac.Sum(nil), m.Sig[:]) {
+	if !seal.VerifyMAC(key, m.Sig, m.encodeBody()) {
 		return ErrBadSignature
 	}
 	if m.Counter != m.Epoch {

@@ -4,7 +4,9 @@
 // it routes operations to participant nodes over the secure RPC layer,
 // logs 2PC state transitions to the Clog with trusted-counter binding,
 // and commits only after every participant's prepare entry — and its own
-// decision entry — are rollback-protected.
+// decision entry — are rollback-protected. Both roles, live and in
+// recovery, run one pure transition function, step (step.go); DistTxn
+// and Participant perform its effects.
 package twopc
 
 import (
@@ -20,16 +22,6 @@ import (
 	"treaty/internal/obs"
 	"treaty/internal/seal"
 	"treaty/internal/vfs"
-)
-
-// Clog entry kinds.
-const (
-	// clogPrepare records that the coordinator started the prepare phase
-	// for a transaction with the listed participants (Fig. 2 step 5).
-	clogPrepare uint8 = iota + 1
-	// clogDecision records the commit/abort decision (step 6-7); it must
-	// be stabilized before the transaction commits.
-	clogDecision
 )
 
 // Exported record kinds for harnesses that drive Append directly (the
@@ -54,6 +46,9 @@ type ClogEntry struct {
 	Participants []string
 	// Counter is the entry's trusted counter value.
 	Counter uint64
+	// Dropped marks a record of the unstabilized tail opening dropped
+	// (DroppedTail).
+	Dropped bool
 }
 
 // encodeClogPayload serializes an entry body.
@@ -113,12 +108,6 @@ type clogReq struct {
 	done    chan clogRes
 }
 
-// demands reports whether a record of this kind starts a trusted-counter
-// round. Decisions do — a commit is waited on, an abort is pushed to
-// participants right away and must not be outlived by its prepare record.
-// A prepare record never does: losing it is presumed abort.
-func demands(kind uint8) bool { return kind == clogDecision }
-
 // Clog is the coordinator log: it keeps the 2PC protocol state in a
 // durlog.Log — the same framing, hash chaining, and trusted-counter
 // binding as the WAL and MANIFEST, forced on every group. Appends from
@@ -158,6 +147,9 @@ func OpenClog(fs vfs.FS, dir string, level seal.SecurityLevel, key seal.Key, rt 
 	c := &Clog{log: log, tornDropped: replayed.Torn}
 	if c.droppedTail, err = DecodeClogRecords(replayed.Dropped); err != nil {
 		return nil, nil, err
+	}
+	for i := range c.droppedTail {
+		c.droppedTail[i].Dropped = true
 	}
 	c.queue = durlog.NewQueue(c.commitGroup)
 	return c, entries, nil
@@ -249,7 +241,7 @@ func (c *Clog) commitGroup(group []*clogReq) {
 	entries, demand := c.staged[:0], false
 	for _, req := range group {
 		entries = append(entries, durlog.Entry{Kind: req.kind, Payload: req.payload})
-		demand = demand || demands(req.kind)
+		demand = demand || clogDemands(req.kind)
 	}
 	err := c.log.Commit(entries, demand)
 	c.staged = entries
@@ -258,7 +250,7 @@ func (c *Clog) commitGroup(group []*clogReq) {
 			req.done <- clogRes{err: err}
 			continue
 		}
-		req.done <- clogRes{token: c.log.Token(entries[i].Counter, demands(req.kind))}
+		req.done <- clogRes{token: c.log.Token(entries[i].Counter, clogDemands(req.kind))}
 	}
 }
 

@@ -1,10 +1,13 @@
 package twopc
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -72,70 +75,34 @@ type Coordinator struct {
 
 	nextTx atomic.Uint64
 
-	// decisions records known outcomes for status queries (seeded from
-	// Clog recovery, extended by live traffic).
+	// The status table. decisions records known outcomes for status
+	// queries (seeded by Clog replay, extended by live traffic); open holds
+	// the state of every transaction whose protocol work is unfinished: a
+	// logged prepare with no decision yet, or a recovered decision whose
+	// push RecoverPending still owes.
 	mu        sync.Mutex
 	decisions map[lsm.TxID]bool
-	prepared  map[lsm.TxID][]string // prepare logged, no decision yet
-	// decidedParts keeps the participant lists of decided-but-possibly-
-	// unpushed transactions recovered from the Clog, so RecoverPending
-	// can re-instruct them.
-	decidedParts map[lsm.TxID][]string
+	open      map[lsm.TxID]txState
 
 	// Commit pushes running after their answer (Drain, HoldPushes).
 	pushes   pushSet
 	pushGate sync.RWMutex
 
 	tracer *obs.Tracer
-	met    coordMetrics
-}
-
-// coordMetrics aggregates the coordinator's counters. All fields are
-// nil-safe no-ops when no registry is configured. The transaction
-// counters obey the twopc.tx law (NewCoordinator):
-//
-//	begun == committed + aborted + inflight
-//
-// Recovery-driven replays (RecoverPending) deliberately touch none of
-// these: they re-drive transactions that were already counted (or that
-// belonged to a previous boot's registry), so counting them again would
-// break the law. They are visible through the recover.* counters and
-// the "recover" stage traces instead.
-type coordMetrics struct {
+	// reg holds the counters step's effects name. The transaction counters
+	// obey the twopc.tx law:
+	//
+	//	begun == committed + aborted + inflight
+	//
+	// Recovery passes deliberately touch none of begun, committed,
+	// aborted and inflight: they re-drive transactions that were already
+	// counted (or that belonged to a previous boot's registry), so counting
+	// them again would break the law. They are visible through the
+	// recover.* counters and the "recover" stage traces instead.
+	reg                       *obs.Registry
 	begun, committed, aborted *obs.Counter
 	inflight                  *obs.Gauge
-
-	// aborts by reason
-	abortPrepareFailed *obs.Counter // a participant voted no or timed out
-	abortLogAppend     *obs.Counter // Clog append failed
-	abortStabilize     *obs.Counter // decision never became rollback-protected
-	abortClient        *obs.Counter // explicit Rollback
-
-	// recovery resolutions
-	recoverRedo         *obs.Counter // prepare re-executed after crash
-	recoverRepushCommit *obs.Counter
-	recoverRepushAbort  *obs.Counter
-	recoverAdopted      *obs.Counter // dead peer's Clog entries adopted at promotion
-
-	stabilizeWait *obs.Histogram // time spent in waitToken
-}
-
-func newCoordMetrics(m *obs.Registry) coordMetrics {
-	return coordMetrics{
-		begun:               m.Counter("twopc.tx.begun"),
-		committed:           m.Counter("twopc.tx.committed"),
-		aborted:             m.Counter("twopc.tx.aborted"),
-		inflight:            m.Gauge("twopc.tx.inflight"),
-		abortPrepareFailed:  m.Counter("twopc.abort.prepare_failed"),
-		abortLogAppend:      m.Counter("twopc.abort.log_append"),
-		abortStabilize:      m.Counter("twopc.abort.stabilize_timeout"),
-		abortClient:         m.Counter("twopc.abort.client_rollback"),
-		recoverRedo:         m.Counter("twopc.recover.redo_prepare"),
-		recoverRepushCommit: m.Counter("twopc.recover.repush_commit"),
-		recoverRepushAbort:  m.Counter("twopc.recover.repush_abort"),
-		recoverAdopted:      m.Counter("twopc.recover.adopted"),
-		stabilizeWait:       m.Histogram("twopc.stabilize.wait_ns"),
-	}
+	stabilizeWait             *obs.Histogram // time spent in waitToken
 }
 
 // CoordinatorConfig configures a Coordinator.
@@ -172,53 +139,49 @@ type CoordinatorConfig struct {
 	Metrics *obs.Registry
 }
 
-// NewCoordinator creates a coordinator and registers its status handler.
+// NewCoordinator creates a coordinator, replays the recovered Clog
+// records through step (the stable ones, then the dropped tail) and
+// registers its status handler.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.Participant == nil {
 		panic("twopc: a coordinator needs its node's participant")
 	}
+	m := cfg.Metrics
 	c := &Coordinator{
-		nodeID:       cfg.NodeID,
-		ep:           cfg.Endpoint,
-		part:         cfg.Participant,
-		clog:         cfg.Clog,
-		shard:        cfg.Shard,
-		refresh:      cfg.Refresh,
-		timeout:      cfg.Timeout,
-		decisions:    make(map[lsm.TxID]bool),
-		prepared:     make(map[lsm.TxID][]string),
-		decidedParts: make(map[lsm.TxID][]string),
-		tracer:       obs.NewTracer(cfg.Metrics, "twopc.stage"),
-		met:          newCoordMetrics(cfg.Metrics),
+		nodeID:        cfg.NodeID,
+		ep:            cfg.Endpoint,
+		part:          cfg.Participant,
+		clog:          cfg.Clog,
+		shard:         cfg.Shard,
+		refresh:       cfg.Refresh,
+		timeout:       cfg.Timeout,
+		decisions:     make(map[lsm.TxID]bool),
+		open:          make(map[lsm.TxID]txState),
+		tracer:        obs.NewTracer(m, "twopc.stage"),
+		reg:           m,
+		begun:         m.Counter("twopc.tx.begun"),
+		committed:     m.Counter("twopc.tx.committed"),
+		aborted:       m.Counter("twopc.tx.aborted"),
+		inflight:      m.Gauge("twopc.tx.inflight"),
+		stabilizeWait: m.Histogram("twopc.stabilize.wait_ns"),
 	}
-	cfg.Metrics.GaugeFunc("twopc.coord.prepared", func() int64 {
+	m.GaugeFunc("twopc.coord.prepared", func() int64 {
 		return int64(c.PreparedCount())
 	})
-	cfg.Metrics.GaugeFunc("twopc.coord.pushing", c.pushes.n.Load)
+	m.GaugeFunc("twopc.coord.pushing", c.pushes.n.Load)
 	// Every coordinated transaction is accounted for exactly once;
 	// recovery replays are outside the law (see twopc.recover.*).
-	cfg.Metrics.Balance("twopc.tx", "twopc.tx.begun", "twopc.tx.committed", "twopc.tx.aborted", "twopc.tx.inflight")
-	cfg.Metrics.Balance("twopc.push", "twopc.coord.pushing")
+	m.Balance("twopc.tx", "twopc.tx.begun", "twopc.tx.committed", "twopc.tx.aborted", "twopc.tx.inflight")
+	m.Balance("twopc.push", "twopc.coord.pushing")
 	if c.timeout == 0 {
 		c.timeout = 2 * time.Second
 	}
-	for _, w := range foldClog(cfg.Recovered) {
-		if w.redo {
-			c.prepared[w.id] = w.parts
-		} else {
-			c.decisions[w.id] = w.commit
-			c.decidedParts[w.id] = w.parts
-		}
-	}
-	// Presumed abort, said out loud: a transaction whose records the Clog
-	// dropped as an unstabilized tail was never decided as far as anyone
-	// was told, but its participants may hold it prepared. Treat it as a
-	// decided abort so RecoverPending pushes the abort and releases them.
-	for _, e := range cfg.Clog.DroppedTail() {
-		if _, decided := c.decisions[e.TxID]; !decided {
-			c.decisions[e.TxID] = false
-			c.decidedParts[e.TxID] = e.Participants
-			delete(c.prepared, e.TxID)
+	for _, e := range slices.Concat(cfg.Recovered, cfg.Clog.DroppedTail()) {
+		s := c.open[e.TxID]
+		fx := step(&s, &event{kind: evRecord, rec: &e}, nil)
+		c.open[e.TxID] = s
+		for _, x := range fx { // a replayed record's one effect is its note
+			c.note(e.TxID, s, x.code)
 		}
 	}
 	// Transaction sequence numbers start at a per-boot random offset, like
@@ -254,7 +217,7 @@ func (c *Coordinator) status(id lsm.TxID) uint8 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	commit, decided := c.decisions[id]
-	_, pending := c.prepared[id]
+	_, pending := c.open[id]
 	switch {
 	case decided && commit:
 		return StatusCommit
@@ -262,6 +225,21 @@ func (c *Coordinator) status(id lsm.TxID) uint8 {
 		return StatusPending
 	}
 	return StatusAbort
+}
+
+// note publishes s, id's state after a step, to the status table: a
+// decided status is recorded, and s stays open while it owes work.
+func (c *Coordinator) note(id lsm.TxID, s txState, status uint8) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if status != StatusPending {
+		c.decisions[id] = status == StatusCommit
+	}
+	if s.phase == cDone {
+		delete(c.open, id)
+	} else {
+		c.open[id] = s
+	}
 }
 
 // DistTxn is one distributed transaction driven by a coordinator on
@@ -279,12 +257,12 @@ type DistTxn struct {
 	view  *shardmap.Map
 	parts map[string]bool // participant address → sent a put or delete
 	f     *fibers.Fiber   // waits parked for remote replies; nil on a goroutine
-	done  bool
-	// outcome is the client-visible classification, set once by finish.
-	outcome TxnOutcome
-	// trace follows the transaction through the 2PC stage machine. Nil
-	// for recovery replays — those must not feed the tx.* conservation
-	// counters either (see coordMetrics).
+	// st is the protocol state step drives; token is its appended
+	// decision's, which a stabilize effect waits on.
+	st    txState
+	token durlog.StableToken
+	// trace follows the transaction through the 2PC stage machine; a
+	// recovery pass's traces only its "recover" stage.
 	trace *obs.Trace
 }
 
@@ -313,14 +291,14 @@ const (
 
 // Outcome returns the client-visible outcome (TxnPending until Commit
 // or Rollback returns).
-func (t *DistTxn) Outcome() TxnOutcome { return t.outcome }
+func (t *DistTxn) Outcome() TxnOutcome { return t.st.outcome }
 
 // Begin starts a distributed transaction driven by fiber f (nil on a
 // goroutine), which waits parked for remote replies.
 func (c *Coordinator) Begin(f *fibers.Fiber) *DistTxn {
 	seq := c.nextTx.Add(1)
-	c.met.begun.Inc()
-	c.met.inflight.Add(1)
+	c.begun.Inc()
+	c.inflight.Add(1)
 	id := globalTxID(c.nodeID, seq)
 	var view *shardmap.Map
 	if c.shard != nil {
@@ -377,21 +355,6 @@ func txTraceID(id lsm.TxID) string {
 // read the recent traces).
 func (c *Coordinator) Tracer() *obs.Tracer { return c.tracer }
 
-// finish settles the transaction's outcome in the conservation counters
-// and closes its trace. Called exactly once per client-begun transaction
-// (Commit or Rollback); recovery replays never reach it.
-func (t *DistTxn) finish(outcome TxnOutcome, reason string) {
-	t.c.met.inflight.Add(-1)
-	t.outcome = outcome
-	if outcome == TxnCommitted {
-		t.c.met.committed.Inc()
-		t.trace.Finish(obs.OutcomeCommitted, reason)
-	} else {
-		t.c.met.aborted.Inc()
-		t.trace.Finish(obs.OutcomeAborted, reason)
-	}
-}
-
 // ID returns the global transaction id.
 func (t *DistTxn) ID() lsm.TxID { return t.id }
 
@@ -430,7 +393,7 @@ func (t *DistTxn) call(addr string, reqType uint8, key, value []byte) ([]byte, e
 // the shard-map refresh. Get, Put and Delete differ only in the request
 // type and in how they read the reply.
 func (t *DistTxn) op(reqType uint8, key, value []byte) ([]byte, error) {
-	if t.done {
+	if t.st.phase != cExecute {
 		return nil, ErrTxnFinished
 	}
 	addr, err := t.ownerAddr(key)
@@ -501,30 +464,6 @@ func (t *DistTxn) broadcast(reqType uint8, participants []string) ([]erpc.Reply,
 	return replies, nil
 }
 
-// decisionAttempts bounds a decision push, live or from recovery.
-const decisionAttempts = 4
-
-// broadcastRetry re-sends an idempotent control message (commit/abort
-// decision push) to the participants that did not answer, on the retry
-// ladder. Only remote legs can go unanswered: this node's own leg is a
-// call. A lost decision push is always safe — recovery re-derives it —
-// but re-pushing promptly releases prepared participants without waiting
-// for a restart.
-func (t *DistTxn) broadcastRetry(reqType uint8, remaining []string) {
-	for retry := t.c.ep.Retry(decisionAttempts, erpc.RetryBase, erpc.RetryCap, t.f); ; {
-		replies, _ := t.broadcast(reqType, remaining)
-		var unanswered []string
-		for i, r := range replies {
-			if errors.Is(r.Err, erpc.ErrTimeout) {
-				unanswered = append(unanswered, remaining[i])
-			}
-		}
-		if remaining = unanswered; len(remaining) == 0 || !retry.Next() {
-			return
-		}
-	}
-}
-
 // participants returns the involved addresses, sorted (determinism).
 func (t *DistTxn) participants() []string {
 	out := make([]string, 0, len(t.parts))
@@ -535,150 +474,132 @@ func (t *DistTxn) participants() []string {
 	return out
 }
 
-// Commit picks its path by the number of writers. With none, nothing is
-// logged: every participant votes read-only at prepare. With one, the
-// readers' prepares come first, then the writer commits in one phase and
-// its stabilized WAL record is the decision. With more, it is Fig. 2.
+// Commit commits the transaction: by one round of read-only votes, by a
+// sole writer's one-phase commit, or by Fig. 2's two phases (step says
+// which, and which failures are indeterminate).
 func (t *DistTxn) Commit() error {
-	if t.done {
+	if t.st.phase != cExecute {
 		return ErrTxnFinished
 	}
-	t.done = true
-	participants := t.participants()
-	var readers, writers []string
-	for _, addr := range participants {
+	ev := event{kind: evCommit, parts: t.participants(), err: t.c.clog.Poisoned()}
+	for _, addr := range ev.parts {
 		if t.parts[addr] {
-			writers = append(writers, addr)
+			ev.writers = append(ev.writers, addr)
 		} else {
-			readers = append(readers, addr)
+			ev.readers = append(ev.readers, addr)
 		}
 	}
-	if len(participants) == 0 {
-		t.finish(TxnCommitted, "empty")
-		return nil // no operations
-	}
-	if len(writers) > 1 {
-		return t.commitTwoPhase(participants)
-	}
-	// A coordinator whose Clog fail-stopped (a crashed node's, say) commits
-	// nothing, though these paths append no record. An unknown reader
-	// released its locks early: abort the uncommitted writer. A one-phase
-	// commit is sent once; its failure is indeterminate.
-	t.trace.Enter(obs.StagePrepare)
-	err := t.c.clog.Poisoned()
-	if err == nil {
-		_, err = t.broadcast(ReqPrepare, readers)
-	}
-	outcome, reason := TxnAborted, "prepare_failed"
-	if err == nil && len(writers) == 1 {
-		t.trace.Enter(obs.StageCommit)
-		_, err = t.broadcast(ReqCommitOnePhase, writers)
-		outcome, reason = TxnIndeterminate, "one_phase_failed"
-	}
-	if err != nil {
-		t.trace.Enter(obs.StageAbort)
-		_, _ = t.broadcast(ReqAbort, participants) // nothing prepared: nothing to log
-		t.c.met.abortPrepareFailed.Inc()
-		t.finish(outcome, reason)
-		return fmt.Errorf("%w: %s: %v", ErrAborted, reason, err)
-	}
-	t.finish(TxnCommitted, "")
-	return nil
+	return t.run(ev)
 }
 
-// commitTwoPhase runs the two-phase commit (Fig. 2):
-//
-//  5. Log the prepare start to the Clog (counter-bound) and send
-//     TxnPrepare to every participant; each prepares its local
-//     transaction and ACKs only after its prepare entry is stabilized.
-//  6. Log the commit decision to the Clog and wait until it is
-//     rollback-protected ("The TxC, before committing/aborting, also
-//     stabilizes the prepare's phase decision on the Clog").
-//  7. Answer the client, then send TxnCommit to every writer. The commit
-//     entries need not be stable before acknowledging the client: after
-//     a crash the same decision re-derives from the stabilized Clog.
-//
-// Any prepare failure aborts everywhere and returns ErrAborted; every
-// failure is indeterminate, since the prepare record may be durable.
-func (t *DistTxn) commitTwoPhase(participants []string) error {
-	// Step 5: prepare phase.
-	t.trace.Enter(obs.StagePrepare)
-	if _, err := t.c.clog.Append(clogPrepare, t.id, false, participants); err != nil {
-		t.c.met.abortLogAppend.Inc()
-		t.finish(TxnIndeterminate, "prepare_log_failed")
-		return err
+// Rollback aborts the transaction everywhere.
+func (t *DistTxn) Rollback() error {
+	if t.st.phase != cExecute {
+		return ErrTxnFinished
 	}
-	t.c.mu.Lock()
-	t.c.prepared[t.id] = participants
-	t.c.mu.Unlock()
+	return t.run(event{kind: evRollback, parts: t.participants()})
+}
 
-	votes, err := t.broadcast(ReqPrepare, participants)
-	if err != nil {
-		t.trace.Enter(obs.StageAbort)
-		t.abort(participants)
-		t.c.met.abortPrepareFailed.Inc()
-		t.finish(TxnIndeterminate, "prepare_failed")
-		return fmt.Errorf("%w: prepare failed: %v", ErrAborted, err)
-	}
-	// Read-only participants voted and released at prepare; only writers
-	// need the decision (the read-only 2PC optimization).
-	writers := make([]string, 0, len(participants))
-	for i, addr := range participants {
-		if len(votes[i].Resp) == 0 || votes[i].Resp[0] != voteReadOnly {
-			writers = append(writers, addr)
+// run is the coordinator's interpreter: it steps the transaction's state
+// by ev and performs the effects in order on the transaction's fiber,
+// feeding the last one's completion back as the next event, until a step
+// ends on an effect without one. It returns what the answer carried.
+func (t *DistTxn) run(ev event) error {
+	var buf [maxEffects]effect
+	for more := true; more; {
+		fx := step(&t.st, &ev, buf[:0])
+		more = false
+		for _, e := range fx {
+			more, ev = true, event{kind: evDone}
+			switch e.kind {
+			case fxSend:
+				replies, err := t.broadcast(e.code, e.to)
+				ev.err, ev.resps = err, make([][]byte, len(replies))
+				for j, r := range replies {
+					ev.resps[j] = r.Resp
+				}
+			case fxAppend:
+				t.token, ev.err = t.c.clog.Append(e.code, t.id, e.commit, e.to)
+			case fxStabilize:
+				ev.err = t.waitToken(t.token)
+			default:
+				more = false
+				t.perform(e)
+			}
 		}
 	}
-	if len(writers) == 0 {
-		// Every write failed where it was sent: nothing to decide or make
-		// durable; record the outcome locally for status queries.
-		t.c.record(t.id, true)
-		t.finish(TxnCommitted, "readonly")
-		return nil
-	}
+	return t.st.err
+}
 
-	// Steps 6-7: decide commit, stabilize the decision, then commit.
-	// Append enqueues into the Clog's group-commit leader and returns
-	// once the whole group is forced, so the log-force stage measures
-	// group formation plus one fsync amortized across every transaction
-	// deciding concurrently.
-	t.trace.Enter(obs.StageLogForce)
-	token, err := t.c.clog.Append(clogDecision, t.id, true, writers)
-	if err != nil {
-		t.trace.Enter(obs.StageAbort)
-		t.abort(writers)
-		t.c.met.abortLogAppend.Inc()
-		t.finish(TxnIndeterminate, "decision_log_failed")
-		return fmt.Errorf("%w: decision log failed: %v", ErrAborted, err)
+// perform performs an effect that completes at once.
+func (t *DistTxn) perform(e effect) {
+	switch s := &t.st; e.kind {
+	case fxStage:
+		if s.mode == live { // a recovery pass traces only its "recover" stage
+			t.trace.Enter(obs.Stage(e.name))
+		}
+	case fxCount:
+		t.c.reg.Counter(e.name).Inc()
+	case fxNote:
+		t.c.note(t.id, *s, e.code)
+	case fxPush:
+		t.push(e.code, e.to, s.mode == live)
+	case fxAnswer:
+		// A client's transaction settles in the twopc.tx law and closes
+		// its trace, once; a recovery pass closes its "recover" trace.
+		switch {
+		case s.mode == live:
+			t.c.inflight.Add(-1)
+			if s.outcome == TxnCommitted {
+				t.c.committed.Inc()
+				t.trace.Finish(obs.OutcomeCommitted, s.reason)
+			} else {
+				t.c.aborted.Inc()
+				t.trace.Finish(obs.OutcomeAborted, s.reason)
+			}
+		case s.err == nil:
+			t.trace.Finish(obs.OutcomeRecovered, s.reason)
+		}
 	}
-	t.trace.Enter(obs.StageStabilize)
-	if err := t.waitToken(token); err != nil {
-		t.trace.Enter(obs.StageAbort)
-		t.abort(writers)
-		t.c.met.abortStabilize.Inc()
-		t.finish(TxnIndeterminate, "stabilize_timeout")
-		return fmt.Errorf("%w: decision stabilization failed: %v", ErrAborted, err)
-	}
-	t.c.record(t.id, true)
+}
 
-	// The decision is stable: the transaction IS committed even if a
-	// commit message is lost; such a participant resolves at recovery.
-	// So the client is answered now and a goroutine pushes the commits;
-	// the writers hold their locks until theirs lands, so the client's
-	// next transaction still reads its own writes.
-	t.trace.Enter(obs.StageCommit)
-	push := &DistTxn{c: t.c, id: t.id, seq: t.seq, trace: t.trace}
-	t.trace = nil // the push ends it
-	t.finish(TxnCommitted, "")
-	t.c.pushes.Add()
-	go func() {
-		defer t.c.pushes.Done()
-		t.c.pushGate.RLock()
-		t.c.pushGate.RUnlock()
-		push.broadcastRetry(ReqCommit, writers)
-		push.trace.Enter(obs.StageReclaim)
-		push.trace.Finish(obs.OutcomeCommitted, "")
-	}()
-	return nil
+// decisionAttempts bounds a decision push, live or from recovery.
+const decisionAttempts = 4
+
+// push sends decision req to its participants, re-sending to those that
+// did not answer on the retry ladder. Only remote legs can go unanswered:
+// this node's own leg is a call. A lost decision push is always safe —
+// recovery re-derives it — but re-pushing promptly releases prepared
+// participants without waiting for a restart. A detached push runs after
+// the client's answer on a goroutine of its own and ends the
+// transaction's trace.
+func (t *DistTxn) push(req uint8, to []string, detach bool) {
+	if detach {
+		push := &DistTxn{c: t.c, id: t.id, seq: t.seq, trace: t.trace}
+		t.trace = nil // the push ends it
+		t.c.pushes.Add()
+		go func(to []string) {
+			defer t.c.pushes.Done()
+			t.c.pushGate.RLock()
+			t.c.pushGate.RUnlock()
+			push.push(req, to, false)
+			push.trace.Enter(obs.StageReclaim)
+			push.trace.Finish(obs.OutcomeCommitted, "")
+		}(to)
+		return
+	}
+	for retry := t.c.ep.Retry(decisionAttempts, erpc.RetryBase, erpc.RetryCap, t.f); ; {
+		replies, _ := t.broadcast(req, to)
+		var unanswered []string
+		for i, r := range replies {
+			if errors.Is(r.Err, erpc.ErrTimeout) {
+				unanswered = append(unanswered, to[i])
+			}
+		}
+		if to = unanswered; len(to) == 0 || !retry.Next() {
+			return
+		}
+	}
 }
 
 // pushSet is a WaitGroup whose count the twopc.coord.pushing gauge reads.
@@ -707,191 +628,71 @@ func (c *Coordinator) HoldPushes() (release func()) {
 // forever; a permanent counter-service failure surfaces as its error.
 func (t *DistTxn) waitToken(token durlog.StableToken) error {
 	start := time.Now()
-	defer t.c.met.stabilizeWait.ObserveSince(start)
+	defer t.c.stabilizeWait.ObserveSince(start)
 	return txn.WaitToken(token, start.Add(4*t.c.timeout), t.f)
 }
 
-// record notes a transaction's decision for status queries.
-func (c *Coordinator) record(id lsm.TxID, commit bool) {
-	c.mu.Lock()
-	c.decisions[id] = commit
-	delete(c.prepared, id)
-	c.mu.Unlock()
-}
-
-// abort logs and pushes an abort decision: the abort path of a
-// transaction that may hold a prepare record (commitTwoPhase, resolve).
-func (t *DistTxn) abort(participants []string) {
-	if _, err := t.c.clog.Append(clogDecision, t.id, false, participants); err == nil {
-		t.c.record(t.id, false)
-	}
-	_, _ = t.broadcast(ReqAbort, participants)
-}
-
-// Rollback aborts the transaction everywhere.
-func (t *DistTxn) Rollback() error {
-	if t.done {
-		return ErrTxnFinished
-	}
-	t.done = true
-	t.c.met.abortClient.Inc()
-	if participants := t.participants(); len(participants) > 0 {
-		t.trace.Enter(obs.StageAbort)
-		_, _ = t.broadcast(ReqAbort, participants) // nothing prepared: nothing to log
-	}
-	t.finish(TxnAborted, "client_rollback")
-	return nil
-}
-
-// pending is one transaction a recovery pass has to finish.
-type pending struct {
-	id    lsm.TxID
-	parts []string
-	// redo marks a prepare with no logged decision: the prepare phase is
-	// re-driven. Otherwise commit is the decision to re-push.
-	commit bool
-	redo   bool
-}
-
-// sortPending orders work by transaction id, so recovery passes are
-// reproducible.
-func sortPending(work []pending) {
-	sort.Slice(work, func(i, j int) bool { return string(work[i].id[:]) < string(work[j].id[:]) })
-}
-
-// foldClog folds Clog entries, in log order, into one pending per
-// transaction: prepared with the prepare record's participants until a
-// decision record, which also names whom to push it to, overrides.
-func foldClog(entries []ClogEntry) []pending {
-	byID := make(map[lsm.TxID]int)
-	var work []pending
-	for _, e := range entries {
-		i, seen := byID[e.TxID]
-		if !seen {
-			i = len(work)
-			byID[e.TxID] = i
-			work = append(work, pending{id: e.TxID, redo: true})
-		}
-		switch e.Kind {
-		case clogPrepare:
-			work[i].parts = e.Participants
-		case clogDecision:
-			work[i].parts, work[i].commit, work[i].redo = e.Participants, e.Commit, false
-		}
-	}
-	sortPending(work)
-	return work
-}
-
-// resolve finishes one recovered transaction: a logged decision is
-// re-pushed to its participants (who ignore what they already applied);
-// a prepare without decision re-executes the prepare phase — participants
-// still holding the prepared transaction re-ACK and it commits, otherwise
-// it aborts. reason prefixes the recovery trace's outcome reason.
-//
-// Recovery replays intentionally carry no DistTxn trace and never touch
-// the tx.* conservation counters (coordMetrics); their paths are recorded
-// via recover.* counters and standalone traces.
-func (c *Coordinator) resolve(w pending, reason string, f *fibers.Fiber) error {
-	_, seq := splitTxID(w.id)
-	t := &DistTxn{c: c, id: w.id, seq: seq, parts: map[string]bool{}, f: f}
-	tr := c.tracer.Begin(txTraceID(w.id), obs.StageRecover)
-	switch {
-	case w.redo:
-		c.met.recoverRedo.Inc()
-		if _, err := t.broadcast(ReqPrepare, w.parts); err != nil {
-			t.abort(w.parts)
-			tr.Finish(obs.OutcomeRecovered, reason+"redo_prepare_aborted")
-			return nil
-		}
-		token, err := c.clog.Append(clogDecision, w.id, true, w.parts)
-		if err != nil {
-			return err
-		}
-		if err := t.waitToken(token); err != nil {
-			return err
-		}
-		c.record(w.id, true)
-		t.broadcastRetry(ReqCommit, w.parts)
-		tr.Finish(obs.OutcomeRecovered, reason+"redo_prepare")
-	case w.commit:
-		c.met.recoverRepushCommit.Inc()
-		t.broadcastRetry(ReqCommit, w.parts)
-		tr.Finish(obs.OutcomeRecovered, reason+"repush_commit")
-	default:
-		c.met.recoverRepushAbort.Inc()
-		t.broadcastRetry(ReqAbort, w.parts)
-		tr.Finish(obs.OutcomeRecovered, reason+"repush_abort")
-	}
-	return nil
-}
-
-// RecoverPending finishes transactions the coordinator left in flight at
-// a crash (§VI); see resolve.
+// RecoverPending finishes the transactions this coordinator left
+// unfinished (§VI): each recovered decision's push, owed once, and each
+// logged prepare without a decision.
 func (c *Coordinator) RecoverPending(f *fibers.Fiber) error {
 	c.mu.Lock()
-	var work []pending
-	for id, parts := range c.prepared {
-		work = append(work, pending{id: id, parts: parts, redo: true})
-	}
-	for id, parts := range c.decidedParts {
-		work = append(work, pending{id: id, parts: parts, commit: c.decisions[id]})
-	}
-	c.decidedParts = make(map[lsm.TxID][]string)
-	c.mu.Unlock()
-	sortPending(work)
-
-	for _, w := range work {
-		if err := c.resolve(w, "", f); err != nil {
-			return err
+	work := maps.Clone(c.open)
+	for id, s := range c.open {
+		if s.phase == cDecided {
+			delete(c.open, id)
 		}
 	}
-	return nil
+	c.mu.Unlock()
+	return c.recover(work, event{kind: evRecover}, f)
 }
 
-// AdoptRecovered folds a dead peer coordinator's replicated Clog
-// records (as its Ship hook handed them over) into this coordinator and
-// resolves them as RecoverPending resolves this node's own log, except
-// that a prepare without a decision is aborted, never re-prepared:
-// presumed abort is sound (a decision absent from the replicated prefix
-// was never stabilized, hence never acknowledged), and a re-prepare is
-// not, because rewrite, when non-nil, maps the dead primary's address to
-// this node's, whose one vote would then also stand for the dead
-// primary's part. Adopted decisions seed the status table, so
-// participants probing the dead coordinator's transactions get answers
-// from the successor.
+// AdoptRecovered replays a dead peer coordinator's replicated Clog
+// records (as its Ship hook handed them over) through step and finishes
+// each transaction this coordinator has no decision for, with rewrite
+// (when non-nil) applied to its participants: a decision is re-pushed
+// and an undecided prepare aborted (step says why). Adopted decisions
+// seed the status table, so participants probing the dead coordinator's
+// transactions get answers from the successor.
 func (c *Coordinator) AdoptRecovered(records []durlog.Entry, rewrite func(string) string, f *fibers.Fiber) error {
 	entries, err := DecodeClogRecords(records)
 	if err != nil {
 		return err
 	}
-	for _, w := range foldClog(entries) {
-		if rewrite != nil {
-			parts := make([]string, len(w.parts))
-			for i, a := range w.parts {
-				parts[i] = rewrite(a)
-			}
-			w.parts = parts
+	work := make(map[lsm.TxID]txState)
+	for _, e := range entries {
+		s := work[e.TxID]
+		step(&s, &event{kind: evRecord, rec: &e}, nil)
+		work[e.TxID] = s
+	}
+	for id := range work {
+		if _, known := c.Decision(id); known { // this coordinator already resolved it
+			delete(work, id)
 		}
-		w.redo = false // presumed abort: w.commit is false for an undecided prepare
-		c.mu.Lock()
-		_, known := c.decisions[w.id]
-		if !known { // else this coordinator already resolved it
-			c.decisions[w.id] = w.commit
-		}
-		c.mu.Unlock()
-		if known {
-			continue
-		}
-		c.met.recoverAdopted.Inc()
-		if err := c.resolve(w, "adopt_", f); err != nil {
+	}
+	return c.recover(work, event{kind: evAdopt, rewrite: rewrite}, f)
+}
+
+// recover drives each transaction of work by ev on fiber f, in id order,
+// so recovery passes are reproducible. Each pass has a "recover" trace of
+// its own and stays outside the tx.* law.
+func (c *Coordinator) recover(work map[lsm.TxID]txState, ev event, f *fibers.Fiber) error {
+	ids := make([]lsm.TxID, 0, len(work))
+	for id := range work {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(a, b lsm.TxID) int { return bytes.Compare(a[:], b[:]) })
+	for _, id := range ids {
+		_, seq := splitTxID(id)
+		t := &DistTxn{c: c, id: id, seq: seq, f: f, st: work[id], trace: c.tracer.Begin(txTraceID(id), obs.StageRecover)}
+		if err := t.run(ev); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Decision reports a transaction's outcome (test hook).
+// Decision reports a transaction's outcome, if this coordinator knows it.
 func (c *Coordinator) Decision(id lsm.TxID) (commit, decided bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -904,5 +705,11 @@ func (c *Coordinator) Decision(id lsm.TxID) (commit, decided bool) {
 func (c *Coordinator) PreparedCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.prepared)
+	n := 0
+	for _, s := range c.open {
+		if s.phase != cDecided {
+			n++
+		}
+	}
+	return n
 }

@@ -202,6 +202,6 @@ func (p *Participant) handleSlotIngest(f *fibers.Fiber, req *erpc.Request) {
 		req.ReplyError(err.Error())
 		return
 	}
-	p.met.ingestChunks.Inc()
+	p.ingestChunks.Inc()
 	req.Reply(nil)
 }

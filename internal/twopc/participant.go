@@ -58,39 +58,10 @@ type Participant struct {
 	janitorWG   sync.WaitGroup
 	stopOnce    sync.Once
 
-	met partMetrics
-}
-
-// partMetrics counts the participant side of the protocol (all nil-safe
-// no-ops without a registry).
-type partMetrics struct {
-	prepares      *obs.Counter // fresh yes-votes (durably prepared)
-	prepareNoes   *obs.Counter // no-votes (unknown txn, prepare failure)
-	readonlyVotes *obs.Counter // read-only optimization releases
-	onePhase      *obs.Counter // sole writers committed in one phase
-	commits       *obs.Counter // prepared transactions committed
-	aborts        *obs.Counter // transactions aborted on instruction
-	reclaims      *obs.Counter // janitor-reclaimed idle transactions
-	restored      *obs.Counter // prepared transactions restored from WAL
-	staleEpoch    *obs.Counter // operations rejected for a stale/foreign epoch
-	fenceRejects  *obs.Counter // operations rejected by a migration fence
-	ingestChunks  *obs.Counter // slot-migration chunks applied
-}
-
-func newPartMetrics(m *obs.Registry) partMetrics {
-	return partMetrics{
-		prepares:      m.Counter("twopc.part.prepares"),
-		prepareNoes:   m.Counter("twopc.part.prepare_noes"),
-		readonlyVotes: m.Counter("twopc.part.readonly_votes"),
-		onePhase:      m.Counter("twopc.part.one_phase"),
-		commits:       m.Counter("twopc.part.commits"),
-		aborts:        m.Counter("twopc.part.aborts"),
-		reclaims:      m.Counter("twopc.part.reclaims"),
-		restored:      m.Counter("twopc.part.restored"),
-		staleEpoch:    m.Counter("shardmap.stale_epoch_rejected"),
-		fenceRejects:  m.Counter("shardmap.fence_rejected"),
-		ingestChunks:  m.Counter("shardmap.ingest_chunks"),
-	}
+	// reg holds the counters step's effects name; the shard-map gate and
+	// migration count their rejections and chunks.
+	reg                                    *obs.Registry
+	staleEpoch, fenceRejects, ingestChunks *obs.Counter
 }
 
 // activeTxn is one in-flight local transaction.
@@ -102,9 +73,9 @@ type activeTxn struct {
 	// (guarded by the participant's mu, read by SlotActive so migration
 	// drains wait for in-flight transactions on the migrating slot).
 	slots map[int]struct{}
-	// prepared is atomic: handlers flip it under at.mu, but the janitor
-	// and recovery scans read it under p.mu only — taking at.mu there
-	// would invert the at.mu → p.mu order the handlers use via drop().
+	// prepared is atomic: run stores it under at.mu, but the janitor and
+	// recovery scans read it under p.mu only — taking at.mu there would
+	// invert the at.mu → p.mu order the handlers use via drop().
 	prepared atomic.Bool
 	last     time.Time
 }
@@ -117,6 +88,14 @@ func (at *activeTxn) lock(f *fibers.Fiber) {
 		f.Park(at.mu.Lock)
 	}
 	at.local.SetFiber(f)
+}
+
+// state reads the part's protocol state; the caller holds at.mu.
+func (at *activeTxn) state() txState {
+	if at.prepared.Load() {
+		return txState{phase: pPrepared}
+	}
+	return txState{phase: pActive, readOnly: at.local.ReadOnly()}
 }
 
 // ParticipantConfig configures a Participant.
@@ -147,18 +126,21 @@ type ParticipantConfig struct {
 // NewParticipant registers the participant's handlers on the endpoint.
 func NewParticipant(cfg ParticipantConfig) *Participant {
 	p := &Participant{
-		mgr:         cfg.Manager,
-		ep:          cfg.Endpoint,
-		sched:       cfg.Scheduler,
-		nodeID:      cfg.NodeID,
-		shard:       cfg.Shard,
-		refresh:     cfg.Refresh,
-		active:      make(map[lsm.TxID]*activeTxn),
-		fenced:      make(map[int]struct{}),
-		reclaimed:   make(map[lsm.TxID]time.Time),
-		idleTimeout: cfg.IdleTimeout,
-		janitorStop: make(chan struct{}),
-		met:         newPartMetrics(cfg.Metrics),
+		mgr:          cfg.Manager,
+		ep:           cfg.Endpoint,
+		sched:        cfg.Scheduler,
+		nodeID:       cfg.NodeID,
+		shard:        cfg.Shard,
+		refresh:      cfg.Refresh,
+		active:       make(map[lsm.TxID]*activeTxn),
+		fenced:       make(map[int]struct{}),
+		reclaimed:    make(map[lsm.TxID]time.Time),
+		idleTimeout:  cfg.IdleTimeout,
+		janitorStop:  make(chan struct{}),
+		reg:          cfg.Metrics,
+		staleEpoch:   cfg.Metrics.Counter("shardmap.stale_epoch_rejected"),
+		fenceRejects: cfg.Metrics.Counter("shardmap.fence_rejected"),
+		ingestChunks: cfg.Metrics.Counter("shardmap.ingest_chunks"),
 	}
 	if p.idleTimeout == 0 {
 		p.idleTimeout = 30 * time.Second
@@ -277,7 +259,7 @@ func (p *Participant) checkRoute(key []byte, md seal.MsgMetadata) (int, error) {
 	_, isFenced := p.fenced[slot]
 	p.mu.Unlock()
 	if isFenced {
-		p.met.fenceRejects.Inc()
+		p.fenceRejects.Inc()
 		return slot, fmt.Errorf("%s: slot %d", slotFencedMsg, slot)
 	}
 	if md.Epoch != view.Epoch {
@@ -288,13 +270,13 @@ func (p *Participant) checkRoute(key []byte, md seal.MsgMetadata) (int, error) {
 			view = p.shard.View()
 		}
 		if md.Epoch != view.Epoch {
-			p.met.staleEpoch.Inc()
+			p.staleEpoch.Inc()
 			return slot, fmt.Errorf("%s: op at epoch %d, node at %d",
 				wrongEpochMsg, md.Epoch, view.Epoch)
 		}
 	}
 	if owner := view.SlotOwner(slot); owner != p.nodeID {
-		p.met.staleEpoch.Inc()
+		p.staleEpoch.Inc()
 		return slot, fmt.Errorf("%s: slot %d owned by node %d, not node %d",
 			wrongEpochMsg, slot, owner, p.nodeID)
 	}
@@ -427,83 +409,69 @@ func (p *Participant) handleControl(f *fibers.Fiber, req *erpc.Request) {
 }
 
 // control applies one control message — prepare, commit, one-phase
-// commit or abort, told apart by reqType — to transaction id. It is the
-// one body of a control message, the twin of op: handleControl runs it
-// for a request off the wire, this node's coordinator for its own leg of
-// a fan-out, and ResolveRecovered for a recovered decision. A prepare
-// answers once its entry is stabilized (§V-A step 8; Prepare waits
-// parked, and one counter round covers every concurrent prepare, §VI). A
-// re-prepare votes yes, a participant that only read releases its locks
-// and votes read-only, and an unknown id votes no. A decision for an
-// unknown or already finished transaction is acknowledged ("If a node has
-// already committed the Tx, this message is ignored", §VI); a commit for
-// an unprepared one is an error. A one-phase commit answers once an active
-// part's write set is a stabilized WAL record; for any other part it is an
-// error, so it never commits twice. A finished one is dropped under at.mu.
+// commit or abort, told apart by reqType — to transaction id, the twin of
+// op: handleControl runs it for a request off the wire, this node's
+// coordinator for its own leg of a fan-out, and ResolveRecovered for a
+// recovered decision. It steps the part under its lock and stores the
+// state step leaves: a prepared part is marked, a finished one dropped.
 func (p *Participant) control(f *fibers.Fiber, reqType uint8, id lsm.TxID) ([]byte, error) {
-	at := p.find(id, false)
-	if at == nil {
-		switch reqType { // a crash or the janitor wiped an unprepared transaction
-		case ReqPrepare:
-			p.met.prepareNoes.Inc()
-			return nil, errors.New("twopc: unknown transaction at prepare")
-		case ReqCommitOnePhase:
-			return nil, errors.New("twopc: unknown transaction at one-phase commit")
-		}
-		return nil, nil
+	s, at := txState{phase: pUnknown}, p.find(id, false)
+	if at != nil {
+		at.lock(f)
+		defer at.mu.Unlock()
+		s = at.state()
 	}
-	at.lock(f)
-	defer at.mu.Unlock()
-	var err error
+	p.run(at, id, &s, &event{kind: evControl, req: reqType})
 	switch {
-	case reqType == ReqPrepare && at.prepared.Load():
-		return []byte{voteYes}, nil
-	case reqType == ReqPrepare && at.local.ReadOnly():
-		_ = at.local.Rollback()
+	case at == nil:
+	case s.phase == pPrepared:
+		at.prepared.Store(true)
+	case s.phase == pDone:
 		p.drop(id)
-		p.met.readonlyVotes.Inc()
-		return []byte{voteReadOnly}, nil
-	case reqType == ReqPrepare:
-		if err = at.local.Prepare(id); err == nil {
-			at.prepared.Store(true)
-			p.met.prepares.Inc()
-			return []byte{voteYes}, nil
-		}
-		_ = at.local.Rollback()
-		p.drop(id)
-		p.met.prepareNoes.Inc()
-		return nil, err
-	case reqType == ReqCommitOnePhase:
-		if err = at.local.CommitOnePhase(); errors.Is(err, txn.ErrTxnDone) {
-			return nil, errors.New("twopc: one-phase commit for a prepared or finished transaction")
-		} else if err == nil {
-			p.met.onePhase.Inc()
-		}
-	case reqType == ReqCommit && !at.prepared.Load():
-		return nil, errors.New("twopc: commit for unprepared transaction")
-	case reqType == ReqCommit:
-		if err = at.local.CommitPrepared(id); err == nil {
-			p.met.commits.Inc()
-		}
-	case at.prepared.Load():
-		if err = at.local.AbortPrepared(id); err == nil {
-			p.met.aborts.Inc()
-		}
-	default:
-		if err = at.local.Rollback(); err == nil {
-			p.met.aborts.Inc()
-		}
 	}
-	if errors.Is(err, txn.ErrTxnDone) {
-		return nil, nil
-	}
-	p.drop(id)
-	return nil, err
+	return s.resp, s.err
 }
 
-// janitor aborts transactions whose coordinator went silent. Prepared
-// transactions are exempt: their outcome belongs to the coordinator
-// (blocking is inherent to 2PC; recovery resolves them).
+// run is the participant's interpreter: it steps s by ev and performs
+// the effects in order, feeding a local effect's completion back when it
+// is the last, until s needs nothing more.
+func (p *Participant) run(at *activeTxn, id lsm.TxID, s *txState, ev *event) {
+	var buf [maxEffects]effect
+	for more := true; more; {
+		more = false
+		for _, e := range step(s, ev, buf[:0]) {
+			switch more = e.kind == fxLocal; e.kind {
+			case fxLocal:
+				err := p.local(at, e.code, id)
+				*ev = event{kind: evDone, err: err, finished: errors.Is(err, txn.ErrTxnDone)}
+			case fxCount:
+				p.reg.Counter(e.name).Inc()
+			}
+		}
+	}
+}
+
+// local performs a local effect: the one engine call of each kind on a
+// part's local transaction. Prepare returns once its entry is stabilized
+// (§V-A step 8; it waits parked, and one counter round covers every
+// concurrent prepare, §VI); CommitOnePhase once the write set is a
+// stabilized WAL record.
+func (p *Participant) local(at *activeTxn, op uint8, id lsm.TxID) error {
+	switch op {
+	case ReqPrepare:
+		return at.local.Prepare(id)
+	case ReqCommit:
+		return at.local.CommitPrepared(id)
+	case ReqCommitOnePhase:
+		return at.local.CommitOnePhase()
+	case ReqAbort:
+		return at.local.AbortPrepared(id)
+	}
+	return at.local.Rollback()
+}
+
+// janitor reclaims transactions whose coordinator went silent: each tick
+// steps every part idle past the timeout (step exempts prepared parts).
 func (p *Participant) janitor() {
 	defer p.janitorWG.Done()
 	ticker := time.NewTicker(p.idleTimeout / 4)
@@ -517,20 +485,13 @@ func (p *Participant) janitor() {
 		cutoff := time.Now().Add(-p.idleTimeout)
 		tombCutoff := time.Now().Add(-8 * p.idleTimeout)
 		p.mu.Lock()
-		var stale []*activeTxn
-		for id, at := range p.active {
+		var idle []*activeTxn
+		for _, at := range p.active {
 			// A held at.mu means in use, not idle: a prepare holds it
 			// across a stabilization that may outlast the idle timeout.
-			if !at.last.Before(cutoff) || !at.mu.TryLock() {
-				continue
+			if at.last.Before(cutoff) && at.mu.TryLock() {
+				idle = append(idle, at)
 			}
-			if at.prepared.Load() {
-				at.mu.Unlock()
-				continue
-			}
-			stale = append(stale, at)
-			delete(p.active, id)
-			p.reclaimed[id] = time.Now()
 		}
 		for id, when := range p.reclaimed {
 			if when.Before(tombCutoff) {
@@ -538,9 +499,14 @@ func (p *Participant) janitor() {
 			}
 		}
 		p.mu.Unlock()
-		p.met.reclaims.Add(uint64(len(stale)))
-		for _, at := range stale {
-			_ = at.local.Rollback()
+		for _, at := range idle {
+			s := at.state()
+			if p.run(at, at.id, &s, &event{kind: evTick}); s.phase == pDone {
+				p.mu.Lock()
+				delete(p.active, at.id)
+				p.reclaimed[at.id] = time.Now()
+				p.mu.Unlock()
+			}
 			at.mu.Unlock()
 		}
 	}
@@ -556,11 +522,12 @@ func (p *Participant) RestorePrepared(pending []lsm.PreparedTx) error {
 			return fmt.Errorf("twopc: restoring %x: %w", pt.ID[:4], err)
 		}
 		at := &activeTxn{local: local, id: pt.ID, last: time.Now()}
-		at.prepared.Store(true)
+		s := txState{phase: pUnknown}
+		p.run(at, pt.ID, &s, &event{kind: evRestored})
+		at.prepared.Store(s.phase == pPrepared)
 		p.mu.Lock()
 		p.active[pt.ID] = at
 		p.mu.Unlock()
-		p.met.restored.Inc()
 	}
 	return nil
 }
@@ -588,11 +555,11 @@ func (p *Participant) ResolveRecovered(addrOf func(nodeID uint64) string) error 
 		addr := addrOf(coordID)
 		for retry := p.ep.Retry(20, 50*time.Millisecond, 800*time.Millisecond, nil); ; {
 			if status := p.status(addr, id); status == StatusCommit || status == StatusAbort {
-				decision := ReqAbort
+				req := ReqAbort // the decision's control message
 				if status == StatusCommit {
-					decision = ReqCommit
+					req = ReqCommit
 				}
-				if _, err := p.control(nil, decision, id); err != nil {
+				if _, err := p.control(nil, req, id); err != nil {
 					return err
 				}
 				break

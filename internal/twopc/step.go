@@ -1,0 +1,441 @@
+package twopc
+
+import (
+	"errors"
+	"fmt"
+)
+
+// The commit protocol is one pure transition function, step, over one
+// global transaction's state in either role. It performs no I/O: it
+// returns the effects to perform, in order, and an interpreter
+// (DistTxn.run for the coordinator, Participant.run for a participant)
+// performs them and feeds the last effect's completion back as the next
+// event. Live commit, abort, boot recovery and promotion adoption are
+// sequences of events through it; DESIGN.md "The commit protocol" is its
+// table.
+
+// Clog record kinds: a prepare record starts the prepare phase with its
+// participants (Fig. 2 step 5); a decision records the outcome (steps
+// 6-7) and whom to push it to.
+const (
+	clogPrepare uint8 = iota + 1
+	clogDecision
+)
+
+// clogDemands says whether a group holding a Clog record of kind starts a
+// trusted-counter round (the Clog rows of DESIGN.md "Stabilize on
+// demand"); an undemanded record rides the next demanded round. A lost
+// prepare record is presumed aborted: status queries answer abort, and
+// every failed two-phase Commit is already indeterminate. A commit
+// decision is waited on; an abort is pushed right away and must not be
+// outlived by its prepare record, or recovery would re-drive the prepare
+// and could commit what was aborted.
+func clogDemands(kind uint8) bool { return kind == clogDecision }
+
+// phase is where a transaction stands in its role's protocol.
+type phase uint8
+
+const (
+	// Coordinator.
+	cExecute    phase = iota // operations run; Commit or Rollback is next
+	cReadVote                // ≤ 1 writer: the readers' prepares are out
+	cOnePhase                // the sole writer's one-phase commit is out
+	cPrepareLog              // ≥ 2 writers: the prepare record is appending
+	cVote                    // the prepare record is logged and its prepares out (recovered: were)
+	cRedoVote                // recovery re-sent the prepares
+	cDecideLog               // the commit decision is appending
+	cStabilize               // the decision's counter round is awaited
+	cAbortLog                // an abort decision is appending
+	cDecided                 // recovered: a decision whose push is owed
+	cDone                    // answered; nothing owed
+	// Participant.
+	pUnknown  // no local part: never opened, finished or reclaimed
+	pActive   // the local transaction is open
+	pPrepared // its prepare is stable: the outcome is the coordinator's
+	pDone     // finished here: the local part is dropped
+)
+
+// mode says who drives a coordinator state: a client, or a recovery pass.
+type mode uint8
+
+const (
+	live     mode = iota // Commit or Rollback: stage traces, tx.* counters
+	recovery             // RecoverPending: a "recover" trace, recover.*
+	adoption             // AdoptRecovered: as recovery, reasons "adopt_…"
+)
+
+// txState is one global transaction's protocol state in one role.
+type txState struct {
+	phase phase
+	mode  mode
+	// Coordinator: parts are the participants, writers whom the decision
+	// goes to, commit the decision once made; outcome and reason classify
+	// the answer.
+	parts, writers []string
+	commit         bool
+	outcome        TxnOutcome
+	reason         string
+	// Participant: readOnly is true while the local part wrote nothing,
+	// req is the control message whose local effect is in flight, resp
+	// the answer's body.
+	readOnly bool
+	req      uint8
+	resp     []byte
+	// err is what the answer carries, in either role.
+	err error
+}
+
+// evKind names an event.
+type evKind uint8
+
+const (
+	evCommit   evKind = iota + 1 // the client commits: parts, writers, readers; err is the Clog's fail-stop error
+	evRollback                   // the client rolls back: parts
+	evDone                       // the last effect completed: err; a fan-out's resps; a local effect's finished
+	evRecord                     // a decoded Clog record, at boot or adoption: rec
+	evRecover                    // RecoverPending drives a recovered or undecided transaction
+	evAdopt                      // AdoptRecovered drives an adopted one: rewrite
+	evControl                    // a control message arrived, or a status reply decided one: req
+	evTick                       // the janitor found the part idle
+	evRestored                   // boot or promotion found the part's prepare record in the WAL
+)
+
+// event is one input to step.
+type event struct {
+	kind                    evKind
+	req                     uint8
+	parts, writers, readers []string
+	err                     error
+	resps                   [][]byte // a fan-out's replies, in participant order
+	finished                bool     // the local transaction was already finished (txn.ErrTxnDone)
+	rec                     *ClogEntry
+	rewrite                 func(string) string
+}
+
+// fxKind names an effect. A completing effect's completion is the next
+// evDone when it is the step's last effect.
+type fxKind uint8
+
+const (
+	fxStage     fxKind = iota + 1 // enter stage name on a live transaction's trace
+	fxCount                       // count the counter name
+	fxSend                        // fan request code out to to; completing
+	fxPush                        // push decision code to to, re-sending to the unanswered
+	fxAppend                      // append a Clog record of kind code with commit, naming to; completing
+	fxStabilize                   // wait for the appended decision's counter round; completing
+	fxNote                        // publish the state to the status table under status code
+	fxLocal                       // code's engine call on the participant's local transaction; completing
+	fxAnswer                      // answer with the state's outcome, reason, resp and err
+)
+
+// effect is one output of step.
+type effect struct {
+	kind   fxKind
+	code   uint8
+	commit bool
+	to     []string
+	name   string
+}
+
+// maxEffects is the most effects one step returns (TestStepTransitions
+// checks it): the interpreters' buffers hold them without a heap slice.
+const maxEffects = 5
+
+// opRollback is fxLocal's code for a rollback; any other code is its
+// control message's engine call (ReqAbort's is a prepared part's abort).
+const opRollback uint8 = 0
+
+// step advances s by ev and returns fx with the effects to perform
+// appended, in order. It reads only s and ev and writes only s; both go
+// by pointer so that the interpreters' frames, which sit under every
+// local engine call on a fiber's stack, stay small.
+func step(s *txState, ev *event, fx []effect) []effect {
+	switch {
+	case ev.kind == evRecord:
+		return s.replay(ev.rec, fx)
+	case s.phase >= pUnknown:
+		return s.participate(ev, fx)
+	}
+	return s.coordinate(ev, fx)
+}
+
+// coordinate is the coordinator's half of step (Fig. 2 and §VI).
+func (s *txState) coordinate(ev *event, fx []effect) []effect {
+	switch {
+	case ev.kind == evRollback: // nothing prepared: nothing to log
+		s.parts = ev.parts
+		fx = append(fx, count("twopc.abort.client_rollback"))
+		if len(s.parts) > 0 {
+			fx = append(fx, stage("abort"), send(ReqAbort, s.parts))
+		}
+		return s.answer(fx, TxnAborted, "client_rollback", nil)
+
+	// Recovery (§VI): a logged decision is re-pushed to its participants,
+	// who acknowledge what they already applied; a prepare without one
+	// re-runs the prepare phase: if every participant still holds it
+	// prepared it commits, else it aborts.
+	case ev.kind == evRecover && s.phase == cDecided:
+		s.mode = recovery
+		return s.repush(fx)
+	case ev.kind == evRecover:
+		s.phase, s.mode = cRedoVote, recovery
+		return append(fx, count("twopc.recover.redo_prepare"), send(ReqPrepare, s.parts))
+	case s.phase == cRedoVote && ev.err != nil:
+		return s.abortLogged(fx, "", s.parts, "redo_prepare_aborted", nil)
+	case s.phase == cRedoVote:
+		s.phase, s.writers = cDecideLog, s.parts
+		return append(fx, effect{kind: fxAppend, code: clogDecision, commit: true, to: s.parts})
+
+	// Adoption of a dead peer's mirrored Clog: as recovery, except that a
+	// prepare without a decision is aborted, never re-prepared. Presumed
+	// abort is sound: a decision absent from the mirrored prefix was never
+	// stabilized, hence never acknowledged. A re-prepare is not: rewrite
+	// maps the dead primary's address to the successor's, whose one vote
+	// would then also stand for the dead primary's part.
+	case ev.kind == evAdopt:
+		if ev.rewrite != nil {
+			parts := make([]string, len(s.parts))
+			for i, a := range s.parts {
+				parts[i] = ev.rewrite(a)
+			}
+			s.parts = parts
+		}
+		s.commit = s.commit && s.phase == cDecided
+		s.mode = adoption
+		return s.repush(append(fx, count("twopc.recover.adopted"), note(statusOf(s.commit))))
+
+	// Commit picks its path by the number of writers. With none, nothing
+	// is logged: every participant votes read-only. With one, the readers'
+	// prepares come first, then the writer commits in one phase and its
+	// stabilized WAL record is the decision. With more, it is Fig. 2.
+	case ev.kind == evCommit && len(ev.parts) == 0:
+		return s.answer(fx, TxnCommitted, "empty", nil)
+	case ev.kind == evCommit && len(ev.writers) > 1: // step 5: log the prepare start
+		s.phase, s.parts = cPrepareLog, ev.parts
+		return append(fx, stage("prepare"), effect{kind: fxAppend, code: clogPrepare, to: s.parts})
+	case ev.kind == evCommit:
+		s.phase, s.parts, s.writers = cReadVote, ev.parts, ev.writers
+		fx = append(fx, stage("prepare"))
+		if ev.err != nil { // a fail-stopped Clog commits nothing, though this path logs nothing
+			return s.abortUnlogged(fx, TxnAborted, "prepare_failed", ev.err)
+		}
+		return append(fx, send(ReqPrepare, ev.readers))
+	case s.phase == cReadVote && ev.err != nil: // an unknown reader released its locks early
+		return s.abortUnlogged(fx, TxnAborted, "prepare_failed", ev.err)
+	case s.phase == cReadVote && len(s.writers) == 1:
+		s.phase = cOnePhase
+		return append(fx, stage("commit"), send(ReqCommitOnePhase, s.writers))
+	case s.phase == cOnePhase && ev.err != nil: // sent once; its loss is indeterminate
+		return s.abortUnlogged(fx, TxnIndeterminate, "one_phase_failed", ev.err)
+	case s.phase == cReadVote || s.phase == cOnePhase:
+		return s.answer(fx, TxnCommitted, "", nil)
+
+	// Two-phase commit. Every failure from here on is indeterminate: the
+	// prepare record may be durable and recovery may commit it.
+	case s.phase == cPrepareLog && ev.err != nil:
+		return s.answer(append(fx, count("twopc.abort.log_append")), TxnIndeterminate, "prepare_log_failed", ev.err)
+	case s.phase == cPrepareLog:
+		s.phase = cVote
+		return append(fx, note(StatusPending), send(ReqPrepare, s.parts))
+	case s.phase == cVote && ev.err != nil:
+		return s.abortLogged(fx, "twopc.abort.prepare_failed", s.parts, "prepare_failed", fmt.Errorf("%w: prepare failed: %v", ErrAborted, ev.err))
+	case s.phase == cVote:
+		// Read-only participants voted and released at prepare; only
+		// writers need the decision (the read-only 2PC optimization).
+		s.writers = nil
+		for i, addr := range s.parts {
+			if len(ev.resps[i]) == 0 || ev.resps[i][0] != voteReadOnly {
+				s.writers = append(s.writers, addr)
+			}
+		}
+		if len(s.writers) == 0 { // nothing to decide or make durable
+			return s.answer(append(fx, note(StatusCommit)), TxnCommitted, "readonly", nil)
+		}
+		// Step 6: decide commit and stabilize the decision. The append
+		// returns once the decision's group is forced.
+		s.phase = cDecideLog
+		return append(fx, stage("log-force"), effect{kind: fxAppend, code: clogDecision, commit: true, to: s.writers})
+	case s.phase == cDecideLog && ev.err != nil && s.mode == live:
+		return s.abortLogged(fx, "twopc.abort.log_append", s.writers, "decision_log_failed", fmt.Errorf("%w: decision log failed: %v", ErrAborted, ev.err))
+	case s.phase == cDecideLog && ev.err == nil:
+		s.phase = cStabilize
+		return append(fx, stage("counter-stabilize"), effect{kind: fxStabilize})
+	case s.phase == cStabilize && ev.err != nil && s.mode == live:
+		return s.abortLogged(fx, "twopc.abort.stabilize_timeout", s.writers, "stabilize_timeout", fmt.Errorf("%w: decision stabilization failed: %v", ErrAborted, ev.err))
+	case (s.phase == cDecideLog || s.phase == cStabilize) && ev.err != nil: // a recovery pass fails with its log
+		return s.answer(fx, TxnPending, "", ev.err)
+	case s.phase == cStabilize:
+		// Step 7: the decision is stable, so the transaction IS committed
+		// even if a commit message is lost. A client is answered now and
+		// the commits pushed after; the writers hold their locks until
+		// theirs lands, so the client's next transaction reads its writes.
+		fx = append(fx, note(StatusCommit), stage("commit"), effect{kind: fxPush, code: ReqCommit, to: s.writers})
+		return s.answer(fx, TxnCommitted, s.recovered("redo_prepare"), nil)
+	case s.phase == cAbortLog:
+		if ev.err == nil {
+			fx = append(fx, note(StatusAbort))
+		}
+		return s.answer(append(fx, send(ReqAbort, s.writers)), TxnIndeterminate, s.reason, s.err)
+	}
+	return fx
+}
+
+// replay folds one decoded Clog record into s, in log order: a prepare
+// record leaves the transaction logged with its participants, and a
+// decision record, which names whom to push it to, decides it. A record
+// from a tail the Clog dropped as unstabilized was never acted on: its
+// transaction is presumed aborted unless a stable record decided it, and
+// its participants, which may hold it prepared, are told.
+func (s *txState) replay(r *ClogEntry, fx []effect) []effect {
+	switch {
+	case r.Dropped && s.phase == cDecided:
+		return fx
+	case r.Dropped:
+		s.commit = false
+	case r.Kind == clogPrepare && s.phase != cDecided:
+		s.phase, s.parts = cVote, r.Participants
+		return append(fx, note(StatusPending))
+	case r.Kind == clogPrepare:
+		s.parts = r.Participants
+		return fx
+	default:
+		s.commit = r.Commit
+	}
+	s.phase, s.parts = cDecided, r.Participants
+	return append(fx, note(statusOf(s.commit)))
+}
+
+// participate is the participant's half of step (§V-A steps 8-9, §VI).
+func (s *txState) participate(ev *event, fx []effect) []effect {
+	req := ev.req
+	switch {
+	case ev.kind == evRestored: // locks re-acquired; the coordinator's decision applies when it arrives
+		s.phase = pPrepared
+		return append(fx, count("twopc.part.restored"))
+	case ev.kind == evTick && s.phase == pActive:
+		s.phase = pDone
+		return append(fx, local(opRollback), count("twopc.part.reclaims"))
+	case ev.kind == evTick: // a prepared part's outcome is the coordinator's: blocking is inherent to 2PC
+		return fx
+	case ev.kind == evDone:
+		return s.settle(ev, fx)
+
+	// A control message. A decision for an unknown or finished part is
+	// acknowledged ("If a node has already committed the Tx, this message
+	// is ignored", §VI); a prepare or one-phase commit for one fails.
+	case s.phase == pUnknown && req == ReqPrepare:
+		return s.reply(append(fx, count("twopc.part.prepare_noes")), nil, errors.New("twopc: unknown transaction at prepare"))
+	case s.phase == pUnknown && req == ReqCommitOnePhase:
+		return s.reply(fx, nil, errors.New("twopc: unknown transaction at one-phase commit"))
+	case s.phase == pUnknown:
+		return s.reply(fx, nil, nil)
+	case req == ReqPrepare && s.phase == pPrepared: // a re-prepare
+		return s.reply(fx, []byte{voteYes}, nil)
+	case req == ReqPrepare && s.readOnly: // releases its locks now; needs no decision
+		s.phase = pDone
+		return s.reply(append(fx, local(opRollback), count("twopc.part.readonly_votes")), []byte{voteReadOnly}, nil)
+	case req == ReqCommit && s.phase != pPrepared:
+		return s.reply(fx, nil, errors.New("twopc: commit for unprepared transaction"))
+	case req == ReqAbort && s.phase != pPrepared:
+		s.req = req
+		return append(fx, local(opRollback))
+	}
+	s.req = req
+	return append(fx, local(req))
+}
+
+// settle finishes a control message once its local effect completed. A
+// prepare answers yes once its record is stable (Prepare waits for it);
+// a failed one rolls back and votes no. A part another decision already
+// finished acknowledges and is not dropped twice; a one-phase commit of
+// one is an error, so a duplicate never commits twice.
+func (s *txState) settle(ev *event, fx []effect) []effect {
+	switch {
+	case s.req == ReqPrepare && ev.err == nil:
+		s.phase = pPrepared
+		return s.reply(append(fx, count("twopc.part.prepares")), []byte{voteYes}, nil)
+	case s.req == ReqPrepare:
+		s.phase = pDone
+		return s.reply(append(fx, local(opRollback), count("twopc.part.prepare_noes")), nil, ev.err)
+	case ev.finished && s.req == ReqCommitOnePhase:
+		return s.reply(fx, nil, errors.New("twopc: one-phase commit for a prepared or finished transaction"))
+	case ev.finished:
+		return s.reply(fx, nil, nil)
+	}
+	s.phase = pDone
+	switch {
+	case ev.err != nil:
+	case s.req == ReqCommit:
+		fx = append(fx, count("twopc.part.commits"))
+	case s.req == ReqCommitOnePhase:
+		fx = append(fx, count("twopc.part.one_phase"))
+	default:
+		fx = append(fx, count("twopc.part.aborts"))
+	}
+	return s.reply(fx, nil, ev.err)
+}
+
+// recovered names a recovery pass's outcome; a live one answers with "".
+func (s *txState) recovered(what string) string {
+	switch s.mode {
+	case recovery:
+		return what
+	case adoption:
+		return "adopt_" + what
+	}
+	return ""
+}
+
+// abortUnlogged aborts a transaction that logged nothing: the abort is
+// pushed to every participant and nothing is recorded.
+func (s *txState) abortUnlogged(fx []effect, outcome TxnOutcome, reason string, err error) []effect {
+	fx = append(fx, stage("abort"), send(ReqAbort, s.parts), count("twopc.abort.prepare_failed"))
+	return s.answer(fx, outcome, reason, fmt.Errorf("%w: %s: %v", ErrAborted, reason, err))
+}
+
+// abortLogged aborts a transaction that may hold a prepare record: it
+// logs the abort decision (demanded, see clogDemands), then pushes it to
+// to once and answers with reason and err. A live abort counts its cause
+// under counter.
+func (s *txState) abortLogged(fx []effect, counter string, to []string, reason string, err error) []effect {
+	s.phase, s.writers, s.reason, s.err = cAbortLog, to, reason, err
+	if counter != "" {
+		fx = append(fx, count(counter), stage("abort"))
+	}
+	return append(fx, effect{kind: fxAppend, code: clogDecision, to: to})
+}
+
+// repush re-pushes a recovered decision to its participants.
+func (s *txState) repush(fx []effect) []effect {
+	req, what := ReqAbort, "repush_abort"
+	if s.commit {
+		req, what = ReqCommit, "repush_commit"
+	}
+	fx = append(fx, count("twopc.recover."+what), effect{kind: fxPush, code: req, to: s.parts})
+	return s.answer(fx, TxnPending, s.recovered(what), nil)
+}
+
+// answer ends the coordinator's work on the transaction.
+func (s *txState) answer(fx []effect, outcome TxnOutcome, reason string, err error) []effect {
+	s.phase, s.outcome, s.reason, s.err = cDone, outcome, reason, err
+	return append(fx, effect{kind: fxAnswer})
+}
+
+// reply answers a participant's control message.
+func (s *txState) reply(fx []effect, resp []byte, err error) []effect {
+	s.resp, s.err = resp, err
+	return append(fx, effect{kind: fxAnswer})
+}
+
+func statusOf(commit bool) uint8 {
+	if commit {
+		return StatusCommit
+	}
+	return StatusAbort
+}
+
+func stage(name string) effect           { return effect{kind: fxStage, name: name} }
+func count(name string) effect           { return effect{kind: fxCount, name: name} }
+func send(req uint8, to []string) effect { return effect{kind: fxSend, code: req, to: to} }
+func note(status uint8) effect           { return effect{kind: fxNote, code: status} }
+func local(op uint8) effect              { return effect{kind: fxLocal, code: op} }

@@ -437,7 +437,7 @@ func TestDecisionAfterFinishAcks(t *testing.T) {
 		if _, err := tx.broadcast(ReqPrepare, tx.participants()); err != nil {
 			t.Fatalf("prepare: %v", err)
 		}
-		coord.record(tx.id, true)
+		coord.note(tx.id, txState{phase: cDone}, StatusCommit)
 		return tx
 	}
 	push := func(tx *DistTxn, what string) {
