@@ -34,8 +34,7 @@ NEVER_RUN = \
 # String methods, for %v in a debugger or a failure message.
 NEVER_RUN += \
 	internal/audit/history.go:Outcome.String \
-	internal/enclave/enclave.go:Mode.String \
-	internal/mempool/mempool.go:Region.String
+	internal/enclave/enclave.go:Mode.String
 # Run by bench-smoke, not by tier-1: the block-cache ablation
 # (BenchmarkAblation_BlockCache, a root benchmark).
 NEVER_RUN += \
@@ -187,6 +186,13 @@ vet:
 # gone), and no non-test file of internal/bench or cmd names another
 # package's metric or reads one by a literal name (METRIC_READ), except the
 # block-cache ablation's two lsm.cache counters.
+# A write set has one encoding, lsm.Batch: a transaction buffers into one
+# (non-test internal/txn does not import internal/mempool) and a
+# migration chunk carries one, so the write-buffer arena, mempool's
+# enclave region and the chunk's own entry codec (NewArena, RegionEnclave,
+# slotEntry, encodeSlotChunk) stay gone from every Go file. And a WAL
+# record has one meaning, walFold.add: no other function has a case label
+# for a prepare or outcome record.
 # $(call BODY_ONCE,<calls>,<method>): the engine calls on at.local that
 # <calls> names, one site each, appear in non-test code only in
 # Participant.<method>.
@@ -227,9 +233,12 @@ check-once:
 	$(call BODY_ONCE,Prepare|CommitPrepared|CommitOnePhase|AbortPrepared,local); \
 	grep -nE '"treaty/internal/(erpc|durlog|fibers|obs)"' internal/twopc/step.go && fail=1; \
 	grep -n 'hmac\.New' $$($(call ONCE_SRC,.) ! -path './internal/seal/*') && fail=1; \
+	grep -nE 'NewArena|RegionEnclave|slotEntry|encodeSlotChunk' $$(find . -name '*.go') && fail=1; \
+	grep -n '"treaty/internal/mempool"' $$($(call ONCE_SRC,internal/txn)) && fail=1; \
+	awk '/^func /{fn=$$0} /case[^:]*walKind(Prepare|Outcome)/ && fn !~ /^func \(f \*walFold\) add\(/{print FILENAME ":" FNR ": " $$0; bad=1} END{exit !bad}' $$($(call ONCE_SRC,.)) && fail=1; \
 	soaks=$$(awk '/^func Test/{fn=$$2} /\.Run\(/ && !/[^A-Za-z0-9_]t\.Run\(/{print FILENAME ": " fn}' internal/chaos/*_test.go | sort -u); \
 	[ $$(printf '%s\n' "$$soaks" | grep -c .) -le 1 ] || { printf '%s\n' "$$soaks"; fail=1; }; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, local-effect body, pure commit step, signed-statement MAC, soak loop, member backup, conservation law, paper front end, metrics schema, fiber carrier); call the shared one"; exit 1; }
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, local-effect body, pure commit step, signed-statement MAC, soak loop, member backup, conservation law, paper front end, metrics schema, fiber carrier, write-set encoding); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -474,24 +475,36 @@ func TestSSTableTamperDetectedAtClusterLevel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Let every commit push end first: a prepare still waiting for its
+	// outcome pins its WAL, which the restart then replays into a newer
+	// table that shadows the tampered one's keys.
+	for i := 0; i < 3; i++ {
+		c.Node(i).Coordinator().Drain()
+	}
 	for i := 0; i < 3; i++ {
 		if err := c.Node(i).DB().Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// The adversary flips a byte in one of node-0's tables on disk.
+	// The adversary flips a byte in every one of node-0's tables on disk:
+	// a table that a compaction or an in-doubt prepare's replayed WAL has
+	// made unread would leave the check vacuous.
 	matches, err := filepath.Glob(filepath.Join(base, "node-0", "sst-*.sst"))
 	if err != nil || len(matches) == 0 {
 		t.Fatalf("no sstables flushed: %v (%d)", err, len(matches))
 	}
-	data, err := os.ReadFile(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/3] ^= 0x01
-	if err := os.WriteFile(matches[0], data, 0o644); err != nil {
-		t.Fatal(err)
+	for _, path := range matches {
+		data, err := os.ReadFile(path)
+		if errors.Is(err, os.ErrNotExist) {
+			continue // obsolete, deleted since the glob
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/3] ^= 0x01
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Evict cached readers by restarting the node; reads against the
 	// tampered table must fail loudly, never return wrong data.

@@ -272,7 +272,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n.mgr = txn.NewManager(txn.Config{
 		DB:          n.db,
 		LockTimeout: cfg.LockTimeout,
-		Pool:        n.pool,
 		WaitStable:  policy.Counter == CounterService,
 	})
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // TestCounterRoundBudget pins stabilize-on-demand end to end on a full
@@ -23,6 +24,27 @@ func TestCounterRoundBudget(t *testing.T) {
 		return n
 	}
 	key := func(i int) []byte { return []byte(fmt.Sprintf("budget-%03d", i)) }
+
+	// Boot demands rounds of its own (a fresh MANIFEST's first edit, the
+	// Clog's), which may still be in flight: wait until every node's
+	// successful rounds cover its demands, so none lands in the window.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var late []string
+		for addr, s := range c.Snapshot() {
+			rounds := s.Counter("counter.rounds") - s.Counter("counter.round.failures")
+			demands := s.Counter("lsm.stabilize.demanded") +
+				s.Histograms["twopc.clog.group_size"].Count - s.Counter("twopc.clog.stabilize_deferred")
+			if rounds < demands {
+				late = append(late, fmt.Sprintf("%s: %d rounds for %d demands", addr, rounds, demands))
+			}
+		}
+		if len(late) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("boot rounds never landed: %v", late)
+		}
+	}
 
 	const txns, keysPer = 12, 6
 	rounds, failures, prepares := sum("counter.rounds"), sum("counter.round.failures"), sum("twopc.part.prepares")

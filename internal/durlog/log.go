@@ -294,7 +294,7 @@ func (l *Log) stagingBuf() []byte {
 		return l.buf[:0]
 	}
 	if l.poolBuf == nil {
-		l.poolBuf = l.cfg.Pool.Alloc(4096, mempool.RegionHost)
+		l.poolBuf = l.cfg.Pool.Alloc(4096)
 	}
 	return l.poolBuf.Full()[:0]
 }
@@ -307,7 +307,7 @@ func (l *Log) retainStaging(buf []byte) {
 		l.buf = buf
 	} else if cap(buf) > cap(l.poolBuf.Full()) {
 		l.cfg.Pool.Free(l.poolBuf)
-		l.poolBuf = l.cfg.Pool.Alloc(cap(buf), mempool.RegionHost)
+		l.poolBuf = l.cfg.Pool.Alloc(cap(buf))
 	}
 }
 

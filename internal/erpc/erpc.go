@@ -463,7 +463,7 @@ func (ep *Endpoint) encode(reqType, flags uint8, reqID uint64, md *seal.MsgMetad
 	var buf *mempool.Buf
 	var wire []byte
 	if pooled && ep.cfg.Pool != nil {
-		buf = ep.cfg.Pool.Alloc(n, mempool.RegionHost)
+		buf = ep.cfg.Pool.Alloc(n)
 		wire = buf.Full()[:headerLen]
 	} else {
 		wire = make([]byte, headerLen, n)

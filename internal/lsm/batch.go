@@ -5,18 +5,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // ErrCorruptBatch indicates a write batch that cannot be decoded.
 var ErrCorruptBatch = errors.New("lsm: corrupt write batch")
 
-// Batch is an ordered set of writes applied atomically. The encoded form
-// is what the WAL logs: count(4) ∥ records, each kind(1) ∥ klen(varint) ∥
-// key ∥ [vlen(varint) ∥ value].
+// Batch is an ordered set of writes applied atomically, kept in its
+// encoded form (every append rewrites the count). That form is what the
+// WAL logs and a slot-migration chunk carries: count(4) ∥ records, each
+// kind(1) ∥ klen(varint) ∥ key ∥ [vlen(varint) ∥ value].
+// A transaction buffers its uncommitted writes in one (§VII-D's "stream
+// of bytes"): later records of a key win when the batch is applied.
 type Batch struct {
-	buf   []byte
-	count uint32
+	buf []byte
 }
 
 // NewBatch creates an empty batch.
@@ -24,20 +25,15 @@ func NewBatch() *Batch {
 	return &Batch{buf: make([]byte, 4)}
 }
 
-// Put appends a set record.
-func (b *Batch) Put(key, value []byte) {
+// Put appends a set record and returns the offset of value in Encoded.
+func (b *Batch) Put(key, value []byte) int {
 	b.buf = append(b.buf, byte(KindSet))
 	b.buf = binary.AppendUvarint(b.buf, uint64(len(key)))
 	b.buf = append(b.buf, key...)
 	b.buf = binary.AppendUvarint(b.buf, uint64(len(value)))
 	b.buf = append(b.buf, value...)
-	b.count++
-}
-
-// Grow makes room for that many more records, whose keys and values
-// total n bytes, so that filling the batch never reallocates it.
-func (b *Batch) Grow(records, n int) {
-	b.buf = slices.Grow(b.buf, n+records*(1+2*binary.MaxVarintLen32))
+	b.setCount(b.Count() + 1)
+	return len(b.buf) - len(value)
 }
 
 // Delete appends a tombstone record.
@@ -45,63 +41,54 @@ func (b *Batch) Delete(key []byte) {
 	b.buf = append(b.buf, byte(KindDelete))
 	b.buf = binary.AppendUvarint(b.buf, uint64(len(key)))
 	b.buf = append(b.buf, key...)
-	b.count++
+	b.setCount(b.Count() + 1)
 }
 
+func (b *Batch) setCount(n int) { binary.LittleEndian.PutUint32(b.buf, uint32(n)) }
+
 // Count returns the number of records.
-func (b *Batch) Count() int { return int(b.count) }
+func (b *Batch) Count() int { return int(binary.LittleEndian.Uint32(b.buf)) }
 
 // Reset clears the batch for reuse.
 func (b *Batch) Reset() {
 	b.buf = b.buf[:4]
-	b.count = 0
+	b.setCount(0)
 }
 
-// encode finalizes the batch bytes.
-func (b *Batch) encode() []byte {
-	binary.LittleEndian.PutUint32(b.buf[:4], b.count)
-	return b.buf
-}
+// Encoded returns the batch's encoded bytes, valid until the next Put,
+// Delete or Reset.
+func (b *Batch) Encoded() []byte { return b.buf }
 
 // Each calls fn for every record in the batch, in order. Used by the 2PC
-// layer to re-acquire locks for recovered prepared transactions.
+// layer to re-acquire a recovered prepare's locks and to put a migration
+// chunk behind its slot purge.
 func (b *Batch) Each(fn func(kind RecordKind, key, value []byte) error) error {
-	recs, err := decodeBatch(b.encode())
-	if err != nil {
-		return err
-	}
-	for _, r := range recs {
-		if err := fn(r.kind, r.key, r.value); err != nil {
-			return err
-		}
-	}
-	return nil
+	return eachRecord(b.Encoded(), fn)
 }
 
-// batchRecord is one decoded batch record.
-type batchRecord struct {
-	kind  RecordKind
-	key   []byte
-	value []byte
-}
-
-// decodeBatch parses an encoded batch.
-func decodeBatch(data []byte) ([]batchRecord, error) {
+// eachRecord walks an encoded batch, calling fn (when non-nil) for each
+// record in order; it stops at the first malformed record or error from
+// fn. Every record takes at least two bytes, so a count the payload
+// cannot hold fails before any record is read: a batch can arrive off
+// the wire (a migration chunk).
+func eachRecord(data []byte, fn func(kind RecordKind, key, value []byte) error) error {
 	if len(data) < 4 {
-		return nil, ErrCorruptBatch
+		return ErrCorruptBatch
 	}
 	count := binary.LittleEndian.Uint32(data[:4])
-	recs := make([]batchRecord, 0, count)
+	if uint64(count) > uint64(len(data)-4)/2 {
+		return fmt.Errorf("%w: %d records in %d bytes", ErrCorruptBatch, count, len(data))
+	}
 	off := 4
 	for i := uint32(0); i < count; i++ {
 		if off >= len(data) {
-			return nil, ErrCorruptBatch
+			return ErrCorruptBatch
 		}
 		kind := RecordKind(data[off])
 		off++
 		klen, n := binary.Uvarint(data[off:])
-		if n <= 0 || off+n+int(klen) > len(data) {
-			return nil, ErrCorruptBatch
+		if n <= 0 || klen > uint64(len(data)-off-n) {
+			return ErrCorruptBatch
 		}
 		off += n
 		key := data[off : off+int(klen)]
@@ -109,36 +96,37 @@ func decodeBatch(data []byte) ([]batchRecord, error) {
 		var value []byte
 		if kind == KindSet {
 			vlen, n := binary.Uvarint(data[off:])
-			if n <= 0 || off+n+int(vlen) > len(data) {
-				return nil, ErrCorruptBatch
+			if n <= 0 || vlen > uint64(len(data)-off-n) {
+				return ErrCorruptBatch
 			}
 			off += n
 			value = data[off : off+int(vlen)]
 			off += int(vlen)
 		} else if kind != KindDelete {
-			return nil, fmt.Errorf("%w: unknown kind %d", ErrCorruptBatch, kind)
+			return fmt.Errorf("%w: unknown kind %d", ErrCorruptBatch, kind)
 		}
-		recs = append(recs, batchRecord{kind: kind, key: key, value: value})
+		if fn != nil {
+			if err := fn(kind, key, value); err != nil {
+				return err
+			}
+		}
 	}
 	if off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptBatch, len(data)-off)
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorruptBatch, len(data)-off)
 	}
-	return recs, nil
+	return nil
 }
 
-// batchFromEncoded rebuilds a Batch from its validated encoded form, on
-// a copy of data.
-func batchFromEncoded(data []byte) (*Batch, error) {
-	recs, err := decodeBatch(data)
-	if err != nil {
+// viewBatch is the Batch encoded as data, validated, sharing data.
+func viewBatch(data []byte) (*Batch, error) {
+	if err := eachRecord(data, nil); err != nil {
 		return nil, err
 	}
-	return &Batch{buf: bytes.Clone(data), count: uint32(len(recs))}, nil
+	return &Batch{buf: data}, nil
 }
 
-// applyToMemTable inserts the batch's records starting at baseSeq.
-func applyToMemTable(m *memTable, baseSeq uint64, recs []batchRecord) {
-	for i, r := range recs {
-		m.add(baseSeq+uint64(i), r.kind, r.key, r.value)
-	}
+// DecodeBatch rebuilds a Batch from its validated encoded form, on a copy
+// of data.
+func DecodeBatch(data []byte) (*Batch, error) {
+	return viewBatch(bytes.Clone(data))
 }

@@ -141,14 +141,11 @@ type DB struct {
 	// logs lists the live WAL file numbers, oldest first (the last is
 	// db.wal). A flush retires the prefix below the new minimum live log.
 	logs []uint64
-	// prepLog pins WALs: it maps every prepared transaction without a
-	// rollback-protected outcome to the WAL holding its prepare record.
-	// The minimum live log never advances past a pinned WAL, so recovery
-	// always finds the yes-vote. decided lists transactions whose outcome
-	// was logged since the last rotation; rotation stabilizes the whole
-	// tail, and only then are their pins dropped.
-	prepLog map[TxID]uint64
-	decided []TxID
+	// fold reads every WAL record this DB logs or replays into the
+	// memtable, and pins WALs: the minimum live log never advances past
+	// the WAL holding a prepare whose outcome is not rollback-protected,
+	// so recovery always finds the yes-vote.
+	fold    *walFold
 	readers map[uint64]*sstReader
 	// readGate orders table deletion after in-flight reads: Get and
 	// NewIterator hold the read side from snapshotting db.current until
@@ -219,12 +216,10 @@ type commitRes struct {
 }
 
 type commitReq struct {
-	kind   uint8
-	batch  *Batch
-	txID   TxID
-	commit bool // walKindOutcome only
-	res    commitRes
-	done   chan commitRes
+	kind    uint8
+	payload []byte
+	res     commitRes
+	done    chan commitRes
 }
 
 // Open opens (or creates) a database.
@@ -240,12 +235,12 @@ func Open(opt Options) (*DB, error) {
 		current:     &version{},
 		readers:     make(map[uint64]*sstReader),
 		quarantined: make(map[uint64]error),
-		prepLog:     make(map[TxID]uint64),
 		bgWork:      make(chan struct{}, 1),
 		bgQuit:      make(chan struct{}),
 		nextFile:    1,
 		walHooks:    durlog.Hooks{Ship: opt.Ship},
 	}
+	db.fold = newWALFold(db.applyLocked)
 	if opt.BlockCacheBytes >= 0 {
 		size := opt.BlockCacheBytes
 		if size == 0 {
@@ -575,9 +570,9 @@ func (db *DB) sstGet(f fileMeta, key []byte, readSeq uint64) (value []byte, seq 
 	return value, seq, kind, ok, err
 }
 
-// submit hands a request to the group-commit leader.
-func (db *DB) submit(req *commitReq) commitRes {
-	req.done = make(chan commitRes, 1)
+// submit hands one WAL record to the group-commit leader.
+func (db *DB) submit(kind uint8, payload []byte) commitRes {
+	req := &commitReq{kind: kind, payload: payload, done: make(chan commitRes, 1)}
 	if !db.commits.Submit(req) {
 		return commitRes{err: ErrDBClosed}
 	}
@@ -587,9 +582,10 @@ func (db *DB) submit(req *commitReq) commitRes {
 // Apply commits a batch: it is logged to the WAL (group-committed),
 // applied to the memtable, and its stabilization started. The returned
 // token lets callers wait for rollback protection; seq is the batch's
-// first sequence number.
+// first sequence number. The WAL logs b's own bytes: b must not change
+// until Apply returns.
 func (db *DB) Apply(b *Batch) (durlog.StableToken, uint64, error) {
-	res := db.submit(&commitReq{kind: walKindBatch, batch: b})
+	res := db.submit(walKindBatch, b.Encoded())
 	return res.token, res.seq, res.err
 }
 
@@ -599,7 +595,7 @@ func (db *DB) Apply(b *Batch) (durlog.StableToken, uint64, error) {
 // holding the record stays live until the transaction's outcome is
 // rollback-protected.
 func (db *DB) LogPrepare(id TxID, b *Batch) (durlog.StableToken, error) {
-	res := db.submit(&commitReq{kind: walKindPrepare, batch: b, txID: id})
+	res := db.submit(walKindPrepare, encodePrepare(id, b))
 	return res.token, res.err
 }
 
@@ -612,7 +608,7 @@ func (db *DB) LogPrepare(id TxID, b *Batch) (durlog.StableToken, error) {
 // prepared and in doubt, and the coordinator's stabilized decision
 // re-derives the same outcome (§V-A).
 func (db *DB) LogOutcome(id TxID, commit bool, writes *Batch) (durlog.StableToken, error) {
-	res := db.submit(&commitReq{kind: walKindOutcome, batch: writes, txID: id, commit: commit})
+	res := db.submit(walKindOutcome, encodeOutcome(id, commit, writes))
 	return res.token, res.err
 }
 
@@ -627,7 +623,7 @@ func (db *DB) RecoveredPrepared() []PreparedTx {
 }
 
 // commitGroup executes one commit group (§VII-B): all its WAL entries go
-// through one durlog Commit, and the batches are applied to the memtable
+// through one durlog Commit, and the fold applies them to the memtable
 // under the same critical section so sequence order matches log order.
 // The commit path is fail-stop: a poisoned WAL is never rotated away, so
 // every later group fails with its sticky error.
@@ -635,16 +631,7 @@ func (db *DB) commitGroup(group []*commitReq) {
 	db.mu.Lock()
 	entries, demand := db.staged[:0], false
 	for _, req := range group {
-		var payload []byte
-		switch req.kind {
-		case walKindBatch:
-			payload = req.batch.encode()
-		case walKindPrepare:
-			payload = append(req.txID[:], req.batch.encode()...)
-		case walKindOutcome:
-			payload = encodeOutcome(req.txID, req.commit, req.batch)
-		}
-		entries = append(entries, durlog.Entry{Kind: req.kind, Payload: payload})
+		entries = append(entries, durlog.Entry{Kind: req.kind, Payload: req.payload})
 		// Does any record of the group have a caller that waits on its
 		// token? Outcome records never do (see LogOutcome).
 		demand = demand || req.kind != walKindOutcome
@@ -657,26 +644,8 @@ func (db *DB) commitGroup(group []*commitReq) {
 			continue
 		}
 		req.res.token = db.wal.Token(entries[i].Counter, req.kind != walKindOutcome)
-		// Keep the WAL pins current.
-		switch req.kind {
-		case walKindPrepare:
-			db.prepLog[req.txID] = db.mem.logNumber
-			continue
-		case walKindOutcome:
-			db.decided = append(db.decided, req.txID)
-			if !req.commit {
-				continue
-			}
-		}
-		recs, derr := decodeBatch(req.batch.encode())
-		if derr != nil {
-			req.res = commitRes{err: derr}
-			continue
-		}
-		base := db.lastSeq.Load() + 1
-		applyToMemTable(db.mem, base, recs)
-		db.lastSeq.Store(base + uint64(len(recs)) - 1)
-		req.res.seq = base
+		req.res.seq = db.lastSeq.Load() + 1
+		req.res.err = db.fold.add(entries[i], db.mem.logNumber)
 	}
 	needFlush := err == nil && db.mem.approximateSize() >= db.opt.MemTableSize
 	if needFlush {
@@ -694,6 +663,21 @@ func (db *DB) commitGroup(group []*commitReq) {
 	}
 }
 
+// applyLocked inserts an encoded batch into the mutable memtable at the
+// next sequence numbers: the fold's apply, live and at recovery.
+func (db *DB) applyLocked(encoded []byte) error {
+	seq := db.lastSeq.Load()
+	err := eachRecord(encoded, func(kind RecordKind, key, value []byte) error {
+		seq++
+		db.mem.add(seq, kind, key, value)
+		return nil
+	})
+	if err == nil {
+		db.lastSeq.Store(seq)
+	}
+	return err
+}
+
 // sealWALLocked ends writing to the current WAL. Closing a log stabilizes
 // its whole tail, so every outcome logged in it is rollback-protected and
 // its pin can go.
@@ -701,10 +685,7 @@ func (db *DB) sealWALLocked() error {
 	if err := db.wal.Close(); err != nil {
 		return err
 	}
-	for _, id := range db.decided {
-		delete(db.prepLog, id)
-	}
-	db.decided = db.decided[:0]
+	db.fold.seal()
 	return nil
 }
 
@@ -859,9 +840,7 @@ func (db *DB) flushMemTable(imm *memTable) error {
 	if len(db.imm) > 1 {
 		minLog = db.imm[1].logNumber
 	}
-	for _, n := range db.prepLog {
-		minLog = min(minLog, n)
-	}
+	minLog = db.fold.oldestPin(minLog)
 	retired := 0
 	for retired < len(db.logs) && db.logs[retired] < minLog {
 		retired++

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -614,7 +615,7 @@ func TestApplyLogEqualsRecovery(t *testing.T) {
 	}
 	inDoubt := recovered.RecoveredPrepared()
 	if len(inDoubt) != 1 || len(applied) != 1 || inDoubt[0].ID != undecided || applied[0].ID != undecided ||
-		!bytes.Equal(inDoubt[0].Batch.encode(), applied[0].Batch.encode()) {
+		!bytes.Equal(inDoubt[0].Batch.Encoded(), applied[0].Batch.Encoded()) {
 		t.Fatalf("undecided sets differ: recovered %v, promoted %v", inDoubt, applied)
 	}
 }
@@ -666,39 +667,37 @@ func TestDBCloseIdempotentAndRejectsWrites(t *testing.T) {
 
 func TestBatchEncodeDecodeProperty(t *testing.T) {
 	b := NewBatch()
-	b.Put([]byte("k1"), []byte("v1"))
+	if off := b.Put([]byte("k1"), []byte("v1")); string(b.Encoded()[off:off+2]) != "v1" {
+		t.Errorf("Put's value offset %d does not locate the value", off)
+	}
 	b.Delete([]byte("k2"))
 	b.Put([]byte(""), []byte("")) // empty key and value are legal
-	recs, err := decodeBatch(b.encode())
+	d, err := DecodeBatch(b.Encoded())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 || recs[0].kind != KindSet || recs[1].kind != KindDelete {
-		t.Errorf("recs = %+v", recs)
+	var kinds []RecordKind
+	d.Each(func(kind RecordKind, _, _ []byte) error { kinds = append(kinds, kind); return nil })
+	if d.Count() != 3 || len(kinds) != 3 || kinds[0] != KindSet || kinds[1] != KindDelete {
+		t.Errorf("decoded %d records, kinds %v", d.Count(), kinds)
 	}
 	// Truncated batches fail cleanly.
-	enc := b.encode()
+	enc := b.Encoded()
 	for cut := 5; cut < len(enc); cut += 3 {
-		if _, err := decodeBatch(enc[:cut]); err == nil {
+		if _, err := DecodeBatch(enc[:cut]); err == nil {
 			t.Errorf("truncation at %d undetected", cut)
 		}
 	}
-}
-
-// TestBatchGrowFillsWithoutGrowing: a batch grown for its records fills
-// them into the one buffer, long lengths' two-byte varints included.
-func TestBatchGrowFillsWithoutGrowing(t *testing.T) {
-	long := bytes.Repeat([]byte("v"), 300)
-	b := NewBatch()
-	b.Grow(3, len("k1")+len(long)+len("k2")+len(long))
-	start, capacity := &b.buf[0], cap(b.buf)
-	b.Put([]byte("k1"), long)
-	b.Delete([]byte("k2"))
-	b.Put(long, []byte("k2"))
-	if &b.buf[0] != start || cap(b.buf) != capacity {
-		t.Errorf("filling a grown batch reallocated its buffer (cap %d -> %d)", capacity, cap(b.buf))
-	}
-	if recs, err := decodeBatch(b.encode()); err != nil || len(recs) != 3 {
-		t.Errorf("decoded %d records, err %v; want 3", len(recs), err)
+	// A count the payload cannot hold (every record takes two bytes or
+	// more) fails before anything is sized by it, and so do lengths
+	// past the payload, however large.
+	for _, bad := range [][]byte{
+		{0xff, 0xff, 0xff, 0xff},
+		{3, 0, 0, 0, byte(KindDelete), 0, byte(KindDelete), 0},
+		append([]byte{1, 0, 0, 0, byte(KindDelete)}, binary.AppendUvarint(nil, 1<<63)...),
+	} {
+		if _, err := DecodeBatch(bad); !errors.Is(err, ErrCorruptBatch) {
+			t.Errorf("DecodeBatch(%x) = %v, want ErrCorruptBatch", bad, err)
+		}
 	}
 }

@@ -84,19 +84,8 @@ func (db *DB) recover() error {
 		}
 	}
 
-	// One fold over every live WAL, in order: a prepare and its outcome
-	// may sit in different files.
-	var mem *memTable
-	fold := newWALFold(func(encoded []byte) error {
-		recs, err := decodeBatch(encoded)
-		if err != nil {
-			return err
-		}
-		base := db.lastSeq.Load() + 1
-		applyToMemTable(mem, base, recs)
-		db.lastSeq.Store(base + uint64(len(recs)) - 1)
-		return nil
-	})
+	// The DB's one fold reads every live WAL, in order: a prepare and its
+	// outcome may sit in different files.
 	for _, num := range walNums {
 		if num < logNumber {
 			// Obsolete WAL whose memtable was flushed; it survived only
@@ -113,26 +102,25 @@ func (db *DB) recover() error {
 		if wal.Torn {
 			db.corruptions.Add(1)
 		}
-		mem = newMemTable(db.opt.Level, db.rt, db.memCipher, num)
+		db.mem = newMemTable(db.opt.Level, db.rt, db.memCipher, num)
 		for _, e := range wal.Entries {
-			if err := fold.add(e, num); err != nil {
+			if err := db.fold.add(e, num); err != nil {
 				return err
 			}
 		}
-		if mem.entries() > 0 {
-			db.imm = append(db.imm, mem)
+		if db.mem.entries() > 0 {
+			db.imm = append(db.imm, db.mem)
 		} else {
-			mem.release()
+			db.mem.release()
 		}
 	}
 
 	// Prepared transactions without a decision must be re-initialized;
 	// the 2PC layer asks their coordinators to commit or abort (§VI).
-	// Each pins the WAL holding its prepare record.
-	db.prepared = fold.undecided()
-	for id, p := range fold.pending {
-		db.prepLog[id] = p.log
-	}
+	// Each pins the WAL holding its prepare record. Every replayed outcome
+	// is stable, so the decided ones pin nothing.
+	db.prepared = db.fold.undecided()
+	db.fold.seal()
 
 	// 3. Fresh WAL for new writes. The minimum live log does NOT advance
 	// here: the replayed WALs back memtables that are not flushed yet (and
@@ -151,14 +139,20 @@ func (db *DB) recover() error {
 	return nil
 }
 
-// walFold is the one reading of a WAL stream, shared by recovery and
-// promotion: a batch, or the write set of a committing outcome, goes to
-// apply; a prepare waits in pending, under the number of the WAL holding
-// it, until its outcome record removes it. An outcome always follows its
-// prepare, so what is left at the end is exactly the in-doubt set.
+// walFold is the one reading of a WAL stream, shared by the commit path,
+// recovery and promotion: a batch, or the write set of a committing
+// outcome, goes to apply; a prepare waits in pending, under the number of
+// the WAL holding it, until its outcome record moves it to decided. An
+// outcome always follows its prepare, so what is pending at the end of a
+// stream is exactly the in-doubt set. A DB's own fold is its WAL pin
+// table: the WAL holding a prepare record stays live until the
+// transaction's outcome is rollback-protected, which seal records.
 type walFold struct {
 	apply   func(encoded []byte) error
 	pending map[TxID]pendingPrepare
+	// decided lists the WALs holding the prepares of transactions whose
+	// outcome was logged since the last seal.
+	decided []uint64
 }
 
 // pendingPrepare is a prepare record without an outcome yet.
@@ -192,11 +186,30 @@ func (f *walFold) add(e durlog.Entry, log uint64) error {
 				return err
 			}
 		}
-		delete(f.pending, id)
+		if p, ok := f.pending[id]; ok {
+			f.decided = append(f.decided, p.log)
+			delete(f.pending, id)
+		}
 	default:
 		return fmt.Errorf("lsm: unknown WAL record kind %d", e.Kind)
 	}
 	return nil
+}
+
+// seal unpins the decided transactions: the log their outcomes were
+// written to is sealed, which stabilizes its whole tail.
+func (f *walFold) seal() { f.decided = f.decided[:0] }
+
+// oldestPin returns the oldest WAL a prepare record pins, or log if that
+// is older.
+func (f *walFold) oldestPin(log uint64) uint64 {
+	for _, p := range f.pending {
+		log = min(log, p.log)
+	}
+	for _, n := range f.decided {
+		log = min(log, n)
+	}
+	return log
 }
 
 // undecided returns the pending prepares sorted by transaction id.
@@ -216,7 +229,7 @@ func (f *walFold) undecided() []PreparedTx {
 // outcome are returned sorted by id, as RecoveredPrepared returns them.
 func (db *DB) ApplyLog(entries []durlog.Entry) ([]PreparedTx, error) {
 	fold := newWALFold(func(encoded []byte) error {
-		b, err := batchFromEncoded(encoded)
+		b, err := viewBatch(encoded)
 		if err == nil {
 			_, _, err = db.Apply(b)
 		}

@@ -399,7 +399,7 @@ func (r *sstReader) readBlock(i int) ([]byte, error) {
 	var staged *mempool.Buf
 	var stored []byte
 	if r.pool != nil {
-		staged = r.pool.Alloc(int(h.length), mempool.RegionHost)
+		staged = r.pool.Alloc(int(h.length))
 		stored = staged.Data
 	} else {
 		stored = make([]byte, h.length)

@@ -25,7 +25,7 @@ func encodeOutcome(id TxID, commit bool, writes *Batch) []byte {
 	if !commit {
 		return append(id[:], 0)
 	}
-	enc := writes.encode()
+	enc := writes.Encoded()
 	out := make([]byte, 0, len(id)+1+len(enc))
 	return append(append(append(out, id[:]...), 1), enc...)
 }
@@ -43,15 +43,21 @@ func decodeOutcome(payload []byte) (id TxID, commit bool, writes []byte, err err
 	return id, true, payload[len(id)+1:], nil
 }
 
+// encodePrepare builds a walKindPrepare payload: txid ∥ write set.
+func encodePrepare(id TxID, writes *Batch) []byte {
+	enc := writes.Encoded()
+	return append(append(make([]byte, 0, len(id)+len(enc)), id[:]...), enc...)
+}
+
 // decodePrepare splits a walKindPrepare payload into the transaction id
-// and its write batch.
+// and its write batch, which shares the payload.
 func decodePrepare(payload []byte) (TxID, *Batch, error) {
 	var id TxID
 	if len(payload) < len(id) {
 		return id, nil, fmt.Errorf("lsm: short prepare payload (%d bytes)", len(payload))
 	}
 	copy(id[:], payload)
-	b, err := batchFromEncoded(payload[len(id):])
+	b, err := viewBatch(payload[len(id):])
 	return id, b, err
 }
 

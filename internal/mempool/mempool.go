@@ -1,51 +1,23 @@
 // Package mempool implements Treaty's scalable memory allocator for
-// transaction and network buffers (§VII-D). Buffers are drawn from
+// network and storage staging buffers (§VII-D). Buffers are drawn from
 // size-class free lists grouped into multiple heaps; allocating goroutines
 // are spread across heaps (the paper hashes the thread id) so concurrent
-// transactions do not contend on one lock. Freed buffers are recycled,
+// users do not contend on one lock. Freed buffers are recycled,
 // drastically reducing the amount of mapped memory.
 //
-// Each buffer lives in one of two regions:
-//
-//   - RegionEnclave: trusted enclave memory, charged against the EPC
-//     budget of the owning enclave runtime (paging beyond ~94 MiB).
-//   - RegionHost: untrusted host memory (the paper's hugepage-backed DMA
-//     buffers), free of EPC pressure but requiring the caller to encrypt
-//     contents before writing them.
-//
-// The region split is what lets Treaty keep message buffers and values
-// outside the enclave, avoiding EPC paging at the cost of encryption.
+// Every buffer lives in untrusted host memory (the paper's
+// hugepage-backed DMA buffers): free of EPC pressure, but holding only
+// what the caller encrypted or has yet to verify. A transaction's write
+// set is not drawn from here: it is the engine batch it commits
+// (lsm.Batch).
 package mempool
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"treaty/internal/enclave"
 )
-
-// Region identifies which memory a buffer occupies.
-type Region int
-
-const (
-	// RegionEnclave is trusted, EPC-limited enclave memory.
-	RegionEnclave Region = iota + 1
-	// RegionHost is untrusted host memory (encrypted contents only).
-	RegionHost
-)
-
-// String returns the region name.
-func (r Region) String() string {
-	switch r {
-	case RegionEnclave:
-		return "enclave"
-	case RegionHost:
-		return "host"
-	default:
-		return fmt.Sprintf("Region(%d)", int(r))
-	}
-}
 
 // Size classes: powers of two from 64 B to 4 MiB. Larger requests are
 // allocated directly (and not recycled).
@@ -72,13 +44,11 @@ func classFor(n int) int {
 func classSize(c int) int { return 1 << (minClassShift + c) }
 
 // Buf is one allocated buffer. Data is the usable slice (capacity equals
-// the size class); Region records where it lives. Return buffers with
-// Pool.Free; a Buf must not be used after Free.
+// the size class). Return buffers with Pool.Free; a Buf must not be used
+// after Free.
 type Buf struct {
 	// Data is the buffer contents, sized to the original request.
 	Data []byte
-	// Region is the memory region the buffer occupies.
-	Region Region
 
 	pool  *Pool
 	class int // -1 for oversized direct allocations
@@ -104,7 +74,7 @@ type Stats struct {
 	Recycled uint64
 	// Oversized counts direct (non-pooled) allocations.
 	Oversized uint64
-	// LiveBytes is the total bytes currently allocated (both regions).
+	// LiveBytes is the total bytes currently allocated.
 	LiveBytes int64
 }
 
@@ -127,7 +97,8 @@ type Pool struct {
 }
 
 // New creates a pool with the given number of heaps (0 means 8, matching
-// the paper's 8 application threads), charging region accounting to rt.
+// the paper's 8 application threads), charging host-memory accounting to
+// rt.
 func New(rt *enclave.Runtime, heaps int) *Pool {
 	if heaps <= 0 {
 		heaps = 8
@@ -139,16 +110,16 @@ func New(rt *enclave.Runtime, heaps int) *Pool {
 	}
 }
 
-// Alloc returns a buffer of length n in the given region. The buffer's
-// capacity is the size class's, so small growth is allocation-free.
-func (p *Pool) Alloc(n int, region Region) *Buf {
+// Alloc returns a buffer of length n. The buffer's capacity is the size
+// class's, so small growth is allocation-free.
+func (p *Pool) Alloc(n int) *Buf {
 	p.allocs.Add(1)
 	c := classFor(n)
 	if c < 0 {
 		// Oversized: direct allocation, never recycled.
 		p.oversized.Add(1)
-		b := &Buf{Data: make([]byte, n), Region: region, pool: p, class: -1}
-		p.charge(region, n)
+		b := &Buf{Data: make([]byte, n), pool: p, class: -1}
+		p.charge(n)
 		return b
 	}
 
@@ -161,14 +132,13 @@ func (p *Pool) Alloc(n int, region Region) *Buf {
 		p.recycled.Add(1)
 		b.Data = b.Data[:cap(b.Data)][:n]
 		clear(b.Data)
-		b.Region = region
-		p.charge(region, classSize(c))
+		p.charge(classSize(c))
 		return b
 	}
 	h.mu.Unlock()
 
-	b := &Buf{Data: make([]byte, classSize(c))[:n], Region: region, pool: p, class: c}
-	p.charge(region, classSize(c))
+	b := &Buf{Data: make([]byte, classSize(c))[:n], pool: p, class: c}
+	p.charge(classSize(c))
 	return b
 }
 
@@ -183,7 +153,7 @@ func (p *Pool) Free(b *Buf) {
 	if b.class < 0 {
 		size = len(b.Data)
 	}
-	p.discharge(b.Region, size)
+	p.discharge(size)
 	if b.class < 0 {
 		return // oversized buffers go to the GC
 	}
@@ -195,30 +165,18 @@ func (p *Pool) Free(b *Buf) {
 	}
 }
 
-// charge records an allocation with the enclave runtime.
-func (p *Pool) charge(region Region, n int) {
+// charge records an allocation of host memory with the enclave runtime.
+func (p *Pool) charge(n int) {
 	p.liveBytes.Add(int64(n))
-	if p.rt == nil {
-		return
-	}
-	switch region {
-	case RegionEnclave:
-		p.rt.AllocEnclave(n)
-	case RegionHost:
+	if p.rt != nil {
 		p.rt.AllocHost(n)
 	}
 }
 
-// discharge records a release with the enclave runtime.
-func (p *Pool) discharge(region Region, n int) {
+// discharge records a release of host memory with the enclave runtime.
+func (p *Pool) discharge(n int) {
 	p.liveBytes.Add(int64(-n))
-	if p.rt == nil {
-		return
-	}
-	switch region {
-	case RegionEnclave:
-		p.rt.FreeEnclave(n)
-	case RegionHost:
+	if p.rt != nil {
 		p.rt.FreeHost(n)
 	}
 }
@@ -231,68 +189,5 @@ func (p *Pool) Stats() Stats {
 		Recycled:  p.recycled.Load(),
 		Oversized: p.oversized.Load(),
 		LiveBytes: p.liveBytes.Load(),
-	}
-}
-
-// Arena is a contiguous append-only byte buffer for a transaction's
-// uncommitted writes (§VII-D: "a stream of bytes that allocate continuous
-// memory to eliminate paging"). It grows geometrically in enclave memory
-// and is released wholesale when the transaction ends.
-type Arena struct {
-	pool *Pool
-	buf  *Buf
-	len  int
-}
-
-// NewArena creates an arena with the given initial capacity.
-func (p *Pool) NewArena(initial int) *Arena {
-	if initial < 256 {
-		initial = 256
-	}
-	b := p.Alloc(initial, RegionEnclave)
-	b.Data = b.Data[:0]
-	return &Arena{pool: p, buf: b}
-}
-
-// Append copies data into the arena and returns its offset.
-func (a *Arena) Append(data []byte) int {
-	off := a.len
-	need := a.len + len(data)
-	full := a.buf.Full()
-	if need > len(full) {
-		bigger := a.pool.Alloc(need*2, RegionEnclave)
-		bigger.Data = bigger.Data[:a.len]
-		copy(bigger.Data, full[:a.len])
-		a.pool.Free(a.buf)
-		a.buf = bigger
-		full = a.buf.Full()
-	}
-	copy(full[a.len:], data)
-	a.len = need
-	a.buf.Data = full[:a.len]
-	return off
-}
-
-// Bytes returns the arena contents (valid until Release).
-func (a *Arena) Bytes() []byte { return a.buf.Data[:a.len] }
-
-// Slice returns the sub-slice [off, off+n) of the arena.
-func (a *Arena) Slice(off, n int) []byte { return a.buf.Data[off : off+n] }
-
-// Len returns the number of bytes appended.
-func (a *Arena) Len() int { return a.len }
-
-// Reset discards the contents, retaining capacity.
-func (a *Arena) Reset() {
-	a.len = 0
-	a.buf.Data = a.buf.Data[:0]
-}
-
-// Release returns the arena's memory to the pool. The arena must not be
-// used afterwards.
-func (a *Arena) Release() {
-	if a.buf != nil {
-		a.pool.Free(a.buf)
-		a.buf = nil
 	}
 }

@@ -126,11 +126,16 @@ func FuzzProtocolMessages(f *testing.F) {
 	lie := md
 	lie.KeyLen, lie.ValueLen = 1000, 1000
 	f.Add(fuzzFrame(ReqTxnPut, 8, lie, []byte("tiny")))
-	// Slot-ingest chunks: a well-formed one, a lying entry count, junk.
+	// Slot-ingest chunks: a well-formed one, a batch claiming 2^32-1
+	// records in none, one claiming two in room for one, junk.
 	ing := prep
 	ing.OpID = 12
-	f.Add(fuzzFrame(ReqSlotIngest, 12, ing, encodeSlotChunk(3, true, []slotEntry{{key: []byte("k"), value: []byte("v")}})))
+	chunk := lsm.NewBatch()
+	chunk.Put([]byte("k"), []byte("v"))
+	chunk.Delete([]byte("gone"))
+	f.Add(fuzzFrame(ReqSlotIngest, 12, ing, frameSlotChunk(3, true, chunk)))
 	f.Add(fuzzFrame(ReqSlotIngest, 13, ing, []byte{1, 3, 0, 255, 255, 255, 255}))
+	f.Add(fuzzFrame(ReqSlotIngest, 15, ing, []byte{0, 3, 0, 2, 0, 0, 0, 1, 1, 'k', 1, 'v'}))
 	f.Add(fuzzFrame(ReqSlotIngest, 14, ing, []byte("x")))
 	// Unknown request type, short status query, raw junk, truncations.
 	f.Add(fuzzFrame(0xEE, 9, md, []byte("junk")))

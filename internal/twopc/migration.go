@@ -37,69 +37,29 @@ import (
 // destination purges its copy of the slot before applying it).
 const slotChunkFirst byte = 1
 
-// maxChunkEntries bounds a decoded chunk (malformed frames must not
-// drive huge allocations).
-const maxChunkEntries = 1 << 20
-
-// slotEntry is one key/value pair in a migration chunk.
-type slotEntry struct {
-	key, value []byte
-}
-
-// encodeSlotChunk frames: flags(1) ∥ slot(2) ∥ count(4) ∥ entries,
-// each keyLen(2) ∥ valLen(4) ∥ key ∥ value.
-func encodeSlotChunk(slot int, first bool, entries []slotEntry) []byte {
-	n := 7
-	for _, e := range entries {
-		n += 6 + len(e.key) + len(e.value)
-	}
-	out := make([]byte, 0, n)
+// frameSlotChunk frames a migration chunk: flags(1) ∥ slot(2) ∥ the
+// encoded batch of the chunk's keys.
+func frameSlotChunk(slot int, first bool, b *lsm.Batch) []byte {
 	flags := byte(0)
 	if first {
 		flags = slotChunkFirst
 	}
-	out = append(out, flags)
-	out = binary.LittleEndian.AppendUint16(out, uint16(slot))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(entries)))
-	for _, e := range entries {
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(e.key)))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(e.value)))
-		out = append(out, e.key...)
-		out = append(out, e.value...)
-	}
-	return out
+	out := binary.LittleEndian.AppendUint16([]byte{flags}, uint16(slot))
+	return append(out, b.Encoded()...)
 }
 
-// decodeSlotChunk parses a migration chunk.
-func decodeSlotChunk(b []byte) (slot int, first bool, entries []slotEntry, err error) {
-	if len(b) < 7 {
+// decodeSlotChunk parses a migration chunk; the batch decoder validates
+// its records.
+func decodeSlotChunk(b []byte) (slot int, first bool, batch *lsm.Batch, err error) {
+	if len(b) < 3 {
 		return 0, false, nil, fmt.Errorf("twopc: short slot chunk (%d bytes)", len(b))
 	}
-	first = b[0]&slotChunkFirst != 0
 	slot = int(binary.LittleEndian.Uint16(b[1:3]))
-	count := binary.LittleEndian.Uint32(b[3:7])
 	if slot >= shardmap.NumSlots {
 		return 0, false, nil, fmt.Errorf("twopc: slot %d out of range", slot)
 	}
-	if count > maxChunkEntries {
-		return 0, false, nil, fmt.Errorf("twopc: chunk claims %d entries", count)
-	}
-	b = b[7:]
-	entries = make([]slotEntry, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(b) < 6 {
-			return 0, false, nil, fmt.Errorf("twopc: truncated chunk entry %d", i)
-		}
-		kl := int(binary.LittleEndian.Uint16(b[0:2]))
-		vl := int(binary.LittleEndian.Uint32(b[2:6]))
-		b = b[6:]
-		if len(b) < kl+vl {
-			return 0, false, nil, fmt.Errorf("twopc: truncated chunk entry %d body", i)
-		}
-		entries = append(entries, slotEntry{key: b[:kl], value: b[kl : kl+vl]})
-		b = b[kl+vl:]
-	}
-	return slot, first, entries, nil
+	batch, err = lsm.DecodeBatch(b[3:])
+	return slot, b[0]&slotChunkFirst != 0, batch, err
 }
 
 // StreamSlot snapshots the slot's key range at the engine's latest
@@ -121,27 +81,24 @@ func (p *Participant) StreamSlot(dst string, slot, chunkSize int, epoch uint64, 
 	if err != nil {
 		return 0, err
 	}
-	var entries []slotEntry
+	// At least one chunk: an empty slot still sends its purge flag.
+	chunks := []*lsm.Batch{lsm.NewBatch()}
 	moved := 0
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		if shardmap.SlotOf(it.Key()) != slot {
 			continue
 		}
-		k := append([]byte(nil), it.Key()...)
-		v := append([]byte(nil), it.Value()...)
-		entries = append(entries, slotEntry{key: k, value: v})
+		if chunks[len(chunks)-1].Count() == chunkSize {
+			chunks = append(chunks, lsm.NewBatch())
+		}
+		chunks[len(chunks)-1].Put(it.Key(), it.Value())
 		moved++
 	}
 	if err := it.Err(); err != nil {
 		return 0, err
 	}
-	chunk := 0
-	for sent := 0; sent < len(entries) || chunk == 0; chunk++ {
-		end := sent + chunkSize
-		if end > len(entries) {
-			end = len(entries)
-		}
-		payload := encodeSlotChunk(slot, chunk == 0, entries[sent:end])
+	for chunk, b := range chunks {
+		payload := frameSlotChunk(slot, chunk == 0, b)
 		if onChunk != nil {
 			onChunk(chunk)
 		}
@@ -152,7 +109,6 @@ func (p *Participant) StreamSlot(dst string, slot, chunkSize int, epoch uint64, 
 		if _, err := erpc.Call(p.ep, dst, ReqSlotIngest, md, payload, 10*time.Second, f); err != nil {
 			return moved, fmt.Errorf("twopc: slot %d chunk %d to %s: %w", slot, chunk, dst, err)
 		}
-		sent = end
 	}
 	return moved, nil
 }
@@ -163,14 +119,15 @@ func (p *Participant) StreamSlot(dst string, slot, chunkSize int, epoch uint64, 
 // stabilized before the reply, so an acknowledged stream is durable and
 // rollback-protected before the epoch ever flips.
 func (p *Participant) handleSlotIngest(f *fibers.Fiber, req *erpc.Request) {
-	slot, first, entries, err := decodeSlotChunk(req.Payload)
+	slot, first, batch, err := decodeSlotChunk(req.Payload)
 	if err != nil {
 		req.ReplyError(err.Error())
 		return
 	}
 	db := p.mgr.DB()
-	batch := lsm.NewBatch()
 	if first {
+		chunk := batch
+		batch = lsm.NewBatch()
 		it, err := db.NewIterator(db.LatestSeq())
 		if err != nil {
 			req.ReplyError(err.Error())
@@ -178,16 +135,21 @@ func (p *Participant) handleSlotIngest(f *fibers.Fiber, req *erpc.Request) {
 		}
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			if shardmap.SlotOf(it.Key()) == slot {
-				batch.Delete(append([]byte(nil), it.Key()...))
+				batch.Delete(it.Key())
 			}
 		}
 		if err := it.Err(); err != nil {
 			req.ReplyError(err.Error())
 			return
 		}
-	}
-	for _, e := range entries {
-		batch.Put(e.key, e.value)
+		chunk.Each(func(kind lsm.RecordKind, key, value []byte) error {
+			if kind == lsm.KindDelete {
+				batch.Delete(key)
+			} else {
+				batch.Put(key, value)
+			}
+			return nil
+		})
 	}
 	if batch.Count() == 0 {
 		req.Reply(nil)

@@ -19,7 +19,7 @@ type OTxn struct {
 	m       *Manager
 	id      uint64
 	readSeq uint64
-	writes  *writeBuffer
+	writes  writeBuffer
 	reads   map[string]uint64 // key -> observed version (0 = absent)
 	state   txnState
 	f       *fibers.Fiber // see Txn.f
@@ -32,7 +32,7 @@ func (m *Manager) BeginOptimistic(f *fibers.Fiber) *OTxn {
 		m:       m,
 		id:      m.nextID.Add(1),
 		readSeq: m.db.LatestSeq(),
-		writes:  newWriteBuffer(m.pool),
+		writes:  newWriteBuffer(),
 		reads:   make(map[string]uint64),
 		state:   txnActive,
 		f:       f,
@@ -46,10 +46,7 @@ func (t *OTxn) Get(key []byte) ([]byte, bool, error) {
 	}
 	ks := string(key)
 	if v, deleted, ok := t.writes.get(ks); ok {
-		if deleted {
-			return nil, false, nil
-		}
-		return append([]byte(nil), v...), true, nil
+		return v, !deleted, nil
 	}
 	v, seq, found, err := t.m.db.Get(key, t.readSeq)
 	if err != nil {
@@ -70,7 +67,7 @@ func (t *OTxn) Put(key, value []byte) error {
 	if t.state != txnActive {
 		return ErrTxnDone
 	}
-	t.writes.put(string(key), value)
+	t.writes.put(key, value)
 	return nil
 }
 
@@ -79,7 +76,7 @@ func (t *OTxn) Delete(key []byte) error {
 	if t.state != txnActive {
 		return ErrTxnDone
 	}
-	t.writes.del(string(key))
+	t.writes.del(key)
 	return nil
 }
 
@@ -111,7 +108,7 @@ func (t *OTxn) Commit() error {
 	for _, k := range keys {
 		if err := t.m.locks.Acquire(t.id, k, modes[k], t.f); err != nil {
 			release()
-			t.finish(txnAborted)
+			t.state = txnAborted
 			return err
 		}
 		latched = append(latched, k)
@@ -122,7 +119,7 @@ func (t *OTxn) Commit() error {
 		_, cur, found, err := t.m.db.Get([]byte(k), t.m.db.LatestSeq())
 		if err != nil {
 			release()
-			t.finish(txnAborted)
+			t.state = txnAborted
 			return err
 		}
 		current := uint64(0)
@@ -131,24 +128,24 @@ func (t *OTxn) Commit() error {
 		}
 		if current != observed {
 			release()
-			t.finish(txnAborted)
+			t.state = txnAborted
 			return fmt.Errorf("%w: key %q version %d -> %d", ErrConflict, k, observed, current)
 		}
 	}
 
 	var token durlog.StableToken
-	if len(t.writes.recs) > 0 {
+	if !t.writes.empty() {
 		var err error
-		token, _, err = t.m.db.Apply(t.writes.batch())
+		token, _, err = t.m.db.Apply(t.writes.batch)
 		if err != nil {
 			release()
-			t.finish(txnAborted)
+			t.state = txnAborted
 			return err
 		}
 	}
 	release()
-	t.finish(txnCommitted)
-	if t.m.waitStable && len(t.writes.recs) > 0 {
+	t.state = txnCommitted
+	if t.m.waitStable && !t.writes.empty() {
 		return WaitToken(token, time.Time{}, t.f)
 	}
 	return nil
@@ -159,15 +156,6 @@ func (t *OTxn) Rollback() error {
 	if t.state != txnActive {
 		return ErrTxnDone
 	}
-	t.finish(txnAborted)
+	t.state = txnAborted
 	return nil
-}
-
-// finish releases resources exactly once.
-func (t *OTxn) finish(final txnState) {
-	if t.state == txnCommitted || t.state == txnAborted {
-		return
-	}
-	t.state = final
-	t.writes.release()
 }

@@ -17,7 +17,7 @@ import (
 type Txn struct {
 	m      *Manager
 	id     uint64
-	writes *writeBuffer
+	writes writeBuffer
 	locked []string // acquisition order, for release
 	state  txnState
 	f      *fibers.Fiber // runs the current operation and waits parked; nil on a goroutine
@@ -29,7 +29,7 @@ func (m *Manager) BeginPessimistic(f *fibers.Fiber) *Txn {
 	return &Txn{
 		m:      m,
 		id:     m.nextID.Add(1),
-		writes: newWriteBuffer(m.pool),
+		writes: newWriteBuffer(),
 		state:  txnActive,
 		f:      f,
 	}
@@ -39,7 +39,7 @@ func (m *Manager) BeginPessimistic(f *fibers.Fiber) *Txn {
 func (t *Txn) ID() uint64 { return t.id }
 
 // ReadOnly reports whether the transaction has buffered no writes.
-func (t *Txn) ReadOnly() bool { return len(t.writes.recs) == 0 }
+func (t *Txn) ReadOnly() bool { return t.writes.empty() }
 
 // SetFiber rebinds the waiting fiber. A transaction whose operations
 // arrive on different fibers (the 2PC participant) must bind the
@@ -67,10 +67,7 @@ func (t *Txn) Get(key []byte) ([]byte, bool, error) {
 	}
 	ks := string(key)
 	if v, deleted, ok := t.writes.get(ks); ok {
-		if deleted {
-			return nil, false, nil
-		}
-		return append([]byte(nil), v...), true, nil
+		return v, !deleted, nil
 	}
 	if err := t.lock(ks, LockShared); err != nil {
 		return nil, false, err
@@ -87,7 +84,7 @@ func (t *Txn) Put(key, value []byte) error {
 	if err := t.lock(string(key), LockExclusive); err != nil {
 		return err
 	}
-	t.writes.put(string(key), value)
+	t.writes.put(key, value)
 	return nil
 }
 
@@ -99,7 +96,7 @@ func (t *Txn) Delete(key []byte) error {
 	if err := t.lock(string(key), LockExclusive); err != nil {
 		return err
 	}
-	t.writes.del(string(key))
+	t.writes.del(key)
 	return nil
 }
 
@@ -119,10 +116,10 @@ func (t *Txn) commit(wait bool) error {
 		return ErrTxnDone
 	}
 	defer t.finish(txnCommitted)
-	if len(t.writes.recs) == 0 {
+	if t.writes.empty() {
 		return nil // read-only
 	}
-	token, _, err := t.m.db.Apply(t.writes.batch())
+	token, _, err := t.m.db.Apply(t.writes.batch)
 	if err != nil {
 		t.finish(txnAborted)
 		return fmt.Errorf("txn: commit: %w", err)
@@ -169,7 +166,6 @@ func (t *Txn) finish(final txnState) {
 	}
 	t.state = final
 	t.m.locks.ReleaseAll(t.id, t.locked)
-	t.writes.release()
 	t.locked = nil
 }
 
@@ -183,7 +179,7 @@ func (t *Txn) Prepare(global lsm.TxID) error {
 	if t.state != txnActive {
 		return ErrTxnDone
 	}
-	token, err := t.m.db.LogPrepare(global, t.writes.batch())
+	token, err := t.m.db.LogPrepare(global, t.writes.batch)
 	if err != nil {
 		return fmt.Errorf("txn: prepare: %w", err)
 	}
@@ -225,7 +221,7 @@ func (t *Txn) CommitPrepared(global lsm.TxID) error {
 		return ErrTxnDone
 	}
 	defer t.finish(txnCommitted)
-	if _, err := t.m.db.LogOutcome(global, true, t.writes.batch()); err != nil {
+	if _, err := t.m.db.LogOutcome(global, true, t.writes.batch); err != nil {
 		return fmt.Errorf("txn: commit prepared: %w", err)
 	}
 	return nil

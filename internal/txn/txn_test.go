@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,6 +91,49 @@ func TestReadMyOwnWrites(t *testing.T) {
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Put, Delete and Put one key: the transaction reads its last write
+	// back, and every way to commit installs that write.
+	type writes interface {
+		Put(key, value []byte) error
+		Delete(key []byte) error
+		Get(key []byte) ([]byte, bool, error)
+	}
+	last := []byte(strings.Repeat("last", 100)) // outgrows the batch's first buffer
+	for i, path := range []struct {
+		name  string
+		begin func() (writes, func() error)
+	}{
+		{"Txn.Commit", func() (writes, func() error) { tx := m.BeginPessimistic(nil); return tx, tx.Commit }},
+		{"Txn.CommitPrepared", func() (writes, func() error) {
+			tx := m.BeginPessimistic(nil)
+			id := lsm.TxID{15: 1}
+			return tx, func() error {
+				if err := tx.Prepare(id); err != nil {
+					return err
+				}
+				return tx.CommitPrepared(id)
+			}
+		}},
+		{"OTxn.Commit", func() (writes, func() error) { tx := m.BeginOptimistic(nil); return tx, tx.Commit }},
+	} {
+		key := []byte(fmt.Sprintf("rewritten-%d", i))
+		tx, commit := path.begin()
+		for _, err := range []error{tx.Put(key, []byte("first")), tx.Delete(key), tx.Put(key, last)} {
+			if err != nil {
+				t.Fatalf("%s: %v", path.name, err)
+			}
+		}
+		if v, found, err := tx.Get(key); err != nil || !found || string(v) != string(last) {
+			t.Fatalf("%s: own read after put, delete, put: %.8q/%v/%v", path.name, v, found, err)
+		}
+		if err := commit(); err != nil {
+			t.Fatalf("%s: %v", path.name, err)
+		}
+		if v, _, found, err := m.DB().Get(key, m.DB().LatestSeq()); err != nil || !found || string(v) != string(last) {
+			t.Fatalf("%s: committed %.8q/%v/%v, want the last write", path.name, v, found, err)
+		}
 	}
 }
 
