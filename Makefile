@@ -187,12 +187,16 @@ vet:
 # package's metric or reads one by a literal name (METRIC_READ), except the
 # block-cache ablation's two lsm.cache counters.
 # A write set has one encoding, lsm.Batch: a transaction buffers into one
-# (non-test internal/txn does not import internal/mempool) and a
-# migration chunk carries one, so the write-buffer arena, mempool's
+# and a migration chunk carries one, so the write-buffer arena, the
 # enclave region and the chunk's own entry codec (NewArena, RegionEnclave,
 # slotEntry, encodeSlotChunk) stay gone from every Go file. And a WAL
 # record has one meaning, walFold.add: no other function has a case label
 # for a prepare or outcome record.
+# Buffers have one allocator, Go's: no internal/mempool directory comes
+# back, no Go file imports it, and none of erpc.Config, lsm.Options,
+# durlog.Hooks or twopc.ClogTuning has a Pool field.
+# A change's CHANGES.md entry stays readable: from issue 46 on, no
+# "- **Issue N" entry is over 2,500 bytes.
 # $(call BODY_ONCE,<calls>,<method>): the engine calls on at.local that
 # <calls> names, one site each, appear in non-test code only in
 # Participant.<method>.
@@ -234,11 +238,17 @@ check-once:
 	grep -nE '"treaty/internal/(erpc|durlog|fibers|obs)"' internal/twopc/step.go && fail=1; \
 	grep -n 'hmac\.New' $$($(call ONCE_SRC,.) ! -path './internal/seal/*') && fail=1; \
 	grep -nE 'NewArena|RegionEnclave|slotEntry|encodeSlotChunk' $$(find . -name '*.go') && fail=1; \
-	grep -n '"treaty/internal/mempool"' $$($(call ONCE_SRC,internal/txn)) && fail=1; \
+	[ ! -e internal/mempool ] || { echo "internal/mempool: Go's allocator is the one allocator"; fail=1; }; \
+	grep -n '"treaty/internal/mempool"' $$(find . -name '*.go') && fail=1; \
+	awk 'FNR == 1 { want = FILENAME ~ /erpc/ ? "Config" : FILENAME ~ /lsm/ ? "Options" : FILENAME ~ /durlog/ ? "Hooks" : "ClogTuning"; body = 0 } \
+		$$0 ~ "^type " want " struct" { body = 1 } body && /^}/ { body = 0 } \
+		body && /^[[:space:]]+([A-Za-z_]+,[[:space:]]*)*Pool[[:space:],]/ { print FILENAME ":" FNR ": " want " has a Pool field: " $$0; bad = 1 } \
+		END { exit !bad }' internal/erpc/erpc.go internal/lsm/db.go internal/durlog/log.go internal/twopc/clog.go && fail=1; \
+	LC_ALL=C awk '/^- \*\*Issue [0-9]+/ && $$3 + 0 >= 46 && length($$0) > 2500 { print "CHANGES.md:" FNR ": issue " $$3 " entry is " length($$0) " bytes, over 2,500"; bad = 1 } END { exit !bad }' CHANGES.md && fail=1; \
 	awk '/^func /{fn=$$0} /case[^:]*walKind(Prepare|Outcome)/ && fn !~ /^func \(f \*walFold\) add\(/{print FILENAME ":" FNR ": " $$0; bad=1} END{exit !bad}' $$($(call ONCE_SRC,.)) && fail=1; \
 	soaks=$$(awk '/^func Test/{fn=$$2} /\.Run\(/ && !/[^A-Za-z0-9_]t\.Run\(/{print FILENAME ": " fn}' internal/chaos/*_test.go | sort -u); \
 	[ $$(printf '%s\n' "$$soaks" | grep -c .) -le 1 ] || { printf '%s\n' "$$soaks"; fail=1; }; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, local-effect body, pure commit step, signed-statement MAC, soak loop, member backup, conservation law, paper front end, metrics schema, fiber carrier, write-set encoding); call the shared one"; exit 1; }
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, local-effect body, pure commit step, signed-statement MAC, soak loop, member backup, conservation law, paper front end, metrics schema, fiber carrier, write-set encoding, allocator); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

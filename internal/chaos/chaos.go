@@ -557,6 +557,16 @@ func (h *Harness) verify() error {
 	return fmt.Errorf("chaos: verification transaction kept aborting: %w", lastErr)
 }
 
+// explain appends the serializability checker's verdict on the history
+// recorded so far to a failed verification, so a broken invariant names
+// the transactions behind it.
+func (h *Harness) explain(err error) error {
+	if aerr := audit.Check(h.rec.History()).Err(); aerr != nil {
+		return fmt.Errorf("%w; %v", err, aerr)
+	}
+	return fmt.Errorf("%w; the history so far audits clean", err)
+}
+
 // auditCheck runs the serializability checker over the history so far
 // (call at quiescence) and converts violations into an error carrying
 // the reproduction seed.
@@ -587,7 +597,9 @@ func (h *Harness) Run(script []Fault) (commits uint64, rep *audit.Report, err er
 		if err = f.Lift(h); err != nil {
 			err = fmt.Errorf("lifting fault: %w", err)
 		} else if drained, err = h.drain(); err == nil {
-			if err = h.verify(); err == nil {
+			if err = h.verify(); err != nil {
+				err = h.explain(err)
+			} else {
 				err = h.cluster.CheckLaws()
 			}
 		}

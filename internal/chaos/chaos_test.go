@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -375,6 +376,44 @@ func TestVerifyNamesStuckKey(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), string(accountKey(3))) || !strings.Contains(err.Error(), owner) {
 		t.Fatalf("verify error %v does not name %q and its %s", err, accountKey(3), owner)
 	}
+}
+
+// TestFailedVerifyNamesAuditViolation: a transfer whose credit is in the
+// history but never reached the store breaks the balance sum, and the
+// round's error carries the checker's account of it, not the sum alone.
+func TestFailedVerifyNamesAuditViolation(t *testing.T) {
+	h, err := New(Config{})
+	if err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	defer h.Close()
+	rec := h.rec.Begin(0)
+	txn := h.cluster.Node(0).Begin(nil)
+	src, err := readBalance(txn, rec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := readBalance(txn, rec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Put(accountKey(0), rec.Write(accountKey(0), strconv.FormatInt(src-5, 10))); err != nil {
+		t.Fatal(err)
+	}
+	rec.Write(accountKey(1), strconv.FormatInt(dst+5, 10)) // the dropped credit
+	err = txn.Commit()
+	rec.End(outcomeOf(txn, err))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = h.verify()
+	if err == nil {
+		t.Fatal("verify passed with a credit that never landed")
+	}
+	if err = h.explain(err); !strings.Contains(err.Error(), "balance invariant violated") || !strings.Contains(err.Error(), "audit:") {
+		t.Fatalf("failed verify = %v, want the balance error and the audit's violations", err)
+	}
+	t.Logf("caught as expected: %v", err)
 }
 
 // TestAuditViolationDetected proves the soak-side wiring is non-vacuous:

@@ -14,7 +14,6 @@ import (
 	"treaty/internal/erpc"
 	"treaty/internal/fibers"
 	"treaty/internal/lsm"
-	"treaty/internal/mempool"
 	"treaty/internal/obs"
 	"treaty/internal/repl"
 	"treaty/internal/seal"
@@ -93,7 +92,6 @@ type Node struct {
 	ep      *erpc.Endpoint
 	poller  *erpc.Poller
 	sched   *fibers.Scheduler
-	pool    *mempool.Pool
 	ctrCli  *counter.Client
 	ctrEP   *erpc.Endpoint
 	ctrPoll *erpc.Poller
@@ -166,8 +164,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		return int64(n.shard.View().Epoch)
 	})
 
-	// Memory allocator and userland scheduler.
-	n.pool = mempool.New(n.rt, 8)
+	// Userland scheduler.
 	n.sched = fibers.New(cfg.Workers, n.rt)
 	n.sched.Observe(n.reg)
 
@@ -182,7 +179,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Transport:  erpc.NewSimTransport(nep, n.rt, erpc.KindDPDK),
 		NetworkKey: clusterCfg.NetworkKey,
 		Secure:     policy.SealedRPC,
-		Pool:       n.pool,
 		Metrics:    n.reg,
 	})
 	if err != nil {
@@ -259,7 +255,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Runtime:      n.rt,
 		Counters:     counters,
 		MemTableSize: cfg.MemTableSize,
-		Pool:         n.pool,
 		Metrics:      n.reg,
 		Ship:         walShipHook,
 	})
@@ -294,7 +289,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	clog.Configure(twopc.ClogTuning{
 		Metrics: n.reg,
-		Pool:    n.pool,
 		Ship:    clogShipHook,
 	})
 	if clog.TornTailDropped() {

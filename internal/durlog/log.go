@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"treaty/internal/enclave"
-	"treaty/internal/mempool"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
 	"treaty/internal/vfs"
@@ -81,9 +80,6 @@ type Config struct {
 
 // Hooks are the optional attachments of a log's commit path.
 type Hooks struct {
-	// Pool, when non-nil, backs the group staging buffer with pooled
-	// host-region memory (the framed bytes leave the enclave).
-	Pool *mempool.Pool
 	// Ship, when non-nil, is called once per commit group after the group
 	// has been written and forced and before its counters stabilize: a
 	// replication ack — or a durable degrade mark — must precede the
@@ -112,9 +108,8 @@ type Log struct {
 
 	// buf is the group staging buffer: all entries of a group are framed
 	// into it and written with one syscall — one enclave-boundary crossing
-	// for the whole group. Pool-backed (poolBuf) when a pool is configured.
-	buf     []byte
-	poolBuf *mempool.Buf
+	// for the whole group. It is reused from group to group.
+	buf []byte
 
 	mu       sync.Mutex
 	poisoned error // sticky, see invariant 2
@@ -225,11 +220,11 @@ func (l *Log) Commit(group []Entry, demand bool) error {
 	if err := l.Poisoned(); err != nil {
 		return err
 	}
-	buf := l.stagingBuf()
+	buf := l.buf[:0]
 	for i := range group {
 		buf, group[i].Counter = l.codec.AppendEntry(buf, group[i].Kind, group[i].Payload)
 	}
-	l.retainStaging(buf)
+	l.buf = buf
 	last := group[len(group)-1].Counter
 	l.lastCtr.Store(last)
 	l.cfg.Appends.Add(uint64(len(group)))
@@ -286,29 +281,6 @@ func (l *Log) sync() error {
 // the token raises the demand.
 func (l *Log) Token(counter uint64, demand bool) StableToken {
 	return StableToken{ctr: l.cfg.Counter, value: counter, deferred: !demand}
-}
-
-// stagingBuf returns the empty group staging buffer.
-func (l *Log) stagingBuf() []byte {
-	if l.cfg.Pool == nil {
-		return l.buf[:0]
-	}
-	if l.poolBuf == nil {
-		l.poolBuf = l.cfg.Pool.Alloc(4096)
-	}
-	return l.poolBuf.Full()[:0]
-}
-
-// retainStaging keeps the (possibly grown) staging buffer for the next
-// group. A group that outgrew a pooled buffer escaped to the heap; the
-// pooled backing is re-sized so the next group stays pooled.
-func (l *Log) retainStaging(buf []byte) {
-	if l.cfg.Pool == nil {
-		l.buf = buf
-	} else if cap(buf) > cap(l.poolBuf.Full()) {
-		l.cfg.Pool.Free(l.poolBuf)
-		l.poolBuf = l.cfg.Pool.Alloc(cap(buf))
-	}
 }
 
 // poison fail-stops the log after a failed file operation and returns the
@@ -369,10 +341,6 @@ func (l *Log) Close() error {
 	}
 	l.cfg.syscall()
 	cerr := l.f.Close()
-	if l.poolBuf != nil {
-		l.cfg.Pool.Free(l.poolBuf)
-		l.poolBuf = nil
-	}
 	if err == nil && cerr != nil {
 		err = fmt.Errorf("durlog: closing %s: %w", l.name, cerr)
 	}

@@ -12,8 +12,8 @@
 //     16 B MAC) under the cluster network key, and the (node id, tx id,
 //     op id) triple in the metadata gives at-most-once execution: replayed
 //     or duplicated packets are detected and not re-executed.
-//   - Message buffers allocated from the mempool in *host* memory
-//     (encrypted contents), keeping network buffers out of the EPC.
+//   - Message frames are plain Go allocations holding only sealed
+//     (encrypted) bytes, the paper's host-memory network buffers.
 //
 // Handlers are asynchronous: a handler receives a *Request and may call
 // Reply immediately or hand the request to a fiber and reply later (how
@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"treaty/internal/mempool"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
 	"treaty/internal/simnet"
@@ -91,7 +90,7 @@ func (r *Request) reply(payload []byte, flags uint8) {
 	}
 	md := r.Meta
 	md.Flags |= uint32(flags)
-	wire, _ := r.ep.encode(r.reqType, flagResponse|flags, r.reqID, &md, payload, false)
+	wire := r.ep.encode(r.reqType, flagResponse|flags, r.reqID, &md, payload)
 	// Cached so a retransmission re-replies instead of re-executing.
 	r.ep.replay.storeReply(r.Meta, wire)
 	r.ep.enqueueWire(r.From, wire)
@@ -140,9 +139,6 @@ type Config struct {
 	// messages travel in plaintext with the same framing (the
 	// "w/o Enc" evaluation ablation).
 	Secure bool
-	// Pool supplies host-memory message buffers; nil allocates from the
-	// Go heap directly.
-	Pool *mempool.Pool
 	// RxBurst bounds packets processed per event-loop iteration (0 = 16).
 	RxBurst int
 	// Metrics, when non-nil, exports the endpoint's counters and call
@@ -189,14 +185,10 @@ type Endpoint struct {
 	callLatency *obs.Histogram
 }
 
-// outMsg is one enqueued wire message. buf, when non-nil, is the pooled
-// backing of wire; TxBurst returns it to the pool after the transport
-// send (transports copy or transmit synchronously, so the frame is dead
-// once Send returns).
+// outMsg is one enqueued wire message.
 type outMsg struct {
 	to   string
 	wire []byte
-	buf  *mempool.Buf
 }
 
 // NewEndpoint creates an endpoint from cfg.
@@ -293,7 +285,7 @@ func (ep *Endpoint) Enqueue(to string, reqType uint8, md seal.MsgMetadata, paylo
 	p := &Pending{onDone: onDone, reqID: reqID, ch: make(chan struct{}), start: time.Now()}
 	md.NodeID = ep.cfg.NodeID
 	md.Seq = reqID
-	wire, buf := ep.encode(reqType, 0, reqID, &md, payload, true)
+	wire := ep.encode(reqType, 0, reqID, &md, payload)
 	ep.requests.Add(1)
 	ep.mu.Lock()
 	if ep.closed.Load() {
@@ -304,14 +296,11 @@ func (ep *Endpoint) Enqueue(to string, reqType uint8, md seal.MsgMetadata, paylo
 		// it has drained, any later Enqueue observes closed here).
 		ep.mu.Unlock()
 		ep.orphaned.Add(1)
-		if buf != nil {
-			ep.cfg.Pool.Free(buf)
-		}
 		p.complete(nil, ErrClosed)
 		return p
 	}
 	ep.pending[reqID] = p
-	ep.txq = append(ep.txq, outMsg{to: to, wire: wire, buf: buf})
+	ep.txq = append(ep.txq, outMsg{to: to, wire: wire})
 	ep.mu.Unlock()
 	ep.wakeTx()
 	return p
@@ -377,13 +366,7 @@ func (ep *Endpoint) TxBurst() error {
 	ep.mu.Unlock()
 	var errs []error
 	for _, m := range batch {
-		err := ep.cfg.Transport.Send(m.to, m.wire)
-		if m.buf != nil {
-			// Sealed-frame reuse: Send copied the frame, so the pooled
-			// backing recycles immediately — sent or dropped alike.
-			ep.cfg.Pool.Free(m.buf)
-		}
-		if err != nil {
+		if err := ep.cfg.Transport.Send(m.to, m.wire); err != nil {
 			ep.txDropped.Add(1)
 			errs = append(errs, err)
 			continue
@@ -432,15 +415,8 @@ func (ep *Endpoint) Close() error {
 	ep.mu.Lock()
 	orphans := ep.pending
 	ep.pending = make(map[uint64]*Pending)
-	unsent := ep.txq
 	ep.txq = nil
 	ep.mu.Unlock()
-	for _, m := range unsent {
-		// Never leak pooled frames parked on the transmit queue.
-		if m.buf != nil {
-			ep.cfg.Pool.Free(m.buf)
-		}
-	}
 	ep.orphaned.Add(uint64(len(orphans)))
 	for _, p := range orphans {
 		p.complete(nil, ErrClosed)
@@ -449,25 +425,14 @@ func (ep *Endpoint) Close() error {
 }
 
 // encode builds a message's wire representation, sealing (or framing)
-// directly into the frame's allocation — no intermediate ciphertext
-// copy. Only *request* frames are pooled: with a mempool configured they
-// are built in a host-region buffer, returned alongside the wire bytes,
-// that is dead once the transport send returns. Reply frames outlive the
-// send — the replay cache retains them for idempotent re-replies — so
-// they stay heap-owned.
-func (ep *Endpoint) encode(reqType, flags uint8, reqID uint64, md *seal.MsgMetadata, payload []byte, pooled bool) ([]byte, *mempool.Buf) {
+// directly into one allocation of the frame's size — no intermediate
+// ciphertext copy.
+func (ep *Endpoint) encode(reqType, flags uint8, reqID uint64, md *seal.MsgMetadata, payload []byte) []byte {
 	n := headerLen + seal.MetadataSize + len(payload) // plaintext framing
 	if ep.codec != nil {
 		n = headerLen + seal.MsgWireLen(len(payload))
 	}
-	var buf *mempool.Buf
-	var wire []byte
-	if pooled && ep.cfg.Pool != nil {
-		buf = ep.cfg.Pool.Alloc(n)
-		wire = buf.Full()[:headerLen]
-	} else {
-		wire = make([]byte, headerLen, n)
-	}
+	wire := make([]byte, headerLen, n)
 	if ep.codec != nil {
 		wire = ep.codec.SealMessageInto(wire, md, payload)
 	} else {
@@ -482,7 +447,7 @@ func (ep *Endpoint) encode(reqType, flags uint8, reqID uint64, md *seal.MsgMetad
 	wire[2] = flags
 	wire[3] = 0
 	binary.LittleEndian.PutUint64(wire[4:], reqID)
-	return wire, buf
+	return wire
 }
 
 // decode parses and (if secure) authenticates a wire message.
@@ -578,7 +543,7 @@ func (ep *Endpoint) dispatch(from string, wire []byte) {
 	if h == nil {
 		md2 := md
 		md2.Flags |= flagError
-		wireResp, _ := ep.encode(reqType, flagResponse|flagError, reqID, &md2, []byte(ErrNoHandler.Error()), false)
+		wireResp := ep.encode(reqType, flagResponse|flagError, reqID, &md2, []byte(ErrNoHandler.Error()))
 		ep.enqueueWire(from, wireResp)
 		return
 	}

@@ -47,9 +47,9 @@ func FuzzFrameDecode(f *testing.F) {
 	// Seed corpus: well-formed frames from both codecs, truncations,
 	// version/flag mutants, and junk.
 	md := seal.MsgMetadata{NodeID: 9, TxID: 7, OpID: 3, KeyLen: 5, DataLen: 5, Seq: 77}
-	goodPlain, _ := plain.encode(0x10, 0, 77, &md, []byte("hello"), false)
+	goodPlain := plain.encode(0x10, 0, 77, &md, []byte("hello"))
 	mdSec := md
-	goodSec, _ := sec.encode(0x10, 0, 77, &mdSec, []byte("hello"), false)
+	goodSec := sec.encode(0x10, 0, 77, &mdSec, []byte("hello"))
 	f.Add(goodPlain)
 	f.Add(goodSec)
 	f.Add(goodPlain[:len(goodPlain)-3])

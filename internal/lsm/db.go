@@ -14,7 +14,6 @@ import (
 	"treaty/internal/durlog"
 	"treaty/internal/enclave"
 	"treaty/internal/lsm/blockcache"
-	"treaty/internal/mempool"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
 	"treaty/internal/vfs"
@@ -64,10 +63,6 @@ type Options struct {
 	// Runtime's EPC accounting, so sizing it past the EPC budget pays
 	// paging penalties.
 	BlockCacheBytes int64
-	// Pool, when non-nil, recycles the read path's block staging
-	// buffers (host region — they hold only ciphertext / unverified
-	// media bytes).
-	Pool *mempool.Pool
 	// Ship, when non-nil, receives every WAL commit group between its
 	// force and its counter round (see durlog.Hooks.Ship); it runs with
 	// the DB lock held and must not call back into this DB.
@@ -516,7 +511,7 @@ func (db *DB) reader(f fileMeta) (*sstReader, error) {
 		return nil, err
 	}
 	r.bloomChecks, r.bloomNegatives = db.bloomChecks, db.bloomNegatives
-	r.cache, r.pool = db.bcache, db.opt.Pool
+	r.cache = db.bcache
 	db.mu.Lock()
 	if existing, ok := db.readers[f.number]; ok {
 		db.mu.Unlock()

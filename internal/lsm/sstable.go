@@ -11,7 +11,6 @@ import (
 
 	"treaty/internal/enclave"
 	"treaty/internal/lsm/blockcache"
-	"treaty/internal/mempool"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
 	"treaty/internal/vfs"
@@ -261,9 +260,6 @@ type sstReader struct {
 	// DB's readers (set by db.reader; nil = caching disabled, and every
 	// method on it is nil-safe).
 	cache *blockcache.Cache
-	// pool recycles the ciphertext staging buffer of readBlock (set by
-	// db.reader; nil = plain allocations).
-	pool *mempool.Pool
 }
 
 // openSST opens a table and verifies its index against wantHash (from the
@@ -388,37 +384,19 @@ func (r *sstReader) readIndex(wantHash [seal.HashSize]byte) error {
 	return nil
 }
 
-// readBlock loads, verifies, and decrypts block i from storage. The
-// returned slice is freshly owned by the caller and never aliases the
-// (recycled) staging buffer. For the cached path use block().
+// readBlock loads, verifies, and decrypts block i from storage into a
+// slice the caller owns. For the cached path use block().
 func (r *sstReader) readBlock(i int) ([]byte, error) {
 	h := r.handles[i]
-	// The on-disk bytes are untrusted media: stage them in a pooled
-	// host-region buffer (ciphertext / unverified data needs no EPC
-	// residency) instead of a fresh allocation per read.
-	var staged *mempool.Buf
-	var stored []byte
-	if r.pool != nil {
-		staged = r.pool.Alloc(int(h.length))
-		stored = staged.Data
-	} else {
-		stored = make([]byte, h.length)
-	}
-	release := func() {
-		if staged != nil {
-			r.pool.Free(staged)
-		}
-	}
+	stored := make([]byte, h.length)
 	if r.rt != nil {
 		r.rt.Syscall()
 	}
 	if _, err := r.f.ReadAt(stored, int64(h.offset)); err != nil {
-		release()
 		return nil, fmt.Errorf("lsm: sstable block read: %w", err)
 	}
 	if r.level >= seal.LevelIntegrity {
 		if seal.Hash(stored) != h.hash {
-			release()
 			return nil, fmt.Errorf("%w: block %d hash mismatch", ErrSSTCorrupt, i)
 		}
 	} else {
@@ -427,22 +405,14 @@ func (r *sstReader) readBlock(i int) ([]byte, error) {
 		// (unlike the secure levels) a forger who can rewrite the index
 		// is not defended against.
 		if crc32.ChecksumIEEE(stored) != h.crc {
-			release()
 			return nil, fmt.Errorf("%w: block %d crc mismatch", ErrSSTCorrupt, i)
 		}
 	}
 	if r.ciph != nil {
 		plain, err := r.ciph.Open(stored, nil)
-		release()
 		if err != nil {
 			return nil, fmt.Errorf("%w: block %d decrypt", ErrSSTCorrupt, i)
 		}
-		return plain, nil
-	}
-	if staged != nil {
-		// The staging buffer goes back to the pool: hand out a stable copy.
-		plain := append([]byte(nil), stored...)
-		release()
 		return plain, nil
 	}
 	return stored, nil

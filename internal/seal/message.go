@@ -148,8 +148,8 @@ var msgScratch = sync.Pool{
 
 // SealMessageInto is SealMessage appending into dst (which must have
 // MsgWireLen(len(data)) capacity remaining to avoid reallocation —
-// callers pass a pooled wire buffer and seal directly into it, keeping
-// request frames off the heap). The returned slice is dst extended by
+// callers size the wire frame once and seal directly into it). The
+// returned slice is dst extended by
 // exactly MsgWireLen(len(data)) bytes.
 func (mc *MsgCodec) SealMessageInto(dst []byte, md *MsgMetadata, data []byte) []byte {
 	md.DataLen = uint32(len(data))

@@ -18,7 +18,6 @@ import (
 	"treaty/internal/durlog"
 	"treaty/internal/enclave"
 	"treaty/internal/lsm"
-	"treaty/internal/mempool"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
 	"treaty/internal/vfs"
@@ -177,9 +176,6 @@ type ClogTuning struct {
 	// Metrics, when non-nil, exports the append/sync counters and the
 	// "twopc.clog.group_size" histogram.
 	Metrics *obs.Registry
-	// Pool, when non-nil, backs the group staging buffer with pooled
-	// host-region memory (the framed bytes leave the enclave).
-	Pool *mempool.Pool
 	// Ship, when non-nil, receives every commit group between its force
 	// and its counter round (see durlog.Hooks.Ship).
 	Ship func([]durlog.Entry)
@@ -190,7 +186,7 @@ func (c *Clog) Configure(t ClogTuning) {
 	m := t.Metrics
 	c.queue.Sizes = m.Histogram("twopc.clog.group_size")
 	c.log.SetHooks(durlog.Hooks{
-		Pool: t.Pool, Ship: t.Ship,
+		Ship:        t.Ship,
 		Appends:     m.Counter("twopc.clog.appends"),
 		Syncs:       m.Counter("twopc.clog.syncs"),
 		SyncLatency: m.Histogram("twopc.clog.sync.latency_ns"),

@@ -255,8 +255,8 @@ type DistTxn struct {
 	// rejection rather than a torn route. Nil only for recovery
 	// replays, which broadcast control messages and never route keys.
 	view  *shardmap.Map
-	parts map[string]bool // participant address → sent a put or delete
-	f     *fibers.Fiber   // waits parked for remote replies; nil on a goroutine
+	parts map[string]leg // participant address → what was sent there
+	f     *fibers.Fiber  // waits parked for remote replies; nil on a goroutine
 	// st is the protocol state step drives; token is its appended
 	// decision's, which a stabilize effect waits on.
 	st    txState
@@ -264,6 +264,12 @@ type DistTxn struct {
 	// trace follows the transaction through the 2PC stage machine; a
 	// recovery pass's traces only its "recover" stage.
 	trace *obs.Trace
+}
+
+// leg is what a transaction knows of one participant.
+type leg struct {
+	writer bool // sent a put or delete
+	open   bool // an op there succeeded, so its part exists
 }
 
 // TxnOutcome classifies how a distributed transaction ended from the
@@ -309,7 +315,7 @@ func (c *Coordinator) Begin(f *fibers.Fiber) *DistTxn {
 		id:    id,
 		seq:   seq,
 		view:  view,
-		parts: make(map[string]bool),
+		parts: make(map[string]leg),
 		f:     f,
 		trace: c.tracer.Begin(txTraceID(id), obs.StageBegin),
 	}
@@ -366,7 +372,9 @@ func (t *DistTxn) SetFiber(f *fibers.Fiber) { t.f = f }
 // call performs one operation against the key's owner at addr. When the
 // owner is this node, the operation is a call into its participant, on
 // the transaction's fiber (or goroutine). It passes the same gate as a
-// request off the wire, and no message is built, sealed or sent.
+// request off the wire, and no message is built, sealed or sent. Until
+// an op at addr has succeeded, the op may open the transaction's part
+// there (flagOpensPart); after that, the part must still exist.
 func (t *DistTxn) call(addr string, reqType uint8, key, value []byte) ([]byte, error) {
 	md := seal.MsgMetadata{
 		TxID:     t.seq,
@@ -375,17 +383,27 @@ func (t *DistTxn) call(addr string, reqType uint8, key, value []byte) ([]byte, e
 		ValueLen: uint32(len(value)),
 		Epoch:    t.Epoch(),
 	}
-	// A writer is marked before the send, so a lost reply still counts.
-	t.parts[addr] = t.parts[addr] || reqType != ReqTxnGet
+	l := t.parts[addr]
+	if !l.open {
+		md.Flags = flagOpensPart
+	}
 	t.trace.Enter(obs.StageExecute) // collapses across per-op calls
+	var resp []byte
+	var err error
 	if addr == t.c.ep.LocalAddr() {
 		md.NodeID = t.c.ep.NodeID()
-		return t.c.part.op(t.f, reqType, md, key, value)
+		resp, err = t.c.part.op(t.f, reqType, md, key, value)
+	} else {
+		payload := make([]byte, 0, len(key)+len(value))
+		payload = append(payload, key...)
+		payload = append(payload, value...)
+		resp, err = erpc.Call(t.c.ep, addr, reqType, md, payload, t.c.timeout, t.f)
 	}
-	payload := make([]byte, 0, len(key)+len(value))
-	payload = append(payload, key...)
-	payload = append(payload, value...)
-	return erpc.Call(t.c.ep, addr, reqType, md, payload, t.c.timeout, t.f)
+	// A writer counts whatever the reply: a lost one may have written.
+	l.writer = l.writer || reqType != ReqTxnGet
+	l.open = l.open || err == nil
+	t.parts[addr] = l
+	return resp, err
 }
 
 // op executes one keyed operation: route key to its owner under the
@@ -483,7 +501,7 @@ func (t *DistTxn) Commit() error {
 	}
 	ev := event{kind: evCommit, parts: t.participants(), err: t.c.clog.Poisoned()}
 	for _, addr := range ev.parts {
-		if t.parts[addr] {
+		if t.parts[addr].writer {
 			ev.writers = append(ev.writers, addr)
 		} else {
 			ev.readers = append(ev.readers, addr)

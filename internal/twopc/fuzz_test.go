@@ -105,7 +105,8 @@ func FuzzProtocolMessages(f *testing.F) {
 
 	// Seed corpus: one well-formed frame per protocol request type, so
 	// the fuzzer starts from inputs that reach deep into each handler.
-	md := seal.MsgMetadata{NodeID: 7, TxID: 3, OpID: 1, KeyLen: 3, ValueLen: 5, Seq: 1}
+	// The keyed ops may open their transaction's part.
+	md := seal.MsgMetadata{NodeID: 7, TxID: 3, OpID: 1, KeyLen: 3, ValueLen: 5, Seq: 1, Flags: flagOpensPart}
 	f.Add(fuzzFrame(ReqTxnGet, 1, md, []byte("key")))
 	put := md
 	put.OpID = 2
@@ -114,7 +115,7 @@ func FuzzProtocolMessages(f *testing.F) {
 	del.OpID = 3
 	f.Add(fuzzFrame(ReqTxnDelete, 3, del, []byte("key")))
 	prep := md
-	prep.OpID, prep.KeyLen, prep.ValueLen = 4, 0, 0
+	prep.OpID, prep.KeyLen, prep.ValueLen, prep.Flags = 4, 0, 0, 0
 	f.Add(fuzzFrame(ReqPrepare, 4, prep, nil))
 	f.Add(fuzzFrame(ReqCommit, 5, prep, nil))
 	f.Add(fuzzFrame(ReqAbort, 6, prep, nil))

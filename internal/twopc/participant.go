@@ -46,11 +46,6 @@ type Participant struct {
 	// fenced slots refuse new operations while their key range streams to
 	// the migration destination (value: fence generation, informational).
 	fenced map[int]struct{}
-	// reclaimed tombstones janitor-aborted transaction ids: a late
-	// operation for a reclaimed id must NOT silently start a fresh local
-	// transaction (a later prepare would commit a partial write set) —
-	// it errors, and the eventual prepare votes no.
-	reclaimed map[lsm.TxID]time.Time
 
 	// idleTimeout reclaims transactions abandoned by dead coordinators.
 	idleTimeout time.Duration
@@ -134,7 +129,6 @@ func NewParticipant(cfg ParticipantConfig) *Participant {
 		refresh:      cfg.Refresh,
 		active:       make(map[lsm.TxID]*activeTxn),
 		fenced:       make(map[int]struct{}),
-		reclaimed:    make(map[lsm.TxID]time.Time),
 		idleTimeout:  cfg.IdleTimeout,
 		janitorStop:  make(chan struct{}),
 		reg:          cfg.Metrics,
@@ -202,22 +196,19 @@ func OnFiber(sched *fibers.Scheduler, h func(*fibers.Fiber, *erpc.Request)) erpc
 	}
 }
 
-// errTxnReclaimed answers late operations for a janitor-reclaimed
-// transaction; the coordinator sees the error and aborts.
-const errTxnReclaimed = "twopc: transaction reclaimed after idle timeout"
+// errTxnReclaimed answers an operation that may not open a part for an id
+// this participant does not know: the janitor reclaimed its part, or the
+// participant restarted. The coordinator sees the error, and the eventual
+// prepare votes no.
+const errTxnReclaimed = "twopc: transaction reclaimed or lost to a restart"
 
 // find returns the active transaction for id, creating one if create is
-// set. Ids tombstoned by the janitor are never re-created: a late
-// operation after reclamation must fail so the coordinator aborts
-// instead of preparing a partial write set.
+// set (an op carrying flagOpensPart).
 func (p *Participant) find(id lsm.TxID, create bool) *activeTxn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	at, ok := p.active[id]
 	if !ok && create {
-		if _, dead := p.reclaimed[id]; dead {
-			return nil
-		}
 		at = &activeTxn{
 			local: p.mgr.BeginPessimistic(nil),
 			id:    id,
@@ -364,14 +355,14 @@ func respond(req *erpc.Request, reply []byte, err error) {
 // it for a request off the wire, and this node's coordinator calls it
 // directly for a key the node owns (DistTxn.call). The checks every
 // operation must pass are stated once, here: a route this node serves at
-// the sender's epoch (checkRoute), and an id the janitor has not
-// reclaimed (find).
+// the sender's epoch (checkRoute), and a part this participant holds or
+// the op may open (find).
 func (p *Participant) op(f *fibers.Fiber, reqType uint8, md seal.MsgMetadata, key, value []byte) ([]byte, error) {
 	slot, err := p.checkRoute(key, md)
 	if err != nil {
 		return nil, err
 	}
-	at := p.find(globalTxID(md.NodeID, md.TxID), true)
+	at := p.find(globalTxID(md.NodeID, md.TxID), md.Flags&flagOpensPart != 0)
 	if at == nil {
 		return nil, errors.New(errTxnReclaimed)
 	}
@@ -483,7 +474,6 @@ func (p *Participant) janitor() {
 		case <-ticker.C:
 		}
 		cutoff := time.Now().Add(-p.idleTimeout)
-		tombCutoff := time.Now().Add(-8 * p.idleTimeout)
 		p.mu.Lock()
 		var idle []*activeTxn
 		for _, at := range p.active {
@@ -493,19 +483,11 @@ func (p *Participant) janitor() {
 				idle = append(idle, at)
 			}
 		}
-		for id, when := range p.reclaimed {
-			if when.Before(tombCutoff) {
-				delete(p.reclaimed, id)
-			}
-		}
 		p.mu.Unlock()
 		for _, at := range idle {
 			s := at.state()
 			if p.run(at, at.id, &s, &event{kind: evTick}); s.phase == pDone {
-				p.mu.Lock()
-				delete(p.active, at.id)
-				p.reclaimed[at.id] = time.Now()
-				p.mu.Unlock()
+				p.drop(at.id)
 			}
 			at.mu.Unlock()
 		}

@@ -37,6 +37,15 @@ const (
 	ReqCommitOnePhase
 )
 
+// flagOpensPart, in a keyed op's metadata Flags, lets the op open its
+// transaction's part on the participant. The coordinator sets it on each op
+// to a participant until one op there has succeeded. An op without it, for
+// an id the participant does not know (its part was reclaimed, or the
+// participant restarted since), fails: a fresh part would let a later
+// prepare commit a partial write set. erpc keeps the low bits of Flags for
+// its response marks.
+const flagOpensPart uint32 = 1 << 16
+
 // Transaction status codes returned by ReqTxStatus.
 const (
 	// StatusAbort: the transaction was (or must be) aborted.
