@@ -17,8 +17,8 @@ test:
 # failure, since a few functions run on some runs and not on others.
 # An entry is <file>:<func>, or <file>:<Type>.<method> for a method.
 # Methods an interface requires that no caller reaches through it:
-# heap.Interface, fs.FileInfo, vfs.File, durlog.TrustedCounter and the
-# bulk loader's workload.Txn.
+# heap.Interface, fs.FileInfo, vfs.File and the bulk loader's
+# workload.Txn.
 NEVER_RUN = \
 	internal/lsm/iterator.go:iterHeap.Push \
 	internal/vfs/memfs.go:memHandle.Read \
@@ -27,8 +27,6 @@ NEVER_RUN = \
 	internal/vfs/faultfs.go:faultFile.Name \
 	internal/vfs/faultfs.go:faultFile.Read \
 	internal/vfs/faultfs.go:faultFile.Truncate \
-	internal/durlog/counter.go:immediateCounter.Changed \
-	internal/durlog/counter.go:fileCounter.Fail \
 	internal/bench/run.go:loader.Get \
 	internal/bench/run.go:loader.Rollback
 # String methods, for %v in a debugger or a failure message.
@@ -134,9 +132,9 @@ vet:
 # This greps non-test code outside those files for what a hand-written
 # copy would contain: the spin idiom, a Yield call outside the scheduler
 # (a fiber that waits parks in fibers.Wait, it does not poll through
-# yields), a polled StableToken.Ready (a token wait is txn.WaitToken's
-# job), a time.After in the packages that wait on requests or schedule
-# fibers, a backoff doubling (erpc/retry.go holds the only one), and a
+# yields), a polled StableToken.Ready (a token wait is durlog's
+# StableToken.Await), a time.After in the packages that wait on requests
+# or schedule fibers, a backoff doubling (erpc/retry.go holds the only one), and a
 # rand.Read in a package that sends requests (the coordinator's
 # transaction-id seed is the one other use). The scheduler (non-test
 # internal/fibers/fibers.go) names no timer, sleep, time.After or Reset: an
@@ -166,7 +164,7 @@ vet:
 # local effect of the commit protocol, Participant.local: every control
 # message, off the wire or the coordinator's own leg, and a recovered
 # decision are steps whose engine calls it performs, so Prepare,
-# CommitPrepared, CommitOnePhase and AbortPrepared on at.local appear
+# CommitPrepared, Commit and AbortPrepared on at.local appear
 # nowhere else. The commit protocol's transition function,
 # internal/twopc/step.go, is pure: it imports none of erpc, durlog, fibers
 # or obs. A signed statement is signed once, by seal.MAC: no non-test file
@@ -195,7 +193,16 @@ vet:
 # Buffers have one allocator, Go's: no internal/mempool directory comes
 # back, no Go file imports it, and none of erpc.Config, lsm.Options,
 # durlog.Hooks or twopc.ClogTuning has a Pool field.
-# A change's CHANGES.md entry stays readable: from issue 46 on, no
+# A commit's stabilization is decided once, in durlog: every commit waits
+# on its token through StableToken.Await (its poll is durlog's own: no
+# .Poll() call outside internal/durlog), no counter backend has a wait of
+# its own (no WaitStable method but counter.Handle's, which is that same
+# wait), no txn.Config knob turns the wait off (no WaitStable in
+# internal/txn), and a sole writer commits through Commit (no
+# CommitOnePhase method). A node fails its trusted counters with one call
+# per backend (no trustedCtrs list), and a mode's RPC sealing is its
+# storage level (no SealedRPC policy column).
+# A change's CHANGES.md entry stays readable: from issue 39 on, no
 # "- **Issue N" entry is over 2,500 bytes.
 # $(call BODY_ONCE,<calls>,<method>): the engine calls on at.local that
 # <calls> names, one site each, appear in non-test code only in
@@ -234,7 +241,7 @@ check-once:
 	grep -nE 'PollPacket|ChannelTransport|PacketTransport|UDPTransport|SyncWAL' $$($(call ONCE_SRC,internal cmd examples)) && fail=1; \
 	grep -nE 'Spin\(|spinWait|DefaultCosts|Costs\{' $$($(call ONCE_SRC,.) ! -path './internal/enclave/*') && fail=1; \
 	$(call BODY_ONCE,Get|Put|Delete,op); \
-	$(call BODY_ONCE,Prepare|CommitPrepared|CommitOnePhase|AbortPrepared,local); \
+	$(call BODY_ONCE,Prepare|CommitPrepared|Commit|AbortPrepared,local); \
 	grep -nE '"treaty/internal/(erpc|durlog|fibers|obs)"' internal/twopc/step.go && fail=1; \
 	grep -n 'hmac\.New' $$($(call ONCE_SRC,.) ! -path './internal/seal/*') && fail=1; \
 	grep -nE 'NewArena|RegionEnclave|slotEntry|encodeSlotChunk' $$(find . -name '*.go') && fail=1; \
@@ -244,11 +251,15 @@ check-once:
 		$$0 ~ "^type " want " struct" { body = 1 } body && /^}/ { body = 0 } \
 		body && /^[[:space:]]+([A-Za-z_]+,[[:space:]]*)*Pool[[:space:],]/ { print FILENAME ":" FNR ": " want " has a Pool field: " $$0; bad = 1 } \
 		END { exit !bad }' internal/erpc/erpc.go internal/lsm/db.go internal/durlog/log.go internal/twopc/clog.go && fail=1; \
-	LC_ALL=C awk '/^- \*\*Issue [0-9]+/ && $$3 + 0 >= 46 && length($$0) > 2500 { print "CHANGES.md:" FNR ": issue " $$3 " entry is " length($$0) " bytes, over 2,500"; bad = 1 } END { exit !bad }' CHANGES.md && fail=1; \
+	grep -n '\.Poll()' $$($(call ONCE_SRC,.) ! -path './internal/durlog/*') && fail=1; \
+	grep -nE 'func \([^)]*\) WaitStable\(' $$($(call ONCE_SRC,.) ! -path './internal/counter/counter.go') && fail=1; \
+	grep -n 'WaitStable' $$($(call ONCE_SRC,internal/txn)) && fail=1; \
+	grep -nE 'trustedCtrs|SealedRPC|(^|[^A-Za-z0-9_])CommitOnePhase' $$($(call ONCE_SRC,.)) && fail=1; \
+	LC_ALL=C awk '/^- \*\*Issue [0-9]+/ && $$3 + 0 >= 39 && length($$0) > 2500 { print "CHANGES.md:" FNR ": issue " $$3 " entry is " length($$0) " bytes, over 2,500"; bad = 1 } END { exit !bad }' CHANGES.md && fail=1; \
 	awk '/^func /{fn=$$0} /case[^:]*walKind(Prepare|Outcome)/ && fn !~ /^func \(f \*walFold\) add\(/{print FILENAME ":" FNR ": " $$0; bad=1} END{exit !bad}' $$($(call ONCE_SRC,.)) && fail=1; \
 	soaks=$$(awk '/^func Test/{fn=$$2} /\.Run\(/ && !/[^A-Za-z0-9_]t\.Run\(/{print FILENAME ": " fn}' internal/chaos/*_test.go | sort -u); \
 	[ $$(printf '%s\n' "$$soaks" | grep -c .) -le 1 ] || { printf '%s\n' "$$soaks"; fail=1; }; \
-	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, local-effect body, pure commit step, signed-statement MAC, soak loop, member backup, conservation law, paper front end, metrics schema, fiber carrier, write-set encoding, allocator); call the shared one"; exit 1; }
+	[ $$fail -eq 0 ] || { echo "check-once: the lines above re-implement a mechanism that exists once (request lifecycle, durable log, WAL fold, mode policy, harness storage, packet path, price list, keyed-op body, local-effect body, pure commit step, signed-statement MAC, soak loop, member backup, conservation law, paper front end, metrics schema, fiber carrier, write-set encoding, allocator, stable wait, counter failure); call the shared one"; exit 1; }
 
 # One-iteration benchmark smoke: the read panel must be non-vacuous (it
 # b.Fatals on zero cache hits), the write-heavy panel must show the

@@ -58,7 +58,7 @@ func BenchmarkAblation_StabilizationBatching(b *testing.B) {
 			for c := 0; c < commits; c++ {
 				v := uint64(c + 1)
 				ctr.Stabilize(v)
-				go func() { done <- ctr.WaitStable(v) }()
+				go func() { done <- ctr.wait(v) }()
 			}
 			for c := 0; c < commits; c++ {
 				if err := <-done; err != nil {
@@ -298,7 +298,7 @@ func (c *slowCounter) Stabilize(v uint64) {
 	c.mu.Unlock()
 }
 
-func (c *slowCounter) WaitStable(v uint64) error {
+func (c *slowCounter) wait(v uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for c.stable < v {

@@ -334,7 +334,7 @@ func (c *Cluster) NewClient() (*Client, error) {
 		CAS:          c.cas,
 		CredentialID: cred,
 		Secret:       secret,
-		Secure:       c.opts.Mode.Policy().SealedRPC,
+		Secure:       c.opts.Mode.Policy().Level == seal.LevelEncrypted,
 	})
 }
 

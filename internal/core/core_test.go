@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"treaty/internal/lsm"
 	"treaty/internal/shardmap"
 	"treaty/internal/simnet"
+	"treaty/internal/txn"
 	"treaty/internal/vfs"
 )
 
@@ -569,11 +571,90 @@ func TestConcurrentClientsManyTxns(t *testing.T) {
 	}
 }
 
+// TestLocalCommitOnCrashedNodeFails: every commit waits on its token, so
+// a local commit in flight when its node crashes, in a mode without the
+// counter service, reports the crash instead of an acknowledgement. Each
+// commit fills the memtable, so the engine rotates to a new WAL after the
+// commit's append and before its answer; the gate holds that rotation,
+// under the engine's lock, until Crash has failed the node's counters.
+// The append has succeeded by then (Crash abandons the WAL only once the
+// engine is released), so only the token wait can report the crash.
+func TestLocalCommitOnCrashedNodeFails(t *testing.T) {
+	type localTxn interface {
+		Put(key, value []byte) error
+		Commit() error
+	}
+	begins := []struct {
+		name  string
+		begin func(m *txn.Manager) localTxn
+	}{
+		{"pessimistic", func(m *txn.Manager) localTxn { return m.BeginPessimistic(nil) }},
+		{"optimistic", func(m *txn.Manager) localTxn { return m.BeginOptimistic(nil) }},
+	}
+	for _, mode := range []SecurityMode{ModeRocksDB, ModeSconeEnc} {
+		for _, tc := range begins {
+			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				gate := &walCreateGate{FS: vfs.NewMemFS(), entered: make(chan struct{}), release: make(chan struct{})}
+				c, err := NewCluster(ClusterOptions{Nodes: 1, Mode: mode, BaseDir: t.TempDir(), Workers: 2, Seed: 5,
+					MemTableSize: 1, NodeFS: func(int) vfs.FS { return gate }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				stopAtCleanup(t, c)
+				n := c.Node(0)
+				b := lsm.NewBatch()
+				b.Put([]byte("probe"), []byte("v"))
+				probe, _, err := n.DB().Apply(b) // fails once Crash fails the counters
+				if err != nil || probe.Wait() != nil {
+					t.Fatalf("commit before crash: %v", err)
+				}
+				tx := tc.begin(n.Manager())
+				if err := tx.Put([]byte("k"), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+				gate.armed.Store(true)
+				committed := make(chan error, 1)
+				go func() { committed <- tx.Commit() }()
+				<-gate.entered
+				crashed := make(chan struct{})
+				go func() { c.CrashNode(0); close(crashed) }()
+				for deadline := time.Now().Add(5 * time.Second); probe.Wait() == nil; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("Crash did not fail the node's counters")
+					}
+				}
+				close(gate.release)
+				<-crashed
+				if err := <-committed; err == nil {
+					t.Fatal("a local commit on a crashed node was acknowledged")
+				}
+			})
+		}
+	}
+}
+
+// walCreateGate holds the first WAL creation after armed is set until
+// release is closed, and announces it on entered.
+type walCreateGate struct {
+	vfs.FS
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *walCreateGate) Create(name string) (vfs.File, error) {
+	if strings.HasPrefix(filepath.Base(name), "wal-") && g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.FS.Create(name)
+}
+
 // TestCrashPoisonsVolatileCounters: the immediate counters of a mode
 // without the counter service stabilize instantly, so Crash has to poison
 // them to cut the node's acknowledgement path: every stable-token wait
-// after it fails, for tokens handed out before the crash and after, at
-// the plain level and at a secure one.
+// after it fails, for tokens handed out before the crash and after, on
+// the counter of a WAL rotated away before the crash as on the live one,
+// at the plain level and at a secure one.
 func TestCrashPoisonsVolatileCounters(t *testing.T) {
 	for _, mode := range []SecurityMode{ModeRocksDB, ModeNativeTreatyEnc} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -589,11 +670,21 @@ func TestCrashPoisonsVolatileCounters(t *testing.T) {
 				tok, _, err := n.DB().Apply(b)
 				return tok, err
 			}
+			rotated, err := apply()
+			if err != nil || rotated.Wait() != nil {
+				t.Fatalf("commit before rotation: %v", err)
+			}
+			if err := n.DB().Flush(); err != nil { // a new WAL, a new counter
+				t.Fatal(err)
+			}
 			before, err := apply()
 			if err != nil || before.Wait() != nil {
 				t.Fatalf("commit before crash: %v", err)
 			}
 			c.CrashNode(0)
+			if err := rotated.Wait(); err == nil {
+				t.Fatal("a token on a WAL rotated away before Crash still waits out to success")
+			}
 			if err := before.Wait(); err == nil {
 				t.Fatal("a token handed out before Crash still waits out to success")
 			}

@@ -15,7 +15,7 @@ import (
 
 // SecurityMode selects one of the system configurations evaluated in the
 // paper (§VIII). Each mode fixes the TEE runtime, the storage and
-// network security level, and whether commits wait for stabilization.
+// network security level, and what stabilizes its logs.
 type SecurityMode int
 
 const (
@@ -62,23 +62,24 @@ type Policy struct {
 	Label string
 	// Enclave is the TEE runtime whose costs are charged.
 	Enclave enclave.Mode
-	// Level seals the persistent structures (WAL, MANIFEST, SSTables, Clog).
+	// Level seals the persistent structures (WAL, MANIFEST, SSTables,
+	// Clog). At LevelEncrypted node-to-node and client-to-node messages
+	// are sealed too: the paper's "w/ Enc" encrypts storage and network
+	// alike.
 	Level seal.SecurityLevel
-	// SealedRPC seals node-to-node and client-to-node messages.
-	SealedRPC bool
-	// Counter is the stabilization backend. Commits wait for rollback
-	// protection exactly when there is one (CounterService).
+	// Counter is the stabilization backend. Every commit waits for its
+	// record to stabilize; under CounterNone that is a single poll.
 	Counter CounterKind
 }
 
 // policies has one row per mode, indexed by it.
 var policies = [...]Policy{
-	ModeRocksDB:         {"RocksDB", enclave.ModeNative, seal.LevelNone, false, CounterNone},
-	ModeNativeTreaty:    {"Native Treaty", enclave.ModeNative, seal.LevelIntegrity, false, CounterNone},
-	ModeNativeTreatyEnc: {"Native Treaty w/ Enc", enclave.ModeNative, seal.LevelEncrypted, true, CounterNone},
-	ModeSconeNoEnc:      {"Treaty w/o Enc", enclave.ModeScone, seal.LevelIntegrity, false, CounterNone},
-	ModeSconeEnc:        {"Treaty w/ Enc", enclave.ModeScone, seal.LevelEncrypted, true, CounterNone},
-	ModeSconeEncStab:    {"Treaty w/ Enc w/ Stab", enclave.ModeScone, seal.LevelEncrypted, true, CounterService},
+	ModeRocksDB:         {"RocksDB", enclave.ModeNative, seal.LevelNone, CounterNone},
+	ModeNativeTreaty:    {"Native Treaty", enclave.ModeNative, seal.LevelIntegrity, CounterNone},
+	ModeNativeTreatyEnc: {"Native Treaty w/ Enc", enclave.ModeNative, seal.LevelEncrypted, CounterNone},
+	ModeSconeNoEnc:      {"Treaty w/o Enc", enclave.ModeScone, seal.LevelIntegrity, CounterNone},
+	ModeSconeEnc:        {"Treaty w/ Enc", enclave.ModeScone, seal.LevelEncrypted, CounterNone},
+	ModeSconeEncStab:    {"Treaty w/ Enc w/ Stab", enclave.ModeScone, seal.LevelEncrypted, CounterService},
 }
 
 // Policy returns m's row; a value that names no mode has the zero Policy.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"treaty/internal/attest"
@@ -95,11 +94,10 @@ type Node struct {
 	ctrCli  *counter.Client
 	ctrEP   *erpc.Endpoint
 	ctrPoll *erpc.Poller
-	// trustedCtrs records every trusted counter the node's factory
-	// handed out (WAL, Clog) so Crash can poison stabilization — the
-	// acknowledgement gate — in one step, whatever the counter backend.
-	ctrMu       sync.Mutex
-	trustedCtrs []durlog.TrustedCounter
+	// failCounters fails every trusted counter the node ever handed out
+	// (each WAL, the MANIFEST, the Clog), present and future, with one
+	// call to its backend: Crash cuts the acknowledgement gate with it.
+	failCounters func(error)
 	// shard holds the node's verified view of the attested shard map.
 	shard    *shardmap.Holder
 	shardKey seal.Key
@@ -178,7 +176,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		NodeID:     cfg.ID,
 		Transport:  erpc.NewSimTransport(nep, n.rt, erpc.KindDPDK),
 		NetworkKey: clusterCfg.NetworkKey,
-		Secure:     policy.SealedRPC,
+		Secure:     policy.Level == seal.LevelEncrypted,
 		Metrics:    n.reg,
 	})
 	if err != nil {
@@ -194,16 +192,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		// release the address or a retried boot finds it in use.
 		n.shutdownPartial()
 		return nil, err
-	}
-	// Record every counter handed out, whatever the backend, so Crash
-	// can poison them (cutting the node's acknowledgement path).
-	baseCounters := counters
-	counters = func(name string) durlog.TrustedCounter {
-		c := baseCounters(name)
-		n.ctrMu.Lock()
-		n.trustedCtrs = append(n.trustedCtrs, c)
-		n.ctrMu.Unlock()
-		return c
 	}
 
 	// Replication: the backup receiver must exist before the engine
@@ -267,7 +255,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n.mgr = txn.NewManager(txn.Config{
 		DB:          n.db,
 		LockTimeout: cfg.LockTimeout,
-		WaitStable:  policy.Counter == CounterService,
 	})
 
 	// 2PC participant + coordinator.
@@ -331,10 +318,13 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// buildCounters wires the trusted counter factory for the node's mode.
+// buildCounters wires the trusted counter factory for the node's mode,
+// and failCounters to the one call that fails all of its counters.
 func (n *Node) buildCounters(clusterCfg *attest.ClusterConfig) (lsm.CounterFactory, error) {
 	if n.cfg.Mode.Policy().Counter == CounterNone {
-		return func(string) durlog.TrustedCounter { return durlog.NewImmediateCounter() }, nil
+		family := new(durlog.ImmediateCounters)
+		n.failCounters = family.Fail
+		return family.Counter, nil
 	}
 	if len(clusterCfg.CounterReplicas) == 0 {
 		return nil, fmt.Errorf("core: mode %q stabilizes on the counter service and the provisioned cluster lists no counter replicas", n.cfg.Mode)
@@ -371,6 +361,7 @@ func (n *Node) buildCounters(clusterCfg *attest.ClusterConfig) (lsm.CounterFacto
 		return nil, err
 	}
 	cli := n.ctrCli
+	n.failCounters = cli.Fail
 	nodeID := n.cfg.ID
 	return func(name string) durlog.TrustedCounter {
 		// Counter names are namespaced per node: every node has its own
@@ -571,18 +562,11 @@ func (n *Node) Crash() {
 	// instance owns (the observed failure was a spliced Clog hash chain
 	// mid-file after a crash-restart round).
 	n.clog.Abandon()
-	if n.ctrCli != nil {
-		n.ctrCli.Fail(errCrashStopped)
-	}
-	// The counter-service client above only covers the stabilization
-	// mode; the others hand out immediate counters, which stabilize
-	// instantly — poison those too, or their waitToken always succeeds.
-	n.ctrMu.Lock()
-	ctrs := append([]durlog.TrustedCounter(nil), n.trustedCtrs...)
-	n.ctrMu.Unlock()
-	for _, c := range ctrs {
-		c.Fail(errCrashStopped)
-	}
+	// One call fails every counter the node handed out, whatever the
+	// backend: the service client's handles, or the immediate family,
+	// whose members stabilize instantly and would otherwise let every
+	// wait succeed.
+	n.failCounters(errCrashStopped)
 	n.stopShippers()
 	n.poller.Stop()
 	n.part.Abandon()

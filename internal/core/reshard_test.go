@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"treaty/internal/obs"
+	"treaty/internal/seal"
 	"treaty/internal/shardmap"
 )
 
@@ -96,7 +97,7 @@ func TestStaleShardMapRejected(t *testing.T) {
 	cl, err := Connect(ClientOptions{
 		ID: 777, Addr: "client-replay", Net: c.net, CAS: c.cas,
 		CredentialID: "replay-victim", Secret: []byte("s"),
-		Secure: c.opts.Mode.Policy().SealedRPC, Metrics: reg,
+		Secure: c.opts.Mode.Policy().Level == seal.LevelEncrypted, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

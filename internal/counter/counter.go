@@ -12,9 +12,10 @@
 // report at least this value after any crash, so a rolled-back log can
 // always be detected at recovery.
 //
-// The client interface is asynchronous (Stabilize enqueues, WaitStable
-// blocks), letting Treaty overlap counter latency with other work —
-// commits only wait at the stabilization points the protocol requires.
+// The client interface is asynchronous (Stabilize enqueues, a stable
+// token's wait blocks), letting Treaty overlap counter latency with other
+// work — commits only wait at the stabilization points the protocol
+// requires.
 // SGX's own monotonic counters are not used: they take up to ~250 ms per
 // increment, wear out, and are per-CPU (§IV-B); this service is the
 // paper's answer.
@@ -28,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"treaty/internal/durlog"
 	"treaty/internal/erpc"
 	"treaty/internal/obs"
 	"treaty/internal/seal"
@@ -43,8 +45,8 @@ const (
 // ErrNoQuorum indicates the protection group could not reach quorum.
 var ErrNoQuorum = errors.New("counter: no quorum")
 
-// ErrClosed fails a stabilization wait whose client was closed before the
-// value became stable: no pump is left to run the round.
+// ErrClosed is the failure Close gives every handle that has not failed
+// already: no pump is left to run a round, so no wait may block on one.
 var ErrClosed = errors.New("counter: client closed")
 
 // wire helpers: name-length-prefixed name ∥ value.
@@ -140,11 +142,11 @@ func (c *Client) Counter(name string) *Handle {
 		return h
 	}
 	h := &Handle{client: c, name: name, changed: make(chan struct{})}
-	if c.failErr != nil {
-		h.closed = true
-		h.failed.Store(c.failErr)
-	}
 	c.handles[name] = h
+	if c.failErr != nil {
+		h.failed.Store(c.failErr)
+		return h
+	}
 	go h.pump()
 	return h
 }
@@ -202,7 +204,6 @@ type Handle struct {
 	// and every waiter block on it, as lock waiters do on keyLock.wait.
 	changed chan struct{}
 	pending uint64 // highest value requested
-	closed  bool
 }
 
 // wake releases everything blocked on the handle (h.mu held).
@@ -245,24 +246,15 @@ func (h *Handle) Stabilize(v uint64) {
 	}
 }
 
-// WaitStable blocks until the counter service has made v
-// rollback-protected (or the service failed to reach quorum). The whole
-// cohort of waiters covered by a round wakes on its single wake —
-// stabilizing the round's target implicitly stabilizes every lower value.
+// WaitStable demands v and blocks until the counter service has made it
+// rollback-protected (or the handle failed), through durlog's one wait:
+// a handle used without a log (tests, the round probe) waits as a log's
+// token does. The whole cohort of waiters covered by a round wakes on its
+// single wake — stabilizing the round's target implicitly stabilizes
+// every lower value.
 func (h *Handle) WaitStable(v uint64) error {
 	h.Stabilize(v)
-	for {
-		h.mu.Lock()
-		changed, closed := h.changed, h.closed
-		h.mu.Unlock()
-		if err := h.failedErr(); err != nil || h.stable.Load() >= v {
-			return err
-		}
-		if closed {
-			return ErrClosed
-		}
-		<-changed
-	}
+	return durlog.NewToken(h, v).Wait()
 }
 
 // StableValue returns the highest quorum-stable value observed locally
@@ -301,9 +293,9 @@ func (h *Handle) pump() {
 	retry := fresh
 	for {
 		h.mu.Lock()
-		target, changed, closed := h.pending, h.changed, h.closed
+		target, changed := h.pending, h.changed
 		h.mu.Unlock()
-		if closed {
+		if h.failedErr() != nil {
 			return
 		}
 		if target <= h.stable.Load() {
@@ -358,14 +350,6 @@ func (h *Handle) runRounds(v uint64) error {
 	return nil
 }
 
-// close stops the pump (used by tests).
-func (h *Handle) close() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.closed = true
-	h.wake()
-}
-
 // Fail poisons the handle: every present and future stabilization wait
 // returns err, and the pump starts no further protocol rounds. An
 // in-flight round may still raise the stable view, but waiters check the
@@ -374,25 +358,15 @@ func (h *Handle) close() {
 func (h *Handle) Fail(err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.closed = true
 	if h.failedErr() == nil {
 		h.failed.Store(err)
 	}
 	h.wake()
 }
 
-// Close stops all handle pumps.
-func (c *Client) Close() {
-	c.mu.Lock()
-	handles := make([]*Handle, 0, len(c.handles))
-	for _, h := range c.handles {
-		handles = append(handles, h)
-	}
-	c.mu.Unlock()
-	for _, h := range handles {
-		h.close()
-	}
-}
+// Close stops every handle's pump: each handle that has not failed
+// already fails with ErrClosed, so a wait it leaves blocked ends.
+func (c *Client) Close() { c.Fail(ErrClosed) }
 
 // Fail poisons the client: every present and future stabilization wait —
 // on every handle, including handles created after this call — fails

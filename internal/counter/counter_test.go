@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"treaty/internal/durlog"
 	"treaty/internal/enclave"
 	"treaty/internal/erpc"
 	"treaty/internal/fibers"
@@ -420,5 +421,38 @@ func TestFailWakesEveryWaiter(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("a waiter outlived the handle's failure")
 		}
+	}
+}
+
+// TestCloseEndsBlockedWaits: Close fails every handle that has not failed
+// with ErrClosed, so a WaitStable and a stable token's wait that no round
+// can complete end with it, and a handle the client gives out afterwards
+// starts failed.
+func TestCloseEndsBlockedWaits(t *testing.T) {
+	g := newGroup(t, 3, "", 0)
+	for _, addr := range g.addrs {
+		g.net.Partition("counter-client", addr) // no round can complete
+	}
+	h := g.client.Counter("wal")
+	errs := make(chan error, 2)
+	go func() { errs <- h.WaitStable(1) }()
+	go func() {
+		h.Stabilize(2)
+		errs <- durlog.NewToken(h, 2).Wait()
+	}()
+	time.Sleep(20 * time.Millisecond) // let both block; either way each must end with ErrClosed
+	g.client.Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("waiter got %v, want ErrClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a wait outlived Close")
+		}
+	}
+	if err := g.client.Counter("later").WaitStable(1); !errors.Is(err, ErrClosed) {
+		t.Errorf("WaitStable on a handle made after Close = %v, want ErrClosed", err)
 	}
 }

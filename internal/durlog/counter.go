@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"treaty/internal/fibers"
 	"treaty/internal/vfs"
 )
 
@@ -21,10 +23,8 @@ import (
 // rollbacks. The distributed implementation lives in package counter.
 type TrustedCounter interface {
 	// Stabilize asynchronously records that entries up to value v exist.
+	// Waiting on a value is StableToken's job, one loop for every backend.
 	Stabilize(v uint64)
-	// WaitStable blocks until the service has made v rollback-protected,
-	// or reports the counter's failure.
-	WaitStable(v uint64) error
 	// StableValue returns the current quorum-stable counter value.
 	StableValue() uint64
 	// Failed returns the counter's permanent failure, if any, without
@@ -34,11 +34,6 @@ type TrustedCounter interface {
 	// (and replaced: fetch it before looking) when the stable value rises
 	// or the counter fails. Nil if stable as soon as Stabilize returns.
 	Changed() <-chan struct{}
-	// Fail poisons the counter: every present and later wait reports err
-	// and the stable value never advances again. Crash teardown uses it
-	// to cut the acknowledgement path — a commit whose group skipped the
-	// replication mirror must not be able to stabilize and ack afterwards.
-	Fail(err error)
 }
 
 // stickyErr is a set-once error readable without a lock.
@@ -55,15 +50,31 @@ func (s *stickyErr) set(err error) { s.p.CompareAndSwap(nil, &err) }
 
 // immediateCounter is the TrustedCounter of a log without rollback
 // protection: everything is instantly stable, nothing persists, and
-// recovery gets no trusted value from it (TrustedValue).
+// recovery gets no trusted value from it (TrustedValue). A token on it is
+// stable once its append returns, so a wait is a single poll.
 type immediateCounter struct {
 	v      atomic.Uint64
-	failed stickyErr
+	failed *stickyErr // the family's
 }
 
-// NewImmediateCounter returns a TrustedCounter that stabilizes instantly
-// (every mode that does not run the counter service).
-func NewImmediateCounter() TrustedCounter { return &immediateCounter{} }
+// ImmediateCounters is a family of immediate counters that fails as one:
+// a node without rollback protection hands a member to each of its logs,
+// and crash teardown fails every member it ever handed out with one Fail.
+type ImmediateCounters struct{ failed stickyErr }
+
+// Counter hands out a new member. It has lsm.CounterFactory's shape; an
+// immediate counter persists nothing, so the log name is not used.
+func (f *ImmediateCounters) Counter(string) TrustedCounter {
+	return &immediateCounter{failed: &f.failed}
+}
+
+// Fail fails every member, present and future: each wait on one of
+// their tokens reports err.
+func (f *ImmediateCounters) Fail(err error) { f.failed.set(err) }
+
+// NewImmediateCounter returns a TrustedCounter that stabilizes instantly,
+// a family of one.
+func NewImmediateCounter() TrustedCounter { return new(ImmediateCounters).Counter("") }
 
 func (c *immediateCounter) Stabilize(v uint64) {
 	for c.Failed() == nil {
@@ -74,11 +85,9 @@ func (c *immediateCounter) Stabilize(v uint64) {
 	}
 }
 
-func (c *immediateCounter) WaitStable(uint64) error  { return c.Failed() }
 func (c *immediateCounter) StableValue() uint64      { return c.v.Load() }
 func (c *immediateCounter) Failed() error            { return c.failed.get() }
 func (c *immediateCounter) Changed() <-chan struct{} { return nil }
-func (c *immediateCounter) Fail(err error)           { c.failed.set(err) }
 
 // fileCounter is a TrustedCounter that stabilizes instantly but persists
 // its value, so recovery's freshness checks see the pre-crash stable value.
@@ -202,18 +211,9 @@ func (c *fileCounter) persist(v uint64) error {
 	return c.fs.SyncDir(filepath.Dir(c.path))
 }
 
-func (c *fileCounter) WaitStable(uint64) error  { return c.Failed() }
 func (c *fileCounter) StableValue() uint64      { return c.v.Load() }
 func (c *fileCounter) Failed() error            { return c.failed.get() }
 func (c *fileCounter) Changed() <-chan struct{} { return nil }
-
-// Fail implements TrustedCounter. It takes c.mu so that it orders after
-// an in-flight Stabilize: once Fail returns, the value never moves.
-func (c *fileCounter) Fail(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.failed.set(fmt.Errorf("durlog: counter %s: %w", c.path, err))
-}
 
 // StableToken identifies a log position whose rollback protection can be
 // awaited.
@@ -226,24 +226,43 @@ type StableToken struct {
 	deferred bool
 }
 
-// Wait blocks until the position is rollback-protected (raising the
-// demand first on a deferred token, so it is still waitable).
-func (t StableToken) Wait() error {
+// NewToken returns the token of position v on ctr, whose round its
+// caller has already demanded (Stabilize).
+func NewToken(ctr TrustedCounter, v uint64) StableToken {
+	return StableToken{ctr: ctr, value: v}
+}
+
+// ErrStabilizeTimeout: a log position did not stabilize by the deadline.
+var ErrStabilizeTimeout = errors.New("durlog: stabilization timed out")
+
+// Wait blocks the calling goroutine until the position is
+// rollback-protected (Await with no deadline and no fiber).
+func (t StableToken) Wait() error { return t.Await(time.Time{}, nil) }
+
+// Await is the one wait on a stable position. It blocks on the counter's
+// change channel (fiber f parked, a goroutine directly) until the
+// position is rollback-protected or the counter failed, and reports the
+// failure. A zero deadline leaves the counter's own failure to bound the
+// wait. The loop is here as in LockTable.Acquire: the channel is replaced
+// at every change, and a change need not cover this position yet.
+func (t StableToken) Await(deadline time.Time, f *fibers.Fiber) error {
+	for ready, changed := t.poll(); !ready; ready, changed = t.poll() {
+		if !fibers.Wait(nil, changed, deadline, f) {
+			return ErrStabilizeTimeout
+		}
+	}
 	if t.ctr == nil {
 		return nil
 	}
-	if t.deferred {
-		t.ctr.Stabilize(t.value)
-	}
-	return t.ctr.WaitStable(t.value)
+	return t.ctr.Failed()
 }
 
-// Poll reports (without blocking) whether waiting is over — the position
-// is rollback-protected OR the counter failed permanently (Wait then
+// poll reports (without blocking) whether waiting is over — the position
+// is rollback-protected OR the counter failed permanently (Await then
 // surfaces the error) — and otherwise the channel to block on before
 // polling again, fetched before the deciding look so no change is missed.
 // Polling a deferred token raises the demand its record did not.
-func (t StableToken) Poll() (ready bool, changed <-chan struct{}) {
+func (t StableToken) poll() (ready bool, changed <-chan struct{}) {
 	if t.ctr == nil {
 		return true, nil
 	}
@@ -258,8 +277,8 @@ func (t StableToken) Poll() (ready bool, changed <-chan struct{}) {
 	return over(), changed
 }
 
-// Ready is Poll for a caller that does not wait.
-func (t StableToken) Ready() bool { ready, _ := t.Poll(); return ready }
+// Ready is poll for a caller that does not wait.
+func (t StableToken) Ready() bool { ready, _ := t.poll(); return ready }
 
 // Value returns the log position (trusted counter value) the token waits
 // on. Tests use it to check write-path ordering invariants (an acked

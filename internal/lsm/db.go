@@ -89,18 +89,8 @@ func (o Options) withDefaults() Options {
 		o.BaseLevelBytes = 16 << 20
 	}
 	if o.Counters == nil {
-		counters := make(map[string]durlog.TrustedCounter)
-		var mu sync.Mutex
-		o.Counters = func(name string) durlog.TrustedCounter {
-			mu.Lock()
-			defer mu.Unlock()
-			if c, ok := counters[name]; ok {
-				return c
-			}
-			c := durlog.NewImmediateCounter()
-			counters[name] = c
-			return c
-		}
+		// Each log name is asked for once per Open.
+		o.Counters = new(durlog.ImmediateCounters).Counter
 	}
 	return o
 }

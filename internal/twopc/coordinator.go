@@ -21,7 +21,6 @@ import (
 	"treaty/internal/obs"
 	"treaty/internal/seal"
 	"treaty/internal/shardmap"
-	"treaty/internal/txn"
 )
 
 // Errors returned by the coordinator.
@@ -642,12 +641,12 @@ func (c *Coordinator) HoldPushes() (release func()) {
 
 // waitToken waits for a stable token up to the coordinator's
 // stabilization deadline, 4 × the RPC timeout — a dead counter service
-// must abort the transaction (txn.ErrStabilizeTimeout), not hold its fiber
+// must abort the transaction (durlog.ErrStabilizeTimeout), not hold its fiber
 // forever; a permanent counter-service failure surfaces as its error.
 func (t *DistTxn) waitToken(token durlog.StableToken) error {
 	start := time.Now()
 	defer t.c.stabilizeWait.ObserveSince(start)
-	return txn.WaitToken(token, start.Add(4*t.c.timeout), t.f)
+	return token.Await(start.Add(4*t.c.timeout), t.f)
 }
 
 // RecoverPending finishes the transactions this coordinator left

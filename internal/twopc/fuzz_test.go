@@ -78,7 +78,7 @@ func FuzzProtocolMessages(f *testing.F) {
 	// Short timeouts: garbage transactions opened by fuzzer-invented
 	// (node, tx) ids must not pile up lock waits or pin memory for the
 	// whole run.
-	mgr := txn.NewManager(txn.Config{DB: db, LockTimeout: 25 * time.Millisecond, WaitStable: true})
+	mgr := txn.NewManager(txn.Config{DB: db, LockTimeout: 25 * time.Millisecond})
 	sched := fibers.New(4, nil)
 	part := NewParticipant(ParticipantConfig{
 		Manager: mgr, Endpoint: ep, Scheduler: sched,

@@ -10,7 +10,6 @@ import (
 	"treaty/internal/lsm"
 	"treaty/internal/seal"
 	"treaty/internal/shardmap"
-	"treaty/internal/txn"
 )
 
 // Slot migration moves one hash slot's key range from its owning node
@@ -160,7 +159,7 @@ func (p *Participant) handleSlotIngest(f *fibers.Fiber, req *erpc.Request) {
 		req.ReplyError(err.Error())
 		return
 	}
-	if err := txn.WaitToken(token, time.Time{}, f); err != nil {
+	if err := token.Await(time.Time{}, f); err != nil {
 		req.ReplyError(err.Error())
 		return
 	}

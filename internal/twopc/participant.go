@@ -445,8 +445,8 @@ func (p *Participant) run(at *activeTxn, id lsm.TxID, s *txState, ev *event) {
 // local performs a local effect: the one engine call of each kind on a
 // part's local transaction. Prepare returns once its entry is stabilized
 // (§V-A step 8; it waits parked, and one counter round covers every
-// concurrent prepare, §VI); CommitOnePhase once the write set is a
-// stabilized WAL record.
+// concurrent prepare, §VI); a sole writer's Commit once the write set is
+// a stabilized WAL record.
 func (p *Participant) local(at *activeTxn, op uint8, id lsm.TxID) error {
 	switch op {
 	case ReqPrepare:
@@ -454,7 +454,7 @@ func (p *Participant) local(at *activeTxn, op uint8, id lsm.TxID) error {
 	case ReqCommit:
 		return at.local.CommitPrepared(id)
 	case ReqCommitOnePhase:
-		return at.local.CommitOnePhase()
+		return at.local.Commit()
 	case ReqAbort:
 		return at.local.AbortPrepared(id)
 	}

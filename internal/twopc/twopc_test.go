@@ -80,7 +80,6 @@ func (c *fakeCounter) Stabilize(v uint64) {
 		}
 	}
 }
-func (c *fakeCounter) WaitStable(uint64) error { return nil }
 func (c *fakeCounter) StableValue() uint64 {
 	if c.withhold.Load() {
 		return 0
@@ -93,7 +92,6 @@ func (c *fakeCounter) Changed() <-chan struct{} {
 	time.AfterFunc(time.Millisecond, func() { close(ch) })
 	return ch
 }
-func (c *fakeCounter) Fail(error) {}
 
 func (s *sharedCounters) factory(prefix string) lsm.CounterFactory {
 	return func(name string) durlog.TrustedCounter {
@@ -202,7 +200,7 @@ func (tc *testCluster) startNode(id uint64, addr, dir string) *testNode {
 	if err != nil {
 		tc.t.Fatal(err)
 	}
-	mgr := txn.NewManager(txn.Config{DB: db, LockTimeout: 500 * time.Millisecond, WaitStable: true})
+	mgr := txn.NewManager(txn.Config{DB: db, LockTimeout: 500 * time.Millisecond})
 	sched := fibers.New(tc.workers, nil)
 	sched.Observe(reg)
 	part := NewParticipant(ParticipantConfig{
@@ -1106,11 +1104,9 @@ func TestClogTamperDetected(t *testing.T) {
 type manualCounter struct{ v atomic.Uint64 }
 
 func (c *manualCounter) Stabilize(uint64)         {}
-func (c *manualCounter) WaitStable(uint64) error  { return nil }
 func (c *manualCounter) StableValue() uint64      { return c.v.Load() }
 func (c *manualCounter) Failed() error            { return nil }
 func (c *manualCounter) Changed() <-chan struct{} { return nil }
-func (c *manualCounter) Fail(error)               {}
 func (c *manualCounter) set(v uint64)             { c.v.Store(v) }
 
 // TestDistTxnOutcome pins the outcome classification the serializability
@@ -1308,7 +1304,7 @@ func testDecisionDuringWaitDoesNotWedge(t *testing.T, twoWriters bool, want stri
 
 // TestWaitTokenStabilizeTimeout: a decision whose counter round never
 // completes costs its transaction 4 × the RPC timeout and then
-// txn.ErrStabilizeTimeout — on a goroutine and on a fiber, which spends
+// durlog.ErrStabilizeTimeout — on a goroutine and on a fiber, which spends
 // the wait parked.
 func TestWaitTokenStabilizeTimeout(t *testing.T) {
 	const timeout = 25 * time.Millisecond
@@ -1322,7 +1318,7 @@ func TestWaitTokenStabilizeTimeout(t *testing.T) {
 	check := func(f *fibers.Fiber) {
 		start := time.Now()
 		err := nd.coord.Begin(f).waitToken(token)
-		if !errors.Is(err, txn.ErrStabilizeTimeout) {
+		if !errors.Is(err, durlog.ErrStabilizeTimeout) {
 			t.Errorf("waitToken = %v, want ErrStabilizeTimeout", err)
 		}
 		if waited := time.Since(start); waited < 4*timeout || waited > 40*timeout {

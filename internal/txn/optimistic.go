@@ -145,10 +145,7 @@ func (t *OTxn) Commit() error {
 	}
 	release()
 	t.state = txnCommitted
-	if t.m.waitStable && !t.writes.empty() {
-		return WaitToken(token, time.Time{}, t.f)
-	}
-	return nil
+	return token.Await(time.Time{}, t.f) // a read-only commit's zero token is ready
 }
 
 // Rollback discards the transaction.

@@ -1,11 +1,9 @@
 package txn
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"treaty/internal/durlog"
 	"treaty/internal/fibers"
 	"treaty/internal/lsm"
 )
@@ -101,17 +99,12 @@ func (t *Txn) Delete(key []byte) error {
 }
 
 // Commit logs the write set to the WAL (group commit), applies it to the
-// MemTable, optionally waits for stabilization, and releases all locks.
+// MemTable, waits for its token to stabilize, and releases all locks.
 // "We only reply to a client after the Tx becomes stable, ensuring that
 // upon a crash, clients will not have to re-execute successfully
-// committed transactions" (§V-B).
-func (t *Txn) Commit() error { return t.commit(t.m.waitStable) }
-
-// CommitOnePhase commits a distributed transaction's sole writer. Its WAL
-// record is the decision, so it waits for stabilization, as Prepare does.
-func (t *Txn) CommitOnePhase() error { return t.commit(true) }
-
-func (t *Txn) commit(wait bool) error {
+// committed transactions" (§V-B). A distributed transaction's sole writer
+// commits here too: its WAL record is the decision.
+func (t *Txn) Commit() error {
 	if t.state != txnActive {
 		return ErrTxnDone
 	}
@@ -124,30 +117,10 @@ func (t *Txn) commit(wait bool) error {
 		t.finish(txnAborted)
 		return fmt.Errorf("txn: commit: %w", err)
 	}
-	if wait {
-		if err := WaitToken(token, time.Time{}, t.f); err != nil {
-			return fmt.Errorf("txn: stabilization: %w", err)
-		}
+	if err := token.Await(time.Time{}, t.f); err != nil {
+		return fmt.Errorf("txn: stabilization: %w", err)
 	}
 	return nil
-}
-
-// ErrStabilizeTimeout: a log position did not stabilize by the deadline.
-var ErrStabilizeTimeout = errors.New("txn: stabilization timed out")
-
-// WaitToken waits, blocked on the counter's change channel (fiber f
-// parked, a goroutine directly), until token's log position is
-// rollback-protected. A zero deadline leaves the counter handle's own
-// failure to bound the wait; Wait, non-blocking by then, surfaces it. The
-// loop is here as in LockTable.Acquire: the channel is replaced at every
-// change, and a change need not cover this position yet.
-func WaitToken(token durlog.StableToken, deadline time.Time, f *fibers.Fiber) error {
-	for ready, changed := token.Poll(); !ready; ready, changed = token.Poll() {
-		if !fibers.Wait(nil, changed, deadline, f) {
-			return ErrStabilizeTimeout
-		}
-	}
-	return token.Wait()
 }
 
 // Rollback discards buffered writes and releases locks.
@@ -183,7 +156,7 @@ func (t *Txn) Prepare(global lsm.TxID) error {
 	if err != nil {
 		return fmt.Errorf("txn: prepare: %w", err)
 	}
-	if err := WaitToken(token, time.Time{}, t.f); err != nil {
+	if err := token.Await(time.Time{}, t.f); err != nil {
 		return fmt.Errorf("txn: prepare stabilization: %w", err)
 	}
 	t.state = txnPrepared

@@ -13,12 +13,6 @@ type Manager struct {
 	db     *lsm.DB
 	locks  *LockTable
 	nextID atomic.Uint64
-
-	// waitStable makes Commit wait for rollback protection before
-	// acknowledging (the paper's "w/ Stab" configurations). Without it,
-	// stabilization still *happens* asynchronously; commits just do not
-	// wait for it.
-	waitStable bool
 }
 
 // Config configures a Manager.
@@ -27,16 +21,13 @@ type Config struct {
 	DB *lsm.DB
 	// LockTimeout bounds lock waits (0 = 1s).
 	LockTimeout time.Duration
-	// WaitStable gates commit acknowledgement on rollback protection.
-	WaitStable bool
 }
 
 // NewManager creates a transaction manager.
 func NewManager(cfg Config) *Manager {
 	return &Manager{
-		db:         cfg.DB,
-		locks:      NewLockTable(0, cfg.LockTimeout),
-		waitStable: cfg.WaitStable,
+		db:    cfg.DB,
+		locks: NewLockTable(0, cfg.LockTimeout),
 	}
 }
 

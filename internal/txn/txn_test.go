@@ -14,7 +14,7 @@ import (
 	"treaty/internal/seal"
 )
 
-func newManager(t *testing.T, waitStable bool) *Manager {
+func newManager(t *testing.T) *Manager {
 	t.Helper()
 	key, err := seal.NewRandomKey()
 	if err != nil {
@@ -29,11 +29,11 @@ func newManager(t *testing.T, waitStable bool) *Manager {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	return NewManager(Config{DB: db, LockTimeout: 300 * time.Millisecond, WaitStable: waitStable})
+	return NewManager(Config{DB: db, LockTimeout: 300 * time.Millisecond})
 }
 
 func TestPessimisticCommitVisible(t *testing.T) {
-	m := newManager(t, true)
+	m := newManager(t)
 	tx := m.BeginPessimistic(nil)
 	if err := tx.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestPessimisticCommitVisible(t *testing.T) {
 }
 
 func TestPessimisticRollbackInvisible(t *testing.T) {
-	m := newManager(t, false)
+	m := newManager(t)
 	tx := m.BeginPessimistic(nil)
 	if err := tx.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestPessimisticRollbackInvisible(t *testing.T) {
 }
 
 func TestReadMyOwnWrites(t *testing.T) {
-	m := newManager(t, false)
+	m := newManager(t)
 	tx := m.BeginPessimistic(nil)
 	if err := tx.Put([]byte("k"), []byte("mine")); err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestReadMyOwnWrites(t *testing.T) {
 }
 
 func TestWriteWriteConflictTimesOut(t *testing.T) {
-	m := newManager(t, false)
+	m := newManager(t)
 	t1 := m.BeginPessimistic(nil)
 	if err := t1.Put([]byte("hot"), []byte("t1")); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestWriteWriteConflictTimesOut(t *testing.T) {
 }
 
 func TestSharedReadersCoexist(t *testing.T) {
-	m := newManager(t, false)
+	m := newManager(t)
 	seed := m.BeginPessimistic(nil)
 	if err := seed.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestSharedReadersCoexist(t *testing.T) {
 }
 
 func TestLockUpgrade(t *testing.T) {
-	m := newManager(t, false)
+	m := newManager(t)
 	tx := m.BeginPessimistic(nil)
 	if _, _, err := tx.Get([]byte("k")); err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestLockUpgrade(t *testing.T) {
 
 func TestSerializabilityUnderConcurrentTransfers(t *testing.T) {
 	// Classic bank invariant: concurrent transfers preserve total.
-	m := newManager(t, false)
+	m := newManager(t)
 	const accounts, total = 10, 1000
 	for i := 0; i < accounts; i++ {
 		tx := m.BeginPessimistic(nil)
@@ -269,7 +269,7 @@ func TestSerializabilityUnderConcurrentTransfers(t *testing.T) {
 }
 
 func TestOptimisticCommit(t *testing.T) {
-	m := newManager(t, true)
+	m := newManager(t)
 	tx := m.BeginOptimistic(nil)
 	if err := tx.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func TestOptimisticCommit(t *testing.T) {
 }
 
 func TestOptimisticConflictDetected(t *testing.T) {
-	m := newManager(t, false)
+	m := newManager(t)
 	seed := m.BeginOptimistic(nil)
 	if err := seed.Put([]byte("k"), []byte("v0")); err != nil {
 		t.Fatal(err)
@@ -330,7 +330,7 @@ func TestOptimisticConflictDetected(t *testing.T) {
 func TestOptimisticPhantomAbsence(t *testing.T) {
 	// Reading an absent key and committing while someone creates it must
 	// conflict (absence is validated as version 0).
-	m := newManager(t, false)
+	m := newManager(t)
 	t1 := m.BeginOptimistic(nil)
 	if _, found, err := t1.Get([]byte("ghost")); err != nil || found {
 		t.Fatalf("ghost: %v %v", found, err)
@@ -351,7 +351,7 @@ func TestOptimisticPhantomAbsence(t *testing.T) {
 }
 
 func TestOptimisticReadOnlyNoValidationFailure(t *testing.T) {
-	m := newManager(t, false)
+	m := newManager(t)
 	seed := m.BeginOptimistic(nil)
 	if err := seed.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -371,7 +371,7 @@ func TestOptimisticReadOnlyNoValidationFailure(t *testing.T) {
 func TestOptimisticConcurrentCounterIncrements(t *testing.T) {
 	// N goroutines increment the same counter with retry-on-conflict;
 	// the final value must equal the number of successful commits.
-	m := newManager(t, false)
+	m := newManager(t)
 	seed := m.BeginOptimistic(nil)
 	if err := seed.Put([]byte("ctr"), []byte{0}); err != nil {
 		t.Fatal(err)
@@ -422,7 +422,7 @@ func TestOptimisticConcurrentCounterIncrements(t *testing.T) {
 }
 
 func TestPrepareCommitPrepared(t *testing.T) {
-	m := newManager(t, true)
+	m := newManager(t)
 	tx := m.BeginPessimistic(nil)
 	if err := tx.Put([]byte("dist-k"), []byte("dist-v")); err != nil {
 		t.Fatal(err)
@@ -451,7 +451,7 @@ func TestPrepareCommitPrepared(t *testing.T) {
 }
 
 func TestPrepareAbortPrepared(t *testing.T) {
-	m := newManager(t, true)
+	m := newManager(t)
 	tx := m.BeginPessimistic(nil)
 	if err := tx.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -476,7 +476,7 @@ func TestPrepareAbortPrepared(t *testing.T) {
 }
 
 func TestTxnDoneErrors(t *testing.T) {
-	m := newManager(t, false)
+	m := newManager(t)
 	tx := m.BeginPessimistic(nil)
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -496,7 +496,7 @@ func TestTxnDoneErrors(t *testing.T) {
 // on a closed engine) aborts the transaction and releases its locks, so
 // another transaction can take the key at once.
 func TestFailedCommitReleasesLocks(t *testing.T) {
-	m := newManager(t, false)
+	m := newManager(t)
 	tx := m.BeginPessimistic(nil)
 	if err := tx.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
