@@ -21,17 +21,18 @@ import (
 
 // Outcome is the client-observed fate of a transaction. Classification
 // must be *sound* with respect to recovery: a commit attempt that
-// returned an error may still land later (the coordinator's prepare
-// record can survive a crash and RecoverPending re-drives the decision),
-// so only transactions that never reached prepare may claim a definite
-// abort.
+// returned an error may still land later (its commit decision can
+// stabilize after the error, and RecoverPending pushes a stable one), so
+// only transactions that failed before a commit decision existed may
+// claim a definite abort.
 type Outcome uint8
 
 const (
 	// OutcomeCommitted means the client saw Commit succeed.
 	OutcomeCommitted Outcome = iota + 1
 	// OutcomeAborted means the transaction definitely did not and can
-	// never commit (it was rolled back before a prepare record existed).
+	// never commit (it was rolled back, or failed before its commit
+	// decision was appended).
 	OutcomeAborted
 	// OutcomeIndeterminate means a commit was attempted and the client
 	// saw an error: the transaction may or may not have committed, and

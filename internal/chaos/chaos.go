@@ -202,7 +202,7 @@ func workerKey(i int) []byte  { return workload.BankWorkerKey(i) }
 // outcomeOf maps a finished distributed transaction to its audit
 // classification. err is what the client saw from Commit (nil = ok);
 // the mapping leans on twopc's soundness guarantee: only definite
-// aborts (rollback before prepare) may claim OutcomeAborted.
+// aborts (before any commit decision was appended) may claim OutcomeAborted.
 func outcomeOf(txn *twopc.DistTxn, err error) audit.Outcome {
 	if err == nil {
 		return audit.OutcomeCommitted

@@ -162,8 +162,7 @@ var soaks = []soak{{
 	check: func(t *testing.T, h *Harness) {
 		// The crash rounds exercised the recovery paths, not just rebooted
 		// idle nodes.
-		if n := sum(h, "twopc.recover.redo_prepare") + sum(h, "twopc.recover.repush_commit") +
-			sum(h, "twopc.recover.repush_abort"); n == 0 {
+		if n := sum(h, "twopc.recover.repush_commit") + sum(h, "twopc.recover.repush_abort"); n == 0 {
 			t.Error("no recovery replay on any live node — the recovery rounds rebooted idle nodes")
 		}
 		// Re-deliver recovery itself: RecoverPending and ResolveRecovered

@@ -132,7 +132,7 @@ func crashRestart(role string, node int) Fault {
 
 // dupCrash is a coordinator crash-restart under duplicate delivery. The
 // restart runs before the duplication lifts, so every recovery message —
-// redo prepares, re-pushed decisions, status queries — arrives at least
+// re-pushed commits, presumed aborts, status queries — arrives at least
 // twice, and the (node, tx, op) dedup plus idempotent handlers must make
 // that invisible.
 func dupCrash(node int) Fault {

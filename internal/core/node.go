@@ -476,9 +476,7 @@ func (n *Node) Begin(f *fibers.Fiber) *twopc.DistTxn { return n.coord.Begin(f) }
 // the coordinator re-drives its pending transactions and the participant
 // resolves recovered prepared transactions with their coordinators (§VI).
 func (n *Node) Recover() error {
-	if err := n.coord.RecoverPending(nil); err != nil {
-		return err
-	}
+	n.coord.RecoverPending(nil)
 	return n.part.ResolveRecovered(n.AddrOfNode)
 }
 
@@ -554,13 +552,14 @@ func (n *Node) Crash() {
 	// milliseconds the rest of the teardown takes — a client-visible
 	// commit the promoted backup has never heard of.
 	// But first, crash-stop the Clog. Coordinator appends run on client
-	// goroutines that nothing below can freeze, and the poison is about
-	// to wake every stabilization waiter into its abort path — which
-	// appends an abort decision. Abandon makes those appends fail
+	// goroutines that nothing below can freeze. Abandon makes them fail
 	// without touching the file and barriers on the in-flight group, so
 	// once Crash returns no write can ever reach a file the restarted
 	// instance owns (the observed failure was a spliced Clog hash chain
-	// mid-file after a crash-restart round).
+	// mid-file after a crash-restart round). The poison then wakes every
+	// coordinator waiting on a commit decision's round: it answers
+	// indeterminate and sends nothing, since only the Clog's stable
+	// prefix, replayed at restart, decides that transaction.
 	n.clog.Abandon()
 	// One call fails every counter the node handed out, whatever the
 	// backend: the service client's handles, or the immediate family,

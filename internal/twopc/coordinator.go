@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -74,14 +73,15 @@ type Coordinator struct {
 
 	nextTx atomic.Uint64
 
-	// The status table. decisions records known outcomes for status
-	// queries (seeded by Clog replay, extended by live traffic); open holds
-	// the state of every transaction whose protocol work is unfinished: a
+	// The status table. commits records the committed transactions for
+	// status queries (seeded by Clog replay, extended by live traffic); an
+	// id it lacks is presumed aborted unless open holds it. open holds the
+	// state of every transaction whose protocol work is unfinished: a
 	// logged prepare with no decision yet, or a recovered decision whose
 	// push RecoverPending still owes.
-	mu        sync.Mutex
-	decisions map[lsm.TxID]bool
-	open      map[lsm.TxID]txState
+	mu      sync.Mutex
+	commits map[lsm.TxID]struct{}
+	open    map[lsm.TxID]txState
 
 	// Commit pushes running after their answer (Drain, HoldPushes).
 	pushes   pushSet
@@ -128,7 +128,7 @@ type CoordinatorConfig struct {
 	Refresh func()
 	// Timeout bounds each remote operation (0 = 2s); a decision's rollback
 	// protection is waited for 4 × Timeout, after which a dead counter
-	// service aborts the transaction instead of hanging it.
+	// service fails the commit as indeterminate instead of hanging it.
 	Timeout time.Duration
 	// Recovered seeds protocol state from Clog replay (may be nil).
 	Recovered []ClogEntry
@@ -154,7 +154,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		shard:         cfg.Shard,
 		refresh:       cfg.Refresh,
 		timeout:       cfg.Timeout,
-		decisions:     make(map[lsm.TxID]bool),
+		commits:       make(map[lsm.TxID]struct{}),
 		open:          make(map[lsm.TxID]txState),
 		tracer:        obs.NewTracer(m, "twopc.stage"),
 		reg:           m,
@@ -177,6 +177,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	}
 	for _, e := range slices.Concat(cfg.Recovered, cfg.Clog.DroppedTail()) {
 		s := c.open[e.TxID]
+		s.mode = recovery
 		fx := step(&s, &event{kind: evRecord, rec: &e}, nil)
 		c.open[e.TxID] = s
 		for _, x := range fx { // a replayed record's one effect is its note
@@ -210,29 +211,29 @@ func (c *Coordinator) handleStatus(req *erpc.Request) {
 	req.Reply([]byte{c.status(id)})
 }
 
-// status reports id's outcome to a participant resolving it. A
-// transaction this coordinator never prepared is presumed aborted.
+// status reports id's outcome to a participant resolving it: committed,
+// pending while its prepare awaits a decision, and otherwise presumed
+// aborted.
 func (c *Coordinator) status(id lsm.TxID) uint8 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	commit, decided := c.decisions[id]
-	_, pending := c.open[id]
-	switch {
-	case decided && commit:
+	if _, ok := c.commits[id]; ok {
 		return StatusCommit
-	case !decided && pending:
+	}
+	if s, ok := c.open[id]; ok && s.phase != cDecided {
 		return StatusPending
 	}
 	return StatusAbort
 }
 
 // note publishes s, id's state after a step, to the status table: a
-// decided status is recorded, and s stays open while it owes work.
+// commit is recorded, and s stays open while it owes work. An abort needs
+// no record: an id the table lacks answers abort.
 func (c *Coordinator) note(id lsm.TxID, s txState, status uint8) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if status != StatusPending {
-		c.decisions[id] = status == StatusCommit
+	if status == StatusCommit {
+		c.commits[id] = struct{}{}
 	}
 	if s.phase == cDone {
 		delete(c.open, id)
@@ -274,12 +275,14 @@ type leg struct {
 // TxnOutcome classifies how a distributed transaction ended from the
 // client's point of view. The distinction between TxnAborted and
 // TxnIndeterminate is a durability argument, not a convenience: once
-// Commit has appended a prepare record, a coordinator crash can leave
-// that record behind and RecoverPending will re-drive the decision — a
-// transaction whose Commit returned an error may still commit later, as
-// may a sole writer whose one-phase commit went unanswered. Only Rollback
-// and commits that failed before any writer could commit are definite
-// aborts. History auditors rely on this classification being sound.
+// Commit has appended its commit decision, the decision may stabilize
+// after the error was returned (or its counter round may have completed
+// unseen), and then the transaction commits, pushed live or by
+// RecoverPending. So may a sole writer whose one-phase commit went
+// unanswered. Rollback and every commit that failed before appending a
+// commit decision are definite aborts: recovery aborts a prepare record
+// that no stable commit decision follows. History auditors rely on this
+// classification being sound.
 type TxnOutcome uint8
 
 const (
@@ -289,8 +292,9 @@ const (
 	TxnCommitted
 	// TxnAborted: the transaction definitely did not and cannot commit.
 	TxnAborted
-	// TxnIndeterminate: Commit failed from the client's view, but a
-	// prepare record may exist and recovery may still commit it.
+	// TxnIndeterminate: Commit failed from the client's view, but its
+	// commit decision, or a sole writer's one-phase commit, may still take
+	// effect.
 	TxnIndeterminate
 )
 
@@ -535,8 +539,8 @@ func (t *DistTxn) run(ev event) error {
 				for j, r := range replies {
 					ev.resps[j] = r.Resp
 				}
-			case fxAppend:
-				t.token, ev.err = t.c.clog.Append(e.code, t.id, e.commit, e.to)
+			case fxAppend: // the only decision Commit logs is a commit
+				t.token, ev.err = t.c.clog.Append(e.code, t.id, e.code == clogDecision, e.to)
 			case fxStabilize:
 				ev.err = t.waitToken(t.token)
 			default:
@@ -574,7 +578,7 @@ func (t *DistTxn) perform(e effect) {
 				t.c.aborted.Inc()
 				t.trace.Finish(obs.OutcomeAborted, s.reason)
 			}
-		case s.err == nil:
+		default:
 			t.trace.Finish(obs.OutcomeRecovered, s.reason)
 		}
 	}
@@ -587,21 +591,29 @@ const decisionAttempts = 4
 // did not answer on the retry ladder. Only remote legs can go unanswered:
 // this node's own leg is a call. A lost decision push is always safe —
 // recovery re-derives it — but re-pushing promptly releases prepared
-// participants without waiting for a restart. A detached push runs after
-// the client's answer on a goroutine of its own and ends the
-// transaction's trace.
+// participants without waiting for a restart. A detached push is a live
+// commit's: it runs after the client's answer on a goroutine of its own,
+// waits for the decision's token (stable already if the client heard
+// committed), notes the commit and pushes it, and ends the transaction's
+// trace. If the counter fails instead, nothing is pushed: the restarted
+// Clog decides.
 func (t *DistTxn) push(req uint8, to []string, detach bool) {
 	if detach {
-		push := &DistTxn{c: t.c, id: t.id, seq: t.seq, trace: t.trace}
+		push, st := &DistTxn{c: t.c, id: t.id, seq: t.seq, token: t.token, trace: t.trace}, t.st
 		t.trace = nil // the push ends it
 		t.c.pushes.Add()
 		go func(to []string) {
 			defer t.c.pushes.Done()
-			t.c.pushGate.RLock()
-			t.c.pushGate.RUnlock()
-			push.push(req, to, false)
-			push.trace.Enter(obs.StageReclaim)
-			push.trace.Finish(obs.OutcomeCommitted, "")
+			outcome := obs.OutcomeAborted
+			if push.token.Wait() == nil {
+				t.c.note(push.id, st, StatusCommit)
+				t.c.pushGate.RLock()
+				t.c.pushGate.RUnlock()
+				push.push(req, to, false)
+				push.trace.Enter(obs.StageReclaim)
+				outcome = obs.OutcomeCommitted
+			}
+			push.trace.Finish(outcome, st.reason)
 		}(to)
 		return
 	}
@@ -641,7 +653,7 @@ func (c *Coordinator) HoldPushes() (release func()) {
 
 // waitToken waits for a stable token up to the coordinator's
 // stabilization deadline, 4 × the RPC timeout — a dead counter service
-// must abort the transaction (durlog.ErrStabilizeTimeout), not hold its fiber
+// must fail the commit (durlog.ErrStabilizeTimeout), not hold its fiber
 // forever; a permanent counter-service failure surfaces as its error.
 func (t *DistTxn) waitToken(token durlog.StableToken) error {
 	start := time.Now()
@@ -649,19 +661,24 @@ func (t *DistTxn) waitToken(token durlog.StableToken) error {
 	return token.Await(start.Add(4*t.c.timeout), t.f)
 }
 
-// RecoverPending finishes the transactions this coordinator left
-// unfinished (§VI): each recovered decision's push, owed once, and each
-// logged prepare without a decision.
-func (c *Coordinator) RecoverPending(f *fibers.Fiber) error {
+// RecoverPending finishes the transactions the Clog replay left open
+// (§VI): each recovered decision's push, owed once, and each logged
+// prepare without a decision, which is aborted. A live transaction's
+// open state is its own run's to finish.
+func (c *Coordinator) RecoverPending(f *fibers.Fiber) {
+	work := make(map[lsm.TxID]txState)
 	c.mu.Lock()
-	work := maps.Clone(c.open)
 	for id, s := range c.open {
+		if s.mode != recovery {
+			continue
+		}
+		work[id] = s
 		if s.phase == cDecided {
 			delete(c.open, id)
 		}
 	}
 	c.mu.Unlock()
-	return c.recover(work, event{kind: evRecover}, f)
+	c.recover(work, nil, f)
 }
 
 // AdoptRecovered replays a dead peer coordinator's replicated Clog
@@ -679,21 +696,24 @@ func (c *Coordinator) AdoptRecovered(records []durlog.Entry, rewrite func(string
 	work := make(map[lsm.TxID]txState)
 	for _, e := range entries {
 		s := work[e.TxID]
+		s.mode = adoption
 		step(&s, &event{kind: evRecord, rec: &e}, nil)
 		work[e.TxID] = s
 	}
 	for id := range work {
-		if _, known := c.Decision(id); known { // this coordinator already resolved it
+		if c.Committed(id) { // this coordinator already resolved it
 			delete(work, id)
 		}
 	}
-	return c.recover(work, event{kind: evAdopt, rewrite: rewrite}, f)
+	c.recover(work, rewrite, f)
+	return nil
 }
 
-// recover drives each transaction of work by ev on fiber f, in id order,
-// so recovery passes are reproducible. Each pass has a "recover" trace of
+// recover drives each transaction of work through evRecover, with rewrite
+// applied to its participants when non-nil, on fiber f, in id order, so
+// recovery passes are reproducible. Each pass has a "recover" trace of
 // its own and stays outside the tx.* law.
-func (c *Coordinator) recover(work map[lsm.TxID]txState, ev event, f *fibers.Fiber) error {
+func (c *Coordinator) recover(work map[lsm.TxID]txState, rewrite func(string) string, f *fibers.Fiber) {
 	ids := make([]lsm.TxID, 0, len(work))
 	for id := range work {
 		ids = append(ids, id)
@@ -702,19 +722,16 @@ func (c *Coordinator) recover(work map[lsm.TxID]txState, ev event, f *fibers.Fib
 	for _, id := range ids {
 		_, seq := splitTxID(id)
 		t := &DistTxn{c: c, id: id, seq: seq, f: f, st: work[id], trace: c.tracer.Begin(txTraceID(id), obs.StageRecover)}
-		if err := t.run(ev); err != nil {
-			return err
-		}
+		t.run(event{kind: evRecover, rewrite: rewrite}) // a recovery pass only pushes: it never fails
 	}
-	return nil
 }
 
-// Decision reports a transaction's outcome, if this coordinator knows it.
-func (c *Coordinator) Decision(id lsm.TxID) (commit, decided bool) {
+// Committed reports whether this coordinator knows id committed.
+func (c *Coordinator) Committed(id lsm.TxID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	commit, decided = c.decisions[id]
-	return
+	_, ok := c.commits[id]
+	return ok
 }
 
 // PreparedCount reports prepare-logged transactions still awaiting a

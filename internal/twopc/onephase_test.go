@@ -44,8 +44,8 @@ func TestOnePhaseCommitAnswersOnce(t *testing.T) {
 	if d := tc.counterOn(0, "twopc.clog.appends") - appends; d != 0 {
 		t.Errorf("a one-phase commit appended %d Clog records, want 0", d)
 	}
-	if _, decided := coord.Decision(tx.ID()); decided || coord.PreparedCount() != 0 {
-		t.Errorf("a one-phase commit left coordinator state: decided=%v prepared=%d", decided, coord.PreparedCount())
+	if coord.Committed(tx.ID()) || coord.PreparedCount() != 0 {
+		t.Errorf("a one-phase commit left coordinator state: committed=%v prepared=%d", coord.Committed(tx.ID()), coord.PreparedCount())
 	}
 	if _, err := tx.broadcast(ReqCommitOnePhase, []string{"node-1"}); err == nil {
 		t.Error("a one-phase commit sent again after it landed was acknowledged, want an error")

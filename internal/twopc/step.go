@@ -25,11 +25,9 @@ const (
 // clogDemands says whether a group holding a Clog record of kind starts a
 // trusted-counter round (the Clog rows of DESIGN.md "Stabilize on
 // demand"); an undemanded record rides the next demanded round. A lost
-// prepare record is presumed aborted: status queries answer abort, and
-// every failed two-phase Commit is already indeterminate. A commit
-// decision is waited on; an abort is pushed right away and must not be
-// outlived by its prepare record, or recovery would re-drive the prepare
-// and could commit what was aborted.
+// prepare record is presumed aborted, as is one that no stable commit
+// decision follows: status queries and recovery answer abort for both.
+// A commit decision is waited on. An abort is never logged.
 func clogDemands(kind uint8) bool { return kind == clogDecision }
 
 // phase is where a transaction stands in its role's protocol.
@@ -42,10 +40,8 @@ const (
 	cOnePhase                // the sole writer's one-phase commit is out
 	cPrepareLog              // ≥ 2 writers: the prepare record is appending
 	cVote                    // the prepare record is logged and its prepares out (recovered: were)
-	cRedoVote                // recovery re-sent the prepares
 	cDecideLog               // the commit decision is appending
 	cStabilize               // the decision's counter round is awaited
-	cAbortLog                // an abort decision is appending
 	cDecided                 // recovered: a decision whose push is owed
 	cDone                    // answered; nothing owed
 	// Participant.
@@ -56,6 +52,8 @@ const (
 )
 
 // mode says who drives a coordinator state: a client, or a recovery pass.
+// NewCoordinator marks the states its Clog replay opens, and
+// AdoptRecovered the states it adopts.
 type mode uint8
 
 const (
@@ -93,8 +91,7 @@ const (
 	evRollback                   // the client rolls back: parts
 	evDone                       // the last effect completed: err; a fan-out's resps; a local effect's finished
 	evRecord                     // a decoded Clog record, at boot or adoption: rec
-	evRecover                    // RecoverPending drives a recovered or undecided transaction
-	evAdopt                      // AdoptRecovered drives an adopted one: rewrite
+	evRecover                    // RecoverPending or AdoptRecovered drives a replayed transaction: rewrite
 	evControl                    // a control message arrived, or a status reply decided one: req
 	evTick                       // the janitor found the part idle
 	evRestored                   // boot or promotion found the part's prepare record in the WAL
@@ -120,8 +117,8 @@ const (
 	fxStage     fxKind = iota + 1 // enter stage name on a live transaction's trace
 	fxCount                       // count the counter name
 	fxSend                        // fan request code out to to; completing
-	fxPush                        // push decision code to to, re-sending to the unanswered
-	fxAppend                      // append a Clog record of kind code with commit, naming to; completing
+	fxPush                        // push decision code to to, re-sending to the unanswered; a live push waits for the decision's token first
+	fxAppend                      // append a Clog record of kind code, naming to; completing
 	fxStabilize                   // wait for the appended decision's counter round; completing
 	fxNote                        // publish the state to the status table under status code
 	fxLocal                       // code's engine call on the participant's local transaction; completing
@@ -130,11 +127,10 @@ const (
 
 // effect is one output of step.
 type effect struct {
-	kind   fxKind
-	code   uint8
-	commit bool
-	to     []string
-	name   string
+	kind fxKind
+	code uint8
+	to   []string
+	name string
 }
 
 // maxEffects is the most effects one step returns (TestStepTransitions
@@ -170,29 +166,16 @@ func (s *txState) coordinate(ev *event, fx []effect) []effect {
 		}
 		return s.answer(fx, TxnAborted, "client_rollback", nil)
 
-	// Recovery (§VI): a logged decision is re-pushed to its participants,
-	// who acknowledge what they already applied; a prepare without one
-	// re-runs the prepare phase: if every participant still holds it
-	// prepared it commits, else it aborts.
-	case ev.kind == evRecover && s.phase == cDecided:
-		s.mode = recovery
-		return s.repush(fx)
+	// Recovery (§VI) and adoption of a dead peer's mirrored Clog apply one
+	// rule: a stable commit decision is re-pushed to its writers, who
+	// acknowledge what they already applied, and anything else is aborted:
+	// a prepare that no decision follows, or a decision from the dropped
+	// tail. Presumed abort is sound: a commit is acknowledged and pushed
+	// only once its decision is stable, so a decision absent from the
+	// stable prefix was never acted on. A re-prepare would not be: on
+	// adoption, rewrite maps the dead primary's address to the successor's,
+	// whose one vote would then also stand for the dead primary's part.
 	case ev.kind == evRecover:
-		s.phase, s.mode = cRedoVote, recovery
-		return append(fx, count("twopc.recover.redo_prepare"), send(ReqPrepare, s.parts))
-	case s.phase == cRedoVote && ev.err != nil:
-		return s.abortLogged(fx, "", s.parts, "redo_prepare_aborted", nil)
-	case s.phase == cRedoVote:
-		s.phase, s.writers = cDecideLog, s.parts
-		return append(fx, effect{kind: fxAppend, code: clogDecision, commit: true, to: s.parts})
-
-	// Adoption of a dead peer's mirrored Clog: as recovery, except that a
-	// prepare without a decision is aborted, never re-prepared. Presumed
-	// abort is sound: a decision absent from the mirrored prefix was never
-	// stabilized, hence never acknowledged. A re-prepare is not: rewrite
-	// maps the dead primary's address to the successor's, whose one vote
-	// would then also stand for the dead primary's part.
-	case ev.kind == evAdopt:
 		if ev.rewrite != nil {
 			parts := make([]string, len(s.parts))
 			for i, a := range s.parts {
@@ -200,9 +183,16 @@ func (s *txState) coordinate(ev *event, fx []effect) []effect {
 			}
 			s.parts = parts
 		}
-		s.commit = s.commit && s.phase == cDecided
-		s.mode = adoption
-		return s.repush(append(fx, count("twopc.recover.adopted"), note(statusOf(s.commit))))
+		req, what := ReqAbort, "repush_abort"
+		if s.commit {
+			req, what = ReqCommit, "repush_commit"
+		}
+		reason := what
+		if s.mode == adoption {
+			fx, reason = append(fx, count("twopc.recover.adopted")), "adopt_"+what
+		}
+		fx = append(fx, note(statusOf(s.commit)), count("twopc.recover."+what), effect{kind: fxPush, code: req, to: s.parts})
+		return s.answer(fx, TxnPending, reason, nil)
 
 	// Commit picks its path by the number of writers. With none, nothing
 	// is logged: every participant votes read-only. With one, the readers'
@@ -217,28 +207,29 @@ func (s *txState) coordinate(ev *event, fx []effect) []effect {
 		s.phase, s.parts, s.writers = cReadVote, ev.parts, ev.writers
 		fx = append(fx, stage("prepare"))
 		if ev.err != nil { // a fail-stopped Clog commits nothing, though this path logs nothing
-			return s.abortUnlogged(fx, TxnAborted, "prepare_failed", ev.err)
+			return s.abort(fx, "twopc.abort.prepare_failed", TxnAborted, "prepare_failed", ev.err)
 		}
 		return append(fx, send(ReqPrepare, ev.readers))
 	case s.phase == cReadVote && ev.err != nil: // an unknown reader released its locks early
-		return s.abortUnlogged(fx, TxnAborted, "prepare_failed", ev.err)
+		return s.abort(fx, "twopc.abort.prepare_failed", TxnAborted, "prepare_failed", ev.err)
 	case s.phase == cReadVote && len(s.writers) == 1:
 		s.phase = cOnePhase
 		return append(fx, stage("commit"), send(ReqCommitOnePhase, s.writers))
 	case s.phase == cOnePhase && ev.err != nil: // sent once; its loss is indeterminate
-		return s.abortUnlogged(fx, TxnIndeterminate, "one_phase_failed", ev.err)
+		return s.abort(fx, "twopc.abort.prepare_failed", TxnIndeterminate, "one_phase_failed", ev.err)
 	case s.phase == cReadVote || s.phase == cOnePhase:
 		return s.answer(fx, TxnCommitted, "", nil)
 
-	// Two-phase commit. Every failure from here on is indeterminate: the
-	// prepare record may be durable and recovery may commit it.
+	// Two-phase commit. Until the commit decision is appended, a failure
+	// is a definite abort, sent once and logged nowhere: recovery aborts a
+	// prepare record that no stable commit decision follows.
 	case s.phase == cPrepareLog && ev.err != nil:
-		return s.answer(append(fx, count("twopc.abort.log_append")), TxnIndeterminate, "prepare_log_failed", ev.err)
+		return s.abort(fx, "twopc.abort.log_append", TxnAborted, "prepare_log_failed", ev.err)
 	case s.phase == cPrepareLog:
 		s.phase = cVote
 		return append(fx, note(StatusPending), send(ReqPrepare, s.parts))
 	case s.phase == cVote && ev.err != nil:
-		return s.abortLogged(fx, "twopc.abort.prepare_failed", s.parts, "prepare_failed", fmt.Errorf("%w: prepare failed: %v", ErrAborted, ev.err))
+		return s.abort(append(fx, note(StatusAbort)), "twopc.abort.prepare_failed", TxnAborted, "prepare_failed", ev.err)
 	case s.phase == cVote:
 		// Read-only participants voted and released at prepare; only
 		// writers need the decision (the read-only 2PC optimization).
@@ -254,28 +245,30 @@ func (s *txState) coordinate(ev *event, fx []effect) []effect {
 		// Step 6: decide commit and stabilize the decision. The append
 		// returns once the decision's group is forced.
 		s.phase = cDecideLog
-		return append(fx, stage("log-force"), effect{kind: fxAppend, code: clogDecision, commit: true, to: s.writers})
-	case s.phase == cDecideLog && ev.err != nil && s.mode == live:
-		return s.abortLogged(fx, "twopc.abort.log_append", s.writers, "decision_log_failed", fmt.Errorf("%w: decision log failed: %v", ErrAborted, ev.err))
-	case s.phase == cDecideLog && ev.err == nil:
+		return append(fx, stage("log-force"), effect{kind: fxAppend, code: clogDecision, to: s.writers})
+
+	// Once the commit decision is appended, nothing contradicts it: only
+	// its stable prefix decides, here or in recovery. A failure from here
+	// on is indeterminate, and no abort is sent. A decision that did not
+	// append leaves its fate to recovery; one whose wait failed is pushed
+	// if its token stabilizes after all (fxPush waits for it), and left to
+	// recovery if the counter failed.
+	case s.phase == cDecideLog && ev.err != nil:
+		fx = append(fx, count("twopc.abort.log_append"))
+		return s.answer(fx, TxnIndeterminate, "decision_log_failed", fmt.Errorf("%w: decision log failed: %v", ErrAborted, ev.err))
+	case s.phase == cDecideLog:
 		s.phase = cStabilize
 		return append(fx, stage("counter-stabilize"), effect{kind: fxStabilize})
-	case s.phase == cStabilize && ev.err != nil && s.mode == live:
-		return s.abortLogged(fx, "twopc.abort.stabilize_timeout", s.writers, "stabilize_timeout", fmt.Errorf("%w: decision stabilization failed: %v", ErrAborted, ev.err))
-	case (s.phase == cDecideLog || s.phase == cStabilize) && ev.err != nil: // a recovery pass fails with its log
-		return s.answer(fx, TxnPending, "", ev.err)
+	case s.phase == cStabilize && ev.err != nil:
+		fx = append(fx, count("twopc.abort.stabilize_timeout"), effect{kind: fxPush, code: ReqCommit, to: s.writers})
+		return s.answer(fx, TxnIndeterminate, "stabilize_timeout", fmt.Errorf("%w: decision stabilization failed: %v", ErrAborted, ev.err))
 	case s.phase == cStabilize:
 		// Step 7: the decision is stable, so the transaction IS committed
 		// even if a commit message is lost. A client is answered now and
 		// the commits pushed after; the writers hold their locks until
 		// theirs lands, so the client's next transaction reads its writes.
 		fx = append(fx, note(StatusCommit), stage("commit"), effect{kind: fxPush, code: ReqCommit, to: s.writers})
-		return s.answer(fx, TxnCommitted, s.recovered("redo_prepare"), nil)
-	case s.phase == cAbortLog:
-		if ev.err == nil {
-			fx = append(fx, note(StatusAbort))
-		}
-		return s.answer(append(fx, send(ReqAbort, s.writers)), TxnIndeterminate, s.reason, s.err)
+		return s.answer(fx, TxnCommitted, "", nil)
 	}
 	return fx
 }
@@ -298,7 +291,7 @@ func (s *txState) replay(r *ClogEntry, fx []effect) []effect {
 	case r.Kind == clogPrepare:
 		s.parts = r.Participants
 		return fx
-	default:
+	default: // a decision; Commit logs only commits, but an abort decision still reads as one
 		s.commit = r.Commit
 	}
 	s.phase, s.parts = cDecided, r.Participants
@@ -329,7 +322,7 @@ func (s *txState) participate(ev *event, fx []effect) []effect {
 		return s.reply(fx, nil, errors.New("twopc: unknown transaction at one-phase commit"))
 	case s.phase == pUnknown:
 		return s.reply(fx, nil, nil)
-	case req == ReqPrepare && s.phase == pPrepared: // a re-prepare
+	case req == ReqPrepare && s.phase == pPrepared: // a duplicate prepare
 		return s.reply(fx, []byte{voteYes}, nil)
 	case req == ReqPrepare && s.readOnly: // releases its locks now; needs no decision
 		s.phase = pDone
@@ -375,44 +368,12 @@ func (s *txState) settle(ev *event, fx []effect) []effect {
 	return s.reply(fx, nil, ev.err)
 }
 
-// recovered names a recovery pass's outcome; a live one answers with "".
-func (s *txState) recovered(what string) string {
-	switch s.mode {
-	case recovery:
-		return what
-	case adoption:
-		return "adopt_" + what
-	}
-	return ""
-}
-
-// abortUnlogged aborts a transaction that logged nothing: the abort is
-// pushed to every participant and nothing is recorded.
-func (s *txState) abortUnlogged(fx []effect, outcome TxnOutcome, reason string, err error) []effect {
-	fx = append(fx, stage("abort"), send(ReqAbort, s.parts), count("twopc.abort.prepare_failed"))
+// abort ends a transaction that appended no commit decision: the abort
+// is sent to every participant once, counted under counter, and logged
+// nowhere.
+func (s *txState) abort(fx []effect, counter string, outcome TxnOutcome, reason string, err error) []effect {
+	fx = append(fx, stage("abort"), send(ReqAbort, s.parts), count(counter))
 	return s.answer(fx, outcome, reason, fmt.Errorf("%w: %s: %v", ErrAborted, reason, err))
-}
-
-// abortLogged aborts a transaction that may hold a prepare record: it
-// logs the abort decision (demanded, see clogDemands), then pushes it to
-// to once and answers with reason and err. A live abort counts its cause
-// under counter.
-func (s *txState) abortLogged(fx []effect, counter string, to []string, reason string, err error) []effect {
-	s.phase, s.writers, s.reason, s.err = cAbortLog, to, reason, err
-	if counter != "" {
-		fx = append(fx, count(counter), stage("abort"))
-	}
-	return append(fx, effect{kind: fxAppend, code: clogDecision, to: to})
-}
-
-// repush re-pushes a recovered decision to its participants.
-func (s *txState) repush(fx []effect) []effect {
-	req, what := ReqAbort, "repush_abort"
-	if s.commit {
-		req, what = ReqCommit, "repush_commit"
-	}
-	fx = append(fx, count("twopc.recover."+what), effect{kind: fxPush, code: req, to: s.parts})
-	return s.answer(fx, TxnPending, s.recovered(what), nil)
 }
 
 // answer ends the coordinator's work on the transaction.

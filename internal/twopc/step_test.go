@@ -88,30 +88,31 @@ var stepTable = []struct {
 		{replies(), "stage commit; send one-phase [a]", cOnePhase},
 		{failed, `stage abort; send abort [a]; count twopc.abort.prepare_failed; answer indeterminate "one_phase_failed" err`, cDone},
 	}},
+	// Before the commit decision is appended, a failure is a definite
+	// abort, sent once and logged nowhere.
 	{"prepare record not logged", txState{}, []move{
 		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}}, "stage prepare; append prepare [a b]", cPrepareLog},
-		{failed, `count twopc.abort.log_append; answer indeterminate "prepare_log_failed" err`, cDone},
+		{failed, `stage abort; send abort [a b]; count twopc.abort.log_append; answer aborted "prepare_log_failed" err`, cDone},
 	}},
 	{"a participant votes no", txState{}, []move{
 		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}}, "stage prepare; append prepare [a b]", cPrepareLog},
 		{done, "note pending; send prepare [a b]", cVote},
-		{failed, "count twopc.abort.prepare_failed; stage abort; append abort [a b]", cAbortLog},
-		{done, `note abort; send abort [a b]; answer indeterminate "prepare_failed" err`, cDone},
+		{failed, `note abort; stage abort; send abort [a b]; count twopc.abort.prepare_failed; answer aborted "prepare_failed" err`, cDone},
 	}},
+	// After it, nothing contradicts the decision: no abort is sent.
 	{"decision not logged", txState{}, []move{
 		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}}, "stage prepare; append prepare [a b]", cPrepareLog},
 		{done, "note pending; send prepare [a b]", cVote},
 		{replies(yes, yes), "stage log-force; append commit [a b]", cDecideLog},
-		{failed, "count twopc.abort.log_append; stage abort; append abort [a b]", cAbortLog},
-		{failed, `send abort [a b]; answer indeterminate "decision_log_failed" err`, cDone},
+		{failed, `count twopc.abort.log_append; answer indeterminate "decision_log_failed" err`, cDone},
 	}},
+	// A failed wait pushes commit once the token is stable after all.
 	{"decision never stable", txState{}, []move{
 		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}}, "stage prepare; append prepare [a b]", cPrepareLog},
 		{done, "note pending; send prepare [a b]", cVote},
 		{replies(yes, yes), "stage log-force; append commit [a b]", cDecideLog},
 		{done, "stage counter-stabilize; stabilize", cStabilize},
-		{failed, "count twopc.abort.stabilize_timeout; stage abort; append abort [a b]", cAbortLog},
-		{done, `note abort; send abort [a b]; answer indeterminate "stabilize_timeout" err`, cDone},
+		{failed, `count twopc.abort.stabilize_timeout; push commit [a b]; answer indeterminate "stabilize_timeout" err`, cDone},
 	}},
 
 	// The participant.
@@ -175,55 +176,41 @@ var stepTable = []struct {
 		{done, "count twopc.part.aborts; answer", pDone},
 	}},
 
-	// Recovery: decoded Clog records at boot, then RecoverPending.
-	{"prepare only: re-prepare", txState{}, []move{
+	// Recovery: decoded Clog records at boot, then RecoverPending. A
+	// stable commit decision is re-pushed; anything else is aborted.
+	{"prepare only: presumed abort", txState{mode: recovery}, []move{
 		{record(clogPrepare, false, false, "a", "b"), "note pending", cVote},
-		{recovered, "count twopc.recover.redo_prepare; send prepare [a b]", cRedoVote},
-		{replies(yes, yes), "append commit [a b]", cDecideLog},
-		{done, "stage counter-stabilize; stabilize", cStabilize},
-		{done, `note commit; stage commit; push commit [a b]; answer committed "redo_prepare"`, cDone},
+		{recovered, `note abort; count twopc.recover.repush_abort; push abort [a b]; answer "repush_abort"`, cDone},
 	}},
-	{"prepare only: re-prepare fails", txState{}, []move{
-		{record(clogPrepare, false, false, "a", "b"), "note pending", cVote},
-		{recovered, "count twopc.recover.redo_prepare; send prepare [a b]", cRedoVote},
-		{failed, "append abort [a b]", cAbortLog},
-		{done, `note abort; send abort [a b]; answer indeterminate "redo_prepare_aborted"`, cDone},
-	}},
-	{"prepare only: the redone decision is not logged", txState{}, []move{
-		{record(clogPrepare, false, false, "a"), "note pending", cVote},
-		{recovered, "count twopc.recover.redo_prepare; send prepare [a]", cRedoVote},
-		{replies(yes), "append commit [a]", cDecideLog},
-		{failed, "answer err", cDone},
-	}},
-	{"prepare + commit: re-push commit", txState{}, []move{
+	{"prepare + commit: re-push commit", txState{mode: recovery}, []move{
 		{record(clogPrepare, false, false, "a", "b", "c"), "note pending", cVote},
 		{record(clogDecision, true, false, "a", "b"), "note commit", cDecided},
-		{recovered, `count twopc.recover.repush_commit; push commit [a b]; answer "repush_commit"`, cDone},
+		{recovered, `note commit; count twopc.recover.repush_commit; push commit [a b]; answer "repush_commit"`, cDone},
 	}},
-	{"prepare + abort: re-push abort", txState{}, []move{
+	{"prepare + abort: re-push abort", txState{mode: recovery}, []move{
 		{record(clogPrepare, false, false, "a", "b"), "note pending", cVote},
 		{record(clogDecision, false, false, "a", "b"), "note abort", cDecided},
-		{recovered, `count twopc.recover.repush_abort; push abort [a b]; answer "repush_abort"`, cDone},
+		{recovered, `note abort; count twopc.recover.repush_abort; push abort [a b]; answer "repush_abort"`, cDone},
 	}},
-	{"dropped-tail decision: presumed abort", txState{}, []move{
+	{"dropped-tail decision: presumed abort", txState{mode: recovery}, []move{
 		{record(clogPrepare, false, false, "a", "b"), "note pending", cVote},
 		{record(clogDecision, true, true, "a", "b"), "note abort", cDecided},
-		{recovered, `count twopc.recover.repush_abort; push abort [a b]; answer "repush_abort"`, cDone},
+		{recovered, `note abort; count twopc.recover.repush_abort; push abort [a b]; answer "repush_abort"`, cDone},
 	}},
-	{"dropped tail after a stable decision", txState{}, []move{
+	{"dropped tail after a stable decision", txState{mode: recovery}, []move{
 		{record(clogDecision, true, false, "a", "b"), "note commit", cDecided},
 		{record(clogPrepare, false, true, "a", "b"), "", cDecided},
-		{recovered, `count twopc.recover.repush_commit; push commit [a b]; answer "repush_commit"`, cDone},
+		{recovered, `note commit; count twopc.recover.repush_commit; push commit [a b]; answer "repush_commit"`, cDone},
 	}},
-	{"adopted undecided prepare: abort, addresses rewritten", txState{}, []move{
+	{"adopted undecided prepare: abort, addresses rewritten", txState{mode: adoption}, []move{
 		{record(clogPrepare, false, false, "dead", "b"), "note pending", cVote},
-		{event{kind: evAdopt, rewrite: func(a string) string { return strings.Replace(a, "dead", "succ", 1) }},
+		{event{kind: evRecover, rewrite: func(a string) string { return strings.Replace(a, "dead", "succ", 1) }},
 			`count twopc.recover.adopted; note abort; count twopc.recover.repush_abort; push abort [succ b]; answer "adopt_repush_abort"`, cDone},
 	}},
-	{"adopted decision: re-push", txState{}, []move{
+	{"adopted decision: re-push", txState{mode: adoption}, []move{
 		{record(clogPrepare, false, false, "a", "b"), "note pending", cVote},
 		{record(clogDecision, true, false, "a", "b"), "note commit", cDecided},
-		{event{kind: evAdopt}, `count twopc.recover.adopted; note commit; count twopc.recover.repush_commit; push commit [a b]; answer "adopt_repush_commit"`, cDone},
+		{recovered, `count twopc.recover.adopted; note commit; count twopc.recover.repush_commit; push commit [a b]; answer "adopt_repush_commit"`, cDone},
 	}},
 }
 
@@ -287,11 +274,7 @@ func renderFx(s txState, fx []effect) string {
 		case fxPush:
 			out[i] = fmt.Sprintf("push %s %v", reqs[e.code], e.to)
 		case fxAppend:
-			what := map[bool]string{false: "abort", true: "commit"}[e.commit]
-			if e.code == clogPrepare {
-				what = "prepare"
-			}
-			out[i] = fmt.Sprintf("append %s %v", what, e.to)
+			out[i] = fmt.Sprintf("append %s %v", map[uint8]string{clogPrepare: "prepare", clogDecision: "commit"}[e.code], e.to)
 		case fxStabilize:
 			out[i] = "stabilize"
 		case fxNote:

@@ -70,6 +70,9 @@ type fakeCounter struct {
 	// waiter on a withheld value reaches, has it look again every
 	// millisecond.
 	withhold atomic.Bool
+	// failed, when it holds a non-nil error, is the counter's permanent
+	// failure, as Crash fails a node's counters.
+	failed atomic.Pointer[error]
 }
 
 func (c *fakeCounter) Stabilize(v uint64) {
@@ -86,7 +89,12 @@ func (c *fakeCounter) StableValue() uint64 {
 	}
 	return c.v.Load()
 }
-func (c *fakeCounter) Failed() error { return nil }
+func (c *fakeCounter) Failed() error {
+	if p := c.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
 func (c *fakeCounter) Changed() <-chan struct{} {
 	ch := make(chan struct{})
 	time.AfterFunc(time.Millisecond, func() { close(ch) })
@@ -520,8 +528,8 @@ func TestCommitAnswersAtDecision(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("Commit = %v with node-1's commit dropped, want nil", err)
 	}
-	if commit, decided := coord.Decision(tx.ID()); !commit || !decided {
-		t.Fatalf("Decision = %v/%v after Commit returned, want committed", commit, decided)
+	if !coord.Committed(tx.ID()) {
+		t.Fatal("the status table lacks the commit after Commit returned")
 	}
 	if at := tc.nodes[1].part.find(tx.ID(), false); at == nil || !at.prepared.Load() {
 		t.Fatal("node-1 does not hold the transaction prepared while its commit is dropped")
@@ -596,8 +604,8 @@ func TestAdoptedPrepareIsAborted(t *testing.T) {
 	if err := successor.coord.AdoptRecovered(records, toSuccessor, nil); err != nil {
 		t.Fatal(err)
 	}
-	if commit, decided := successor.coord.Decision(tx.id); !decided || commit {
-		t.Errorf("adopted undecided prepare: decision = %v/%v, want presumed abort", commit, decided)
+	if st := successor.coord.status(tx.id); st != StatusAbort {
+		t.Errorf("adopted undecided prepare: status = %d, want presumed abort", st)
 	}
 	if a := successor.part.ActiveCount(); a != 0 {
 		t.Errorf("successor still holds %d transactions", a)
@@ -720,10 +728,10 @@ func TestParticipantCrashBeforePrepareAborts(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	tc.net.Heal("node-0", "node-2")
-	commit, decided := tc.nodes[0].coord.Decision(tx.ID())
-	if !decided {
+	if tc.nodes[0].coord.status(tx.ID()) == StatusPending {
 		t.Fatal("coordinator must have decided")
 	}
+	commit := tc.nodes[0].coord.Committed(tx.ID())
 	// Verify atomicity: all keys present iff committed.
 	check := tc.nodes[0].coord.Begin(nil)
 	present := 0
@@ -761,13 +769,10 @@ func TestCoordinatorCrashRecoveryCommitsDecided(t *testing.T) {
 	tc.crashNode(0)
 
 	nd := tc.restartNode(0, addr, dir)
-	commit, decided := nd.coord.Decision(id)
-	if !decided || !commit {
-		t.Fatalf("recovered decision = %v/%v, want commit", commit, decided)
+	if !nd.coord.Committed(id) {
+		t.Fatal("the recovered status table lacks the commit")
 	}
-	if err := nd.coord.RecoverPending(nil); err != nil {
-		t.Fatal(err)
-	}
+	nd.coord.RecoverPending(nil)
 	// Data still visible cluster-wide.
 	check := tc.nodes[1].coord.Begin(nil)
 	for i := 0; i < 9; i++ {
@@ -963,8 +968,8 @@ func TestReadOnlyOptimization(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("read-only commit: %v", err)
 	}
-	if commit, decided := tc.nodes[1].coord.Decision(tx.ID()); decided {
-		t.Errorf("read-only txn recorded a decision (commit=%v)", commit)
+	if tc.nodes[1].coord.Committed(tx.ID()) {
+		t.Errorf("read-only txn recorded a decision")
 	}
 	if d := tc.counterOn(1, "twopc.clog.appends") - appends; d != 0 {
 		t.Errorf("read-only commit appended %d Clog records, want 0", d)
@@ -1111,9 +1116,10 @@ func (c *manualCounter) set(v uint64)             { c.v.Store(v) }
 
 // TestDistTxnOutcome pins the outcome classification the serializability
 // auditor depends on: a clean commit is Committed, a client rollback is
-// definitely Aborted (no prepare record was ever logged), and a failed
-// Commit call is Indeterminate — never Aborted — because RecoverPending
-// may still push the decision through after the error was returned.
+// definitely Aborted, and so is a two-phase commit whose prepare failed:
+// no commit decision was appended, and recovery aborts a prepare record
+// that none follows. (A failure after the decision is appended is
+// Indeterminate: TestCrashInStabilizeKeepsWritersAgreed.)
 func TestDistTxnOutcome(t *testing.T) {
 	tc := newTestCluster(t, 3)
 
@@ -1142,26 +1148,21 @@ func TestDistTxnOutcome(t *testing.T) {
 		t.Fatalf("rolled-back txn outcome = %v, want aborted", tx.Outcome())
 	}
 
-	// Write a key owned by node 2, crash node 2, then commit: the
-	// coordinator cannot reach the participant, Commit errors, and the
-	// outcome must be Indeterminate (recovery could still commit it).
-	victim := ""
-	for i := 0; ; i++ {
-		victim = fmt.Sprintf("oc-remote-%d", i)
-		if tc.owner([]byte(victim)) == "node-2" {
-			break
+	// Write keys owned by nodes 1 and 2, crash node 2, then commit: the
+	// prepare cannot reach node 2, Commit errors before any commit
+	// decision, and the outcome must be Aborted.
+	tx = tc.nodes[0].coord.Begin(nil)
+	for _, owner := range []string{"node-1", "node-2"} {
+		if err := tx.Put(tc.keyOn("oc-remote", owner), []byte("v")); err != nil {
+			t.Fatal(err)
 		}
 	}
-	tx = tc.nodes[0].coord.Begin(nil)
-	if err := tx.Put([]byte(victim), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
 	tc.crashNode(2)
-	if err := tx.Commit(); err == nil {
-		t.Fatal("commit against a crashed participant succeeded")
+	if err := tx.Commit(); !errors.Is(err, ErrAborted) {
+		t.Fatalf("commit against a crashed participant = %v, want ErrAborted", err)
 	}
-	if tx.Outcome() != TxnIndeterminate {
-		t.Fatalf("failed commit outcome = %v, want indeterminate", tx.Outcome())
+	if tx.Outcome() != TxnAborted {
+		t.Fatalf("failed prepare outcome = %v, want aborted", tx.Outcome())
 	}
 }
 
@@ -1202,12 +1203,10 @@ func TestCoordinatorCrashMidPrepareReleasesParticipants(t *testing.T) {
 	addr, dir := coordNode.addr, coordNode.dir
 	tc.crashNode(0)
 	nd := tc.restartNode(0, addr, dir)
-	if commit, decided := nd.coord.Decision(tx.ID()); !decided || commit {
-		t.Fatalf("dropped prepare record: decision = %v/%v, want presumed abort", commit, decided)
+	if st := nd.coord.status(tx.ID()); st != StatusAbort {
+		t.Fatalf("dropped prepare record: status = %d, want presumed abort", st)
 	}
-	if err := nd.coord.RecoverPending(nil); err != nil {
-		t.Fatal(err)
-	}
+	nd.coord.RecoverPending(nil)
 	for i, n := range tc.nodes {
 		if a := n.part.ActiveCount(); a != 0 {
 			t.Errorf("node %d still holds %d prepared transactions after the coordinator recovered", i, a)
@@ -1231,6 +1230,176 @@ func (s *sharedCounters) withhold(addr string, on bool) {
 	}
 }
 
+// fail sets every counter of addr to fail with err, or clears the
+// failure with nil: a restarted node's counters do not inherit it.
+func (s *sharedCounters) fail(addr string, err error) {
+	for name, c := range s.m {
+		if strings.HasPrefix(name, addr+"/") {
+			c.failed.Store(&err)
+		}
+	}
+}
+
+// TestCrashInStabilizeKeepsWritersAgreed: a coordinator that crashes while
+// its commit decision waits for its counter round never contradicts the
+// decision. The round reached the counter unseen (the persisted value
+// covers the decision), so the restarted Clog replays the decision as
+// stable and recovery pushes commit. An abort sent on the way down would
+// reach one writer and not the other: node-2's aborts are dropped, as a
+// crash cuts off whatever it likes, so such an abort splits the writers.
+func TestCrashInStabilizeKeepsWritersAgreed(t *testing.T) {
+	tc := newShapedCluster(t, 3, 4, 300*time.Millisecond)
+	nd := tc.nodes[0]
+	keys := [][]byte{tc.keyOn("agreed", "node-1"), tc.keyOn("agreed", "node-2")}
+	tc.net.SetAdversary(simnet.FuncAdversary(func(pkt simnet.Packet) simnet.Verdict {
+		// The erpc header is cleartext: byte 1 is the request type, byte 2
+		// the flags (bit 0: response).
+		isAbort := len(pkt.Data) > 2 && pkt.Data[1] == ReqAbort && pkt.Data[2]&1 == 0
+		return simnet.Verdict{Drop: isAbort && pkt.To == "node-2"}
+	}))
+	clogCtr := tc.ctrs.m[nd.addr+"/CLOG-000001"]
+	clogCtr.withhold.Store(true)
+
+	tx := nd.coord.Begin(nil)
+	for _, k := range keys {
+		if err := tx.Put(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	answer := make(chan error, 1)
+	go func() { answer <- tx.Commit() }()
+	for clogCtr.v.Load() == 0 { // the decision demanded its round
+		time.Sleep(time.Millisecond)
+	}
+	// Crash's order: the Clog stops, then the node's counters fail.
+	nd.clog.Abandon()
+	tc.ctrs.fail(nd.addr, errors.New("crash-stopped"))
+	if err := <-answer; err == nil {
+		t.Fatal("Commit succeeded after its node's counters failed")
+	}
+	nd.coord.Drain()
+	tc.crashNode(0)
+	tc.ctrs.fail(nd.addr, nil)
+	clogCtr.withhold.Store(false)
+	tc.net.SetAdversary(nil)
+
+	nd = tc.restartNode(0, nd.addr, nd.dir)
+	nd.coord.RecoverPending(nil)
+	check := tc.nodes[1].coord.Begin(nil)
+	_, on1 := distGet(t, check, string(keys[0]))
+	_, on2 := distGet(t, check, string(keys[1]))
+	if err := check.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if on1 != on2 {
+		t.Fatalf("the writers split: committed on node-1 = %v, on node-2 = %v", on1, on2)
+	}
+	if !on1 {
+		t.Error("the stable commit decision was not applied")
+	}
+}
+
+// TestStabilizeTimeoutCommitsLate: a commit decision whose counter round
+// outlasts the stabilization deadline answers indeterminate and sends no
+// abort. A recovery pass meanwhile leaves the live transaction alone, and
+// once the round completes the commit lands on both writers.
+func TestStabilizeTimeoutCommitsLate(t *testing.T) {
+	tc := newShapedCluster(t, 3, 4, 25*time.Millisecond)
+	nd := tc.nodes[0]
+	keys := [][]byte{tc.keyOn("late", "node-1"), tc.keyOn("late", "node-2")}
+	clogCtr := tc.ctrs.m[nd.addr+"/CLOG-000001"]
+	clogCtr.withhold.Store(true)
+	t.Cleanup(func() { clogCtr.withhold.Store(false) }) // the cluster's cleanup drains the push
+
+	tx := nd.coord.Begin(nil)
+	for _, k := range keys {
+		if err := tx.Put(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrAborted) || tx.Outcome() != TxnIndeterminate {
+		t.Fatalf("Commit = %v (outcome %v), want an indeterminate stabilization timeout", err, tx.Outcome())
+	}
+	nd.coord.RecoverPending(nil)
+	if st := nd.coord.status(tx.ID()); st != StatusPending {
+		t.Fatalf("status = %d before the decision is stable, want pending", st)
+	}
+	clogCtr.withhold.Store(false)
+	nd.coord.Drain()
+	if !nd.coord.Committed(tx.ID()) {
+		t.Fatal("the stabilized decision was not noted")
+	}
+	for _, n := range tc.nodes {
+		if a := n.part.ActiveCount(); a != 0 {
+			t.Errorf("%s holds %d transactions after the late commit", n.addr, a)
+		}
+	}
+	check := tc.nodes[1].coord.Begin(nil)
+	for _, k := range keys {
+		if _, ok := distGet(t, check, string(k)); !ok {
+			t.Errorf("%s missing after the late commit", k)
+		}
+	}
+	if err := check.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStatusTableKeepsCommitsOnly: the status table records commits only.
+// Rolled-back transactions and two-phase commits whose prepare failed
+// leave no entry behind, and a status query still answers abort for
+// them: an id the table lacks is presumed aborted.
+func TestStatusTableKeepsCommitsOnly(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	coord := tc.nodes[0].coord
+	begin := func(i int) *DistTxn {
+		tx := coord.Begin(nil)
+		for _, owner := range []string{"node-1", "node-2"} {
+			if err := tx.Put(tc.keyOn(fmt.Sprintf("table-%d", i), owner), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tx
+	}
+	const n = 8
+	var aborted []lsm.TxID
+	for i := 0; i < n; i++ {
+		tx := begin(i)
+		if i%2 == 0 {
+			if err := tx.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			// node-2 forgets its part, so it votes no at prepare.
+			if _, err := tx.broadcast(ReqAbort, []string{"node-2"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); !errors.Is(err, ErrAborted) || tx.Outcome() != TxnAborted {
+				t.Fatalf("Commit = %v (outcome %v), want a definite abort", err, tx.Outcome())
+			}
+		}
+		aborted = append(aborted, tx.ID())
+	}
+	committed := begin(n)
+	if err := committed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	coord.mu.Lock()
+	entries, open := len(coord.commits), len(coord.open)
+	coord.mu.Unlock()
+	if entries != 1 || open != 0 {
+		t.Errorf("status table holds %d commits and %d open transactions after %d aborts and 1 commit, want 1 and 0", entries, open, n)
+	}
+	for _, id := range aborted {
+		if st := coord.status(id); st != StatusAbort {
+			t.Errorf("status of an aborted transaction = %d, want abort", st)
+		}
+	}
+	if st := coord.status(committed.ID()); st != StatusCommit {
+		t.Errorf("status of the committed transaction = %d, want commit", st)
+	}
+}
+
 // TestDecisionDuringPrepareWaitDoesNotWedge: a prepare (control) holds the
 // transaction's mutex across its stabilization wait, and so does a sole
 // writer's one-phase commit. When the coordinator gives up on it and its
@@ -1244,7 +1413,7 @@ func TestDecisionDuringPrepareWaitDoesNotWedge(t *testing.T) {
 		name       string
 		twoWriters bool
 		want       string
-	}{{"prepare", true, "prepare failed"}, {"one-phase", false, "one_phase_failed"}} {
+	}{{"prepare", true, "prepare_failed"}, {"one-phase", false, "one_phase_failed"}} {
 		t.Run(c.name, func(t *testing.T) { testDecisionDuringWaitDoesNotWedge(t, c.twoWriters, c.want) })
 	}
 }
