@@ -206,6 +206,10 @@ vet:
 # prefix: nothing aborts after a commit decision is appended (no
 # abortLogged or cAbortLog), recovery never re-prepares (no cRedoVote or
 # redo_prepare), and recovery and adoption are one event (no evAdopt).
+# And it is resolved one way, by the prepared participant's status query:
+# the coordinator logs no prepare record (no clogPrepare, ClogKindPrepare
+# or cPrepareLog), keeps no dropped Clog tail (DroppedTail), and pushes
+# nothing from recovery (no RecoverPending, evRecover or repush_ counter).
 # A change's CHANGES.md entry stays readable: no "PR n" or "- **Issue N"
 # entry is over 2,500 bytes.
 # $(call BODY_ONCE,<calls>,<method>): the engine calls on at.local that
@@ -259,7 +263,7 @@ check-once:
 	grep -nE 'func \([^)]*\) WaitStable\(' $$($(call ONCE_SRC,.) ! -path './internal/counter/counter.go') && fail=1; \
 	grep -n 'WaitStable' $$($(call ONCE_SRC,internal/txn)) && fail=1; \
 	grep -nE 'trustedCtrs|SealedRPC|(^|[^A-Za-z0-9_])CommitOnePhase' $$($(call ONCE_SRC,.)) && fail=1; \
-	grep -nE 'abortLogged|cAbortLog|cRedoVote|redo_prepare|evAdopt' $$($(call ONCE_SRC,.)) && fail=1; \
+	grep -nE 'abortLogged|cAbortLog|cRedoVote|redo_prepare|evAdopt|clogPrepare|ClogKindPrepare|cPrepareLog|RecoverPending|DroppedTail|evRecover|repush_' $$($(call ONCE_SRC,.)) && fail=1; \
 	LC_ALL=C awk '/^(PR [0-9]+|- \*\*Issue [0-9]+)/ && length($$0) > 2500 { print "CHANGES.md:" FNR ": entry is " length($$0) " bytes, over 2,500"; bad = 1 } END { exit !bad }' CHANGES.md && fail=1; \
 	awk '/^func /{fn=$$0} /case[^:]*walKind(Prepare|Outcome)/ && fn !~ /^func \(f \*walFold\) add\(/{print FILENAME ":" FNR ": " $$0; bad=1} END{exit !bad}' $$($(call ONCE_SRC,.)) && fail=1; \
 	soaks=$$(awk '/^func Test/{fn=$$2} /\.Run\(/ && !/[^A-Za-z0-9_]t\.Run\(/{print FILENAME ": " fn}' internal/chaos/*_test.go | sort -u); \

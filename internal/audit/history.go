@@ -22,7 +22,7 @@ import (
 // Outcome is the client-observed fate of a transaction. Classification
 // must be *sound* with respect to recovery: a commit attempt that
 // returned an error may still land later (its commit decision can
-// stabilize after the error, and RecoverPending pushes a stable one), so
+// stabilize after the error, and its writers, asking, then commit), so
 // only transactions that failed before a commit decision existed may
 // claim a definite abort.
 type Outcome uint8

@@ -152,8 +152,9 @@ var soaks = []soak{{
 		}
 	},
 }, {
-	// Coordinator.RecoverPending under duplicate delivery of its control
-	// messages, and under a partition that heals with work in flight.
+	// Coordinator restarts, whose ReqResolve notices and status answers
+	// settle the participants' in-doubt parts, under duplicate delivery of
+	// the control messages and a partition that heals with work in flight.
 	name: "recover", seed: 11, full: 4, short: 4,
 	cfg: Config{Accounts: 16, Workers: 3},
 	cycle: func(int) []Fault {
@@ -161,11 +162,11 @@ var soaks = []soak{{
 	},
 	check: func(t *testing.T, h *Harness) {
 		// The crash rounds exercised the recovery paths, not just rebooted
-		// idle nodes.
-		if n := sum(h, "twopc.recover.repush_commit") + sum(h, "twopc.recover.repush_abort"); n == 0 {
-			t.Error("no recovery replay on any live node — the recovery rounds rebooted idle nodes")
+		// idle nodes: some in-doubt part was resolved by status query.
+		if n := sum(h, "twopc.part.resolved"); n == 0 {
+			t.Error("no part resolved by query on any live node — the recovery rounds rebooted idle nodes")
 		}
-		// Re-deliver recovery itself: RecoverPending and ResolveRecovered
+		// Re-deliver recovery itself: the notices and ResolveRecovered
 		// must be idempotent against their own duplicates.
 		for pass := 0; pass < 2; pass++ {
 			for _, n := range h.cluster.LiveNodes() {

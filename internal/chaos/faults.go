@@ -131,8 +131,11 @@ func crashRestart(role string, node int) Fault {
 }
 
 // dupCrash is a coordinator crash-restart under duplicate delivery. The
+// coordinator first commits a transfer through two phases with its
+// commit push held, so it crashes with the writers holding that transfer
+// prepared and only the restarted coordinator's notices resolve it. The
 // restart runs before the duplication lifts, so every recovery message —
-// re-pushed commits, presumed aborts, status queries — arrives at least
+// resolve notices, status queries and their answers — arrives at least
 // twice, and the (node, tx, op) dedup plus idempotent handlers must make
 // that invisible.
 func dupCrash(node int) Fault {
@@ -141,7 +144,18 @@ func dupCrash(node int) Fault {
 		Name: fmt.Sprintf("dup-crash-coordinator-node-%d", node),
 		Inject: func(h *Harness) {
 			dup.Inject(h)
+			coord := h.cluster.Node(node)
+			release := coord.Coordinator().HoldPushes()
+			bank := workload.NewBank(workload.BankConfig{Accounts: h.cfg.Accounts}, h.cfg.Seed+int64(node)+7919)
+			for try := 0; try < 20 && coord.Snapshot().Gauge("twopc.coord.pushing") == 0; try++ {
+				if err := h.transfer(0, bank.Next(), node); err != nil {
+					h.aborted[0]++
+				} else {
+					h.committed[0]++
+				}
+			}
 			h.kill(node)
+			release() // the crashed incarnation's push reaches nobody
 		},
 		Lift: func(h *Harness) error {
 			err := h.restartNode(node)

@@ -321,3 +321,59 @@ func TestMigrateIntoReplicatedNodeKeepsBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPromotedSuccessorSettlesBothParts: a successor that is itself a
+// participant of the dead primary's in-doubt transaction holds two parts
+// under one id after promotion — its own and the primary's, restored from
+// the WAL mirror. The one commit decision settles both: neither part is
+// left holding its locks, and both writes are visible.
+func TestPromotedSuccessorSettlesBothParts(t *testing.T) {
+	c := newReplicatedCluster(t, ModeSconeEncStab)
+	primary, successorKey := keysOwnedBy(t, c, 0, 1)[0], keysOwnedBy(t, c, 1, 1)[0]
+
+	// Node 0 coordinates a transaction writing on itself and on node 1,
+	// its backup. The decision is stable; the pushes never go out.
+	coord := c.Node(0).Coordinator()
+	release := coord.HoldPushes()
+	tx := c.Node(0).Begin(nil)
+	for _, k := range []string{primary, successorKey} {
+		if err := tx.Put([]byte(k), []byte("both")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	c.CrashNode(0)
+	release() // the crashed incarnation's push reaches nobody
+	coord.Drain()
+	if a := c.Node(1).Participant().ActiveCount(); a != 1 {
+		t.Fatalf("node 1 holds %d parts before the promotion, want its own prepared part", a)
+	}
+
+	successor, err := c.Promote(0)
+	if err != nil {
+		t.Fatalf("Promote(0): %v", err)
+	}
+	if a := successor.Participant().ActiveCount(); a != 0 {
+		t.Errorf("the successor holds %d parts after promotion, want 0", a)
+	}
+	check := c.Node(2).Begin(nil)
+	for _, k := range []string{primary, successorKey} {
+		if err := check.Put([]byte(k), []byte("after")); err != nil {
+			t.Fatalf("%s is still locked after promotion: %v", k, err)
+		}
+	}
+	if err := check.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	read := successor.Begin(nil)
+	for _, k := range []string{primary, successorKey} {
+		if v, ok, err := read.Get([]byte(k)); err != nil || !ok || string(v) != "both" {
+			t.Errorf("%s = %q/%v/%v after promotion, want the committed value", k, v, ok, err)
+		}
+	}
+	if err := read.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -282,12 +282,11 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.reg.Counter("storage.clog.torn_dropped").Inc()
 	}
 	// The round law spans the three packages wired here: a commit group
-	// written without a waiter (a WAL outcome record, a Clog prepare) fires
-	// no trusted-counter round of its own.
+	// written without a waiter (a WAL outcome record) fires no
+	// trusted-counter round of its own.
 	n.reg.Law("core.round", func(s obs.Snapshot) error {
 		rounds := s.Counter("counter.rounds") - s.Counter("counter.round.failures")
-		demanding := s.Counter("lsm.stabilize.demanded") +
-			s.Histograms["twopc.clog.group_size"].Count - s.Counter("twopc.clog.stabilize_deferred")
+		demanding := s.Counter("lsm.stabilize.demanded") + s.Histograms["twopc.clog.group_size"].Count
 		if rounds > demanding {
 			return fmt.Errorf("%d counter rounds > %d demanding groups", rounds, demanding)
 		}
@@ -472,12 +471,14 @@ func (n *Node) Backup() *repl.Backup { return n.backup }
 // Begin starts a distributed transaction coordinated by this node on fiber f (nil: a goroutine).
 func (n *Node) Begin(f *fibers.Fiber) *twopc.DistTxn { return n.coord.Begin(f) }
 
-// Recover finishes crash recovery once the whole cluster is reachable:
-// the coordinator re-drives its pending transactions and the participant
-// resolves recovered prepared transactions with their coordinators (§VI).
+// Recover finishes crash recovery once the whole cluster is reachable
+// (§VI): every peer is told to resolve its prepared parts of this node's
+// transactions by asking it (one ReqResolve notice each), and this node's
+// participant resolves its own recovered prepared transactions with their
+// coordinators. The coordinator itself only answers.
 func (n *Node) Recover() error {
-	n.coord.RecoverPending(nil)
-	return n.part.ResolveRecovered(n.AddrOfNode)
+	n.coord.Resolve(n.cfg.ID)
+	return n.part.ResolveRecovered()
 }
 
 // Stop shuts the node down cleanly, once its commit pushes have ended.

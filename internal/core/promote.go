@@ -12,21 +12,21 @@ import (
 // gated by a CAS promotion certificate — the trusted-counter-anchored
 // proof that this backup's mirror covers every commit group any
 // stabilized counter value can reference — and then replays the mirror
-// through the folds crash recovery uses:
+// before the epoch flip, the way crash recovery replays a node's logs:
 //
-//	phase A (before the epoch flip): WAL mirror → engine state, through
-//	  lsm's WAL fold (DB.ApplyLog). Committed batches re-apply; prepares
-//	  without decisions restore as prepared transactions for 2PC
-//	  resolution, exactly as a local reboot would.
-//	phase B (after the flip): Clog mirror → coordinator adoption. The
-//	  dead primary's undecided transactions re-drive under this node's
-//	  coordinator, with participant lists rewritten so entries naming
-//	  the dead primary's address now name ours (we ARE that address in
-//	  the new epoch — InstallPromotion aliased the membership entry).
+//	WAL mirror → engine state, through lsm's WAL fold (DB.ApplyLog).
+//	  Committed batches re-apply; prepares without decisions restore as
+//	  prepared transactions, exactly as a local reboot would.
+//	Clog mirror → the coordinator's status table (AdoptRecovered): the
+//	  dead primary's stable commit decisions. It runs before the flip
+//	  aliases the primary's address to ours, so no status query routed
+//	  here can be answered abort for one of them.
 //
-// A decision absent from the mirror was never stabilized on the primary,
-// so it was never acknowledged anywhere — presumed abort stays sound
-// across the takeover.
+// After the flip, the peers are told to resolve their prepared parts of
+// the primary's transactions by asking us, and our own prepared parts
+// resolve with their coordinators. A decision absent from the mirror was
+// never stabilized on the primary, so it was never acknowledged anywhere
+// — presumed abort stays sound across the takeover.
 
 // BuildPromotionRequest assembles this node's mirror evidence for taking
 // over primary: one claim per CAS-witnessed stream, carrying how far the
@@ -86,7 +86,7 @@ func (n *Node) InstallPromotionCert(cert *attest.PromotionCert) error {
 }
 
 // Promote performs the full takeover of a dead primary: certificate,
-// mirror replay, epoch flip, and adoption of the primary's in-flight
+// mirror replay, epoch flip, and resolution of the primary's in-doubt
 // 2PC transactions. The primary must be dead — Treaty's failure model
 // (crash-stop, no rejoin under the old identity) is what makes serving
 // its slots from here safe.
@@ -99,12 +99,6 @@ func (n *Node) Promote(primary uint64) error {
 	if err != nil {
 		return fmt.Errorf("core: promotion refused: %w", err)
 	}
-	// The dead primary's address, resolved in the pre-flip epoch — after
-	// the flip it aliases to us, which is exactly why it must be captured
-	// now for the Clog participant rewrite.
-	oldAddr := n.AddrOfNode(primary)
-
-	// Phase A: WAL mirror → engine, through recovery's fold.
 	undecided, err := n.db.ApplyLog(n.backup.Entries(primary, repl.StreamWAL))
 	if err != nil {
 		return fmt.Errorf("core: promoting %d: replaying WAL mirror: %w", primary, err)
@@ -112,25 +106,17 @@ func (n *Node) Promote(primary uint64) error {
 	if err := n.part.RestorePrepared(undecided); err != nil {
 		return fmt.Errorf("core: promoting %d: restoring prepared: %w", primary, err)
 	}
+	if err := n.coord.AdoptRecovered(n.backup.Entries(primary, repl.StreamClog)); err != nil {
+		return fmt.Errorf("core: promoting %d: adopting clog: %w", primary, err)
+	}
 
 	// Epoch flip: from here the dead primary's slots — and its address —
 	// are ours.
 	if err := n.InstallPromotionCert(cert); err != nil {
 		return fmt.Errorf("core: promotion install: %w", err)
 	}
-
-	// Phase B: Clog mirror → coordinator adoption. Entries naming the
-	// dead primary as a participant are rewritten to us.
-	rewrite := func(a string) string {
-		if a == oldAddr {
-			return n.cfg.Addr
-		}
-		return a
-	}
-	if err := n.coord.AdoptRecovered(n.backup.Entries(primary, repl.StreamClog), rewrite, nil); err != nil {
-		return fmt.Errorf("core: promoting %d: adopting clog: %w", primary, err)
-	}
-	if err := n.part.ResolveRecovered(n.AddrOfNode); err != nil {
+	n.coord.Resolve(primary)
+	if err := n.part.ResolveRecovered(); err != nil {
 		return fmt.Errorf("core: promoting %d: resolving prepared: %w", primary, err)
 	}
 	n.reg.Counter("repl.promotions").Inc()

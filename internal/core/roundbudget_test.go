@@ -9,9 +9,9 @@ import (
 // TestCounterRoundBudget pins stabilize-on-demand end to end on a full
 // security cluster: a committed read-write transaction with two or more
 // writers costs one trusted-counter round per participant prepare plus
-// one for the coordinator's commit decision — the Clog prepare record and
-// the participants' outcome records are written and forced but ride
-// later rounds. A sole writer costs one round for its one WAL record and
+// one for the coordinator's commit decision, its one Clog record — the
+// participants' outcome records are written and forced but ride later
+// rounds. A sole writer costs one round for its one WAL record and
 // no Clog record; a read-only transaction and a rollback log nothing and
 // cost no round at all.
 func TestCounterRoundBudget(t *testing.T) {
@@ -32,8 +32,7 @@ func TestCounterRoundBudget(t *testing.T) {
 		var late []string
 		for addr, s := range c.Snapshot() {
 			rounds := s.Counter("counter.rounds") - s.Counter("counter.round.failures")
-			demands := s.Counter("lsm.stabilize.demanded") +
-				s.Histograms["twopc.clog.group_size"].Count - s.Counter("twopc.clog.stabilize_deferred")
+			demands := s.Counter("lsm.stabilize.demanded") + s.Histograms["twopc.clog.group_size"].Count
 			if rounds < demands {
 				late = append(late, fmt.Sprintf("%s: %d rounds for %d demands", addr, rounds, demands))
 			}
@@ -48,7 +47,7 @@ func TestCounterRoundBudget(t *testing.T) {
 
 	const txns, keysPer = 12, 6
 	rounds, failures, prepares := sum("counter.rounds"), sum("counter.round.failures"), sum("twopc.part.prepares")
-	demanded := sum("lsm.stabilize.demanded")
+	demanded, clogAppends := sum("lsm.stabilize.demanded"), sum("twopc.clog.appends")
 	for n := 0; n < txns; n++ {
 		tx := c.Node(n % 3).Begin(nil)
 		for i := 0; i < keysPer; i++ {
@@ -83,8 +82,8 @@ func TestCounterRoundBudget(t *testing.T) {
 	if got := sum("lsm.wal.stabilize_deferred"); got < dPrepares {
 		t.Fatalf("lsm.wal.stabilize_deferred = %d, want one deferred outcome group per prepare (%d)", got, dPrepares)
 	}
-	if got := sum("twopc.clog.stabilize_deferred"); got < txns {
-		t.Fatalf("twopc.clog.stabilize_deferred = %d, want one deferred prepare group per transaction (%d)", got, txns)
+	if got := sum("twopc.clog.appends") - clogAppends; got != txns {
+		t.Fatalf("twopc.clog.appends grew by %d, want one commit decision per transaction (%d)", got, txns)
 	}
 	t.Logf("%d txns: %d rounds = %d prepares + %d decisions (+%d housekeeping)", txns, dRounds, dPrepares, txns, housekeeping)
 

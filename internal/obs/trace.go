@@ -174,7 +174,7 @@ func (tr *Trace) Enter(s Stage) {
 }
 
 // Finish closes the trace with an outcome (OutcomeCommitted/Aborted/
-// Recovered) and an optional reason ("prepare_failed", "repush_commit",
+// Recovered) and an optional reason ("prepare_failed", "client_rollback",
 // ...). The in-progress stage is closed and recorded, the trace enters
 // the tracer's retention ring, and further Enter/Finish calls become
 // no-ops.

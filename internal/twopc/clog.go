@@ -2,14 +2,16 @@
 // distributed transactions (§V) and its stabilization-integrated recovery
 // (§VI). A transaction coordinator (TxC) drives each global transaction:
 // it routes operations to participant nodes over the secure RPC layer,
-// logs 2PC state transitions to the Clog with trusted-counter binding,
-// and commits only after every participant's prepare entry — and its own
-// decision entry — are rollback-protected. Both roles, live and in
-// recovery, run one pure transition function, step (step.go); DistTxn
-// and Participant perform its effects.
+// logs its commit decisions to the Clog with trusted-counter binding, and
+// commits only after every participant's prepare entry — and its own
+// decision entry — are rollback-protected. A prepared participant
+// resolves an in-doubt part by asking the coordinator, which only
+// answers. Both roles run one pure transition function, step (step.go);
+// DistTxn and Participant perform its effects.
 package twopc
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,31 +25,25 @@ import (
 	"treaty/internal/vfs"
 )
 
-// Exported record kinds for harnesses that drive Append directly (the
-// crash-point harness appends synthetic coordinator records).
-const (
-	ClogKindPrepare  = clogPrepare
-	ClogKindDecision = clogDecision
-)
+// ClogKindDecision is the record kind for harnesses that drive Append
+// directly (the crash-point harness appends synthetic decisions).
+const ClogKindDecision = clogDecision
 
 // ErrClogClosed indicates an append against a closed coordinator log.
 var ErrClogClosed = errors.New("twopc: clog closed")
 
 // ClogEntry is one recovered coordinator-log record.
 type ClogEntry struct {
-	// Kind is clogPrepare or clogDecision.
+	// Kind is clogDecision.
 	Kind uint8
 	// TxID is the global transaction id.
 	TxID lsm.TxID
-	// Commit is the decision (valid for clogDecision).
+	// Commit is the decision.
 	Commit bool
-	// Participants lists the involved node addresses (clogPrepare).
+	// Participants lists the writers the decision goes to.
 	Participants []string
 	// Counter is the entry's trusted counter value.
 	Counter uint64
-	// Dropped marks a record of the unstabilized tail opening dropped
-	// (DroppedTail).
-	Dropped bool
 }
 
 // encodeClogPayload serializes an entry body.
@@ -118,10 +114,8 @@ type Clog struct {
 	staged []durlog.Entry // the leader's scratch slice of the group's entries
 
 	// tornDropped records that opening found and dropped a crash-torn
-	// tail; droppedTail holds the intact records of an unstabilized tail
-	// it dropped.
+	// tail.
 	tornDropped bool
-	droppedTail []ClogEntry
 }
 
 // clogName builds the Clog path.
@@ -129,9 +123,10 @@ func clogName(dir string) string { return filepath.Join(dir, "CLOG-000001") }
 
 // OpenClog creates or re-opens the coordinator log. Existing entries are
 // replayed (verifying chain, counters, and freshness against maxStable;
-// pass -1 to skip freshness) and returned for coordinator recovery; a
-// crash-torn or unstabilized tail is dropped (see durlog.Open). fs nil
-// uses the real filesystem.
+// pass -1 to skip freshness) and returned to seed the coordinator's status
+// table; a crash-torn or unstabilized tail is dropped (see durlog.Open):
+// nobody was acknowledged on its strength, so its transactions are
+// presumed aborted. fs nil uses the real filesystem.
 func OpenClog(fs vfs.FS, dir string, level seal.SecurityLevel, key seal.Key, rt *enclave.Runtime, ctr durlog.TrustedCounter, maxStable int64) (*Clog, []ClogEntry, error) {
 	log, replayed, err := durlog.Open(durlog.Config{
 		FS: fs, Path: clogName(dir), Level: level, Key: key, Runtime: rt, Counter: ctr, Force: true,
@@ -144,12 +139,6 @@ func OpenClog(fs vfs.FS, dir string, level seal.SecurityLevel, key seal.Key, rt 
 		return nil, nil, err
 	}
 	c := &Clog{log: log, tornDropped: replayed.Torn}
-	if c.droppedTail, err = DecodeClogRecords(replayed.Dropped); err != nil {
-		return nil, nil, err
-	}
-	for i := range c.droppedTail {
-		c.droppedTail[i].Dropped = true
-	}
 	c.queue = durlog.NewQueue(c.commitGroup)
 	return c, entries, nil
 }
@@ -159,7 +148,10 @@ func OpenClog(fs vfs.FS, dir string, level seal.SecurityLevel, key seal.Key, rt 
 func DecodeClogRecords(recs []durlog.Entry) ([]ClogEntry, error) {
 	var out []ClogEntry
 	for _, r := range recs {
-		if r.Kind != clogPrepare && r.Kind != clogDecision {
+		if r.Kind == 1 { // an older log's prepare-start record, which presumed abort reads as nothing
+			continue
+		}
+		if r.Kind != clogDecision {
 			return nil, fmt.Errorf("twopc: unknown clog record kind %d", r.Kind)
 		}
 		txID, commit, parts, err := decodeClogPayload(r.Payload)
@@ -190,7 +182,6 @@ func (c *Clog) Configure(t ClogTuning) {
 		Appends:     m.Counter("twopc.clog.appends"),
 		Syncs:       m.Counter("twopc.clog.syncs"),
 		SyncLatency: m.Histogram("twopc.clog.sync.latency_ns"),
-		Deferred:    m.Counter("twopc.clog.stabilize_deferred"),
 	})
 	m.GaugeFunc("twopc.clog.appended_lsn", func() int64 { return int64(c.log.LastCounter()) })
 	m.GaugeFunc("twopc.clog.stable_lsn", func() int64 { return int64(c.log.StableValue()) })
@@ -201,32 +192,27 @@ func (c *Clog) Configure(t ClogTuning) {
 // detected-corruption event for the observability layer).
 func (c *Clog) TornTailDropped() bool { return c.tornDropped }
 
-// DroppedTail returns the records opening found forced but not
-// rollback-protected, and dropped. Nobody was acknowledged on their
-// strength — a coordinator acts on a decision only once it is stable — so
-// recovery presumes abort for their transactions, and tells the
-// participants, which may still hold them prepared.
-func (c *Clog) DroppedTail() []ClogEntry { return c.droppedTail }
-
 // Append logs one entry via the group-commit leader and returns a token
 // the caller can wait on ("Every Tx/operation is logged to Clog with its
 // own unique trusted counter value"). The call returns once the entry's
-// group has been written AND forced — an acknowledged append is durable.
-// A decision demands a trusted-counter round; a prepare record rides the
-// next demanded one (its token stays waitable: waiting raises the
-// demand). The Clog is fail-stop: see durlog's invariants.
+// group has been written AND forced — an acknowledged append is durable —
+// and every group demands a trusted-counter round. The Clog is fail-stop:
+// see durlog's invariants.
 func (c *Clog) Append(kind uint8, txID lsm.TxID, commit bool, participants []string) (durlog.StableToken, error) {
-	req := &clogReq{
-		kind:    kind,
-		payload: encodeClogPayload(txID, commit, participants),
-		done:    make(chan clogRes, 1),
-	}
-	if !c.queue.Submit(req) {
-		err := c.log.Poisoned()
-		if err == nil {
-			err = ErrClogClosed
+	return c.appendAll(kind, ClogEntry{TxID: txID, Commit: commit, Participants: participants})
+}
+
+// appendAll submits every entry before it waits on the last, so a batch
+// commits in as few groups as the leader allows, and returns the last
+// one's token. The log is fail-stop, so the last one's success covers
+// every earlier one. entries must not be empty.
+func (c *Clog) appendAll(kind uint8, entries ...ClogEntry) (durlog.StableToken, error) {
+	var req *clogReq
+	for _, e := range entries {
+		req = &clogReq{kind: kind, payload: encodeClogPayload(e.TxID, e.Commit, e.Participants), done: make(chan clogRes, 1)}
+		if !c.queue.Submit(req) {
+			return durlog.StableToken{}, cmp.Or(c.log.Poisoned(), ErrClogClosed)
 		}
-		return durlog.StableToken{}, err
 	}
 	res := <-req.done
 	return res.token, res.err
@@ -234,19 +220,18 @@ func (c *Clog) Append(kind uint8, txID lsm.TxID, commit bool, participants []str
 
 // commitGroup commits one group of appends and completes its waiters.
 func (c *Clog) commitGroup(group []*clogReq) {
-	entries, demand := c.staged[:0], false
+	entries := c.staged[:0]
 	for _, req := range group {
 		entries = append(entries, durlog.Entry{Kind: req.kind, Payload: req.payload})
-		demand = demand || clogDemands(req.kind)
 	}
-	err := c.log.Commit(entries, demand)
+	err := c.log.Commit(entries, true)
 	c.staged = entries
 	for i, req := range group {
 		if err != nil {
 			req.done <- clogRes{err: err}
 			continue
 		}
-		req.done <- clogRes{token: c.log.Token(entries[i].Counter, clogDemands(req.kind))}
+		req.done <- clogRes{token: c.log.Token(entries[i].Counter, true)}
 	}
 }
 
@@ -278,9 +263,7 @@ func (c *Clog) LastCounter() uint64 { return c.log.LastCounter() }
 // never exceed it).
 func (c *Clog) SyncedCounter() uint64 { return c.log.SyncedCounter() }
 
-// Stable reports whether every appended entry is rollback-protected —
-// one of the two preconditions for Clog truncation (§VI: "The Clog is
-// deleted as long as there are no unstable entries and does not contain
-// any unfinished prepared transaction entry"). The other precondition —
-// no unfinished prepared transactions — is the coordinator's to check.
+// Stable reports whether every appended entry is rollback-protected:
+// with no prepare record logged, the one precondition left for deleting
+// the Clog (§VI: "as long as there are no unstable entries").
 func (c *Clog) Stable() bool { return c.log.StableValue() >= c.log.LastCounter() }

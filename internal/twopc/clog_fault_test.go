@@ -33,10 +33,9 @@ func TestClogSyncFailureFailStop(t *testing.T) {
 		t.Fatal("fresh clog must be empty")
 	}
 
-	// A prepare-only group defers its counter round; waiting on the token
-	// raises the demand, so the record is stable before the failure.
+	// The first record is stable before the failure.
 	okID := globalTxID(1, 1)
-	tok, err := clog.Append(clogPrepare, okID, false, []string{"node-1"})
+	tok, err := clog.Append(clogDecision, okID, true, []string{"node-1"})
 	if err == nil {
 		err = tok.Wait()
 	}
@@ -65,8 +64,8 @@ func TestClogSyncFailureFailStop(t *testing.T) {
 		t.Fatalf("reopen after poisoned clog: %v", err)
 	}
 	defer clog2.Close()
-	if len(entries) != 1 || entries[0].Kind != clogPrepare || entries[0].TxID != okID {
-		t.Fatalf("recovered entries = %+v, want the single pre-failure prepare", entries)
+	if len(entries) != 1 || entries[0].Kind != clogDecision || entries[0].TxID != okID {
+		t.Fatalf("recovered entries = %+v, want the single pre-failure decision", entries)
 	}
 	if _, err := clog2.Append(clogDecision, okID, true, nil); err != nil {
 		t.Fatalf("reopened clog rejects appends: %v", err)

@@ -117,12 +117,10 @@ func TestClogPowerCutNoFalseRollback(t *testing.T) {
 	const appends = 25
 	var last durlog.StableToken
 	for i := 1; i <= appends; i++ {
-		if last, err = clog.Append(clogPrepare, globalTxID(7, uint64(i)), false, []string{"node-1", "node-2"}); err != nil {
+		if last, err = clog.Append(clogDecision, globalTxID(7, uint64(i)), true, []string{"node-1", "node-2"}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	// Prepare-only groups defer their counter round; one wait on the last
-	// token stabilizes the whole burst.
 	if err := last.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +167,9 @@ func TestClogGroupFsyncPoisonsCohort(t *testing.T) {
 
 	// A healthy first group.
 	okID := globalTxID(1, 1)
-	tok, err := clog.Append(clogPrepare, okID, false, []string{"node-1"})
+	tok, err := clog.Append(clogDecision, okID, true, []string{"node-1"})
 	if err == nil {
-		err = tok.Wait() // a prepare-only group is stable once somebody waits
+		err = tok.Wait()
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +215,7 @@ func TestClogGroupFsyncPoisonsCohort(t *testing.T) {
 	}
 	defer clog2.Close()
 	if len(entries) != 1 || entries[0].TxID != okID {
-		t.Fatalf("recovered entries = %+v, want the single acked prepare", entries)
+		t.Fatalf("recovered entries = %+v, want the single acked decision", entries)
 	}
 }
 
@@ -263,7 +261,7 @@ func TestClogConcurrentAppendHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < appendsPer; i++ {
-				token, err := clog.Append(clogPrepare, globalTxID(uint64(g+1), uint64(i+1)), false, []string{"a", "b"})
+				token, err := clog.Append(clogDecision, globalTxID(uint64(g+1), uint64(i+1)), true, []string{"a", "b"})
 				if err != nil {
 					t.Errorf("append: %v", err)
 					return
@@ -287,39 +285,37 @@ func TestClogConcurrentAppendHammer(t *testing.T) {
 }
 
 // TestClogReopenOverDeferredTail reboots over a forced-but-unstabilized
-// tail of prepare records — the normal state of a crashed coordinator
-// now that prepare-only groups defer their counter round. Recovery drops
-// the tail (presumed abort) and must keep appending on the chain of what
-// it kept: the next reboot verifies the hash chain across the seam.
+// tail of decisions — a coordinator that crashed while their counter
+// round was out. Recovery drops the tail (presumed abort) and must keep
+// appending on the chain of what it kept: the next reboot verifies the
+// hash chain across the seam. It runs on the real filesystem, whose
+// truncation drops the tail.
 func TestClogReopenOverDeferredTail(t *testing.T) {
-	fs := vfs.NewMemFS()
-	if err := fs.MkdirAll("/c", 0o755); err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
 	key, err := seal.NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr := &fakeCounter{}
-	clog, _, err := OpenClog(fs, "/c", seal.LevelEncrypted, key, nil, ctr, -1)
+	ctr := &manualCounter{} // a round completes only when the test says so
+	clog, _, err := OpenClog(nil, dir, seal.LevelEncrypted, key, nil, ctr, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tok, err := clog.Append(clogDecision, globalTxID(1, 1), true, nil); err != nil || !tok.Ready() {
-		t.Fatalf("commit decision must demand its round: err=%v", err)
-	}
-	for i := 2; i <= 4; i++ {
-		if _, err := clog.Append(clogPrepare, globalTxID(1, uint64(i)), false, []string{"n1"}); err != nil {
+	for i := 1; i <= 4; i++ {
+		if _, err := clog.Append(clogDecision, globalTxID(1, uint64(i)), true, []string{"n1"}); err != nil {
 			t.Fatal(err)
+		}
+		if i == 1 {
+			ctr.set(1)
 		}
 	}
 	if clog.Stable() || ctr.StableValue() != 1 || clog.SyncedCounter() != 4 {
-		t.Fatalf("prepare-only groups must be forced but not stabilized: stable=%d synced=%d", ctr.StableValue(), clog.SyncedCounter())
+		t.Fatalf("the tail must be forced but not stabilized: stable=%d synced=%d", ctr.StableValue(), clog.SyncedCounter())
 	}
 	clog.Abandon() // crash: no close-time stabilization
 
 	for boot := 1; boot <= 2; boot++ {
-		clog, entries, err := OpenClog(fs, "/c", seal.LevelEncrypted, key, nil, ctr, int64(ctr.StableValue()))
+		clog, entries, err := OpenClog(nil, dir, seal.LevelEncrypted, key, nil, ctr, int64(ctr.StableValue()))
 		if err != nil {
 			t.Fatalf("boot %d: %v", boot, err)
 		}
@@ -328,6 +324,7 @@ func TestClogReopenOverDeferredTail(t *testing.T) {
 		}
 		tok, err := clog.Append(clogDecision, globalTxID(2, uint64(boot)), true, nil)
 		if err == nil {
+			ctr.set(tok.Value())
 			err = tok.Wait()
 		}
 		if err != nil || tok.Value() != uint64(boot)+1 {

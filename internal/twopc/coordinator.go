@@ -1,7 +1,6 @@
 package twopc
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -74,14 +73,13 @@ type Coordinator struct {
 	nextTx atomic.Uint64
 
 	// The status table. commits records the committed transactions for
-	// status queries (seeded by Clog replay, extended by live traffic); an
-	// id it lacks is presumed aborted unless open holds it. open holds the
-	// state of every transaction whose protocol work is unfinished: a
-	// logged prepare with no decision yet, or a recovered decision whose
-	// push RecoverPending still owes.
+	// status queries (seeded by Clog replay and adoption, extended by live
+	// traffic); an id it lacks is presumed aborted unless open holds it.
+	// open holds every live two-phase transaction between its prepare
+	// fan-out and a stable decision or an abort: its status is pending.
 	mu      sync.Mutex
 	commits map[lsm.TxID]struct{}
-	open    map[lsm.TxID]txState
+	open    map[lsm.TxID]struct{}
 
 	// Commit pushes running after their answer (Drain, HoldPushes).
 	pushes   pushSet
@@ -93,15 +91,14 @@ type Coordinator struct {
 	//
 	//	begun == committed + aborted + inflight
 	//
-	// Recovery passes deliberately touch none of begun, committed,
-	// aborted and inflight: they re-drive transactions that were already
-	// counted (or that belonged to a previous boot's registry), so counting
-	// them again would break the law. They are visible through the
-	// recover.* counters and the "recover" stage traces instead.
+	// Recovery touches none of them: a restarted coordinator only answers
+	// status queries and sends ReqResolve notices (twopc.resolve.notices),
+	// and the participants count what they resolve (twopc.part.resolved).
 	reg                       *obs.Registry
 	begun, committed, aborted *obs.Counter
 	inflight                  *obs.Gauge
 	stabilizeWait             *obs.Histogram // time spent in waitToken
+	notices                   *obs.Counter
 }
 
 // CoordinatorConfig configures a Coordinator.
@@ -130,7 +127,7 @@ type CoordinatorConfig struct {
 	// protection is waited for 4 × Timeout, after which a dead counter
 	// service fails the commit as indeterminate instead of hanging it.
 	Timeout time.Duration
-	// Recovered seeds protocol state from Clog replay (may be nil).
+	// Recovered seeds the status table from Clog replay (may be nil).
 	Recovered []ClogEntry
 	// Metrics, when non-nil, exports transaction counters under
 	// "twopc.*" and per-stage 2PC latency histograms under
@@ -138,9 +135,8 @@ type CoordinatorConfig struct {
 	Metrics *obs.Registry
 }
 
-// NewCoordinator creates a coordinator, replays the recovered Clog
-// records through step (the stable ones, then the dropped tail) and
-// registers its status handler.
+// NewCoordinator creates a coordinator, seeds its status table with the
+// recovered Clog's commit decisions and registers its status handler.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.Participant == nil {
 		panic("twopc: a coordinator needs its node's participant")
@@ -155,7 +151,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		refresh:       cfg.Refresh,
 		timeout:       cfg.Timeout,
 		commits:       make(map[lsm.TxID]struct{}),
-		open:          make(map[lsm.TxID]txState),
+		open:          make(map[lsm.TxID]struct{}),
 		tracer:        obs.NewTracer(m, "twopc.stage"),
 		reg:           m,
 		begun:         m.Counter("twopc.tx.begun"),
@@ -163,34 +159,25 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		aborted:       m.Counter("twopc.tx.aborted"),
 		inflight:      m.Gauge("twopc.tx.inflight"),
 		stabilizeWait: m.Histogram("twopc.stabilize.wait_ns"),
+		notices:       m.Counter("twopc.resolve.notices"),
 	}
 	m.GaugeFunc("twopc.coord.prepared", func() int64 {
 		return int64(c.PreparedCount())
 	})
 	m.GaugeFunc("twopc.coord.pushing", c.pushes.n.Load)
-	// Every coordinated transaction is accounted for exactly once;
-	// recovery replays are outside the law (see twopc.recover.*).
+	// Every coordinated transaction is accounted for exactly once.
 	m.Balance("twopc.tx", "twopc.tx.begun", "twopc.tx.committed", "twopc.tx.aborted", "twopc.tx.inflight")
 	m.Balance("twopc.push", "twopc.coord.pushing")
 	if c.timeout == 0 {
 		c.timeout = 2 * time.Second
 	}
-	for _, e := range slices.Concat(cfg.Recovered, cfg.Clog.DroppedTail()) {
-		s := c.open[e.TxID]
-		s.mode = recovery
-		fx := step(&s, &event{kind: evRecord, rec: &e}, nil)
-		c.open[e.TxID] = s
-		for _, x := range fx { // a replayed record's one effect is its note
-			c.note(e.TxID, s, x.code)
-		}
-	}
+	c.seed(cfg.Recovered)
 	// Transaction sequence numbers start at a per-boot random offset, like
 	// the endpoint's operation ids (erpc.NextOpID).
 	// The recovered Clog cannot bound the ids a previous boot handed out:
-	// a transaction that never reached Commit logged nothing, and a
-	// prepare record may have been dropped as an unstabilized tail while
-	// its participants still hold the prepared transaction — reusing its
-	// id would let that stale write set commit under the new decision.
+	// only commit decisions are logged, and participants may still hold an
+	// undecided transaction prepared — reusing its id would let that stale
+	// write set commit under the new decision.
 	var txSeed [8]byte
 	if _, err := rand.Read(txSeed[:5]); err == nil {
 		c.nextTx.Store(binary.LittleEndian.Uint64(txSeed[:]) << 24)
@@ -212,33 +199,46 @@ func (c *Coordinator) handleStatus(req *erpc.Request) {
 }
 
 // status reports id's outcome to a participant resolving it: committed,
-// pending while its prepare awaits a decision, and otherwise presumed
-// aborted.
+// pending while a live transaction awaits its decision, and otherwise
+// presumed aborted.
 func (c *Coordinator) status(id lsm.TxID) uint8 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.commits[id]; ok {
 		return StatusCommit
 	}
-	if s, ok := c.open[id]; ok && s.phase != cDecided {
+	if _, ok := c.open[id]; ok {
 		return StatusPending
 	}
 	return StatusAbort
 }
 
-// note publishes s, id's state after a step, to the status table: a
-// commit is recorded, and s stays open while it owes work. An abort needs
-// no record: an id the table lacks answers abort.
-func (c *Coordinator) note(id lsm.TxID, s txState, status uint8) {
+// note publishes id's state after a step to the status table: a commit
+// is recorded, and the transaction stays open (pending) until answered.
+// An abort needs no record: an id the table lacks answers abort.
+func (c *Coordinator) note(id lsm.TxID, phase phase, status uint8) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if status == StatusCommit {
 		c.commits[id] = struct{}{}
 	}
-	if s.phase == cDone {
+	if phase == cDone {
 		delete(c.open, id)
 	} else {
-		c.open[id] = s
+		c.open[id] = struct{}{}
+	}
+}
+
+// seed records the commit decisions among entries in the status table:
+// this node's replayed Clog at boot, a dead primary's mirrored one at
+// promotion. An abort decision, which Commit never logs, records nothing.
+func (c *Coordinator) seed(entries []ClogEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range entries {
+		if e.Commit {
+			c.commits[e.TxID] = struct{}{}
+		}
 	}
 }
 
@@ -252,8 +252,8 @@ type DistTxn struct {
 	// view is the shard map pinned at Begin: the whole transaction
 	// routes and epoch-stamps through one consistent view, so a
 	// concurrent epoch flip surfaces as a retriable wrong-epoch
-	// rejection rather than a torn route. Nil only for recovery
-	// replays, which broadcast control messages and never route keys.
+	// rejection rather than a torn route. Nil on a detached push, which
+	// broadcasts control messages and never routes keys.
 	view  *shardmap.Map
 	parts map[string]leg // participant address → what was sent there
 	f     *fibers.Fiber  // waits parked for remote replies; nil on a goroutine
@@ -261,8 +261,7 @@ type DistTxn struct {
 	// decision's, which a stabilize effect waits on.
 	st    txState
 	token durlog.StableToken
-	// trace follows the transaction through the 2PC stage machine; a
-	// recovery pass's traces only its "recover" stage.
+	// trace follows the transaction through the 2PC stage machine.
 	trace *obs.Trace
 }
 
@@ -277,12 +276,12 @@ type leg struct {
 // TxnIndeterminate is a durability argument, not a convenience: once
 // Commit has appended its commit decision, the decision may stabilize
 // after the error was returned (or its counter round may have completed
-// unseen), and then the transaction commits, pushed live or by
-// RecoverPending. So may a sole writer whose one-phase commit went
-// unanswered. Rollback and every commit that failed before appending a
-// commit decision are definite aborts: recovery aborts a prepare record
-// that no stable commit decision follows. History auditors rely on this
-// classification being sound.
+// unseen), and then the transaction commits: pushed live, or answered to
+// the writers' status queries once the restarted Clog replays it. So may
+// a sole writer whose one-phase commit went unanswered. Rollback and
+// every commit that failed before appending a commit decision are
+// definite aborts: an id without a commit decision answers abort. History
+// auditors rely on this classification being sound.
 type TxnOutcome uint8
 
 const (
@@ -540,7 +539,7 @@ func (t *DistTxn) run(ev event) error {
 					ev.resps[j] = r.Resp
 				}
 			case fxAppend: // the only decision Commit logs is a commit
-				t.token, ev.err = t.c.clog.Append(e.code, t.id, e.code == clogDecision, e.to)
+				t.token, ev.err = t.c.clog.Append(e.code, t.id, true, e.to)
 			case fxStabilize:
 				ev.err = t.waitToken(t.token)
 			default:
@@ -556,79 +555,70 @@ func (t *DistTxn) run(ev event) error {
 func (t *DistTxn) perform(e effect) {
 	switch s := &t.st; e.kind {
 	case fxStage:
-		if s.mode == live { // a recovery pass traces only its "recover" stage
-			t.trace.Enter(obs.Stage(e.name))
-		}
+		t.trace.Enter(obs.Stage(e.name))
 	case fxCount:
 		t.c.reg.Counter(e.name).Inc()
 	case fxNote:
-		t.c.note(t.id, *s, e.code)
+		t.c.note(t.id, s.phase, e.code)
 	case fxPush:
-		t.push(e.code, e.to, s.mode == live)
-	case fxAnswer:
-		// A client's transaction settles in the twopc.tx law and closes
-		// its trace, once; a recovery pass closes its "recover" trace.
-		switch {
-		case s.mode == live:
-			t.c.inflight.Add(-1)
-			if s.outcome == TxnCommitted {
-				t.c.committed.Inc()
-				t.trace.Finish(obs.OutcomeCommitted, s.reason)
-			} else {
-				t.c.aborted.Inc()
-				t.trace.Finish(obs.OutcomeAborted, s.reason)
-			}
-		default:
-			t.trace.Finish(obs.OutcomeRecovered, s.reason)
+		t.push(e.code, e.to)
+	case fxAnswer: // the transaction settles in the twopc.tx law and closes its trace, once
+		t.c.inflight.Add(-1)
+		if s.outcome == TxnCommitted {
+			t.c.committed.Inc()
+			t.trace.Finish(obs.OutcomeCommitted, s.reason)
+		} else {
+			t.c.aborted.Inc()
+			t.trace.Finish(obs.OutcomeAborted, s.reason)
 		}
 	}
 }
 
-// decisionAttempts bounds a decision push, live or from recovery.
+// decisionAttempts bounds a decision push, and a ReqResolve notice.
 const decisionAttempts = 4
 
-// push sends decision req to its participants, re-sending to those that
-// did not answer on the retry ladder. Only remote legs can go unanswered:
-// this node's own leg is a call. A lost decision push is always safe —
-// recovery re-derives it — but re-pushing promptly releases prepared
-// participants without waiting for a restart. A detached push is a live
-// commit's: it runs after the client's answer on a goroutine of its own,
-// waits for the decision's token (stable already if the client heard
-// committed), notes the commit and pushes it, and ends the transaction's
-// trace. If the counter fails instead, nothing is pushed: the restarted
-// Clog decides.
-func (t *DistTxn) push(req uint8, to []string, detach bool) {
-	if detach {
-		push, st := &DistTxn{c: t.c, id: t.id, seq: t.seq, token: t.token, trace: t.trace}, t.st
-		t.trace = nil // the push ends it
-		t.c.pushes.Add()
-		go func(to []string) {
-			defer t.c.pushes.Done()
-			outcome := obs.OutcomeAborted
-			if push.token.Wait() == nil {
-				t.c.note(push.id, st, StatusCommit)
-				t.c.pushGate.RLock()
-				t.c.pushGate.RUnlock()
-				push.push(req, to, false)
-				push.trace.Enter(obs.StageReclaim)
-				outcome = obs.OutcomeCommitted
+// push sends decision req to its writers after the client's answer, on a
+// goroutine of its own: it waits for the decision's token (stable already
+// if the client heard committed), notes the commit, sends it and re-sends
+// to the writers that did not answer on the retry ladder (only remote
+// legs can go unanswered: this node's own leg is a call), and ends the
+// transaction's trace. Pushing promptly releases the writers' locks; a
+// lost push is safe, since a prepared writer asks for the decision on its
+// janitor tick. If the counter fails instead, nothing is pushed: the
+// restarted Clog decides.
+func (t *DistTxn) push(req uint8, to []string) {
+	push, token, reason := &DistTxn{c: t.c, id: t.id, seq: t.seq, trace: t.trace}, t.token, t.st.reason
+	t.trace = nil // the push ends it
+	t.c.pushes.Add()
+	go func() {
+		defer t.c.pushes.Done()
+		outcome := obs.OutcomeAborted
+		if token.Wait() == nil {
+			t.c.note(push.id, cDone, StatusCommit)
+			t.c.pushGate.RLock()
+			t.c.pushGate.RUnlock()
+			for retry, to := t.c.ep.Retry(decisionAttempts, erpc.RetryBase, erpc.RetryCap, nil), to; ; {
+				replies, _ := push.broadcast(req, to)
+				if to = unanswered(to, replies); len(to) == 0 || !retry.Next() {
+					break
+				}
 			}
-			push.trace.Finish(outcome, st.reason)
-		}(to)
-		return
-	}
-	for retry := t.c.ep.Retry(decisionAttempts, erpc.RetryBase, erpc.RetryCap, t.f); ; {
-		replies, _ := t.broadcast(req, to)
-		var unanswered []string
-		for i, r := range replies {
-			if errors.Is(r.Err, erpc.ErrTimeout) {
-				unanswered = append(unanswered, to[i])
-			}
+			push.trace.Enter(obs.StageReclaim)
+			outcome = obs.OutcomeCommitted
 		}
-		if to = unanswered; len(to) == 0 || !retry.Next() {
-			return
+		push.trace.Finish(outcome, reason)
+	}()
+}
+
+// unanswered returns the addresses whose reply timed out.
+func unanswered(addrs []string, replies []erpc.Reply) []string {
+	var out []string
+	for i, r := range replies {
+		if errors.Is(r.Err, erpc.ErrTimeout) {
+			out = append(out, addrs[i])
 		}
 	}
+	return out
 }
 
 // pushSet is a WaitGroup whose count the twopc.coord.pushing gauge reads.
@@ -641,7 +631,8 @@ func (p *pushSet) Add()  { p.n.Add(1); p.WaitGroup.Add(1) }
 func (p *pushSet) Done() { p.n.Add(-1); p.WaitGroup.Done() }
 
 // Drain waits for every commit push in flight. A clean stop calls it
-// while the endpoints still run; a crash never does: recovery re-pushes.
+// while the endpoints still run; a crash never does: a writer the push
+// missed asks the restarted coordinator.
 func (c *Coordinator) Drain() { c.pushes.Wait() }
 
 // HoldPushes holds commit pushes that start from now on until release
@@ -661,89 +652,62 @@ func (t *DistTxn) waitToken(token durlog.StableToken) error {
 	return token.Await(start.Add(4*t.c.timeout), t.f)
 }
 
-// RecoverPending finishes the transactions the Clog replay left open
-// (§VI): each recovered decision's push, owed once, and each logged
-// prepare without a decision, which is aborted. A live transaction's
-// open state is its own run's to finish.
-func (c *Coordinator) RecoverPending(f *fibers.Fiber) {
-	work := make(map[lsm.TxID]txState)
-	c.mu.Lock()
-	for id, s := range c.open {
-		if s.mode != recovery {
-			continue
-		}
-		work[id] = s
-		if s.phase == cDecided {
-			delete(c.open, id)
-		}
-	}
-	c.mu.Unlock()
-	c.recover(work, nil, f)
-}
-
-// AdoptRecovered replays a dead peer coordinator's replicated Clog
-// records (as its Ship hook handed them over) through step and finishes
-// each transaction this coordinator has no decision for, with rewrite
-// (when non-nil) applied to its participants: a decision is re-pushed
-// and an undecided prepare aborted (step says why). Adopted decisions
-// seed the status table, so participants probing the dead coordinator's
-// transactions get answers from the successor.
-func (c *Coordinator) AdoptRecovered(records []durlog.Entry, rewrite func(string) string, f *fibers.Fiber) error {
+// AdoptRecovered takes over a dead peer coordinator's decisions from its
+// mirrored Clog: it appends them to this node's Clog, so they outlive this
+// node's restart, and once they are stable seeds the status table. It
+// runs before the epoch flip routes the primary's status queries here, so
+// none answers abort for a stable commit of the primary; an id the
+// primary left undecided answers abort, which is sound since a commit is
+// acted on only once stable, and the promotion certificate proves the
+// mirror holds every stable group.
+func (c *Coordinator) AdoptRecovered(records []durlog.Entry) error {
 	entries, err := DecodeClogRecords(records)
-	if err != nil {
+	if err != nil || len(entries) == 0 {
 		return err
 	}
-	work := make(map[lsm.TxID]txState)
-	for _, e := range entries {
-		s := work[e.TxID]
-		s.mode = adoption
-		step(&s, &event{kind: evRecord, rec: &e}, nil)
-		work[e.TxID] = s
+	token, err := c.clog.appendAll(clogDecision, entries...)
+	if err == nil {
+		err = token.Await(time.Now().Add(4*c.timeout), nil)
 	}
-	for id := range work {
-		if c.Committed(id) { // this coordinator already resolved it
-			delete(work, id)
+	if err == nil {
+		c.seed(entries)
+	}
+	return err
+}
+
+// Resolve sends a ReqResolve notice naming coordinator coordID to every
+// other member of the shard map and waits for the replies: each peer
+// resolves its prepared parts of coordID's transactions by asking this
+// node (Participant.handleResolve), then replies. A restarted coordinator
+// names itself; a promoted successor names the dead primary, whose
+// decisions it answers for. A peer whose reply times out is sent the
+// notice again on the retry ladder; one that never answers resolves on
+// its own janitor tick. So recovery costs one message per peer, not one
+// per decision the Clog holds.
+func (c *Coordinator) Resolve(coordID uint64) {
+	self := c.ep.LocalAddr()
+	var peers []string
+	for _, m := range c.shard.View().Members {
+		if m.Addr != self && !slices.Contains(peers, m.Addr) { // a promoted successor aliases the dead primary's entry
+			peers = append(peers, m.Addr)
 		}
 	}
-	c.recover(work, rewrite, f)
-	return nil
-}
-
-// recover drives each transaction of work through evRecover, with rewrite
-// applied to its participants when non-nil, on fiber f, in id order, so
-// recovery passes are reproducible. Each pass has a "recover" trace of
-// its own and stays outside the tx.* law.
-func (c *Coordinator) recover(work map[lsm.TxID]txState, rewrite func(string) string, f *fibers.Fiber) {
-	ids := make([]lsm.TxID, 0, len(work))
-	for id := range work {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, func(a, b lsm.TxID) int { return bytes.Compare(a[:], b[:]) })
-	for _, id := range ids {
-		_, seq := splitTxID(id)
-		t := &DistTxn{c: c, id: id, seq: seq, f: f, st: work[id], trace: c.tracer.Begin(txTraceID(id), obs.StageRecover)}
-		t.run(event{kind: evRecover, rewrite: rewrite}) // a recovery pass only pushes: it never fails
+	md := seal.MsgMetadata{OpType: uint32(ReqResolve), Epoch: c.shard.View().Epoch}
+	payload := binary.LittleEndian.AppendUint64(nil, coordID)
+	for retry := c.ep.Retry(decisionAttempts, erpc.RetryBase, erpc.RetryCap, nil); len(peers) > 0; {
+		c.notices.Add(uint64(len(peers)))
+		replies := erpc.Send(c.ep, peers, ReqResolve, md, payload).Wait(len(peers), c.timeout, nil)
+		if peers = unanswered(peers, replies); !retry.Next() {
+			return
+		}
 	}
 }
 
-// Committed reports whether this coordinator knows id committed.
-func (c *Coordinator) Committed(id lsm.TxID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.commits[id]
-	return ok
-}
-
-// PreparedCount reports prepare-logged transactions still awaiting a
-// decision (the chaos harness asserts this drains to zero at quiesce).
+// PreparedCount reports live two-phase transactions whose prepares are
+// out and whose decision is not yet stable (the chaos harness asserts
+// this drains to zero at quiesce).
 func (c *Coordinator) PreparedCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, s := range c.open {
-		if s.phase != cDecided {
-			n++
-		}
-	}
-	return n
+	return len(c.open)
 }

@@ -123,6 +123,9 @@ func FuzzProtocolMessages(f *testing.F) {
 	binary.LittleEndian.PutUint64(txid[:8], 7)
 	binary.LittleEndian.PutUint64(txid[8:], 3)
 	f.Add(fuzzFrame(ReqTxStatus, 7, prep, txid[:]))
+	// A resolve notice naming coordinator 7, and a short one.
+	f.Add(fuzzFrame(ReqResolve, 16, prep, txid[:8]))
+	f.Add(fuzzFrame(ReqResolve, 17, prep, txid[:3]))
 	// Lying sizes: KeyLen/ValueLen pointing past the payload.
 	lie := md
 	lie.KeyLen, lie.ValueLen = 1000, 1000

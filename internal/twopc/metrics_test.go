@@ -224,50 +224,50 @@ func TestStageTraceSequences(t *testing.T) {
 }
 
 // TestRecoveryMetricsExcludedFromTxLaw crashes a coordinator after a
-// committed transaction and checks that recovery work is visible through
-// twopc.recover.* counters and "recover" traces, but never re-enters the
-// tx.begun/committed/aborted conservation law (the transaction already
-// counted on the crashed incarnation).
+// commit whose pushes never went out and checks that recovery is visible
+// through the notices the restarted coordinator sends
+// (twopc.resolve.notices) and the parts the peers resolve by query
+// (twopc.part.resolved), but never re-enters the tx.begun/committed/
+// aborted conservation law (the transaction already counted on the
+// crashed incarnation) and opens no trace.
 func TestRecoveryMetricsExcludedFromTxLaw(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	coordNode := tc.nodes[0]
 
 	tx := coordNode.coord.Begin(nil)
-	for i := 0; i < 9; i++ {
-		if err := tx.Put([]byte(fmt.Sprintf("recm-%d", i)), []byte("v")); err != nil {
+	for _, owner := range []string{"node-1", "node-2"} {
+		if err := tx.Put(tc.keyOn("recm", owner), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
+	release := coordNode.coord.HoldPushes()
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	addr, dir := coordNode.addr, coordNode.dir
 	tc.crashNode(0)
+	release()
+	coordNode.coord.Drain()
 
 	nd := tc.restartNode(0, addr, dir)
-	nd.coord.RecoverPending(nil)
+	tc.recover(nd)
 
 	snap := nd.reg.Snapshot()
-	if got := snap.Counter("twopc.recover.repush_commit"); got != 1 {
-		t.Errorf("recover.repush_commit = %d, want 1", got)
+	if got := snap.Counter("twopc.resolve.notices"); got != 2 {
+		t.Errorf("resolve.notices = %d, want one per peer (2)", got)
+	}
+	if got := tc.counterOn(1, "twopc.part.resolved") + tc.counterOn(2, "twopc.part.resolved"); got != 2 {
+		t.Errorf("part.resolved = %d on the writers, want 2", got)
 	}
 	// Fresh incarnation, no new client transactions: the tx law counters
-	// must all be untouched by the recovery replay.
+	// must all be untouched by recovery.
 	for _, name := range []string{"twopc.tx.begun", "twopc.tx.committed", "twopc.tx.aborted"} {
 		if got := snap.Counter(name); got != 0 {
 			t.Errorf("%s = %d after recovery-only boot, want 0", name, got)
 		}
 	}
-
-	recent := nd.coord.Tracer().Recent()
-	if len(recent) != 1 {
-		t.Fatalf("Recent() len = %d, want 1 recovery trace", len(recent))
-	}
-	if outcome, reason := recent[0].Outcome(); outcome != obs.OutcomeRecovered || reason != "repush_commit" {
-		t.Errorf("recovery trace outcome = %q/%q, want recovered/repush_commit", outcome, reason)
-	}
-	if got := recent[0].Stages(); !stagesEqual(got, []obs.Stage{obs.StageRecover}) {
-		t.Errorf("recovery trace stages = %v, want [recover]", got)
+	if recent := nd.coord.Tracer().Recent(); len(recent) != 0 {
+		t.Errorf("Recent() len = %d after recovery-only boot, want 0", len(recent))
 	}
 }
 

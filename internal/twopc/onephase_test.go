@@ -44,8 +44,8 @@ func TestOnePhaseCommitAnswersOnce(t *testing.T) {
 	if d := tc.counterOn(0, "twopc.clog.appends") - appends; d != 0 {
 		t.Errorf("a one-phase commit appended %d Clog records, want 0", d)
 	}
-	if coord.Committed(tx.ID()) || coord.PreparedCount() != 0 {
-		t.Errorf("a one-phase commit left coordinator state: committed=%v prepared=%d", coord.Committed(tx.ID()), coord.PreparedCount())
+	if coord.status(tx.ID()) == StatusCommit || coord.PreparedCount() != 0 {
+		t.Errorf("a one-phase commit left coordinator state: committed=%v prepared=%d", coord.status(tx.ID()) == StatusCommit, coord.PreparedCount())
 	}
 	if _, err := tx.broadcast(ReqCommitOnePhase, []string{"node-1"}); err == nil {
 		t.Error("a one-phase commit sent again after it landed was acknowledged, want an error")
@@ -55,7 +55,7 @@ func TestOnePhaseCommitAnswersOnce(t *testing.T) {
 	if err := tx.Put(tc.keyOn("race", "node-1"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	at := part.find(tx.id, false)
+	at := part.find(partKey{id: tx.id}, false)
 	at.mu.Lock()
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
@@ -117,7 +117,7 @@ func TestLostOnePhaseCommitReleases(t *testing.T) {
 	if !errors.Is(err, ErrAborted) || tx.Outcome() != TxnIndeterminate {
 		t.Fatalf("Commit with its one-phase commit lost = %v (outcome %d), want ErrAborted, indeterminate", err, tx.Outcome())
 	}
-	if at := nd.part.find(tx.id, false); at != nil && at.prepared.Load() {
+	if at := nd.part.find(partKey{id: tx.id}, false); at != nil && at.prepared.Load() {
 		t.Error("the writer holds the transaction prepared")
 	}
 	if n := tc.nodes[0].coord.PreparedCount(); n != 0 {

@@ -1,6 +1,7 @@
 package twopc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -37,12 +38,12 @@ type Participant struct {
 	nodeID  uint64
 	shard   *shardmap.Holder
 	refresh func()
-	// coord is this node's coordinator, which answers a recovered
-	// transaction's status query by a call (set by NewCoordinator).
+	// coord is this node's coordinator, which answers a status query for
+	// one of its own transactions by a call (set by NewCoordinator).
 	coord *Coordinator
 
 	mu     sync.Mutex
-	active map[lsm.TxID]*activeTxn
+	active map[partKey]*activeTxn
 	// fenced slots refuse new operations while their key range streams to
 	// the migration destination (value: fence generation, informational).
 	fenced map[int]struct{}
@@ -54,16 +55,26 @@ type Participant struct {
 	stopOnce    sync.Once
 
 	// reg holds the counters step's effects name; the shard-map gate and
-	// migration count their rejections and chunks.
-	reg                                    *obs.Registry
-	staleEpoch, fenceRejects, ingestChunks *obs.Counter
+	// migration count their rejections and chunks, and resolve the parts a
+	// status query decided.
+	reg                                              *obs.Registry
+	staleEpoch, fenceRejects, ingestChunks, resolved *obs.Counter
+}
+
+// partKey names a part: its transaction's global id, and whether it is
+// the twin of this node's own part of that transaction — a dead
+// primary's prepared part, restored from its WAL mirror at promotion.
+// Every decision for the id settles both.
+type partKey struct {
+	id   lsm.TxID
+	twin bool
 }
 
 // activeTxn is one in-flight local transaction.
 type activeTxn struct {
 	mu    sync.Mutex
 	local *txn.Txn
-	id    lsm.TxID
+	key   partKey
 	// slots records the hash slots this transaction has touched here
 	// (guarded by the participant's mu, read by SlotActive so migration
 	// drains wait for in-flight transactions on the migrating slot).
@@ -127,7 +138,7 @@ func NewParticipant(cfg ParticipantConfig) *Participant {
 		nodeID:       cfg.NodeID,
 		shard:        cfg.Shard,
 		refresh:      cfg.Refresh,
-		active:       make(map[lsm.TxID]*activeTxn),
+		active:       make(map[partKey]*activeTxn),
 		fenced:       make(map[int]struct{}),
 		idleTimeout:  cfg.IdleTimeout,
 		janitorStop:  make(chan struct{}),
@@ -135,6 +146,7 @@ func NewParticipant(cfg ParticipantConfig) *Participant {
 		staleEpoch:   cfg.Metrics.Counter("shardmap.stale_epoch_rejected"),
 		fenceRejects: cfg.Metrics.Counter("shardmap.fence_rejected"),
 		ingestChunks: cfg.Metrics.Counter("shardmap.ingest_chunks"),
+		resolved:     cfg.Metrics.Counter("twopc.part.resolved"),
 	}
 	if p.idleTimeout == 0 {
 		p.idleTimeout = 30 * time.Second
@@ -150,33 +162,30 @@ func NewParticipant(cfg ParticipantConfig) *Participant {
 	p.ep.Register(ReqAbort, OnFiber(p.sched, p.handleControl))
 	p.ep.Register(ReqCommitOnePhase, OnFiber(p.sched, p.handleControl))
 	p.ep.Register(ReqSlotIngest, OnFiber(p.sched, p.handleSlotIngest))
+	p.ep.Register(ReqResolve, OnFiber(p.sched, p.handleResolve))
 	p.janitorWG.Add(1)
 	go p.janitor()
 	return p
 }
 
-// stopJanitor halts the janitor goroutine exactly once.
-func (p *Participant) stopJanitor() {
+// Abandon stops the janitor, once, without touching in-flight
+// transactions — the crash path: memory is dropped as-is, nothing is
+// rolled back, no goroutine keeps mutating state that a restarted instance
+// now owns.
+func (p *Participant) Abandon() {
 	p.stopOnce.Do(func() { close(p.janitorStop) })
 	p.janitorWG.Wait()
 }
 
-// Abandon stops the janitor without touching in-flight transactions —
-// the crash path: memory is dropped as-is, nothing is rolled back, no
-// goroutine keeps mutating state that a restarted instance now owns.
-func (p *Participant) Abandon() {
-	p.stopJanitor()
-}
-
 // Close stops the janitor and aborts in-flight transactions.
 func (p *Participant) Close() {
-	p.stopJanitor()
+	p.Abandon()
 	p.mu.Lock()
 	actives := make([]*activeTxn, 0, len(p.active))
 	for _, at := range p.active {
 		actives = append(actives, at)
 	}
-	p.active = make(map[lsm.TxID]*activeTxn)
+	p.active = make(map[partKey]*activeTxn)
 	p.mu.Unlock()
 	for _, at := range actives {
 		at.mu.Lock()
@@ -202,19 +211,19 @@ func OnFiber(sched *fibers.Scheduler, h func(*fibers.Fiber, *erpc.Request)) erpc
 // prepare votes no.
 const errTxnReclaimed = "twopc: transaction reclaimed or lost to a restart"
 
-// find returns the active transaction for id, creating one if create is
-// set (an op carrying flagOpensPart).
-func (p *Participant) find(id lsm.TxID, create bool) *activeTxn {
+// find returns the part key names, creating one if create is set (an op
+// carrying flagOpensPart).
+func (p *Participant) find(key partKey, create bool) *activeTxn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	at, ok := p.active[id]
+	at, ok := p.active[key]
 	if !ok && create {
 		at = &activeTxn{
 			local: p.mgr.BeginPessimistic(nil),
-			id:    id,
+			key:   key,
 			last:  time.Now(),
 		}
-		p.active[id] = at
+		p.active[key] = at
 	}
 	if at != nil {
 		at.last = time.Now()
@@ -222,11 +231,11 @@ func (p *Participant) find(id lsm.TxID, create bool) *activeTxn {
 	return at
 }
 
-// drop removes a finished transaction.
-func (p *Participant) drop(id lsm.TxID) {
+// drop removes a finished part.
+func (p *Participant) drop(key partKey) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.active, id)
+	delete(p.active, key)
 }
 
 // checkRoute gates a keyed operation by the participant's routing view:
@@ -362,7 +371,7 @@ func (p *Participant) op(f *fibers.Fiber, reqType uint8, md seal.MsgMetadata, ke
 	if err != nil {
 		return nil, err
 	}
-	at := p.find(globalTxID(md.NodeID, md.TxID), md.Flags&flagOpensPart != 0)
+	at := p.find(partKey{id: globalTxID(md.NodeID, md.TxID)}, md.Flags&flagOpensPart != 0)
 	if at == nil {
 		return nil, errors.New(errTxnReclaimed)
 	}
@@ -402,11 +411,25 @@ func (p *Participant) handleControl(f *fibers.Fiber, req *erpc.Request) {
 // control applies one control message — prepare, commit, one-phase
 // commit or abort, told apart by reqType — to transaction id, the twin of
 // op: handleControl runs it for a request off the wire, this node's
-// coordinator for its own leg of a fan-out, and ResolveRecovered for a
-// recovered decision. It steps the part under its lock and stores the
-// state step leaves: a prepared part is marked, a finished one dropped.
+// coordinator for its own leg of a fan-out, and resolve for a decision a
+// status query returned. A decision settles the part's twin too.
 func (p *Participant) control(f *fibers.Fiber, reqType uint8, id lsm.TxID) ([]byte, error) {
-	s, at := txState{phase: pUnknown}, p.find(id, false)
+	resp, err := p.apply(f, reqType, id, p.find(partKey{id: id}, false))
+	if reqType == ReqCommit || reqType == ReqAbort {
+		if twin := p.find(partKey{id: id, twin: true}, false); twin != nil {
+			if _, twinErr := p.apply(f, reqType, id, twin); err == nil {
+				err = twinErr
+			}
+		}
+	}
+	return resp, err
+}
+
+// apply steps one part (nil: none) by a control message under its lock
+// and stores the state step leaves: a prepared part is marked, a
+// finished one dropped.
+func (p *Participant) apply(f *fibers.Fiber, reqType uint8, id lsm.TxID, at *activeTxn) ([]byte, error) {
+	s := txState{phase: pUnknown}
 	if at != nil {
 		at.lock(f)
 		defer at.mu.Unlock()
@@ -418,15 +441,16 @@ func (p *Participant) control(f *fibers.Fiber, reqType uint8, id lsm.TxID) ([]by
 	case s.phase == pPrepared:
 		at.prepared.Store(true)
 	case s.phase == pDone:
-		p.drop(id)
+		p.drop(at.key)
 	}
 	return s.resp, s.err
 }
 
 // run is the participant's interpreter: it steps s by ev and performs
 // the effects in order, feeding a local effect's completion back when it
-// is the last, until s needs nothing more.
-func (p *Participant) run(at *activeTxn, id lsm.TxID, s *txState, ev *event) {
+// is the last, until s needs nothing more. It reports a status query
+// step asked for, which the caller sends once it holds no lock.
+func (p *Participant) run(at *activeTxn, id lsm.TxID, s *txState, ev *event) (query bool) {
 	var buf [maxEffects]effect
 	for more := true; more; {
 		more = false
@@ -437,9 +461,12 @@ func (p *Participant) run(at *activeTxn, id lsm.TxID, s *txState, ev *event) {
 				*ev = event{kind: evDone, err: err, finished: errors.Is(err, txn.ErrTxnDone)}
 			case fxCount:
 				p.reg.Counter(e.name).Inc()
+			case fxQuery:
+				query = true
 			}
 		}
 	}
+	return query
 }
 
 // local performs a local effect: the one engine call of each kind on a
@@ -461,8 +488,10 @@ func (p *Participant) local(at *activeTxn, op uint8, id lsm.TxID) error {
 	return at.local.Rollback()
 }
 
-// janitor reclaims transactions whose coordinator went silent: each tick
-// steps every part idle past the timeout (step exempts prepared parts).
+// janitor steps every part idle past the timeout: an open part whose
+// coordinator went silent is reclaimed, and a prepared one asks its
+// coordinator for the decision, on a fiber and outside the part's lock,
+// once per idle timeout (§VI's status query, for a push that never came).
 func (p *Participant) janitor() {
 	defer p.janitorWG.Done()
 	ticker := time.NewTicker(p.idleTimeout / 4)
@@ -480,74 +509,89 @@ func (p *Participant) janitor() {
 			// A held at.mu means in use, not idle: a prepare holds it
 			// across a stabilization that may outlast the idle timeout.
 			if at.last.Before(cutoff) && at.mu.TryLock() {
+				at.last = time.Now()
 				idle = append(idle, at)
 			}
 		}
 		p.mu.Unlock()
 		for _, at := range idle {
 			s := at.state()
-			if p.run(at, at.id, &s, &event{kind: evTick}); s.phase == pDone {
-				p.drop(at.id)
+			query := p.run(at, at.key.id, &s, &event{kind: evTick})
+			if s.phase == pDone {
+				p.drop(at.key)
 			}
 			at.mu.Unlock()
+			if id := at.key.id; query {
+				coordID, _ := splitTxID(id)
+				// A stopped scheduler is a stopping node; a failed or
+				// pending query leaves the part to the next tick.
+				_, _ = p.sched.Go(func(f *fibers.Fiber) { _, _ = p.resolve(f, p.addrOf(coordID, 0), id) })
+			}
 		}
 	}
 }
 
 // RestorePrepared re-initializes prepared transactions found in the WAL
-// at recovery (locks re-acquired, state prepared) so the coordinator's
-// decision can be applied when it arrives.
+// at recovery, or in a dead primary's WAL mirror at promotion (locks
+// re-acquired, state prepared), so the coordinator's decision can be
+// applied when it arrives or is asked for. A part restored under an id
+// this participant already holds a part of is that part's twin; a third
+// part under one id is refused.
 func (p *Participant) RestorePrepared(pending []lsm.PreparedTx) error {
 	for _, pt := range pending {
+		p.mu.Lock()
+		key := partKey{id: pt.ID, twin: p.active[partKey{id: pt.ID}] != nil}
+		taken := p.active[key] != nil
+		p.mu.Unlock()
+		if taken {
+			return fmt.Errorf("twopc: restoring %x: a third part under one id", pt.ID[:4])
+		}
 		local, err := p.mgr.RestorePrepared(pt.Batch, nil)
 		if err != nil {
 			return fmt.Errorf("twopc: restoring %x: %w", pt.ID[:4], err)
 		}
-		at := &activeTxn{local: local, id: pt.ID, last: time.Now()}
+		at := &activeTxn{local: local, key: key, last: time.Now()}
 		s := txState{phase: pUnknown}
 		p.run(at, pt.ID, &s, &event{kind: evRestored})
 		at.prepared.Store(s.phase == pPrepared)
 		p.mu.Lock()
-		p.active[pt.ID] = at
+		p.active[key] = at
 		p.mu.Unlock()
 	}
 	return nil
 }
 
-// ResolveRecovered asks each recovered transaction's coordinator for its
-// decision and applies it ("For each prepared Tx, the node communicates
-// with the Tx's coordinator for either committing or aborting", §VI).
-// addrOf maps a coordinator node id to its RPC address. A coordinator
-// that does not answer or reports pending is re-asked on the retry
-// ladder, up to 20 times: longer rungs than a lost datagram's
-// (erpc.RetryBase), because what is waited out here is a coordinator
-// still restarting or partitioned.
-func (p *Participant) ResolveRecovered(addrOf func(nodeID uint64) string) error {
+// inDoubt returns the ids of the prepared parts whose coordinator match
+// accepts.
+func (p *Participant) inDoubt(match func(coordID uint64) bool) map[lsm.TxID]bool {
 	p.mu.Lock()
-	var prepared []lsm.TxID
-	for id, at := range p.active {
-		if at.prepared.Load() {
-			prepared = append(prepared, id)
+	defer p.mu.Unlock()
+	ids := make(map[lsm.TxID]bool)
+	for key, at := range p.active {
+		if coordID, _ := splitTxID(key.id); at.prepared.Load() && match(coordID) {
+			ids[key.id] = true
 		}
 	}
-	p.mu.Unlock()
+	return ids
+}
 
-	for _, id := range prepared {
+// ResolveRecovered asks each prepared transaction's coordinator for its
+// decision and applies it ("For each prepared Tx, the node communicates
+// with the Tx's coordinator for either committing or aborting", §VI). A
+// coordinator that does not answer or reports pending is re-asked on the
+// retry ladder, up to 20 times: longer rungs than a lost datagram's
+// (erpc.RetryBase), because what is waited out here is a coordinator
+// still restarting or partitioned.
+func (p *Participant) ResolveRecovered() error {
+	for id := range p.inDoubt(func(uint64) bool { return true }) {
 		coordID, _ := splitTxID(id)
-		addr := addrOf(coordID)
 		for retry := p.ep.Retry(20, 50*time.Millisecond, 800*time.Millisecond, nil); ; {
-			if status := p.status(addr, id); status == StatusCommit || status == StatusAbort {
-				req := ReqAbort // the decision's control message
-				if status == StatusCommit {
-					req = ReqCommit
-				}
-				if _, err := p.control(nil, req, id); err != nil {
+			if decided, err := p.resolve(nil, p.addrOf(coordID, 0), id); decided || err != nil {
+				if err != nil {
 					return err
 				}
 				break
 			}
-			// Unanswered, or pending (coordinator recovery will push a
-			// decision): the ladder paces the re-ask.
 			if !retry.Next() {
 				return fmt.Errorf("twopc: could not resolve recovered tx %x with coordinator %d", id[:4], coordID)
 			}
@@ -556,24 +600,80 @@ func (p *Participant) ResolveRecovered(addrOf func(nodeID uint64) string) error 
 	return nil
 }
 
-// status asks the coordinator at addr for id's outcome, reading an
-// unanswered query as pending. When addr is this node's own (after a
-// restart, or the dead primary's address once this node is promoted),
-// it is a call into this node's coordinator.
-func (p *Participant) status(addr string, id lsm.TxID) uint8 {
-	if addr == p.ep.LocalAddr() {
+// handleResolve serves a ReqResolve notice: it resolves, once each, the
+// prepared parts of the coordinator the notice names by asking that
+// coordinator's address in the shard map (refreshed for a newer epoch),
+// never the notice's source, which no MAC covers. Then it replies. A part
+// answered pending, or not at all, is left to the janitor.
+func (p *Participant) handleResolve(f *fibers.Fiber, req *erpc.Request) {
+	if len(req.Payload) < 8 {
+		req.ReplyError("twopc: short resolve notice")
+		return
+	}
+	named := binary.LittleEndian.Uint64(req.Payload)
+	addr := p.addrOf(named, req.Meta.Epoch)
+	var errs []error
+	for id := range p.inDoubt(func(coordID uint64) bool { return coordID == named }) {
+		_, err := p.resolve(f, addr, id)
+		errs = append(errs, err)
+	}
+	respond(req, nil, errors.Join(errs...))
+}
+
+// resolve is the one query path of an in-doubt part: it asks id's
+// coordinator at addr for the decision and, when the answer is one,
+// applies it as that decision's control message. It reports whether the
+// answer decided; pending or no answer changes nothing.
+func (p *Participant) resolve(f *fibers.Fiber, addr string, id lsm.TxID) (decided bool, err error) {
+	req := ReqAbort // the decision's control message
+	switch p.status(f, addr, id) {
+	case StatusCommit:
+		req = ReqCommit
+	case StatusAbort:
+	default:
+		return false, nil
+	}
+	if _, err = p.control(f, req, id); err == nil {
+		p.resolved.Inc()
+	}
+	return true, err
+}
+
+// status asks the coordinator at addr for id's outcome on fiber f (nil: a
+// goroutine), reading an unanswered query as pending. When addr is this
+// node's own (after a restart, or the dead primary's address once this
+// node is promoted), it is a call into this node's coordinator.
+func (p *Participant) status(f *fibers.Fiber, addr string, id lsm.TxID) uint8 {
+	switch addr {
+	case "":
+		return StatusPending
+	case p.ep.LocalAddr():
 		return p.coord.status(id)
 	}
 	_, seq := splitTxID(id)
 	md := seal.MsgMetadata{TxID: seq, OpType: uint32(ReqTxStatus)}
-	resp, err := erpc.Call(p.ep, addr, ReqTxStatus, md, id[:], 2*time.Second, nil)
+	resp, err := erpc.Call(p.ep, addr, ReqTxStatus, md, id[:], 2*time.Second, f)
 	if err != nil || len(resp) == 0 {
 		return StatusPending
 	}
 	return resp[0]
 }
 
-// ActiveCount reports in-flight transactions (test hook).
+// addrOf resolves a coordinator's node id to its address under the
+// current shard map ("" without one), refreshed first when a sender has
+// seen a newer epoch.
+func (p *Participant) addrOf(coordID, epoch uint64) string {
+	if p.shard == nil || p.shard.View() == nil {
+		return ""
+	}
+	if epoch > p.shard.View().Epoch && p.refresh != nil {
+		p.refresh()
+	}
+	addr, _ := p.shard.View().Addr(coordID)
+	return addr
+}
+
+// ActiveCount reports in-flight parts (test hook).
 func (p *Participant) ActiveCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -23,8 +23,8 @@ const (
 	ReqCommit
 	// ReqAbort instructs a participant to abort.
 	ReqAbort
-	// ReqTxStatus asks a coordinator for a transaction's decision
-	// (participant-driven recovery).
+	// ReqTxStatus asks a coordinator for a transaction's decision: the
+	// one way an in-doubt participant learns it, other than a push.
 	ReqTxStatus
 	// ReqSlotIngest streams one chunk of a hash slot's key range from a
 	// migration source to the destination node (online resharding).
@@ -35,6 +35,13 @@ const (
 	// ReqCommitOnePhase commits a sole writer in one phase: its stabilized
 	// WAL record is the decision. Its payload is ReqPrepare's.
 	ReqCommitOnePhase
+	// ReqResolve tells a participant that the sender answers for the
+	// coordinator whose node id the payload carries (8 bytes, little
+	// endian): a restarted coordinator names itself, a promoted successor
+	// the dead primary. The participant resolves its prepared parts of
+	// that coordinator's transactions by status query to the address its
+	// shard map gives that coordinator, then replies.
+	ReqResolve
 )
 
 // flagOpensPart, in a keyed op's metadata Flags, lets the op open its

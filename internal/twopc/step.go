@@ -10,40 +10,28 @@ import (
 // returns the effects to perform, in order, and an interpreter
 // (DistTxn.run for the coordinator, Participant.run for a participant)
 // performs them and feeds the last effect's completion back as the next
-// event. Live commit, abort, boot recovery and promotion adoption are
-// sequences of events through it; DESIGN.md "The commit protocol" is its
-// table.
+// event. Live commit and abort, and a participant's restore and its
+// resolution by status query, are sequences of events through it;
+// DESIGN.md "The commit protocol" is its table.
 
-// Clog record kinds: a prepare record starts the prepare phase with its
-// participants (Fig. 2 step 5); a decision records the outcome (steps
-// 6-7) and whom to push it to.
-const (
-	clogPrepare uint8 = iota + 1
-	clogDecision
-)
-
-// clogDemands says whether a group holding a Clog record of kind starts a
-// trusted-counter round (the Clog rows of DESIGN.md "Stabilize on
-// demand"); an undemanded record rides the next demanded round. A lost
-// prepare record is presumed aborted, as is one that no stable commit
-// decision follows: status queries and recovery answer abort for both.
-// A commit decision is waited on. An abort is never logged.
-func clogDemands(kind uint8) bool { return kind == clogDecision }
+// clogDecision is the Clog's one record kind: a commit decision (Fig. 2
+// steps 6-7) and the writers it goes to. The coordinator logs nothing
+// else: no prepare-start record (step 5), since an id without a stable
+// commit decision is presumed aborted. Kind 1 was that record's.
+const clogDecision uint8 = 2
 
 // phase is where a transaction stands in its role's protocol.
 type phase uint8
 
 const (
 	// Coordinator.
-	cExecute    phase = iota // operations run; Commit or Rollback is next
-	cReadVote                // ≤ 1 writer: the readers' prepares are out
-	cOnePhase                // the sole writer's one-phase commit is out
-	cPrepareLog              // ≥ 2 writers: the prepare record is appending
-	cVote                    // the prepare record is logged and its prepares out (recovered: were)
-	cDecideLog               // the commit decision is appending
-	cStabilize               // the decision's counter round is awaited
-	cDecided                 // recovered: a decision whose push is owed
-	cDone                    // answered; nothing owed
+	cExecute   phase = iota // operations run; Commit or Rollback is next
+	cReadVote               // ≤ 1 writer: the readers' prepares are out
+	cOnePhase               // the sole writer's one-phase commit is out
+	cVote                   // ≥ 2 writers: the prepares are out
+	cDecideLog              // the commit decision is appending
+	cStabilize              // the decision's counter round is awaited
+	cDone                   // answered; nothing owed
 	// Participant.
 	pUnknown  // no local part: never opened, finished or reclaimed
 	pActive   // the local transaction is open
@@ -51,26 +39,12 @@ const (
 	pDone     // finished here: the local part is dropped
 )
 
-// mode says who drives a coordinator state: a client, or a recovery pass.
-// NewCoordinator marks the states its Clog replay opens, and
-// AdoptRecovered the states it adopts.
-type mode uint8
-
-const (
-	live     mode = iota // Commit or Rollback: stage traces, tx.* counters
-	recovery             // RecoverPending: a "recover" trace, recover.*
-	adoption             // AdoptRecovered: as recovery, reasons "adopt_…"
-)
-
 // txState is one global transaction's protocol state in one role.
 type txState struct {
 	phase phase
-	mode  mode
 	// Coordinator: parts are the participants, writers whom the decision
-	// goes to, commit the decision once made; outcome and reason classify
-	// the answer.
+	// goes to; outcome and reason classify the answer.
 	parts, writers []string
-	commit         bool
 	outcome        TxnOutcome
 	reason         string
 	// Participant: readOnly is true while the local part wrote nothing,
@@ -90,8 +64,6 @@ const (
 	evCommit   evKind = iota + 1 // the client commits: parts, writers, readers; err is the Clog's fail-stop error
 	evRollback                   // the client rolls back: parts
 	evDone                       // the last effect completed: err; a fan-out's resps; a local effect's finished
-	evRecord                     // a decoded Clog record, at boot or adoption: rec
-	evRecover                    // RecoverPending or AdoptRecovered drives a replayed transaction: rewrite
 	evControl                    // a control message arrived, or a status reply decided one: req
 	evTick                       // the janitor found the part idle
 	evRestored                   // boot or promotion found the part's prepare record in the WAL
@@ -105,8 +77,6 @@ type event struct {
 	err                     error
 	resps                   [][]byte // a fan-out's replies, in participant order
 	finished                bool     // the local transaction was already finished (txn.ErrTxnDone)
-	rec                     *ClogEntry
-	rewrite                 func(string) string
 }
 
 // fxKind names an effect. A completing effect's completion is the next
@@ -117,11 +87,12 @@ const (
 	fxStage     fxKind = iota + 1 // enter stage name on a live transaction's trace
 	fxCount                       // count the counter name
 	fxSend                        // fan request code out to to; completing
-	fxPush                        // push decision code to to, re-sending to the unanswered; a live push waits for the decision's token first
+	fxPush                        // once the decision's token is stable, push decision code to to, re-sending to the unanswered
 	fxAppend                      // append a Clog record of kind code, naming to; completing
 	fxStabilize                   // wait for the appended decision's counter round; completing
 	fxNote                        // publish the state to the status table under status code
 	fxLocal                       // code's engine call on the participant's local transaction; completing
+	fxQuery                       // ask the coordinator for the decision; a decision answered enters as its evControl
 	fxAnswer                      // answer with the state's outcome, reason, resp and err
 )
 
@@ -146,10 +117,7 @@ const opRollback uint8 = 0
 // by pointer so that the interpreters' frames, which sit under every
 // local engine call on a fiber's stack, stay small.
 func step(s *txState, ev *event, fx []effect) []effect {
-	switch {
-	case ev.kind == evRecord:
-		return s.replay(ev.rec, fx)
-	case s.phase >= pUnknown:
+	if s.phase >= pUnknown {
 		return s.participate(ev, fx)
 	}
 	return s.coordinate(ev, fx)
@@ -166,50 +134,24 @@ func (s *txState) coordinate(ev *event, fx []effect) []effect {
 		}
 		return s.answer(fx, TxnAborted, "client_rollback", nil)
 
-	// Recovery (§VI) and adoption of a dead peer's mirrored Clog apply one
-	// rule: a stable commit decision is re-pushed to its writers, who
-	// acknowledge what they already applied, and anything else is aborted:
-	// a prepare that no decision follows, or a decision from the dropped
-	// tail. Presumed abort is sound: a commit is acknowledged and pushed
-	// only once its decision is stable, so a decision absent from the
-	// stable prefix was never acted on. A re-prepare would not be: on
-	// adoption, rewrite maps the dead primary's address to the successor's,
-	// whose one vote would then also stand for the dead primary's part.
-	case ev.kind == evRecover:
-		if ev.rewrite != nil {
-			parts := make([]string, len(s.parts))
-			for i, a := range s.parts {
-				parts[i] = ev.rewrite(a)
-			}
-			s.parts = parts
-		}
-		req, what := ReqAbort, "repush_abort"
-		if s.commit {
-			req, what = ReqCommit, "repush_commit"
-		}
-		reason := what
-		if s.mode == adoption {
-			fx, reason = append(fx, count("twopc.recover.adopted")), "adopt_"+what
-		}
-		fx = append(fx, note(statusOf(s.commit)), count("twopc.recover."+what), effect{kind: fxPush, code: req, to: s.parts})
-		return s.answer(fx, TxnPending, reason, nil)
-
 	// Commit picks its path by the number of writers. With none, nothing
 	// is logged: every participant votes read-only. With one, the readers'
 	// prepares come first, then the writer commits in one phase and its
-	// stabilized WAL record is the decision. With more, it is Fig. 2.
+	// stabilized WAL record is the decision. With more, it is Fig. 2, less
+	// step 5's prepare-start record: until a commit decision is stable, a
+	// status query answers pending from the live state, and after a crash
+	// an id with no stable decision is presumed aborted.
 	case ev.kind == evCommit && len(ev.parts) == 0:
 		return s.answer(fx, TxnCommitted, "empty", nil)
-	case ev.kind == evCommit && len(ev.writers) > 1: // step 5: log the prepare start
-		s.phase, s.parts = cPrepareLog, ev.parts
-		return append(fx, stage("prepare"), effect{kind: fxAppend, code: clogPrepare, to: s.parts})
+	case ev.kind == evCommit && ev.err != nil: // a fail-stopped Clog commits nothing
+		s.parts = ev.parts
+		return s.abort(append(fx, stage("prepare")), "twopc.abort.prepare_failed", TxnAborted, "prepare_failed", ev.err)
+	case ev.kind == evCommit && len(ev.writers) > 1:
+		s.phase, s.parts = cVote, ev.parts
+		return append(fx, stage("prepare"), note(StatusPending), send(ReqPrepare, s.parts))
 	case ev.kind == evCommit:
 		s.phase, s.parts, s.writers = cReadVote, ev.parts, ev.writers
-		fx = append(fx, stage("prepare"))
-		if ev.err != nil { // a fail-stopped Clog commits nothing, though this path logs nothing
-			return s.abort(fx, "twopc.abort.prepare_failed", TxnAborted, "prepare_failed", ev.err)
-		}
-		return append(fx, send(ReqPrepare, ev.readers))
+		return append(fx, stage("prepare"), send(ReqPrepare, ev.readers))
 	case s.phase == cReadVote && ev.err != nil: // an unknown reader released its locks early
 		return s.abort(fx, "twopc.abort.prepare_failed", TxnAborted, "prepare_failed", ev.err)
 	case s.phase == cReadVote && len(s.writers) == 1:
@@ -221,13 +163,8 @@ func (s *txState) coordinate(ev *event, fx []effect) []effect {
 		return s.answer(fx, TxnCommitted, "", nil)
 
 	// Two-phase commit. Until the commit decision is appended, a failure
-	// is a definite abort, sent once and logged nowhere: recovery aborts a
-	// prepare record that no stable commit decision follows.
-	case s.phase == cPrepareLog && ev.err != nil:
-		return s.abort(fx, "twopc.abort.log_append", TxnAborted, "prepare_log_failed", ev.err)
-	case s.phase == cPrepareLog:
-		s.phase = cVote
-		return append(fx, note(StatusPending), send(ReqPrepare, s.parts))
+	// is a definite abort, sent once and logged nowhere: a participant that
+	// missed it asks, and an id without a commit decision answers abort.
 	case s.phase == cVote && ev.err != nil:
 		return s.abort(append(fx, note(StatusAbort)), "twopc.abort.prepare_failed", TxnAborted, "prepare_failed", ev.err)
 	case s.phase == cVote:
@@ -248,11 +185,11 @@ func (s *txState) coordinate(ev *event, fx []effect) []effect {
 		return append(fx, stage("log-force"), effect{kind: fxAppend, code: clogDecision, to: s.writers})
 
 	// Once the commit decision is appended, nothing contradicts it: only
-	// its stable prefix decides, here or in recovery. A failure from here
-	// on is indeterminate, and no abort is sent. A decision that did not
-	// append leaves its fate to recovery; one whose wait failed is pushed
-	// if its token stabilizes after all (fxPush waits for it), and left to
-	// recovery if the counter failed.
+	// its stable prefix decides, live or after a restart. A failure from
+	// here on is indeterminate, no abort is sent, and a status query
+	// answers pending until the restart. A decision whose wait failed is
+	// pushed if its token stabilizes after all (fxPush waits for it), and
+	// left to the restarted Clog if the counter failed.
 	case s.phase == cDecideLog && ev.err != nil:
 		fx = append(fx, count("twopc.abort.log_append"))
 		return s.answer(fx, TxnIndeterminate, "decision_log_failed", fmt.Errorf("%w: decision log failed: %v", ErrAborted, ev.err))
@@ -273,31 +210,6 @@ func (s *txState) coordinate(ev *event, fx []effect) []effect {
 	return fx
 }
 
-// replay folds one decoded Clog record into s, in log order: a prepare
-// record leaves the transaction logged with its participants, and a
-// decision record, which names whom to push it to, decides it. A record
-// from a tail the Clog dropped as unstabilized was never acted on: its
-// transaction is presumed aborted unless a stable record decided it, and
-// its participants, which may hold it prepared, are told.
-func (s *txState) replay(r *ClogEntry, fx []effect) []effect {
-	switch {
-	case r.Dropped && s.phase == cDecided:
-		return fx
-	case r.Dropped:
-		s.commit = false
-	case r.Kind == clogPrepare && s.phase != cDecided:
-		s.phase, s.parts = cVote, r.Participants
-		return append(fx, note(StatusPending))
-	case r.Kind == clogPrepare:
-		s.parts = r.Participants
-		return fx
-	default: // a decision; Commit logs only commits, but an abort decision still reads as one
-		s.commit = r.Commit
-	}
-	s.phase, s.parts = cDecided, r.Participants
-	return append(fx, note(statusOf(s.commit)))
-}
-
 // participate is the participant's half of step (§V-A steps 8-9, §VI).
 func (s *txState) participate(ev *event, fx []effect) []effect {
 	req := ev.req
@@ -308,8 +220,8 @@ func (s *txState) participate(ev *event, fx []effect) []effect {
 	case ev.kind == evTick && s.phase == pActive:
 		s.phase = pDone
 		return append(fx, local(opRollback), count("twopc.part.reclaims"))
-	case ev.kind == evTick: // a prepared part's outcome is the coordinator's: blocking is inherent to 2PC
-		return fx
+	case ev.kind == evTick: // a prepared part's outcome is the coordinator's: it asks (§VI's query, live)
+		return append(fx, effect{kind: fxQuery})
 	case ev.kind == evDone:
 		return s.settle(ev, fx)
 
@@ -386,13 +298,6 @@ func (s *txState) answer(fx []effect, outcome TxnOutcome, reason string, err err
 func (s *txState) reply(fx []effect, resp []byte, err error) []effect {
 	s.resp, s.err = resp, err
 	return append(fx, effect{kind: fxAnswer})
-}
-
-func statusOf(commit bool) uint8 {
-	if commit {
-		return StatusCommit
-	}
-	return StatusAbort
 }
 
 func stage(name string) effect           { return effect{kind: fxStage, name: name} }

@@ -22,15 +22,11 @@ var (
 )
 
 func replies(resps ...[]byte) event { return event{kind: evDone, resps: resps} }
-func record(kind uint8, commit, dropped bool, parts ...string) event {
-	return event{kind: evRecord, rec: &ClogEntry{Kind: kind, Commit: commit, Dropped: dropped, Participants: parts}}
-}
 
 var (
-	done      = event{kind: evDone}
-	failed    = event{kind: evDone, err: errLost}
-	finished  = event{kind: evDone, err: errLost, finished: true}
-	recovered = event{kind: evRecover}
+	done     = event{kind: evDone}
+	failed   = event{kind: evDone, err: errLost}
+	finished = event{kind: evDone, err: errLost, finished: true}
 )
 
 func ctl(req uint8) event { return event{kind: evControl, req: req} }
@@ -57,15 +53,13 @@ var stepTable = []struct {
 		{replies(nil), "answer committed", cDone},
 	}},
 	{"two-phase commit", txState{}, []move{
-		{event{kind: evCommit, parts: []string{"a", "b", "c"}, writers: []string{"a", "b"}}, "stage prepare; append prepare [a b c]", cPrepareLog},
-		{done, "note pending; send prepare [a b c]", cVote},
+		{event{kind: evCommit, parts: []string{"a", "b", "c"}, writers: []string{"a", "b"}}, "stage prepare; note pending; send prepare [a b c]", cVote},
 		{replies(yes, yes, ro), "stage log-force; append commit [a b]", cDecideLog},
 		{done, "stage counter-stabilize; stabilize", cStabilize},
 		{done, "note commit; stage commit; push commit [a b]; answer committed", cDone},
 	}},
 	{"two-phase, every writer votes read-only", txState{}, []move{
-		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}}, "stage prepare; append prepare [a b]", cPrepareLog},
-		{done, "note pending; send prepare [a b]", cVote},
+		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}}, "stage prepare; note pending; send prepare [a b]", cVote},
 		{replies(ro, ro), `note commit; answer committed "readonly"`, cDone},
 	}},
 
@@ -79,6 +73,9 @@ var stepTable = []struct {
 	{"fail-stopped Clog, one writer", txState{}, []move{
 		{event{kind: evCommit, parts: []string{"a"}, writers: []string{"a"}, err: errLost}, `stage prepare; stage abort; send abort [a]; count twopc.abort.prepare_failed; answer aborted "prepare_failed" err`, cDone},
 	}},
+	{"fail-stopped Clog, two writers", txState{}, []move{
+		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}, err: errLost}, `stage prepare; stage abort; send abort [a b]; count twopc.abort.prepare_failed; answer aborted "prepare_failed" err`, cDone},
+	}},
 	{"a reader votes no", txState{}, []move{
 		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"b"}, readers: []string{"a"}}, "stage prepare; send prepare [a]", cReadVote},
 		{failed, `stage abort; send abort [a b]; count twopc.abort.prepare_failed; answer aborted "prepare_failed" err`, cDone},
@@ -90,26 +87,19 @@ var stepTable = []struct {
 	}},
 	// Before the commit decision is appended, a failure is a definite
 	// abort, sent once and logged nowhere.
-	{"prepare record not logged", txState{}, []move{
-		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}}, "stage prepare; append prepare [a b]", cPrepareLog},
-		{failed, `stage abort; send abort [a b]; count twopc.abort.log_append; answer aborted "prepare_log_failed" err`, cDone},
-	}},
 	{"a participant votes no", txState{}, []move{
-		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}}, "stage prepare; append prepare [a b]", cPrepareLog},
-		{done, "note pending; send prepare [a b]", cVote},
+		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}}, "stage prepare; note pending; send prepare [a b]", cVote},
 		{failed, `note abort; stage abort; send abort [a b]; count twopc.abort.prepare_failed; answer aborted "prepare_failed" err`, cDone},
 	}},
 	// After it, nothing contradicts the decision: no abort is sent.
 	{"decision not logged", txState{}, []move{
-		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}}, "stage prepare; append prepare [a b]", cPrepareLog},
-		{done, "note pending; send prepare [a b]", cVote},
+		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}}, "stage prepare; note pending; send prepare [a b]", cVote},
 		{replies(yes, yes), "stage log-force; append commit [a b]", cDecideLog},
 		{failed, `count twopc.abort.log_append; answer indeterminate "decision_log_failed" err`, cDone},
 	}},
 	// A failed wait pushes commit once the token is stable after all.
 	{"decision never stable", txState{}, []move{
-		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}}, "stage prepare; append prepare [a b]", cPrepareLog},
-		{done, "note pending; send prepare [a b]", cVote},
+		{event{kind: evCommit, parts: []string{"a", "b"}, writers: []string{"a", "b"}}, "stage prepare; note pending; send prepare [a b]", cVote},
 		{replies(yes, yes), "stage log-force; append commit [a b]", cDecideLog},
 		{done, "stage counter-stabilize; stabilize", cStabilize},
 		{failed, `count twopc.abort.stabilize_timeout; push commit [a b]; answer indeterminate "stabilize_timeout" err`, cDone},
@@ -162,8 +152,26 @@ var stepTable = []struct {
 	{"janitor tick, unprepared", txState{phase: pActive}, []move{
 		{event{kind: evTick}, "local rollback; count twopc.part.reclaims", pDone},
 	}},
+	// A prepared part resolves by status query: at boot or promotion
+	// (ResolveRecovered), on a ReqResolve notice, or on the janitor tick
+	// when its decision's push never came. A decision in the reply enters
+	// as that decision's control message; pending or no reply changes
+	// nothing, and the next tick asks again.
 	{"janitor tick, prepared", txState{phase: pPrepared}, []move{
-		{event{kind: evTick}, "", pPrepared},
+		{event{kind: evTick}, "query", pPrepared},
+		{ctl(ReqCommit), "local commit-prepared", pPrepared},
+		{done, "count twopc.part.commits; answer", pDone},
+	}},
+	{"janitor tick, prepared, answered pending", txState{phase: pPrepared}, []move{
+		{event{kind: evTick}, "query", pPrepared},
+		{event{kind: evTick}, "query", pPrepared},
+	}},
+	// No stable commit decision (only the prepares went out, or the
+	// decision was in a dropped Clog tail): the answer is abort.
+	{"prepare only: presumed abort", txState{phase: pPrepared}, []move{
+		{event{kind: evTick}, "query", pPrepared},
+		{ctl(ReqAbort), "local abort-prepared", pPrepared},
+		{done, "count twopc.part.aborts; answer", pDone},
 	}},
 	{"restored from the WAL, resolved by status", txState{phase: pUnknown}, []move{
 		{event{kind: evRestored}, "count twopc.part.restored", pPrepared},
@@ -174,43 +182,6 @@ var stepTable = []struct {
 		{event{kind: evRestored}, "count twopc.part.restored", pPrepared},
 		{ctl(ReqAbort), "local abort-prepared", pPrepared},
 		{done, "count twopc.part.aborts; answer", pDone},
-	}},
-
-	// Recovery: decoded Clog records at boot, then RecoverPending. A
-	// stable commit decision is re-pushed; anything else is aborted.
-	{"prepare only: presumed abort", txState{mode: recovery}, []move{
-		{record(clogPrepare, false, false, "a", "b"), "note pending", cVote},
-		{recovered, `note abort; count twopc.recover.repush_abort; push abort [a b]; answer "repush_abort"`, cDone},
-	}},
-	{"prepare + commit: re-push commit", txState{mode: recovery}, []move{
-		{record(clogPrepare, false, false, "a", "b", "c"), "note pending", cVote},
-		{record(clogDecision, true, false, "a", "b"), "note commit", cDecided},
-		{recovered, `note commit; count twopc.recover.repush_commit; push commit [a b]; answer "repush_commit"`, cDone},
-	}},
-	{"prepare + abort: re-push abort", txState{mode: recovery}, []move{
-		{record(clogPrepare, false, false, "a", "b"), "note pending", cVote},
-		{record(clogDecision, false, false, "a", "b"), "note abort", cDecided},
-		{recovered, `note abort; count twopc.recover.repush_abort; push abort [a b]; answer "repush_abort"`, cDone},
-	}},
-	{"dropped-tail decision: presumed abort", txState{mode: recovery}, []move{
-		{record(clogPrepare, false, false, "a", "b"), "note pending", cVote},
-		{record(clogDecision, true, true, "a", "b"), "note abort", cDecided},
-		{recovered, `note abort; count twopc.recover.repush_abort; push abort [a b]; answer "repush_abort"`, cDone},
-	}},
-	{"dropped tail after a stable decision", txState{mode: recovery}, []move{
-		{record(clogDecision, true, false, "a", "b"), "note commit", cDecided},
-		{record(clogPrepare, false, true, "a", "b"), "", cDecided},
-		{recovered, `note commit; count twopc.recover.repush_commit; push commit [a b]; answer "repush_commit"`, cDone},
-	}},
-	{"adopted undecided prepare: abort, addresses rewritten", txState{mode: adoption}, []move{
-		{record(clogPrepare, false, false, "dead", "b"), "note pending", cVote},
-		{event{kind: evRecover, rewrite: func(a string) string { return strings.Replace(a, "dead", "succ", 1) }},
-			`count twopc.recover.adopted; note abort; count twopc.recover.repush_abort; push abort [succ b]; answer "adopt_repush_abort"`, cDone},
-	}},
-	{"adopted decision: re-push", txState{mode: adoption}, []move{
-		{record(clogPrepare, false, false, "a", "b"), "note pending", cVote},
-		{record(clogDecision, true, false, "a", "b"), "note commit", cDecided},
-		{recovered, `count twopc.recover.adopted; note commit; count twopc.recover.repush_commit; push commit [a b]; answer "adopt_repush_commit"`, cDone},
 	}},
 }
 
@@ -248,14 +219,6 @@ func TestStepTransitions(t *testing.T) {
 	}
 }
 
-// TestClogDemandTable pins the Clog rows of the stabilize-on-demand
-// table: a decision demands a counter round, a prepare record defers.
-func TestClogDemandTable(t *testing.T) {
-	if clogDemands(clogPrepare) || !clogDemands(clogDecision) {
-		t.Error("clogDemands wants a round for a prepare record, or none for a decision")
-	}
-}
-
 // renderFx renders effects as the table states them; an answer renders
 // what s carries.
 func renderFx(s txState, fx []effect) string {
@@ -274,13 +237,15 @@ func renderFx(s txState, fx []effect) string {
 		case fxPush:
 			out[i] = fmt.Sprintf("push %s %v", reqs[e.code], e.to)
 		case fxAppend:
-			out[i] = fmt.Sprintf("append %s %v", map[uint8]string{clogPrepare: "prepare", clogDecision: "commit"}[e.code], e.to)
+			out[i] = fmt.Sprintf("append %s %v", map[uint8]string{clogDecision: "commit"}[e.code], e.to)
 		case fxStabilize:
 			out[i] = "stabilize"
 		case fxNote:
 			out[i] = "note " + map[uint8]string{StatusCommit: "commit", StatusAbort: "abort", StatusPending: "pending"}[e.code]
 		case fxLocal:
 			out[i] = "local " + ops[e.code]
+		case fxQuery:
+			out[i] = "query"
 		case fxAnswer:
 			out[i] = "answer" + outcomes[s.outcome]
 			if s.reason != "" {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,6 +36,7 @@ type testNode struct {
 	poller *erpc.Poller
 	sched  *fibers.Scheduler
 	reg    *obs.Registry
+	wire   *simnet.Endpoint // the node's raw fabric attachment
 }
 
 // testCluster is an N-node cluster.
@@ -233,7 +235,7 @@ func (tc *testCluster) startNode(id uint64, addr, dir string) *testNode {
 	nd := &testNode{
 		id: id, addr: addr, dir: dir, db: db, mgr: mgr,
 		part: part, coord: coord, clog: clog, ep: ep, sched: sched,
-		reg: reg,
+		reg: reg, wire: nep,
 	}
 	nd.poller = erpc.StartPoller(ep)
 	return nd
@@ -263,18 +265,39 @@ func (tc *testCluster) crashNode(i int) {
 	tc.nodes[i] = nil
 }
 
-// shortIdle swaps node i's participant for one without route enforcement
-// that reclaims transactions idle for d, and wires the node's coordinator
-// and it to each other.
+// shortIdle swaps node i's participant for one whose janitor steps parts
+// idle for d, and wires the node's coordinator and it to each other.
 func (tc *testCluster) shortIdle(i int, d time.Duration) *testNode {
 	nd := tc.nodes[i]
 	nd.part.Close()
 	nd.part = NewParticipant(ParticipantConfig{
 		Manager: nd.mgr, Endpoint: nd.ep, Scheduler: nd.sched,
-		IdleTimeout: d,
+		IdleTimeout: d, NodeID: nd.id, Shard: tc.shard, Metrics: nd.reg,
 	})
 	nd.coord.part, nd.part.coord = nd.part, nd.coord
 	return nd
+}
+
+// recover finishes a restarted node's recovery as core's Node.Recover
+// does: every peer resolves its prepared parts of nd's transactions by
+// asking nd, then nd's participant resolves its own.
+func (tc *testCluster) recover(nd *testNode) {
+	tc.t.Helper()
+	nd.coord.Resolve(nd.id)
+	if err := nd.part.ResolveRecovered(); err != nil {
+		tc.t.Fatal(err)
+	}
+}
+
+// active sums the parts every live node holds.
+func (tc *testCluster) active() int {
+	n := 0
+	for _, nd := range tc.nodes {
+		if nd != nil {
+			n += nd.part.ActiveCount()
+		}
+	}
+	return n
 }
 
 // restartNode brings a crashed node back from its directory.
@@ -443,7 +466,7 @@ func TestDecisionAfterFinishAcks(t *testing.T) {
 		if _, err := tx.broadcast(ReqPrepare, tx.participants()); err != nil {
 			t.Fatalf("prepare: %v", err)
 		}
-		coord.note(tx.id, txState{phase: cDone}, StatusCommit)
+		coord.note(tx.id, cDone, StatusCommit)
 		return tx
 	}
 	push := func(tx *DistTxn, what string) {
@@ -459,7 +482,7 @@ func TestDecisionAfterFinishAcks(t *testing.T) {
 
 	part := tc.nodes[1].part
 	tx = prepare("node-1")
-	at := part.find(tx.id, false)
+	at := part.find(partKey{id: tx.id}, false)
 	at.mu.Lock()
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
@@ -476,11 +499,10 @@ func TestDecisionAfterFinishAcks(t *testing.T) {
 		}
 	}
 
-	addrOf := func(id uint64) string { return fmt.Sprintf("node-%d", id) }
 	for i, owner := range []string{"node-1", "node-0"} {
 		tx = prepare(owner)
 		req0 := tc.counterOn(i, "erpc.req.enqueued")
-		if err := tc.nodes[i].part.ResolveRecovered(addrOf); err != nil {
+		if err := tc.nodes[i].part.ResolveRecovered(); err != nil {
 			t.Fatal(err)
 		}
 		if a := tc.nodes[i].part.ActiveCount(); a != 0 {
@@ -528,10 +550,10 @@ func TestCommitAnswersAtDecision(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("Commit = %v with node-1's commit dropped, want nil", err)
 	}
-	if !coord.Committed(tx.ID()) {
+	if coord.status(tx.ID()) != StatusCommit {
 		t.Fatal("the status table lacks the commit after Commit returned")
 	}
-	if at := tc.nodes[1].part.find(tx.ID(), false); at == nil || !at.prepared.Load() {
+	if at := tc.nodes[1].part.find(partKey{id: tx.ID()}, false); at == nil || !at.prepared.Load() {
 		t.Fatal("node-1 does not hold the transaction prepared while its commit is dropped")
 	}
 
@@ -571,52 +593,113 @@ func TestCommitAnswersAtDecision(t *testing.T) {
 }
 
 // TestAdoptedPrepareIsAborted: a successor adopting a dead coordinator's
-// Clog aborts a transaction that logged its prepare but no decision, even
-// when every live participant would vote yes. The dead primary's address
-// is rewritten to the successor's, so the successor's one vote would
-// stand for its own part and for the dead primary's part.
+// mirrored Clog answers for its transactions from the mirror's commit
+// decisions alone. One transaction left a prepared part on the successor
+// and logged no decision: it resolves to abort, even though every live
+// participant voted yes. Another logged its commit decision: it resolves
+// to commit. Adoption runs before the epoch flip that routes the dead
+// primary's status queries to the successor (emulated here by aliasing
+// the primary's member address), and the successor's prepared parts then
+// resolve by asking, with no push from anyone.
 func TestAdoptedPrepareIsAborted(t *testing.T) {
 	tc := newTestCluster(t, 2)
-	var key []byte
-	for i := 0; key == nil; i++ {
-		if k := []byte(fmt.Sprintf("adopt-%d", i)); tc.owner(k) == "node-1" {
-			key = k
+	keys := []string{string(tc.keyOn("adopt-orphan", "node-1")), string(tc.keyOn("adopt-decided", "node-1"))}
+	// node-0 plays the dead primary: each transaction holds a prepared
+	// part on node-1; its mirrored Clog holds one commit decision.
+	var txs []*DistTxn
+	for _, k := range keys {
+		tx := tc.nodes[0].coord.Begin(nil)
+		if err := tx.Put([]byte(k), []byte("prepared")); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// node-0 plays the dead primary: its transaction holds a prepared part
-	// on node-1, and its mirrored Clog names both nodes.
-	tx := tc.nodes[0].coord.Begin(nil)
-	if err := tx.Put(key, []byte("orphan")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.broadcast(ReqPrepare, []string{"node-1"}); err != nil {
-		t.Fatal(err)
-	}
-	records := []durlog.Entry{{Kind: clogPrepare, Counter: 1,
-		Payload: encodeClogPayload(tx.id, false, []string{"node-0", "node-1"})}}
-	toSuccessor := func(a string) string {
-		if a == "node-0" {
-			return "node-1"
+		if _, err := tx.broadcast(ReqPrepare, []string{"node-1"}); err != nil {
+			t.Fatal(err)
 		}
-		return a
+		txs = append(txs, tx)
 	}
+	records := []durlog.Entry{{Kind: clogDecision, Counter: 1,
+		Payload: encodeClogPayload(txs[1].id, true, []string{"node-1"})}}
+	tc.crashNode(0)
+
 	successor := tc.nodes[1]
-	if err := successor.coord.AdoptRecovered(records, toSuccessor, nil); err != nil {
+	if err := successor.coord.AdoptRecovered(records); err != nil {
 		t.Fatal(err)
 	}
-	if st := successor.coord.status(tx.id); st != StatusAbort {
+	if st := successor.coord.status(txs[0].id); st != StatusAbort {
 		t.Errorf("adopted undecided prepare: status = %d, want presumed abort", st)
+	}
+	if st := successor.coord.status(txs[1].id); st != StatusCommit {
+		t.Errorf("adopted commit decision: status = %d, want commit", st)
+	}
+	flipped := tc.shard.View().Clone()
+	flipped.Members[0].Addr = successor.addr
+	tc.shard.Store(flipped)
+	if err := successor.part.ResolveRecovered(); err != nil {
+		t.Fatal(err)
 	}
 	if a := successor.part.ActiveCount(); a != 0 {
 		t.Errorf("successor still holds %d transactions", a)
 	}
 	check := successor.coord.Begin(nil)
-	if v, ok := distGet(t, check, string(key)); ok {
-		t.Errorf("%s = %q: the adopted undecided transaction committed", key, v)
+	if v, ok := distGet(t, check, keys[0]); ok {
+		t.Errorf("%s = %q: the adopted undecided transaction committed", keys[0], v)
+	}
+	if v, ok := distGet(t, check, keys[1]); !ok || v != "prepared" {
+		t.Errorf("%s = %q/%v: the adopted commit decision was not applied", keys[1], v, ok)
 	}
 	if err := check.Commit(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAdoptedCommitSurvivesSuccessorRestart: a successor logs the dead
+// primary's adopted commit decisions in its own Clog, so it still answers
+// commit for them after its own restart. A writer the primary left
+// prepared asks on its janitor tick only after that restart, and commits
+// with the primary's other writer, the successor itself.
+func TestAdoptedCommitSurvivesSuccessorRestart(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	writer := tc.shortIdle(2, 300*time.Millisecond)
+	keys := []string{string(tc.keyOn("adopt-restart", "node-1")), string(tc.keyOn("adopt-restart", "node-2"))}
+	tx := tc.nodes[0].coord.Begin(nil)
+	for _, k := range keys {
+		if err := tx.Put([]byte(k), []byte("decided")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tx.broadcast(ReqPrepare, []string{"node-1", "node-2"}); err != nil {
+		t.Fatal(err)
+	}
+	records := []durlog.Entry{{Kind: clogDecision, Counter: 1,
+		Payload: encodeClogPayload(tx.id, true, []string{"node-1", "node-2"})}}
+	tc.crashNode(0)
+
+	successor := tc.nodes[1]
+	if err := successor.coord.AdoptRecovered(records); err != nil {
+		t.Fatal(err)
+	}
+	flipped := tc.shard.View().Clone()
+	flipped.Members[0].Addr = successor.addr
+	tc.shard.Store(flipped)
+	addr, dir := successor.addr, successor.dir
+	tc.crashNode(1)
+	successor = tc.restartNode(1, addr, dir)
+	if st := successor.coord.status(tx.id); st != StatusCommit {
+		t.Fatalf("restarted successor: status = %d, want the adopted commit", st)
+	}
+	tc.recover(successor) // its own restored part asks itself
+	for deadline := time.Now().Add(5 * time.Second); writer.part.ActiveCount() != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("node-2 still holds its part prepared 5 s after the successor restarted")
+		}
+	}
+	check := successor.coord.Begin(nil)
+	for _, k := range keys {
+		if v, ok := distGet(t, check, k); !ok || v != "decided" {
+			t.Errorf("%s = %q/%v: the adopted commit decision was lost to the restart", k, v, ok)
+		}
+	}
+	check.Rollback()
 }
 
 func TestDistributedIsolationConflict(t *testing.T) {
@@ -731,7 +814,7 @@ func TestParticipantCrashBeforePrepareAborts(t *testing.T) {
 	if tc.nodes[0].coord.status(tx.ID()) == StatusPending {
 		t.Fatal("coordinator must have decided")
 	}
-	commit := tc.nodes[0].coord.Committed(tx.ID())
+	commit := tc.nodes[0].coord.status(tx.ID()) == StatusCommit
 	// Verify atomicity: all keys present iff committed.
 	check := tc.nodes[0].coord.Begin(nil)
 	present := 0
@@ -749,36 +832,225 @@ func TestParticipantCrashBeforePrepareAborts(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCrashRecoveryCommitsDecided: a coordinator that crashes
+// after its commit decision is stable but before any push lands comes
+// back with the decision in its Clog. It pushes nothing: its one notice
+// per peer has each writer ask for the decision, and by the time recovery
+// returns every part is committed and released.
 func TestCoordinatorCrashRecoveryCommitsDecided(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	coordNode := tc.nodes[0]
 
-	// Run a committed transaction, then crash the coordinator node and
-	// restart it: the decision must survive in the Clog and be re-pushed.
 	tx := coordNode.coord.Begin(nil)
 	for i := 0; i < 9; i++ {
 		if err := tx.Put([]byte(fmt.Sprintf("crash-%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
+	release := coordNode.coord.HoldPushes()
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	id := tx.ID()
 	addr, dir := coordNode.addr, coordNode.dir
 	tc.crashNode(0)
+	release() // the crashed incarnation's push reaches nobody
+	coordNode.coord.Drain()
+	if tc.active() == 0 {
+		t.Fatal("vacuous: no writer holds the transaction prepared")
+	}
 
 	nd := tc.restartNode(0, addr, dir)
-	if !nd.coord.Committed(id) {
+	if nd.coord.status(id) != StatusCommit {
 		t.Fatal("the recovered status table lacks the commit")
 	}
-	nd.coord.RecoverPending(nil)
+	tc.recover(nd)
+	if a := tc.active(); a != 0 {
+		t.Errorf("%d parts still held after the coordinator recovered", a)
+	}
 	// Data still visible cluster-wide.
 	check := tc.nodes[1].coord.Begin(nil)
 	for i := 0; i < 9; i++ {
 		if _, ok := distGet(t, check, fmt.Sprintf("crash-%d", i)); !ok {
 			t.Errorf("crash-%d missing after coordinator recovery", i)
 		}
+	}
+	check.Rollback()
+}
+
+// TestRestartSendsOneNoticePerPeer: recovery costs one message per peer,
+// not one per decision. A coordinator restarted over a Clog of 50 commit
+// decisions sends one ReqResolve to each of its two peers and nothing
+// else; a writer that held the last transaction prepared (its push was
+// never sent) has released it by the time recovery returns.
+func TestRestartSendsOneNoticePerPeer(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	coordNode := tc.nodes[0]
+	const decisions = 50
+	keys := [][]byte{tc.keyOn("notice", "node-1"), tc.keyOn("notice", "node-2")}
+	commit := func(v string) {
+		t.Helper()
+		tx := coordNode.coord.Begin(nil)
+		for _, k := range keys {
+			if err := tx.Put(k, []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < decisions; i++ {
+		commit(fmt.Sprint(i))
+		coordNode.coord.Drain() // the next transaction takes the same locks
+	}
+	release := coordNode.coord.HoldPushes()
+	commit("last")
+	addr, dir := coordNode.addr, coordNode.dir
+	tc.crashNode(0)
+	release()
+	coordNode.coord.Drain()
+	if a := tc.nodes[1].part.ActiveCount() + tc.nodes[2].part.ActiveCount(); a != 2 {
+		t.Fatalf("the writers hold %d parts before recovery, want 2", a)
+	}
+
+	nd := tc.restartNode(0, addr, dir)
+	if got := len(nd.coord.commits); got != decisions {
+		t.Fatalf("the restarted status table holds %d commits, want %d", got, decisions)
+	}
+	tc.recover(nd)
+	if n := tc.counterOn(0, "twopc.resolve.notices"); n != 2 {
+		t.Errorf("recovery sent %d notices, want one per peer (2)", n)
+	}
+	if n := tc.counterOn(0, "erpc.req.enqueued"); n != 2 {
+		t.Errorf("recovery enqueued %d requests, want the 2 notices and no push", n)
+	}
+	for _, i := range []int{1, 2} {
+		if a := tc.nodes[i].part.ActiveCount(); a != 0 {
+			t.Errorf("node-%d holds %d parts after recovery returned", i, a)
+		}
+		if n := tc.counterOn(i, "twopc.part.resolved"); n != 1 {
+			t.Errorf("node-%d resolved %d parts by query, want 1", i, n)
+		}
+	}
+	check := tc.nodes[1].coord.Begin(nil)
+	for _, k := range keys {
+		if v, _ := distGet(t, check, string(k)); v != "last" {
+			t.Errorf("%s = %q after recovery, want the last commit's value", k, v)
+		}
+	}
+	check.Rollback()
+}
+
+// TestResolveNoticeAsksTheMappedCoordinator: no MAC covers a notice's
+// transport source, so a participant asks the address the shard map gives
+// the coordinator the notice names, not the source. Here the network
+// hands a restarted coordinator's genuine notice to node-1 as if node-2
+// had sent it. node-2's coordinator would answer abort for an id it never
+// coordinated; node-1 asks node-0 and commits, as node-2's part does.
+func TestResolveNoticeAsksTheMappedCoordinator(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	coordNode := tc.nodes[0]
+	keys := [][]byte{tc.keyOn("forged", "node-1"), tc.keyOn("forged", "node-2")}
+	release := coordNode.coord.HoldPushes()
+	tx := coordNode.coord.Begin(nil)
+	for _, k := range keys {
+		if err := tx.Put(k, []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	addr, dir := coordNode.addr, coordNode.dir
+	tc.crashNode(0)
+	release()
+	coordNode.coord.Drain()
+
+	nd := tc.restartNode(0, addr, dir)
+	nd.coord.timeout = 50 * time.Millisecond // what each dropped notice costs
+	forger := tc.nodes[2].wire
+	var forged atomic.Bool
+	var forging sync.WaitGroup
+	var forgeErr error
+	tc.net.SetAdversary(simnet.FuncAdversary(func(pkt simnet.Packet) simnet.Verdict {
+		// Every notice to node-1 is dropped; the first is delivered again
+		// from node-2's address, the same sealed bytes, and is the only
+		// notice node-1 sees.
+		notice := len(pkt.Data) > 2 && pkt.Data[1] == ReqResolve && pkt.Data[2]&1 == 0
+		if !notice || pkt.From != nd.addr || pkt.To != "node-1" {
+			return simnet.Verdict{}
+		}
+		if !forged.Swap(true) {
+			data := append([]byte(nil), pkt.Data...)
+			forging.Add(1)
+			go func() {
+				defer forging.Done()
+				forgeErr = forger.Send("node-1", data)
+			}()
+		}
+		return simnet.Verdict{Drop: true}
+	}))
+	tc.recover(nd)
+	forging.Wait()
+	if !forged.Load() || forgeErr != nil {
+		t.Fatalf("no forged notice reached node-1 (%v)", forgeErr)
+	}
+	// The short notice timeout can end recovery before a peer replies.
+	for deadline := time.Now().Add(5 * time.Second); tc.active() != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d parts still held 5 s after recovery", tc.active())
+		}
+	}
+	if n := tc.counterOn(1, "twopc.part.resolved"); n != 1 {
+		t.Errorf("node-1 resolved %d parts, want 1", n)
+	}
+	check := tc.nodes[2].coord.Begin(nil)
+	for _, k := range keys {
+		if v, ok := distGet(t, check, string(k)); !ok || v != "new" {
+			t.Errorf("%s = %q/%v after recovery, want the committed value", k, v, ok)
+		}
+	}
+	check.Rollback()
+}
+
+// TestLostPushResolvesOnJanitorTick: a writer whose every commit push is
+// dropped asks for the decision itself once its part has been idle for
+// the janitor's timeout, and commits, with no restart anywhere.
+func TestLostPushResolvesOnJanitorTick(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	coord := tc.nodes[0].coord
+	coord.timeout = 50 * time.Millisecond // what each dropped push costs
+	nd := tc.shortIdle(1, 100*time.Millisecond)
+	key, other := tc.keyOn("tick", "node-1"), tc.keyOn("tick", "node-2")
+	tc.net.SetAdversary(simnet.FuncAdversary(func(pkt simnet.Packet) simnet.Verdict {
+		// The erpc header is cleartext: byte 1 is the request type, byte 2
+		// the flags (bit 0: response).
+		isCommit := len(pkt.Data) > 2 && pkt.Data[1] == ReqCommit && pkt.Data[2]&1 == 0
+		return simnet.Verdict{Drop: isCommit && pkt.To == nd.addr}
+	}))
+
+	tx := coord.Begin(nil)
+	for _, k := range [][]byte{key, other} {
+		if err := tx.Put(k, []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	coord.Drain() // every push to node-1 was dropped
+	for deadline := time.Now().Add(3 * time.Second); nd.part.ActiveCount() != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("node-1 still holds its part prepared 3 s after its push was lost")
+		}
+	}
+	if n := tc.counterOn(1, "twopc.part.resolved"); n != 1 {
+		t.Errorf("node-1 resolved %d parts by query, want 1", n)
+	}
+	check := tc.nodes[2].coord.Begin(nil)
+	if v, ok := distGet(t, check, string(key)); !ok || v != "new" {
+		t.Errorf("%s = %q/%v after the janitor resolved it, want the committed value", key, v, ok)
 	}
 	check.Rollback()
 }
@@ -874,10 +1146,10 @@ func TestClogRoundTripAndTamper(t *testing.T) {
 		t.Fatal("fresh clog must be empty")
 	}
 	id := globalTxID(3, 77)
-	if _, err := clog.Append(clogPrepare, id, false, []string{"node-1", "node-2"}); err != nil {
+	if _, err := clog.Append(clogDecision, id, true, []string{"node-1", "node-2"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clog.Append(clogDecision, id, true, []string{"node-1", "node-2"}); err != nil {
+	if _, err := clog.Append(clogDecision, globalTxID(3, 78), false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := clog.Close(); err != nil {
@@ -891,15 +1163,47 @@ func TestClogRoundTripAndTamper(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("recovered %d entries, want 2", len(entries))
 	}
-	if entries[0].Kind != clogPrepare || entries[1].Kind != clogDecision || !entries[1].Commit {
+	if entries[0].Kind != clogDecision || !entries[0].Commit || entries[1].Commit {
 		t.Errorf("entries = %+v", entries)
 	}
 	if entries[0].TxID != id || len(entries[0].Participants) != 2 {
-		t.Errorf("prepare entry = %+v", entries[0])
+		t.Errorf("commit entry = %+v", entries[0])
 	}
 	node, seq := splitTxID(entries[0].TxID)
 	if node != 3 || seq != 77 {
 		t.Errorf("txid split = %d/%d", node, seq)
+	}
+}
+
+// TestClogSkipsOlderPrepareRecords: a Clog written before prepares went
+// unlogged holds kind-1 prepare-start records. It still opens, and
+// replays only its decisions.
+func TestClogSkipsOlderPrepareRecords(t *testing.T) {
+	dir := t.TempDir()
+	key, err := seal.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr := &fakeCounter{}
+	clog, _, err := OpenClog(nil, dir, seal.LevelEncrypted, key, nil, ctr, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := globalTxID(3, 77)
+	for _, kind := range []uint8{1, clogDecision} {
+		if _, err := clog.Append(kind, id, kind == clogDecision, []string{"node-1", "node-2"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := clog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, entries, err := OpenClog(nil, dir, seal.LevelEncrypted, key, nil, ctr, int64(ctr.StableValue()))
+	if err != nil {
+		t.Fatalf("reopening a log with an older prepare record: %v", err)
+	}
+	if len(entries) != 1 || entries[0].Kind != clogDecision || entries[0].TxID != id || !entries[0].Commit {
+		t.Errorf("recovered %+v, want the one commit decision", entries)
 	}
 }
 
@@ -968,7 +1272,7 @@ func TestReadOnlyOptimization(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("read-only commit: %v", err)
 	}
-	if tc.nodes[1].coord.Committed(tx.ID()) {
+	if tc.nodes[1].coord.status(tx.ID()) == StatusCommit {
 		t.Errorf("read-only txn recorded a decision")
 	}
 	if d := tc.counterOn(1, "twopc.clog.appends") - appends; d != 0 {
@@ -1023,7 +1327,7 @@ func TestClogStableAndLastCounter(t *testing.T) {
 	}
 	defer clog.Close()
 	id := globalTxID(1, 1)
-	if _, err := clog.Append(clogPrepare, id, false, []string{"n1"}); err != nil {
+	if _, err := clog.Append(clogDecision, id, true, []string{"n1"}); err != nil {
 		t.Fatal(err)
 	}
 	if clog.LastCounter() != 1 {
@@ -1052,14 +1356,14 @@ func TestClogRollbackDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := globalTxID(1, 1)
-	if _, err := clog.Append(clogPrepare, id, false, []string{"n1"}); err != nil {
+	if _, err := clog.Append(clogDecision, id, true, []string{"n1"}); err != nil {
 		t.Fatal(err)
 	}
 	data1, err := os.ReadFile(clogName(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clog.Append(clogDecision, id, true, []string{"n1"}); err != nil {
+	if _, err := clog.Append(clogDecision, globalTxID(1, 2), true, []string{"n1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := clog.Close(); err != nil {
@@ -1086,7 +1390,7 @@ func TestClogTamperDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clog.Append(clogPrepare, globalTxID(1, 1), false, []string{"n1"}); err != nil {
+	if _, err := clog.Append(clogDecision, globalTxID(1, 1), true, []string{"n1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := clog.Close(); err != nil {
@@ -1117,8 +1421,8 @@ func (c *manualCounter) set(v uint64)             { c.v.Store(v) }
 // TestDistTxnOutcome pins the outcome classification the serializability
 // auditor depends on: a clean commit is Committed, a client rollback is
 // definitely Aborted, and so is a two-phase commit whose prepare failed:
-// no commit decision was appended, and recovery aborts a prepare record
-// that none follows. (A failure after the decision is appended is
+// no commit decision was appended, and an id without one answers abort.
+// (A failure after the decision is appended is
 // Indeterminate: TestCrashInStabilizeKeepsWritersAgreed.)
 func TestDistTxnOutcome(t *testing.T) {
 	tc := newTestCluster(t, 3)
@@ -1167,11 +1471,10 @@ func TestDistTxnOutcome(t *testing.T) {
 }
 
 // TestCoordinatorCrashMidPrepareReleasesParticipants: a coordinator that
-// crashes between its (deferred, hence unstabilized) prepare record and a
-// decision comes back without the record in its stabilized Clog — but it
-// finds it in the tail recovery drops, presumes abort, and tells the
-// participants, which would otherwise hold the prepared transaction and
-// its locks until their own next restart.
+// crashes right after its prepare fan-out has logged nothing for the
+// transaction, so it comes back presuming abort. Its notices have every
+// participant ask, and each aborts the prepared transaction it would
+// otherwise hold, locks and all, until its own next restart.
 func TestCoordinatorCrashMidPrepareReleasesParticipants(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	coordNode := tc.nodes[0]
@@ -1181,16 +1484,9 @@ func TestCoordinatorCrashMidPrepareReleasesParticipants(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The first half of Commit: log the prepare record, collect the votes.
-	parts := tx.participants()
-	if _, err := coordNode.clog.Append(clogPrepare, tx.ID(), false, parts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.broadcast(ReqPrepare, parts); err != nil {
+	// The first half of Commit: the prepare fan-out and its votes.
+	if _, err := tx.broadcast(ReqPrepare, tx.participants()); err != nil {
 		t.Fatalf("prepare phase: %v", err)
-	}
-	if coordNode.clog.Stable() {
-		t.Fatal("the prepare record must not have been stabilized: nobody waits on it")
 	}
 	prepared := 0
 	for _, nd := range tc.nodes[1:] {
@@ -1204,9 +1500,9 @@ func TestCoordinatorCrashMidPrepareReleasesParticipants(t *testing.T) {
 	tc.crashNode(0)
 	nd := tc.restartNode(0, addr, dir)
 	if st := nd.coord.status(tx.ID()); st != StatusAbort {
-		t.Fatalf("dropped prepare record: status = %d, want presumed abort", st)
+		t.Fatalf("undecided transaction: status = %d, want presumed abort", st)
 	}
-	nd.coord.RecoverPending(nil)
+	tc.recover(nd)
 	for i, n := range tc.nodes {
 		if a := n.part.ActiveCount(); a != 0 {
 			t.Errorf("node %d still holds %d prepared transactions after the coordinator recovered", i, a)
@@ -1244,7 +1540,8 @@ func (s *sharedCounters) fail(addr string, err error) {
 // its commit decision waits for its counter round never contradicts the
 // decision. The round reached the counter unseen (the persisted value
 // covers the decision), so the restarted Clog replays the decision as
-// stable and recovery pushes commit. An abort sent on the way down would
+// stable, and the writers its notices prompt ask for it and commit. An
+// abort sent on the way down would
 // reach one writer and not the other: node-2's aborts are dropped, as a
 // crash cuts off whatever it likes, so such an abort splits the writers.
 func TestCrashInStabilizeKeepsWritersAgreed(t *testing.T) {
@@ -1284,7 +1581,10 @@ func TestCrashInStabilizeKeepsWritersAgreed(t *testing.T) {
 	tc.net.SetAdversary(nil)
 
 	nd = tc.restartNode(0, nd.addr, nd.dir)
-	nd.coord.RecoverPending(nil)
+	tc.recover(nd)
+	if a := tc.active(); a != 0 {
+		t.Errorf("%d parts still held after the coordinator recovered", a)
+	}
 	check := tc.nodes[1].coord.Begin(nil)
 	_, on1 := distGet(t, check, string(keys[0]))
 	_, on2 := distGet(t, check, string(keys[1]))
@@ -1301,8 +1601,9 @@ func TestCrashInStabilizeKeepsWritersAgreed(t *testing.T) {
 
 // TestStabilizeTimeoutCommitsLate: a commit decision whose counter round
 // outlasts the stabilization deadline answers indeterminate and sends no
-// abort. A recovery pass meanwhile leaves the live transaction alone, and
-// once the round completes the commit lands on both writers.
+// abort. Meanwhile the writers' status queries, prompted by a notice,
+// read pending and leave the parts prepared, and once the round
+// completes the commit lands on both writers.
 func TestStabilizeTimeoutCommitsLate(t *testing.T) {
 	tc := newShapedCluster(t, 3, 4, 25*time.Millisecond)
 	nd := tc.nodes[0]
@@ -1320,13 +1621,16 @@ func TestStabilizeTimeoutCommitsLate(t *testing.T) {
 	if err := tx.Commit(); !errors.Is(err, ErrAborted) || tx.Outcome() != TxnIndeterminate {
 		t.Fatalf("Commit = %v (outcome %v), want an indeterminate stabilization timeout", err, tx.Outcome())
 	}
-	nd.coord.RecoverPending(nil)
+	nd.coord.Resolve(nd.id)
 	if st := nd.coord.status(tx.ID()); st != StatusPending {
 		t.Fatalf("status = %d before the decision is stable, want pending", st)
 	}
+	if a := tc.nodes[1].part.ActiveCount() + tc.nodes[2].part.ActiveCount(); a != 2 {
+		t.Fatalf("the writers hold %d parts while the decision is pending, want 2", a)
+	}
 	clogCtr.withhold.Store(false)
 	nd.coord.Drain()
-	if !nd.coord.Committed(tx.ID()) {
+	if nd.coord.status(tx.ID()) != StatusCommit {
 		t.Fatal("the stabilized decision was not noted")
 	}
 	for _, n := range tc.nodes {

@@ -346,10 +346,12 @@ func distTxKey(i int) []byte { return []byte(fmt.Sprintf("p-%d", i)) }
 func distTxCommits(i int) bool { return (i/5)%3 != 0 }
 
 // distTx plays distributed transaction i (every fifth op) through the
-// storage stack the way the 2PC layer does: the coordinator's prepare
-// record (deferred round), the participant's prepare record waited on —
-// the yes-vote — then the decision, waited on only for a commit, and the
-// participant's self-contained outcome record (deferred round). The
+// storage stack the way the 2PC layer does: the participant's prepare
+// record waited on — the yes-vote — then the coordinator's decision,
+// waited on only for a commit, and the participant's self-contained
+// outcome record (deferred round). The coordinator logs no prepare-start
+// record: a transaction without a stable commit decision is presumed
+// aborted. The
 // transaction counts as acknowledged once its commit decision is stable:
 // from then on every image must recover it committed. Every third
 // transaction rotates and flushes between the yes-vote and the outcome,
@@ -357,9 +359,6 @@ func distTxCommits(i int) bool { return (i/5)%3 != 0 }
 func distTx(db *lsm.DB, clog *twopc.Clog, i int, ackedClog, ackedTx *atomic.Uint64) error {
 	id := txidFor(i)
 	parts := []string{"node-1", "node-2"}
-	if _, err := clog.Append(twopc.ClogKindPrepare, id, false, parts); err != nil {
-		return fmt.Errorf("op %d clog prepare: %w", i, err)
-	}
 	pb := lsm.NewBatch()
 	pb.Put(distTxKey(i), u64(uint64(i)))
 	vote, err := db.LogPrepare(id, pb)
